@@ -14,12 +14,9 @@ subsets of K independent, identically distributed nonnegative variables
 ``partition`` describes which rank groupings have closed evaluators,
 ``apps`` applies the machinery to threshold-based diversity combining,
 ``verify`` bundles the cross-validation suites, and ``cli`` exposes the
-command line.  ``BACKEND_COMPILED`` reports whether the compiled
-polynomial-evaluation core is active (the pure Python fallback is
-semantically identical).
+command line.
 """
 
-from ordstat._backend import COMPILED as BACKEND_COMPILED
 from ordstat.distributions import (
     CustomDistribution,
     Distribution,
@@ -74,7 +71,6 @@ from ordstat.partition import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND_COMPILED",
     "ConvergenceError",
     "CustomDistribution",
     "Distribution",

@@ -1,33 +1,105 @@
-"""Select the compiled evaluation kernels when available.
+"""Step-sum kernel: piecewise polynomial-exponential term sums.
 
-``import ordstat._backend as bk`` and call ``bk.poly_exp_eval(...)``.  The
-pure Python module is the reference implementation; the Cython build is an
-accelerator with identical semantics.  ``bk.COMPILED`` says which one is
-active, ``ORDSTAT_FORCE_PY=1`` in the environment forces the fallback
-(used by the benchmark and by tests that compare the two).
+A term is ``coeff * (z - threshold)**power * exp(-decay*z)`` supported on
+``z >= threshold`` (the step is closed on the left: a term counts exactly at
+its threshold).  Callers pass terms sorted by ascending ``|coeff|``;
+accumulation uses Neumaier compensation so that the alternating sums
+produced by binomial expansions lose as little as possible.
+
+Both functions take either form of ``z``:
+
+* a scalar ``z`` with thresholds of shape ``(T,)``: a pure Python loop over
+  the terms.  Single points (``verify`` integrates densities point by point
+  with adaptive quadrature) are cheaper this way than through numpy.
+* a node array ``z`` of shape ``(N,)``, or thresholds of shape ``(N, T)``
+  (one row per node): the same summation, in the same term order, as numpy
+  operations over a terms-by-nodes array.  The running sums are a
+  cumulative sum along the terms, and each compensation term comes from
+  the branch-free two-sum against the previous running sum, which yields
+  the same exact rounding error as the scalar loop's Neumaier branch.  The
+  exponential factor comes from ``math.exp``, once per distinct decay and
+  node, as in the scalar loop.  numpy's ``power`` may round a term
+  differently from libm's ``pow`` by an ulp, so node values agree with the
+  scalar loop to within a few ulps of the sum of |term|.
 """
 
-import os
+import math
 
-if os.environ.get("ORDSTAT_FORCE_PY") == "1":
-    from ordstat._poly_eval_py import (  # noqa: F401
-        COMPILED,
-        poly_exp_eval,
-        poly_exp_eval_many,
-        poly_exp_eval_scale,
-    )
-else:
-    try:
-        from ordstat._poly_eval import (  # noqa: F401
-            COMPILED,
-            poly_exp_eval,
-            poly_exp_eval_many,
-            poly_exp_eval_scale,
-        )
-    except ImportError:
-        from ordstat._poly_eval_py import (  # noqa: F401
-            COMPILED,
-            poly_exp_eval,
-            poly_exp_eval_many,
-            poly_exp_eval_scale,
-        )
+import numpy as np
+
+__all__ = ["poly_exp_eval", "poly_exp_eval_scale"]
+
+
+def poly_exp_eval(coeff, threshold, power, decay, z):
+    """Evaluate a piecewise polynomial-exponential term sum at ``z``."""
+    if not (isinstance(z, float) and threshold.ndim == 1):
+        return _nodes(coeff, threshold, power, decay, z, False)[0]
+    s = 0.0
+    c = 0.0
+    for i in range(len(coeff)):
+        if z < threshold[i]:
+            continue
+        x = coeff[i] * (z - threshold[i]) ** power[i] * math.exp(-decay[i] * z)
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+    return s + c
+
+
+def poly_exp_eval_scale(coeff, threshold, power, decay, z):
+    """Like :func:`poly_exp_eval` but also return the sum of |term|.
+
+    The second value bounds the roundoff scale of the cancellation, which
+    is what nonnegativity of a density can honestly be measured against.
+    """
+    if not (isinstance(z, float) and threshold.ndim == 1):
+        return _nodes(coeff, threshold, power, decay, z, True)
+    s = 0.0
+    c = 0.0
+    mag = 0.0
+    for i in range(len(coeff)):
+        if z < threshold[i]:
+            continue
+        x = coeff[i] * (z - threshold[i]) ** power[i] * math.exp(-decay[i] * z)
+        mag += abs(x)
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+    return s + c, mag
+
+
+def _nodes(coeff, threshold, power, decay, z, scale):
+    z = np.asarray(z, dtype=float)
+    thr = np.asarray(threshold, dtype=float)
+    # Terms along the first axis, nodes along the second.
+    d = z - (thr.T if thr.ndim == 2 else thr[:, None])
+    live = d >= 0.0
+    np.maximum(d, 0.0, out=d)
+    x = np.power(d, power[:, None], out=d)
+    x *= coeff[:, None]
+    if decay.any():
+        zn = np.broadcast_to(z, x.shape[1:])
+        for rate in np.unique(decay):
+            e = np.fromiter(map(math.exp, (-rate * zn).ravel().tolist()),
+                            float, zn.size)
+            x[decay == rate] *= e
+    x *= live
+    mag = np.abs(x).sum(axis=0) if scale else None
+    # Running sums in term order, then the exact rounding error of each
+    # addition: two-sum against the previous running sum, computed in place
+    # as (x - bp) + (prev - (s - bp)).
+    s = np.cumsum(x, axis=0)
+    prev = np.zeros_like(s)
+    prev[1:] = s[:-1]
+    bp = s - prev
+    x -= bp
+    np.subtract(s, bp, out=bp)
+    prev -= bp
+    x += prev
+    return s[-1] + x.sum(axis=0), mag

@@ -4,8 +4,30 @@ Rank the variables decreasingly (rank 1 largest).  For an exponential
 source every transform-domain object downstream of the kernel powers is a
 finite sum of shifted poles, so each joint density here reduces to sums of
 ``(u - threshold)^power`` pieces times a common ``exp(-rate * total)``
-factor, with at most one or two remaining finite quadratures whose
-integrands are piecewise smooth between computable knots.
+factor, with at most one or two remaining finite integrals whose
+integrands are piecewise smooth between computable knots: the points where
+a step term switches on or an inner limit changes form.
+
+Those integrals use fixed Gauss-Legendre rules on every knot segment, with
+all of a rule's nodes evaluated in one batched call (``_gauss_knots``):
+
+* Exact-degree rules.  The inner integrals of T3 (head-tail, all K) and of
+  T5b and T6 (best Ks, two nested integrals) have integrands that are
+  polynomials between knots, of degree ``K-3`` for T3 and ``Ks-4`` for T5b
+  and T6: a step sum times a power of the head sum.  The
+  ``ceil((deg+1)/2)``-node rule integrates them exactly, so they take that
+  rule alone, with no error estimate; what remains is the roundoff of the
+  step sums.
+* n/2n rules.  The outer integrals of T5b and T6, and the single integrals
+  of T4 (best-Ks sum), T5a and T5c, carry the factor
+  ``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, which is smooth
+  but not a polynomial.  They start three nodes above the exact count for
+  the polynomial part and double the nodes until the n- and 2n-node
+  values, summed over segments, agree to ``_EPSABS`` or ``_EPSREL``; a rule
+  that reaches ``_MAX_NODES`` per segment warns with ``IntegrationWarning``.
+
+Adaptive quadrature over scalar closures cost far more here, and on the
+exact polynomials it kept subdividing after the step sums' roundoff.
 
 Binomial coefficients are assembled exactly (they are integers well inside
 double precision for the supported ``K``) and the alternating pieces are
@@ -23,7 +45,9 @@ the rank-Ks variable, which therefore stays a separate coordinate of the
 fine densities until integrated out.
 """
 
+import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +70,8 @@ K_CAP = 30
 
 _EPSABS = 1e-9
 _EPSREL = 1e-8
+_SMOOTH_EXTRA = 3  # nodes beyond the exact count, for the smooth factor
+_MAX_NODES = 128   # per knot segment, for integrals that are not exact
 
 
 def _check_k(K, Ks=None, min_k=2):
@@ -73,13 +99,61 @@ def _pref(*, num, den, rate, rate_pow):
     return float(frac) * rate ** rate_pow
 
 
-def _quad_knots(f, lo, hi, knots=()):
+@functools.lru_cache(maxsize=None)
+def _legendre(n):
+    # Shared by every caller, so read-only.
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
+    """Integral of ``f`` over ``[lo, hi]``, Gauss-Legendre on each knot segment.
+
+    ``f`` maps an array of nodes to an array of values; it is called once
+    per rule, on the nodes of all segments together.  Between knots the
+    integrand is a polynomial of degree ``deg`` (``exact``), or such a
+    polynomial times a smooth factor.  The ``deg // 2 + 1``-node rule
+    integrates the polynomial exactly, so an exact integral takes that rule
+    alone.  Otherwise the rule starts ``_SMOOTH_EXTRA`` nodes higher and the
+    node count doubles until the n- and 2n-node sums, added over segments,
+    agree to ``_EPSABS``/``_EPSREL``; the 2n-node value is returned, with an
+    ``IntegrationWarning`` if that takes ``_MAX_NODES`` per segment or more.
+    """
     if not hi > lo:
         return 0.0
-    pts = sorted({float(p) for p in knots if lo < p < hi})
-    val, _ = integrate.quad(f, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL,
-                            limit=200, points=pts or None)
-    return val
+    edges = np.array([lo, *sorted({float(p) for p in knots if lo < p < hi}),
+                      hi])
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])
+
+    def rule(n):
+        x, w = _legendre(n)
+        return f((mid + half[:, None] * x).ravel()).reshape(-1, n) @ w * half
+
+    n = deg // 2 + 1 + (0 if exact else _SMOOTH_EXTRA)
+    est = rule(n)
+    if exact:
+        return float(est.sum())
+    while True:
+        n *= 2
+        prev, est = est, rule(n)
+        total = float(est.sum())
+        err = float(np.abs(est - prev).sum())
+        if err <= max(_EPSABS, _EPSREL * abs(total)):
+            return total
+        if n >= _MAX_NODES:
+            warnings.warn(
+                f"{n}-node Gauss-Legendre rule on [{lo:g}, {hi:g}] did not "
+                f"converge: n/2n difference {err:.3g}",
+                integrate.IntegrationWarning, stacklevel=2)
+            return total
+
+
+def _pointwise(f):
+    """Node-array adapter for a scalar integrand, such as an inner integral."""
+    return lambda zs: np.array([f(z) for z in zs.tolist()])
 
 
 class _Density:
@@ -122,6 +196,15 @@ class _StepSum:
         thr = np.ascontiguousarray(np.asarray(thresholds, dtype=float)[self._order])
         return _backend.poly_exp_eval(self._coeff, thr, self._power, self._decay,
                                       float(u))
+
+    def values(self, u, thresholds):
+        """``value`` at many nodes: thresholds ``(N, T)`` or ``(T,)``.
+
+        ``u`` is one value or one per node.
+        """
+        thr = np.asarray(thresholds, dtype=float)[..., self._order]
+        return _backend.poly_exp_eval(self._coeff, thr, self._power,
+                                      self._decay, np.asarray(u, dtype=float))
 
     def value_with_scale(self, u, thresholds):
         thr = np.ascontiguousarray(np.asarray(thresholds, dtype=float)[self._order])
@@ -249,10 +332,10 @@ class HeadTailAllK(_Density):
 
         def integrand(g):
             head = (z1 - m * g) ** (m - 2)
-            return head * self._steps.value(z2, self._slopes * g)
+            return head * self._steps.values(z2, np.multiply.outer(g, self._slopes))
 
         knots = [z2 / j for j in range(1, K - m + 1)]
-        val = _quad_knots(integrand, glo, ghi, knots)
+        val = _gauss_knots(integrand, glo, ghi, knots, deg=K - 3)
         return self._pref * math.exp(-self.rate * (z1 + z2)) * val
 
 
@@ -287,9 +370,9 @@ class GscSum(_Density):
             return K * a * math.exp(-a * x) * (-math.expm1(-a * x)) ** (K - 1)
 
         def integrand(z):
-            return (-math.expm1(-a * z)) ** (K - Ks) * (x - Ks * z) ** (Ks - 2)
+            return (-np.expm1(-a * z)) ** (K - Ks) * (x - Ks * z) ** (Ks - 2)
 
-        val = _quad_knots(integrand, 0.0, x / Ks)
+        val = _gauss_knots(integrand, 0.0, x / Ks, deg=Ks - 2, exact=False)
         return self._pref * math.exp(-a * x) * val
 
 
@@ -315,6 +398,9 @@ class _FineBase(_Density):
     def _cdf_pow(self, z4):
         # Unselected ranks all lie below the rank-Ks variable.
         return (-math.expm1(-self.rate * z4)) ** (self.K - self.Ks)
+
+    def _cdf_pows(self, z4):
+        return (-np.expm1(-self.rate * z4)) ** (self.K - self.Ks)
 
 
 class FineOneMidLast(_FineBase):
@@ -344,6 +430,15 @@ class FineOneMidLast(_FineBase):
         s = self._steps.value(z3, self._c4 * z4 + self._c1 * z1)
         return (self._pref * self._cdf_pow(z4)
                 * math.exp(-self.rate * (z1 + z3 + z4)) * s)
+
+    def values(self, z1, z3, z4):
+        """``__call__`` over coordinate arrays (or scalars) that broadcast."""
+        ok = (z1 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z1)
+        s = self._steps.values(z3, np.multiply.outer(z4, self._c4)
+                               + np.multiply.outer(z1, self._c1))
+        out = (self._pref * self._cdf_pows(z4)
+               * np.exp(-self.rate * (z1 + z3 + z4)) * s)
+        return np.where(ok, out, 0.0)
 
 
 class FineHeadMidLast(_FineBase):
@@ -381,6 +476,17 @@ class FineHeadMidLast(_FineBase):
         return (self._pref * self._cdf_pow(z4) * head ** (self.m - 2)
                 * math.exp(-self.rate * (z1 + z2 + z3 + z4)) * s)
 
+    def values(self, z1, z2, z3, z4):
+        """``__call__`` over coordinate arrays (or scalars) that broadcast."""
+        head = z1 - (self.m - 1) * z2
+        ok = ((z1 >= 0) & (z2 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z2)
+              & (head >= 0))
+        s = self._steps.values(z3, np.multiply.outer(z4, self._c4)
+                               + np.multiply.outer(z2, self._c2))
+        out = (self._pref * self._cdf_pows(z4) * head ** (self.m - 2)
+               * np.exp(-self.rate * (z1 + z2 + z3 + z4)) * s)
+        return np.where(ok, out, 0.0)
+
 
 class FineHeadNextLast(_FineBase):
     """Joint of (sum of ranks 1..Ks-2, rank-(Ks-1) variable, rank-Ks variable)."""
@@ -406,6 +512,14 @@ class FineHeadNextLast(_FineBase):
             return 0.0
         return (self._pref * self._cdf_pow(z4) * head ** (self.Ks - 3)
                 * math.exp(-self.rate * (z1 + z2 + z4)))
+
+    def values(self, z1, z2, z4):
+        """``__call__`` over coordinate arrays (or scalars) that broadcast."""
+        head = z1 - (self.Ks - 2) * z2
+        ok = (z1 >= 0) & (z2 >= 0) & (z4 >= 0) & (z4 <= z2) & (head >= 0)
+        out = (self._pref * self._cdf_pows(z4) * head ** (self.Ks - 3)
+               * np.exp(-self.rate * (z1 + z2 + z4)))
+        return np.where(ok, out, 0.0)
 
 
 class FineLastHead(_FineBase):
@@ -511,29 +625,33 @@ class BestKsOneVsRest(_Density):
         return self._eval_b(x, y, order)
 
     def _eval_a(self, x, y, order):
-        Ks = self.Ks
+        Ks, fine = self.Ks, self.fine
         if order in (0, 1):
             lo = max(0.0, y - (Ks - 2) * x)
             hi = y / (Ks - 1)
             knots = [(y - j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
             knots.append(x)
-            return _quad_knots(lambda z4: self.fine(x, y - z4, z4), lo, hi, knots)
+            return _gauss_knots(lambda z4: fine.values(x, y - z4, z4), lo, hi,
+                                knots, deg=Ks - 3, exact=False)
         lo = max((Ks - 2) * y / (Ks - 1), y - x)
         hi = min((Ks - 2) * x, y)
         knots = [((Ks - 2 - j) * y + j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
         knots.append(y - x)
-        return _quad_knots(lambda z3: self.fine(x, z3, y - z3), lo, hi, knots)
+        return _gauss_knots(lambda z3: fine.values(x, z3, y - z3), lo, hi,
+                            knots, deg=Ks - 3, exact=False)
 
     def _eval_c(self, x, y, order):
-        Ks = self.Ks
+        Ks, fine = self.Ks, self.fine
         if order in (0, 1):
             hi = min(x, y - (Ks - 2) * x)
-            return _quad_knots(lambda z4: self.fine(y - z4, x, z4), 0.0, hi)
+            return _gauss_knots(lambda z4: fine.values(y - z4, x, z4), 0.0, hi,
+                                deg=Ks - 3, exact=False)
         lo = max((Ks - 2) * x, y - x)
-        return _quad_knots(lambda z1: self.fine(z1, x, y - z1), lo, y)
+        return _gauss_knots(lambda z1: fine.values(z1, x, y - z1), lo, y,
+                            deg=Ks - 3, exact=False)
 
     def _eval_b(self, x, y, order):
-        Ks, m = self.Ks, self.m
+        Ks, m, fine = self.Ks, self.m, self.fine
         nm = Ks - m  # selected ranks below m, inclusive of rank Ks
         hi4 = min(x, (y - (m - 1) * x) / nm)
         outer_knots = [(y - (m + j - 1) * x) / (nm - j) for j in range(1, nm)]
@@ -546,16 +664,17 @@ class BestKsOneVsRest(_Density):
                 lo1 = max((m - 1) * x, y - z4 - (nm - 1) * x)
                 hi1 = y - nm * z4
                 knots = [y - (nm - j) * z4 - j * x for j in range(1, nm)]
-                return _quad_knots(lambda z1: self.fine(z1, x, y - z1 - z4, z4),
-                                   lo1, hi1, knots)
+                return _gauss_knots(lambda z1: fine.values(z1, x, y - z1 - z4, z4),
+                                    lo1, hi1, knots, deg=Ks - 4)
         else:
             def inner(z4):
                 lo3 = (nm - 1) * z4
                 hi3 = min((nm - 1) * x, y - z4 - (m - 1) * x)
                 knots = [(nm - 1 - j) * z4 + j * x for j in range(1, nm)]
-                return _quad_knots(lambda z3: self.fine(y - z3 - z4, x, z3, z4),
-                                   lo3, hi3, knots)
-        return _quad_knots(inner, 0.0, hi4, outer_knots)
+                return _gauss_knots(lambda z3: fine.values(y - z3 - z4, x, z3, z4),
+                                    lo3, hi3, knots, deg=Ks - 4)
+        return _gauss_knots(_pointwise(inner), 0.0, hi4, outer_knots,
+                            deg=Ks - 3, exact=False)
 
 
 def jpdf_one_vs_rest_bestKs(K, Ks, m, gamma_bar):
@@ -600,7 +719,7 @@ class BestKsHeadTail(_Density):
             return self._one.reduce_to_2d(x, y)
         if self._last is not None:
             return self._last(y, x)
-        Ks, m = self.Ks, self.m
+        Ks, m, fine = self.Ks, self.m, self.fine
         nt = Ks - m  # tail size
         lo4 = max(0.0, y - (nt - 1) * x / m)
         hi4 = y / nt
@@ -612,10 +731,11 @@ class BestKsHeadTail(_Density):
             # the step sum is cancellation noise around zero.
             lo2 = (y - z4) / (nt - 1)
             knots = [(y - (nt - j) * z4) / j for j in range(1, nt)]
-            return _quad_knots(lambda z2: self.fine(x - z2, z2, y - z4, z4),
-                               lo2, hi2, knots)
+            return _gauss_knots(lambda z2: fine.values(x - z2, z2, y - z4, z4),
+                                lo2, hi2, knots, deg=Ks - 4)
 
-        return _quad_knots(inner, lo4, hi4, outer_knots)
+        return _gauss_knots(_pointwise(inner), lo4, hi4, outer_knots,
+                            deg=Ks - 3, exact=False)
 
 
 def jpdf_headsum_vs_tailsum_bestKs(K, Ks, m, gamma_bar):

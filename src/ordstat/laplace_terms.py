@@ -210,11 +210,10 @@ class PiecewisePoly:
                                             self._power, self._decay, float(z))
 
     def eval_many(self, zs):
-        zs = np.ascontiguousarray(zs, dtype=float)
-        out = np.empty_like(zs)
-        _backend.poly_exp_eval_many(self._coeff, self._threshold,
-                                    self._power, self._decay, zs, out)
-        return out
+        """Values at every point of the array ``zs``."""
+        return _backend.poly_exp_eval(self._coeff, self._threshold,
+                                      self._power, self._decay,
+                                      np.asarray(zs, dtype=float))
 
     def to_json(self):
         """Serialize; field order and term order are part of the format."""

@@ -1,7 +1,10 @@
 """Closed-form exponential densities: normalization, marginals, invariances."""
 
 import math
+import warnings
 
+import mpmath
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -190,3 +193,157 @@ def test_large_k_nonnegative_spot():
         for z2 in (9.5, 12.0, 20.0, 31.0):
             val, scale = jd.eval_with_scale(z1, z2)
             assert val >= -1e-9 * max(scale, 1.0)
+
+
+# -- reductions against arbitrary precision and against marginals --
+
+
+def _mean_rank(K, i):
+    # Mean of the i-th largest of K unit exponentials.
+    return sum(1.0 / k for k in range(i, K + 1))
+
+
+def _mp_steps(n, power, u, thresholds):
+    # sum_j (-1)^j C(n, j) (u - t_j)^power over t_j <= u, in mpmath.
+    return mpmath.fsum((-1) ** j * math.comb(n, j) * (u - t) ** power
+                       for j, t in enumerate(thresholds) if u >= t)
+
+
+def _mp_quad(f, lo, hi, knots=()):
+    pts = sorted({lo, hi, *(p for p in knots if lo < p < hi)})
+    return mpmath.quad(f, pts) if hi > lo else mpmath.mpf(0)
+
+
+def _mp_fact(*ns):
+    return [mpmath.factorial(n) for n in ns]
+
+
+def _mp_head_tail(K, m, z1, z2):
+    z1, z2 = mpmath.mpf(z1), mpmath.mpf(z2)
+    kf, a, b, c, d = _mp_fact(K, K - m, m - 1, m - 2, K - m - 1)
+    slopes = range(K - m + 1)
+
+    def f(g):
+        return ((z1 - m * g) ** (m - 2)
+                * _mp_steps(K - m, K - m - 1, z2, [j * g for j in slopes]))
+
+    val = _mp_quad(f, z2 / (K - m), z1 / m,
+                   [z2 / j for j in range(1, K - m + 1)])
+    return kf / (a * b * c * d) * mpmath.exp(-(z1 + z2)) * val
+
+
+def _mp_fine_pref(K, Ks):
+    kf, a, b, c = _mp_fact(K, K - Ks, Ks - 2, Ks - 3)
+    return kf / (a * b * c)
+
+
+def _mp_one_vs_rest_case_a(K, Ks, x, y):
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+    pref = _mp_fine_pref(K, Ks)
+
+    def f(z4):
+        z3 = y - z4
+        thr = [(Ks - 2 - j) * z4 + j * x for j in range(Ks - 1)]
+        return ((1 - mpmath.exp(-z4)) ** (K - Ks) * mpmath.exp(-(x + y))
+                * _mp_steps(Ks - 2, Ks - 3, z3, thr))
+
+    knots = [(y - j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)] + [x]
+    return pref * _mp_quad(f, max(mpmath.mpf(0), y - (Ks - 2) * x),
+                           y / (Ks - 1), knots)
+
+
+def _mp_one_vs_rest_case_c(K, Ks, x, y):
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+
+    def f(z4):
+        return ((1 - mpmath.exp(-z4)) ** (K - Ks)
+                * (y - z4 - (Ks - 2) * x) ** (Ks - 3))
+
+    return (_mp_fine_pref(K, Ks) * mpmath.exp(-(x + y))
+            * _mp_quad(f, mpmath.mpf(0), min(x, y - (Ks - 2) * x)))
+
+
+def _typical(K, head, rest):
+    # The mean point and one displaced from it.
+    x = sum(_mean_rank(K, i) for i in head)
+    y = sum(_mean_rank(K, i) for i in rest)
+    return [(x, y), (0.85 * x, 1.1 * y)]
+
+
+@pytest.mark.parametrize("K", [5, 10, 20])
+def test_reductions_match_arbitrary_precision(K):
+    Ks = max(4, K - 3)
+    cases = []
+    for m in (2, 3):
+        for pt in _typical(K, range(1, m + 1), range(m + 1, K + 1)):
+            cases.append((exact_exp.jpdf_headsum_vs_tailsum_allK(K, m, GB), pt,
+                          lambda x, y, m=m: _mp_head_tail(K, m, x, y)))
+    for pt in _typical(K, [1], range(2, Ks + 1)):
+        cases.append((exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, 1, GB), pt,
+                      lambda x, y: _mp_one_vs_rest_case_a(K, Ks, x, y)))
+    for pt in _typical(K, [Ks - 1], [*range(1, Ks - 1), Ks]):
+        cases.append((exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, Ks - 1, GB), pt,
+                      lambda x, y: _mp_one_vs_rest_case_c(K, Ks, x, y)))
+    with mpmath.workdps(40):
+        for jd, (x, y), ref in cases:
+            want = float(ref(x, y))
+            assert want >= 1e-6
+            assert jd(x, y) == pytest.approx(want, rel=1e-8)
+
+
+def _y_integral(jd, x, lo, hi, knots):
+    val, _ = integrate.quad(lambda y: jd(x, y), lo, hi,
+                            points=[p for p in knots if lo < p < hi],
+                            epsabs=1e-11, epsrel=1e-9, limit=150)
+    return val
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_best_ks_rank_vs_rest_marginal_k10(m):
+    # Integrating out the rest-sum leaves the rank-m marginal.
+    K, Ks = 10, 7
+    jd = exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, m, GB)
+    assert jd.case == "b"
+    for x in (0.5, 1.2):
+        lo = (m - 1) * x
+        knots = [(m - 1 + j) * x for j in range(1, Ks - m + 1)]
+        got = _y_integral(jd, x, lo, lo + 35.0, knots)
+        assert got == pytest.approx(rank_marginal(K, m, x), rel=1e-6)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_best_ks_head_tail_marginal_k10(m):
+    # Integrating out the tail sum leaves the sum of the m largest.
+    K, Ks = 10, 7
+    jd = exact_exp.jpdf_headsum_vs_tailsum_bestKs(K, Ks, m, GB)
+    gsc = exact_exp.pdf_gsc_sum(K, m, GB)
+    for x in (0.8 * m, 1.8 * m):
+        hi = (Ks - m) * x / m
+        got = _y_integral(jd, x, 0.0, hi, [j * x / m for j in range(1, Ks - m)])
+        assert got == pytest.approx(gsc(x), rel=1e-6)
+
+
+def test_gauss_rule_exact_on_polynomials():
+    # Degree 9 between knots: the 5-node rule per segment is exact.
+    f = lambda x: np.where(x < 0.3, x ** 9, 2.0 * x ** 9 - x ** 4)
+    want = 0.3 ** 10 / 10 + 2 * (1 - 0.3 ** 10) / 10 - (1 - 0.3 ** 5) / 5
+    got = exact_exp._gauss_knots(f, 0.0, 1.0, [0.3], deg=9)
+    assert got == pytest.approx(want, rel=1e-14)
+    assert exact_exp._gauss_knots(f, 1.0, 1.0, deg=9) == 0.0
+
+
+def test_gauss_rule_converges_on_smooth_factor():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        got = exact_exp._gauss_knots(lambda x: x ** 6 * np.exp(-3.0 * x),
+                                     0.0, 2.5, [1.0], deg=6, exact=False)
+    want, _ = integrate.quad(lambda x: x ** 6 * math.exp(-3.0 * x), 0.0, 2.5,
+                             epsabs=0.0, epsrel=1e-13)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_gauss_rule_warns_at_its_cap():
+    with pytest.warns(integrate.IntegrationWarning, match="did not converge"):
+        val = exact_exp._gauss_knots(lambda x: np.abs(np.sin(200.0 * x)),
+                                     0.0, 1.0, deg=0, exact=False)
+    assert val == pytest.approx(2.0 / math.pi, abs=1e-2)
