@@ -2,19 +2,24 @@
 
 The library computes joint and marginal densities of sums over ranked
 subsets of K independent, identically distributed nonnegative variables
-(ranks count from the largest down).  Three routes cross-check each other:
+(ranks count from the largest down).  Following the paper's MGF framework,
+a requested pair of sums comes from the joint density of a finer grouping
+of the ranks, with the extra coordinates integrated out.  That reduction
+step is written once, in ``reductions``, and two paths feed it fine
+densities:
 
 * ``exact_exp``: closed forms for the exponential distribution, built on
   exact rational coefficient arithmetic.
-* ``generic_joint``: kernel-transform composition plus one-dimensional
-  numerical inversion, for any distribution on [0, inf).
-* ``mc_oracle``: reproducible Monte Carlo sampling of the same partial
-  sums.
+* ``generic_joint``: kernel-power inverses by finite convolution, plus
+  one-dimensional numerical inversion for the total sum, for any
+  distribution on [0, inf).  Its ``resolve`` binds a theorem shape to
+  either path.
 
-``partition`` describes which rank groupings have closed evaluators,
-``apps`` applies the machinery to threshold-based diversity combining,
-``verify`` bundles the cross-validation suites, and ``cli`` exposes the
-command line.
+``mc_oracle`` samples the same partial sums reproducibly, as a third route
+that cross-checks both.  ``partition`` describes which rank groupings have
+closed evaluators, ``apps`` applies the machinery to threshold-based
+diversity combining, ``verify`` bundles the cross-validation suites, and
+``cli`` exposes the command line.
 """
 
 from ordstat.distributions import (
@@ -40,7 +45,7 @@ from ordstat.exact_exp import (
     pdf_sum_all,
 )
 from ordstat.generic_joint import (
-    TheoremCase,
+    resolve,
     t1_pdf,
     t2_jpdf,
     t3_jpdf,
@@ -85,7 +90,6 @@ __all__ = [
     "OrdstatError",
     "Partition",
     "SampleSpec",
-    "TheoremCase",
     "TheoremMatch",
     "TransformFn",
     "UnsupportedShapeError",
@@ -104,6 +108,7 @@ __all__ = [
     "normalize",
     "pdf_gsc_sum",
     "pdf_sum_all",
+    "resolve",
     "sample_partial_sums",
     "sample_sorted",
     "t1_pdf",

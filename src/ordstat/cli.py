@@ -13,24 +13,23 @@ Exit codes are stable and documented:
 All tabular output is CSV with ``#``-prefixed metadata lines (command
 line, version, seed, tolerance settings) so artifacts are reproducible
 from their own headers.  Floats print with 17 significant digits, enough
-to round-trip doubles exactly.  ``ORDSTAT_THREADS`` caps parallel grid
-evaluation and sampling; results do not depend on it.
+to round-trip doubles exactly.  Grid points are evaluated in row order, one
+after another.
 """
 
 import argparse
 import math
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ordstat import __version__, exact_exp, generic_joint, verify
+from ordstat import __version__, generic_joint, verify
 from ordstat.apps import MsGscConfig, msgsc_output_cdf, msgsc_stage_probability
 from ordstat.distributions import Distribution, Exponential, HalfNormal
 from ordstat.errors import (ConvergenceError, DivergentIntegralError,
                             DomainError, UnsupportedShapeError)
-from ordstat.mc_oracle import SampleSpec, sample_partial_sums, thread_count
-from ordstat.partition import Partition, match_theorem
+from ordstat.mc_oracle import SampleSpec, sample_partial_sums
+from ordstat.partition import Partition, TheoremMatch, match_theorem, t5_case
 
 __all__ = ["main", "RunConfig"]
 
@@ -120,16 +119,6 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _case_of(Ks, m):
-    if m == Ks:
-        return "d"
-    if m == 1:
-        return "d" if Ks == 2 else "a"
-    if m == Ks - 1:
-        return "c"
-    return "b"
-
-
 def _require(value, flag, context):
     if value is None:
         raise DomainError(f"{context} requires {flag}")
@@ -137,10 +126,9 @@ def _require(value, flag, context):
 
 
 def _resolve_shape(args):
-    """Selector flags -> (theorem id, K, Ks, m, swap)."""
+    """Selector flags -> the ``TheoremMatch`` they name."""
     if args.partition:
-        mt = match_theorem(Partition.parse(args.partition))
-        return mt.id, mt.K, mt.Ks, mt.m, mt.swap
+        return match_theorem(Partition.parse(args.partition))
     tid = _require(args.theorem, "--theorem (or --partition)",
                    "shape selection")
     tid = tid.upper()
@@ -159,61 +147,22 @@ def _resolve_shape(args):
             derived = {"a": 1, "c": Ks - 1, "d": Ks}.get(case)
             if args.m is not None:
                 m = args.m
-                if _case_of(Ks, m) != case:
+                if t5_case(Ks, m) != case:
                     raise DomainError(
                         f"--case {case} disagrees with m={m} at Ks={Ks} "
-                        f"(that pair is case {_case_of(Ks, m)})")
+                        f"(that pair is case {t5_case(Ks, m)})")
             elif derived is None:
                 raise DomainError("case b spans 2 <= m <= Ks-2; give --m")
             else:
                 m = derived
         else:
             m = _require(args.m, "--m (or --case)", tid)
-        tid = "T5" + _case_of(Ks, m)
+        tid = "T5" + t5_case(Ks, m)
     else:
         m = _require(args.m, "--m", tid)
     if args.case and not tid.startswith("T5"):
         raise DomainError("--case only applies to --theorem T5")
-    return tid, K, Ks, m, False
-
-
-def _evaluator(tid, K, Ks, m, dist, digits, method):
-    """Bound density callable and its dimensionality for a resolved shape."""
-    if method == "auto":
-        method = "exact" if isinstance(dist, Exponential) else "generic"
-    if method == "exact":
-        if not isinstance(dist, Exponential):
-            raise DomainError("the exact path covers the exponential "
-                              "distribution only; use --method generic")
-        gb = dist.gamma_bar
-        if tid == "T1":
-            return exact_exp.pdf_sum_all(K, gb), 1
-        if tid == "T2":
-            return exact_exp.jpdf_one_vs_rest_allK(K, m, gb), 2
-        if tid == "T3":
-            return exact_exp.jpdf_headsum_vs_tailsum_allK(K, m, gb), 2
-        if tid == "T4":
-            return exact_exp.pdf_gsc_sum(K, Ks, gb), 1
-        if tid.startswith("T5"):
-            return exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, m, gb), 2
-        return exact_exp.jpdf_headsum_vs_tailsum_bestKs(K, Ks, m, gb), 2
-    if tid == "T1":
-        return (lambda x: generic_joint.t1_pdf(dist, K, x, digits=digits)), 1
-    if tid == "T2":
-        return (lambda x, y:
-                generic_joint.t2_jpdf(dist, K, m, x, y, digits=digits)), 2
-    if tid == "T3":
-        return (lambda x, y:
-                generic_joint.t3_jpdf(dist, K, m, x, y, digits=digits)), 2
-    if tid == "T4":
-        return (lambda x:
-                generic_joint.t4_pdf(dist, K, Ks, x, digits=digits)), 1
-    if tid.startswith("T5"):
-        return (lambda x, y:
-                generic_joint.t5_jpdf(dist, K, Ks, m, x, y,
-                                      digits=digits)), 2
-    return (lambda x, y:
-            generic_joint.t6_jpdf(dist, K, Ks, m, x, y, digits=digits)), 2
+    return TheoremMatch(tid, K, Ks, m)
 
 
 def _axis_points(axis):
@@ -228,13 +177,7 @@ def _grid_rows(fn, grid):
     else:
         xs, ys = _axis_points(grid[0]), _axis_points(grid[1])
         points = [(x, y) for x in xs for y in ys]
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(lambda p: fn(*p), points))
-    else:
-        vals = [fn(*p) for p in points]
-    return [(*p, v) for p, v in zip(points, vals)]
+    return [(*p, fn(*p)) for p in points]
 
 
 def _csv(meta, header, rows):
@@ -245,28 +188,25 @@ def _csv(meta, header, rows):
 
 
 def _cmd_eval(args, argv):
-    dist = _parse_dist(args.dist)
-    tid, K, Ks, m, swap = _resolve_shape(args)
-    fn, dim = _evaluator(tid, K, Ks, m, dist, args.digits, args.method)
+    shape = _resolve_shape(args)
+    fn, dim = generic_joint.resolve(shape, _parse_dist(args.dist),
+                                    args.method, args.digits)
     at = _parse_at(_require(args.at, "--at", "eval"), dim)
-    if swap:
-        at = at[::-1]
     print(_fmt(fn(*at)))
     return EXIT_OK
 
 
 def _cmd_tabulate(args, argv):
-    dist = _parse_dist(args.dist)
-    tid, K, Ks, m, swap = _resolve_shape(args)
-    fn, dim = _evaluator(tid, K, Ks, m, dist, args.digits, args.method)
+    shape = _resolve_shape(args)
+    fn, dim = generic_joint.resolve(shape, _parse_dist(args.dist),
+                                    args.method, args.digits)
     grid = tuple(_parse_grid_axis(g) for g in args.grid or ())
     if len(grid) != dim:
-        raise DomainError(f"shape {tid} needs {dim} --grid axis spec(s)")
+        raise DomainError(f"shape {shape.id} needs {dim} --grid axis spec(s)")
     cfg = RunConfig("tabulate", args.dist, grid, args.output, 0, args.digits)
-    eval_fn = fn if not swap else (lambda x, y: fn(y, x))
-    rows = _grid_rows(eval_fn, grid)
+    rows = _grid_rows(fn, grid)
     meta = _meta_lines(argv, [
-        ("shape", tid), ("distribution", args.dist),
+        ("shape", shape.id), ("distribution", args.dist),
         ("grid", ";".join(f"{a[0]:g}:{a[1]:g}:{a[2]}" for a in grid)),
         ("digits", args.digits)])
     header = ("x", "pdf") if dim == 1 else ("x", "y", "pdf")

@@ -2,32 +2,22 @@
 
 Rank the variables decreasingly (rank 1 largest).  For an exponential
 source every transform-domain object downstream of the kernel powers is a
-finite sum of shifted poles, so each joint density here reduces to sums of
+finite sum of shifted poles, so each density here is a sum of
 ``(u - threshold)^power`` pieces times a common ``exp(-rate * total)``
-factor, with at most one or two remaining finite integrals whose
-integrands are piecewise smooth between computable knots: the points where
-a step term switches on or an inner limit changes form.
+factor.  T1, T2 and case d of T5 are such sums outright.  T3, T4, the
+other cases of T5 and T6 integrate a fine joint density of the same form
+(the ``Fine*`` classes) with the shared reductions of ``reductions``, which
+the generic path runs on its own fine densities.
 
-Those integrals use fixed Gauss-Legendre rules on every knot segment, with
-all of a rule's nodes evaluated in one batched call (``_gauss_knots``):
-
-* Exact-degree rules.  The inner integrals of T3 (head-tail, all K) and of
-  T5b and T6 (best Ks, two nested integrals) have integrands that are
-  polynomials between knots, of degree ``K-3`` for T3 and ``Ks-4`` for T5b
-  and T6: a step sum times a power of the head sum.  The
-  ``ceil((deg+1)/2)``-node rule integrates them exactly, so they take that
-  rule alone, with no error estimate; what remains is the roundoff of the
-  step sums.
-* n/2n rules.  The outer integrals of T5b and T6, and the single integrals
-  of T4 (best-Ks sum), T5a and T5c, carry the factor
-  ``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, which is smooth
-  but not a polynomial.  They start three nodes above the exact count for
-  the polynomial part and double the nodes until the n- and 2n-node
-  values, summed over segments, agree to ``_EPSABS`` or ``_EPSREL``; a rule
-  that reaches ``_MAX_NODES`` per segment warns with ``IntegrationWarning``.
-
-Adaptive quadrature over scalar closures cost far more here, and on the
-exact polynomials it kept subdividing after the step sums' roundoff.
+The fine densities are piecewise polynomial along every reduction line
+that holds the rank-Ks value fixed: the exponential factor is constant
+there, and what is left is a step sum times a power of a head sum.  So the
+inner integrals of T3, T5b and T6 take exact-degree Gauss-Legendre rules,
+and only the integrals over the rank-Ks value, which carry the factor
+``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, compare n and 2n
+nodes.  ``values`` evaluates a fine density at all of a rule's nodes in one
+batched step-sum call; the scalar ``__call__`` serves point-by-point
+callers such as ``verify`` and ``apps``.
 
 Binomial coefficients are assembled exactly (they are integers well inside
 double precision for the supported ``K``) and the alternating pieces are
@@ -45,16 +35,19 @@ the rank-Ks variable, which therefore stays a separate coordinate of the
 fine densities until integrated out.
 """
 
-import functools
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
+# ``integrate`` is unused here but stays a module attribute: the benchmark's
+# tracer counts quadratures through each module's ``integrate``.
+from scipy import integrate, special  # noqa: F401
 
-from ordstat import _backend
+from ordstat import _backend, reductions
 from ordstat.errors import DomainError
+from ordstat.partition import t5_case
+# The path's relative accuracy target, which the benchmark's oracle reads.
+from ordstat.reductions import _EPSREL  # noqa: F401
 
 __all__ = [
     "pdf_sum_all",
@@ -67,11 +60,6 @@ __all__ = [
 ]
 
 K_CAP = 30
-
-_EPSABS = 1e-9
-_EPSREL = 1e-8
-_SMOOTH_EXTRA = 3  # nodes beyond the exact count, for the smooth factor
-_MAX_NODES = 128   # per knot segment, for integrals that are not exact
 
 
 def _check_k(K, Ks=None, min_k=2):
@@ -97,63 +85,6 @@ def _pref(*, num, den, rate, rate_pow):
     for d in den:
         frac /= math.factorial(d)
     return float(frac) * rate ** rate_pow
-
-
-@functools.lru_cache(maxsize=None)
-def _legendre(n):
-    # Shared by every caller, so read-only.
-    rule = np.polynomial.legendre.leggauss(n)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
-def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
-    """Integral of ``f`` over ``[lo, hi]``, Gauss-Legendre on each knot segment.
-
-    ``f`` maps an array of nodes to an array of values; it is called once
-    per rule, on the nodes of all segments together.  Between knots the
-    integrand is a polynomial of degree ``deg`` (``exact``), or such a
-    polynomial times a smooth factor.  The ``deg // 2 + 1``-node rule
-    integrates the polynomial exactly, so an exact integral takes that rule
-    alone.  Otherwise the rule starts ``_SMOOTH_EXTRA`` nodes higher and the
-    node count doubles until the n- and 2n-node sums, added over segments,
-    agree to ``_EPSABS``/``_EPSREL``; the 2n-node value is returned, with an
-    ``IntegrationWarning`` if that takes ``_MAX_NODES`` per segment or more.
-    """
-    if not hi > lo:
-        return 0.0
-    edges = np.array([lo, *sorted({float(p) for p in knots if lo < p < hi}),
-                      hi])
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])
-
-    def rule(n):
-        x, w = _legendre(n)
-        return f((mid + half[:, None] * x).ravel()).reshape(-1, n) @ w * half
-
-    n = deg // 2 + 1 + (0 if exact else _SMOOTH_EXTRA)
-    est = rule(n)
-    if exact:
-        return float(est.sum())
-    while True:
-        n *= 2
-        prev, est = est, rule(n)
-        total = float(est.sum())
-        err = float(np.abs(est - prev).sum())
-        if err <= max(_EPSABS, _EPSREL * abs(total)):
-            return total
-        if n >= _MAX_NODES:
-            warnings.warn(
-                f"{n}-node Gauss-Legendre rule on [{lo:g}, {hi:g}] did not "
-                f"converge: n/2n difference {err:.3g}",
-                integrate.IntegrationWarning, stacklevel=2)
-            return total
-
-
-def _pointwise(f):
-    """Node-array adapter for a scalar integrand, such as an inner integral."""
-    return lambda zs: np.array([f(z) for z in zs.tolist()])
 
 
 class _Density:
@@ -304,39 +235,22 @@ class HeadTailAllK(_Density):
             raise DomainError("need 1 <= m <= K-1 (both sums nonempty)")
         self.K, self.m = K, m
         self.gamma_bar = _check_scale(gamma_bar)
-        self.rate = a = 1.0 / self.gamma_bar
+        self.rate = 1.0 / self.gamma_bar
         if m == 1:
             # The head is the single largest variable; the pair coincides
             # with the one-vs-rest joint at rank 1.
             self._delegate = OneVsRestAllK(K, 1, gamma_bar)
         else:
             self._delegate = None
-            self._steps = _StepSum(_alt_binom(K - m), K - m - 1)
-            self._slopes = np.arange(K - m + 1, dtype=float)
-            self._pref = _pref(num=(K,), den=(K - m, m - 1, m - 2, K - m - 1),
-                               rate=a, rate_pow=K)
+            self.fine = FineHeadRankTail(K, m, gamma_bar)
 
     def support(self, z1, z2):
-        return z1 >= 0 and z2 >= 0 and (self.K - self.m) * z1 >= self.m * z2
+        return reductions.t3_support(self.K, self.m, z1, z2)
 
     def __call__(self, z1, z2):
         if self._delegate is not None:
             return self._delegate(z1, z2)
-        if not self.support(z1, z2):
-            return 0.0
-        m, K = self.m, self.K
-        glo = z2 / (K - m)
-        ghi = z1 / m
-        if not ghi > glo:
-            return 0.0
-
-        def integrand(g):
-            head = (z1 - m * g) ** (m - 2)
-            return head * self._steps.values(z2, np.multiply.outer(g, self._slopes))
-
-        knots = [z2 / j for j in range(1, K - m + 1)]
-        val = _gauss_knots(integrand, glo, ghi, knots, deg=K - 3)
-        return self._pref * math.exp(-self.rate * (z1 + z2)) * val
+        return reductions.t3(self.fine, self.K, self.m, z1, z2)
 
 
 def jpdf_headsum_vs_tailsum_allK(K, m, gamma_bar):
@@ -354,10 +268,9 @@ class GscSum(_Density):
         _check_k(K, Ks, min_k=1)
         self.K, self.Ks = K, Ks
         self.gamma_bar = _check_scale(gamma_bar)
-        self.rate = a = 1.0 / self.gamma_bar
+        self.rate = 1.0 / self.gamma_bar
         if Ks >= 2:
-            self._pref = _pref(num=(K,), den=(K - Ks, Ks - 1, Ks - 2),
-                               rate=a, rate_pow=Ks)
+            self.fine = FineLastHead(K, Ks, gamma_bar)
 
     def support(self, x):
         return x >= 0
@@ -368,12 +281,7 @@ class GscSum(_Density):
         a, K, Ks = self.rate, self.K, self.Ks
         if Ks == 1:
             return K * a * math.exp(-a * x) * (-math.expm1(-a * x)) ** (K - 1)
-
-        def integrand(z):
-            return (-np.expm1(-a * z)) ** (K - Ks) * (x - Ks * z) ** (Ks - 2)
-
-        val = _gauss_knots(integrand, 0.0, x / Ks, deg=Ks - 2, exact=False)
-        return self._pref * math.exp(-a * x) * val
+        return reductions.t4(self.fine, Ks, x)
 
 
 def pdf_gsc_sum(K, Ks, gamma_bar):
@@ -381,10 +289,13 @@ def pdf_gsc_sum(K, Ks, gamma_bar):
     return GscSum(K, Ks, gamma_bar)
 
 
-# -- fine joint densities of the best-Ks decompositions --
+# -- fine joint densities, reduced by ``reductions`` --
 
 
 class _FineBase(_Density):
+    # Polynomial between knots wherever the rank-Ks value is held fixed.
+    piecewise_polynomial = True
+
     @property
     def grouping(self):
         return " / ".join(self.coords)
@@ -395,12 +306,42 @@ class _FineBase(_Density):
         self.gamma_bar = _check_scale(gamma_bar)
         self.rate = 1.0 / self.gamma_bar
 
-    def _cdf_pow(self, z4):
-        # Unselected ranks all lie below the rank-Ks variable.
-        return (-math.expm1(-self.rate * z4)) ** (self.K - self.Ks)
+    def __call__(self, *z):
+        return self.values(*z).item()
 
     def _cdf_pows(self, z4):
+        # Unselected ranks all lie below the rank-Ks variable.
         return (-np.expm1(-self.rate * z4)) ** (self.K - self.Ks)
+
+
+class FineHeadRankTail(_FineBase):
+    """Joint of (sum of ranks 1..m, rank-m variable, sum of ranks m+1..K)."""
+
+    dim = 3
+    coords = ("head_sum", "gamma_m", "tail_sum")
+
+    def __init__(self, K, m, gamma_bar):
+        if not 2 <= m <= K - 1:
+            raise DomainError("need 2 <= m <= K-1 for a head above rank m "
+                              "and a nonempty tail")
+        super().__init__(K, K, gamma_bar)
+        self.m = m
+        self._steps = _StepSum(_alt_binom(K - m), K - m - 1)
+        self._slopes = np.arange(K - m + 1, dtype=float)
+        self._pref = _pref(num=(K,), den=(K - m, m - 1, m - 2, K - m - 1),
+                           rate=self.rate, rate_pow=K)
+
+    def support(self, z1, g, z2):
+        return 0 <= z2 <= (self.K - self.m) * g and z1 >= self.m * g
+
+    def values(self, z1, g, z2):
+        """Density over coordinate arrays (or scalars) that broadcast."""
+        m = self.m
+        ok = (g >= 0) & (z1 >= m * g) & (z2 >= 0) & (z2 <= (self.K - m) * g)
+        s = self._steps.values(z2, np.multiply.outer(g, self._slopes))
+        out = (self._pref * np.exp(-self.rate * (z1 + z2))
+               * (z1 - m * g) ** (m - 2) * s)
+        return np.where(ok, out, 0.0)
 
 
 class FineOneMidLast(_FineBase):
@@ -424,15 +365,8 @@ class FineOneMidLast(_FineBase):
         return (0 <= z4 <= z1
                 and (self.Ks - 2) * z4 <= z3 <= (self.Ks - 2) * z1)
 
-    def __call__(self, z1, z3, z4):
-        if z1 < 0 or z3 < 0 or z4 < 0 or z4 > z1:
-            return 0.0
-        s = self._steps.value(z3, self._c4 * z4 + self._c1 * z1)
-        return (self._pref * self._cdf_pow(z4)
-                * math.exp(-self.rate * (z1 + z3 + z4)) * s)
-
     def values(self, z1, z3, z4):
-        """``__call__`` over coordinate arrays (or scalars) that broadcast."""
+        """Density over coordinate arrays (or scalars) that broadcast."""
         ok = (z1 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z1)
         s = self._steps.values(z3, np.multiply.outer(z4, self._c4)
                                + np.multiply.outer(z1, self._c1))
@@ -466,18 +400,8 @@ class FineHeadMidLast(_FineBase):
                 and z1 >= (self.m - 1) * z2
                 and (self.Ks - self.m - 1) * z4 <= z3 <= (self.Ks - self.m - 1) * z2)
 
-    def __call__(self, z1, z2, z3, z4):
-        if z1 < 0 or z2 < 0 or z3 < 0 or z4 < 0 or z4 > z2:
-            return 0.0
-        head = z1 - (self.m - 1) * z2
-        if head < 0:
-            return 0.0
-        s = self._steps.value(z3, self._c4 * z4 + self._c2 * z2)
-        return (self._pref * self._cdf_pow(z4) * head ** (self.m - 2)
-                * math.exp(-self.rate * (z1 + z2 + z3 + z4)) * s)
-
     def values(self, z1, z2, z3, z4):
-        """``__call__`` over coordinate arrays (or scalars) that broadcast."""
+        """Density over coordinate arrays (or scalars) that broadcast."""
         head = z1 - (self.m - 1) * z2
         ok = ((z1 >= 0) & (z2 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z2)
               & (head >= 0))
@@ -504,17 +428,8 @@ class FineHeadNextLast(_FineBase):
     def support(self, z1, z2, z4):
         return 0 <= z4 <= z2 and z1 >= (self.Ks - 2) * z2
 
-    def __call__(self, z1, z2, z4):
-        if z1 < 0 or z2 < 0 or z4 < 0 or z4 > z2:
-            return 0.0
-        head = z1 - (self.Ks - 2) * z2
-        if head < 0:
-            return 0.0
-        return (self._pref * self._cdf_pow(z4) * head ** (self.Ks - 3)
-                * math.exp(-self.rate * (z1 + z2 + z4)))
-
     def values(self, z1, z2, z4):
-        """``__call__`` over coordinate arrays (or scalars) that broadcast."""
+        """Density over coordinate arrays (or scalars) that broadcast."""
         head = z1 - (self.Ks - 2) * z2
         ok = (z1 >= 0) & (z2 >= 0) & (z4 >= 0) & (z4 <= z2) & (head >= 0)
         out = (self._pref * self._cdf_pows(z4) * head ** (self.Ks - 3)
@@ -539,26 +454,32 @@ class FineLastHead(_FineBase):
         return v >= 0 and w >= (self.Ks - 1) * v
 
     def __call__(self, v, w):
+        # Scalar form of ``values``, for apps' point-by-point quadrature.
         if v < 0 or w < (self.Ks - 1) * v:
             return 0.0
-        return (self._pref * self._cdf_pow(v)
+        return (self._pref * (-math.expm1(-self.rate * v)) ** (self.K - self.Ks)
                 * (w - (self.Ks - 1) * v) ** (self.Ks - 2)
                 * math.exp(-self.rate * (v + w)))
+
+    def values(self, v, w):
+        """Density over coordinate arrays (or scalars) that broadcast."""
+        head = w - (self.Ks - 1) * v
+        out = (self._pref * self._cdf_pows(v) * head ** (self.Ks - 2)
+               * np.exp(-self.rate * (v + w)))
+        return np.where((v >= 0) & (head >= 0), out, 0.0)
+
+
+# The fine density of each T5 case, for ``reductions.t5_fine``.
+_T5_FINES = {"a": FineOneMidLast, "b": FineHeadMidLast,
+             "c": FineHeadNextLast, "d": FineLastHead}
 
 
 class BestKsOneVsRest(_Density):
     """Joint of (rank-m variable, sum of the other selected ranks), Ks of K.
 
     The pair is recovered from a finer decomposition whose shape depends on
-    where rank m sits; ``case`` records which one applies:
-
-    * ``"d"``: m == Ks, closed form, no integration.
-    * ``"a"``: m == 1 (needs Ks >= 3), one remaining integral.
-    * ``"c"``: m == Ks-1 (needs Ks >= 3), one remaining integral.
-    * ``"b"``: 2 <= m <= Ks-2, two nested integrals.
-
-    With Ks == 2 and m == 1 the pair is (rank-1, rank-2), which is the
-    case-"d" pair with its arguments swapped; that reroute is handled here.
+    where rank m sits; ``case`` (``partition.t5_case``) records which one
+    applies, and ``reductions.t5`` lists them.
     """
 
     dim = 2
@@ -574,35 +495,11 @@ class BestKsOneVsRest(_Density):
         self.K, self.Ks, self.m = K, Ks, m
         self.gamma_bar = _check_scale(gamma_bar)
         self.rate = 1.0 / self.gamma_bar
-        self._swap = False
-        if m == Ks:
-            self.case = "d"
-            self.fine = FineLastHead(K, Ks, gamma_bar)
-        elif m == 1 and Ks == 2:
-            self.case = "d"
-            self._swap = True
-            self.fine = FineLastHead(K, Ks, gamma_bar)
-        elif m == 1:
-            self.case = "a"
-            self.fine = FineOneMidLast(K, Ks, gamma_bar)
-        elif m == Ks - 1:
-            self.case = "c"
-            self.fine = FineHeadNextLast(K, Ks, gamma_bar)
-        else:
-            self.case = "b"
-            self.fine = FineHeadMidLast(K, Ks, m, gamma_bar)
+        self.case = t5_case(Ks, m)
+        self.fine = reductions.t5_fine(_T5_FINES, K, Ks, m, gamma_bar)
 
     def support(self, x, y):
-        if x < 0 or y < 0:
-            return False
-        Ks, m = self.Ks, self.m
-        if self.case == "d":
-            return x >= y if self._swap else y >= (Ks - 1) * x
-        if self.case == "a":
-            return y <= (Ks - 1) * x
-        if self.case == "c":
-            return y >= (Ks - 2) * x
-        return y >= (m - 1) * x
+        return reductions.t5_support(self.Ks, self.m, x, y)
 
     def __call__(self, x, y):
         return self.reduce_to_2d(x, y)
@@ -614,67 +511,7 @@ class BestKsOneVsRest(_Density):
         orders exist (1 or 2); 0 means the default.  The orders agree up to
         quadrature error and exist to check each other.
         """
-        if not self.support(x, y):
-            return 0.0
-        if self.case == "d":
-            return self.fine(y, x) if self._swap else self.fine(x, y)
-        if self.case == "a":
-            return self._eval_a(x, y, order)
-        if self.case == "c":
-            return self._eval_c(x, y, order)
-        return self._eval_b(x, y, order)
-
-    def _eval_a(self, x, y, order):
-        Ks, fine = self.Ks, self.fine
-        if order in (0, 1):
-            lo = max(0.0, y - (Ks - 2) * x)
-            hi = y / (Ks - 1)
-            knots = [(y - j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
-            knots.append(x)
-            return _gauss_knots(lambda z4: fine.values(x, y - z4, z4), lo, hi,
-                                knots, deg=Ks - 3, exact=False)
-        lo = max((Ks - 2) * y / (Ks - 1), y - x)
-        hi = min((Ks - 2) * x, y)
-        knots = [((Ks - 2 - j) * y + j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
-        knots.append(y - x)
-        return _gauss_knots(lambda z3: fine.values(x, z3, y - z3), lo, hi,
-                            knots, deg=Ks - 3, exact=False)
-
-    def _eval_c(self, x, y, order):
-        Ks, fine = self.Ks, self.fine
-        if order in (0, 1):
-            hi = min(x, y - (Ks - 2) * x)
-            return _gauss_knots(lambda z4: fine.values(y - z4, x, z4), 0.0, hi,
-                                deg=Ks - 3, exact=False)
-        lo = max((Ks - 2) * x, y - x)
-        return _gauss_knots(lambda z1: fine.values(z1, x, y - z1), lo, y,
-                            deg=Ks - 3, exact=False)
-
-    def _eval_b(self, x, y, order):
-        Ks, m, fine = self.Ks, self.m, self.fine
-        nm = Ks - m  # selected ranks below m, inclusive of rank Ks
-        hi4 = min(x, (y - (m - 1) * x) / nm)
-        outer_knots = [(y - (m + j - 1) * x) / (nm - j) for j in range(1, nm)]
-        outer_knots.append(y - (Ks - 2) * x)
-        if order in (0, 1):
-            def inner(z4):
-                # Below y - z4 - (nm-1)*x the mid-sum exceeds its support
-                # and the step sum is cancellation noise around zero; stop
-                # the integral at the true edge.
-                lo1 = max((m - 1) * x, y - z4 - (nm - 1) * x)
-                hi1 = y - nm * z4
-                knots = [y - (nm - j) * z4 - j * x for j in range(1, nm)]
-                return _gauss_knots(lambda z1: fine.values(z1, x, y - z1 - z4, z4),
-                                    lo1, hi1, knots, deg=Ks - 4)
-        else:
-            def inner(z4):
-                lo3 = (nm - 1) * z4
-                hi3 = min((nm - 1) * x, y - z4 - (m - 1) * x)
-                knots = [(nm - 1 - j) * z4 + j * x for j in range(1, nm)]
-                return _gauss_knots(lambda z3: fine.values(y - z3 - z4, x, z3, z4),
-                                    lo3, hi3, knots, deg=Ks - 4)
-        return _gauss_knots(_pointwise(inner), 0.0, hi4, outer_knots,
-                            deg=Ks - 3, exact=False)
+        return reductions.t5(self.fine, self.Ks, self.m, x, y, order)
 
 
 def jpdf_one_vs_rest_bestKs(K, Ks, m, gamma_bar):
@@ -695,47 +532,13 @@ class BestKsHeadTail(_Density):
         self.K, self.Ks, self.m = K, Ks, m
         self.gamma_bar = _check_scale(gamma_bar)
         self.rate = 1.0 / self.gamma_bar
-        self._one = None
-        self._last = None
-        if m == 1:
-            # Head is the single largest variable.
-            self._one = BestKsOneVsRest(K, Ks, 1, gamma_bar)
-            self.fine = self._one.fine
-        elif m == Ks - 1:
-            # Tail is the single rank-Ks variable.
-            self._last = FineLastHead(K, Ks, gamma_bar)
-            self.fine = self._last
-        else:
-            self.fine = FineHeadMidLast(K, Ks, m, gamma_bar)
+        self.fine = reductions.t6_fine(_T5_FINES, K, Ks, m, gamma_bar)
 
     def support(self, x, y):
-        return (x >= 0 and y >= 0
-                and (self.Ks - self.m) * x >= self.m * y)
+        return reductions.t6_support(self.Ks, self.m, x, y)
 
     def __call__(self, x, y):
-        if not self.support(x, y):
-            return 0.0
-        if self._one is not None:
-            return self._one.reduce_to_2d(x, y)
-        if self._last is not None:
-            return self._last(y, x)
-        Ks, m, fine = self.Ks, self.m, self.fine
-        nt = Ks - m  # tail size
-        lo4 = max(0.0, y - (nt - 1) * x / m)
-        hi4 = y / nt
-        hi2 = x / m
-        outer_knots = [(y - j * x / m) / (nt - j) for j in range(1, nt)]
-
-        def inner(z4):
-            # Below (y - z4) / (nt - 1) the mid-sum exceeds its support and
-            # the step sum is cancellation noise around zero.
-            lo2 = (y - z4) / (nt - 1)
-            knots = [(y - (nt - j) * z4) / j for j in range(1, nt)]
-            return _gauss_knots(lambda z2: fine.values(x - z2, z2, y - z4, z4),
-                                lo2, hi2, knots, deg=Ks - 4)
-
-        return _gauss_knots(_pointwise(inner), lo4, hi4, outer_knots,
-                            deg=Ks - 3, exact=False)
+        return reductions.t6(self.fine, self.Ks, self.m, x, y)
 
 
 def jpdf_headsum_vs_tailsum_bestKs(K, Ks, m, gamma_bar):

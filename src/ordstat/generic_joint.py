@@ -1,10 +1,15 @@
 """Joint densities of ordered partial sums for arbitrary distributions.
 
-Each evaluator composes powers of the source distribution's kernel
-transforms, inverts one Laplace variable numerically on a Bromwich line,
-and finishes with at most one or two finite quadratures over an order
-statistic.  Multidimensional numerical inversion is never attempted: the
-error budget stays one-dimensional by construction.
+This is the generic path of the paper's framework.  The fine joint
+densities (``Fine*``) are products of the pdf, a CDF power and the inverse
+Laplace transforms of kernel powers; ``reductions`` integrates them to the
+theorem families T3-T6, with the same limits, knots and rules as the
+exponential closed forms of ``exact_exp``.  These fine densities are not
+polynomial between knots, so every rule compares n and 2n nodes.  T1 (the
+total sum) inverts an MGF power on a Bromwich line, T2 convolves kernel-power
+inverses, and ``resolve`` dispatches a theorem shape to either path.
+Multidimensional numerical inversion is never attempted: the error budget
+stays one-dimensional by construction.
 
 Two structural facts keep the inversion tractable:
 
@@ -27,23 +32,22 @@ Two structural facts keep the inversion tractable:
 
 The Bromwich-line inverter therefore handles only the total-sum density,
 whose transform is an entire MGF power with no support edge in sight; every
-kernel-power inverse inside the reductions is a short stack of finite
-quadratures with relative error control end to end.
+kernel-power inverse is a short stack of adaptive finite convolutions with
+relative error control end to end.
 """
 
 import math
-import warnings
-from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate
 
-from ordstat.distributions import Distribution
+from ordstat import exact_exp, reductions
+from ordstat.distributions import Exponential
 from ordstat.errors import ConvergenceError, DomainError
 from ordstat.ilt import TransformFn, invert_numeric
-from ordstat.partition import match_theorem
 
 __all__ = [
-    "TheoremCase",
+    "resolve",
     "t1_pdf",
     "t2_jpdf",
     "t3_jpdf",
@@ -51,27 +55,6 @@ __all__ = [
     "t5_jpdf",
     "t6_jpdf",
 ]
-
-# No useful absolute floor exists here: reduction integrals can be many
-# orders below the density's scale at valid support points, and a floor
-# would silently cap their relative accuracy.
-_EPSABS = 1e-12
-_EPSREL = 1e-6
-
-
-def _quad(f, lo, hi, knots=(), limit=80):
-    if not hi > lo:
-        return 0.0
-    pts = sorted({float(p) for p in knots if lo < p < hi})
-    with warnings.catch_warnings():
-        # Integrand kinks between knots can stall the subdivision at the
-        # roundoff level; the abort warning then reports an error already
-        # far inside the evaluators' tolerance.
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(f, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL,
-                                limit=limit, points=pts or None)
-    return val
-
 
 def _tf_abscissa(dist):
     # Kernel transforms in s are analytic right of -abscissa; entire when
@@ -225,29 +208,124 @@ def t2_jpdf(dist, K, m, z1, z2, digits=8):
     return pref * dist.pdf1(z1) * inv
 
 
+class _Fine:
+    """A fine joint density of any distribution, evaluated point by point."""
+
+    piecewise_polynomial = False
+
+    def __init__(self, K, Ks, dist, *den):
+        self.K, self.Ks, self.dist = K, Ks, dist
+        self._pref = math.factorial(K) / math.prod(map(math.factorial, den))
+
+    def _last(self, z4):
+        """Density of the rank-Ks value z4 times the CDF power of the
+        unselected ranks below it."""
+        d = self.dist
+        return (d.cdf1(z4) ** (self.K - self.Ks) if self.Ks < self.K
+                else 1.0) * d.pdf1(z4)
+
+    def values(self, *coords):
+        """``__call__`` over coordinate arrays (or scalars) that broadcast."""
+        cols = np.broadcast_arrays(*coords)
+        flat = zip(*(c.ravel().tolist() for c in cols))
+        return np.array([self(*z) for z in flat]).reshape(cols[0].shape)
+
+
+class FineHeadRankTail(_Fine):
+    """Joint of (sum of ranks 1..m, rank-m variable, sum of ranks m+1..K)."""
+
+    def __init__(self, K, m, dist):
+        super().__init__(K, K, dist, K - m, m - 1)
+        self.m = m
+
+    def __call__(self, z1, g, z2):
+        # exp(-s*g) is the rank-m variable itself; shift the inversion
+        # point instead of carrying the factor into the transform.
+        head = _inv_e_pow(self.dist, g, self.m - 1, z1 - g)
+        if head == 0.0:
+            return 0.0
+        tail = _inv_c_pow(self.dist, g, self.K - self.m, z2)
+        return self._pref * self.dist.pdf1(g) * head * tail
+
+
+class FineLastHead(_Fine):
+    """Joint of (rank-Ks variable v, sum of ranks 1..Ks-1 w)."""
+
+    def __init__(self, K, Ks, dist):
+        super().__init__(K, Ks, dist, K - Ks, Ks - 1)
+
+    def __call__(self, v, w):
+        if v < 0 or w < (self.Ks - 1) * v:
+            return 0.0
+        weight = self._last(v)
+        if weight == 0.0:
+            return 0.0
+        return self._pref * weight * _inv_e_pow(self.dist, v, self.Ks - 1, w)
+
+
+class FineOneMidLast(_Fine):
+    """Joint of (rank-1 variable, sum of ranks 2..Ks-1, rank-Ks variable)."""
+
+    def __init__(self, K, Ks, dist):
+        super().__init__(K, Ks, dist, K - Ks, Ks - 2)
+
+    def __call__(self, z1, z3, z4):
+        w = self._last(z4)
+        if w == 0.0:
+            return 0.0
+        return (self._pref * self.dist.pdf1(z1) * w
+                * _inv_mu_pow(self.dist, z4, z1, self.Ks - 2, z3))
+
+
+class FineHeadMidLast(_Fine):
+    """Joint of (sum of ranks 1..m-1, rank-m, sum of ranks m+1..Ks-1, rank-Ks)."""
+
+    def __init__(self, K, Ks, m, dist):
+        super().__init__(K, Ks, dist, K - Ks, m - 1, Ks - m - 1)
+        self.m = m
+
+    def __call__(self, z1, z2, z3, z4):
+        w = self._last(z4)
+        if w == 0.0:
+            return 0.0
+        d, m = self.dist, self.m
+        head = _inv_e_pow(d, z2, m - 1, z1)
+        if head == 0.0:
+            return 0.0
+        mid = _inv_mu_pow(d, z4, z2, self.Ks - m - 1, z3)
+        return self._pref * d.pdf1(z2) * w * head * mid
+
+
+class FineHeadNextLast(_Fine):
+    """Joint of (sum of ranks 1..Ks-2, rank-(Ks-1) variable, rank-Ks variable)."""
+
+    def __init__(self, K, Ks, dist):
+        super().__init__(K, Ks, dist, K - Ks, Ks - 2)
+
+    def __call__(self, z1, z2, z4):
+        w = self._last(z4)
+        if w == 0.0:
+            return 0.0
+        return (self._pref * self.dist.pdf1(z2) * w
+                * _inv_e_pow(self.dist, z2, self.Ks - 2, z1))
+
+
+# The fine density of each T5 case, for ``reductions.t5_fine``.
+_T5_FINES = {"a": FineOneMidLast, "b": FineHeadMidLast,
+             "c": FineHeadNextLast, "d": FineLastHead}
+
+
 def t3_jpdf(dist, K, m, z1, z2, digits=8):
     """Joint density of (sum of the m largest, sum of the K-m smallest)."""
     if not 1 <= m <= K - 1:
         raise DomainError("need 1 <= m <= K-1")
-    if z1 < 0 or z2 < 0 or m * z2 > (K - m) * z1:
+    if not reductions.t3_support(K, m, z1, z2):
         return 0.0
     if m == 1:
         # The head is one variable; exp(-s*g) collapses the outer integral
         # and the pair is the rank-1 one-vs-rest joint.
         return t2_jpdf(dist, K, 1, z1, z2, digits=digits)
-    pref = math.factorial(K) / (math.factorial(K - m) * math.factorial(m - 1))
-
-    def integrand(g):
-        # exp(-s*g) is the combined variable itself; shift the inversion
-        # point instead of carrying the factor into the transform.
-        head = _inv_e_pow(dist, g, m - 1, z1 - g)
-        if head == 0.0:
-            return 0.0
-        tail = _inv_c_pow(dist, g, K - m, z2)
-        return dist.pdf1(g) * head * tail
-
-    knots = [z2 / j for j in range(1, K - m + 1)]
-    return pref * _quad(integrand, z2 / (K - m), z1 / m, knots)
+    return reductions.t3(FineHeadRankTail(K, m, dist), K, m, z1, z2)
 
 
 def t4_pdf(dist, K, Ks, x, digits=8):
@@ -258,196 +336,65 @@ def t4_pdf(dist, K, Ks, x, digits=8):
         return 0.0
     if Ks == 1:
         return K * dist.pdf1(x) * dist.cdf1(x) ** (K - 1)
-
-    def integrand(v):
-        return _fine_d(dist, K, Ks, v, x - v, digits)
-
-    return _quad(integrand, 0.0, x / Ks)
-
-
-def _cdf_weight(dist, K, Ks, z4):
-    return dist.cdf1(z4) ** (K - Ks) if Ks < K else 1.0
-
-
-def _fine_d(dist, K, Ks, v, w, digits):
-    """Joint density of (rank-Ks variable v, sum of ranks 1..Ks-1 w)."""
-    if Ks < 2:
-        raise DomainError("rank decomposition needs Ks >= 2")
-    if v < 0 or w < (Ks - 1) * v:
-        return 0.0
-    pref = math.factorial(K) / (math.factorial(K - Ks) * math.factorial(Ks - 1))
-    weight = _cdf_weight(dist, K, Ks, v) * dist.pdf1(v)
-    if weight == 0.0:
-        return 0.0
-    return pref * weight * _inv_e_pow(dist, v, Ks - 1, w)
+    return reductions.t4(FineLastHead(K, Ks, dist), Ks, x)
 
 
 def t5_jpdf(dist, K, Ks, m, x, y, digits=8):
     """Joint density of (rank-m variable, sum of the other best Ks-1)."""
     if not (2 <= Ks <= K and 1 <= m <= Ks):
         raise DomainError("need Ks >= 2 and 1 <= m <= Ks <= K")
-    if x < 0 or y < 0:
-        return 0.0
-    if m == Ks:
-        return _fine_d(dist, K, Ks, x, y, digits)
-    if m == 1 and Ks == 2:
-        # (rank-1, rank-2) is the rank-Ks decomposition with swapped args.
-        return _fine_d(dist, K, Ks, y, x, digits)
-    if m == 1:
-        return _t5_case_a(dist, K, Ks, x, y, digits)
-    if m == Ks - 1:
-        return _t5_case_c(dist, K, Ks, x, y, digits)
-    return _t5_case_b(dist, K, Ks, m, x, y, digits)
-
-
-def _t5_case_a(dist, K, Ks, x, y, digits):
-    if y > (Ks - 1) * x:
-        return 0.0
-    pref = math.factorial(K) / (math.factorial(K - Ks) * math.factorial(Ks - 2))
-    px = dist.pdf1(x)
-
-    def integrand(z4):
-        w = _cdf_weight(dist, K, Ks, z4) * dist.pdf1(z4)
-        if w == 0.0:
-            return 0.0
-        return w * _inv_mu_pow(dist, z4, x, Ks - 2, y - z4)
-
-    lo = max(0.0, y - (Ks - 2) * x)
-    hi = y / (Ks - 1)
-    knots = [(y - j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
-    return pref * px * _quad(integrand, lo, hi, knots)
-
-
-def _t5_case_c(dist, K, Ks, x, y, digits):
-    if y < (Ks - 2) * x:
-        return 0.0
-    pref = math.factorial(K) / (math.factorial(K - Ks) * math.factorial(Ks - 2))
-    px = dist.pdf1(x)
-
-    def integrand(z4):
-        w = _cdf_weight(dist, K, Ks, z4) * dist.pdf1(z4)
-        if w == 0.0:
-            return 0.0
-        return w * _inv_e_pow(dist, x, Ks - 2, y - z4)
-
-    hi = min(x, y - (Ks - 2) * x)
-    return pref * px * _quad(integrand, 0.0, hi)
-
-
-def _t5_case_b(dist, K, Ks, m, x, y, digits):
-    if y < (m - 1) * x:
-        return 0.0
-    nm = Ks - m
-    pref = math.factorial(K) / (math.factorial(K - Ks) * math.factorial(m - 1)
-                                * math.factorial(nm - 1))
-    px = dist.pdf1(x)
-
-    def outer(z4):
-        wz4 = _cdf_weight(dist, K, Ks, z4) * dist.pdf1(z4)
-        if wz4 == 0.0:
-            return 0.0
-
-        def inner(z1):
-            head = _inv_e_pow(dist, x, m - 1, z1)
-            if head == 0.0:
-                return 0.0
-            return head * _inv_mu_pow(dist, z4, x, nm - 1, y - z1 - z4)
-
-        lo1 = max((m - 1) * x, y - z4 - (nm - 1) * x)
-        hi1 = y - nm * z4
-        knots = [y - (nm - j) * z4 - j * x for j in range(1, nm)]
-        return wz4 * _quad(inner, lo1, hi1, knots, limit=50)
-
-    hi4 = min(x, (y - (m - 1) * x) / nm)
-    outer_knots = [(y - (m + j - 1) * x) / (nm - j) for j in range(1, nm)]
-    outer_knots.append(y - (Ks - 2) * x)
-    return pref * px * _quad(outer, 0.0, hi4, outer_knots, limit=50)
+    fine = reductions.t5_fine(_T5_FINES, K, Ks, m, dist)
+    return reductions.t5(fine, Ks, m, x, y)
 
 
 def t6_jpdf(dist, K, Ks, m, x, y, digits=8):
     """Joint density of (sum of ranks 1..m, sum of ranks m+1..Ks)."""
     if not (1 <= m < Ks <= K):
         raise DomainError("need 1 <= m < Ks <= K")
-    if x < 0 or y < 0 or m * y > (Ks - m) * x:
-        return 0.0
-    if m == 1:
-        return t5_jpdf(dist, K, Ks, 1, x, y, digits=digits)
-    if m == Ks - 1:
-        return _fine_d(dist, K, Ks, y, x, digits)
-    nt = Ks - m
-    pref = math.factorial(K) / (math.factorial(K - Ks) * math.factorial(m - 1)
-                                * math.factorial(nt - 1))
-
-    def outer(z4):
-        wz4 = _cdf_weight(dist, K, Ks, z4) * dist.pdf1(z4)
-        if wz4 == 0.0:
-            return 0.0
-
-        def inner(z2):
-            head = _inv_e_pow(dist, z2, m - 1, x - z2)
-            if head == 0.0:
-                return 0.0
-            mid = _inv_mu_pow(dist, z4, z2, nt - 1, y - z4)
-            return dist.pdf1(z2) * head * mid
-
-        lo2 = (y - z4) / (nt - 1)
-        hi2 = x / m
-        knots = [(y - (nt - j) * z4) / j for j in range(1, nt)]
-        return wz4 * _quad(inner, lo2, hi2, knots, limit=50)
-
-    lo4 = max(0.0, y - (nt - 1) * x / m)
-    hi4 = y / nt
-    outer_knots = [(y - j * x / m) / (nt - j) for j in range(1, nt)]
-    return pref * _quad(outer, lo4, hi4, outer_knots, limit=50)
+    fine = reductions.t6_fine(_T5_FINES, K, Ks, m, dist)
+    return reductions.t6(fine, Ks, m, x, y)
 
 
-_T5_IDS = ("T5a", "T5b", "T5c", "T5d")
+def resolve(shape, dist, method="auto", digits=8):
+    """Density of a theorem shape for ``dist``, and its dimension.
 
-
-@dataclass(frozen=True)
-class TheoremCase:
-    """A resolved evaluator family bound to a distribution.
-
-    ``swap`` means the caller's coordinate order is the reverse of the
-    evaluator's canonical order (one-vs-rest and head-vs-tail evaluators
-    take the singleton/head coordinate first).
+    ``shape`` is a ``partition.TheoremMatch``.  ``method`` ``"exact"`` takes
+    the closed forms of ``exact_exp`` (exponential only), ``"generic"`` this
+    module's evaluators at ``digits``, and ``"auto"`` the exact path where it
+    applies.  The density takes its coordinates in the caller's order: a
+    swapped shape is evaluated with its arguments exchanged.
     """
+    fam, K, Ks, m = shape.id[:2], shape.K, shape.Ks, shape.m
+    args = {"T1": (K,), "T2": (K, m), "T3": (K, m), "T4": (K, Ks),
+            "T5": (K, Ks, m), "T6": (K, Ks, m)}.get(fam)
+    if args is None:
+        raise DomainError(f"unknown evaluator id {shape.id!r}")
+    if method == "auto":
+        method = "exact" if isinstance(dist, Exponential) else "generic"
+    if method == "exact":
+        if not isinstance(dist, Exponential):
+            raise DomainError("the exact path covers the exponential "
+                              "distribution only; use --method generic")
+        make = {"T1": exact_exp.pdf_sum_all,
+                "T2": exact_exp.jpdf_one_vs_rest_allK,
+                "T3": exact_exp.jpdf_headsum_vs_tailsum_allK,
+                "T4": exact_exp.pdf_gsc_sum,
+                "T5": exact_exp.jpdf_one_vs_rest_bestKs,
+                "T6": exact_exp.jpdf_headsum_vs_tailsum_bestKs}[fam]
+        fn = make(*args, dist.gamma_bar)
+    elif method == "generic":
+        pdf = {"T1": t1_pdf, "T2": t2_jpdf, "T3": t3_jpdf, "T4": t4_pdf,
+               "T5": t5_jpdf, "T6": t6_jpdf}[fam]
 
-    id: str
-    K: int
-    Ks: int
-    m: int
-    dist: Distribution
-    swap: bool = False
+        def fn(*z):
+            return pdf(dist, *args, *z, digits=digits)
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    dim = 1 if fam in ("T1", "T4") else 2
 
-    @classmethod
-    def from_partition(cls, part, dist):
-        """Resolve a partition; raises UnsupportedShapeError when uncovered."""
-        mt = match_theorem(part)
-        return cls(mt.id, mt.K, mt.Ks, mt.m, dist, mt.swap)
+    def density(*z):
+        if len(z) != dim:
+            raise DomainError(f"{shape.id} expects {dim} coordinate(s)")
+        return fn(*z[::-1]) if shape.swap else fn(*z)
 
-    @property
-    def dim(self):
-        return 1 if self.id in ("T1", "T4") else 2
-
-    def pdf(self, *coords, digits=8):
-        """Evaluate the density at the caller-ordered coordinates."""
-        if len(coords) != self.dim:
-            raise DomainError(f"{self.id} expects {self.dim} coordinate(s)")
-        if self.dim == 1:
-            x, = coords
-            if self.id == "T1":
-                return t1_pdf(self.dist, self.K, x, digits=digits)
-            return t4_pdf(self.dist, self.K, self.Ks, x, digits=digits)
-        x, y = coords[::-1] if self.swap else coords
-        if self.id == "T2":
-            return t2_jpdf(self.dist, self.K, self.m, x, y, digits=digits)
-        if self.id == "T3":
-            return t3_jpdf(self.dist, self.K, self.m, x, y, digits=digits)
-        if self.id in _T5_IDS:
-            return t5_jpdf(self.dist, self.K, self.Ks, self.m, x, y,
-                           digits=digits)
-        if self.id == "T6":
-            return t6_jpdf(self.dist, self.K, self.Ks, self.m, x, y,
-                           digits=digits)
-        raise DomainError(f"unknown evaluator id {self.id!r}")
+    return density, dim

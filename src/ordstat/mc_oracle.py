@@ -5,14 +5,11 @@ them in decreasing order, and form the requested partial sums.  Everything
 analytic in this package must survive comparison against these samples.
 
 Streams use a counter-based generator keyed by (seed, stream index), so a
-run is reproducible bit for bit regardless of how many worker threads
-consume the stream list; aggregation concatenates streams in index order.
-``ORDSTAT_THREADS`` caps the worker count (default: sequential).
+run is reproducible bit for bit and its layout depends only on the sample
+count; streams run one after another and are concatenated in index order.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,23 +26,10 @@ __all__ = [
     "empirical_cdf",
     "ks_distance",
     "bin_agreement",
-    "thread_count",
 ]
 
 _CHUNK = 1 << 17
 _MASK64 = (1 << 64) - 1
-
-
-def thread_count():
-    """Worker cap from ORDSTAT_THREADS; 1 (sequential) when unset."""
-    raw = os.environ.get("ORDSTAT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"ORDSTAT_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -80,13 +64,7 @@ def _run_streams(n, worker):
         jobs.append((stream, count))
         start += count
         stream += 1
-    workers = min(thread_count(), len(jobs))
-    if workers <= 1:
-        parts = [worker(s, c) for s, c in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda j: worker(*j), jobs))
-    return np.concatenate(parts, axis=0)
+    return np.concatenate([worker(s, c) for s, c in jobs], axis=0)
 
 
 def sample_sorted(dist, K, n_samples, seed):

@@ -24,6 +24,7 @@ __all__ = [
     "normalize",
     "dimension_of",
     "match_theorem",
+    "t5_case",
 ]
 
 _PART_RE = re.compile(r"^K=(\d+);Ks=(\d+);groups=((?:\[[-0-9,]+\])+)$")
@@ -175,7 +176,9 @@ class TheoremMatch:
     swap: bool = False
 
 
-def _t5_case(Ks, m):
+def t5_case(Ks, m):
+    """Case letter of the rank-m vs rest pair of the best Ks; see
+    ``reductions.t5``."""
     if m == Ks:
         return "d"
     if m == 1:
@@ -205,7 +208,7 @@ def match_theorem(p):
                 m = one[0]
                 if Ks == K:
                     return TheoremMatch("T2", K, Ks, m, bool(swap))
-                return TheoremMatch("T5" + _t5_case(Ks, m), K, Ks, m,
+                return TheoremMatch("T5" + t5_case(Ks, m), K, Ks, m,
                                     bool(swap))
         # Head run vs tail run: the partial-sums family.
         for swap, (head, tail) in enumerate([(ga, gb), (gb, ga)]):

@@ -1,0 +1,298 @@
+"""Reductions of fine joint densities to the theorem families T3-T6.
+
+The joint MGF of a contiguous grouping of ranks, with the rank-Ks variable
+kept apart when Ks < K, inverts to a *fine* joint density.  A requested
+pair of partial sums follows by integrating the extra coordinates out,
+along lines on which the requested sums stay fixed.  That step does not
+depend on the distribution, so it is written here once; each path supplies
+the fine densities:
+
+* ``exact_exp``: closed forms for the exponential distribution;
+* ``generic_joint``: pdf, CDF and kernel-power inverses of any distribution.
+
+A fine density is an object with scalar ``__call__(*coords)``, batched
+``values(*coords)`` over coordinate arrays that broadcast, and a boolean
+``piecewise_polynomial``.  The shapes, by coordinates (rank 1 = largest):
+
+* ``FineHeadRankTail`` (T3): sum of ranks 1..m, rank m, sum of ranks m+1..K;
+* ``FineLastHead`` (T4, T5d): rank Ks, sum of ranks 1..Ks-1;
+* ``FineOneMidLast`` (T5a): rank 1, sum of ranks 2..Ks-1, rank Ks;
+* ``FineHeadMidLast`` (T5b, T6): sum of ranks 1..m-1, rank m,
+  sum of ranks m+1..Ks-1, rank Ks;
+* ``FineHeadNextLast`` (T5c): sum of ranks 1..Ks-2, rank Ks-1, rank Ks.
+
+Every reduction runs fixed Gauss-Legendre rules on the knot segments of
+its integrand (``_gauss_knots``): the points where a term of the fine
+density switches on or an inner limit changes form.  Integrals that hold
+the rank-Ks coordinate fixed (T3's, and the inner ones of T5b and T6) are
+polynomials between knots when the fine density is piecewise polynomial,
+and then take the exact-degree rule alone.  Every other integral compares
+n- and 2n-node rules.
+"""
+
+import functools
+import warnings
+
+import numpy as np
+from scipy import integrate
+
+from ordstat.partition import t5_case
+
+__all__ = ["t3", "t4", "t5", "t6", "t3_support", "t5_support", "t6_support",
+           "t5_fine", "t6_fine"]
+
+_EPSABS = 1e-9
+_EPSREL = 1e-8
+_SMOOTH_EXTRA = 3  # nodes beyond the exact count, for the smooth factor
+_MAX_NODES = 128   # per knot segment, for integrals that are not exact
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre(n):
+    # Shared by every caller, so read-only.
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
+    """Integral of ``f`` over ``[lo, hi]``, Gauss-Legendre on each knot segment.
+
+    ``f`` maps an array of nodes to an array of values; it is called once
+    per rule, on the nodes of all segments together.  Between knots the
+    integrand is a polynomial of degree ``deg`` (``exact``), or such a
+    polynomial times a smooth factor.  The ``deg // 2 + 1``-node rule
+    integrates the polynomial exactly, so an exact integral takes that rule
+    alone.  Otherwise the rule starts ``_SMOOTH_EXTRA`` nodes higher and the
+    node count doubles until the n- and 2n-node sums, added over segments,
+    agree to ``_EPSABS``/``_EPSREL``; the 2n-node value is returned, with an
+    ``IntegrationWarning`` if that takes ``_MAX_NODES`` per segment or more.
+    """
+    if not hi > lo:
+        return 0.0
+    edges = np.array([lo, *sorted({float(p) for p in knots if lo < p < hi}),
+                      hi])
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])
+
+    def rule(n):
+        x, w = _legendre(n)
+        return f((mid + half[:, None] * x).ravel()).reshape(-1, n) @ w * half
+
+    n = deg // 2 + 1 + (0 if exact else _SMOOTH_EXTRA)
+    est = rule(n)
+    if exact:
+        return float(est.sum())
+    while True:
+        n *= 2
+        prev, est = est, rule(n)
+        total = float(est.sum())
+        err = float(np.abs(est - prev).sum())
+        if err <= max(_EPSABS, _EPSREL * abs(total)):
+            return total
+        if n >= _MAX_NODES:
+            warnings.warn(
+                f"{n}-node Gauss-Legendre rule on [{lo:g}, {hi:g}] did not "
+                f"converge: n/2n difference {err:.3g}",
+                integrate.IntegrationWarning, stacklevel=2)
+            return total
+
+
+def _pointwise(f):
+    """Node-array adapter for a scalar integrand, such as an inner integral."""
+    return lambda zs: np.array([f(z) for z in zs.tolist()])
+
+
+# -- T3: (sum of ranks 1..m, sum of ranks m+1..K), all K --
+
+
+def t3_support(K, m, z1, z2):
+    return z1 >= 0 and z2 >= 0 and (K - m) * z1 >= m * z2
+
+
+def t3(fine, K, m, z1, z2):
+    """T3 for ``m >= 2`` from ``FineHeadRankTail``, over the rank-m value.
+
+    With ``m == 1`` the head is one variable and the pair is the rank-1
+    one-vs-rest joint (T2), which each path evaluates directly.
+    """
+    if not t3_support(K, m, z1, z2):
+        return 0.0
+    knots = [z2 / j for j in range(1, K - m + 1)]
+    return _gauss_knots(lambda g: fine.values(z1, g, z2), z2 / (K - m),
+                        z1 / m, knots, deg=K - 3,
+                        exact=fine.piecewise_polynomial)
+
+
+# -- T4: sum of the Ks largest --
+
+
+def t4(fine, Ks, x):
+    """T4 for ``Ks >= 2`` from ``FineLastHead``, over the rank-Ks value.
+
+    With ``Ks == 1`` the sum is the largest variable, whose density each
+    path evaluates directly.
+    """
+    return _gauss_knots(lambda v: fine.values(v, x - v), 0.0, x / Ks,
+                        deg=Ks - 2, exact=False)
+
+
+# -- T5: (rank-m variable, sum of the other best Ks-1) --
+
+
+def t5_fine(fines, K, Ks, m, param):
+    """The fine density that ``t5`` reduces for rank m of the best Ks.
+
+    ``fines`` maps each ``partition.t5_case`` letter to a path's class of
+    the shape that case reduces (module docstring); ``param``, the classes'
+    last constructor argument, fixes the distribution.
+    """
+    case = t5_case(Ks, m)
+    if case == "b":
+        return fines[case](K, Ks, m, param)
+    return fines[case](K, Ks, param)
+
+
+def t5_support(Ks, m, x, y):
+    if x < 0 or y < 0:
+        return False
+    case = t5_case(Ks, m)
+    if case == "d":
+        return x >= y if m == 1 else y >= (Ks - 1) * x
+    if case == "a":
+        return y <= (Ks - 1) * x
+    if case == "c":
+        return y >= (Ks - 2) * x
+    return y >= (m - 1) * x
+
+
+def t5(fine, Ks, m, x, y, order=0):
+    """Density of (rank-m value x, sum y of the other best Ks-1).
+
+    ``fine`` comes from ``t5_fine``.  The cases of ``partition.t5_case``:
+
+    * ``"d"``: m == Ks, the fine density itself.  With Ks == 2 and m == 1
+      the pair is (rank 1, rank 2), the same density with its arguments
+      swapped.
+    * ``"a"``: m == 1 (Ks >= 3), one integral.
+    * ``"c"``: m == Ks-1 (Ks >= 3), one integral.
+    * ``"b"``: 2 <= m <= Ks-2, two nested integrals.
+
+    ``order`` picks the variable eliminated first in cases a-c (1 or 2);
+    0 means the default, 1.  The orders agree up to quadrature error and
+    exist to check each other.
+    """
+    if not t5_support(Ks, m, x, y):
+        return 0.0
+    case = t5_case(Ks, m)
+    if case == "d":
+        return fine(y, x) if m == 1 else fine(x, y)
+    if case == "a":
+        return _t5a(fine, Ks, x, y, order)
+    if case == "c":
+        return _t5c(fine, Ks, x, y, order)
+    return _t5b(fine, Ks, m, x, y, order)
+
+
+def _t5a(fine, Ks, x, y, order):
+    # Fine coordinates (rank 1 = x, mid sum z3, rank Ks z4), z3 + z4 = y.
+    if order in (0, 1):
+        lo = max(0.0, y - (Ks - 2) * x)
+        hi = y / (Ks - 1)
+        knots = [(y - j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
+        knots.append(x)
+        return _gauss_knots(lambda z4: fine.values(x, y - z4, z4), lo, hi,
+                            knots, deg=Ks - 3, exact=False)
+    lo = max((Ks - 2) * y / (Ks - 1), y - x)
+    hi = min((Ks - 2) * x, y)
+    knots = [((Ks - 2 - j) * y + j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
+    knots.append(y - x)
+    return _gauss_knots(lambda z3: fine.values(x, z3, y - z3), lo, hi,
+                        knots, deg=Ks - 3, exact=False)
+
+
+def _t5c(fine, Ks, x, y, order):
+    # Fine coordinates (head sum z1, rank Ks-1 = x, rank Ks z4), z1 + z4 = y.
+    if order in (0, 1):
+        hi = min(x, y - (Ks - 2) * x)
+        return _gauss_knots(lambda z4: fine.values(y - z4, x, z4), 0.0, hi,
+                            deg=Ks - 3, exact=False)
+    lo = max((Ks - 2) * x, y - x)
+    return _gauss_knots(lambda z1: fine.values(z1, x, y - z1), lo, y,
+                        deg=Ks - 3, exact=False)
+
+
+def _t5b(fine, Ks, m, x, y, order):
+    # Fine coordinates (head sum z1, rank m = x, mid sum z3, rank Ks z4),
+    # z1 + z3 + z4 = y; the inner integral holds z4 fixed.
+    nm = Ks - m  # selected ranks below m, inclusive of rank Ks
+    hi4 = min(x, (y - (m - 1) * x) / nm)
+    outer_knots = [(y - (m + j - 1) * x) / (nm - j) for j in range(1, nm)]
+    outer_knots.append(y - (Ks - 2) * x)
+    exact = fine.piecewise_polynomial
+    if order in (0, 1):
+        def inner(z4):
+            # Below y - z4 - (nm-1)*x the mid-sum exceeds its support and
+            # the step sum is cancellation noise around zero; stop the
+            # integral at the true edge.
+            lo1 = max((m - 1) * x, y - z4 - (nm - 1) * x)
+            hi1 = y - nm * z4
+            knots = [y - (nm - j) * z4 - j * x for j in range(1, nm)]
+            return _gauss_knots(lambda z1: fine.values(z1, x, y - z1 - z4, z4),
+                                lo1, hi1, knots, deg=Ks - 4, exact=exact)
+    else:
+        def inner(z4):
+            lo3 = (nm - 1) * z4
+            hi3 = min((nm - 1) * x, y - z4 - (m - 1) * x)
+            knots = [(nm - 1 - j) * z4 + j * x for j in range(1, nm)]
+            return _gauss_knots(lambda z3: fine.values(y - z3 - z4, x, z3, z4),
+                                lo3, hi3, knots, deg=Ks - 4, exact=exact)
+    return _gauss_knots(_pointwise(inner), 0.0, hi4, outer_knots,
+                        deg=Ks - 3, exact=False)
+
+
+# -- T6: (sum of ranks 1..m, sum of ranks m+1..Ks), best Ks --
+
+
+def t6_fine(fines, K, Ks, m, param):
+    """The fine density that ``t6`` reduces; ``fines`` as for ``t5_fine``."""
+    # A one-variable head takes the rank-1 T5 pair's, a one-variable tail
+    # the rank-Ks one (case d); any other m the case-b density of rank m.
+    return t5_fine(fines, K, Ks, Ks if 1 < m == Ks - 1 else m, param)
+
+
+def t6_support(Ks, m, x, y):
+    return x >= 0 and y >= 0 and (Ks - m) * x >= m * y
+
+
+def t6(fine, Ks, m, x, y):
+    """Density of (sum x of ranks 1..m, sum y of ranks m+1..Ks).
+
+    ``fine`` comes from ``t6_fine``.  A one-variable head is the T5 pair of
+    rank 1, and a one-variable tail the fine density of rank Ks; otherwise
+    the rank-m and rank-Ks values are integrated out.
+    """
+    if not t6_support(Ks, m, x, y):
+        return 0.0
+    if m == 1:
+        return t5(fine, Ks, 1, x, y)
+    if m == Ks - 1:
+        return fine(y, x)
+    nt = Ks - m  # tail size
+    lo4 = max(0.0, y - (nt - 1) * x / m)
+    hi4 = y / nt
+    hi2 = x / m
+    outer_knots = [(y - j * x / m) / (nt - j) for j in range(1, nt)]
+    exact = fine.piecewise_polynomial
+
+    def inner(z4):
+        # Below (y - z4) / (nt - 1) the mid-sum exceeds its support and
+        # the step sum is cancellation noise around zero.
+        lo2 = (y - z4) / (nt - 1)
+        knots = [(y - (nt - j) * z4) / j for j in range(1, nt)]
+        return _gauss_knots(lambda z2: fine.values(x - z2, z2, y - z4, z4),
+                            lo2, hi2, knots, deg=Ks - 4, exact=exact)
+
+    return _gauss_knots(_pointwise(inner), lo4, hi4, outer_knots,
+                        deg=Ks - 3, exact=False)

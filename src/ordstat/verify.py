@@ -249,7 +249,8 @@ def _rank_marginal(dist, K, m, z):
 
 def qmc_normalization(density, chain, m_log2, seed):
     """Total mass of ``density``, by scrambled Sobol points pushed through
-    a support-fitted coordinate map.
+    a support-fitted coordinate map.  ``density.values`` evaluates all the
+    points in one call.
 
     ``chain`` realizes the density's coordinates one at a time, each from
     the ones already drawn: ``(index, "exp", fn)`` with ``fn(z) -> (lo,
@@ -274,8 +275,7 @@ def qmc_normalization(density, chain, m_log2, seed):
             lo, hi = fn(z)
             z[:, idx] = lo + (hi - lo) * ui
             jac *= hi - lo
-    vals = np.array([density.evaluate(row) for row in z])
-    return float(np.mean(vals * jac))
+    return float(np.mean(density.values(*z.T) * jac))
 
 
 def _mass_1d(pdf_obj, cut, knots=()):

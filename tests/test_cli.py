@@ -69,12 +69,31 @@ def test_unsupported_partition_exit_and_hint(capsys):
     assert "K=10;Ks=8;groups=[1-3][4-8]" in err
 
 
-def test_generic_method_matches_exact(capsys):
-    _, exact, _ = run(capsys, "eval", "--theorem", "T2", "--K", "3",
-                      "--m", "2", "--at", "0.8,1.7", "--method", "exact")
-    _, gen, _ = run(capsys, "eval", "--theorem", "T2", "--K", "3",
-                    "--m", "2", "--at", "0.8,1.7", "--method", "generic")
-    assert float(gen) == pytest.approx(float(exact), rel=1e-6)
+# Every family on exp:1 at K=5, Ks=4, near the means of its coordinates.
+FAMILY_POINTS = {
+    "T1": (["--theorem", "T1"], "5.0"),
+    "T2": (["--theorem", "T2", "--m", "2"], "1.3,3.7"),
+    "T3": (["--theorem", "T3", "--m", "2"], "3.5,1.4"),
+    "T4": (["--theorem", "T4", "--Ks", "4"], "4.8"),
+    "T5a": (["--theorem", "T5", "--Ks", "4", "--case", "a"], "2.3,2.5"),
+    "T5b": (["--theorem", "T5", "--Ks", "4", "--m", "2"], "1.3,3.5"),
+    "T5c": (["--theorem", "T5", "--Ks", "4", "--case", "c"], "0.8,4.0"),
+    "T5d": (["--theorem", "T5", "--Ks", "4", "--case", "d"], "0.45,3.85"),
+    "T6": (["--theorem", "T6", "--Ks", "4", "--m", "2"], "3.5,1.2"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_POINTS))
+def test_generic_method_matches_exact(capsys, family):
+    shape, at = FAMILY_POINTS[family]
+    vals = []
+    for method in ("exact", "generic"):
+        code, out, _ = run(capsys, "eval", *shape, "--K", "5", "--dist",
+                           "exp:1", "--at", at, "--method", method)
+        assert code == 0
+        vals.append(float(out))
+    assert vals[0] > 1e-3
+    assert vals[1] == pytest.approx(vals[0], rel=1e-6)
 
 
 def test_exact_method_rejects_non_exponential(capsys):

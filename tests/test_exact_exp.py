@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ordstat import exact_exp
+from ordstat import exact_exp, reductions
 from ordstat.distributions import Exponential
 from ordstat.errors import DomainError
 
@@ -327,16 +327,16 @@ def test_gauss_rule_exact_on_polynomials():
     # Degree 9 between knots: the 5-node rule per segment is exact.
     f = lambda x: np.where(x < 0.3, x ** 9, 2.0 * x ** 9 - x ** 4)
     want = 0.3 ** 10 / 10 + 2 * (1 - 0.3 ** 10) / 10 - (1 - 0.3 ** 5) / 5
-    got = exact_exp._gauss_knots(f, 0.0, 1.0, [0.3], deg=9)
+    got = reductions._gauss_knots(f, 0.0, 1.0, [0.3], deg=9)
     assert got == pytest.approx(want, rel=1e-14)
-    assert exact_exp._gauss_knots(f, 1.0, 1.0, deg=9) == 0.0
+    assert reductions._gauss_knots(f, 1.0, 1.0, deg=9) == 0.0
 
 
 def test_gauss_rule_converges_on_smooth_factor():
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
-        got = exact_exp._gauss_knots(lambda x: x ** 6 * np.exp(-3.0 * x),
-                                     0.0, 2.5, [1.0], deg=6, exact=False)
+        got = reductions._gauss_knots(lambda x: x ** 6 * np.exp(-3.0 * x),
+                                      0.0, 2.5, [1.0], deg=6, exact=False)
     want, _ = integrate.quad(lambda x: x ** 6 * math.exp(-3.0 * x), 0.0, 2.5,
                              epsabs=0.0, epsrel=1e-13)
     assert got == pytest.approx(want, rel=1e-10)
@@ -344,6 +344,6 @@ def test_gauss_rule_converges_on_smooth_factor():
 
 def test_gauss_rule_warns_at_its_cap():
     with pytest.warns(integrate.IntegrationWarning, match="did not converge"):
-        val = exact_exp._gauss_knots(lambda x: np.abs(np.sin(200.0 * x)),
-                                     0.0, 1.0, deg=0, exact=False)
+        val = reductions._gauss_knots(lambda x: np.abs(np.sin(200.0 * x)),
+                                      0.0, 1.0, deg=0, exact=False)
     assert val == pytest.approx(2.0 / math.pi, abs=1e-2)

@@ -10,7 +10,7 @@ from scipy import integrate
 from ordstat import exact_exp, generic_joint as gj
 from ordstat.distributions import CustomDistribution, Exponential, HalfNormal
 from ordstat.errors import DomainError
-from ordstat.partition import Partition
+from ordstat.partition import Partition, TheoremMatch, match_theorem
 
 EXP = Exponential(1.0)
 HN = HalfNormal(0.8)
@@ -147,23 +147,24 @@ def test_outside_support_is_zero():
 
 
 def test_theorem_case_dispatch_and_swap():
-    case = gj.TheoremCase.from_partition(
-        Partition.parse("K=4;Ks=4;groups=[2-4][1]"), EXP)
-    assert case.id == "T2" and case.m == 1 and case.swap
-    assert case.dim == 2
-    assert case.pdf(1.5, 1.0) == pytest.approx(
+    shape = match_theorem(Partition.parse("K=4;Ks=4;groups=[2-4][1]"))
+    assert shape.id == "T2" and shape.m == 1 and shape.swap
+    case, dim = gj.resolve(shape, EXP, method="generic")
+    assert dim == 2
+    assert case(1.5, 1.0) == pytest.approx(
         gj.t2_jpdf(EXP, 4, 1, 1.0, 1.5), rel=1e-12)
 
-    total = gj.TheoremCase.from_partition(
-        Partition.parse("K=3;Ks=3;groups=[1-3]"), EXP)
-    assert total.dim == 1
-    assert total.pdf(1.8) == pytest.approx(gj.t1_pdf(EXP, 3, 1.8), rel=1e-12)
+    total, dim = gj.resolve(
+        match_theorem(Partition.parse("K=3;Ks=3;groups=[1-3]")), EXP,
+        method="generic")
+    assert dim == 1
+    assert total(1.8) == pytest.approx(gj.t1_pdf(EXP, 3, 1.8), rel=1e-12)
 
 
 def test_theorem_case_arity_checked():
-    case = gj.TheoremCase("T2", 4, 4, 2, EXP)
+    case, _ = gj.resolve(TheoremMatch("T2", 4, 4, 2), EXP)
     with pytest.raises(DomainError):
-        case.pdf(1.0)
+        case(1.0)
 
 
 def test_shape_validation():

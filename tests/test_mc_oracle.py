@@ -39,25 +39,17 @@ def test_stream_split_invariant():
     assert np.array_equal(big[:500], small)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("ORDSTAT_THREADS", raising=False)
-    assert mc.thread_count() == 1
-    monkeypatch.setenv("ORDSTAT_THREADS", "4")
-    assert mc.thread_count() == 4
-    monkeypatch.setenv("ORDSTAT_THREADS", "0")
-    assert mc.thread_count() == 1
-    monkeypatch.setenv("ORDSTAT_THREADS", "two")
-    with pytest.raises(DomainError):
-        mc.thread_count()
-
-
-def test_threads_do_not_change_samples(monkeypatch):
-    n = 3 * (1 << 17) + 123   # several chunks plus a ragged tail
-    monkeypatch.delenv("ORDSTAT_THREADS", raising=False)
-    seq = mc.sample_partial_sums(spec("K=4;Ks=3;groups=[1-2][3]", n))
-    monkeypatch.setenv("ORDSTAT_THREADS", "8")
-    par = mc.sample_partial_sums(spec("K=4;Ks=3;groups=[1-2][3]", n))
-    assert np.array_equal(seq, par)
+def test_multi_chunk_run_extends_one_chunk_run():
+    # Several chunks plus a ragged tail: streams are concatenated in index
+    # order, so the run starts with the one-chunk run and goes on with new
+    # draws.
+    chunk = 1 << 17
+    one = mc.sample_partial_sums(spec("K=4;Ks=3;groups=[1-2][3]", chunk))
+    many = mc.sample_partial_sums(spec("K=4;Ks=3;groups=[1-2][3]",
+                                       2 * chunk + 123))
+    assert many.shape == (2 * chunk + 123, 2)
+    assert np.array_equal(many[:chunk], one)
+    assert not np.array_equal(many[chunk:2 * chunk], one)
 
 
 def test_partial_sums_match_sorted_rows():
