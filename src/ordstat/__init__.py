@@ -32,7 +32,6 @@ from ordstat.errors import (
     ConvergenceError,
     DivergentIntegralError,
     DomainError,
-    MixedPoleError,
     OrdstatError,
     UnsupportedShapeError,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "Exponential",
     "HalfNormal",
     "IltResult",
-    "MixedPoleError",
     "NormalizedPartition",
     "OrdstatError",
     "Partition",

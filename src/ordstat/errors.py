@@ -9,7 +9,6 @@ __all__ = [
     "OrdstatError",
     "DomainError",
     "DivergentIntegralError",
-    "MixedPoleError",
     "UnsupportedShapeError",
     "ConvergenceError",
 ]
@@ -30,10 +29,6 @@ class DivergentIntegralError(DomainError):
     distribution's declared convergence abscissa with an unbounded upper
     integration limit.
     """
-
-
-class MixedPoleError(DomainError):
-    """Two term sums with different pole locations cannot be combined exactly."""
 
 
 class UnsupportedShapeError(OrdstatError):

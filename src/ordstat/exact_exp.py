@@ -16,16 +16,17 @@ inner integrals of T3, T5b and T6 take exact-degree Gauss-Legendre rules,
 and only the integrals over the rank-Ks value, which carry the factor
 ``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, compare n and 2n
 nodes.  ``values`` evaluates a fine density at all of a rule's nodes in one
-batched step-sum call; the scalar ``__call__`` serves point-by-point
-callers such as ``verify`` and ``apps``.
+batched step-sum call, and the scalar ``__call__`` of a fine density goes
+through it.  Only ``FineLastHead`` keeps a separate scalar form, because
+``apps`` still integrates it point by point.
 
 Binomial coefficients are assembled exactly (they are integers well inside
 double precision for the supported ``K``) and the alternating pieces are
 accumulated by compensated summation, smallest first; the headline sums
-still cancel heavily near support edges, which is why evaluators expose
-``eval_with_scale`` returning the magnitude scale the roundoff should be
-measured against.  ``K`` is capped at 30: beyond that the binomial terms
-overwhelm double precision regardless of summation order.
+still cancel heavily near support edges.  ``OneVsRestAllK`` alone exposes
+``eval_with_scale``, which also returns the magnitude scale the roundoff
+should be measured against.  ``K`` is capped at 30: beyond that the
+binomial terms overwhelm double precision regardless of summation order.
 
 Naming: "one vs rest" is the pair (rank-m variable, sum of the other
 selected ones); "headsum vs tailsum" is (sum of the m largest, sum of the
@@ -88,19 +89,16 @@ def _pref(*, num, den, rate, rate_pow):
 
 
 class _Density:
-    """Vector-argument adapters shared by the density classes.
+    """Vector-argument adapter shared by the density classes.
 
     Scalar-argument ``__call__``/``support`` do the real work; ``evaluate``
-    and ``in_support`` accept one coordinate vector of length ``dim``.
+    accepts one coordinate vector of length ``dim``.
     """
 
     path = "exact"
 
     def evaluate(self, z):
         return self(*z)
-
-    def in_support(self, z):
-        return self.support(*z)
 
     @property
     def meta(self):

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ordstat
 from ordstat import cli
 
 
@@ -204,3 +208,17 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli._build_parser().parse_args(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_import_loads_every_module():
+    # A module that the command line never loads is used only by tests.
+    probe = ("import pkgutil, sys, ordstat, ordstat.cli; "
+             "print(sorted(m.name for m in "
+             "pkgutil.iter_modules(ordstat.__path__) "
+             "if 'ordstat.' + m.name not in sys.modules))")
+    src = os.path.dirname(os.path.dirname(ordstat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
