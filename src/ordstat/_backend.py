@@ -1,10 +1,10 @@
-"""Step-sum kernel: piecewise polynomial-exponential term sums.
+"""Step-sum kernel: sums of truncated power terms.
 
-A term is ``coeff * (z - threshold)**power * exp(-decay*z)`` supported on
-``z >= threshold`` (the step is closed on the left: a term counts exactly at
-its threshold).  Callers pass terms sorted by ascending ``|coeff|``;
-accumulation uses Neumaier compensation so that the alternating sums
-produced by binomial expansions lose as little as possible.
+A term is ``coeff * (z - threshold)**power`` supported on ``z >= threshold``
+(the step is closed on the left: a term counts exactly at its threshold).
+Callers pass terms sorted by ascending ``|coeff|``; accumulation uses
+Neumaier compensation so that the alternating sums produced by binomial
+expansions lose as little as possible.
 
 Both functions take either form of ``z``:
 
@@ -16,30 +16,27 @@ Both functions take either form of ``z``:
   operations over a terms-by-nodes array.  The running sums are a
   cumulative sum along the terms, and each compensation term comes from
   the branch-free two-sum against the previous running sum, which yields
-  the same exact rounding error as the scalar loop's Neumaier branch.  The
-  exponential factor comes from ``math.exp``, once per distinct decay and
-  node, as in the scalar loop.  numpy's ``power`` may round a term
-  differently from libm's ``pow`` by an ulp, so node values agree with the
-  scalar loop to within a few ulps of the sum of |term|.
+  the same exact rounding error as the scalar loop's Neumaier branch.
+  numpy's ``power`` may round a term differently from libm's ``pow`` by an
+  ulp, so node values agree with the scalar loop to within a few ulps of the
+  sum of |term|.
 """
-
-import math
 
 import numpy as np
 
 __all__ = ["poly_exp_eval", "poly_exp_eval_scale"]
 
 
-def poly_exp_eval(coeff, threshold, power, decay, z):
-    """Evaluate a piecewise polynomial-exponential term sum at ``z``."""
+def poly_exp_eval(coeff, threshold, power, z):
+    """Evaluate a step sum of truncated power terms at ``z``."""
     if not (isinstance(z, float) and threshold.ndim == 1):
-        return _nodes(coeff, threshold, power, decay, z, False)[0]
+        return _nodes(coeff, threshold, power, z, False)[0]
     s = 0.0
     c = 0.0
     for i in range(len(coeff)):
         if z < threshold[i]:
             continue
-        x = coeff[i] * (z - threshold[i]) ** power[i] * math.exp(-decay[i] * z)
+        x = coeff[i] * (z - threshold[i]) ** power[i]
         t = s + x
         if abs(s) >= abs(x):
             c += (s - t) + x
@@ -49,21 +46,21 @@ def poly_exp_eval(coeff, threshold, power, decay, z):
     return s + c
 
 
-def poly_exp_eval_scale(coeff, threshold, power, decay, z):
+def poly_exp_eval_scale(coeff, threshold, power, z):
     """Like :func:`poly_exp_eval` but also return the sum of |term|.
 
     The second value bounds the roundoff scale of the cancellation, which
     is what nonnegativity of a density can honestly be measured against.
     """
     if not (isinstance(z, float) and threshold.ndim == 1):
-        return _nodes(coeff, threshold, power, decay, z, True)
+        return _nodes(coeff, threshold, power, z, True)
     s = 0.0
     c = 0.0
     mag = 0.0
     for i in range(len(coeff)):
         if z < threshold[i]:
             continue
-        x = coeff[i] * (z - threshold[i]) ** power[i] * math.exp(-decay[i] * z)
+        x = coeff[i] * (z - threshold[i]) ** power[i]
         mag += abs(x)
         t = s + x
         if abs(s) >= abs(x):
@@ -74,7 +71,7 @@ def poly_exp_eval_scale(coeff, threshold, power, decay, z):
     return s + c, mag
 
 
-def _nodes(coeff, threshold, power, decay, z, scale):
+def _nodes(coeff, threshold, power, z, scale):
     z = np.asarray(z, dtype=float)
     thr = np.asarray(threshold, dtype=float)
     # Terms along the first axis, nodes along the second.
@@ -83,12 +80,6 @@ def _nodes(coeff, threshold, power, decay, z, scale):
     np.maximum(d, 0.0, out=d)
     x = np.power(d, power[:, None], out=d)
     x *= coeff[:, None]
-    if decay.any():
-        zn = np.broadcast_to(z, x.shape[1:])
-        for rate in np.unique(decay):
-            e = np.fromiter(map(math.exp, (-rate * zn).ravel().tolist()),
-                            float, zn.size)
-            x[decay == rate] *= e
     x *= live
     mag = np.abs(x).sum(axis=0) if scale else None
     # Running sums in term order, then the exact rounding error of each

@@ -21,7 +21,6 @@ import argparse
 import math
 import shlex
 import sys
-from dataclasses import dataclass
 
 from ordstat import __version__, generic_joint, verify
 from ordstat.apps import MsGscConfig, msgsc_output_cdf, msgsc_stage_probability
@@ -31,40 +30,13 @@ from ordstat.errors import (ConvergenceError, DivergentIntegralError,
 from ordstat.mc_oracle import SampleSpec, sample_partial_sums
 from ordstat.partition import Partition, TheoremMatch, match_theorem, t5_case
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_SHAPE = 3
 EXIT_NUMERIC = 4
-
-_COMMANDS = ("eval", "tabulate", "verify", "msgsc", "sample")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation record shared by the subcommand handlers."""
-
-    command: str
-    dist_spec: str
-    grid: tuple
-    output: str
-    seed: int
-    digits: int
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise DomainError(f"unknown command {self.command!r}")
-        for axis in self.grid:
-            lo, hi, n = axis
-            if n < 2:
-                raise DomainError("grid counts must be >= 2")
-            if not hi > lo:
-                raise DomainError("grid needs max > min")
-        if self.digits < 1:
-            raise DomainError("tolerance digits must be positive")
-
 
 def _fmt(v):
     return format(float(v), ".17g")
@@ -93,6 +65,10 @@ def _parse_grid_axis(text):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DomainError(f"bad grid axis {text!r}; expected min:max:count")
+    if n < 2:
+        raise DomainError("grid counts must be >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise DomainError("grid needs finite max > min")
     return lo, hi, n
 
 
@@ -203,14 +179,13 @@ def _cmd_tabulate(args, argv):
     grid = tuple(_parse_grid_axis(g) for g in args.grid or ())
     if len(grid) != dim:
         raise DomainError(f"shape {shape.id} needs {dim} --grid axis spec(s)")
-    cfg = RunConfig("tabulate", args.dist, grid, args.output, 0, args.digits)
     rows = _grid_rows(fn, grid)
     meta = _meta_lines(argv, [
         ("shape", shape.id), ("distribution", args.dist),
         ("grid", ";".join(f"{a[0]:g}:{a[1]:g}:{a[2]}" for a in grid)),
         ("digits", args.digits)])
     header = ("x", "pdf") if dim == 1 else ("x", "y", "pdf")
-    _write_text(cfg.output, _csv(meta, header, rows))
+    _write_text(args.output, _csv(meta, header, rows))
     return EXIT_OK
 
 
@@ -239,14 +214,12 @@ def _cmd_msgsc(args, argv):
     grid = tuple(_parse_grid_axis(g) for g in args.grid or ())
     if len(grid) != 1:
         raise DomainError("msgsc tabulation needs exactly one --grid axis")
-    run = RunConfig("msgsc", "exp:%g" % args.gamma_bar, grid, args.output,
-                    0, 8)
     rows = _grid_rows(fn, grid)
     meta = _meta_lines(argv, [
         ("L", args.L), ("gamma_T", _fmt(args.gamma_t)),
         ("gamma_bar", _fmt(args.gamma_bar)),
         ("below_threshold", args.convention)])
-    _write_text(run.output, _csv(meta, ("x", col), rows))
+    _write_text(args.output, _csv(meta, ("x", col), rows))
     return EXIT_OK
 
 
@@ -260,13 +233,23 @@ def _cmd_sample(args, argv):
         part = Partition(K, Ks, (tuple(range(1, Ks + 1)),))
     spec = SampleSpec(dist, part.K, part.Ks, part, args.n, args.seed)
     sums = sample_partial_sums(spec)
-    cfg = RunConfig("sample", args.dist, (), args.output, args.seed, 8)
     meta = _meta_lines(argv, [
         ("distribution", args.dist), ("partition", part.format()),
         ("n_samples", args.n), ("seed", args.seed)])
     header = tuple(f"s{i + 1}" for i in range(sums.shape[1]))
-    _write_text(cfg.output, _csv(meta, header, sums))
+    _write_text(args.output, _csv(meta, header, sums))
     return EXIT_OK
+
+
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return n
 
 
 def _add_shape_flags(p):
@@ -283,8 +266,9 @@ def _add_shape_flags(p):
     p.add_argument("--method", choices=("auto", "exact", "generic"),
                    default="auto",
                    help="evaluation path (auto: exact for exponential)")
-    p.add_argument("--digits", type=int, default=8,
-                   help="accuracy target for numerical inversion")
+    p.add_argument("--digits", type=_positive_int, default=8,
+                   help="accuracy target of the generic T1 inversion "
+                        "(default 8)")
 
 
 def _build_parser():

@@ -119,12 +119,10 @@ class _StepSum:
         self._order = np.argsort(np.abs(c), kind="stable")
         self._coeff = np.ascontiguousarray(c[self._order])
         self._power = np.full(c.size, float(power))
-        self._decay = np.zeros(c.size)
 
     def value(self, u, thresholds):
         thr = np.ascontiguousarray(np.asarray(thresholds, dtype=float)[self._order])
-        return _backend.poly_exp_eval(self._coeff, thr, self._power, self._decay,
-                                      float(u))
+        return _backend.poly_exp_eval(self._coeff, thr, self._power, float(u))
 
     def values(self, u, thresholds):
         """``value`` at many nodes: thresholds ``(N, T)`` or ``(T,)``.
@@ -133,12 +131,12 @@ class _StepSum:
         """
         thr = np.asarray(thresholds, dtype=float)[..., self._order]
         return _backend.poly_exp_eval(self._coeff, thr, self._power,
-                                      self._decay, np.asarray(u, dtype=float))
+                                      np.asarray(u, dtype=float))
 
     def value_with_scale(self, u, thresholds):
         thr = np.ascontiguousarray(np.asarray(thresholds, dtype=float)[self._order])
         return _backend.poly_exp_eval_scale(self._coeff, thr, self._power,
-                                            self._decay, float(u))
+                                            float(u))
 
 
 def _alt_binom(n):

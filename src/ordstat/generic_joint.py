@@ -11,24 +11,27 @@ inverses, and ``resolve`` dispatches a theorem shape to either path.
 Multidimensional numerical inversion is never attempted: the error budget
 stays one-dimensional by construction.
 
-Two structural facts keep the inversion tractable:
+Every kernel is ``mu(a, b, lam)``, the integral of ``p(x) exp(lam*x)`` over
+[a, b], with its limits pinned: ``c(g, lam) = mu(0, g, lam)`` and
+``e(g, lam) = mu(g, inf, lam)``.  So one function, ``_inv_pow``, gives the
+inverse Laplace transform of every kernel power ``mu(lo, hi, -s)^n``, and two
+structural facts keep it tractable for any distribution on [0, inf):
 
-* A kernel power's inverse has known support for any distribution on
-  [0, inf): ``e(g, -s)^j`` carries ``exp(-j*g*s)`` so its inverse vanishes
-  below ``j*g``; the inverses of ``c(g, -s)^j`` and ``mu(ga, gb, -s)^j``
-  live on ``[0, j*g]`` and ``[j*ga, j*gb]``.  Evaluators return 0 outside
-  these regions without touching the inverter.
+* The inverse is the n-fold self-convolution of the pdf restricted to
+  [lo, hi], so it lives on [n*lo, n*hi].  Evaluators return 0 outside
+  without touching an integrator.
 * A power-1 kernel is itself a finite Laplace transform of a pdf
-  restriction, so its inverse is ``pdf(t)`` times the support indicator
-  and needs no numeric inversion.  Higher powers reduce to it through the
-  convolution theorem: a power splits as a product of two lower powers,
-  so its inverse is a finite convolution of theirs, recursively, with the
-  pdf restriction at the base.  This matters beyond speed: an inverse of
-  power ``j`` is only ``C^(j-2)`` at its support edges, where Bromwich-line
-  summation converges worst in exactly the absolute terms that a relative
-  error target cannot afford, and the reduction quadratures both place
-  nodes arbitrarily close to those edges and probe regions where the
-  density is orders of magnitude below its scale.
+  restriction, so its inverse is ``pdf(t)`` on its support and needs no
+  numeric inversion.  Higher powers reduce to it through the convolution
+  theorem: ``mu^n`` splits as ``mu^h * mu^(n-h)``, so its inverse is a
+  finite convolution of theirs, recursively, with the pdf restriction at the
+  base.  The inverse of power n is only ``C^(n-2)`` on the lattice
+  ``j*lo + (n-j)*hi``, which the convolutions hand to the integrator.  This
+  matters beyond speed: Bromwich-line summation converges worst at such
+  edges, in exactly the absolute terms that a relative error target cannot
+  afford, and the reduction quadratures both place nodes arbitrarily close
+  to those edges and probe regions where the density is orders of magnitude
+  below its scale.
 
 The Bromwich-line inverter therefore handles only the total-sum density,
 whose transform is an entire MGF power with no support edge in sight; every
@@ -36,6 +39,7 @@ kernel-power inverse is a short stack of adaptive finite convolutions with
 relative error control end to end.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -93,80 +97,48 @@ def _conv_self(dist, lo, hi, t):
     return val
 
 
-def _conv_pair(fa, fb, sup_a, sup_b, t, knots_a=(), knots_b=()):
-    """Inverse of a transform product at t: the convolution of the factor
+def _conv_pair(dist, a, b, t):
+    """Inverse at t of the product of two kernel powers, ``a`` and ``b``
+    each ``(lo, hi, n)`` for mu(lo, hi, -s)^n: the convolution of their
     inverses over the overlap of their supports.
 
-    ``knots_a``/``knots_b`` list interior points where a factor is not
-    smooth (power inverses are piecewise on a lattice of support-edge
-    sums); handing them to the integrator keeps the kinks from eating the
-    accuracy budget.
+    The lattice of each factor goes to the integrator as interior points:
+    a power inverse is not smooth there, and handing the kinks over keeps
+    them from eating the accuracy budget.  Infinite lattice points (an upper
+    limit of inf) fall outside every finite overlap and drop out.
     """
-    lo = max(sup_a[0], t - sup_b[1])
-    hi = min(sup_a[1], t - sup_b[0])
+    (la, ha, na), (lb, hb, nb) = a, b
+    lo = max(na * la, t - nb * hb)
+    hi = min(na * ha, t - nb * lb)
     if not hi > lo:
         return 0.0
-    pts = sorted({p for p in knots_a if lo < p < hi} |
-                 {t - q for q in knots_b if lo < t - q < hi})
-    val, _ = integrate.quad(lambda u: fa(u) * fb(t - u), lo, hi,
-                            epsabs=1e-13, epsrel=1e-11, limit=60,
-                            points=pts or None)
+    pts = sorted({p for p in _lattice(la, ha, na) if lo < p < hi} |
+                 {t - q for q in _lattice(lb, hb, nb) if lo < t - q < hi})
+    val, _ = integrate.quad(
+        lambda u: (_inv_pow(dist, la, ha, na, u)
+                   * _inv_pow(dist, lb, hb, nb, t - u)),
+        lo, hi, epsabs=1e-13, epsrel=1e-11, limit=60, points=pts or None)
     return val
 
 
-def _lattice(step, n):
-    """Interior kink lattice of an n-fold power inverse with edge ``step``."""
-    return tuple(j * step for j in range(1, n))
+def _lattice(lo, hi, n):
+    """Interior kink lattice of the inverse of mu(lo, hi, -s)^n."""
+    return tuple(j * lo + (n - j) * hi for j in range(1, n))
 
 
-def _mu_lattice(ga, gb, n):
-    return tuple(j * ga + (n - j) * gb for j in range(1, n))
+def _inv_pow(dist, lo, hi, n, t):
+    """Inverse of mu(lo, hi, -s)^n at t; supported on [n*lo, n*hi].
 
-
-def _inv_c_pow(dist, gamma, n, t):
-    """Inverse of c(gamma, -s)^n at t; supported on [0, n*gamma]."""
-    if t < 0 or t > n * gamma:
+    c(g, -s) is mu(0, g, -s) and e(g, -s) is mu(g, inf, -s).
+    """
+    if t < n * lo or t > n * hi:
         return 0.0
     if n == 1:
         return dist.pdf1(t)
     if n == 2:
-        return _conv_self(dist, max(0.0, t - gamma), min(gamma, t), t)
+        return _conv_self(dist, max(lo, t - hi), min(hi, t - lo), t)
     h = n // 2
-    return _conv_pair(lambda u: _inv_c_pow(dist, gamma, h, u),
-                      lambda v: _inv_c_pow(dist, gamma, n - h, v),
-                      (0.0, h * gamma), (0.0, (n - h) * gamma), t,
-                      knots_a=_lattice(gamma, h),
-                      knots_b=_lattice(gamma, n - h))
-
-
-def _inv_e_pow(dist, gamma, n, t):
-    """Inverse of e(gamma, -s)^n at t; supported on [n*gamma, inf)."""
-    if t < n * gamma:
-        return 0.0
-    if n == 1:
-        return dist.pdf1(t)
-    if n == 2:
-        return _conv_self(dist, gamma, t - gamma, t)
-    h = n // 2
-    return _conv_pair(lambda u: _inv_e_pow(dist, gamma, h, u),
-                      lambda v: _inv_e_pow(dist, gamma, n - h, v),
-                      (h * gamma, math.inf), ((n - h) * gamma, math.inf), t)
-
-
-def _inv_mu_pow(dist, ga, gb, n, t):
-    """Inverse of mu(ga, gb, -s)^n at t; supported on [n*ga, n*gb]."""
-    if t < n * ga or t > n * gb:
-        return 0.0
-    if n == 1:
-        return dist.pdf1(t)
-    if n == 2:
-        return _conv_self(dist, max(ga, t - gb), min(gb, t - ga), t)
-    h = n // 2
-    return _conv_pair(lambda u: _inv_mu_pow(dist, ga, gb, h, u),
-                      lambda v: _inv_mu_pow(dist, ga, gb, n - h, v),
-                      (h * ga, h * gb), ((n - h) * ga, (n - h) * gb), t,
-                      knots_a=_mu_lattice(ga, gb, h),
-                      knots_b=_mu_lattice(ga, gb, n - h))
+    return _conv_pair(dist, (lo, hi, h), (lo, hi, n - h), t)
 
 
 def t1_pdf(dist, K, z, digits=8):
@@ -184,7 +156,7 @@ def t1_pdf(dist, K, z, digits=8):
     return _ilt(dist, f, z, digits, K * dist.mean)
 
 
-def t2_jpdf(dist, K, m, z1, z2, digits=8):
+def t2_jpdf(dist, K, m, z1, z2):
     """Joint density of (rank-m variable, sum of the other K-1)."""
     if not 1 <= m <= K or K < 2:
         raise DomainError("need K >= 2 and 1 <= m <= K")
@@ -195,16 +167,15 @@ def t2_jpdf(dist, K, m, z1, z2, digits=8):
     if m >= 2 and z2 < (m - 1) * z1:
         return 0.0
     pref = math.factorial(K) / (math.factorial(K - m) * math.factorial(m - 1))
+    # The K-m variables below z1 give a c-power, the m-1 above it an
+    # e-power.
+    below, above = (0.0, z1, K - m), (z1, math.inf, m - 1)
     if m == 1:
-        inv = _inv_c_pow(dist, z1, K - 1, z2)
+        inv = _inv_pow(dist, *below, z2)
     elif m == K:
-        inv = _inv_e_pow(dist, z1, K - 1, z2)
+        inv = _inv_pow(dist, *above, z2)
     else:
-        nc, ne = K - m, m - 1
-        inv = _conv_pair(lambda u: _inv_c_pow(dist, z1, nc, u),
-                         lambda v: _inv_e_pow(dist, z1, ne, v),
-                         (0.0, nc * z1), (ne * z1, math.inf), z2,
-                         knots_a=_lattice(z1, nc))
+        inv = _conv_pair(dist, below, above, z2)
     return pref * dist.pdf1(z1) * inv
 
 
@@ -241,10 +212,10 @@ class FineHeadRankTail(_Fine):
     def __call__(self, z1, g, z2):
         # exp(-s*g) is the rank-m variable itself; shift the inversion
         # point instead of carrying the factor into the transform.
-        head = _inv_e_pow(self.dist, g, self.m - 1, z1 - g)
+        head = _inv_pow(self.dist, g, math.inf, self.m - 1, z1 - g)
         if head == 0.0:
             return 0.0
-        tail = _inv_c_pow(self.dist, g, self.K - self.m, z2)
+        tail = _inv_pow(self.dist, 0.0, g, self.K - self.m, z2)
         return self._pref * self.dist.pdf1(g) * head * tail
 
 
@@ -260,7 +231,8 @@ class FineLastHead(_Fine):
         weight = self._last(v)
         if weight == 0.0:
             return 0.0
-        return self._pref * weight * _inv_e_pow(self.dist, v, self.Ks - 1, w)
+        return self._pref * weight * _inv_pow(self.dist, v, math.inf,
+                                              self.Ks - 1, w)
 
 
 class FineOneMidLast(_Fine):
@@ -274,7 +246,7 @@ class FineOneMidLast(_Fine):
         if w == 0.0:
             return 0.0
         return (self._pref * self.dist.pdf1(z1) * w
-                * _inv_mu_pow(self.dist, z4, z1, self.Ks - 2, z3))
+                * _inv_pow(self.dist, z4, z1, self.Ks - 2, z3))
 
 
 class FineHeadMidLast(_Fine):
@@ -289,10 +261,10 @@ class FineHeadMidLast(_Fine):
         if w == 0.0:
             return 0.0
         d, m = self.dist, self.m
-        head = _inv_e_pow(d, z2, m - 1, z1)
+        head = _inv_pow(d, z2, math.inf, m - 1, z1)
         if head == 0.0:
             return 0.0
-        mid = _inv_mu_pow(d, z4, z2, self.Ks - m - 1, z3)
+        mid = _inv_pow(d, z4, z2, self.Ks - m - 1, z3)
         return self._pref * d.pdf1(z2) * w * head * mid
 
 
@@ -307,7 +279,7 @@ class FineHeadNextLast(_Fine):
         if w == 0.0:
             return 0.0
         return (self._pref * self.dist.pdf1(z2) * w
-                * _inv_e_pow(self.dist, z2, self.Ks - 2, z1))
+                * _inv_pow(self.dist, z2, math.inf, self.Ks - 2, z1))
 
 
 # The fine density of each T5 case, for ``reductions.t5_fine``.
@@ -315,7 +287,7 @@ _T5_FINES = {"a": FineOneMidLast, "b": FineHeadMidLast,
              "c": FineHeadNextLast, "d": FineLastHead}
 
 
-def t3_jpdf(dist, K, m, z1, z2, digits=8):
+def t3_jpdf(dist, K, m, z1, z2):
     """Joint density of (sum of the m largest, sum of the K-m smallest)."""
     if not 1 <= m <= K - 1:
         raise DomainError("need 1 <= m <= K-1")
@@ -324,11 +296,11 @@ def t3_jpdf(dist, K, m, z1, z2, digits=8):
     if m == 1:
         # The head is one variable; exp(-s*g) collapses the outer integral
         # and the pair is the rank-1 one-vs-rest joint.
-        return t2_jpdf(dist, K, 1, z1, z2, digits=digits)
+        return t2_jpdf(dist, K, 1, z1, z2)
     return reductions.t3(FineHeadRankTail(K, m, dist), K, m, z1, z2)
 
 
-def t4_pdf(dist, K, Ks, x, digits=8):
+def t4_pdf(dist, K, Ks, x):
     """Density of the sum of the ``Ks`` largest of ``K``."""
     if not 1 <= Ks <= K:
         raise DomainError("need 1 <= Ks <= K")
@@ -339,7 +311,7 @@ def t4_pdf(dist, K, Ks, x, digits=8):
     return reductions.t4(FineLastHead(K, Ks, dist), Ks, x)
 
 
-def t5_jpdf(dist, K, Ks, m, x, y, digits=8):
+def t5_jpdf(dist, K, Ks, m, x, y):
     """Joint density of (rank-m variable, sum of the other best Ks-1)."""
     if not (2 <= Ks <= K and 1 <= m <= Ks):
         raise DomainError("need Ks >= 2 and 1 <= m <= Ks <= K")
@@ -347,7 +319,7 @@ def t5_jpdf(dist, K, Ks, m, x, y, digits=8):
     return reductions.t5(fine, Ks, m, x, y)
 
 
-def t6_jpdf(dist, K, Ks, m, x, y, digits=8):
+def t6_jpdf(dist, K, Ks, m, x, y):
     """Joint density of (sum of ranks 1..m, sum of ranks m+1..Ks)."""
     if not (1 <= m < Ks <= K):
         raise DomainError("need 1 <= m < Ks <= K")
@@ -360,8 +332,9 @@ def resolve(shape, dist, method="auto", digits=8):
 
     ``shape`` is a ``partition.TheoremMatch``.  ``method`` ``"exact"`` takes
     the closed forms of ``exact_exp`` (exponential only), ``"generic"`` this
-    module's evaluators at ``digits``, and ``"auto"`` the exact path where it
-    applies.  The density takes its coordinates in the caller's order: a
+    module's evaluators, and ``"auto"`` the exact path where it applies.
+    ``digits`` is the inversion target of generic T1, the only family that
+    inverts numerically.  The density takes its coordinates in the caller's order: a
     swapped shape is evaluated with its arguments exchanged.
     """
     fam, K, Ks, m = shape.id[:2], shape.K, shape.Ks, shape.m
@@ -383,11 +356,12 @@ def resolve(shape, dist, method="auto", digits=8):
                 "T6": exact_exp.jpdf_headsum_vs_tailsum_bestKs}[fam]
         fn = make(*args, dist.gamma_bar)
     elif method == "generic":
-        pdf = {"T1": t1_pdf, "T2": t2_jpdf, "T3": t3_jpdf, "T4": t4_pdf,
+        pdf = {"T1": functools.partial(t1_pdf, digits=digits),
+               "T2": t2_jpdf, "T3": t3_jpdf, "T4": t4_pdf,
                "T5": t5_jpdf, "T6": t6_jpdf}[fam]
 
         def fn(*z):
-            return pdf(dist, *args, *z, digits=digits)
+            return pdf(dist, *args, *z)
     else:
         raise DomainError(f"unknown method {method!r}")
     dim = 1 if fam in ("T1", "T4") else 2

@@ -34,7 +34,7 @@ from ordstat.distributions import Exponential, HalfNormal
 from ordstat.errors import DomainError, OrdstatError
 from ordstat.kernels import NestedIntegralSpec
 from ordstat.mc_oracle import SampleSpec
-from ordstat.partition import Partition
+from ordstat.partition import Partition, TheoremMatch, t5_case
 
 __all__ = [
     "SUITE_NAMES",
@@ -440,13 +440,20 @@ def _pick_interior(rng, lo, hi, bad, margin, tries=200):
     return 0.5 * (lo + hi)
 
 
+def _cross(shape, gb, *pt):
+    """Relative gap between the exact and the generic density of ``shape``
+    on the exponential of mean ``gb`` at ``pt``; exact evaluated first."""
+    dist = Exponential(gb)
+    exact = generic_joint.resolve(shape, dist, "exact")[0](*pt)
+    got = generic_joint.resolve(shape, dist, "generic")[0](*pt)
+    return _rel(got, exact, floor=1e-9)
+
+
 def _cp_point_t1(rng, kmax):
     K = int(rng.integers(1, kmax + 1))
     gb = float(rng.uniform(0.6, 1.7))
     z = float(rng.uniform(0.3, 2.2)) * K * gb
-    exact = exact_exp.pdf_sum_all(K, gb)(z)
-    got = generic_joint.t1_pdf(Exponential(gb), K, z)
-    return _rel(got, exact, floor=1e-9)
+    return _cross(TheoremMatch("T1", K, K), gb, z)
 
 
 def _cp_point_t2(rng, kmax):
@@ -462,9 +469,7 @@ def _cp_point_t2(rng, kmax):
         hi = lo + 2.0 * (K - m + 2) * gb
         bad = [(m + j - 1) * z1 for j in range(K - m + 1)]
         z2 = _pick_interior(rng, lo, hi, bad, 0.05 * gb)
-    exact = exact_exp.jpdf_one_vs_rest_allK(K, m, gb)(z1, z2)
-    got = generic_joint.t2_jpdf(Exponential(gb), K, m, z1, z2)
-    return _rel(got, exact, floor=1e-9)
+    return _cross(TheoremMatch("T2", K, K, m), gb, z1, z2)
 
 
 def _cp_point_t3(rng, kmax):
@@ -474,9 +479,7 @@ def _cp_point_t3(rng, kmax):
     gc = float(rng.uniform(0.4, 1.4)) * gb
     z1 = m * gc * (1.0 + float(rng.uniform(0.15, 0.6)))
     z2 = (K - m) * gc * (1.0 - float(rng.uniform(0.15, 0.6)))
-    exact = exact_exp.jpdf_headsum_vs_tailsum_allK(K, m, gb)(z1, z2)
-    got = generic_joint.t3_jpdf(Exponential(gb), K, m, z1, z2)
-    return _rel(got, exact, floor=1e-9)
+    return _cross(TheoremMatch("T3", K, K, m), gb, z1, z2)
 
 
 def _cp_point_t4(rng, kmax):
@@ -484,9 +487,7 @@ def _cp_point_t4(rng, kmax):
     Ks = int(rng.integers(1, K + 1))
     gb = float(rng.uniform(0.6, 1.7))
     x = float(rng.uniform(0.3, 2.0)) * Ks * gb
-    exact = exact_exp.pdf_gsc_sum(K, Ks, gb)(x)
-    got = generic_joint.t4_pdf(Exponential(gb), K, Ks, x)
-    return _rel(got, exact, floor=1e-9)
+    return _cross(TheoremMatch("T4", K, Ks), gb, x)
 
 
 def _cp_point_t5(rng, kmax, which):
@@ -518,9 +519,7 @@ def _cp_point_t5(rng, kmax, which):
         m = int(rng.integers(2, Ks - 1))
         x = float(rng.uniform(0.4, 1.1)) * gb
         y = (m - 1) * x + float(rng.uniform(0.3, 2.2)) * gb
-    exact = exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, m, gb)(x, y)
-    got = generic_joint.t5_jpdf(Exponential(gb), K, Ks, m, x, y)
-    return _rel(got, exact, floor=1e-9)
+    return _cross(TheoremMatch("T5" + t5_case(Ks, m), K, Ks, m), gb, x, y)
 
 
 def _cp_point_t6(rng, kmax):
@@ -531,9 +530,7 @@ def _cp_point_t6(rng, kmax):
     gc = float(rng.uniform(0.4, 1.3)) * gb
     x = m * gc * (1.0 + float(rng.uniform(0.15, 0.55)))
     y = (Ks - m) * gc * (1.0 - float(rng.uniform(0.15, 0.55)))
-    exact = exact_exp.jpdf_headsum_vs_tailsum_bestKs(K, Ks, m, gb)(x, y)
-    got = generic_joint.t6_jpdf(Exponential(gb), K, Ks, m, x, y)
-    return _rel(got, exact, floor=1e-9)
+    return _cross(TheoremMatch("T6", K, Ks, m), gb, x, y)
 
 
 def _suite_cross_path(seed, sizes, depth=None):

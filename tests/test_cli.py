@@ -134,6 +134,23 @@ def test_tabulate_grid_dimension_mismatch(capsys):
     assert "--grid" in err or "axis" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("tabulate", "--theorem", "T1", "--K", "3", "--grid", "0:1:1"),
+    ("tabulate", "--theorem", "T1", "--K", "3", "--grid", "1:0:5"),
+    ("msgsc", "--L", "4", "--gamma-t", "1", "--grid", "1:0:5"),
+    ("tabulate", "--theorem", "T1", "--K", "3", "--grid", "0:inf:5"),
+    ("tabulate", "--theorem", "T1", "--K", "3", "--grid", "0:1:3",
+     "--digits", "0"),
+    ("eval", "--theorem", "T1", "--K", "3", "--at", "1", "--digits", "0"),
+], ids=["count1", "reversed", "msgsc-reversed", "infinite",
+        "tabulate-digits0", "eval-digits0"])
+def test_bad_grid_or_digits_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "grid" in err or "digits" in err
+
+
 def test_verify_quick_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kernels", "--seed", "7")
     assert code == 0
@@ -210,15 +227,31 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+def _fresh_python(probe):
+    """Run ``probe`` in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(ordstat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
 def test_cli_import_loads_every_module():
     # A module that the command line never loads is used only by tests.
     probe = ("import pkgutil, sys, ordstat, ordstat.cli; "
              "print(sorted(m.name for m in "
              "pkgutil.iter_modules(ordstat.__path__) "
              "if 'ordstat.' + m.name not in sys.modules))")
-    src = os.path.dirname(os.path.dirname(ordstat.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(probe).strip() == "[]"
+
+
+def test_benchmark_tracer_installs():
+    # The benchmark's tracer patches package names (integrators, step sums,
+    # density calls); one that the package drops fails here.
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    _fresh_python(f"import sys; sys.path.insert(0, {bench!r}); "
+                  "from tracer import Tracer; t = Tracer(); t.install(); "
+                  "t.uninstall()")

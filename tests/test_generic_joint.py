@@ -3,7 +3,6 @@ forms and elementary convolution facts."""
 
 import math
 
-import numpy as np
 import pytest
 from scipy import integrate
 
@@ -43,33 +42,22 @@ def test_t1_uniform_sum_is_triangle():
     assert gj.t1_pdf(d, 2, 2.4) == pytest.approx(0.0, abs=1e-7)
 
 
+# c(g) = mu(0, g) and e(g) = mu(g, inf): one power inverse, three limit pairs.
+POWERS = ([("c", 0.0, 1.1, n) for n in (1, 2, 3, 4)]
+          + [("e", 0.9, math.inf, n) for n in (1, 2, 3)]
+          + [("mu", 0.4, 1.3, n) for n in (1, 2, 3, 4)])
+
+
 @pytest.mark.parametrize("dist", [EXP, HN], ids=["exp", "halfnormal"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_c_power_inverse_mass(dist, n):
-    gamma = 1.1
-    # The inverse is only C^(n-2) at multiples of gamma; hand quad the knots.
-    knots = [j * gamma for j in range(1, n)]
-    mass, _ = integrate.quad(lambda t: gj._inv_c_pow(dist, gamma, n, t),
-                             0.0, n * gamma, points=knots or None,
+@pytest.mark.parametrize("kind,lo,hi,n", POWERS,
+                         ids=[f"{p[0]}{p[3]}" for p in POWERS])
+def test_power_inverse_mass(kind, lo, hi, n, dist):
+    # The inverse is only C^(n-2) on its lattice; hand quad the knots.
+    knots = [k for k in gj._lattice(lo, hi, n) if math.isfinite(k)]
+    mass, _ = integrate.quad(lambda t: gj._inv_pow(dist, lo, hi, n, t),
+                             n * lo, n * hi, points=knots or None,
                              epsabs=1e-12, epsrel=1e-10, limit=200)
-    assert mass == pytest.approx(dist.kernel_c(gamma, 0.0) ** n, rel=1e-8)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_e_power_inverse_mass(n):
-    gamma = 0.9
-    mass, _ = integrate.quad(lambda t: gj._inv_e_pow(EXP, gamma, n, t),
-                             n * gamma, np.inf, limit=200)
-    assert mass == pytest.approx(EXP.kernel_e(gamma, 0.0) ** n, rel=1e-8)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_mu_power_inverse_mass(n):
-    ga, gb = 0.4, 1.3
-    mass, _ = integrate.quad(lambda t: gj._inv_mu_pow(EXP, ga, gb, n, t),
-                             n * ga, n * gb, epsabs=1e-12, epsrel=1e-10,
-                             limit=200)
-    assert mass == pytest.approx(EXP.kernel_mu(ga, gb, 0.0) ** n, rel=1e-8)
+    assert mass == pytest.approx(dist.kernel_mu(lo, hi, 0.0) ** n, rel=1e-8)
 
 
 @pytest.mark.parametrize("m,pt", [(1, (1.0, 1.5)), (2, (0.8, 2.0)),
@@ -144,6 +132,10 @@ def test_outside_support_is_zero():
     assert gj.t3_jpdf(EXP, 5, 2, 1.0, 3.0) == 0.0      # tail above head bound
     assert gj.t5_jpdf(EXP, 5, 4, 4, 0.5, 1.0) == 0.0
     assert gj.t1_pdf(EXP, 3, -0.2) == 0.0
+    # A power inverse vanishes off [n*lo, n*hi] without integrating.
+    assert gj._inv_pow(EXP, 0.0, 1.1, 1, 1.2) == 0.0
+    assert gj._inv_pow(EXP, 0.4, 1.3, 3, 4.0) == 0.0
+    assert gj._inv_pow(EXP, 0.9, math.inf, 2, 1.7) == 0.0
 
 
 def test_theorem_case_dispatch_and_swap():
