@@ -77,6 +77,8 @@ def _parse_at(text, dim):
     if len(vals) != dim:
         raise DomainError(f"--at needs {dim} comma-separated value(s) for "
                           "this shape")
+    if not all(map(math.isfinite, vals)):
+        raise DomainError(f"--at needs finite values, not {text!r}")
     return vals
 
 

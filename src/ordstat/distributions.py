@@ -94,7 +94,16 @@ class Distribution:
         return self._quad_kernel(gamma, math.inf, lam)
 
     def kernel_mu(self, gamma_a, gamma_b, lam=0.0):
-        """int_ga^gb p(x) exp(lam*x) dx over an ordered interval."""
+        """int_ga^gb p(x) exp(lam*x) dx over an ordered interval.
+
+        Either limit may be an array (one kernel per broadcast pair);
+        here that loops over the pairs.
+        """
+        if np.ndim(gamma_a) or np.ndim(gamma_b):
+            a, b = _mu_limits(gamma_a, gamma_b)
+            return np.array([self.kernel_mu(x, y, lam) for x, y in
+                             zip(a.ravel().tolist(), b.ravel().tolist())]
+                            ).reshape(a.shape)
         if gamma_a < 0 or gamma_b < gamma_a:
             raise DomainError("need 0 <= gamma_a <= gamma_b")
         return self._quad_kernel(gamma_a, gamma_b, lam)
@@ -137,6 +146,15 @@ class Distribution:
             rp = _quad(lambda x: damped(x) * math.cos(im * x), lo, hi)
             ip = _quad(lambda x: damped(x) * math.sin(im * x), lo, hi)
         return complex(rp, ip)
+
+
+def _mu_limits(gamma_a, gamma_b):
+    """Broadcast array limits of ``kernel_mu``, checked like scalar ones."""
+    a, b = np.broadcast_arrays(np.asarray(gamma_a, dtype=float),
+                               np.asarray(gamma_b, dtype=float))
+    if np.any(a < 0) or np.any(b < a):
+        raise DomainError("need 0 <= gamma_a <= gamma_b")
+    return a, b
 
 
 def _quad(f, lo, hi, points=None):
@@ -208,11 +226,28 @@ class Exponential(Distribution):
         return a * math.exp(-d * gamma) / d
 
     def kernel_mu(self, gamma_a, gamma_b, lam=0.0):
+        if np.ndim(gamma_a) or np.ndim(gamma_b):
+            return self._mu_nodes(gamma_a, gamma_b, lam)
         if gamma_a < 0 or gamma_b < gamma_a:
             raise DomainError("need 0 <= gamma_a <= gamma_b")
         if math.isinf(gamma_b):
             return self.kernel_e(gamma_a, lam)
         return self.kernel_c(gamma_b, lam) - self.kernel_c(gamma_a, lam)
+
+    def _mu_nodes(self, gamma_a, gamma_b, lam):
+        # kernel_mu's formulas on arrays: e(ga) where gb is infinite,
+        # c(gb) - c(ga) elsewhere.
+        a, b = _mu_limits(gamma_a, gamma_b)
+        lam = _as_scalar(lam)
+        d = self.rate - lam
+        inf = np.isinf(b)
+        b = np.where(inf, a, b)
+        out = (self.rate * b * _em1_ratio_nodes(-d * b)
+               - self.rate * a * _em1_ratio_nodes(-d * a))
+        if inf.any():
+            self._check_convergence(lam)
+            out = np.where(inf, self.rate * np.exp(-d * a) / d, out)
+        return out
 
 
 def _cexp(z):
@@ -229,6 +264,17 @@ def _em1_ratio(w):
     if abs(w) < 1e-8:
         return 1.0 + w / 2.0 + w * w / 6.0
     return math.expm1(w) / w
+
+
+def _em1_ratio_nodes(w):
+    """:func:`_em1_ratio` on an array."""
+    small = np.abs(w) < 1e-8
+    safe = np.where(small, 1.0, w)
+    if np.iscomplexobj(w):
+        big = (np.exp(safe) - 1.0) / safe
+    else:
+        big = np.expm1(safe) / safe
+    return np.where(small, 1.0 + w / 2.0 + w * w / 6.0, big)
 
 
 class HalfNormal(Distribution):
@@ -295,6 +341,8 @@ class HalfNormal(Distribution):
         return val if _is_complex(lam) else float(val)
 
     def kernel_mu(self, gamma_a, gamma_b, lam=0.0):
+        if np.ndim(gamma_a) or np.ndim(gamma_b):
+            return self._mu_nodes(gamma_a, gamma_b, lam)
         if gamma_a < 0 or gamma_b < gamma_a:
             raise DomainError("need 0 <= gamma_a <= gamma_b")
         lam = _as_scalar(lam)
@@ -302,6 +350,20 @@ class HalfNormal(Distribution):
             return self.kernel_e(gamma_a, lam)
         val = self._tail(gamma_a, lam) - self._tail(gamma_b, lam)
         return val if _is_complex(lam) else float(val)
+
+    def _mu_nodes(self, gamma_a, gamma_b, lam):
+        # kernel_mu's formulas on arrays; the tail at an infinite gb is 0.
+        a, b = _mu_limits(gamma_a, gamma_b)
+        lam = _as_scalar(lam)
+        inf = np.isinf(b)
+        tail_b = np.where(inf, 0.0, self._tail_nodes(np.where(inf, a, b), lam))
+        return self._tail_nodes(a, lam) - tail_b
+
+    def _tail_nodes(self, gamma, lam):
+        u = self.sigma * lam / math.sqrt(2)
+        g = gamma / (self.sigma * math.sqrt(2))
+        arg = lam * gamma - gamma * gamma / (2 * self.sigma ** 2)
+        return np.exp(arg) * special.erfcx(g - u)
 
     def _tail(self, gamma, lam):
         u = self.sigma * lam / math.sqrt(2)

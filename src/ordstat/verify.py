@@ -159,12 +159,12 @@ def _suite_kernels(seed, sizes, depth=None):
 def _ident_pair(rng, depth):
     """One random closed/brute configuration at the given depth.
 
-    Complex lam is drawn only at depths 1-2: the literal quadrature
-    integrates real and imaginary parts separately at every level, so a
-    complex check costs 2**depth times the real one.  The identities do
-    not involve lam beyond the shared weight, and the complex kernel
-    plumbing itself is covered by the shallow depths and the kernels
-    suite.  The draw still consumes the same random variates at every
+    Complex lam is used only at depths 1-2; depths 3-4 take the real
+    part of the same draw.  This is not for speed, since the brute
+    force's tensor rule evaluates a complex weight in the same pass as a
+    real one: it keeps the suite's configurations, and with them its
+    report, fixed.  ``tests/test_kernels.py`` covers complex lam at
+    depths 3-4.  The draw consumes the same random variates at every
     depth so that per-depth streams stay aligned across profiles.
     """
     dist = _rand_dist(rng)

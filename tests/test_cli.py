@@ -151,6 +151,16 @@ def test_bad_grid_or_digits_exit_2(capsys, argv):
     assert "grid" in err or "digits" in err
 
 
+@pytest.mark.parametrize("at", ["1,inf", "nan,1", "-inf,1"])
+@pytest.mark.parametrize("method", ["exact", "generic"])
+def test_non_finite_at_exits_2(capsys, at, method):
+    code, out, err = run(capsys, "eval", "--theorem", "T2", "--K", "3",
+                         "--m", "2", "--method", method, f"--at={at}")
+    assert code == 2
+    assert out == ""
+    assert "--at" in err
+
+
 def test_verify_quick_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kernels", "--seed", "7")
     assert code == 0

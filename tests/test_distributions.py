@@ -109,6 +109,34 @@ def test_custom_distribution_replicates_exponential_kernels():
             complex(ref.kernel_e(1.1, lam)), rel=1e-8)
 
 
+@pytest.mark.parametrize("dist", [Exponential(1.3), HalfNormal(0.9)],
+                         ids=lambda d: d.name)
+@pytest.mark.parametrize("lam", [-0.7, 0.31, complex(-0.2, 1.1),
+                                 complex(0.25, -0.8)])
+@pytest.mark.parametrize("upper", ["finite", "inf"])
+def test_array_kernel_mu_matches_scalar(dist, lam, upper):
+    a = np.array([0.0, 0.3, 1.1, 2.5])
+    b = a + np.array([0.4, 1.7, 0.2, 3.0]) if upper == "finite" else math.inf
+    got = dist.kernel_mu(a, b, lam)
+    assert got.shape == a.shape
+    assert np.iscomplexobj(got) == isinstance(lam, complex)
+    for ai, bi, gi in zip(a, np.broadcast_to(b, a.shape), got):
+        assert gi == pytest.approx(dist.kernel_mu(ai, bi, lam), rel=1e-14)
+
+
+def test_custom_array_kernel_mu_loops_over_nodes():
+    rate = 1.0 / 1.3
+    custom = CustomDistribution(
+        pdf=lambda x: np.where(x >= 0, rate * np.exp(-rate * x), 0.0),
+        cdf=lambda x: np.where(x >= 0, -np.expm1(-rate * x), 0.0),
+        mean=1.3, abscissa=rate, name="exp-as-custom")
+    a = np.array([0.2, 0.9])
+    got = custom.kernel_mu(a, 1.6, -0.4)
+    assert list(got) == [custom.kernel_mu(x, 1.6, -0.4) for x in a]
+    with pytest.raises(DomainError):
+        custom.kernel_mu(a, 0.5, -0.4)
+
+
 def test_tail_kernel_divergence_guard():
     dist = Exponential(2.0)   # abscissa 0.5
     with pytest.raises(DomainError):
