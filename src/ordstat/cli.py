@@ -73,7 +73,10 @@ def _parse_grid_axis(text):
 
 
 def _parse_at(text, dim):
-    vals = tuple(float(v) for v in text.split(","))
+    try:
+        vals = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise DomainError(f"--at needs numbers, not {text!r}") from None
     if len(vals) != dim:
         raise DomainError(f"--at needs {dim} comma-separated value(s) for "
                           "this shape")
@@ -211,7 +214,7 @@ def _cmd_msgsc(args, argv):
         fn = lambda x: msgsc_output_cdf(cfg, x)
         col = "cdf"
     if args.at is not None:
-        print(_fmt(fn(float(args.at))))
+        print(_fmt(fn(*_parse_at(args.at, 1))))
         return EXIT_OK
     grid = tuple(_parse_grid_axis(g) for g in args.grid or ())
     if len(grid) != 1:

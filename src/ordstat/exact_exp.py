@@ -16,9 +16,8 @@ inner integrals of T3, T5b and T6 take exact-degree Gauss-Legendre rules,
 and only the integrals over the rank-Ks value, which carry the factor
 ``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, compare n and 2n
 nodes.  ``values`` evaluates a fine density at all of a rule's nodes in one
-batched step-sum call, and the scalar ``__call__`` of a fine density goes
-through it.  Only ``FineLastHead`` keeps a separate scalar form, because
-``apps`` still integrates it point by point.
+batched step-sum call, and the scalar ``__call__`` of every fine density
+goes through it; no fine density has a separate scalar form.
 
 Binomial coefficients are assembled exactly (they are integers well inside
 double precision for the supported ``K``) and the alternating pieces are
@@ -448,14 +447,6 @@ class FineLastHead(_FineBase):
 
     def support(self, v, w):
         return v >= 0 and w >= (self.Ks - 1) * v
-
-    def __call__(self, v, w):
-        # Scalar form of ``values``, for apps' point-by-point quadrature.
-        if v < 0 or w < (self.Ks - 1) * v:
-            return 0.0
-        return (self._pref * (-math.expm1(-self.rate * v)) ** (self.K - self.Ks)
-                * (w - (self.Ks - 1) * v) ** (self.Ks - 2)
-                * math.exp(-self.rate * (v + w)))
 
     def values(self, v, w):
         """Density over coordinate arrays (or scalars) that broadcast."""

@@ -27,7 +27,9 @@ density switches on or an inner limit changes form.  Integrals that hold
 the rank-Ks coordinate fixed (T3's, and the inner ones of T5b and T6) are
 polynomials between knots when the fine density is piecewise polynomial,
 and then take the exact-degree rule alone.  Every other integral compares
-n- and 2n-node rules.
+n- and 2n-node rules.  ``_gauss_2d`` is the two-level form of that rule,
+for a region without knots whose inner limits move with the outer
+variable; ``apps`` integrates the MS-GSC stage probabilities with it.
 """
 
 import functools
@@ -36,6 +38,7 @@ import warnings
 import numpy as np
 from scipy import integrate
 
+from ordstat.errors import ConvergenceError
 from ordstat.partition import t5_case
 
 __all__ = ["t3", "t4", "t5", "t6", "t3_support", "t5_support", "t6_support",
@@ -64,10 +67,8 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
     integrand is a polynomial of degree ``deg`` (``exact``), or such a
     polynomial times a smooth factor.  The ``deg // 2 + 1``-node rule
     integrates the polynomial exactly, so an exact integral takes that rule
-    alone.  Otherwise the rule starts ``_SMOOTH_EXTRA`` nodes higher and the
-    node count doubles until the n- and 2n-node sums, added over segments,
-    agree to ``_EPSABS``/``_EPSREL``; the 2n-node value is returned, with an
-    ``IntegrationWarning`` if that takes ``_MAX_NODES`` per segment or more.
+    alone.  Otherwise the rule starts ``_SMOOTH_EXTRA`` nodes higher and
+    doubles as ``_doubled`` says, at ``_EPSABS``/``_EPSREL``.
     """
     if not hi > lo:
         return 0.0
@@ -81,21 +82,65 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
         return f((mid + half[:, None] * x).ravel()).reshape(-1, n) @ w * half
 
     n = deg // 2 + 1 + (0 if exact else _SMOOTH_EXTRA)
-    est = rule(n)
     if exact:
-        return float(est.sum())
+        return float(rule(n).sum())
+    return _doubled(rule, n, lo, hi, _EPSABS, _EPSREL)
+
+
+def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
+    """Integral of ``f(s, v)`` over ``lo <= s <= hi``, ``v`` in ``inner(s)``.
+
+    ``inner`` maps an array of outer nodes to the arrays ``(a, b)`` of
+    their inner limits.  The integrand is smooth in ``s`` and, in ``v``, a
+    polynomial of degree ``deg`` times a smooth factor, with no knot on
+    either level.  The n-node rule puts n nodes on ``s`` and maps the same
+    n onto each ``[a, b]``; ``f`` gets the ``(n, n)`` node arrays in one
+    call.  n starts as in ``_gauss_knots`` and doubles on both levels as
+    ``_doubled`` says.  A value that is not finite raises
+    :class:`ConvergenceError`.
+    """
+    if not hi > lo:
+        return 0.0
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+    def rule(n):
+        x, w = _legendre(n)
+        s = mid + half * x
+        a, b = inner(s)
+        vmid, vhalf = 0.5 * (b + a), 0.5 * (b - a)
+        vals = f(s[:, None], vmid[:, None] + vhalf[:, None] * x)
+        est = half * (w @ (vhalf * (vals @ w)))
+        if not np.isfinite(est):
+            raise ConvergenceError(
+                f"{n}x{n}-node rule on [{lo:g}, {hi:g}] gave {est}")
+        return np.array([est])
+
+    return _doubled(rule, deg // 2 + 1 + _SMOOTH_EXTRA, lo, hi, epsabs,
+                    epsrel)
+
+
+def _doubled(rule, n, lo, hi, epsabs, epsrel):
+    """The n/2n loop of the Gauss rules on ``[lo, hi]``.
+
+    ``rule(n)`` returns an array of estimates, one per segment.  n doubles
+    until the n- and 2n-node sums, added over segments, agree to
+    ``epsabs``/``epsrel``; the 2n-node value is returned, with an
+    ``IntegrationWarning`` if that takes ``_MAX_NODES`` per segment (and
+    level) or more.
+    """
+    est = rule(n)
     while True:
         n *= 2
         prev, est = est, rule(n)
         total = float(est.sum())
         err = float(np.abs(est - prev).sum())
-        if err <= max(_EPSABS, _EPSREL * abs(total)):
+        if err <= max(epsabs, epsrel * abs(total)):
             return total
         if n >= _MAX_NODES:
             warnings.warn(
                 f"{n}-node Gauss-Legendre rule on [{lo:g}, {hi:g}] did not "
                 f"converge: n/2n difference {err:.3g}",
-                integrate.IntegrationWarning, stacklevel=2)
+                integrate.IntegrationWarning, stacklevel=3)
             return total
 
 

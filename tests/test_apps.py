@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
-from ordstat import apps
+from ordstat import apps, reductions
 from ordstat.apps import MsGscConfig, msgsc_output_cdf, msgsc_stage_probability
 from ordstat.errors import DomainError
 from ordstat.exact_exp import pdf_sum_all
@@ -57,8 +59,55 @@ def test_stage_output_confined_to_window():
                                                                  rel=1e-9)
 
 
+def _stage_mp(L, gt, gb, x, m):
+    # The stage-m event over (v, w), v the rank-m branch and w the sum of
+    # the m-1 larger ones: w < gt <= v + w < x and (m-1)*v <= w.  Given v,
+    # the m-1 larger branches exceed it by i.i.d. exponentials, so w -
+    # (m-1)*v is Erlang(m-1) and the joint density follows from the
+    # density of the rank-m order statistic.
+    a = 1 / mpmath.mpf(gb)
+    c = (mpmath.factorial(L) * a ** m / (mpmath.factorial(m - 1)
+         * mpmath.factorial(L - m) * mpmath.factorial(m - 2)))
+
+    def f(v, w):
+        return (c * (-mpmath.expm1(-a * v)) ** (L - m)
+                * (w - (m - 1) * v) ** (m - 2) * mpmath.exp(-a * (v + w)))
+
+    def inner(w):
+        return mpmath.quad(lambda v: f(v, w),
+                           [gt - w, min(x - w, w / (m - 1))],
+                           method="gauss-legendre")
+
+    lo, kink = mpmath.mpf(gt) * (m - 1) / m, mpmath.mpf(x) * (m - 1) / m
+    pts = [lo, *([kink] if lo < kink < gt else []), mpmath.mpf(gt)]
+    return mpmath.quad(inner, pts, method="gauss-legendre")
+
+
+@pytest.mark.parametrize("L,m", [(3, 2), (3, 3),
+                                 *((6, m) for m in range(2, 7))])
+@pytest.mark.parametrize("side", ["below_cap", "above_cap"])
+def test_stage_matches_mpmath(L, m, side):
+    # The output of stage m stays below gt*m/(m-1); x on either side of it.
+    gt, gb = 1.0, 1.3
+    cap = gt * m / (m - 1)
+    x = 0.5 * (gt + cap) if side == "below_cap" else 1.5 * cap
+    with mpmath.workdps(20):
+        want = float(_stage_mp(L, gt, gb, x, m))
+    got = msgsc_stage_probability(cfg(L=L, gt=gt, gb=gb), x, m=m)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_stage_rule_warns_at_its_cap(monkeypatch):
+    c = cfg(L=16, gt=8.0)
+    want = msgsc_stage_probability(c, 10.0, m=8)
+    monkeypatch.setattr(reductions, "_MAX_NODES", 8)
+    with pytest.warns(IntegrationWarning, match="did not converge"):
+        got = msgsc_stage_probability(c, 10.0, m=8)
+    assert got == pytest.approx(want, rel=1e-3)
+
+
 def test_law_of_total_probability():
-    for L, gt in [(2, 0.5), (3, 1.0), (4, 2.0)]:
+    for L, gt in [(2, 0.5), (3, 1.0), (4, 2.0), (16, 8.0)]:
         c = cfg(L=L, gt=gt)
         shortfall = pdf_sum_all(L, 1.0).cdf(gt)
         stages = sum(msgsc_stage_probability(c, BIG, m=m)

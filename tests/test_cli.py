@@ -161,6 +161,27 @@ def test_non_finite_at_exits_2(capsys, at, method):
     assert "--at" in err
 
 
+@pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("stage", [None, "3"])
+def test_non_finite_msgsc_at_exits_2(capsys, at, stage):
+    argv = ["msgsc", "--L", "4", "--gamma-t", "1", f"--at={at}"]
+    code, out, err = run(capsys, *argv, *(["--stage", stage] if stage else []))
+    assert code == 2
+    assert out == ""
+    assert "--at" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--theorem", "T2", "--K", "3", "--m", "2", "--at", "1,abc"),
+    ("msgsc", "--L", "4", "--gamma-t", "1", "--at", "abc"),
+], ids=["eval", "msgsc"])
+def test_non_number_at_names_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--at" in err and "abc" in err
+
+
 def test_verify_quick_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kernels", "--seed", "7")
     assert code == 0

@@ -10,7 +10,7 @@ from scipy import integrate
 
 from ordstat import exact_exp, reductions
 from ordstat.distributions import Exponential
-from ordstat.errors import DomainError
+from ordstat.errors import ConvergenceError, DomainError
 
 GB = 1.0
 
@@ -122,6 +122,25 @@ def test_best_ks_reduction_orders_agree(case):
     for v in vals[1:]:
         assert v == pytest.approx(vals[0], rel=1e-6)
     assert vals[0] > 0.0
+
+
+def test_gauss_2d_exact_on_a_triangle():
+    # x*y^3 over {0 <= x <= 1, x <= y <= 2 - x}: the polynomial part of
+    # degree 3 in y takes the starting rule, and the n/2n test passes at
+    # once.
+    f = lambda x, y: x * y ** 3
+    got = reductions._gauss_2d(f, 0.0, 1.0, lambda x: (x, 2.0 - x), deg=3,
+                               epsabs=1e-15, epsrel=1e-14)
+    assert got == pytest.approx(13.0 / 30.0, rel=1e-14)
+    assert reductions._gauss_2d(f, 1.0, 1.0, lambda x: (x, x), deg=3,
+                                epsabs=1e-15, epsrel=1e-14) == 0.0
+
+
+def test_gauss_2d_raises_on_non_finite():
+    with pytest.raises(ConvergenceError):
+        reductions._gauss_2d(lambda x, y: np.where(y > 0.5, np.nan, 1.0),
+                             0.0, 1.0, lambda x: (0 * x, 1 + x), deg=0,
+                             epsabs=1e-11, epsrel=1e-9)
 
 
 def test_best_ks_swapped_pair_case():
