@@ -68,10 +68,10 @@ class MsGscConfig:
     def __post_init__(self):
         if self.L < 1:
             raise DomainError("need L >= 1")
-        if not self.gamma_T > 0:
-            raise DomainError("need gamma_T > 0")
-        if not self.gamma_bar > 0:
-            raise DomainError("need gamma_bar > 0")
+        if not (math.isfinite(self.gamma_T) and self.gamma_T > 0):
+            raise DomainError("need a finite gamma_T > 0")
+        if not (math.isfinite(self.gamma_bar) and self.gamma_bar > 0):
+            raise DomainError("need a finite gamma_bar > 0")
         if self.m is not None and not 1 <= self.m <= self.L:
             raise DomainError("need 1 <= m <= L")
         if self.below_threshold not in ("sum", "outage"):

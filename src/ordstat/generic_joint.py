@@ -18,15 +18,15 @@ inverse Laplace transform of every kernel power ``mu(lo, hi, -s)^n``, and two
 structural facts keep it tractable for any distribution on [0, inf):
 
 * The inverse is the n-fold self-convolution of the pdf restricted to
-  [lo, hi], so it lives on [n*lo, n*hi].  Evaluators return 0 outside
-  without touching an integrator.
+  [lo, hi], so it lives on [n*lo, n*hi].  Elements outside get 0 and no
+  nodes.
 * A power-1 kernel is itself a finite Laplace transform of a pdf
   restriction, so its inverse is ``pdf(t)`` on its support and needs no
   numeric inversion.  Higher powers reduce to it through the convolution
   theorem: ``mu^n`` splits as ``mu^h * mu^(n-h)``, so its inverse is a
   finite convolution of theirs, recursively, with the pdf restriction at the
   base.  The inverse of power n is only ``C^(n-2)`` on the lattice
-  ``j*lo + (n-j)*hi``, which the convolutions hand to the integrator.  This
+  ``j*lo + (n-j)*hi``, where every convolution cuts its rule.  This
   matters beyond speed: Bromwich-line summation converges worst at such
   edges, in exactly the absolute terms that a relative error target cannot
   afford, and the reduction quadratures both place nodes arbitrarily close
@@ -34,16 +34,26 @@ structural facts keep it tractable for any distribution on [0, inf):
   below its scale.
 
 The Bromwich-line inverter therefore handles only the total-sum density,
-whose transform is an entire MGF power with no support edge in sight; every
-kernel-power inverse is a short stack of adaptive finite convolutions with
-relative error control end to end.
+whose transform is an entire MGF power with no support edge in sight.
+Every kernel-power inverse is an array function instead: thresholds are
+integration variables of T3-T6 and differ per node, so ``_inv_pow`` takes
+limits and t as arrays that broadcast.  One tensor Gauss-Legendre rule
+evaluates every element: each convolution level cuts its overlap at both
+factors' lattices and puts the same number of nodes on every segment, and
+the factors are evaluated on the resulting node arrays.  The n- and
+2n-node rules are compared per element, with relative error control end
+to end, and elements that have converged stop.  No fine density keeps a
+scalar loop: ``values`` works on coordinate arrays and ``__call__`` goes
+through it.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy import integrate
+# ``integrate`` is unused here but stays a module attribute: the benchmark's
+# tracer counts quadratures through each module's ``integrate``.
+from scipy import integrate  # noqa: F401
 
 from ordstat import exact_exp, reductions
 from ordstat.distributions import Exponential
@@ -87,38 +97,17 @@ def _ilt(dist, f, t, digits, scale):
     return res.value
 
 
-def _conv_self(dist, lo, hi, t):
-    """Integral of pdf(x) * pdf(t - x) over [lo, hi], the power-2 inverse."""
-    if not hi > lo:
-        return 0.0
-    p = dist.pdf1
-    val, _ = integrate.quad(lambda x: p(x) * p(t - x), lo, hi,
-                            epsabs=1e-13, epsrel=1e-11, limit=60)
-    return val
-
-
-def _conv_pair(dist, a, b, t):
-    """Inverse at t of the product of two kernel powers, ``a`` and ``b``
-    each ``(lo, hi, n)`` for mu(lo, hi, -s)^n: the convolution of their
-    inverses over the overlap of their supports.
-
-    The lattice of each factor goes to the integrator as interior points:
-    a power inverse is not smooth there, and handing the kinks over keeps
-    them from eating the accuracy budget.  Infinite lattice points (an upper
-    limit of inf) fall outside every finite overlap and drop out.
-    """
-    (la, ha, na), (lb, hb, nb) = a, b
-    lo = max(na * la, t - nb * hb)
-    hi = min(na * ha, t - nb * lb)
-    if not hi > lo:
-        return 0.0
-    pts = sorted({p for p in _lattice(la, ha, na) if lo < p < hi} |
-                 {t - q for q in _lattice(lb, hb, nb) if lo < t - q < hi})
-    val, _ = integrate.quad(
-        lambda u: (_inv_pow(dist, la, ha, na, u)
-                   * _inv_pow(dist, lb, hb, nb, t - u)),
-        lo, hi, epsabs=1e-13, epsrel=1e-11, limit=60, points=pts or None)
-    return val
+# Per-element targets of the n/2n comparison of every kernel-power
+# inverse.  Each level of the recursion takes the same node count per
+# segment, starting at _FIRST_NODES; an inverse that needs _MAX_NODES per
+# segment warns.  Each level evaluates its node array in blocks of about
+# _BLOCK entries; with a few levels alive at once, 2**13 (as in
+# ``kernels``) keeps one rule's arrays near 2**15 entries.
+_EPSABS = 1e-13
+_EPSREL = 1e-11
+_FIRST_NODES = 8
+_MAX_NODES = 64
+_BLOCK = 2 ** 13
 
 
 def _lattice(lo, hi, n):
@@ -126,19 +115,109 @@ def _lattice(lo, hi, n):
     return tuple(j * lo + (n - j) * hi for j in range(1, n))
 
 
+def _overlap(a, b, t):
+    """Limits of the convolution at t of the inverses of powers a and b."""
+    (la, ha, na), (lb, hb, nb) = a, b
+    return np.maximum(na * la, t - nb * hb), np.minimum(na * ha, t - nb * lb)
+
+
+def _conv(dist, a, b, t, nodes):
+    """``nodes``-node rule for the convolution at t of the inverses of two
+    kernel powers ``a`` and ``b``, each ``(lo, hi, n)`` for mu(lo, hi, -s)^n
+    with 1-d arrays of limits, as is ``t``.
+
+    The overlap of the two supports is cut at the lattice of each factor:
+    a power inverse is not smooth there.  Every lattice point is clipped
+    into the overlap, so each element has the same number of segments,
+    some of them empty; an infinite one (an upper limit of inf) lands on an
+    end.  Both factors are evaluated by the same rule on the node array.
+    Returns the estimates, one row per element and one column per segment.
+    """
+    (la, ha, na), (lb, hb, nb) = a, b
+    lo, hi = _overlap(a, b, t)
+    x, w = reductions._legendre(nodes)
+    segs = na + nb - 1
+    out = np.zeros((t.size, segs))
+    live = np.flatnonzero(hi > lo)
+    step = max(1, _BLOCK // (segs * nodes))
+    for k in (live[i:i + step] for i in range(0, live.size, step)):
+        tk, lok, hik = t[k], lo[k], hi[k]
+        edges = np.stack([lok, *_lattice(la[k], ha[k], na),
+                          *(tk - q for q in _lattice(lb[k], hb[k], nb)),
+                          hik], axis=1)
+        if segs > 1:
+            edges = np.sort(np.clip(edges, lok[:, None], hik[:, None]),
+                            axis=1)
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        u = mid[..., None] + half[..., None] * x
+
+        def rep(v):
+            return np.repeat(v[k], segs * nodes)
+
+        fa = _pow(dist, rep(la), rep(ha), na, u.ravel(), nodes)
+        fb = _pow(dist, rep(lb), rep(hb), nb, (tk[:, None, None] - u).ravel(),
+                  nodes)
+        out[k] = (fa * fb).reshape(u.shape) @ w * half
+    return out
+
+
+def _restricted_pdf(dist, lo, hi, t):
+    """The inverse of mu(lo, hi, -s): the pdf restricted to [lo, hi]."""
+    return np.where((t >= lo) & (t <= hi), dist.pdf(t), 0.0)
+
+
+def _pow(dist, lo, hi, n, t, nodes):
+    """``nodes``-node rule for the inverse of mu(lo, hi, -s)^n at t."""
+    if n == 1:
+        return _restricted_pdf(dist, lo, hi, t)
+    h = n // 2
+    return _conv(dist, (lo, hi, h), (lo, hi, n - h), t, nodes).sum(axis=1)
+
+
+def _inv_prod(dist, a, b, t):
+    """Inverse at t of the product of two kernel powers, ``a`` and ``b``
+    each ``(lo, hi, n)`` for mu(lo, hi, -s)^n.  Limits and t are arrays
+    (or scalars) that broadcast; so is the result.
+
+    Upper limits are clamped to the support, so that the edge of a bounded
+    density is a lattice point and not a jump inside a rule.  The n- and
+    2n-node rules of ``_conv`` are compared per element; an element that
+    has converged stops.  A value that is not finite raises
+    :class:`ConvergenceError`.
+    """
+    (la, ha, na), (lb, hb, nb) = a, b
+    up = dist.support_upper
+    args = (la, np.minimum(ha, up), lb, np.minimum(hb, up), t)
+    zero = np.zeros(np.broadcast_shapes(*map(np.shape, args)))
+    la, ha, lb, hb, t = ((v + zero).ravel() for v in args)
+
+    def rule(nodes, todo):
+        est = _conv(dist, (la[todo], ha[todo], na), (lb[todo], hb[todo], nb),
+                    t[todo], nodes)
+        if not np.isfinite(est).all():
+            raise ConvergenceError(
+                f"{nodes}-node rule for a kernel-power inverse gave a value "
+                f"that is not finite")
+        return est
+
+    lo, hi = _overlap((la, ha, na), (lb, hb, nb), t)
+    return reductions._doubled(rule, _FIRST_NODES, lo, hi, _EPSABS, _EPSREL,
+                               _MAX_NODES).reshape(zero.shape)
+
+
 def _inv_pow(dist, lo, hi, n, t):
     """Inverse of mu(lo, hi, -s)^n at t; supported on [n*lo, n*hi].
 
-    c(g, -s) is mu(0, g, -s) and e(g, -s) is mu(g, inf, -s).
+    c(g, -s) is mu(0, g, -s) and e(g, -s) is mu(g, inf, -s).  Arguments
+    are arrays (or scalars) that broadcast; so is the result.  Power n is
+    the convolution of powers n//2 and n - n//2, down to the pdf
+    restricted to [lo, hi].
     """
-    if t < n * lo or t > n * hi:
-        return 0.0
     if n == 1:
-        return dist.pdf1(t)
-    if n == 2:
-        return _conv_self(dist, max(lo, t - hi), min(hi, t - lo), t)
+        return _restricted_pdf(dist, lo, hi, np.asarray(t, dtype=float))
     h = n // 2
-    return _conv_pair(dist, (lo, hi, h), (lo, hi, n - h), t)
+    return _inv_prod(dist, (lo, hi, h), (lo, hi, n - h), t)
 
 
 def t1_pdf(dist, K, z, digits=8):
@@ -175,12 +254,16 @@ def t2_jpdf(dist, K, m, z1, z2):
     elif m == K:
         inv = _inv_pow(dist, *above, z2)
     else:
-        inv = _conv_pair(dist, below, above, z2)
-    return pref * dist.pdf1(z1) * inv
+        inv = _inv_prod(dist, below, above, z2)
+    return pref * dist.pdf1(z1) * float(inv)
 
 
 class _Fine:
-    """A fine joint density of any distribution, evaluated point by point."""
+    """A fine joint density of any distribution, on coordinate arrays.
+
+    ``values`` takes arrays (or scalars) that broadcast; ``__call__`` is
+    its scalar form.
+    """
 
     piecewise_polynomial = False
 
@@ -188,18 +271,16 @@ class _Fine:
         self.K, self.Ks, self.dist = K, Ks, dist
         self._pref = math.factorial(K) / math.prod(map(math.factorial, den))
 
+    def __call__(self, *z):
+        return self.values(*z).item()
+
     def _last(self, z4):
         """Density of the rank-Ks value z4 times the CDF power of the
         unselected ranks below it."""
         d = self.dist
-        return (d.cdf1(z4) ** (self.K - self.Ks) if self.Ks < self.K
-                else 1.0) * d.pdf1(z4)
-
-    def values(self, *coords):
-        """``__call__`` over coordinate arrays (or scalars) that broadcast."""
-        cols = np.broadcast_arrays(*coords)
-        flat = zip(*(c.ravel().tolist() for c in cols))
-        return np.array([self(*z) for z in flat]).reshape(cols[0].shape)
+        if self.Ks == self.K:
+            return d.pdf(z4)
+        return d.cdf(z4) ** (self.K - self.Ks) * d.pdf(z4)
 
 
 class FineHeadRankTail(_Fine):
@@ -209,14 +290,13 @@ class FineHeadRankTail(_Fine):
         super().__init__(K, K, dist, K - m, m - 1)
         self.m = m
 
-    def __call__(self, z1, g, z2):
+    def values(self, z1, g, z2):
         # exp(-s*g) is the rank-m variable itself; shift the inversion
         # point instead of carrying the factor into the transform.
-        head = _inv_pow(self.dist, g, math.inf, self.m - 1, z1 - g)
-        if head == 0.0:
-            return 0.0
-        tail = _inv_pow(self.dist, 0.0, g, self.K - self.m, z2)
-        return self._pref * self.dist.pdf1(g) * head * tail
+        d = self.dist
+        head = _inv_pow(d, g, math.inf, self.m - 1, z1 - g)
+        tail = _inv_pow(d, 0.0, g, self.K - self.m, z2)
+        return self._pref * d.pdf(g) * head * tail
 
 
 class FineLastHead(_Fine):
@@ -225,14 +305,11 @@ class FineLastHead(_Fine):
     def __init__(self, K, Ks, dist):
         super().__init__(K, Ks, dist, K - Ks, Ks - 1)
 
-    def __call__(self, v, w):
-        if v < 0 or w < (self.Ks - 1) * v:
-            return 0.0
-        weight = self._last(v)
-        if weight == 0.0:
-            return 0.0
-        return self._pref * weight * _inv_pow(self.dist, v, math.inf,
-                                              self.Ks - 1, w)
+    def values(self, v, w):
+        # Zero where w < (Ks-1)*v, off the e-power's support, and where
+        # v < 0, with the density of v.
+        return self._pref * self._last(v) * _inv_pow(
+            self.dist, v, math.inf, self.Ks - 1, w)
 
 
 class FineOneMidLast(_Fine):
@@ -241,12 +318,10 @@ class FineOneMidLast(_Fine):
     def __init__(self, K, Ks, dist):
         super().__init__(K, Ks, dist, K - Ks, Ks - 2)
 
-    def __call__(self, z1, z3, z4):
-        w = self._last(z4)
-        if w == 0.0:
-            return 0.0
-        return (self._pref * self.dist.pdf1(z1) * w
-                * _inv_pow(self.dist, z4, z1, self.Ks - 2, z3))
+    def values(self, z1, z3, z4):
+        d = self.dist
+        return (self._pref * d.pdf(z1) * self._last(z4)
+                * _inv_pow(d, z4, z1, self.Ks - 2, z3))
 
 
 class FineHeadMidLast(_Fine):
@@ -256,16 +331,11 @@ class FineHeadMidLast(_Fine):
         super().__init__(K, Ks, dist, K - Ks, m - 1, Ks - m - 1)
         self.m = m
 
-    def __call__(self, z1, z2, z3, z4):
-        w = self._last(z4)
-        if w == 0.0:
-            return 0.0
+    def values(self, z1, z2, z3, z4):
         d, m = self.dist, self.m
         head = _inv_pow(d, z2, math.inf, m - 1, z1)
-        if head == 0.0:
-            return 0.0
         mid = _inv_pow(d, z4, z2, self.Ks - m - 1, z3)
-        return self._pref * d.pdf1(z2) * w * head * mid
+        return self._pref * d.pdf(z2) * self._last(z4) * head * mid
 
 
 class FineHeadNextLast(_Fine):
@@ -274,12 +344,10 @@ class FineHeadNextLast(_Fine):
     def __init__(self, K, Ks, dist):
         super().__init__(K, Ks, dist, K - Ks, Ks - 2)
 
-    def __call__(self, z1, z2, z4):
-        w = self._last(z4)
-        if w == 0.0:
-            return 0.0
-        return (self._pref * self.dist.pdf1(z2) * w
-                * _inv_pow(self.dist, z2, math.inf, self.Ks - 2, z1))
+    def values(self, z1, z2, z4):
+        d = self.dist
+        return (self._pref * d.pdf(z2) * self._last(z4)
+                * _inv_pow(d, z2, math.inf, self.Ks - 2, z1))
 
 
 # The fine density of each T5 case, for ``reductions.t5_fine``.

@@ -10,9 +10,10 @@ the fine densities:
 * ``exact_exp``: closed forms for the exponential distribution;
 * ``generic_joint``: pdf, CDF and kernel-power inverses of any distribution.
 
-A fine density is an object with scalar ``__call__(*coords)``, batched
-``values(*coords)`` over coordinate arrays that broadcast, and a boolean
-``piecewise_polynomial``.  The shapes, by coordinates (rank 1 = largest):
+A fine density is an object with ``values(*coords)`` over coordinate
+arrays that broadcast, and a boolean ``piecewise_polynomial``.  On both
+paths ``values`` is array code, and the scalar ``__call__(*coords)`` goes
+through it.  The shapes, by coordinates (rank 1 = largest):
 
 * ``FineHeadRankTail`` (T3): sum of ranks 1..m, rank m, sum of ranks m+1..K;
 * ``FineLastHead`` (T4, T5d): rank Ks, sum of ranks 1..Ks-1;
@@ -77,14 +78,15 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])
 
-    def rule(n):
+    def rule(n, todo=None):
         x, w = _legendre(n)
-        return f((mid + half[:, None] * x).ravel()).reshape(-1, n) @ w * half
+        vals = f((mid + half[:, None] * x).ravel()).reshape(-1, n)
+        return (vals @ w * half)[None]
 
     n = deg // 2 + 1 + (0 if exact else _SMOOTH_EXTRA)
     if exact:
         return float(rule(n).sum())
-    return _doubled(rule, n, lo, hi, _EPSABS, _EPSREL)
+    return float(_doubled(rule, n, [lo], [hi], _EPSABS, _EPSREL)[0])
 
 
 def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
@@ -103,7 +105,7 @@ def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
         return 0.0
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
 
-    def rule(n):
+    def rule(n, todo):
         x, w = _legendre(n)
         s = mid + half * x
         a, b = inner(s)
@@ -113,35 +115,49 @@ def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
         if not np.isfinite(est):
             raise ConvergenceError(
                 f"{n}x{n}-node rule on [{lo:g}, {hi:g}] gave {est}")
-        return np.array([est])
+        return np.array([[est]])
 
-    return _doubled(rule, deg // 2 + 1 + _SMOOTH_EXTRA, lo, hi, epsabs,
-                    epsrel)
+    return float(_doubled(rule, deg // 2 + 1 + _SMOOTH_EXTRA, [lo], [hi],
+                          epsabs, epsrel)[0])
 
 
-def _doubled(rule, n, lo, hi, epsabs, epsrel):
-    """The n/2n loop of the Gauss rules on ``[lo, hi]``.
+def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None):
+    """The n/2n loop of the Gauss rules, over a batch of integrals.
 
-    ``rule(n)`` returns an array of estimates, one per segment.  n doubles
-    until the n- and 2n-node sums, added over segments, agree to
-    ``epsabs``/``epsrel``; the 2n-node value is returned, with an
-    ``IntegrationWarning`` if that takes ``_MAX_NODES`` per segment (and
-    level) or more.
+    Integral i runs over ``[lo[i], hi[i]]``.  ``rule(n, todo)`` returns the
+    n-node estimates of the integrals indexed by the array ``todo``, one row
+    per integral and one column per segment.  n doubles until an integral's
+    n- and 2n-node sums, added over segments, agree to ``epsabs``/``epsrel``;
+    that integral then stops, and the rule runs on the others only.  The
+    array of 2n-node totals is returned, with an ``IntegrationWarning`` if
+    that takes ``cap`` nodes per segment (and level) or more; ``cap``
+    defaults to ``_MAX_NODES``.
     """
-    est = rule(n)
+    cap = _MAX_NODES if cap is None else cap
+    todo = np.arange(len(lo))
+    out = np.empty(len(lo))
+    est = rule(n, todo)
     while True:
         n *= 2
-        prev, est = est, rule(n)
-        total = float(est.sum())
-        err = float(np.abs(est - prev).sum())
-        if err <= max(epsabs, epsrel * abs(total)):
-            return total
-        if n >= _MAX_NODES:
+        prev, est = est, rule(n, todo)
+        total = est.sum(axis=1)
+        err = np.abs(est - prev).sum(axis=1)
+        out[todo] = total
+        # The test runs on Python floats: most calls hold one integral,
+        # where numpy's per-call overhead would dominate.
+        open_ = [i for i, (v, e) in enumerate(zip(total.tolist(),
+                                                   err.tolist()))
+                 if not e <= max(epsabs, epsrel * abs(v))]
+        if not open_:
+            return out
+        if n >= cap:
+            i = max(open_, key=err.__getitem__)
             warnings.warn(
-                f"{n}-node Gauss-Legendre rule on [{lo:g}, {hi:g}] did not "
-                f"converge: n/2n difference {err:.3g}",
-                integrate.IntegrationWarning, stacklevel=3)
-            return total
+                f"{n}-node Gauss-Legendre rule on [{lo[todo[i]]:g}, "
+                f"{hi[todo[i]]:g}] did not converge: n/2n difference "
+                f"{err[i]:.3g}", integrate.IntegrationWarning, stacklevel=3)
+            return out
+        todo, est = todo[open_], est[open_]
 
 
 def _pointwise(f):

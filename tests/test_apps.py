@@ -26,6 +26,9 @@ def test_config_validation():
         MsGscConfig(3, 0.0, 1.0)
     with pytest.raises(DomainError):
         MsGscConfig(3, 1.0, -2.0)
+    for gt, gb in [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
+        with pytest.raises(DomainError):
+            MsGscConfig(3, gt, gb)
     with pytest.raises(DomainError):
         MsGscConfig(3, 1.0, 1.0, m=4)
     with pytest.raises(DomainError):

@@ -171,6 +171,16 @@ def test_non_finite_msgsc_at_exits_2(capsys, at, stage):
     assert "--at" in err
 
 
+@pytest.mark.parametrize("flag", ["--gamma-t", "--gamma-bar"])
+@pytest.mark.parametrize("convention", ["sum", "outage"])
+def test_infinite_msgsc_parameter_exits_2(capsys, flag, convention):
+    argv = ["msgsc", "--L", "4", "--gamma-t", "1", "--at", "2",
+            "--convention", convention, flag, "inf"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--theorem", "T2", "--K", "3", "--m", "2", "--at", "1,abc"),
     ("msgsc", "--L", "4", "--gamma-t", "1", "--at", "abc"),

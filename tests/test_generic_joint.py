@@ -3,12 +3,15 @@ forms and elementary convolution facts."""
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
 from scipy import integrate
 
 from ordstat import exact_exp, generic_joint as gj
 from ordstat.distributions import CustomDistribution, Exponential, HalfNormal
-from ordstat.errors import DomainError
+from ordstat.errors import ConvergenceError, DomainError
 from ordstat.partition import Partition, TheoremMatch, match_theorem
 
 EXP = Exponential(1.0)
@@ -17,8 +20,8 @@ HN = HalfNormal(0.8)
 
 def uniform01():
     return CustomDistribution(
-        pdf=lambda x: 1.0 if 0.0 <= x <= 1.0 else 0.0,
-        cdf=lambda x: min(max(x, 0.0), 1.0),
+        pdf=lambda x: ((x >= 0.0) & (x <= 1.0)) * 1.0,
+        cdf=lambda x: np.clip(x, 0.0, 1.0),
         mean=0.5, abscissa=math.inf, support_upper=1.0, name="uniform01")
 
 
@@ -166,3 +169,193 @@ def test_shape_validation():
         gj.t5_jpdf(EXP, 3, 4, 1, 1.0, 2.0)
     with pytest.raises(DomainError):
         gj.t1_pdf(EXP, 0, 1.0)
+
+
+# -- the kernel-power inverse on node arrays --
+
+
+def _mp_steps(n, t, lo, step):
+    """e^-t/(n-1)! * sum_j (-1)^j C(n, j) (t - lo - j*step)_+^(n-1), in
+    mpmath: the inverse of mu(a, b, -s)^n of exp:1 with lo = n*a and
+    step = b - a."""
+    t = mpmath.mpf(t)
+    terms = [(-1) ** j * math.comb(n, j) * (t - lo - j * step) ** (n - 1)
+             for j in range(n + 1) if t - lo - j * step > 0]
+    return mpmath.exp(-t) * mpmath.fsum(terms) / math.factorial(n - 1)
+
+
+def _closed(kind, n, t):
+    if kind == "c":      # mu(0, 1.1)
+        return _mp_steps(n, t, 0.0, 1.1)
+    if kind == "e":      # mu(0.9, inf): (t - n*g)^(n-1) e^-t / (n-1)!
+        t = mpmath.mpf(t)
+        return ((t - n * 0.9) ** (n - 1) * mpmath.exp(-t)
+                / math.factorial(n - 1))
+    return _mp_steps(n, t, n * 0.4, 1.3 - 0.4)    # mu(0.4, 1.3)
+
+
+LIMITS = {"c": (0.0, 1.1), "e": (0.9, math.inf), "mu": (0.4, 1.3)}
+
+
+@pytest.mark.parametrize("kind", sorted(LIMITS))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_power_inverse_matches_exponential_closed_form(kind, n):
+    lo, hi = LIMITS[kind]
+    top = n * hi if math.isfinite(hi) else n * lo + 4.0
+    t = n * lo + (top - n * lo) * np.linspace(0.02, 0.98, 12).reshape(3, 4)
+    got = gj._inv_pow(EXP, lo, hi, n, t)
+    assert got.shape == t.shape
+    want = [[float(_closed(kind, n, v)) for v in row] for row in t]
+    assert got == pytest.approx(np.array(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("nc,ne", [(1, 1), (2, 3), (4, 2)])
+def test_mixed_power_inverse_matches_exponential_closed_form(nc, ne):
+    # c(g)^nc * e(g)^ne inverts to
+    # e^-t/(n-1)! * sum_j (-1)^j C(nc, j) (t - (j + ne)*g)_+^(n-1).
+    g, n = 0.7, nc + ne
+    t = ne * g + np.linspace(0.05, n * g + 1.0, 9)
+    got = gj._inv_prod(EXP, (0.0, g, nc), (g, math.inf, ne), t)
+    want = [float(mpmath.exp(-v) * mpmath.fsum(
+        (-1) ** j * math.comb(nc, j) * mpmath.mpf(v - (j + ne) * g) ** (n - 1)
+        for j in range(nc + 1) if v > (j + ne) * g) / math.factorial(n - 1))
+        for v in t]
+    assert got == pytest.approx(np.array(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_power_inverse_of_uniform_is_irwin_hall(n):
+    # e(0) of a density on [0, 1]: the upper limit inf is clamped to the
+    # support, so the jumps of the pdf fall on segment edges.
+    t = np.linspace(0.03, n - 0.03, 17)
+    got = gj._inv_pow(uniform01(), 0.0, math.inf, n, t)
+    want = [float(mpmath.fsum((-1) ** j * math.comb(n, j)
+                              * mpmath.mpf(v - j) ** (n - 1)
+                              for j in range(int(v) + 1))
+                  / math.factorial(n - 1)) for v in t]
+    assert got == pytest.approx(np.array(want), rel=1e-12)
+
+
+def test_power_inverse_batch_equals_elements():
+    lo = np.array([0.0, 0.9, 0.4, 0.2])
+    hi = np.array([1.1, math.inf, 1.3, 0.7])
+    t = np.array([[0.5], [2.9], [3.3], [1.2]])
+    got = gj._inv_pow(HN, lo, hi, 3, t)
+    assert got.shape == (4, 4)
+    assert (got > 0).any() and (got == 0).any()
+    for (i, j), v in np.ndenumerate(got):
+        one = gj._inv_pow(HN, lo[j], hi[j], 3, t[i, 0])
+        assert v == pytest.approx(float(one), rel=1e-14, abs=0.0)
+
+
+def _unit_step(pdf):
+    # support_upper is left at inf: the jump at 1 is no lattice point.
+    return CustomDistribution(pdf=pdf, cdf=lambda x: np.clip(x, 0.0, 1.0),
+                              mean=0.5, abscissa=math.inf, name="unit-step")
+
+
+def test_power_inverse_warns_at_its_cap(monkeypatch):
+    step = _unit_step(lambda x: np.where((x >= 0) & (x < 1), 1.0, 0.0))
+    monkeypatch.setattr(gj, "_MAX_NODES", 16)
+    with pytest.warns(integrate.IntegrationWarning, match="did not converge"):
+        got = gj._inv_pow(step, 0.0, math.inf, 2, np.array([0.5, 1.3]))
+    assert got == pytest.approx([0.5, 0.7], abs=0.05)
+
+
+def test_power_inverse_refuses_non_finite_values():
+    broken = _unit_step(lambda x: np.where(x < 1.0, 1.0, np.nan))
+    with pytest.raises(ConvergenceError):
+        gj._inv_pow(broken, 0.0, math.inf, 2, 1.5)
+
+
+# -- larger K on the generic path --
+
+LARGE_K = [("T2", 8, 1, (0.6, 2.1)), ("T2", 8, 4, (0.6, 3.0)),
+           ("T2", 10, 5, (0.5, 3.1)), ("T2", 10, 10, (0.4, 4.6)),
+           ("T3", 8, 3, (2.5, 2.2)), ("T3", 10, 6, (6.0, 1.2)),
+           ("T4", 8, 7, (4.2,)), ("T4", 10, 9, (5.4,))]
+
+
+@pytest.mark.parametrize("fam,K,k,pt", LARGE_K,
+                         ids=[f"{f}-K{K}-{k}" for f, K, k, _ in LARGE_K])
+def test_large_K_matches_exact(fam, K, k, pt):
+    generic, exact = {
+        "T2": (gj.t2_jpdf, exact_exp.jpdf_one_vs_rest_allK),
+        "T3": (gj.t3_jpdf, exact_exp.jpdf_headsum_vs_tailsum_allK),
+        "T4": (gj.t4_pdf, exact_exp.pdf_gsc_sum)}[fam]
+    want = exact(K, k, 1.0)(*pt)
+    assert want > 0.0
+    assert generic(EXP, K, k, *pt) == pytest.approx(want, rel=1e-9)
+
+
+def _mp_hn_inv(sigma, lo, hi, n, t, rule):
+    """Inverse of mu(lo, hi, -s)^n of the half-normal at t, in mpmath.
+
+    Power 2 is closed-form: p(x) p(t-x) is a Gaussian in x - t/2.  Higher
+    powers convolve by a fixed Gauss-Legendre ``rule`` on the lattice
+    segments.
+    """
+    if t < n * lo or t > n * hi:
+        return mpmath.mpf(0)
+    c = mpmath.sqrt(2 / mpmath.pi) / sigma
+    if n == 1:
+        return c * mpmath.exp(-t ** 2 / (2 * sigma ** 2))
+    if n == 2:
+        a, b = max(lo, t - hi), min(hi, t - lo)
+        return (c ** 2 * mpmath.exp(-t ** 2 / (4 * sigma ** 2)) * sigma
+                * mpmath.sqrt(mpmath.pi) / 2
+                * (mpmath.erf((b - t / 2) / sigma)
+                   - mpmath.erf((a - t / 2) / sigma)))
+    h = n // 2
+    return _mp_hn_conv(sigma, (lo, hi, h), (lo, hi, n - h), t, rule)
+
+
+def _mp_hn_conv(sigma, fa, fb, t, rule):
+    (la, ha, na), (lb, hb, nb) = fa, fb
+    a, b = max(na * la, t - nb * hb), min(na * ha, t - nb * lb)
+    pts = {j * la + (na - j) * ha for j in range(1, na)}
+    pts |= {t - (j * lb + (nb - j) * hb) for j in range(1, nb)}
+    edges = [a, *sorted(p for p in pts if a < p < b), b]
+    total = mpmath.mpf(0)
+    for e0, e1 in zip(edges, edges[1:]):
+        mid, half = (e0 + e1) / 2, (e1 - e0) / 2
+        for x, w in rule:
+            u = mid + half * x
+            total += (half * w * _mp_hn_inv(sigma, la, ha, na, u, rule)
+                      * _mp_hn_inv(sigma, lb, hb, nb, t - u, rule))
+    return total
+
+
+def test_halfnormal_t2_large_K_matches_mpmath():
+    # 12 nodes per segment agree with 48 to 25 digits at this point.
+    K, m, z1, z2 = 8, 4, 0.5, 2.6
+    with mpmath.workdps(30):
+        rule = GaussLegendre(mpmath.mp).calc_nodes(3, mpmath.mp.prec)
+        sigma, g = mpmath.mpf(HN.sigma), mpmath.mpf(z1)
+        inv = _mp_hn_conv(sigma, (0, g, K - m), (g, mpmath.inf, m - 1),
+                          mpmath.mpf(z2), rule)
+        want = (math.factorial(K) / (math.factorial(K - m)
+                                     * math.factorial(m - 1))
+                * _mp_hn_inv(sigma, 0, mpmath.inf, 1, g, rule) * inv)
+    got = gj.t2_jpdf(HN, K, m, z1, z2)
+    assert got == pytest.approx(float(want), rel=1e-9)
+
+
+# One point per family and T5 case, at K=5.
+K5_POINTS = [(gj.t2_jpdf, (5, 2, 0.8, 2.0)), (gj.t3_jpdf, (5, 2, 3.0, 1.2)),
+             (gj.t4_pdf, (5, 3, 2.0)), (gj.t5_jpdf, (5, 4, 1, 1.0, 2.0)),
+             (gj.t5_jpdf, (5, 5, 3, 0.5, 2.0)),
+             (gj.t5_jpdf, (5, 4, 3, 0.6, 2.2)),
+             (gj.t5_jpdf, (5, 4, 4, 0.5, 2.0)),
+             (gj.t6_jpdf, (5, 4, 2, 2.6, 1.1))]
+
+
+@pytest.mark.parametrize("dist", [EXP, HN], ids=["exp", "halfnormal"])
+def test_generic_path_uses_no_adaptive_quad(monkeypatch, dist):
+    def _raise(*args, **kwargs):
+        raise AssertionError("adaptive quad called")
+
+    monkeypatch.setattr(gj.integrate, "quad", _raise)
+    for fn, args in K5_POINTS:
+        val = fn(dist, *args)
+        assert math.isfinite(val) and val > 0.0, (fn.__name__, args)
