@@ -378,9 +378,12 @@ class CustomDistribution(Distribution):
     Parameters
     ----------
     pdf, cdf : callable
-        Density and CDF on [0, inf).  ``cdf`` must be the exact integral of
-        ``pdf`` (closed form, not numerically integrated), since downstream
-        formulas raise it to large powers.
+        Density and CDF on [0, inf), vectorized: each maps a numpy array to
+        an array of its shape (else :class:`DomainError`).  ``cdf`` must be
+        the exact integral of ``pdf`` (closed form, not numerically
+        integrated), since downstream formulas raise it to large powers.
+        The density must be smooth on (0, ``support_upper``); it may be
+        singular at 0, like x^(a-1) with a >= 1/3.
     mean : float
         Used as the characteristic scale for inversion and sampling checks.
     abscissa : float
@@ -402,10 +405,24 @@ class CustomDistribution(Distribution):
         self.name = name
 
     def pdf(self, x):
-        return self._pdf(x)
+        return self._on_array(self._pdf, "pdf", x)
 
     def cdf(self, x):
-        return self._cdf(x)
+        return self._on_array(self._cdf, "cdf", x)
+
+    def _on_array(self, f, what, x):
+        # The generic path evaluates whole node arrays at once; a callable
+        # written for scalars fails there deep inside numpy.
+        try:
+            out = f(x)
+            if np.shape(out) != np.shape(x):
+                out = np.broadcast_to(out, np.shape(x)).copy()
+        except (TypeError, ValueError) as err:
+            raise DomainError(
+                f"{self.name}: {what} must map a numpy array to an array of "
+                f"its shape (an array of shape {np.shape(x)} gave: {err})"
+            ) from err
+        return out
 
     def sample(self, rng, size):
         if self._sampler is None:

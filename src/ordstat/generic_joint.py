@@ -37,14 +37,18 @@ The Bromwich-line inverter therefore handles only the total-sum density,
 whose transform is an entire MGF power with no support edge in sight.
 Every kernel-power inverse is an array function instead: thresholds are
 integration variables of T3-T6 and differ per node, so ``_inv_pow`` takes
-limits and t as arrays that broadcast.  One tensor Gauss-Legendre rule
+limits and t as arrays that broadcast.  One tensor rule
 evaluates every element: each convolution level cuts its overlap at both
 factors' lattices and puts the same number of nodes on every segment, and
 the factors are evaluated on the resulting node arrays.  The n- and
 2n-node rules are compared per element, with relative error control end
-to end, and elements that have converged stop.  No fine density keeps a
-scalar loop: ``values`` works on coordinate arrays and ``__call__`` goes
-through it.
+to end, and elements that have converged stop.  Gauss-Legendre rules
+serve a density that is smooth on [0, inf) at once.  One that is
+singular at 0, like x^(a-1) (a Gamma or Weibull shape below 1), or only
+not smooth there, leaves some elements open at the Gauss cap; those go
+on with tanh-sinh rules, which crowd both ends of every segment and
+converge there at their usual pace.  No fine density keeps a scalar loop:
+``values`` works on coordinate arrays and ``__call__`` goes through it.
 """
 
 import functools
@@ -99,15 +103,45 @@ def _ilt(dist, f, t, digits, scale):
 
 # Per-element targets of the n/2n comparison of every kernel-power
 # inverse.  Each level of the recursion takes the same node count per
-# segment, starting at _FIRST_NODES; an inverse that needs _MAX_NODES per
-# segment warns.  Each level evaluates its node array in blocks of about
-# _BLOCK entries; with a few levels alive at once, 2**13 (as in
-# ``kernels``) keeps one rule's arrays near 2**15 entries.
+# segment, starting at _FIRST_NODES on Gauss-Legendre rules; an element
+# still open at _MAX_NODES restarts on tanh-sinh rules at 2 * _FIRST_NODES,
+# and warns if it is still open at 4 * _MAX_NODES.  Each level evaluates its
+# node array in blocks of about _BLOCK entries; with a few levels alive at
+# once, 2**13 (as in ``kernels``) keeps one rule's arrays near 2**15
+# entries.
 _EPSABS = 1e-13
 _EPSREL = 1e-11
 _FIRST_NODES = 8
 _MAX_NODES = 64
 _BLOCK = 2 ** 13
+# Half-width of the tanh-sinh rules in their own variable: the outermost
+# nodes sit 6e-38 = exp(-pi*sinh(4)) of a segment from its ends, so the
+# part of an x^(a-1) end singularity that they miss is about (6e-38)^a of
+# the segment's integral, below 1e-12 for a >= 1/3.
+_TANH_SINH_SPAN = 4.0
+
+
+# Rules on [0, 1] as ``(dl, dr, w)``: nodes at distance ``dl`` from the
+# left end and ``dr = 1 - dl`` from the right, both without cancellation.
+# A factor whose argument vanishes at a segment end (the pdf at 0, which
+# may be singular there) is evaluated at that distance, never at the end.
+
+@functools.lru_cache(maxsize=None)
+def _gauss01(n):
+    x, w = reductions._legendre(n)
+    return 0.5 * (1.0 + x), 0.5 * (1.0 - x), 0.5 * w
+
+
+@functools.lru_cache(maxsize=None)
+def _tanh_sinh01(n):
+    """n-node tanh-sinh rule: the trapezoidal rule in tau of
+    x = tanh(pi/2 sinh(tau)).  Its nodes crowd both ends doubly
+    exponentially, so it keeps its pace on integrable end singularities,
+    where a Gauss-Legendre rule converges only algebraically."""
+    tau = np.linspace(-_TANH_SINH_SPAN, _TANH_SINH_SPAN, n)
+    y = 0.5 * np.pi * np.sinh(tau)
+    dl, dr = 1.0 / (1.0 + np.exp(-2.0 * y)), 1.0 / (1.0 + np.exp(2.0 * y))
+    return dl, dr, (tau[1] - tau[0]) * np.pi * np.cosh(tau) * dl * dr
 
 
 def _lattice(lo, hi, n):
@@ -121,21 +155,23 @@ def _overlap(a, b, t):
     return np.maximum(na * la, t - nb * hb), np.minimum(na * ha, t - nb * lb)
 
 
-def _conv(dist, a, b, t, nodes):
-    """``nodes``-node rule for the convolution at t of the inverses of two
-    kernel powers ``a`` and ``b``, each ``(lo, hi, n)`` for mu(lo, hi, -s)^n
-    with 1-d arrays of limits, as is ``t``.
+def _conv(dist, a, b, t, rule):
+    """``rule`` (a ``(dl, dr, w)`` table) for the convolution at t of the
+    inverses of two kernel powers ``a`` and ``b``, each ``(lo, hi, n)`` for
+    mu(lo, hi, -s)^n with 1-d arrays of limits, as is ``t``.
 
     The overlap of the two supports is cut at the lattice of each factor:
     a power inverse is not smooth there.  Every lattice point is clipped
-    into the overlap, so each element has the same number of segments,
-    some of them empty; an infinite one (an upper limit of inf) lands on an
-    end.  Both factors are evaluated by the same rule on the node array.
+    into the overlap, so each element has the same number of segments;
+    an infinite one (an upper limit of inf) lands on an end.  Empty
+    segments get no nodes.  Both factors are evaluated by the same rule on
+    the node array, factor b at its distance from the segment's far end.
     Returns the estimates, one row per element and one column per segment.
     """
     (la, ha, na), (lb, hb, nb) = a, b
     lo, hi = _overlap(a, b, t)
-    x, w = reductions._legendre(nodes)
+    dl, dr, w = rule
+    nodes = w.size
     segs = na + nb - 1
     out = np.zeros((t.size, segs))
     live = np.flatnonzero(hi > lo)
@@ -148,17 +184,21 @@ def _conv(dist, a, b, t, nodes):
         if segs > 1:
             edges = np.sort(np.clip(edges, lok[:, None], hik[:, None]),
                             axis=1)
-        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-        u = mid[..., None] + half[..., None] * x
+        width = edges[:, 1:] - edges[:, :-1]
+        # Element and segment of every non-empty segment; with one
+        # segment, that is every element, as a view.
+        e, s = np.nonzero(width > 0) if segs > 1 else (slice(None), 0)
+        width = width[e, s][:, None]
+        ua = edges[e, s][:, None] + width * dl
+        ub = (tk[e] - edges[e, s + 1])[:, None] + width * dr
+        el = k[e]
 
         def rep(v):
-            return np.repeat(v[k], segs * nodes)
+            return np.repeat(v[el], nodes)
 
-        fa = _pow(dist, rep(la), rep(ha), na, u.ravel(), nodes)
-        fb = _pow(dist, rep(lb), rep(hb), nb, (tk[:, None, None] - u).ravel(),
-                  nodes)
-        out[k] = (fa * fb).reshape(u.shape) @ w * half
+        fa = _pow(dist, rep(la), rep(ha), na, ua.ravel(), rule)
+        fb = _pow(dist, rep(lb), rep(hb), nb, ub.ravel(), rule)
+        out[el, s] = (fa * fb).reshape(ua.shape) @ w * width[:, 0]
     return out
 
 
@@ -167,12 +207,12 @@ def _restricted_pdf(dist, lo, hi, t):
     return np.where((t >= lo) & (t <= hi), dist.pdf(t), 0.0)
 
 
-def _pow(dist, lo, hi, n, t, nodes):
-    """``nodes``-node rule for the inverse of mu(lo, hi, -s)^n at t."""
+def _pow(dist, lo, hi, n, t, rule):
+    """``rule`` for the inverse of mu(lo, hi, -s)^n at t."""
     if n == 1:
         return _restricted_pdf(dist, lo, hi, t)
     h = n // 2
-    return _conv(dist, (lo, hi, h), (lo, hi, n - h), t, nodes).sum(axis=1)
+    return _conv(dist, (lo, hi, h), (lo, hi, n - h), t, rule).sum(axis=1)
 
 
 def _inv_prod(dist, a, b, t):
@@ -183,8 +223,10 @@ def _inv_prod(dist, a, b, t):
     Upper limits are clamped to the support, so that the edge of a bounded
     density is a lattice point and not a jump inside a rule.  The n- and
     2n-node rules of ``_conv`` are compared per element; an element that
-    has converged stops.  A value that is not finite raises
-    :class:`ConvergenceError`.
+    has converged stops.  Gauss-Legendre rules come first; an element that
+    they leave open at ``_MAX_NODES`` (a density that is singular, or not
+    smooth, at 0) goes on with tanh-sinh rules.  A value that is not
+    finite raises :class:`ConvergenceError`.
     """
     (la, ha, na), (lb, hb, nb) = a, b
     up = dist.support_upper
@@ -192,18 +234,22 @@ def _inv_prod(dist, a, b, t):
     zero = np.zeros(np.broadcast_shapes(*map(np.shape, args)))
     la, ha, lb, hb, t = ((v + zero).ravel() for v in args)
 
-    def rule(nodes, todo):
-        est = _conv(dist, (la[todo], ha[todo], na), (lb[todo], hb[todo], nb),
-                    t[todo], nodes)
-        if not np.isfinite(est).all():
-            raise ConvergenceError(
-                f"{nodes}-node rule for a kernel-power inverse gave a value "
-                f"that is not finite")
-        return est
+    def on(table):
+        def rule(nodes, todo):
+            est = _conv(dist, (la[todo], ha[todo], na),
+                        (lb[todo], hb[todo], nb), t[todo], table(nodes))
+            if not np.isfinite(est).all():
+                raise ConvergenceError(
+                    f"{nodes}-node rule for a kernel-power inverse gave a "
+                    f"value that is not finite")
+            return est
+        return rule
 
     lo, hi = _overlap((la, ha, na), (lb, hb, nb), t)
-    return reductions._doubled(rule, _FIRST_NODES, lo, hi, _EPSABS, _EPSREL,
-                               _MAX_NODES).reshape(zero.shape)
+    return reductions._doubled(
+        on(_gauss01), _FIRST_NODES, lo, hi, _EPSABS, _EPSREL, _MAX_NODES,
+        then=(on(_tanh_sinh01), 2 * _FIRST_NODES, 4 * _MAX_NODES),
+    ).reshape(zero.shape)
 
 
 def _inv_pow(dist, lo, hi, n, t):

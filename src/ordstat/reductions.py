@@ -121,7 +121,7 @@ def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
                           epsabs, epsrel)[0])
 
 
-def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None):
+def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None, then=None):
     """The n/2n loop of the Gauss rules, over a batch of integrals.
 
     Integral i runs over ``[lo[i], hi[i]]``.  ``rule(n, todo)`` returns the
@@ -131,11 +131,39 @@ def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None):
     that integral then stops, and the rule runs on the others only.  The
     array of 2n-node totals is returned, with an ``IntegrationWarning`` if
     that takes ``cap`` nodes per segment (and level) or more; ``cap``
-    defaults to ``_MAX_NODES``.
+    defaults to ``_MAX_NODES``.  ``then``, a triple ``(rule, n, cap)`` of
+    the same kind, takes over the integrals still open at ``cap``.  Those
+    that it leaves open too warn, and keep the estimate of whichever rule
+    ended with the smaller n/2n difference.
     """
     cap = _MAX_NODES if cap is None else cap
-    todo = np.arange(len(lo))
-    out = np.empty(len(lo))
+    out, todo, err, n = _doubling(rule, n, len(lo), epsabs, epsrel, cap)
+    if todo is None:
+        return out
+    if then is not None:
+        more, n, cap = then
+        out2, left, err2, n = _doubling(lambda n, sub: more(n, todo[sub]), n,
+                                        todo.size, epsabs, epsrel, cap)
+        first, out[todo] = out[todo], out2
+        if left is None:
+            return out
+        keep = left[err2 >= err[left]]     # the first rule ended closer
+        out[todo[keep]] = first[keep]
+        todo, err = todo[left], np.minimum(err2, err[left])
+    i = int(np.argmax(err))
+    warnings.warn(
+        f"{n}-node rule on [{lo[todo[i]]:g}, {hi[todo[i]]:g}] did not "
+        f"converge: n/2n difference {err[i]:.3g}",
+        integrate.IntegrationWarning, stacklevel=3)
+    return out
+
+
+def _doubling(rule, n, size, epsabs, epsrel, cap):
+    """``_doubled``'s loop for one rule.  Returns the totals, then the
+    indices of the integrals still open at ``cap``, their last n/2n
+    differences (both None if none is open) and the last n."""
+    todo = np.arange(size)
+    out = np.empty(size)
     est = rule(n, todo)
     while True:
         n *= 2
@@ -149,14 +177,9 @@ def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None):
                                                    err.tolist()))
                  if not e <= max(epsabs, epsrel * abs(v))]
         if not open_:
-            return out
+            return out, None, None, n
         if n >= cap:
-            i = max(open_, key=err.__getitem__)
-            warnings.warn(
-                f"{n}-node Gauss-Legendre rule on [{lo[todo[i]]:g}, "
-                f"{hi[todo[i]]:g}] did not converge: n/2n difference "
-                f"{err[i]:.3g}", integrate.IntegrationWarning, stacklevel=3)
-            return out
+            return out, todo[open_], err[open_], n
         todo, est = todo[open_], est[open_]
 
 

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from mpmath.calculus.quadrature import GaussLegendre
-from scipy import integrate
+from scipy import integrate, special
 
 from ordstat import exact_exp, generic_joint as gj
 from ordstat.distributions import CustomDistribution, Exponential, HalfNormal
@@ -266,6 +266,62 @@ def test_power_inverse_refuses_non_finite_values():
     broken = _unit_step(lambda x: np.where(x < 1.0, 1.0, np.nan))
     with pytest.raises(ConvergenceError):
         gj._inv_pow(broken, 0.0, math.inf, 2, 1.5)
+
+
+def _gamma_half_pdf(x):
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x >= 0.0, np.exp(-x) / np.sqrt(np.pi * x), 0.0)
+
+
+# Gamma(1/2): the pdf is infinite at 0, where a Gauss-Legendre rule
+# converges only algebraically, and its n-fold convolution is Gamma(n/2).
+GAMMA_HALF = CustomDistribution(
+    pdf=_gamma_half_pdf,
+    cdf=lambda x: special.erf(np.sqrt(np.maximum(x, 0.0))),
+    mean=0.5, abscissa=1.0, name="gamma-half")
+
+
+def _gamma_pdf(a, t):
+    return t ** (a - 1) * np.exp(-t) / math.gamma(a)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_power_inverse_of_singular_density(n):
+    # e(0)^n everywhere, and c(g)^n below g, where no summand reaches g:
+    # both ends of the outer convolution hold the pdf near 0.
+    t = np.array([[0.05, 0.3, 1.1, 2.9]])
+    got = gj._inv_pow(GAMMA_HALF, 0.0, np.array([[math.inf], [3.0]]), n, t)
+    assert got == pytest.approx(np.vstack([_gamma_pdf(n / 2, t)] * 2),
+                                rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_density_square_and_t2():
+    # For Gamma(1/2), p(u) p(t-u) = e^-t / (pi sqrt(u (t-u))), whose
+    # integral from a to b is e^-t/pi [2 arcsin sqrt(u/t)]_a^b.
+    def arc(t, a, b):
+        return (2 * np.exp(-t) / np.pi
+                * (np.arcsin(np.sqrt(b / t)) - np.arcsin(np.sqrt(a / t))))
+
+    g, t = 0.8, np.array([0.9, 1.2, 1.55])
+    got = gj._inv_pow(GAMMA_HALF, 0.0, g, 2, t)
+    assert got == pytest.approx(arc(t, t - g, g), rel=1e-12)
+    # T2 at K=3, m=2: 6 p(z1) times the c(z1) * e(z1) inverse at z2.
+    for z1, z2 in [(0.5, 1.0), (0.3, 1.6)]:
+        want = 6 * _gamma_half_pdf(z1) * arc(z2, 0.0, min(z1, z2 - z1))
+        assert gj.t2_jpdf(GAMMA_HALF, 3, 2, z1, z2) == pytest.approx(
+            float(want), rel=1e-12)
+
+
+def test_scalar_only_density_is_refused():
+    scalar = CustomDistribution(pdf=lambda x: math.exp(-x),
+                                cdf=lambda x: -math.expm1(-x), mean=1.0,
+                                abscissa=1.0, name="scalar-exp")
+    assert scalar.pdf1(0.5) == math.exp(-0.5)
+    with pytest.raises(DomainError, match="scalar-exp: pdf must map"):
+        gj.t2_jpdf(scalar, 4, 2, 0.5, 1.5)
 
 
 # -- larger K on the generic path --
