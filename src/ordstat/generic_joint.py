@@ -114,34 +114,6 @@ _EPSREL = 1e-11
 _FIRST_NODES = 8
 _MAX_NODES = 64
 _BLOCK = 2 ** 13
-# Half-width of the tanh-sinh rules in their own variable: the outermost
-# nodes sit 6e-38 = exp(-pi*sinh(4)) of a segment from its ends, so the
-# part of an x^(a-1) end singularity that they miss is about (6e-38)^a of
-# the segment's integral, below 1e-12 for a >= 1/3.
-_TANH_SINH_SPAN = 4.0
-
-
-# Rules on [0, 1] as ``(dl, dr, w)``: nodes at distance ``dl`` from the
-# left end and ``dr = 1 - dl`` from the right, both without cancellation.
-# A factor whose argument vanishes at a segment end (the pdf at 0, which
-# may be singular there) is evaluated at that distance, never at the end.
-
-@functools.lru_cache(maxsize=None)
-def _gauss01(n):
-    x, w = reductions._legendre(n)
-    return 0.5 * (1.0 + x), 0.5 * (1.0 - x), 0.5 * w
-
-
-@functools.lru_cache(maxsize=None)
-def _tanh_sinh01(n):
-    """n-node tanh-sinh rule: the trapezoidal rule in tau of
-    x = tanh(pi/2 sinh(tau)).  Its nodes crowd both ends doubly
-    exponentially, so it keeps its pace on integrable end singularities,
-    where a Gauss-Legendre rule converges only algebraically."""
-    tau = np.linspace(-_TANH_SINH_SPAN, _TANH_SINH_SPAN, n)
-    y = 0.5 * np.pi * np.sinh(tau)
-    dl, dr = 1.0 / (1.0 + np.exp(-2.0 * y)), 1.0 / (1.0 + np.exp(2.0 * y))
-    return dl, dr, (tau[1] - tau[0]) * np.pi * np.cosh(tau) * dl * dr
 
 
 def _lattice(lo, hi, n):
@@ -247,8 +219,9 @@ def _inv_prod(dist, a, b, t):
 
     lo, hi = _overlap((la, ha, na), (lb, hb, nb), t)
     return reductions._doubled(
-        on(_gauss01), _FIRST_NODES, lo, hi, _EPSABS, _EPSREL, _MAX_NODES,
-        then=(on(_tanh_sinh01), 2 * _FIRST_NODES, 4 * _MAX_NODES),
+        on(reductions._gauss01), _FIRST_NODES, lo, hi, _EPSABS, _EPSREL,
+        _MAX_NODES,
+        then=(on(reductions._tanh_sinh01), 2 * _FIRST_NODES, 4 * _MAX_NODES),
     ).reshape(zero.shape)
 
 

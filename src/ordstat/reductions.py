@@ -28,7 +28,17 @@ density switches on or an inner limit changes form.  Integrals that hold
 the rank-Ks coordinate fixed (T3's, and the inner ones of T5b and T6) are
 polynomials between knots when the fine density is piecewise polynomial,
 and then take the exact-degree rule alone.  Every other integral compares
-n- and 2n-node rules.  ``_gauss_2d`` is the two-level form of that rule,
+n- and 2n-node rules, per integral.  One that the Gauss-Legendre rules
+leave open at their cap goes on with tanh-sinh rules, whose nodes crowd
+both segment ends: a density singular at 0, like x^(a-1), puts such an
+end on the rule over the rank-Ks value.
+
+``_gauss_knots`` integrates a batch of rows at once, each with its own
+limits and knots.  T5b and T6 integrate two coordinates out: their inner
+integrals, one per node of the outer rule, are the rows of one batch,
+so each rule evaluates the fine density on the nodes of every inner
+segment together, in blocks of about ``_BLOCK`` nodes, and not one small
+inner rule at a time.  ``_gauss_2d`` is the two-level form of the rule,
 for a region without knots whose inner limits move with the outer
 variable; ``apps`` integrates the MS-GSC stage probabilities with it.
 """
@@ -48,7 +58,19 @@ __all__ = ["t3", "t4", "t5", "t6", "t3_support", "t5_support", "t6_support",
 _EPSABS = 1e-9
 _EPSREL = 1e-8
 _SMOOTH_EXTRA = 3  # nodes beyond the exact count, for the smooth factor
-_MAX_NODES = 128   # per knot segment, for integrals that are not exact
+_MAX_NODES = 128   # per knot segment, on Gauss-Legendre rules
+# Integrals still open at _MAX_NODES go on with tanh-sinh rules from
+# _TANH_SINH_FIRST up to 2 * _MAX_NODES nodes per segment.
+_TANH_SINH_FIRST = 16
+# Nodes per call of an integrand.  An exact step sum makes a few
+# (nodes x terms) temporaries, so the peak memory of a batch of inner
+# rules grows with this.
+_BLOCK = 2 ** 10
+# Half-width of the tanh-sinh rules in their own variable: the outermost
+# nodes sit 6e-38 = exp(-pi*sinh(4)) of a segment from its ends, so the
+# part of an x^(a-1) end singularity that they miss is about (6e-38)^a of
+# the segment's integral, below 1e-12 for a >= 1/3.
+_TANH_SINH_SPAN = 4.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,33 +82,124 @@ def _legendre(n):
     return rule
 
 
+# Rules on [0, 1] as ``(dl, dr, w)``: nodes at distance ``dl`` from the
+# left end and ``dr = 1 - dl`` from the right, both without cancellation.
+# ``generic_joint`` evaluates a factor whose argument vanishes at a
+# segment end (a pdf at 0, which may be singular there) at that distance,
+# never at the end.  ``_gauss_knots`` places nodes at ``dl``, so a
+# singular left end, such as a rank-Ks value of 0, is never evaluated.
+
+@functools.lru_cache(maxsize=None)
+def _gauss01(n):
+    x, w = _legendre(n)
+    return 0.5 * (1.0 + x), 0.5 * (1.0 - x), 0.5 * w
+
+
+@functools.lru_cache(maxsize=None)
+def _tanh_sinh01(n):
+    """n-node tanh-sinh rule: the trapezoidal rule in tau of
+    x = tanh(pi/2 sinh(tau)).  Its nodes crowd both ends doubly
+    exponentially, so it keeps its pace on integrable end singularities,
+    where a Gauss-Legendre rule converges only algebraically."""
+    tau = np.linspace(-_TANH_SINH_SPAN, _TANH_SINH_SPAN, n)
+    y = 0.5 * np.pi * np.sinh(tau)
+    dl, dr = 1.0 / (1.0 + np.exp(-2.0 * y)), 1.0 / (1.0 + np.exp(2.0 * y))
+    return dl, dr, (tau[1] - tau[0]) * np.pi * np.cosh(tau) * dl * dr
+
+
+def _tanh_sinh(n):
+    # ``_tanh_sinh01`` as nodes and weights on [0, 1].
+    dl, _, w = _tanh_sinh01(n)
+    return dl, w
+
+
 def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
-    """Integral of ``f`` over ``[lo, hi]``, Gauss-Legendre on each knot segment.
+    """Integrals of ``f`` over ``[lo, hi]``, Gauss-Legendre on knot segments.
 
-    ``f`` maps an array of nodes to an array of values; it is called once
-    per rule, on the nodes of all segments together.  Between knots the
-    integrand is a polynomial of degree ``deg`` (``exact``), or such a
-    polynomial times a smooth factor.  The ``deg // 2 + 1``-node rule
-    integrates the polynomial exactly, so an exact integral takes that rule
-    alone.  Otherwise the rule starts ``_SMOOTH_EXTRA`` nodes higher and
-    doubles as ``_doubled`` says, at ``_EPSABS``/``_EPSREL``.
+    Scalar limits give one integral and return a float, with ``knots`` a
+    sequence of points.  Array limits give one integral per row and return
+    an array, with ``knots`` a ``(rows, k)`` array.  Each row's knots are
+    clipped into its interval and sorted; empty segments (and rows with
+    ``hi <= lo``) get no nodes.  ``f(x, row)`` maps a flat array of nodes,
+    and the row of each (the int 0 for scalar limits), to an array of
+    values.  Each rule calls it on the nodes of all open rows together, in
+    blocks of whole segments and at most ``_BLOCK`` nodes.
+
+    Between knots the integrand is a polynomial of degree ``deg``
+    (``exact``), or such a polynomial times a smooth factor.  The
+    ``deg // 2 + 1``-node rule integrates the polynomial exactly, so exact
+    rows take that rule alone.  Otherwise the rule starts ``_SMOOTH_EXTRA``
+    nodes higher and doubles per row as ``_doubled`` says, at
+    ``_EPSABS``/``_EPSREL``; rows still open at ``_MAX_NODES`` go on with
+    tanh-sinh rules, which converge at an integrable end singularity.
     """
-    if not hi > lo:
-        return 0.0
-    edges = np.array([lo, *sorted({float(p) for p in knots if lo < p < hi}),
-                      hi])
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])
+    if not (isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)):
+        if not hi > lo:
+            return 0.0
+        # One row: the knots inside, in order, without numpy's row
+        # bookkeeping, which would cost more than a short rule.
+        edges = np.array([lo, *sorted({float(p) for p in knots
+                                       if lo < p < hi}), hi])
+        left, right = edges[:-1, None], edges[1:, None]
+        row, col, rows = 0, None, 1
+        lo, hi = [lo], [hi]
+    else:
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        hi = np.maximum(hi, lo)
+        knots = np.asarray(knots, dtype=float).reshape(lo.size, -1)
+        edges = np.column_stack(
+            [lo, np.clip(knots, lo[:, None], hi[:, None]), hi])
+        edges.sort(axis=1)
+        row, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
+        left, right = edges[row, col, None], edges[row, col + 1, None]
+        rows, cols = lo.size, edges.shape[1] - 1
+    # Segment ends, as column vectors, one entry per segment.
+    width = right - left
+    mid, half = 0.5 * (right + left), 0.5 * width
 
-    def rule(n, todo=None):
-        x, w = _legendre(n)
-        vals = f((mid + half[:, None] * x).ravel()).reshape(-1, n)
-        return (vals @ w * half)[None]
+    def on(table, base, scale):
+        # The rule of ``table(n) = (t, w)``, with nodes base + scale * t.
+        def block(b, s, r, t, w):
+            vals = f((b + s * t).ravel(),
+                     r if col is None else np.repeat(r, t.size))
+            return vals.reshape(s.size, -1) @ w * s[:, 0]
 
-    n = deg // 2 + 1 + (0 if exact else _SMOOTH_EXTRA)
+        def rule(n, todo):
+            t, w = table(n)
+            b, s, r, c, at = base, scale, row, col, row
+            if len(todo) < rows:
+                # The segments of the open rows, and the place in todo of
+                # each one's row.
+                at = np.full(rows, -1)
+                at[todo] = np.arange(todo.size)
+                at = at[row]
+                seg = np.flatnonzero(at >= 0)
+                b, s, r, c, at = b[seg], s[seg], r[seg], c[seg], at[seg]
+            if s.size * n <= _BLOCK:
+                est = block(b, s, r, t, w) if s.size else s[:, 0]
+            else:
+                k = _BLOCK // n
+                est = np.concatenate([
+                    block(b[i:i + k], s[i:i + k],
+                          r if col is None else r[i:i + k], t, w)
+                    for i in range(0, s.size, k)])
+            if col is None:
+                return est[None]    # the one row's segments, in order
+            out = np.zeros((len(todo), cols))
+            out[at, c] = est
+            return out
+        return rule
+
+    gauss = on(_legendre, mid, half)
+    n = deg // 2 + 1
     if exact:
-        return float(rule(n).sum())
-    return float(_doubled(rule, n, [lo], [hi], _EPSABS, _EPSREL)[0])
+        est = gauss(n, range(rows))
+        return float(est.sum()) if col is None else est.sum(axis=1)
+    total = _doubled(gauss, n + _SMOOTH_EXTRA, lo, hi, _EPSABS, _EPSREL,
+                     then=(on(_tanh_sinh, left, width), _TANH_SINH_FIRST,
+                           2 * _MAX_NODES))
+    return float(total[0]) if col is None else total
 
 
 def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
@@ -183,11 +296,6 @@ def _doubling(rule, n, size, epsabs, epsrel, cap):
         todo, est = todo[open_], est[open_]
 
 
-def _pointwise(f):
-    """Node-array adapter for a scalar integrand, such as an inner integral."""
-    return lambda zs: np.array([f(z) for z in zs.tolist()])
-
-
 # -- T3: (sum of ranks 1..m, sum of ranks m+1..K), all K --
 
 
@@ -204,7 +312,7 @@ def t3(fine, K, m, z1, z2):
     if not t3_support(K, m, z1, z2):
         return 0.0
     knots = [z2 / j for j in range(1, K - m + 1)]
-    return _gauss_knots(lambda g: fine.values(z1, g, z2), z2 / (K - m),
+    return _gauss_knots(lambda g, _: fine.values(z1, g, z2), z2 / (K - m),
                         z1 / m, knots, deg=K - 3,
                         exact=fine.piecewise_polynomial)
 
@@ -218,7 +326,7 @@ def t4(fine, Ks, x):
     With ``Ks == 1`` the sum is the largest variable, whose density each
     path evaluates directly.
     """
-    return _gauss_knots(lambda v: fine.values(v, x - v), 0.0, x / Ks,
+    return _gauss_knots(lambda v, _: fine.values(v, x - v), 0.0, x / Ks,
                         deg=Ks - 2, exact=False)
 
 
@@ -286,13 +394,13 @@ def _t5a(fine, Ks, x, y, order):
         hi = y / (Ks - 1)
         knots = [(y - j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
         knots.append(x)
-        return _gauss_knots(lambda z4: fine.values(x, y - z4, z4), lo, hi,
+        return _gauss_knots(lambda z4, _: fine.values(x, y - z4, z4), lo, hi,
                             knots, deg=Ks - 3, exact=False)
     lo = max((Ks - 2) * y / (Ks - 1), y - x)
     hi = min((Ks - 2) * x, y)
     knots = [((Ks - 2 - j) * y + j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
     knots.append(y - x)
-    return _gauss_knots(lambda z3: fine.values(x, z3, y - z3), lo, hi,
+    return _gauss_knots(lambda z3, _: fine.values(x, z3, y - z3), lo, hi,
                         knots, deg=Ks - 3, exact=False)
 
 
@@ -300,10 +408,10 @@ def _t5c(fine, Ks, x, y, order):
     # Fine coordinates (head sum z1, rank Ks-1 = x, rank Ks z4), z1 + z4 = y.
     if order in (0, 1):
         hi = min(x, y - (Ks - 2) * x)
-        return _gauss_knots(lambda z4: fine.values(y - z4, x, z4), 0.0, hi,
+        return _gauss_knots(lambda z4, _: fine.values(y - z4, x, z4), 0.0, hi,
                             deg=Ks - 3, exact=False)
     lo = max((Ks - 2) * x, y - x)
-    return _gauss_knots(lambda z1: fine.values(z1, x, y - z1), lo, y,
+    return _gauss_knots(lambda z1, _: fine.values(z1, x, y - z1), lo, y,
                         deg=Ks - 3, exact=False)
 
 
@@ -315,25 +423,28 @@ def _t5b(fine, Ks, m, x, y, order):
     outer_knots = [(y - (m + j - 1) * x) / (nm - j) for j in range(1, nm)]
     outer_knots.append(y - (Ks - 2) * x)
     exact = fine.piecewise_polynomial
+    j = np.arange(1, nm)
+    # Each inner integral takes the outer nodes as rows, z4 = z4s[row].
     if order in (0, 1):
-        def inner(z4):
+        def inner(z4s, _):
             # Below y - z4 - (nm-1)*x the mid-sum exceeds its support and
             # the step sum is cancellation noise around zero; stop the
             # integral at the true edge.
-            lo1 = max((m - 1) * x, y - z4 - (nm - 1) * x)
-            hi1 = y - nm * z4
-            knots = [y - (nm - j) * z4 - j * x for j in range(1, nm)]
-            return _gauss_knots(lambda z1: fine.values(z1, x, y - z1 - z4, z4),
-                                lo1, hi1, knots, deg=Ks - 4, exact=exact)
+            lo1 = np.maximum((m - 1) * x, y - z4s - (nm - 1) * x)
+            hi1 = y - nm * z4s
+            knots = y - np.multiply.outer(z4s, nm - j) - j * x
+            return _gauss_knots(
+                lambda z1, r: fine.values(z1, x, y - z1 - z4s[r], z4s[r]),
+                lo1, hi1, knots, deg=Ks - 4, exact=exact)
     else:
-        def inner(z4):
-            lo3 = (nm - 1) * z4
-            hi3 = min((nm - 1) * x, y - z4 - (m - 1) * x)
-            knots = [(nm - 1 - j) * z4 + j * x for j in range(1, nm)]
-            return _gauss_knots(lambda z3: fine.values(y - z3 - z4, x, z3, z4),
-                                lo3, hi3, knots, deg=Ks - 4, exact=exact)
-    return _gauss_knots(_pointwise(inner), 0.0, hi4, outer_knots,
-                        deg=Ks - 3, exact=False)
+        def inner(z4s, _):
+            lo3 = (nm - 1) * z4s
+            hi3 = np.minimum((nm - 1) * x, y - z4s - (m - 1) * x)
+            knots = np.multiply.outer(z4s, nm - 1 - j) + j * x
+            return _gauss_knots(
+                lambda z3, r: fine.values(y - z3 - z4s[r], x, z3, z4s[r]),
+                lo3, hi3, knots, deg=Ks - 4, exact=exact)
+    return _gauss_knots(inner, 0.0, hi4, outer_knots, deg=Ks - 3, exact=False)
 
 
 # -- T6: (sum of ranks 1..m, sum of ranks m+1..Ks), best Ks --
@@ -369,14 +480,17 @@ def t6(fine, Ks, m, x, y):
     hi2 = x / m
     outer_knots = [(y - j * x / m) / (nt - j) for j in range(1, nt)]
     exact = fine.piecewise_polynomial
+    j = np.arange(1, nt)
 
-    def inner(z4):
-        # Below (y - z4) / (nt - 1) the mid-sum exceeds its support and
-        # the step sum is cancellation noise around zero.
-        lo2 = (y - z4) / (nt - 1)
-        knots = [(y - (nt - j) * z4) / j for j in range(1, nt)]
-        return _gauss_knots(lambda z2: fine.values(x - z2, z2, y - z4, z4),
-                            lo2, hi2, knots, deg=Ks - 4, exact=exact)
+    def inner(z4s, _):
+        # One row per outer node.  Below (y - z4) / (nt - 1) the mid-sum
+        # exceeds its support and the step sum is cancellation noise
+        # around zero.
+        lo2 = (y - z4s) / (nt - 1)
+        knots = (y - np.multiply.outer(z4s, nt - j)) / j
+        return _gauss_knots(
+            lambda z2, r: fine.values(x - z2, z2, y - z4s[r], z4s[r]),
+            lo2, hi2, knots, deg=Ks - 4, exact=exact)
 
-    return _gauss_knots(_pointwise(inner), lo4, hi4, outer_knots,
-                        deg=Ks - 3, exact=False)
+    return _gauss_knots(inner, lo4, hi4, outer_knots, deg=Ks - 3,
+                        exact=False)

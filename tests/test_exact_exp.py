@@ -1,5 +1,6 @@
 """Closed-form exponential densities: normalization, marginals, invariances."""
 
+import functools
 import math
 import warnings
 
@@ -228,9 +229,9 @@ def _mp_steps(n, power, u, thresholds):
                        for j, t in enumerate(thresholds) if u >= t)
 
 
-def _mp_quad(f, lo, hi, knots=()):
+def _mp_quad(f, lo, hi, knots=(), method="tanh-sinh"):
     pts = sorted({lo, hi, *(p for p in knots if lo < p < hi)})
-    return mpmath.quad(f, pts) if hi > lo else mpmath.mpf(0)
+    return mpmath.quad(f, pts, method=method) if hi > lo else mpmath.mpf(0)
 
 
 def _mp_fact(*ns):
@@ -310,6 +311,86 @@ def test_reductions_match_arbitrary_precision(K):
             assert jd(x, y) == pytest.approx(want, rel=1e-8)
 
 
+def _mp_head_mid_last(K, Ks, m):
+    # FineHeadMidLast at rate 1: (head sum z1, rank m z2, mid sum z3,
+    # rank Ks z4), with the Ks-m-1 mid ranks between z4 and z2.
+    nmid = Ks - m - 1
+    kf, *den = _mp_fact(K, K - Ks, m - 1, nmid, m - 2, nmid - 1)
+    pref = kf / math.prod(den)
+
+    def f(z1, z2, z3, z4):
+        thr = [(nmid - j) * z4 + j * z2 for j in range(nmid + 1)]
+        return (pref * (1 - mpmath.exp(-z4)) ** (K - Ks)
+                * (z1 - (m - 1) * z2) ** (m - 2)
+                * mpmath.exp(-(z1 + z2 + z3 + z4))
+                * _mp_steps(nmid, nmid - 1, z3, thr))
+
+    return f
+
+
+def _mp_nested(fine, outer, inner):
+    # Gauss-Legendre at every level: between knots the inner integrands
+    # are polynomials times exp, and mpmath's degree doubling stops at
+    # the working precision.
+    def quad(f, lims):
+        return _mp_quad(f, *lims, method="gauss-legendre")
+
+    return quad(lambda z4: quad(lambda u: fine(u, z4), inner(z4)), outer)
+
+
+def _mp_best_ks_rank_vs_rest(K, Ks, m, x, y):
+    # Case b: z1 and z4 integrated out, z3 = y - z1 - z4.
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+    f, nm = _mp_head_mid_last(K, Ks, m), Ks - m
+    outer = (mpmath.mpf(0), min(x, (y - (m - 1) * x) / nm),
+             [(y - (m + j - 1) * x) / (nm - j) for j in range(1, nm)]
+             + [y - (Ks - 2) * x])
+
+    def inner(z4):
+        return (max((m - 1) * x, y - z4 - (nm - 1) * x), y - nm * z4,
+                [y - (nm - j) * z4 - j * x for j in range(1, nm)])
+
+    return _mp_nested(lambda z1, z4: f(z1, x, y - z1 - z4, z4), outer, inner)
+
+
+def _mp_best_ks_head_tail(K, Ks, m, x, y):
+    # z2 and z4 integrated out, z1 = x - z2 and z3 = y - z4.
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+    f, nt = _mp_head_mid_last(K, Ks, m), Ks - m
+    outer = (max(mpmath.mpf(0), y - (nt - 1) * x / m), y / nt,
+             [(y - j * x / m) / (nt - j) for j in range(1, nt)])
+
+    def inner(z4):
+        return ((y - z4) / (nt - 1), x / m,
+                [(y - (nt - j) * z4) / j for j in range(1, nt)])
+
+    return _mp_nested(lambda z2, z4: f(x - z2, z2, y - z4, z4), outer, inner)
+
+
+def test_nested_reductions_match_arbitrary_precision():
+    # T5b and T6 integrate two coordinates out, the inner rule batched
+    # over the outer nodes; 20-digit nested quadrature over the same fine
+    # density as reference.
+    K, Ks = 8, 6
+    cases = []
+    for m in (2, 3):
+        rest = [i for i in range(1, Ks + 1) if i != m]
+        for pt in _typical(K, [m], rest):
+            cases.append((exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, m, GB), pt,
+                          functools.partial(_mp_best_ks_rank_vs_rest,
+                                            K, Ks, m)))
+    for m in (2, 3, 4):
+        for pt in _typical(K, range(1, m + 1), range(m + 1, Ks + 1)):
+            cases.append((exact_exp.jpdf_headsum_vs_tailsum_bestKs(
+                K, Ks, m, GB), pt,
+                functools.partial(_mp_best_ks_head_tail, K, Ks, m)))
+    with mpmath.workdps(20):
+        for jd, (x, y), ref in cases:
+            want = float(ref(x, y))
+            assert want >= 1e-3
+            assert jd(x, y) == pytest.approx(want, rel=1e-10)
+
+
 def _y_integral(jd, x, lo, hi, knots):
     val, _ = integrate.quad(lambda y: jd(x, y), lo, hi,
                             points=[p for p in knots if lo < p < hi],
@@ -344,7 +425,7 @@ def test_best_ks_head_tail_marginal_k10(m):
 
 def test_gauss_rule_exact_on_polynomials():
     # Degree 9 between knots: the 5-node rule per segment is exact.
-    f = lambda x: np.where(x < 0.3, x ** 9, 2.0 * x ** 9 - x ** 4)
+    f = lambda x, _: np.where(x < 0.3, x ** 9, 2.0 * x ** 9 - x ** 4)
     want = 0.3 ** 10 / 10 + 2 * (1 - 0.3 ** 10) / 10 - (1 - 0.3 ** 5) / 5
     got = reductions._gauss_knots(f, 0.0, 1.0, [0.3], deg=9)
     assert got == pytest.approx(want, rel=1e-14)
@@ -354,7 +435,7 @@ def test_gauss_rule_exact_on_polynomials():
 def test_gauss_rule_converges_on_smooth_factor():
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
-        got = reductions._gauss_knots(lambda x: x ** 6 * np.exp(-3.0 * x),
+        got = reductions._gauss_knots(lambda x, _: x ** 6 * np.exp(-3.0 * x),
                                       0.0, 2.5, [1.0], deg=6, exact=False)
     want, _ = integrate.quad(lambda x: x ** 6 * math.exp(-3.0 * x), 0.0, 2.5,
                              epsabs=0.0, epsrel=1e-13)
@@ -363,6 +444,6 @@ def test_gauss_rule_converges_on_smooth_factor():
 
 def test_gauss_rule_warns_at_its_cap():
     with pytest.warns(integrate.IntegrationWarning, match="did not converge"):
-        val = reductions._gauss_knots(lambda x: np.abs(np.sin(200.0 * x)),
+        val = reductions._gauss_knots(lambda x, _: np.abs(np.sin(200.0 * x)),
                                       0.0, 1.0, deg=0, exact=False)
     assert val == pytest.approx(2.0 / math.pi, abs=1e-2)

@@ -315,6 +315,17 @@ def test_singular_density_square_and_t2():
             float(want), rel=1e-12)
 
 
+def test_reductions_of_singular_density():
+    # With Ks = K the sum of the best Ks is the sum of all: Gamma(K/2).
+    # pdf(v) ~ v^(-1/2) at the end v = 0 of the rule over the rank-Ks
+    # value, where a Gauss-Legendre rule stops at its cap; the tanh-sinh
+    # stage converges there.  Warnings are not filtered: the kernel-power
+    # inverses at outer nodes within about 1e-13 of 0 still warn.
+    for K, x in [(3, 1.0), (3, 2.5), (4, 1.7)]:
+        assert gj.t4_pdf(GAMMA_HALF, K, K, x) == pytest.approx(
+            _gamma_pdf(K / 2, x), rel=1e-12)
+
+
 def test_scalar_only_density_is_refused():
     scalar = CustomDistribution(pdf=lambda x: math.exp(-x),
                                 cdf=lambda x: -math.expm1(-x), mean=1.0,
