@@ -6,20 +6,25 @@ Callers pass terms sorted by ascending ``|coeff|``; accumulation uses
 Neumaier compensation so that the alternating sums produced by binomial
 expansions lose as little as possible.
 
-Both functions take either form of ``z``:
+``poly_exp_eval`` takes either form of ``z``:
 
-* a scalar ``z`` with thresholds of shape ``(T,)``: a pure Python loop over
-  the terms.  Single points (``verify`` integrates densities point by point
-  with adaptive quadrature) are cheaper this way than through numpy.
+* a float ``z`` with thresholds of shape ``(T,)``: a pure Python loop over
+  the terms.  It is kept for the exact T2 density at single points, whose
+  outputs follow libm's ``pow`` rounding: numpy's ``power`` rounds some
+  terms differently by an ulp, and at K=30 the cancellation of the
+  alternating sum turns such an ulp into a relative change of the density
+  of several 1e-9.
 * a node array ``z`` of shape ``(N,)``, or thresholds of shape ``(N, T)``
   (one row per node): the same summation, in the same term order, as numpy
   operations over a terms-by-nodes array.  The running sums are a
   cumulative sum along the terms, and each compensation term comes from
   the branch-free two-sum against the previous running sum, which yields
   the same exact rounding error as the scalar loop's Neumaier branch.
-  numpy's ``power`` may round a term differently from libm's ``pow`` by an
-  ulp, so node values agree with the scalar loop to within a few ulps of the
-  sum of |term|.
+  Node values agree with the scalar loop to within a few ulps of the sum
+  of |term|.
+
+``poly_exp_eval_scale`` takes the node form only; a float ``z`` with
+thresholds ``(T,)`` is one node.
 """
 
 import numpy as np
@@ -47,39 +52,24 @@ def poly_exp_eval(coeff, threshold, power, z):
 
 
 def poly_exp_eval_scale(coeff, threshold, power, z):
-    """Like :func:`poly_exp_eval` but also return the sum of |term|.
+    """Like :func:`poly_exp_eval` on nodes, and also the sum of |term|.
 
     The second value bounds the roundoff scale of the cancellation, which
     is what nonnegativity of a density can honestly be measured against.
     """
-    if not (isinstance(z, float) and threshold.ndim == 1):
-        return _nodes(coeff, threshold, power, z, True)
-    s = 0.0
-    c = 0.0
-    mag = 0.0
-    for i in range(len(coeff)):
-        if z < threshold[i]:
-            continue
-        x = coeff[i] * (z - threshold[i]) ** power[i]
-        mag += abs(x)
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s + c, mag
+    return _nodes(coeff, threshold, power, z, True)
 
 
 def _nodes(coeff, threshold, power, z, scale):
     z = np.asarray(z, dtype=float)
     thr = np.asarray(threshold, dtype=float)
-    # Terms along the first axis, nodes along the second.
-    d = z - (thr.T if thr.ndim == 2 else thr[:, None])
+    # Terms along the first axis, nodes (if any) along the others.
+    d = z - (thr.T if thr.ndim == 2 else thr.reshape(-1, *(1,) * z.ndim))
+    col = (-1,) + (1,) * (d.ndim - 1)
     live = d >= 0.0
     np.maximum(d, 0.0, out=d)
-    x = np.power(d, power[:, None], out=d)
-    x *= coeff[:, None]
+    x = np.power(d, power.reshape(col), out=d)
+    x *= coeff.reshape(col)
     x *= live
     mag = np.abs(x).sum(axis=0) if scale else None
     # Running sums in term order, then the exact rounding error of each

@@ -54,15 +54,13 @@ _EPSREL = 1e-9
 class MsGscConfig:
     """Combiner setup: L branches, threshold gamma_T, mean branch value.
 
-    ``m`` selects a stage for :func:`msgsc_stage_probability` and is
-    ignored by the output-CDF assembly; ``below_threshold`` picks the
-    all-branches-short convention described in the module docstring.
+    ``below_threshold`` picks the all-branches-short convention described
+    in the module docstring.
     """
 
     L: int
     gamma_T: float
     gamma_bar: float
-    m: int = None
     below_threshold: str = "sum"
 
     def __post_init__(self):
@@ -72,8 +70,6 @@ class MsGscConfig:
             raise DomainError("need a finite gamma_T > 0")
         if not (math.isfinite(self.gamma_bar) and self.gamma_bar > 0):
             raise DomainError("need a finite gamma_bar > 0")
-        if self.m is not None and not 1 <= self.m <= self.L:
-            raise DomainError("need 1 <= m <= L")
         if self.below_threshold not in ("sum", "outage"):
             raise DomainError("below_threshold must be 'sum' or 'outage'")
 
@@ -84,15 +80,12 @@ def _cdf_max(cfg, x):
     return (-math.expm1(-x / cfg.gamma_bar)) ** cfg.L
 
 
-def msgsc_stage_probability(cfg, x, m=None):
+def msgsc_stage_probability(cfg, x, m):
     """P(best m-1 sum < gamma_T and gamma_T <= best m sum < x).
 
     The stage-m event: the combiner stops after adding its m-th branch
     and the output lands below x.
     """
-    m = cfg.m if m is None else m
-    if m is None:
-        raise DomainError("stage probability needs m (in cfg or argument)")
     if not 1 <= m <= cfg.L:
         raise DomainError("need 1 <= m <= L")
     gt = cfg.gamma_T

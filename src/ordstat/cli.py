@@ -246,14 +246,15 @@ def _cmd_sample(args, argv):
     return EXIT_OK
 
 
-def _positive_int(text):
+def _digits(text):
+    # The range that the numeric inversion accepts.
     try:
         n = int(text)
     except ValueError:
         n = 0
-    if n < 1:
+    if not 4 <= n <= 12:
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
+            f"expected an integer in [4, 12], got {text!r}")
     return n
 
 
@@ -271,9 +272,9 @@ def _add_shape_flags(p):
     p.add_argument("--method", choices=("auto", "exact", "generic"),
                    default="auto",
                    help="evaluation path (auto: exact for exponential)")
-    p.add_argument("--digits", type=_positive_int, default=8,
-                   help="accuracy target of the generic T1 inversion "
-                        "(default 8)")
+    p.add_argument("--digits", type=_digits, default=8,
+                   help="accuracy target of the generic T1 inversion, "
+                        "4 to 12 (default 8)")
 
 
 def _build_parser():

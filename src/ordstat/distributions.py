@@ -26,11 +26,17 @@ from ordstat.errors import DivergentIntegralError, DomainError
 
 __all__ = ["Distribution", "Exponential", "HalfNormal", "CustomDistribution"]
 
-_SQRT2 = math.sqrt(2.0)
-
 # Adaptive quadrature targets for the generic kernel path.
 _QUAD_ABS = 1e-10
 _QUAD_REL = 1e-8
+
+
+def _positive(name, value):
+    """``value`` as a float, which must be positive and finite."""
+    v = float(value)
+    if not (v > 0.0 and math.isfinite(v)):
+        raise DomainError(f"{name} must be positive and finite, not {value!r}")
+    return v
 
 
 def _is_complex(lam):
@@ -65,9 +71,9 @@ class Distribution:
     def cdf(self, x):
         raise NotImplementedError
 
-    # Scalar fast paths: quadrature and inversion loops evaluate the
-    # density millions of times at single points, where the vectorized
-    # entry points pay an order of magnitude in numpy dispatch.
+    # Single-point forms, for the few scalar callers left: the adaptive
+    # quadrature of ``_quad_kernel`` and single points of the generic path.
+    # Everything else evaluates node arrays through ``pdf`` and ``cdf``.
 
     def pdf1(self, x):
         return float(self.pdf(x))
@@ -170,9 +176,7 @@ class Exponential(Distribution):
     """Exponential with mean ``gamma_bar`` (rate ``1/gamma_bar``)."""
 
     def __init__(self, gamma_bar):
-        if gamma_bar <= 0:
-            raise DomainError("gamma_bar must be positive")
-        self.gamma_bar = float(gamma_bar)
+        self.gamma_bar = _positive("gamma_bar", gamma_bar)
         self.rate = 1.0 / self.gamma_bar
         self.mean = self.gamma_bar
         self.abscissa = self.rate
@@ -187,12 +191,6 @@ class Exponential(Distribution):
         x = np.asarray(x, dtype=float)
         out = np.where(x >= 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
         return out if out.ndim else float(out)
-
-    def pdf1(self, x):
-        return self.rate * math.exp(-self.rate * x) if x >= 0 else 0.0
-
-    def cdf1(self, x):
-        return -math.expm1(-self.rate * x) if x >= 0 else 0.0
 
     def sample(self, rng, size):
         # Inverse CDF on u uniform in (0, 1].
@@ -281,13 +279,10 @@ class HalfNormal(Distribution):
     """|N(0, sigma^2)|; the MGF is entire so every kernel converges."""
 
     def __init__(self, sigma):
-        if sigma <= 0:
-            raise DomainError("sigma must be positive")
-        self.sigma = float(sigma)
+        self.sigma = _positive("sigma", sigma)
         self.mean = self.sigma * math.sqrt(2.0 / math.pi)
         self.abscissa = math.inf
         self.name = f"halfnormal(sigma={self.sigma:g})"
-        self._pdf_norm = math.sqrt(2.0 / math.pi) / self.sigma
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -301,15 +296,6 @@ class HalfNormal(Distribution):
         x = np.asarray(x, dtype=float)
         out = np.where(x >= 0, special.erf(np.maximum(x, 0.0) / (self.sigma * math.sqrt(2))), 0.0)
         return out if out.ndim else float(out)
-
-    def pdf1(self, x):
-        if x < 0:
-            return 0.0
-        u = x / self.sigma
-        return self._pdf_norm * math.exp(-0.5 * u * u)
-
-    def cdf1(self, x):
-        return math.erf(x / (self.sigma * _SQRT2)) if x >= 0 else 0.0
 
     def sample(self, rng, size):
         return self.sigma * np.abs(rng.standard_normal(size))
@@ -398,7 +384,7 @@ class CustomDistribution(Distribution):
                  sampler=None, name="custom"):
         self._pdf = pdf
         self._cdf = cdf
-        self.mean = float(mean)
+        self.mean = _positive("mean", mean)
         self.abscissa = float(abscissa)
         self.support_upper = float(support_upper)
         self._sampler = sampler

@@ -15,17 +15,23 @@ there, and what is left is a step sum times a power of a head sum.  So the
 inner integrals of T3, T5b and T6 take exact-degree Gauss-Legendre rules,
 and only the integrals over the rank-Ks value, which carry the factor
 ``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, compare n and 2n
-nodes.  ``values`` evaluates a fine density at all of a rule's nodes in one
-batched step-sum call, and the scalar ``__call__`` of every fine density
-goes through it; no fine density has a separate scalar form.
+nodes.
+
+Each density has one evaluation form.  The fine densities and the T1,
+T2 and T4 densities have ``values``, one formula over coordinate arrays
+that broadcast (T4 takes an array of x as the rows of one rule), and
+``__call__``, defined once on ``_Density``, evaluates it at one point.
+The reduced T3, T5 and T6 densities integrate at a single point and have
+``__call__`` alone.  At one point T2 sums its step sum in ``_backend``'s
+scalar loop, so that its outputs keep libm's ``pow`` rounding.
 
 Binomial coefficients are assembled exactly (they are integers well inside
 double precision for the supported ``K``) and the alternating pieces are
 accumulated by compensated summation, smallest first; the headline sums
-still cancel heavily near support edges.  ``OneVsRestAllK`` alone exposes
-``eval_with_scale``, which also returns the magnitude scale the roundoff
-should be measured against.  ``K`` is capped at 30: beyond that the
-binomial terms overwhelm double precision regardless of summation order.
+still cancel heavily near support edges.  ``OneVsRestAllK.values`` can
+also return the magnitude scale the roundoff should be measured against.
+``K`` is capped at 30: beyond that the binomial terms overwhelm double
+precision regardless of summation order.
 
 Naming: "one vs rest" is the pair (rank-m variable, sum of the other
 selected ones); "headsum vs tailsum" is (sum of the m largest, sum of the
@@ -88,13 +94,18 @@ def _pref(*, num, den, rate, rate_pow):
 
 
 class _Density:
-    """Vector-argument adapter shared by the density classes.
+    """Shared call forms of the density classes.
 
-    Scalar-argument ``__call__``/``support`` do the real work; ``evaluate``
+    A class with ``values`` evaluates coordinate arrays (or scalars) that
+    broadcast, and ``__call__`` is its single-point form; the reduced
+    densities (T3, T5, T6) define ``__call__`` alone.  ``evaluate``
     accepts one coordinate vector of length ``dim``.
     """
 
     path = "exact"
+
+    def __call__(self, *z):
+        return self.values(*z).item()
 
     def evaluate(self, z):
         return self(*z)
@@ -119,23 +130,19 @@ class _StepSum:
         self._coeff = np.ascontiguousarray(c[self._order])
         self._power = np.full(c.size, float(power))
 
-    def value(self, u, thresholds):
-        thr = np.ascontiguousarray(np.asarray(thresholds, dtype=float)[self._order])
-        return _backend.poly_exp_eval(self._coeff, thr, self._power, float(u))
+    def values(self, u, thresholds, scale=False):
+        """The sum at ``u``, one value or one per node, with thresholds
+        ``(N, T)`` (a row per node) or ``(T,)``.
 
-    def values(self, u, thresholds):
-        """``value`` at many nodes: thresholds ``(N, T)`` or ``(T,)``.
-
-        ``u`` is one value or one per node.
+        One ``u`` with one row takes ``_backend``'s scalar loop.  With
+        ``scale`` the sum of |term| comes second, from the node form.
         """
         thr = np.asarray(thresholds, dtype=float)[..., self._order]
-        return _backend.poly_exp_eval(self._coeff, thr, self._power,
-                                      np.asarray(u, dtype=float))
-
-    def value_with_scale(self, u, thresholds):
-        thr = np.ascontiguousarray(np.asarray(thresholds, dtype=float)[self._order])
-        return _backend.poly_exp_eval_scale(self._coeff, thr, self._power,
-                                            float(u))
+        u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
+        if scale:
+            return _backend.poly_exp_eval_scale(self._coeff, thr,
+                                                self._power, u)
+        return _backend.poly_exp_eval(self._coeff, thr, self._power, u)
 
 
 def _alt_binom(n):
@@ -158,10 +165,12 @@ class ErlangSum(_Density):
     def support(self, x):
         return x >= 0
 
-    def __call__(self, x):
-        if x < 0:
-            return 0.0
-        return self._norm * x ** (self.K - 1) * math.exp(-self.rate * x)
+    def values(self, x):
+        """Density over an array (or scalar) of x."""
+        x = np.asarray(x, dtype=float)
+        x0 = np.maximum(x, 0.0)
+        out = self._norm * x0 ** (self.K - 1) * np.exp(-self.rate * x0)
+        return np.where(self.support(x), out, 0.0)
 
     def cdf(self, x):
         if x <= 0:
@@ -192,25 +201,27 @@ class OneVsRestAllK(_Density):
         self._pref = _pref(num=(K,), den=(K - m, m - 1, K - 2), rate=a, rate_pow=K)
 
     def support(self, z1, z2):
-        if z1 < 0 or z2 < 0:
-            return False
+        """Also over arrays that broadcast."""
         if self.m == 1:
-            return z2 <= (self.K - 1) * z1
-        return z2 >= (self.m - 1) * z1
+            edge = z2 <= (self.K - 1) * z1
+        else:
+            edge = z2 >= (self.m - 1) * z1
+        return (z1 >= 0) & (z2 >= 0) & edge
 
-    def __call__(self, z1, z2):
-        if not self.support(z1, z2):
-            return 0.0
-        s = self._steps.value(z2, self._slopes * z1)
-        return self._pref * math.exp(-self.rate * (z1 + z2)) * s
+    def values(self, z1, z2, scale=False):
+        """Density over coordinate arrays (or scalars) that broadcast.
 
-    def eval_with_scale(self, z1, z2):
-        """(density, cancellation scale); roundoff lives at scale * eps."""
-        if not self.support(z1, z2):
-            return 0.0, 0.0
-        s, mag = self._steps.value_with_scale(z2, self._slopes * z1)
-        damp = self._pref * math.exp(-self.rate * (z1 + z2))
-        return damp * s, damp * mag
+        A single point sums its step sum in ``_backend``'s scalar loop.
+        With ``scale`` the cancellation scale comes second (node form):
+        the roundoff of the density lives at scale * eps.
+        """
+        z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
+        s = self._steps.values(z2, np.multiply.outer(z1, self._slopes),
+                               scale)
+        # Off the support the exponent is -inf: no overflow, and 0 there.
+        total = np.where(self.support(z1, z2), z1 + z2, np.inf)
+        damp = self._pref * np.exp(-self.rate * total)
+        return (damp * s[0], damp * s[1]) if scale else damp * s
 
 
 def jpdf_one_vs_rest_allK(K, m, gamma_bar):
@@ -270,13 +281,17 @@ class GscSum(_Density):
     def support(self, x):
         return x >= 0
 
-    def __call__(self, x):
-        if x < 0:
-            return 0.0
+    def values(self, x):
+        """Density over an array (or scalar) of x; an array takes one
+        ``reductions.t4`` rule with a row per value."""
         a, K, Ks = self.rate, self.K, self.Ks
+        x = np.asarray(x, dtype=float)
         if Ks == 1:
-            return K * a * math.exp(-a * x) * (-math.expm1(-a * x)) ** (K - 1)
-        return reductions.t4(self.fine, Ks, x)
+            x0 = np.maximum(x, 0.0)
+            out = K * a * np.exp(-a * x0) * (-np.expm1(-a * x0)) ** (K - 1)
+        else:
+            out = np.reshape(reductions.t4(self.fine, Ks, x), np.shape(x))
+        return np.where(self.support(x), out, 0.0)
 
 
 def pdf_gsc_sum(K, Ks, gamma_bar):
@@ -300,9 +315,6 @@ class _FineBase(_Density):
         self.K, self.Ks = K, Ks
         self.gamma_bar = _check_scale(gamma_bar)
         self.rate = 1.0 / self.gamma_bar
-
-    def __call__(self, *z):
-        return self.values(*z).item()
 
     def _cdf_pows(self, z4):
         # Unselected ranks all lie below the rank-Ks variable.

@@ -38,9 +38,10 @@ limits and knots.  T5b and T6 integrate two coordinates out: their inner
 integrals, one per node of the outer rule, are the rows of one batch,
 so each rule evaluates the fine density on the nodes of every inner
 segment together, in blocks of about ``_BLOCK`` nodes, and not one small
-inner rule at a time.  ``_gauss_2d`` is the two-level form of the rule,
-for a region without knots whose inner limits move with the outer
-variable; ``apps`` integrates the MS-GSC stage probabilities with it.
+inner rule at a time.  ``t4`` takes an array of x as rows the same way,
+so a grid of T4 values is one rule.  ``_gauss_2d`` is the two-level form
+of the rule, for a region without knots whose inner limits move with the
+outer variable; ``apps`` integrates the MS-GSC stage probabilities with it.
 """
 
 import functools
@@ -323,11 +324,14 @@ def t3(fine, K, m, z1, z2):
 def t4(fine, Ks, x):
     """T4 for ``Ks >= 2`` from ``FineLastHead``, over the rank-Ks value.
 
-    With ``Ks == 1`` the sum is the largest variable, whose density each
-    path evaluates directly.
+    An array of x gives one rule with a row per value, and an array of
+    densities; a value below 0 gives 0.  With ``Ks == 1`` the sum is the
+    largest variable, whose density each path evaluates directly.
     """
-    return _gauss_knots(lambda v, _: fine.values(v, x - v), 0.0, x / Ks,
-                        deg=Ks - 2, exact=False)
+    xs = np.ravel(x).astype(float)
+    return _gauss_knots(lambda v, r: fine.values(v, xs[r] - v), 0.0,
+                        xs / Ks if np.ndim(x) else x / Ks, deg=Ks - 2,
+                        exact=False)
 
 
 # -- T5: (rank-m variable, sum of the other best Ks-1) --

@@ -8,9 +8,12 @@ number, and each suite drives one such pair against the other:
   quadrature, depths 1 to 4.
 * ``reorder``: the five integration orderings of a depth-4 ordered region
   against each other.
-* ``normalization``: densities against total mass 1 (direct quadrature in
-  one and two dimensions, quasi-Monte Carlo in three and four) and against
-  textbook order-statistic marginals.
+* ``normalization``: densities against total mass 1 and against textbook
+  order-statistic marginals.  In one and two dimensions the integrals are
+  rows of the reductions' Gauss-Legendre rules over ``values`` arrays
+  (one call per node for T3, T5 and T6), with every infinite range cut
+  where the tail beyond holds under 1e-11 of the mass; in three and four
+  dimensions they are quasi-Monte Carlo.
 * ``cross_path``: the exponential closed forms against the generic
   transform-inversion path at random in-support points.
 * ``mc``: analytic densities against Monte Carlo sampling.
@@ -35,6 +38,7 @@ from ordstat.errors import DomainError, OrdstatError
 from ordstat.kernels import NestedIntegralSpec
 from ordstat.mc_oracle import SampleSpec
 from ordstat.partition import Partition, TheoremMatch, t5_case
+from ordstat.reductions import _gauss_knots
 
 __all__ = [
     "SUITE_NAMES",
@@ -52,7 +56,7 @@ _LANES = {name: i for i, name in enumerate(SUITE_NAMES)}
 TOL_KERNELS = 1e-9
 TOL_IDENTITIES = 1e-7
 TOL_REORDER = 1e-7
-TOL_NORM_LOW = 1e-6        # dims 1-2, direct quadrature
+TOL_NORM_LOW = 1e-6        # dims 1-2, Gauss-Legendre rules
 TOL_NORM_QMC = 1e-3        # dims 3-4, quasi-Monte Carlo
 TOL_RANK_MARGINAL = 1e-7
 TOL_CROSS = 1e-5
@@ -91,22 +95,6 @@ def _check(name, observed, bound, op="<="):
     ok = observed <= bound if op == "<=" else observed >= bound
     return {"name": name, "observed": float(observed), "bound": float(bound),
             "op": op, "pass": bool(ok)}
-
-
-def _quad_t(f, lo, hi, knots=(), epsabs=1e-12, epsrel=1e-10, limit=200):
-    """Tight quadrature; an infinite ``hi`` splits at the largest knot."""
-    if not hi > lo:
-        return 0.0
-    if math.isinf(hi):
-        split = max([k for k in knots if k > lo], default=lo)
-        head = _quad_t(f, lo, split, knots, epsabs, epsrel, limit)
-        tail, _ = integrate.quad(f, split, np.inf, epsabs=epsabs,
-                                 epsrel=epsrel, limit=limit)
-        return head + tail
-    pts = sorted({float(k) for k in knots if lo < k < hi})
-    val, _ = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel,
-                            limit=limit, points=pts or None)
-    return val
 
 
 def _rand_dist(rng):
@@ -278,70 +266,94 @@ def qmc_normalization(density, chain, m_log2, seed):
     return float(np.mean(density.values(*z.T) * jac))
 
 
-def _mass_1d(pdf_obj, cut, knots=()):
-    return _quad_t(pdf_obj, 0.0, math.inf, knots=[*knots, cut])
+def _y_integrals(jd, xs, y_span, deg):
+    """The integral over y of ``jd(x, y)`` at each of the values ``xs``, as
+    the rows of one rule; ``y_span(xs)`` gives their limits and knots.
+
+    The reduced densities (T3, T5, T6) have no ``values``: their one form
+    is a single point, called once per node.
+    """
+    f = getattr(jd, "values", None) or np.vectorize(jd, otypes=[float])
+    lo, hi, knots = y_span(xs)
+    return _gauss_knots(lambda y, r: f(xs[r], y), lo, hi, knots, deg=deg,
+                        exact=False)
 
 
-def _mass_2d(jd, x_cut, y_span, eps=(1e-10, 1e-8)):
-    def marginal(x):
-        lo, hi, knots = y_span(x)
-        return _quad_t(lambda y: jd(x, y), lo, hi, knots,
-                       epsabs=eps[0], epsrel=eps[1], limit=150)
-
-    return _quad_t(marginal, 0.0, x_cut, epsabs=eps[0], epsrel=eps[1],
-                   limit=150)
+def _mass_2d(jd, x_cut, y_span, deg):
+    return _gauss_knots(lambda xs, _: _y_integrals(jd, xs, y_span, deg),
+                        0.0, x_cut, deg=deg, exact=False)
 
 
-def _marginal_match(jd, oracle, x_vals, y_span):
-    worst = 0.0
-    for x in x_vals:
-        lo, hi, knots = y_span(x)
-        got = _quad_t(lambda y: jd(x, y), lo, hi, knots,
-                      epsabs=1e-11, epsrel=1e-9, limit=150)
-        worst = max(worst, _rel(got, oracle(x)))
-    return worst
+def _marginal_match(jd, oracle, x_vals, y_span, deg):
+    xs = np.array(x_vals)
+    got = _y_integrals(jd, xs, y_span, deg)
+    return max(map(_rel, got, oracle(xs)))
+
+
+def _one_vs_rest_span(K, m):
+    """The y-limits and knots of the one-vs-rest density at rank-m values
+    ``xs`` (unit mean).
+
+    Above rank m the y-range is infinite; it stops at the last knot or at
+    (m-1)x + 40, whichever is larger.  Given x, y - (m-1)x adds m-1 unit
+    exponentials and K-m values below x, so the part cut off is at most
+    P(Gamma(K-1) > 40) of the row's integral: under 5.1e-13 for K <= 6.
+    """
+    j = np.arange(m, K) if m > 1 else np.arange(1, K - 1)
+
+    def span(xs):
+        lo, hi = (m - 1) * xs, (K - 1) * xs
+        return lo, hi if m == 1 else np.maximum(hi, lo + 40.0), \
+            np.multiply.outer(xs, j)
+
+    return span
 
 
 def _suite_normalization(seed, sizes, depth=None):
     checks = []
     dist = Exponential(1.0)
 
+    # Every range is cut where the mass beyond is below 1e-11, far under
+    # the bounds.  The 1-d tails hold 4.3e-18 past 40 and under 1.5e-19
+    # past 45 and 5.1e-21 past 60 (the sum of all five bounds the gsc
+    # ones).  Of the 2-d masses, the rank-m value exceeds 20 or 30, and
+    # the head sum 45, with probability under 5e-13; the y-cuts are
+    # stated with their spans.
     for name, obj, cut in (
             ("erlang_K1", exact_exp.pdf_sum_all(1, 1.0), 40.0),
             ("erlang_K4", exact_exp.pdf_sum_all(4, 1.0), 60.0),
             ("gsc_best1of5", exact_exp.pdf_gsc_sum(5, 1, 1.0), 45.0),
             ("gsc_best3of5", exact_exp.pdf_gsc_sum(5, 3, 1.0), 60.0),
             ("gsc_all4of4", exact_exp.pdf_gsc_sum(4, 4, 1.0), 60.0)):
-        checks.append(_check(f"normalization/{name}",
-                             abs(_mass_1d(obj, cut) - 1.0), TOL_NORM_LOW))
+        mass = _gauss_knots(lambda x, _: obj.values(x), 0.0, cut, deg=obj.K,
+                            exact=False)
+        checks.append(_check(f"normalization/{name}", abs(mass - 1.0),
+                             TOL_NORM_LOW))
 
     for m in (1, 3, 5):
         jd = exact_exp.jpdf_one_vs_rest_allK(5, m, 1.0)
-        if m == 1:
-            def span(x):
-                return 0.0, 4.0 * x, [j * x for j in (1, 2, 3)]
-        else:
-            def span(x, m=m):
-                ks = [(m + j - 1) * x for j in range(1, 5 - m + 1)]
-                return (m - 1) * x, math.inf, [*ks, (m - 1) * x + 40.0]
-        mass = _mass_2d(jd, 30.0, span)
+        mass = _mass_2d(jd, 30.0, _one_vs_rest_span(5, m), deg=3)
         checks.append(_check(f"normalization/one_vs_rest_5_{m}",
                              abs(mass - 1.0), TOL_NORM_LOW))
 
+    # Given the rank-3 value x, y - 2x is a Gamma(2) variable, beyond 30
+    # with probability 31 exp(-30) < 3e-12.
     jd = exact_exp.jpdf_one_vs_rest_bestKs(5, 3, 3, 1.0)
-    mass = _mass_2d(jd, 20.0, lambda x: (2.0 * x, math.inf,
-                                         [2.0 * x + 30.0]))
+    mass = _mass_2d(jd, 20.0, lambda x: (2.0 * x, 2.0 * x + 30.0,
+                                         np.empty((x.size, 0))), deg=1)
     checks.append(_check("normalization/best3of5_rank3_vs_rest",
                          abs(mass - 1.0), TOL_NORM_LOW))
 
     if sizes["heavy_norm"]:
         jd = exact_exp.jpdf_headsum_vs_tailsum_allK(3, 2, 1.0)
-        mass = _mass_2d(jd, 45.0, lambda x: (0.0, 0.5 * x, ()))
+        mass = _mass_2d(jd, 45.0, lambda x: (0.0, 0.5 * x,
+                                             np.empty((x.size, 0))), deg=1)
         checks.append(_check("normalization/head_tail_3_2",
                              abs(mass - 1.0), TOL_NORM_LOW))
 
         jd = exact_exp.jpdf_one_vs_rest_bestKs(4, 3, 1, 1.0)
-        mass = _mass_2d(jd, 30.0, lambda x: (0.0, 2.0 * x, [x]))
+        mass = _mass_2d(jd, 30.0, lambda x: (0.0, 2.0 * x, x[:, None]),
+                        deg=1)
         checks.append(_check("normalization/best3of4_rank1_vs_rest",
                              abs(mass - 1.0), TOL_NORM_LOW))
 
@@ -349,31 +361,34 @@ def _suite_normalization(seed, sizes, depth=None):
     # quadrature, so a direct double integral is slow; their y-integral at
     # fixed x equals an independently normalized one-dimensional density
     # (the m-best sum, or the textbook rank marginal), which pins the
-    # total mass through a much cheaper comparison.
+    # total mass through a much cheaper comparison.  Given the rank-m
+    # value x < 1.7, the y-ranges cut at x + 35 and 2x + 35 miss at most
+    # P(Gamma(2) > 35 - 2x) < 7e-13 of the marginal.
     gsc2 = exact_exp.pdf_gsc_sum(5, 2, 1.0)
     worst = _marginal_match(
-        exact_exp.jpdf_headsum_vs_tailsum_allK(5, 2, 1.0), gsc2,
-        (1.5, 3.0, 5.0), lambda x: (0.0, 1.5 * x, [0.5 * x, x]))
+        exact_exp.jpdf_headsum_vs_tailsum_allK(5, 2, 1.0), gsc2.values,
+        (1.5, 3.0, 5.0),
+        lambda x: (0.0, 1.5 * x, np.multiply.outer(x, [0.5, 1.0])), deg=1)
     checks.append(_check("normalization/head_tail_5_2_marginal",
                          worst, TOL_NORM_LOW))
 
     worst = _marginal_match(
         exact_exp.jpdf_one_vs_rest_bestKs(5, 4, 2, 1.0),
         lambda x: _rank_marginal(dist, 5, 2, x), (0.5, 1.0, 1.7),
-        lambda x: (x, math.inf, [2 * x, 3 * x, x + 35.0]))
+        lambda x: (x, x + 35.0, np.multiply.outer(x, [2.0, 3.0])), deg=2)
     checks.append(_check("normalization/best4of5_rank2_vs_rest_marginal",
                          worst, TOL_NORM_LOW))
 
     worst = _marginal_match(
         exact_exp.jpdf_one_vs_rest_bestKs(5, 4, 3, 1.0),
         lambda x: _rank_marginal(dist, 5, 3, x), (0.4, 0.8, 1.4),
-        lambda x: (2 * x, math.inf, [3 * x, 2 * x + 35.0]))
+        lambda x: (2.0 * x, 2.0 * x + 35.0, 3.0 * x[:, None]), deg=2)
     checks.append(_check("normalization/best4of5_rank3_vs_rest_marginal",
                          worst, TOL_NORM_LOW))
 
     worst = _marginal_match(
-        exact_exp.jpdf_headsum_vs_tailsum_bestKs(5, 4, 2, 1.0), gsc2,
-        (1.8, 3.5), lambda x: (0.0, x, [0.5 * x]))
+        exact_exp.jpdf_headsum_vs_tailsum_bestKs(5, 4, 2, 1.0), gsc2.values,
+        (1.8, 3.5), lambda x: (0.0, x, 0.5 * x[:, None]), deg=2)
     checks.append(_check("normalization/best4of5_head2_tail2_marginal",
                          worst, TOL_NORM_LOW))
 
@@ -410,16 +425,10 @@ def _suite_normalization(seed, sizes, depth=None):
     worst = 0.0
     for K in range(2, sizes["marginal_kmax"] + 1):
         for m in range(1, K + 1):
-            jd = exact_exp.jpdf_one_vs_rest_allK(K, m, 1.0)
-            for z1 in (0.5, 1.1, 2.0):
-                if m == 1:
-                    got = _quad_t(lambda y: jd(z1, y), 0.0, (K - 1) * z1,
-                                  [j * z1 for j in range(1, K - 1)])
-                else:
-                    ks = [(m + j - 1) * z1 for j in range(1, K - m + 1)]
-                    got = _quad_t(lambda y: jd(z1, y), (m - 1) * z1,
-                                  math.inf, [*ks, (m - 1) * z1 + 40.0])
-                worst = max(worst, _rel(got, _rank_marginal(dist, K, m, z1)))
+            worst = max(worst, _marginal_match(
+                exact_exp.jpdf_one_vs_rest_allK(K, m, 1.0),
+                lambda x: _rank_marginal(dist, K, m, x), (0.5, 1.1, 2.0),
+                _one_vs_rest_span(K, m), deg=K - 2))
     checks.append(_check("normalization/rank_marginal_one_vs_rest",
                          worst, TOL_RANK_MARGINAL))
     return checks
@@ -561,7 +570,7 @@ def _suite_cross_path(seed, sizes, depth=None):
 def _gsc_cdf_interp(K, Ks, hi, n_grid=6001):
     pdf_obj = exact_exp.pdf_gsc_sum(K, Ks, 1.0)
     xs = np.linspace(0.0, hi, n_grid)
-    ys = np.array([pdf_obj(x) for x in xs])
+    ys = pdf_obj.values(xs)
     cs = integrate.cumulative_trapezoid(ys, xs, initial=0.0)
     f = PchipInterpolator(xs, np.minimum(cs, 1.0))
 

@@ -29,17 +29,18 @@ def test_config_validation():
     for gt, gb in [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
         with pytest.raises(DomainError):
             MsGscConfig(3, gt, gb)
-    with pytest.raises(DomainError):
-        MsGscConfig(3, 1.0, 1.0, m=4)
+    with pytest.raises(TypeError):
+        MsGscConfig(3, 1.0, 1.0, m=2)   # the stage is an argument
     with pytest.raises(DomainError):
         MsGscConfig(3, 1.0, 1.0, below_threshold="drop")
 
 
 def test_stage_needs_m():
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
         msgsc_stage_probability(cfg(), 2.0)
-    assert msgsc_stage_probability(cfg(m=2), 2.0) == \
-        msgsc_stage_probability(cfg(), 2.0, m=2)
+    for m in (0, 4):
+        with pytest.raises(DomainError):
+            msgsc_stage_probability(cfg(), 2.0, m)
 
 
 def test_stage_one_closed_form():

@@ -1,6 +1,7 @@
-"""Step-sum kernel: node arrays against the scalar loop, node by node."""
+"""Step-sum kernel: node arrays and the scalar loop against exact sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +19,22 @@ def _terms(rng, T):
     return coeff, power
 
 
-def _scalar(coeff, thr, power, zs):
+def _exact(coeff, thr, power, zs):
+    """(sum, sum of |term|) per node, in exact rational arithmetic.
+
+    Each term's base ``z - threshold`` is the double that the step sum
+    computes; everything after it is exact.  A term is off by at most an
+    ulp or two (``pow``, then the coefficient), and the compensated sum
+    adds about one rounding of the result, so a step sum lies within a
+    few eps times the sum of |term| of these values.
+    """
     rows = thr if thr.ndim == 2 else np.broadcast_to(thr, (zs.size, thr.size))
-    return [_backend.poly_exp_eval_scale(coeff, np.ascontiguousarray(t), power,
-                                         float(z))
-            for z, t in zip(zs, rows)]
+    out = []
+    for z, t in zip(zs, rows):
+        terms = [Fraction(float(c)) * Fraction(float(z - ti)) ** int(p)
+                 for c, ti, p in zip(coeff, t, power) if z >= ti]
+        out.append((float(sum(terms)), float(sum(map(abs, terms)))))
+    return out
 
 
 @pytest.mark.parametrize("T", [1, 30])
@@ -37,8 +49,10 @@ def test_nodes_match_scalar_loop(T):
     got = _backend.poly_exp_eval(coeff, thr, power, zs)
     got_s, got_mag = _backend.poly_exp_eval_scale(coeff, thr, power, zs)
     assert got.shape == (N,)
-    for j, (want, mag) in enumerate(_scalar(coeff, thr, power, zs)):
+    for j, (want, mag) in enumerate(_exact(coeff, thr, power, zs)):
+        loop = _backend.poly_exp_eval(coeff, thr[j], power, float(zs[j]))
         assert abs(got[j] - want) <= 4 * EPS * mag
+        assert abs(loop - want) <= 4 * EPS * mag
         assert got_s[j] == got[j]
         assert got_mag[j] == pytest.approx(mag, rel=1e-13)
     assert np.all(got[:10] == 0.0)
@@ -51,12 +65,17 @@ def test_shared_thresholds_and_scalar_node():
     thr = np.sort(rng.uniform(0.0, 4.0, 12))
     zs = np.concatenate([[-1.0, thr[0], thr[5]], rng.uniform(0.0, 6.0, 40)])
     got = _backend.poly_exp_eval(coeff, thr, power, zs)
-    for j, (want, mag) in enumerate(_scalar(coeff, thr, power, zs)):
+    for j, (want, mag) in enumerate(_exact(coeff, thr, power, zs)):
         assert abs(got[j] - want) <= 4 * EPS * mag
+        # A single node in the node form gives scalar-shaped results.
+        s, m = _backend.poly_exp_eval_scale(coeff, thr, power, zs[j])
+        assert np.shape(s) == np.shape(m) == ()
+        assert abs(s - want) <= 4 * EPS * mag
+        assert m == pytest.approx(mag, rel=1e-13)
     # One value of z against a threshold row per node.
     rows = rng.uniform(0.0, 4.0, (25, 12))
     got = _backend.poly_exp_eval(coeff, rows, power, 3.0)
-    want = _scalar(coeff, rows, power, np.full(25, 3.0))
+    want = _exact(coeff, rows, power, np.full(25, 3.0))
     for g, (w, mag) in zip(got, want):
         assert abs(g - w) <= 4 * EPS * mag
 

@@ -142,8 +142,11 @@ def test_tabulate_grid_dimension_mismatch(capsys):
     ("tabulate", "--theorem", "T1", "--K", "3", "--grid", "0:1:3",
      "--digits", "0"),
     ("eval", "--theorem", "T1", "--K", "3", "--at", "1", "--digits", "0"),
+    ("eval", "--theorem", "T2", "--K", "3", "--m", "2", "--at", "0.5,1",
+     "--digits", "20"),
+    ("eval", "--theorem", "T1", "--K", "3", "--at", "1", "--digits", "3"),
 ], ids=["count1", "reversed", "msgsc-reversed", "infinite",
-        "tabulate-digits0", "eval-digits0"])
+        "tabulate-digits0", "eval-digits0", "eval-digits20", "eval-digits3"])
 def test_bad_grid_or_digits_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -179,6 +182,16 @@ def test_infinite_msgsc_parameter_exits_2(capsys, flag, convention):
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("dist", ["halfnormal:inf", "exp:nan", "exp:-inf"])
+def test_non_finite_distribution_parameter_exits_2(capsys, dist):
+    code, out, err = run(capsys, "eval", "--theorem", "T2", "--K", "3",
+                         "--m", "2", "--dist", dist, "--method", "generic",
+                         "--at", "0.5,1.0")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -206,12 +206,41 @@ def test_shape_validation():
         exact_exp.pdf_sum_all(2, -1.0)
 
 
+def test_gsc_sum_grid_matches_points():
+    # A grid is one row batch of the T4 rule; each row must give what a
+    # single point does.
+    for K, Ks in ((5, 3), (12, 7), (30, 30), (6, 1)):
+        d = exact_exp.pdf_gsc_sum(K, Ks, 1.3)
+        xs = np.linspace(-0.5, 2.0 * Ks + 4.0, 41)
+        got = d.values(xs)
+        assert got.shape == xs.shape
+        want = np.array([d(float(x)) for x in xs])
+        assert np.all(got[xs < 0] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert d.values(xs.reshape(1, -1, 1)).shape == (1, xs.size, 1)
+
+
+def test_one_vs_rest_nodes_match_points():
+    # Node arrays take numpy's power, single points libm's; both stay
+    # within a few eps of the cancellation scale at K=30.
+    EPS = np.finfo(float).eps
+    rng = np.random.default_rng(30)
+    for m in (1, 2, 15, 29, 30):
+        jd = exact_exp.jpdf_one_vs_rest_allK(30, m, 0.9)
+        z1 = rng.uniform(0.0, 2.5, 300)
+        z2 = rng.uniform(0.0, 40.0, 300)
+        got, scale = jd.values(z1, z2, scale=True)
+        want = np.array([jd(a, b) for a, b in zip(z1.tolist(), z2.tolist())])
+        assert np.any(got != 0.0)
+        assert np.all(np.abs(got - want) <= 4 * EPS * scale)
+
+
 def test_large_k_nonnegative_spot():
     # Alternating-sum cancellation must not push densities negative.
     jd = exact_exp.jpdf_one_vs_rest_allK(20, 10, 1.0)
     for z1 in (0.4, 1.0, 2.2):
         for z2 in (9.5, 12.0, 20.0, 31.0):
-            val, scale = jd.eval_with_scale(z1, z2)
+            val, scale = jd.values(z1, z2, scale=True)
             assert val >= -1e-9 * max(scale, 1.0)
 
 

@@ -27,6 +27,15 @@ def test_report_schema(kernel_report):
             assert c["op"] in ("<=", ">=")
 
 
+def test_normalization_and_mc_suites_pass():
+    rep = verify.run_suites(seed=42, quick=True,
+                            suites=["normalization", "mc"])
+    failed = [c["name"] for s in rep["suites"].values()
+              for c in s["checks"] if not c["pass"]]
+    assert failed == []
+    assert rep["passed"] == 22
+
+
 def test_suite_names_cover_report():
     assert set(verify.SUITE_NAMES) == {
         "kernels", "identities", "reorder", "normalization", "cross_path",
