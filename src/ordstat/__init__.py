@@ -20,6 +20,13 @@ that cross-checks both.  ``partition`` describes which rank groupings have
 closed evaluators, ``apps`` applies the machinery to threshold-based
 diversity combining, ``verify`` bundles the cross-validation suites, and
 ``cli`` exposes the command line.
+
+``import ordstat`` and ``import ordstat.cli`` load numpy and the standard
+library only.  scipy loads where a command first needs it: a half-normal
+distribution (``scipy.special``), the kernel quadratures of a
+``CustomDistribution`` (``scipy.integrate``) and ``verify``.  Exact and
+generic commands on the exponential run without it; only the warning of a
+rule that fails to converge loads scipy, for its ``IntegrationWarning``.
 """
 
 from ordstat.distributions import (

@@ -29,10 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# ``integrate`` is unused here but stays a module attribute: the benchmark's
-# tracer counts quadratures through each module's ``integrate``.
-from scipy import integrate  # noqa: F401
 
+from ordstat import _scipy
 from ordstat.distributions import Exponential
 from ordstat.errors import DomainError
 from ordstat.exact_exp import FineLastHead, pdf_sum_all
@@ -45,6 +43,10 @@ __all__ = [
     "msgsc_output_cdf",
     "simulate_output",
 ]
+
+# No quadrature runs here; ``integrate`` (scipy.integrate, loaded at first
+# access) is a module attribute for perfbench's tracer to replace.
+__getattr__ = _scipy.lazy_integrate(__name__)
 
 _EPSABS = 1e-11
 _EPSREL = 1e-9

@@ -55,11 +55,8 @@ import functools
 import math
 
 import numpy as np
-# ``integrate`` is unused here but stays a module attribute: the benchmark's
-# tracer counts quadratures through each module's ``integrate``.
-from scipy import integrate  # noqa: F401
 
-from ordstat import exact_exp, reductions
+from ordstat import _scipy, exact_exp, reductions
 from ordstat.distributions import Exponential
 from ordstat.errors import ConvergenceError, DomainError
 from ordstat.ilt import TransformFn, invert_numeric
@@ -73,6 +70,11 @@ __all__ = [
     "t5_jpdf",
     "t6_jpdf",
 ]
+
+# No quadrature runs here; ``integrate`` (scipy.integrate, loaded at first
+# access) is a module attribute for perfbench's tracer to replace.
+__getattr__ = _scipy.lazy_integrate(__name__)
+
 
 def _tf_abscissa(dist):
     # Kernel transforms in s are analytic right of -abscissa; entire when

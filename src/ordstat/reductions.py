@@ -48,7 +48,6 @@ import functools
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from ordstat.errors import ConvergenceError
 from ordstat.partition import t5_case
@@ -265,10 +264,13 @@ def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None, then=None):
         out[todo[keep]] = first[keep]
         todo, err = todo[left], np.minimum(err2, err[left])
     i = int(np.argmax(err))
+    # scipy's class, which callers filter on, imported here so that scipy
+    # loads only when a rule fails to converge.
+    from scipy.integrate import IntegrationWarning
     warnings.warn(
         f"{n}-node rule on [{lo[todo[i]]:g}, {hi[todo[i]]:g}] did not "
         f"converge: n/2n difference {err[i]:.3g}",
-        integrate.IntegrationWarning, stacklevel=3)
+        IntegrationWarning, stacklevel=3)
     return out
 
 

@@ -5,9 +5,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import IntegrationWarning
 
-from ordstat import apps, reductions
+from ordstat import apps, exact_exp, reductions
 from ordstat.apps import MsGscConfig, msgsc_output_cdf, msgsc_stage_probability
 from ordstat.errors import DomainError
 from ordstat.exact_exp import pdf_sum_all
@@ -174,3 +175,17 @@ def test_simulation_deterministic():
     a = apps.simulate_output(c, 1000, seed=5)
     b = apps.simulate_output(c, 1000, seed=5)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("convention", ["sum", "outage"])
+@pytest.mark.parametrize("L", [4, 8, 16])
+def test_grids_match_scipy_erlang_cdf(monkeypatch, L, convention):
+    # The Erlang CDF sums positive terms; scipy's regularized incomplete
+    # gamma gives the same output CDF to 1e-14.
+    c = cfg(L, gt=1.5, below_threshold=convention)
+    xs = np.linspace(0.05, 3.0 * L, 12).tolist()
+    got = [msgsc_output_cdf(c, x) for x in xs]
+    monkeypatch.setattr(exact_exp.ErlangSum, "cdf", lambda self, x: (
+        0.0 if x <= 0 else float(special.gammainc(self.K, self.rate * x))))
+    want = [msgsc_output_cdf(c, x) for x in xs]
+    assert got == pytest.approx(want, rel=1e-14, abs=0)

@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import ast
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -281,24 +283,121 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-def _fresh_python(probe):
+def _fresh_python(probe, *args):
     """Run ``probe`` in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(ordstat.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-c", probe], env=env,
+    res = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     return res.stdout
 
 
-def test_cli_import_loads_every_module():
-    # A module that the command line never loads is used only by tests.
-    probe = ("import pkgutil, sys, ordstat, ordstat.cli; "
-             "print(sorted(m.name for m in "
-             "pkgutil.iter_modules(ordstat.__path__) "
-             "if 'ordstat.' + m.name not in sys.modules))")
-    assert _fresh_python(probe).strip() == "[]"
+def _module_imports(path):
+    """Every module name that the source at ``path`` imports, at any depth
+    of its body (imports inside functions count), and each ``from m import
+    n`` also as ``m.n``, which names a module when ``n`` is a submodule."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import in {path}"
+            out.add(node.module)
+            out.update(f"{node.module}.{a.name}" for a in node.names)
+    return out
+
+
+def test_cli_reaches_every_module():
+    # A module that no command can load is used only by tests.  Commands
+    # load some modules only when they need them, so the walk follows the
+    # static import graph from ``ordstat.cli``, not ``sys.modules``.
+    pkg = os.path.dirname(ordstat.__file__)
+    paths = {"ordstat": os.path.join(pkg, "__init__.py")}
+    paths.update((f"ordstat.{m.name}", os.path.join(pkg, f"{m.name}.py"))
+                 for m in pkgutil.iter_modules([pkg]))
+    reached, todo = set(), ["ordstat", "ordstat.cli"]
+    while todo:
+        mod = todo.pop()
+        if mod in reached:
+            continue
+        reached.add(mod)
+        todo.extend(m for m in _module_imports(paths[mod]) if m in paths)
+    assert sorted(set(paths) - reached) == []
+
+
+# Exact tabulation of every family, an MS-GSC grid and generic points on
+# exp:1: none of them needs scipy.
+NUMPY_ONLY_RUNS = [
+    ["tabulate", *shape, "--K", "5", "--method", "exact",
+     *(["--grid", "0.5:6:3"] * at.count(",")), "--grid", "0.5:6:3"]
+    for shape, at in FAMILY_POINTS.values()
+] + [
+    ["msgsc", "--L", "4", "--gamma-t", "1.5", "--grid", "0.5:6:4"],
+    ["eval", *FAMILY_POINTS["T1"][0], "--K", "5", "--method", "generic",
+     "--at", FAMILY_POINTS["T1"][1]],
+    ["eval", *FAMILY_POINTS["T2"][0], "--K", "5", "--method", "generic",
+     "--at", FAMILY_POINTS["T2"][1]],
+]
+
+
+def test_exp_commands_load_no_scipy():
+    probe = f"""
+import contextlib, io, sys
+import ordstat
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+from ordstat import cli
+for argv in {NUMPY_ONLY_RUNS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _fresh_python(probe).splitlines() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--theorem", "T1", "--K", "4", "--at", "2.5"], "0.31739335303181687"),
+    (["--theorem", "T2", "--K", "4", "--m", "2", "--at", "0.7,1.6"],
+     "0.72399630008264659"),
+])
+def test_halfnormal_generic_eval_unchanged(capsys, argv, want):
+    # The values from before scipy.special loaded lazily.
+    code, out, _ = run(capsys, "eval", *argv, "--dist", "halfnormal:1",
+                       "--method", "generic")
+    assert code == 0
+    assert out.strip() == want
+
+
+def test_repeated_main_calls_match_fresh_interpreters():
+    # The parser is built once per process; list-valued flags must not
+    # carry over from one call to the next.
+    runs = [
+        ["tabulate", "--theorem", "T2", "--K", "4", "--m", "2",
+         "--grid", "0.5:3:3", "--grid", "0.5:4:2"],
+        ["tabulate", "--theorem", "T1", "--K", "4", "--grid", "0.5:6:4"],
+        ["msgsc", "--L", "3", "--gamma-t", "1", "--grid", "0.5:4:3"],
+        ["verify", "--suite", "kernels", "--suite", "reorder", "--seed", "3"],
+        ["verify", "--suite", "kernels", "--seed", "3"],
+    ]
+    probe = """
+import contextlib, io, json, sys
+from ordstat import cli
+outs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    outs.append([rc, buf.getvalue()])
+print(json.dumps(outs))
+"""
+    together = json.loads(_fresh_python(probe, json.dumps(runs)))
+    alone = [json.loads(_fresh_python(probe, json.dumps([r])))[0]
+             for r in runs]
+    assert together == alone
+    assert all(rc == 0 for rc, _ in together)
 
 
 def test_benchmark_tracer_installs():

@@ -127,6 +127,30 @@ def test_custom_array_kernel_mu_loops_over_nodes():
         custom.kernel_mu(a, 0.5, -0.4)
 
 
+def test_custom_kernels_integrate_through_the_module_attribute(monkeypatch):
+    # perfbench's tracer counts quadratures by replacing the module's
+    # ``integrate``; every quadrature of a custom kernel must go through it.
+    from ordstat import distributions
+
+    calls = []
+
+    class Counting:
+        def quad(self, *args, **kwargs):
+            calls.append(kwargs.get("weight"))
+            return integrate.quad(*args, **kwargs)
+
+    monkeypatch.setattr(distributions, "integrate", Counting())
+    rate = 1.0 / 1.3
+    custom = CustomDistribution(
+        pdf=lambda x: np.where(x >= 0, rate * np.exp(-rate * x), 0.0),
+        cdf=lambda x: np.where(x >= 0, -np.expm1(-rate * x), 0.0),
+        mean=1.3, abscissa=rate, name="exp-as-custom")
+    custom.kernel_c(1.1, -0.4)
+    custom.kernel_mu(0.2, 1.1, complex(0.2, 0.9))
+    custom.kernel_e(1.1, complex(0.2, 0.9))
+    assert calls == [None, None, None, "cos", "sin"]
+
+
 def test_tail_kernel_divergence_guard():
     dist = Exponential(2.0)   # abscissa 0.5
     with pytest.raises(DomainError):

@@ -42,6 +42,20 @@ def test_sum_all_cdf_matches_quadrature():
     assert pdf.cdf(0.0) == 0.0
 
 
+@pytest.mark.parametrize("K", [1, 2, 4, 8, 16, 30])
+def test_sum_all_cdf_matches_arbitrary_precision(K):
+    # Includes the lower tail, where 1 - (upper tail) would cancel, and
+    # points on both sides of the switch at y = K.
+    ys = np.concatenate([np.geomspace(1e-6, 300.0, 120),
+                         [K * (1 - 1e-12), K, K * (1 + 1e-12)]])
+    pdf = exact_exp.pdf_sum_all(K, 1.0)
+    with mpmath.workdps(40):
+        for y in ys.tolist():
+            want = mpmath.gammainc(K, 0, y, regularized=True)
+            got = pdf.cdf(y)
+            assert abs(got - want) <= 2e-13 * want, (K, y, got)
+
+
 def test_gsc_with_full_selection_is_erlang():
     gsc = exact_exp.pdf_gsc_sum(4, 4, 1.1)
     erl = exact_exp.pdf_sum_all(4, 1.1)
