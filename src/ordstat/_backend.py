@@ -15,7 +15,8 @@ expansions lose as little as possible.
   alternating sum turns such an ulp into a relative change of the density
   of several 1e-9.
 * a node array ``z`` of shape ``(N,)``, or thresholds of shape ``(N, T)``
-  (one row per node): the same summation, in the same term order, as numpy
+  (one row per node; more leading axes for node arrays of more
+  dimensions): the same summation, in the same term order, as numpy
   operations over a terms-by-nodes array.  The running sums are a
   cumulative sum along the terms, and each compensation term comes from
   the branch-free two-sum against the previous running sum, which yields
@@ -64,7 +65,9 @@ def _nodes(coeff, threshold, power, z, scale):
     z = np.asarray(z, dtype=float)
     thr = np.asarray(threshold, dtype=float)
     # Terms along the first axis, nodes (if any) along the others.
-    d = z - (thr.T if thr.ndim == 2 else thr.reshape(-1, *(1,) * z.ndim))
+    n = thr.ndim - 1
+    d = z - (thr.transpose(n, *range(n)) if n else
+             thr.reshape(-1, *(1,) * z.ndim))
     col = (-1,) + (1,) * (d.ndim - 1)
     live = d >= 0.0
     np.maximum(d, 0.0, out=d)

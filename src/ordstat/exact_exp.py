@@ -17,13 +17,13 @@ and only the integrals over the rank-Ks value, which carry the factor
 ``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, compare n and 2n
 nodes.
 
-Each density has one evaluation form.  The fine densities and the T1,
-T2 and T4 densities have ``values``, one formula over coordinate arrays
-that broadcast (T4 takes an array of x as the rows of one rule), and
-``__call__``, defined once on ``_Density``, evaluates it at one point.
-The reduced T3, T5 and T6 densities integrate at a single point and have
-``__call__`` alone.  At one point T2 sums its step sum in ``_backend``'s
-scalar loop, so that its outputs keep libm's ``pow`` rounding.
+Each density has one evaluation form: ``values``, over coordinate arrays
+that broadcast, and ``__call__``, defined once on ``_Density``, evaluates
+it at one point.  The fine densities and T1, T2 and T5d are one formula;
+the reduced T3, T4, T5 and T6 densities integrate the points inside their
+support as the rows of one ``reductions`` rule.  At one point T2 sums its
+step sum in ``_backend``'s scalar loop, so that its outputs keep libm's
+``pow`` rounding.
 
 Binomial coefficients are assembled exactly (they are integers well inside
 double precision for the supported ``K``) and the alternating pieces are
@@ -97,16 +97,30 @@ def _pref(*, num, den, rate, rate_pow):
 class _Density:
     """Shared call forms of the density classes.
 
-    A class with ``values`` evaluates coordinate arrays (or scalars) that
-    broadcast, and ``__call__`` is its single-point form; the reduced
-    densities (T3, T5, T6) define ``__call__`` alone.  ``evaluate``
-    accepts one coordinate vector of length ``dim``.
+    Every class has ``values``, which evaluates coordinate arrays (or
+    scalars) that broadcast and keeps their shape, and ``__call__`` is its
+    single-point form.  ``evaluate`` accepts one coordinate vector of
+    length ``dim``.
+
+    The theorem densities (T1-T6) give nan at a point with a nan
+    coordinate and 0 at one with an infinite coordinate (and none that is
+    nan), without running a rule: ``reductions._points`` sorts the points,
+    on this path and the generic one.
     """
 
     path = "exact"
 
     def __call__(self, *z):
         return self.values(*z).item()
+
+    def _closed_form(self, formula, *z):
+        # ``formula`` at the points inside the support; it sees 0 for the
+        # coordinates of every other point, so that no inf or nan enters it.
+        z, out, ok = reductions._points(self.support, *z)
+        if not out.ndim and ok:
+            return formula(*map(float, z))
+        return np.where(ok, formula(*(np.where(ok, c, 0.0) for c in z)),
+                        out)
 
     def evaluate(self, z):
         return self(*z)
@@ -168,10 +182,9 @@ class ErlangSum(_Density):
 
     def values(self, x):
         """Density over an array (or scalar) of x."""
-        x = np.asarray(x, dtype=float)
-        x0 = np.maximum(x, 0.0)
-        out = self._norm * x0 ** (self.K - 1) * np.exp(-self.rate * x0)
-        return np.where(self.support(x), out, 0.0)
+        return self._closed_form(
+            lambda x: self._norm * x ** (self.K - 1) * np.exp(-self.rate * x),
+            x)
 
     def cdf(self, x):
         if x <= 0:
@@ -243,13 +256,13 @@ class OneVsRestAllK(_Density):
         With ``scale`` the cancellation scale comes second (node form):
         the roundoff of the density lives at scale * eps.
         """
-        z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
-        s = self._steps.values(z2, np.multiply.outer(z1, self._slopes),
-                               scale)
-        # Off the support the exponent is -inf: no overflow, and 0 there.
-        total = np.where(self.support(z1, z2), z1 + z2, np.inf)
-        damp = self._pref * np.exp(-self.rate * total)
-        return (damp * s[0], damp * s[1]) if scale else damp * s
+        def formula(z1, z2):
+            s = self._steps.values(z2, np.multiply.outer(z1, self._slopes),
+                                   scale)
+            damp = self._pref * np.exp(-self.rate * (z1 + z2))
+            return (damp * s[0], damp * s[1]) if scale else damp * s
+
+        return self._closed_form(formula, z1, z2)
 
 
 def jpdf_one_vs_rest_allK(K, m, gamma_bar):
@@ -281,9 +294,11 @@ class HeadTailAllK(_Density):
     def support(self, z1, z2):
         return reductions.t3_support(self.K, self.m, z1, z2)
 
-    def __call__(self, z1, z2):
+    def values(self, z1, z2):
+        """Density over coordinate arrays (or scalars) that broadcast; the
+        points are the rows of one ``reductions.t3`` rule."""
         if self._delegate is not None:
-            return self._delegate(z1, z2)
+            return self._delegate.values(z1, z2)
         return reductions.t3(self.fine, self.K, self.m, z1, z2)
 
 
@@ -312,14 +327,12 @@ class GscSum(_Density):
     def values(self, x):
         """Density over an array (or scalar) of x; an array takes one
         ``reductions.t4`` rule with a row per value."""
-        a, K, Ks = self.rate, self.K, self.Ks
-        x = np.asarray(x, dtype=float)
-        if Ks == 1:
-            x0 = np.maximum(x, 0.0)
-            out = K * a * np.exp(-a * x0) * (-np.expm1(-a * x0)) ** (K - 1)
-        else:
-            out = np.reshape(reductions.t4(self.fine, Ks, x), np.shape(x))
-        return np.where(self.support(x), out, 0.0)
+        a, K = self.rate, self.K
+        if self.Ks == 1:
+            return self._closed_form(
+                lambda x: K * a * np.exp(-a * x) * (-np.expm1(-a * x)) ** (K - 1),
+                x)
+        return reductions.t4(self.fine, self.Ks, x)
 
 
 def pdf_gsc_sum(K, Ks, gamma_bar):
@@ -528,11 +541,12 @@ class BestKsOneVsRest(_Density):
     def support(self, x, y):
         return reductions.t5_support(self.Ks, self.m, x, y)
 
-    def __call__(self, x, y):
+    def values(self, x, y):
         return self.reduce_to_2d(x, y)
 
     def reduce_to_2d(self, x, y, order=0):
-        """Density of (rank-m value x, rest-sum value y).
+        """Density of (rank-m value x, rest-sum value y), over coordinate
+        arrays (or scalars) that broadcast: the rows of one rule.
 
         ``order`` picks the variable eliminated first where two reduction
         orders exist (1 or 2); 0 means the default.  The orders agree up to
@@ -564,7 +578,9 @@ class BestKsHeadTail(_Density):
     def support(self, x, y):
         return reductions.t6_support(self.Ks, self.m, x, y)
 
-    def __call__(self, x, y):
+    def values(self, x, y):
+        """Density over coordinate arrays (or scalars) that broadcast; the
+        points are the rows of one ``reductions.t6`` rule."""
         return reductions.t6(self.fine, self.Ks, self.m, x, y)
 
 

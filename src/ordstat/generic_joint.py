@@ -49,6 +49,11 @@ not smooth there, leaves some elements open at the Gauss cap; those go
 on with tanh-sinh rules, which crowd both ends of every segment and
 converge there at their usual pace.  No fine density keeps a scalar loop:
 ``values`` works on coordinate arrays and ``__call__`` goes through it.
+The reduced densities (``t3_jpdf`` with m >= 2, ``t4_pdf`` with Ks >= 2,
+``t5_jpdf`` and ``t6_jpdf``) take coordinate arrays that broadcast, as
+the rows of one ``reductions`` rule; T1, T2 and their one-variable forms
+take single points.  Every family gives nan at a point with a nan
+coordinate and 0 at one with an infinite coordinate, as on the exact path.
 """
 
 import functools
@@ -245,8 +250,10 @@ def t1_pdf(dist, K, z, digits=8):
     """Density of the sum of all ``K`` variables."""
     if K < 1:
         raise DomainError("need K >= 1")
-    if z < 0:
-        return 0.0
+    (z,), out, ok = reductions._points(lambda z: z >= 0, z)
+    if not ok:
+        return float(out)
+    z = float(z)
     if K == 1:
         return dist.pdf1(z)
 
@@ -260,12 +267,15 @@ def t2_jpdf(dist, K, m, z1, z2):
     """Joint density of (rank-m variable, sum of the other K-1)."""
     if not 1 <= m <= K or K < 2:
         raise DomainError("need K >= 2 and 1 <= m <= K")
-    if z1 < 0 or z2 < 0:
-        return 0.0
-    if m == 1 and z2 > (K - 1) * z1:
-        return 0.0
-    if m >= 2 and z2 < (m - 1) * z1:
-        return 0.0
+
+    def inside(z1, z2):
+        edge = z2 <= (K - 1) * z1 if m == 1 else z2 >= (m - 1) * z1
+        return (z1 >= 0) & (z2 >= 0) & edge
+
+    (z1, z2), out, ok = reductions._points(inside, z1, z2)
+    if not ok:
+        return float(out)
+    z1, z2 = float(z1), float(z2)
     pref = math.factorial(K) / (math.factorial(K - m) * math.factorial(m - 1))
     # The K-m variables below z1 give a c-power, the m-1 above it an
     # e-power.
@@ -380,11 +390,9 @@ def t3_jpdf(dist, K, m, z1, z2):
     """Joint density of (sum of the m largest, sum of the K-m smallest)."""
     if not 1 <= m <= K - 1:
         raise DomainError("need 1 <= m <= K-1")
-    if not reductions.t3_support(K, m, z1, z2):
-        return 0.0
     if m == 1:
         # The head is one variable; exp(-s*g) collapses the outer integral
-        # and the pair is the rank-1 one-vs-rest joint.
+        # and the pair is the rank-1 one-vs-rest joint, at a single point.
         return t2_jpdf(dist, K, 1, z1, z2)
     return reductions.t3(FineHeadRankTail(K, m, dist), K, m, z1, z2)
 
@@ -393,9 +401,11 @@ def t4_pdf(dist, K, Ks, x):
     """Density of the sum of the ``Ks`` largest of ``K``."""
     if not 1 <= Ks <= K:
         raise DomainError("need 1 <= Ks <= K")
-    if x < 0:
-        return 0.0
     if Ks == 1:
+        (x,), out, ok = reductions._points(lambda x: x >= 0, x)
+        if not ok:
+            return float(out)
+        x = float(x)
         return K * dist.pdf1(x) * dist.cdf1(x) ** (K - 1)
     return reductions.t4(FineLastHead(K, Ks, dist), Ks, x)
 

@@ -9,6 +9,7 @@ run is reproducible bit for bit and its layout depends only on the sample
 count; streams run one after another and are concatenated in index order.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -175,38 +176,27 @@ def ks_distance(samples, analytic_cdf):
     return float(max(np.max(hi - f), np.max(f - lo)))
 
 
-def bin_agreement(emp, density_fn, nsigma=3.0, min_count=5, support=None):
+def bin_agreement(emp, density_values, nsigma=3.0, min_count=5,
+                  support=None):
     """(bins agreeing within nsigma, bins considered) for a 1-D/2-D histogram.
 
     A bin is considered when it holds at least ``min_count`` samples and,
     if ``support`` is given, all its corners satisfy the predicate: the
     histogram estimates a bin average, so bins straddling a support edge
     or density jump are excluded rather than compared against the center
-    value.
+    value.  ``support`` and ``density_values`` (a density's ``values``)
+    take coordinate arrays; the centres of all the bins considered go to
+    ``density_values`` in one call.
     """
-    dens = emp.density()
-    se = emp.stderr()
-    axes_centers = [emp.centers(a) for a in range(emp.dim)]
-    axes_edges = emp.bins
-    n_pass = n_seen = 0
-    for idx in np.ndindex(*emp.counts.shape):
-        if emp.counts[idx] < min_count:
-            continue
-        center = tuple(axes_centers[a][i] for a, i in enumerate(idx))
-        if support is not None:
-            corners_ok = all(
-                support(*corner)
-                for corner in _corners(axes_edges, idx))
-            if not corners_ok:
-                continue
-        n_seen += 1
-        if abs(density_fn(*center) - dens[idx]) <= nsigma * se[idx]:
-            n_pass += 1
-    return n_pass, n_seen
-
-
-def _corners(axes_edges, idx):
-    dim = len(idx)
-    for mask in range(1 << dim):
-        yield tuple(axes_edges[a][idx[a] + ((mask >> a) & 1)]
-                    for a in range(dim))
+    keep = emp.counts >= min_count
+    if support is not None:
+        for corner in itertools.product((0, 1), repeat=emp.dim):
+            grids = np.meshgrid(*(e[1:] if c else e[:-1]
+                                  for e, c in zip(emp.bins, corner)),
+                                indexing="ij")
+            keep &= support(*grids)
+    centres = np.meshgrid(*(emp.centers(a) for a in range(emp.dim)),
+                          indexing="ij")
+    got = density_values(*(c[keep] for c in centres))
+    n_pass = np.abs(got - emp.density()[keep]) <= nsigma * emp.stderr()[keep]
+    return int(n_pass.sum()), int(keep.sum())

@@ -34,17 +34,22 @@ both segment ends: a density singular at 0, like x^(a-1), puts such an
 end on the rule over the rank-Ks value.
 
 ``_gauss_knots`` integrates a batch of rows at once, each with its own
-limits and knots.  T5b and T6 integrate two coordinates out: their inner
-integrals, one per node of the outer rule, are the rows of one batch,
-so each rule evaluates the fine density on the nodes of every inner
-segment together, in blocks of about ``_BLOCK`` nodes, and not one small
-inner rule at a time.  ``t4`` takes an array of x as rows the same way,
-so a grid of T4 values is one rule.  ``_gauss_2d`` is the two-level form
-of the rule, for a region without knots whose inner limits move with the
-outer variable; ``apps`` integrates the MS-GSC stage probabilities with it.
+limits and knots.  ``t3``, ``t4``, ``t5`` and ``t6`` take their points as
+coordinate arrays that broadcast (or scalars), keep their shape, and
+integrate the points inside the support as the rows of one rule; a single
+point is the same code on one row.  T5b and T6 integrate two coordinates
+out: their inner integrals, one per pair of a point and a node of the
+outer rule, are the rows of one batch, so each rule evaluates the fine
+density on the nodes of every inner segment together, in blocks of about
+``_BLOCK`` nodes, and not one small inner rule at a time.  A point with
+a nan coordinate gives nan, and one with an infinite coordinate 0, without
+a rule (``_reduce``).  ``_gauss_2d`` is the two-level form of the rule,
+for a region without knots whose inner limits move with the outer
+variable; ``apps`` integrates the MS-GSC stage probabilities with it.
 """
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -118,12 +123,14 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
 
     Scalar limits give one integral and return a float, with ``knots`` a
     sequence of points.  Array limits give one integral per row and return
-    an array, with ``knots`` a ``(rows, k)`` array.  Each row's knots are
-    clipped into its interval and sorted; empty segments (and rows with
-    ``hi <= lo``) get no nodes.  ``f(x, row)`` maps a flat array of nodes,
-    and the row of each (the int 0 for scalar limits), to an array of
-    values.  Each rule calls it on the nodes of all open rows together, in
-    blocks of whole segments and at most ``_BLOCK`` nodes.
+    an array, with ``knots`` a ``(rows, k)`` array; no rows give an empty
+    array, and ``f`` is not called.  Each row's knots are clipped into its
+    interval and sorted; empty segments (and rows with ``hi <= lo``) get no
+    nodes.  ``f(x, row)`` maps a flat array of nodes, and the row of each,
+    to an array of values.  ``row`` is an index array, or the int 0 when
+    there is one row: scalar limits, or arrays of one element.  Each rule
+    calls ``f`` on the nodes of all open rows together, in blocks of whole
+    segments and at most ``_BLOCK`` nodes.
 
     Between knots the integrand is a polynomial of degree ``deg``
     (``exact``), or such a polynomial times a smooth factor.  The
@@ -133,27 +140,38 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
     ``_EPSABS``/``_EPSREL``; rows still open at ``_MAX_NODES`` go on with
     tanh-sinh rules, which converge at an integrable end singularity.
     """
-    if not (isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)):
+    done = float
+    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        rows = max(lo.size, hi.size) if lo.size and hi.size else 0
+        if not rows:
+            return np.zeros(0)
+        if rows == 1:
+            lo, hi, done = lo.item(), hi.item(), np.atleast_1d
+    else:
+        rows = 1
+    if rows == 1:
         if not hi > lo:
-            return 0.0
+            return done(0.0)
         # One row: the knots inside, in order, without numpy's row
         # bookkeeping, which would cost more than a short rule.
-        edges = np.array([lo, *sorted({float(p) for p in knots
+        edges = np.array([lo, *sorted({p for p in np.ravel(knots).tolist()
                                        if lo < p < hi}), hi])
         left, right = edges[:-1, None], edges[1:, None]
-        row, col, rows = 0, None, 1
+        row, col = 0, None
         lo, hi = [lo], [hi]
     else:
-        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                     np.asarray(hi, dtype=float))
-        hi = np.maximum(hi, lo)
-        knots = np.asarray(knots, dtype=float).reshape(lo.size, -1)
-        edges = np.column_stack(
-            [lo, np.clip(knots, lo[:, None], hi[:, None]), hi])
+        knots = np.asarray(knots, dtype=float).reshape(rows, -1)
+        edges = np.empty((rows, knots.shape[1] + 2))
+        edges[:, 0], edges[:, -1] = lo, np.maximum(hi, lo)
+        np.minimum(np.maximum(knots, edges[:, :1]), edges[:, -1:],
+                   out=edges[:, 1:-1])
         edges.sort(axis=1)
-        row, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
-        left, right = edges[row, col, None], edges[row, col + 1, None]
-        rows, cols = lo.size, edges.shape[1] - 1
+        lo, hi = edges[:, 0], edges[:, -1]
+        keep = edges[:, 1:] > edges[:, :-1]
+        row, col = np.nonzero(keep)
+        left, right = edges[:, :-1][keep, None], edges[:, 1:][keep, None]
+        cols = keep.shape[1]
     # Segment ends, as column vectors, one entry per segment.
     width = right - left
     mid, half = 0.5 * (right + left), 0.5 * width
@@ -194,12 +212,12 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
     gauss = on(_legendre, mid, half)
     n = deg // 2 + 1
     if exact:
-        est = gauss(n, range(rows))
-        return float(est.sum()) if col is None else est.sum(axis=1)
-    total = _doubled(gauss, n + _SMOOTH_EXTRA, lo, hi, _EPSABS, _EPSREL,
-                     then=(on(_tanh_sinh, left, width), _TANH_SINH_FIRST,
-                           2 * _MAX_NODES))
-    return float(total[0]) if col is None else total
+        total = gauss(n, range(rows)).sum(axis=1)
+    else:
+        total = _doubled(gauss, n + _SMOOTH_EXTRA, lo, hi, _EPSABS, _EPSREL,
+                         then=(on(_tanh_sinh, left, width), _TANH_SINH_FIRST,
+                               2 * _MAX_NODES))
+    return done(total[0]) if col is None else total
 
 
 def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
@@ -299,11 +317,64 @@ def _doubling(rule, n, size, epsabs, epsrel, cap):
         todo, est = todo[open_], est[open_]
 
 
+def _points(inside, *z):
+    """Points ``z``, coordinate arrays that broadcast, for a formula or rule.
+
+    Returns the coordinates, the densities that no formula gives (nan
+    where a coordinate is nan, else 0) and the mask of the points to
+    evaluate: those with finite coordinates inside the support,
+    ``inside(*z)``.  Arrays come back with one shape.  Scalars are one
+    point: Python floats, with a bool mask and a 0-d array of densities.
+    """
+    if all(isinstance(c, (int, float)) for c in z):
+        # One point, on Python floats: numpy's per-call overhead would cost
+        # more than the test, and than a short rule.
+        z = [float(c) for c in z]
+        nan = any(map(math.isnan, z))
+        ok = all(map(math.isfinite, z)) and bool(inside(*z))
+        return z, np.array(np.nan if nan else 0.0), ok
+    z = [np.asarray(c, dtype=float) for c in z]
+    if len(z) > 1:
+        z = np.broadcast_arrays(*z)
+    nan, ok = np.isnan(z[0]), np.isfinite(z[0])
+    for c in z[1:]:
+        nan, ok = nan | np.isnan(c), ok & np.isfinite(c)
+    return z, np.where(nan, np.nan, 0.0), ok & inside(*z)
+
+
+def _reduce(inside, rows, *z):
+    """``rows(*z)`` at the points ``z`` inside the support ``inside``, which
+    are the rows of one rule; every other point gets what ``_points`` says.
+
+    ``rows`` takes one array per coordinate, or the floats of a single
+    point: the same code on one row.  Its integrands read a point's
+    coordinates with ``_at``.
+    """
+    z, out, ok = _points(inside, *z)
+    if ok is True:
+        return np.float64(rows(*z))
+    if ok is not False:
+        out[ok] = rows(*(c[ok] for c in z))
+    return out[()]
+
+
+def _at(v, r):
+    # The values ``v`` of a rule's rows at the rows ``r`` of its nodes (the
+    # int 0 in a rule of one row).  A float is one point's value, the same
+    # for every row.
+    return v if isinstance(v, float) else v[r]
+
+
+def _col(v):
+    # ``v`` as a column against the knots of each row (one row for a float).
+    return np.asarray(v).reshape(-1, 1)
+
+
 # -- T3: (sum of ranks 1..m, sum of ranks m+1..K), all K --
 
 
 def t3_support(K, m, z1, z2):
-    return z1 >= 0 and z2 >= 0 and (K - m) * z1 >= m * z2
+    return (z1 >= 0) & (z2 >= 0) & ((K - m) * z1 >= m * z2)
 
 
 def t3(fine, K, m, z1, z2):
@@ -312,12 +383,13 @@ def t3(fine, K, m, z1, z2):
     With ``m == 1`` the head is one variable and the pair is the rank-1
     one-vs-rest joint (T2), which each path evaluates directly.
     """
-    if not t3_support(K, m, z1, z2):
-        return 0.0
-    knots = [z2 / j for j in range(1, K - m + 1)]
-    return _gauss_knots(lambda g, _: fine.values(z1, g, z2), z2 / (K - m),
-                        z1 / m, knots, deg=K - 3,
-                        exact=fine.piecewise_polynomial)
+    def rows(x, y):
+        return _gauss_knots(lambda g, r: fine.values(_at(x, r), g, _at(y, r)),
+                            y / (K - m), x / m,
+                            _col(y) / np.arange(1, K - m + 1), deg=K - 3,
+                            exact=fine.piecewise_polynomial)
+
+    return _reduce(functools.partial(t3_support, K, m), rows, z1, z2)
 
 
 # -- T4: sum of the Ks largest --
@@ -326,14 +398,14 @@ def t3(fine, K, m, z1, z2):
 def t4(fine, Ks, x):
     """T4 for ``Ks >= 2`` from ``FineLastHead``, over the rank-Ks value.
 
-    An array of x gives one rule with a row per value, and an array of
-    densities; a value below 0 gives 0.  With ``Ks == 1`` the sum is the
-    largest variable, whose density each path evaluates directly.
+    With ``Ks == 1`` the sum is the largest variable, whose density each
+    path evaluates directly.
     """
-    xs = np.ravel(x).astype(float)
-    return _gauss_knots(lambda v, r: fine.values(v, xs[r] - v), 0.0,
-                        xs / Ks if np.ndim(x) else x / Ks, deg=Ks - 2,
-                        exact=False)
+    def rows(x):
+        return _gauss_knots(lambda v, r: fine.values(v, _at(x, r) - v), 0.0,
+                            x / Ks, deg=Ks - 2, exact=False)
+
+    return _reduce(lambda x: x >= 0, rows, x)
 
 
 # -- T5: (rank-m variable, sum of the other best Ks-1) --
@@ -353,16 +425,16 @@ def t5_fine(fines, K, Ks, m, param):
 
 
 def t5_support(Ks, m, x, y):
-    if x < 0 or y < 0:
-        return False
     case = t5_case(Ks, m)
     if case == "d":
-        return x >= y if m == 1 else y >= (Ks - 1) * x
-    if case == "a":
-        return y <= (Ks - 1) * x
-    if case == "c":
-        return y >= (Ks - 2) * x
-    return y >= (m - 1) * x
+        edge = x >= y if m == 1 else y >= (Ks - 1) * x
+    elif case == "a":
+        edge = y <= (Ks - 1) * x
+    elif case == "c":
+        edge = y >= (Ks - 2) * x
+    else:
+        edge = y >= (m - 1) * x
+    return (x >= 0) & (y >= 0) & edge
 
 
 def t5(fine, Ks, m, x, y, order=0):
@@ -381,76 +453,81 @@ def t5(fine, Ks, m, x, y, order=0):
     0 means the default, 1.  The orders agree up to quadrature error and
     exist to check each other.
     """
-    if not t5_support(Ks, m, x, y):
-        return 0.0
     case = t5_case(Ks, m)
     if case == "d":
-        return fine(y, x) if m == 1 else fine(x, y)
-    if case == "a":
-        return _t5a(fine, Ks, x, y, order)
-    if case == "c":
-        return _t5c(fine, Ks, x, y, order)
-    return _t5b(fine, Ks, m, x, y, order)
+        rows = (lambda x, y: fine.values(y, x)) if m == 1 else fine.values
+    elif case == "a":
+        rows = functools.partial(_t5a, fine, Ks, order=order)
+    elif case == "c":
+        rows = functools.partial(_t5c, fine, Ks, order=order)
+    else:
+        rows = functools.partial(_t5b, fine, Ks, m, order=order)
+    return _reduce(functools.partial(t5_support, Ks, m), rows, x, y)
 
 
 def _t5a(fine, Ks, x, y, order):
     # Fine coordinates (rank 1 = x, mid sum z3, rank Ks z4), z3 + z4 = y.
+    j = np.arange(1, Ks - 1)
+    xc, yc = _col(x), _col(y)
     if order in (0, 1):
-        lo = max(0.0, y - (Ks - 2) * x)
-        hi = y / (Ks - 1)
-        knots = [(y - j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
-        knots.append(x)
-        return _gauss_knots(lambda z4, _: fine.values(x, y - z4, z4), lo, hi,
-                            knots, deg=Ks - 3, exact=False)
-    lo = max((Ks - 2) * y / (Ks - 1), y - x)
-    hi = min((Ks - 2) * x, y)
-    knots = [((Ks - 2 - j) * y + j * x) / (Ks - 1 - j) for j in range(1, Ks - 1)]
-    knots.append(y - x)
-    return _gauss_knots(lambda z3, _: fine.values(x, z3, y - z3), lo, hi,
-                        knots, deg=Ks - 3, exact=False)
+        knots = np.concatenate([(yc - j * xc) / (Ks - 1 - j), xc], axis=1)
+        return _gauss_knots(
+            lambda z4, r: fine.values(_at(x, r), _at(y, r) - z4, z4),
+            np.maximum(0.0, y - (Ks - 2) * x), y / (Ks - 1), knots,
+            deg=Ks - 3, exact=False)
+    knots = np.concatenate(
+        [((Ks - 2 - j) * yc + j * xc) / (Ks - 1 - j), yc - xc], axis=1)
+    return _gauss_knots(
+        lambda z3, r: fine.values(_at(x, r), z3, _at(y, r) - z3),
+        np.maximum((Ks - 2) * y / (Ks - 1), y - x), np.minimum((Ks - 2) * x, y),
+        knots, deg=Ks - 3, exact=False)
 
 
 def _t5c(fine, Ks, x, y, order):
     # Fine coordinates (head sum z1, rank Ks-1 = x, rank Ks z4), z1 + z4 = y.
     if order in (0, 1):
-        hi = min(x, y - (Ks - 2) * x)
-        return _gauss_knots(lambda z4, _: fine.values(y - z4, x, z4), 0.0, hi,
-                            deg=Ks - 3, exact=False)
-    lo = max((Ks - 2) * x, y - x)
-    return _gauss_knots(lambda z1, _: fine.values(z1, x, y - z1), lo, y,
-                        deg=Ks - 3, exact=False)
+        return _gauss_knots(
+            lambda z4, r: fine.values(_at(y, r) - z4, _at(x, r), z4), 0.0,
+            np.minimum(x, y - (Ks - 2) * x), deg=Ks - 3, exact=False)
+    return _gauss_knots(
+        lambda z1, r: fine.values(z1, _at(x, r), _at(y, r) - z1),
+        np.maximum((Ks - 2) * x, y - x), y, deg=Ks - 3, exact=False)
 
 
 def _t5b(fine, Ks, m, x, y, order):
     # Fine coordinates (head sum z1, rank m = x, mid sum z3, rank Ks z4),
     # z1 + z3 + z4 = y; the inner integral holds z4 fixed.
     nm = Ks - m  # selected ranks below m, inclusive of rank Ks
-    hi4 = min(x, (y - (m - 1) * x) / nm)
-    outer_knots = [(y - (m + j - 1) * x) / (nm - j) for j in range(1, nm)]
-    outer_knots.append(y - (Ks - 2) * x)
-    exact = fine.piecewise_polynomial
     j = np.arange(1, nm)
-    # Each inner integral takes the outer nodes as rows, z4 = z4s[row].
+    xc, yc = _col(x), _col(y)
+    outer_knots = np.concatenate(
+        [(yc - (m + j - 1) * xc) / (nm - j), yc - (Ks - 2) * xc], axis=1)
+    exact = fine.piecewise_polynomial
+    # Each inner integral takes a pair (point, outer node z4) as its row:
+    # the outer rule's row r gives the point.
     if order in (0, 1):
-        def inner(z4s, _):
+        def inner(z4s, r):
             # Below y - z4 - (nm-1)*x the mid-sum exceeds its support and
             # the step sum is cancellation noise around zero; stop the
             # integral at the true edge.
-            lo1 = np.maximum((m - 1) * x, y - z4s - (nm - 1) * x)
-            hi1 = y - nm * z4s
-            knots = y - np.multiply.outer(z4s, nm - j) - j * x
+            xr, yr = _at(x, r), _at(y, r)
+            lo1 = np.maximum((m - 1) * xr, yr - z4s - (nm - 1) * xr)
+            knots = _col(yr) - np.multiply.outer(z4s, nm - j) - j * _col(xr)
             return _gauss_knots(
-                lambda z1, r: fine.values(z1, x, y - z1 - z4s[r], z4s[r]),
-                lo1, hi1, knots, deg=Ks - 4, exact=exact)
+                lambda z1, q: fine.values(z1, _at(xr, q),
+                                          _at(yr, q) - z1 - z4s[q], z4s[q]),
+                lo1, yr - nm * z4s, knots, deg=Ks - 4, exact=exact)
     else:
-        def inner(z4s, _):
-            lo3 = (nm - 1) * z4s
-            hi3 = np.minimum((nm - 1) * x, y - z4s - (m - 1) * x)
-            knots = np.multiply.outer(z4s, nm - 1 - j) + j * x
+        def inner(z4s, r):
+            xr, yr = _at(x, r), _at(y, r)
+            hi3 = np.minimum((nm - 1) * xr, yr - z4s - (m - 1) * xr)
+            knots = np.multiply.outer(z4s, nm - 1 - j) + j * _col(xr)
             return _gauss_knots(
-                lambda z3, r: fine.values(y - z3 - z4s[r], x, z3, z4s[r]),
-                lo3, hi3, knots, deg=Ks - 4, exact=exact)
-    return _gauss_knots(inner, 0.0, hi4, outer_knots, deg=Ks - 3, exact=False)
+                lambda z3, q: fine.values(_at(yr, q) - z3 - z4s[q],
+                                          _at(xr, q), z3, z4s[q]),
+                (nm - 1) * z4s, hi3, knots, deg=Ks - 4, exact=exact)
+    return _gauss_knots(inner, 0.0, np.minimum(x, (y - (m - 1) * x) / nm),
+                        outer_knots, deg=Ks - 3, exact=False)
 
 
 # -- T6: (sum of ranks 1..m, sum of ranks m+1..Ks), best Ks --
@@ -464,7 +541,7 @@ def t6_fine(fines, K, Ks, m, param):
 
 
 def t6_support(Ks, m, x, y):
-    return x >= 0 and y >= 0 and (Ks - m) * x >= m * y
+    return (x >= 0) & (y >= 0) & ((Ks - m) * x >= m * y)
 
 
 def t6(fine, Ks, m, x, y):
@@ -474,29 +551,33 @@ def t6(fine, Ks, m, x, y):
     rank 1, and a one-variable tail the fine density of rank Ks; otherwise
     the rank-m and rank-Ks values are integrated out.
     """
-    if not t6_support(Ks, m, x, y):
-        return 0.0
     if m == 1:
-        return t5(fine, Ks, 1, x, y)
+        return t5(fine, Ks, 1, x, y)     # the same support
     if m == Ks - 1:
-        return fine(y, x)
+        rows = lambda x, y: fine.values(y, x)
+    else:
+        rows = functools.partial(_t6, fine, Ks, m)
+    return _reduce(functools.partial(t6_support, Ks, m), rows, x, y)
+
+
+def _t6(fine, Ks, m, x, y):
+    # Fine coordinates (head sum x - z2, rank m = z2, mid sum y - z4,
+    # rank Ks z4); the inner integral holds z4 fixed.
     nt = Ks - m  # tail size
-    lo4 = max(0.0, y - (nt - 1) * x / m)
-    hi4 = y / nt
-    hi2 = x / m
-    outer_knots = [(y - j * x / m) / (nt - j) for j in range(1, nt)]
-    exact = fine.piecewise_polynomial
     j = np.arange(1, nt)
+    outer_knots = (_col(y) - j * _col(x) / m) / (nt - j)
+    exact = fine.piecewise_polynomial
 
-    def inner(z4s, _):
-        # One row per outer node.  Below (y - z4) / (nt - 1) the mid-sum
-        # exceeds its support and the step sum is cancellation noise
-        # around zero.
-        lo2 = (y - z4s) / (nt - 1)
-        knots = (y - np.multiply.outer(z4s, nt - j)) / j
+    def inner(z4s, r):
+        # One row per (point, outer node) pair.  Below (y - z4) / (nt - 1)
+        # the mid-sum exceeds its support and the step sum is cancellation
+        # noise around zero.
+        xr, yr = _at(x, r), _at(y, r)
+        knots = (_col(yr) - np.multiply.outer(z4s, nt - j)) / j
         return _gauss_knots(
-            lambda z2, r: fine.values(x - z2, z2, y - z4s[r], z4s[r]),
-            lo2, hi2, knots, deg=Ks - 4, exact=exact)
+            lambda z2, q: fine.values(_at(xr, q) - z2, z2,
+                                      _at(yr, q) - z4s[q], z4s[q]),
+            (yr - z4s) / (nt - 1), xr / m, knots, deg=Ks - 4, exact=exact)
 
-    return _gauss_knots(inner, lo4, hi4, outer_knots, deg=Ks - 3,
-                        exact=False)
+    return _gauss_knots(inner, np.maximum(0.0, y - (nt - 1) * x / m),
+                        y / nt, outer_knots, deg=Ks - 3, exact=False)

@@ -270,13 +270,12 @@ def _y_integrals(jd, xs, y_span, deg):
     """The integral over y of ``jd(x, y)`` at each of the values ``xs``, as
     the rows of one rule; ``y_span(xs)`` gives their limits and knots.
 
-    The reduced densities (T3, T5, T6) have no ``values``: their one form
-    is a single point, called once per node.
+    Each block of nodes is one ``jd.values`` call; a reduced density (T3,
+    T5, T6) integrates those nodes as the rows of its own rule.
     """
-    f = getattr(jd, "values", None) or np.vectorize(jd, otypes=[float])
     lo, hi, knots = y_span(xs)
-    return _gauss_knots(lambda y, r: f(xs[r], y), lo, hi, knots, deg=deg,
-                        exact=False)
+    return _gauss_knots(lambda y, r: jd.values(xs[r], y), lo, hi, knots,
+                        deg=deg, exact=False)
 
 
 def _mass_2d(jd, x_cut, y_span, deg):
@@ -619,7 +618,7 @@ def _suite_mc(seed, sizes, depth=None):
     for name, jd, part, bins in bin_cases[:sizes["bin_cases"]]:
         spec = SampleSpec(dist, part.K, part.Ks, part, n, seed + 104729)
         emp = mc_oracle.empirical_density(spec, bins)
-        n_pass, n_seen = mc_oracle.bin_agreement(emp, jd, nsigma=3.0,
+        n_pass, n_seen = mc_oracle.bin_agreement(emp, jd.values, nsigma=3.0,
                                                  min_count=5,
                                                  support=jd.support)
         frac = n_pass / n_seen if n_seen else 0.0

@@ -117,10 +117,10 @@ def test_bin_agreement_flags_good_and_bad():
     s = spec("K=4;Ks=4;groups=[2][1,3-4]", n, seed=31)
     emp = mc.empirical_density(s, [(0.0, 3.5, 30), (0.0, 9.0, 30)])
     jd = exact_exp.jpdf_one_vs_rest_allK(4, 2, 1.0)
-    ok, seen = mc.bin_agreement(emp, jd, support=jd.support)
+    ok, seen = mc.bin_agreement(emp, jd.values, support=jd.support)
     assert seen > 20
     assert ok / seen >= 0.95
-    bad, seen2 = mc.bin_agreement(emp, lambda a, b: 1.3 * jd(a, b),
+    bad, seen2 = mc.bin_agreement(emp, lambda a, b: 1.3 * jd.values(a, b),
                                   support=jd.support)
     assert bad / seen2 < 0.5
 
@@ -131,6 +131,6 @@ def test_bin_agreement_excludes_straddling_bins():
     s = spec("K=3;Ks=3;groups=[1][2-3]", n, seed=41)
     emp = mc.empirical_density(s, [(0.0, 3.0, 10), (0.0, 6.0, 10)])
     jd = exact_exp.jpdf_one_vs_rest_allK(3, 1, 1.0)
-    _, seen_all = mc.bin_agreement(emp, jd)
-    _, seen_supported = mc.bin_agreement(emp, jd, support=jd.support)
+    _, seen_all = mc.bin_agreement(emp, jd.values)
+    _, seen_supported = mc.bin_agreement(emp, jd.values, support=jd.support)
     assert seen_supported < seen_all

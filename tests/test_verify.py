@@ -99,3 +99,27 @@ def test_numeric_failure_is_reported_not_raised(monkeypatch):
     assert by_name["cross_path/T2"]["observed"] == verify._FAILED_EVAL
     assert by_name["cross_path/T1"]["pass"]
     assert "FAIL" in verify.render_report(rep)
+
+
+def test_reduced_densities_are_never_called_per_node(monkeypatch):
+    # The normalization and mc suites hand their nodes and bin centres to
+    # the reduced densities (T3, T5, T6) as arrays: one ``values`` call per
+    # block of nodes, never one single-point call per node.
+    from ordstat import exact_exp
+    calls = {"point": 0, "values": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (exact_exp.HeadTailAllK, exact_exp.BestKsOneVsRest,
+                exact_exp.BestKsHeadTail):
+        monkeypatch.setattr(cls, "__call__", counted("point", cls.__call__))
+        monkeypatch.setattr(cls, "values", counted("values", cls.values))
+    rep = verify.run_suites(seed=42, quick=True,
+                            suites=["normalization", "mc"])
+    assert rep["all_pass"]
+    assert calls["point"] == 0
+    assert calls["values"] > 0
