@@ -9,7 +9,10 @@ of best m}, whose probability comes from the closed joint density of
 s = v + w the event is gamma_T <= s < min(x, gamma_T*m/(m-1)) and
 max(0, s - gamma_T) <= v <= s/m: the line of the sum of the best m
 (``reductions.t4``) with its floor raised to s - gamma_T.  Its limits are
-affine in s, so one tensor Gauss-Legendre rule covers it.
+affine in s, so one tensor Gauss-Legendre rule covers it.  Both
+functions take x as a float or as an array; an array integrates each
+stage as one rule, with a row per element above gamma_T
+(``reductions._gauss_2d``), and not one rule per element.
 
 When even all L branches together stay below gamma_T the combiner has
 nothing left to add; what the output "is" in that event is a modelling
@@ -35,7 +38,7 @@ from ordstat.distributions import Exponential
 from ordstat.errors import DomainError
 from ordstat.exact_exp import FineLastHead, pdf_sum_all
 from ordstat.mc_oracle import sample_sorted
-from ordstat.reductions import _gauss_2d
+from ordstat.reductions import _each_point, _gauss_2d
 
 __all__ = [
     "MsGscConfig",
@@ -82,44 +85,55 @@ def _cdf_max(cfg, x):
     return (-math.expm1(-x / cfg.gamma_bar)) ** cfg.L
 
 
+def _result(out):
+    # A float for a scalar x, else the array.
+    return float(out) if out.ndim == 0 else out
+
+
 def msgsc_stage_probability(cfg, x, m):
     """P(best m-1 sum < gamma_T and gamma_T <= best m sum < x).
 
     The stage-m event: the combiner stops after adding its m-th branch
-    and the output lands below x.
+    and the output lands below x.  ``x`` is a float, which gives a float,
+    or an array, which gives an array of its shape: the elements above
+    gamma_T are the rows of one rule.
     """
     if not 1 <= m <= cfg.L:
         raise DomainError("need 1 <= m <= L")
     gt = cfg.gamma_T
-    if x <= gt:
-        return 0.0
+    x = np.asarray(x, dtype=float)
     if m == 1:
-        return _cdf_max(cfg, x) - _cdf_max(cfg, gt)
+        # Point by point, so that an element rounds as a single x does.
+        top = _cdf_max(cfg, gt)
+        return _result(_each_point(
+            lambda v: _cdf_max(cfg, v) - top if v > gt else 0.0, x))
     fine = FineLastHead(cfg.L, m, cfg.gamma_bar)
     # v: the m-th branch; s = v + w, the output, with w the sum of the
     # m-1 larger ones.
     return _gauss_2d(lambda s, v: fine.values(v, s - v), gt,
-                     min(x, gt * m / (m - 1)), lambda s: (s - gt, s / m),
+                     np.minimum(x, gt * m / (m - 1)),
+                     lambda s: (s - gt, s / m),
                      deg=m - 2, epsabs=_EPSABS, epsrel=_EPSREL)
 
 
 def msgsc_output_cdf(cfg, x):
-    """P(combiner output < x) under the configured shortfall convention."""
-    if x <= 0:
-        return 0.0
+    """P(combiner output < x) under the configured shortfall convention.
+
+    ``x`` is a float or an array, as for ``msgsc_stage_probability``; each
+    stage integrates every element in one rule.
+    """
+    x = np.asarray(x, dtype=float)
     gt = cfg.gamma_T
-    shortfall = pdf_sum_all(cfg.L, cfg.gamma_bar).cdf(gt)
+    erlang = pdf_sum_all(cfg.L, cfg.gamma_bar)
+    # The shortfall's share below x: all of it at 0+ for "outage", the
+    # plain L-fold sum below min(x, gamma_T) for "sum".
     if cfg.below_threshold == "outage":
-        below = shortfall
+        below = erlang.cdf(gt)
     else:
-        below = pdf_sum_all(cfg.L, cfg.gamma_bar).cdf(min(x, gt))
-    if x <= gt:
-        return below
+        below = _each_point(erlang.cdf, np.minimum(x, gt))
     stages = sum(msgsc_stage_probability(cfg, x, m=m)
                  for m in range(1, cfg.L + 1))
-    if cfg.below_threshold == "outage":
-        return shortfall + stages
-    return below + stages
+    return _result(np.where(x > 0, below + stages, 0.0))
 
 
 def simulate_output(cfg, n_samples, seed):

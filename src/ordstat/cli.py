@@ -13,8 +13,10 @@ Exit codes are stable and documented:
 All tabular output is CSV with ``#``-prefixed metadata lines (command
 line, version, seed, tolerance settings) so artifacts are reproducible
 from their own headers.  Floats print with 17 significant digits, enough
-to round-trip doubles exactly.  Grid points are evaluated in row order, one
-after another.
+to round-trip doubles exactly.  A grid of ``tabulate`` or ``msgsc`` is
+evaluated in one call on coordinate arrays: its points are the rows of
+one rule wherever the family has an array form (``generic_joint.resolve``),
+and each MS-GSC stage is one rule.  Rows print x-major.
 """
 
 import argparse
@@ -22,6 +24,8 @@ import functools
 import math
 import shlex
 import sys
+
+import numpy as np
 
 from ordstat import __version__, generic_joint
 from ordstat.apps import MsGscConfig, msgsc_output_cdf, msgsc_stage_probability
@@ -147,19 +151,15 @@ def _resolve_shape(args):
     return TheoremMatch(tid, K, Ks, m)
 
 
-def _axis_points(axis):
-    lo, hi, n = axis
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+def _grid_points(grid):
+    """Coordinate arrays of a grid, x-major: axis i holds lo + i * step."""
+    return np.meshgrid(*(lo + np.arange(n) * ((hi - lo) / (n - 1))
+                         for lo, hi, n in grid), indexing="ij")
 
 
-def _grid_rows(fn, grid):
-    if len(grid) == 1:
-        points = [(x,) for x in _axis_points(grid[0])]
-    else:
-        xs, ys = _axis_points(grid[0]), _axis_points(grid[1])
-        points = [(x, y) for x in xs for y in ys]
-    return [(*p, fn(*p)) for p in points]
+def _columns(*cols):
+    """CSV rows from columns of one shape, in C order."""
+    return zip(*(np.ravel(c).tolist() for c in cols))
 
 
 def _csv(meta, header, rows):
@@ -185,7 +185,8 @@ def _cmd_tabulate(args, argv):
     grid = tuple(_parse_grid_axis(g) for g in args.grid or ())
     if len(grid) != dim:
         raise DomainError(f"shape {shape.id} needs {dim} --grid axis spec(s)")
-    rows = _grid_rows(fn, grid)
+    points = _grid_points(grid)
+    rows = _columns(*points, fn(*points))
     meta = _meta_lines(argv, [
         ("shape", shape.id), ("distribution", args.dist),
         ("grid", ";".join(f"{a[0]:g}:{a[1]:g}:{a[2]}" for a in grid)),
@@ -217,12 +218,15 @@ def _cmd_msgsc(args, argv):
         fn = lambda x: msgsc_output_cdf(cfg, x)
         col = "cdf"
     if args.at is not None:
+        if args.grid:
+            raise DomainError("msgsc takes --at or --grid, not both")
         print(_fmt(fn(*_parse_at(args.at, 1))))
         return EXIT_OK
     grid = tuple(_parse_grid_axis(g) for g in args.grid or ())
     if len(grid) != 1:
         raise DomainError("msgsc tabulation needs exactly one --grid axis")
-    rows = _grid_rows(fn, grid)
+    x, = _grid_points(grid)
+    rows = _columns(x, fn(x))
     meta = _meta_lines(argv, [
         ("L", args.L), ("gamma_T", _fmt(args.gamma_t)),
         ("gamma_bar", _fmt(args.gamma_bar)),

@@ -18,12 +18,12 @@ and only the integrals over the rank-Ks value, which carry the factor
 nodes.
 
 Each density has one evaluation form: ``values``, over coordinate arrays
-that broadcast, and ``__call__``, defined once on ``_Density``, evaluates
-it at one point.  The fine densities and T1, T2 and T5d are one formula;
-the reduced T3, T4, T5 and T6 densities integrate the points inside their
-support as the rows of one ``reductions`` rule.  At one point T2 sums its
-step sum in ``_backend``'s scalar loop, so that its outputs keep libm's
-``pow`` rounding.
+that broadcast; ``__call__``, defined once on ``_Density``, goes through
+it and gives a float at one point.  The fine densities and T1, T2 and T5d
+are one formula; the reduced T3, T4, T5 and T6 densities integrate the
+points inside their support as the rows of one ``reductions`` rule.  At
+one point T2 sums its step sum in ``_backend``'s scalar loop, so that its
+outputs keep libm's ``pow`` rounding.
 
 Binomial coefficients are assembled exactly (they are integers well inside
 double precision for the supported ``K``) and the alternating pieces are
@@ -98,9 +98,10 @@ class _Density:
     """Shared call forms of the density classes.
 
     Every class has ``values``, which evaluates coordinate arrays (or
-    scalars) that broadcast and keeps their shape, and ``__call__`` is its
-    single-point form.  ``evaluate`` accepts one coordinate vector of
-    length ``dim``.
+    scalars) that broadcast and keeps their shape.  ``__call__`` takes the
+    same arguments and returns a float at a single point, else the array;
+    so one call evaluates a whole grid.  ``evaluate`` accepts one
+    coordinate vector of length ``dim``.
 
     The theorem densities (T1-T6) give nan at a point with a nan
     coordinate and 0 at one with an infinite coordinate (and none that is
@@ -111,16 +112,8 @@ class _Density:
     path = "exact"
 
     def __call__(self, *z):
-        return self.values(*z).item()
-
-    def _closed_form(self, formula, *z):
-        # ``formula`` at the points inside the support; it sees 0 for the
-        # coordinates of every other point, so that no inf or nan enters it.
-        z, out, ok = reductions._points(self.support, *z)
-        if not out.ndim and ok:
-            return formula(*map(float, z))
-        return np.where(ok, formula(*(np.where(ok, c, 0.0) for c in z)),
-                        out)
+        v = self.values(*z)
+        return v.item() if np.ndim(v) == 0 else v
 
     def evaluate(self, z):
         return self(*z)
@@ -182,7 +175,8 @@ class ErlangSum(_Density):
 
     def values(self, x):
         """Density over an array (or scalar) of x."""
-        return self._closed_form(
+        return reductions._closed_form(
+            self.support,
             lambda x: self._norm * x ** (self.K - 1) * np.exp(-self.rate * x),
             x)
 
@@ -262,7 +256,7 @@ class OneVsRestAllK(_Density):
             damp = self._pref * np.exp(-self.rate * (z1 + z2))
             return (damp * s[0], damp * s[1]) if scale else damp * s
 
-        return self._closed_form(formula, z1, z2)
+        return reductions._closed_form(self.support, formula, z1, z2)
 
 
 def jpdf_one_vs_rest_allK(K, m, gamma_bar):
@@ -329,7 +323,8 @@ class GscSum(_Density):
         ``reductions.t4`` rule with a row per value."""
         a, K = self.rate, self.K
         if self.Ks == 1:
-            return self._closed_form(
+            return reductions._closed_form(
+                self.support,
                 lambda x: K * a * np.exp(-a * x) * (-np.expm1(-a * x)) ** (K - 1),
                 x)
         return reductions.t4(self.fine, self.Ks, x)

@@ -51,9 +51,11 @@ converge there at their usual pace.  No fine density keeps a scalar loop:
 ``values`` works on coordinate arrays and ``__call__`` goes through it.
 The reduced densities (``t3_jpdf`` with m >= 2, ``t4_pdf`` with Ks >= 2,
 ``t5_jpdf`` and ``t6_jpdf``) take coordinate arrays that broadcast, as
-the rows of one ``reductions`` rule; T1, T2 and their one-variable forms
-take single points.  Every family gives nan at a point with a nan
-coordinate and 0 at one with an infinite coordinate, as on the exact path.
+the rows of one ``reductions`` rule, and ``t4_pdf`` with Ks = 1 is a
+formula over arrays.  T1, T2 and T3 with m = 1 take single points, and
+``resolve``'s densities loop over them.  Every family gives nan at a
+point with a nan coordinate and 0 at one with an infinite coordinate, as
+on the exact path.
 """
 
 import functools
@@ -402,11 +404,9 @@ def t4_pdf(dist, K, Ks, x):
     if not 1 <= Ks <= K:
         raise DomainError("need 1 <= Ks <= K")
     if Ks == 1:
-        (x,), out, ok = reductions._points(lambda x: x >= 0, x)
-        if not ok:
-            return float(out)
-        x = float(x)
-        return K * dist.pdf1(x) * dist.cdf1(x) ** (K - 1)
+        return reductions._closed_form(
+            lambda x: x >= 0,
+            lambda x: K * dist.pdf(x) * dist.cdf(x) ** (K - 1), x)
     return reductions.t4(FineLastHead(K, Ks, dist), Ks, x)
 
 
@@ -433,8 +433,15 @@ def resolve(shape, dist, method="auto", digits=8):
     the closed forms of ``exact_exp`` (exponential only), ``"generic"`` this
     module's evaluators, and ``"auto"`` the exact path where it applies.
     ``digits`` is the inversion target of generic T1, the only family that
-    inverts numerically.  The density takes its coordinates in the caller's order: a
-    swapped shape is evaluated with its arguments exchanged.
+    inverts numerically.  The density takes its coordinates in the caller's
+    order: a swapped shape is evaluated with its arguments exchanged.
+
+    The coordinates are scalars, which give a float, or arrays that
+    broadcast, which give an array of their common shape.  An array is one
+    call of the family's array form: the points are the rows of one rule.
+    T2 and T3 with m = 1 on both paths, and generic T1, take the points
+    one at a time, here.  Generic densities are this module's ``t*_pdf``
+    attributes as they are when ``resolve`` runs.
     """
     fam, K, Ks, m = shape.id[:2], shape.K, shape.Ks, shape.m
     args = {"T1": (K,), "T2": (K, m), "T3": (K, m), "T4": (K, Ks),
@@ -463,11 +470,20 @@ def resolve(shape, dist, method="auto", digits=8):
             return pdf(dist, *args, *z)
     else:
         raise DomainError(f"unknown method {method!r}")
+    # T3 with m = 1 is the rank-1 T2 joint.  An exact T2 point sums its
+    # step sum in ``_backend``'s scalar loop (libm's ``pow`` rounding), so
+    # grids keep those values; generic T1 and T2 have no array form.
+    pointwise = (fam == "T2" or (fam == "T3" and m == 1)
+                 or (fam == "T1" and method == "generic"))
     dim = 1 if fam in ("T1", "T4") else 2
 
     def density(*z):
         if len(z) != dim:
             raise DomainError(f"{shape.id} expects {dim} coordinate(s)")
-        return fn(*z[::-1]) if shape.swap else fn(*z)
+        if shape.swap:
+            z = z[::-1]
+        if pointwise and not all(isinstance(c, (int, float)) for c in z):
+            return reductions._each_point(fn, *z)
+        return fn(*z)
 
     return density, dim

@@ -44,8 +44,10 @@ density on the nodes of every inner segment together, in blocks of about
 ``_BLOCK`` nodes, and not one small inner rule at a time.  A point with
 a nan coordinate gives nan, and one with an infinite coordinate 0, without
 a rule (``_reduce``).  ``_gauss_2d`` is the two-level form of the rule,
-for a region without knots whose inner limits move with the outer
-variable; ``apps`` integrates the MS-GSC stage probabilities with it.
+for regions without knots whose inner limits move with the outer
+variable, with an array of upper limits as its rows; ``apps`` integrates
+the MS-GSC stage probabilities of a whole grid with it, one rule per
+stage.
 """
 
 import functools
@@ -71,6 +73,9 @@ _TANH_SINH_FIRST = 16
 # (nodes x terms) temporaries, so the peak memory of a batch of inner
 # rules grows with this.
 _BLOCK = 2 ** 10
+# Nodes per call of a ``_gauss_2d`` integrand, whole rows at a time (a row
+# of the n-node rule has n * n nodes).  Its integrands have no step sum.
+_BLOCK_2D = 2 ** 13
 # Half-width of the tanh-sinh rules in their own variable: the outermost
 # nodes sit 6e-38 = exp(-pi*sinh(4)) of a segment from its ends, so the
 # part of an x^(a-1) end singularity that they miss is about (6e-38)^a of
@@ -221,35 +226,53 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
 
 
 def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
-    """Integral of ``f(s, v)`` over ``lo <= s <= hi``, ``v`` in ``inner(s)``.
+    """Integrals of ``f(s, v)`` over ``lo <= s <= hi``, ``v`` in ``inner(s)``.
 
-    ``inner`` maps an array of outer nodes to the arrays ``(a, b)`` of
-    their inner limits.  The integrand is smooth in ``s`` and, in ``v``, a
-    polynomial of degree ``deg`` times a smooth factor, with no knot on
-    either level.  The n-node rule puts n nodes on ``s`` and maps the same
-    n onto each ``[a, b]``; ``f`` gets the ``(n, n)`` node arrays in one
-    call.  n starts as in ``_gauss_knots`` and doubles on both levels as
-    ``_doubled`` says.  A value that is not finite raises
-    :class:`ConvergenceError`.
+    ``hi`` is a float, which gives one integral and a float, or an array of
+    upper limits, which gives one integral per element (0 where ``hi <=
+    lo``), as the rows of one rule, and an array of its shape.  ``inner``
+    maps an array of outer nodes to the arrays ``(a, b)`` of their inner
+    limits.  The integrand is smooth in ``s`` and, in ``v``, a polynomial of
+    degree ``deg`` times a smooth factor, with no knot on either level.  The
+    n-node rule puts n nodes on ``s`` in each row and maps the same n onto
+    each ``[a, b]``; ``f`` gets the ``(rows, n, n)`` node arrays of the open
+    rows, in blocks of whole rows and at most ``_BLOCK_2D`` nodes where a
+    row has fewer.  n starts as in ``_gauss_knots`` and doubles per row,
+    on both levels, as ``_doubled`` says.  A value that is not finite
+    raises :class:`ConvergenceError`.
     """
-    if not hi > lo:
-        return 0.0
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    top = np.asarray(hi, dtype=float)
+    out = np.zeros(top.shape)
+    live = top > lo
+    his = top[live]
+    mid, half = 0.5 * (his + lo), 0.5 * (his - lo)
+
+    def block(x, w, rows):
+        s = mid[rows, None] + half[rows, None] * x
+        a, b = inner(s)
+        vmid, vhalf = 0.5 * (b + a), 0.5 * (b - a)
+        vals = f(s[..., None], vmid[..., None] + vhalf[..., None] * x)
+        # A dot product per row, as (1, n) @ (n, 1): unlike one matrix
+        # product over the rows, it rounds as the rule of that row alone.
+        sums = (vhalf * (vals @ w))[:, None, :]
+        return half[rows] * (sums @ w[:, None])[:, 0, 0]
 
     def rule(n, todo):
         x, w = _legendre(n)
-        s = mid + half * x
-        a, b = inner(s)
-        vmid, vhalf = 0.5 * (b + a), 0.5 * (b - a)
-        vals = f(s[:, None], vmid[:, None] + vhalf[:, None] * x)
-        est = half * (w @ (vhalf * (vals @ w)))
-        if not np.isfinite(est):
+        k = max(1, _BLOCK_2D // (n * n))
+        est = np.concatenate([block(x, w, todo[i:i + k])
+                              for i in range(0, todo.size, k)])
+        bad = np.flatnonzero(~np.isfinite(est))
+        if bad.size:
             raise ConvergenceError(
-                f"{n}x{n}-node rule on [{lo:g}, {hi:g}] gave {est}")
-        return np.array([[est]])
+                f"{n}x{n}-node rule on [{lo:g}, {his[todo[bad[0]]]:g}] gave "
+                f"{est[bad[0]]}")
+        return est[:, None]
 
-    return float(_doubled(rule, deg // 2 + 1 + _SMOOTH_EXTRA, [lo], [hi],
-                          epsabs, epsrel)[0])
+    if his.size:
+        out[live] = _doubled(rule, deg // 2 + 1 + _SMOOTH_EXTRA,
+                             np.full(his.size, lo), his, epsabs, epsrel)
+    return out if out.ndim else float(out)
 
 
 def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None, then=None):
@@ -340,6 +363,28 @@ def _points(inside, *z):
     for c in z[1:]:
         nan, ok = nan | np.isnan(c), ok & np.isfinite(c)
     return z, np.where(nan, np.nan, 0.0), ok & inside(*z)
+
+
+def _closed_form(inside, formula, *z):
+    """``formula`` at the points ``z`` inside the support ``inside``; every
+    other point gets what ``_points`` says.
+
+    ``formula`` sees 0 for the coordinates of the points outside, so that
+    no inf or nan enters it, and the floats of a single point inside.
+    """
+    z, out, ok = _points(inside, *z)
+    if not out.ndim and ok:
+        return formula(*z)
+    return np.where(ok, formula(*(np.where(ok, c, 0.0) for c in z)),
+                    out)[()]
+
+
+def _each_point(fn, *z):
+    """``fn`` at each point of the coordinate arrays ``z``, which broadcast,
+    one at a time on Python floats, as an array of their shape."""
+    z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in z))
+    vals = [fn(*p) for p in zip(*(c.ravel().tolist() for c in z))]
+    return np.array(vals, dtype=float).reshape(z[0].shape)
 
 
 def _reduce(inside, rows, *z):

@@ -1,5 +1,6 @@
 """Minimum-selection combiner: stage probabilities, output CDF, simulation."""
 
+import functools
 import math
 
 import mpmath
@@ -189,3 +190,28 @@ def test_grids_match_scipy_erlang_cdf(monkeypatch, L, convention):
         0.0 if x <= 0 else float(special.gammainc(self.K, self.rate * x))))
     want = [msgsc_output_cdf(c, x) for x in xs]
     assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("convention", ["sum", "outage"])
+@pytest.mark.parametrize("L", [1, 2, 4, 16])
+def test_arrays_match_scalar_calls(L, convention):
+    # An array of x integrates each stage as one rule with a row per
+    # element; each row keeps its scalar value to a few ulps.
+    gt = 0.4 * L
+    c = cfg(L, gt=gt, below_threshold=convention)
+    caps = [gt * m / (m - 1) for m in range(2, L + 1)]
+    x = np.array([-1.0, 0.0, 0.3 * gt, gt, *caps, 1.01 * gt, 2.5 * gt,
+                  40.0 * L])
+    stages = [functools.partial(msgsc_stage_probability, c, m=m)
+              for m in range(1, L + 1)]
+    for f in [functools.partial(msgsc_output_cdf, c), *stages]:
+        got = f(x)
+        assert got.shape == x.shape
+        want = [f(v) for v in x.tolist()]
+        assert all(type(v) is float for v in want)
+        np.testing.assert_array_max_ulp(got, np.array(want), maxulp=4)
+        assert f(np.array([])).shape == (0,)
+        np.testing.assert_array_equal(f(x.reshape(1, -1, 1))[0, :, 0], got)
+    # Nothing stops at or below the threshold.
+    assert all(np.all(f(x[:4]) == 0.0) for f in stages)
+    assert msgsc_output_cdf(c, x[:2]).tolist() == [0.0, 0.0]

@@ -12,6 +12,7 @@ import pytest
 
 import ordstat
 from ordstat import cli
+from ordstat.mc_oracle import sample_sorted
 
 
 def run(capsys, *argv):
@@ -408,3 +409,155 @@ def test_benchmark_tracer_installs():
     _fresh_python(f"import sys; sys.path.insert(0, {bench!r}); "
                   "from tracer import Tracer; t = Tracer(); t.install(); "
                   "t.uninstall()")
+
+
+def test_msgsc_at_with_grid_exits_2(capsys):
+    code, out, err = run(capsys, "msgsc", "--L", "4", "--gamma-t", "1",
+                         "--at", "2", "--grid", "0.5:3:4")
+    assert code == 2
+    assert out == ""
+    assert "--at" in err and "--grid" in err
+
+
+# -- a grid is one call; it matches per-point ``eval`` --
+
+
+def _rank_groups(K, Ks):
+    """(shape flags, rank groups of the coordinates) for every family at
+    (K, Ks), with every T5 case and both edges of T2."""
+    every = range(1, K + 1)
+    best = range(1, Ks + 1)
+    out = [(["--theorem", "T1"], [every]),
+           (["--theorem", "T4", "--Ks", str(Ks)], [best]),
+           (["--theorem", "T4", "--Ks", "1"], [[1]])]
+    for m in (1, 2):
+        out.append((["--theorem", "T2", "--m", str(m)],
+                    [[m], [r for r in every if r != m]]))
+        out.append((["--theorem", "T3", "--m", str(m)],
+                    [range(1, m + 1), range(m + 1, K + 1)]))
+    for m in sorted({1, 2, Ks - 1, Ks}):
+        out.append((["--theorem", "T5", "--Ks", str(Ks), "--m", str(m)],
+                    [[m], [r for r in best if r != m]]))
+    for m in sorted({1, 2, Ks - 1}):
+        out.append((["--theorem", "T6", "--Ks", str(Ks), "--m", str(m)],
+                    [range(1, m + 1), range(m + 1, Ks + 1)]))
+    return out
+
+
+def _grid_flags(dist, K, groups, n):
+    # Axes from below 0 to about twice the mean of each coordinate, so
+    # that every grid crosses the support edges.
+    ranks = sample_sorted(cli._parse_dist(dist), K, 2000, seed=3)
+    flags = []
+    for g in groups:
+        mean = float(ranks[:, [r - 1 for r in g]].sum(axis=1).mean())
+        flags.append(f"--grid={-0.15 * mean:.6g}:{2.2 * mean:.6g}:{n}")
+    return flags
+
+
+def _csv_body(text):
+    rows = [ln.split(",") for ln in text.splitlines()
+            if not ln.startswith("#")]
+    return rows[1:]
+
+
+def _check_grid_against_eval(capsys, common, grid_flags):
+    code, out, _ = run(capsys, "tabulate", *common, *grid_flags)
+    assert code == 0
+    rows = _csv_body(out)
+    vals = [float(r[-1]) for r in rows]
+    assert min(vals) == 0.0 and max(vals) > 0.0
+    points = [r[:-1] for r in rows]
+    # x-major: the last coordinate runs fastest.
+    assert points == sorted(points, key=lambda p: [float(c) for c in p])
+    for row, at in zip(rows, points):
+        code, point, _ = run(capsys, "eval", *common,
+                             "--at=" + ",".join(at))
+        assert code == 0
+        got, want = float(row[-1]), float(point)
+        if common[1] == "T2" or common[1:4] == ["T3", "--m", "1"]:
+            # Point by point in both commands: the same digits.
+            assert row[-1] == point.strip(), (common, at)
+        else:
+            assert abs(got - want) <= 1e-13 * max(abs(got), abs(want)), (
+                common, at, got, want)
+
+
+@pytest.mark.parametrize("K", [4, 5, 10, 30])
+def test_exact_tabulate_matches_eval(capsys, K):
+    Ks = {4: 4, 5: 4, 10: 8, 30: 27}[K]
+    n = 3 if K == 30 else 4
+    for flags, groups in _rank_groups(K, Ks):
+        common = [*flags, "--K", str(K), "--dist", "exp:1",
+                  "--method", "exact"]
+        _check_grid_against_eval(capsys, common,
+                                 _grid_flags("exp:1", K, groups, n))
+
+
+@pytest.mark.parametrize("dist", ["exp:1", "halfnormal:1"])
+def test_generic_tabulate_matches_eval(capsys, dist):
+    K, Ks = 5, 4
+    for flags, groups in _rank_groups(K, Ks):
+        common = [*flags, "--K", str(K), "--dist", dist,
+                  "--method", "generic"]
+        _check_grid_against_eval(capsys, common,
+                                 _grid_flags(dist, K, groups, 4))
+
+
+@pytest.mark.parametrize("method", ["exact", "generic"])
+@pytest.mark.parametrize("partition, groups", [
+    ("K=5;Ks=5;groups=[3-5][1-2]", [range(3, 6), range(1, 3)]),
+    ("K=6;Ks=4;groups=[3-4][1-2]", [range(3, 5), range(1, 3)]),
+    ("K=6;Ks=4;groups=[2-4][1]", [range(2, 5), [1]]),
+], ids=["T3", "T6", "T5a"])
+def test_swapped_partition_tabulate_matches_eval(capsys, method, partition,
+                                                 groups):
+    K = int(partition[2])
+    _check_grid_against_eval(
+        capsys, ["--partition", partition, "--method", method],
+        _grid_flags("exp:1", K, groups, 3))
+
+
+# One grid of each reduced exact family (T3-T6, every T5 case) on exp:1.
+REDUCED_GRIDS = [
+    ["--theorem", "T3", "--K", "5", "--m", "2"],
+    ["--theorem", "T4", "--K", "5", "--Ks", "4"],
+    *(["--theorem", "T5", "--K", "5", "--Ks", "4", "--m", str(m)]
+      for m in range(1, 5)),
+    ["--theorem", "T6", "--K", "5", "--Ks", "4", "--m", "2"],
+]
+
+
+def test_grids_are_one_call(capsys, monkeypatch):
+    # A tabulated grid is one call of the density, whose points are the
+    # rows of one rule; an MS-GSC grid is one 2-d rule per stage.
+    from ordstat import apps, exact_exp
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (exact_exp.HeadTailAllK, exact_exp.GscSum,
+                exact_exp.BestKsOneVsRest, exact_exp.BestKsHeadTail):
+        monkeypatch.setattr(cls, "__call__", counted("call", cls.__call__))
+        monkeypatch.setattr(cls, "values", counted("values", cls.values))
+    monkeypatch.setattr(apps, "_gauss_2d",
+                        counted("gauss_2d", apps._gauss_2d))
+    for shape in REDUCED_GRIDS:
+        del calls[:]
+        code, out, _ = run(capsys, "tabulate", *shape, "--method", "exact",
+                           *(["--grid", "0.5:6:5"] * (1 + (shape[1] != "T4"))))
+        assert code == 0
+        assert calls == ["call", "values"], shape
+    L = 6
+    for stage, rules in ((None, L - 1), ("3", 1)):
+        del calls[:]
+        code, out, _ = run(capsys, "msgsc", "--L", str(L), "--gamma-t", "2",
+                           "--grid", "0.5:8:16",
+                           *(["--stage", stage] if stage else []))
+        assert code == 0
+        assert len(_csv_body(out)) == 16
+        assert calls == ["gauss_2d"] * rules
