@@ -28,7 +28,11 @@ outputs keep libm's ``pow`` rounding.
 Binomial coefficients are assembled exactly (they are integers well inside
 double precision for the supported ``K``) and the alternating pieces are
 accumulated by compensated summation, smallest first; the headline sums
-still cancel heavily near support edges.  ``OneVsRestAllK.values`` can
+still cancel heavily near support edges.  Every step-sum threshold is
+linear in the coordinates of the point: ``_StepSum`` keeps the slopes in
+summation order and builds the thresholds term-major, one array per term
+over the nodes, which is the layout in which ``_backend`` raises only the
+terms that are live at a node.  ``OneVsRestAllK.values`` can
 also return the magnitude scale the roundoff should be measured against.
 ``K`` is capped at 30: beyond that the binomial terms overwhelm double
 precision regardless of summation order.
@@ -128,25 +132,34 @@ class _Density:
 class _StepSum:
     """``sum_j coeff_j (u - thr_j)^power U(u - thr_j)`` with fixed coefficients.
 
-    Thresholds vary per call (they depend on the evaluation point); the
-    coefficient sort order is fixed once, ascending in magnitude.
+    Each threshold is linear in the coordinates of the evaluation point,
+    ``thr_j = sum_i slopes_i[j] * coords_i``.  The coefficients and the
+    slopes are sorted once, ascending in |coeff|, which is the order that
+    ``_backend`` sums the terms in.
     """
 
-    def __init__(self, coeffs, power):
+    def __init__(self, coeffs, power, *slopes):
         c = np.asarray(coeffs, dtype=float)
-        self._order = np.argsort(np.abs(c), kind="stable")
-        self._coeff = np.ascontiguousarray(c[self._order])
+        order = np.argsort(np.abs(c), kind="stable")
+        self._coeff = np.ascontiguousarray(c[order])
         self._power = np.full(c.size, float(power))
+        self._slopes = [np.asarray(s, dtype=float)[order] for s in slopes]
 
-    def values(self, u, thresholds, scale=False):
-        """The sum at ``u``, one value or one per node, with thresholds
-        ``(N, T)`` (a row per node) or ``(T,)``.
+    def values(self, u, *coords, scale=False):
+        """The sum at ``u``, with one coordinate per slope vector; ``u`` and
+        the coordinates are arrays (or scalars) that broadcast.
 
-        One ``u`` with one row takes ``_backend``'s scalar loop.  With
-        ``scale`` the sum of |term| comes second, from the node form.
+        The thresholds are term-major, ``(T, *nodes)``.  A single point
+        (all scalars) takes ``_backend``'s scalar loop.  With ``scale`` the
+        sum of |term| comes second, from the node form.
         """
-        thr = np.asarray(thresholds, dtype=float)[..., self._order]
-        u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
+        nd = max(map(np.ndim, (u, *coords)))
+        col = (-1,) + (1,) * nd
+        thr = None
+        for s, c in zip(self._slopes, coords, strict=True):
+            t = s.reshape(col) * c
+            thr = t if thr is None else thr + t
+        u = np.asarray(u, dtype=float) if nd else float(u)
         if scale:
             return _backend.poly_exp_eval_scale(self._coeff, thr,
                                                 self._power, u)
@@ -231,8 +244,8 @@ class OneVsRestAllK(_Density):
         self.K, self.m = K, m
         self.gamma_bar = _check_scale(gamma_bar)
         self.rate = a = 1.0 / self.gamma_bar
-        self._steps = _StepSum(_alt_binom(K - m), K - 2)
-        self._slopes = np.arange(K - m + 1, dtype=float) + (m - 1)
+        self._steps = _StepSum(_alt_binom(K - m), K - 2,
+                               np.arange(K - m + 1, dtype=float) + (m - 1))
         self._pref = _pref(num=(K,), den=(K - m, m - 1, K - 2), rate=a, rate_pow=K)
 
     def support(self, z1, z2):
@@ -248,15 +261,16 @@ class OneVsRestAllK(_Density):
 
         A single point sums its step sum in ``_backend``'s scalar loop.
         With ``scale`` the cancellation scale comes second (node form):
-        the roundoff of the density lives at scale * eps.
+        the roundoff of the density lives at scale * eps.  At a single
+        point outside the support both are the density there, 0 or nan.
         """
         def formula(z1, z2):
-            s = self._steps.values(z2, np.multiply.outer(z1, self._slopes),
-                                   scale)
+            s = self._steps.values(z2, z1, scale=scale)
             damp = self._pref * np.exp(-self.rate * (z1 + z2))
             return (damp * s[0], damp * s[1]) if scale else damp * s
 
-        return reductions._closed_form(self.support, formula, z1, z2)
+        v = reductions._closed_form(self.support, formula, z1, z2)
+        return (v, v) if scale and not np.ndim(v) else v
 
 
 def jpdf_one_vs_rest_allK(K, m, gamma_bar):
@@ -369,8 +383,8 @@ class FineHeadRankTail(_FineBase):
                               "and a nonempty tail")
         super().__init__(K, K, gamma_bar)
         self.m = m
-        self._steps = _StepSum(_alt_binom(K - m), K - m - 1)
-        self._slopes = np.arange(K - m + 1, dtype=float)
+        self._steps = _StepSum(_alt_binom(K - m), K - m - 1,
+                               np.arange(K - m + 1, dtype=float))
         self._pref = _pref(num=(K,), den=(K - m, m - 1, m - 2, K - m - 1),
                            rate=self.rate, rate_pow=K)
 
@@ -381,7 +395,7 @@ class FineHeadRankTail(_FineBase):
         """Density over coordinate arrays (or scalars) that broadcast."""
         m = self.m
         ok = (g >= 0) & (z1 >= m * g) & (z2 >= 0) & (z2 <= (self.K - m) * g)
-        s = self._steps.values(z2, np.multiply.outer(g, self._slopes))
+        s = self._steps.values(z2, g)
         out = (self._pref * np.exp(-self.rate * (z1 + z2))
                * (z1 - m * g) ** (m - 2) * s)
         return np.where(ok, out, 0.0)
@@ -398,9 +412,10 @@ class FineOneMidLast(_FineBase):
             raise DomainError("need Ks >= 3 for a nonempty middle group")
         super().__init__(K, Ks, gamma_bar)
         a = self.rate
-        self._steps = _StepSum(_alt_binom(Ks - 2), Ks - 3)
-        self._c4 = np.arange(Ks - 2, -1.0, -1.0)   # coefficient of z4: Ks-2-j
-        self._c1 = np.arange(0.0, Ks - 1.0)        # coefficient of z1: j
+        # Threshold j is (Ks-2-j) z4 + j z1.
+        self._steps = _StepSum(_alt_binom(Ks - 2), Ks - 3,
+                               np.arange(Ks - 2, -1.0, -1.0),
+                               np.arange(0.0, Ks - 1.0))
         self._pref = _pref(num=(K,), den=(K - Ks, Ks - 2, Ks - 3),
                            rate=a, rate_pow=Ks)
 
@@ -411,8 +426,7 @@ class FineOneMidLast(_FineBase):
     def values(self, z1, z3, z4):
         """Density over coordinate arrays (or scalars) that broadcast."""
         ok = (z1 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z1)
-        s = self._steps.values(z3, np.multiply.outer(z4, self._c4)
-                               + np.multiply.outer(z1, self._c1))
+        s = self._steps.values(z3, z4, z1)
         out = (self._pref * self._cdf_pows(z4)
                * np.exp(-self.rate * (z1 + z3 + z4)) * s)
         return np.where(ok, out, 0.0)
@@ -431,9 +445,10 @@ class FineHeadMidLast(_FineBase):
         self.m = m
         a = self.rate
         n_mid = Ks - m - 1
-        self._steps = _StepSum(_alt_binom(n_mid), n_mid - 1)
-        self._c4 = np.arange(n_mid, -1.0, -1.0)   # coefficient of z4
-        self._c2 = np.arange(0.0, n_mid + 1.0)    # coefficient of z2
+        # Threshold j is (n_mid-j) z4 + j z2.
+        self._steps = _StepSum(_alt_binom(n_mid), n_mid - 1,
+                               np.arange(n_mid, -1.0, -1.0),
+                               np.arange(0.0, n_mid + 1.0))
         self._pref = _pref(num=(K,),
                            den=(K - Ks, m - 1, Ks - m - 1, m - 2, Ks - m - 2),
                            rate=a, rate_pow=Ks)
@@ -448,8 +463,7 @@ class FineHeadMidLast(_FineBase):
         head = z1 - (self.m - 1) * z2
         ok = ((z1 >= 0) & (z2 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z2)
               & (head >= 0))
-        s = self._steps.values(z3, np.multiply.outer(z4, self._c4)
-                               + np.multiply.outer(z2, self._c2))
+        s = self._steps.values(z3, z4, z2)
         out = (self._pref * self._cdf_pows(z4) * head ** (self.m - 2)
                * np.exp(-self.rate * (z1 + z2 + z3 + z4)) * s)
         return np.where(ok, out, 0.0)

@@ -370,11 +370,12 @@ def _closed_form(inside, formula, *z):
     other point gets what ``_points`` says.
 
     ``formula`` sees 0 for the coordinates of the points outside, so that
-    no inf or nan enters it, and the floats of a single point inside.
+    no inf or nan enters it, and the floats of a single point inside; at a
+    single point outside it is not called.
     """
     z, out, ok = _points(inside, *z)
-    if not out.ndim and ok:
-        return formula(*z)
+    if not out.ndim:
+        return formula(*z) if ok else out[()]
     return np.where(ok, formula(*(np.where(ok, c, 0.0) for c in z)),
                     out)[()]
 

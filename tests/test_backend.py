@@ -1,4 +1,9 @@
-"""Step-sum kernel: node arrays and the scalar loop against exact sums."""
+"""Step-sum kernel: node arrays and the scalar loop against exact sums, and
+the node form bit for bit against raising every term.
+
+Thresholds are term-major: ``(T,)``, or ``(T, *nodes)`` with a column of
+nodes per term.
+"""
 
 import math
 from fractions import Fraction
@@ -28,7 +33,7 @@ def _exact(coeff, thr, power, zs):
     adds about one rounding of the result, so a step sum lies within a
     few eps times the sum of |term| of these values.
     """
-    rows = thr if thr.ndim == 2 else np.broadcast_to(thr, (zs.size, thr.size))
+    rows = thr.T if thr.ndim == 2 else np.broadcast_to(thr, (zs.size, thr.size))
     out = []
     for z, t in zip(zs, rows):
         terms = [Fraction(float(c)) * Fraction(float(z - ti)) ** int(p)
@@ -42,15 +47,15 @@ def test_nodes_match_scalar_loop(T):
     rng = np.random.default_rng(T)
     coeff, power = _terms(rng, T)
     N = 200
-    thr = rng.uniform(0.0, 5.0, (N, T))
+    thr = rng.uniform(0.0, 5.0, (N, T)).T
     zs = rng.uniform(0.0, 8.0, N)
-    zs[:10] = thr[:10].min(axis=1) - 0.5     # below every threshold
-    zs[10:20] = thr[10:20, -1]                # exactly at a threshold
+    zs[:10] = thr[:, :10].min(axis=0) - 0.5  # below every threshold
+    zs[10:20] = thr[-1, 10:20]              # exactly at a threshold
     got = _backend.poly_exp_eval(coeff, thr, power, zs)
     got_s, got_mag = _backend.poly_exp_eval_scale(coeff, thr, power, zs)
     assert got.shape == (N,)
     for j, (want, mag) in enumerate(_exact(coeff, thr, power, zs)):
-        loop = _backend.poly_exp_eval(coeff, thr[j], power, float(zs[j]))
+        loop = _backend.poly_exp_eval(coeff, thr[:, j], power, float(zs[j]))
         assert abs(got[j] - want) <= 4 * EPS * mag
         assert abs(loop - want) <= 4 * EPS * mag
         assert got_s[j] == got[j]
@@ -72,8 +77,8 @@ def test_shared_thresholds_and_scalar_node():
         assert np.shape(s) == np.shape(m) == ()
         assert abs(s - want) <= 4 * EPS * mag
         assert m == pytest.approx(mag, rel=1e-13)
-    # One value of z against a threshold row per node.
-    rows = rng.uniform(0.0, 4.0, (25, 12))
+    # One value of z against a threshold column per node.
+    rows = rng.uniform(0.0, 4.0, (25, 12)).T
     got = _backend.poly_exp_eval(coeff, rows, power, 3.0)
     want = _exact(coeff, rows, power, np.full(25, 3.0))
     for g, (w, mag) in zip(got, want):
@@ -91,13 +96,134 @@ def test_step_is_closed_on_the_left():
     assert got.tolist() == [0.0, 2.5, 2.5]
 
 
-
 def test_compensation_keeps_a_cancelled_term():
     # Summed plainly, 1 + 1e16 - 1e16 is 0; compensated, it is exactly 1.
     coeff = np.array([1.0, 1e16, -1e16])
     power = np.zeros(3)
     thr = np.zeros(3)
     assert _backend.poly_exp_eval(coeff, thr, power, 0.5) == 1.0
-    got = _backend.poly_exp_eval(coeff, np.zeros((4, 3)), power,
+    got = _backend.poly_exp_eval(coeff, np.zeros((3, 4)), power,
                                  np.linspace(0.0, 3.0, 4))
     assert got.tolist() == [1.0] * 4
+
+
+# -- the node form bit for bit against raising every term --
+
+
+def _raise_every_term(coeff, thr, power, z):
+    """The node form as a plain formula: every term is raised, and the
+    terms below their thresholds are then multiplied by 0."""
+    z = np.asarray(z, dtype=float)
+    thr = np.asarray(thr, dtype=float)
+    if thr.ndim == 1:
+        thr = thr.reshape(-1, *(1,) * z.ndim)
+    d = z - thr
+    col = (-1,) + (1,) * (d.ndim - 1)
+    live = d >= 0.0
+    x = np.power(np.maximum(d, 0.0), power.reshape(col))
+    x = x * coeff.reshape(col) * live
+    s = np.cumsum(x, axis=0)
+    prev = np.zeros_like(s)
+    prev[1:] = s[:-1]
+    bp = s - prev
+    comp = (x - bp) + (prev - (s - bp))
+    return s[-1] + comp.sum(axis=0), np.abs(x).sum(axis=0)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    zero = want == 0.0
+    assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
+
+
+def _check_bits(coeff, thr, power, z):
+    # inf - inf in the two-sum of a nan or infinite term is expected.
+    with np.errstate(invalid="ignore"):
+        want, want_mag = _raise_every_term(coeff, thr, power, z)
+        got, got_mag = _backend.poly_exp_eval_scale(coeff, thr, power, z)
+        _same_bits(got, want)
+        _same_bits(got_mag, want_mag)
+        if not (isinstance(z, float) and np.ndim(thr) == 1):
+            _same_bits(_backend.poly_exp_eval(coeff, thr, power, z), want)
+
+
+def _special(rng, a, share=0.05):
+    # nan and +-inf at random entries of ``a``.
+    a = a.copy()
+    hit = rng.random(a.shape) < share
+    a[hit] = rng.choice([np.nan, np.inf, -np.inf], hit.sum())
+    return a
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 12, 29, 31])
+def test_nodes_match_raising_every_term(T):
+    rng = np.random.default_rng(100 + T)
+    N = 150
+    coeff, power = _terms(rng, T)
+    power[rng.random(T) < 0.3] = 0.0           # p = 0 terms
+    if T % 2:
+        coeff = -np.abs(coeff)                 # every dead term is -0
+    thr = rng.uniform(0.0, 5.0, (T, N))
+    z = rng.uniform(-1.0, 8.0, N)
+    z[:10] = thr[:, :10].min(axis=0) - 0.5     # below every threshold
+    z[10:20] = thr[rng.integers(T), 10:20]     # exactly at a threshold
+    _check_bits(coeff, thr, power, z)
+    _check_bits(coeff, _special(rng, thr), power, _special(rng, z))
+    # 2-d nodes, and node arrays against a threshold column per row.
+    thr2 = rng.uniform(0.0, 5.0, (T, 7, 9))
+    _check_bits(coeff, thr2, power, rng.uniform(-1.0, 8.0, (7, 9)))
+    _check_bits(coeff, _special(rng, thr2), power,
+                _special(rng, rng.uniform(-1.0, 8.0, (7, 9))))
+    _check_bits(coeff, thr2[:, :, :1], power, rng.uniform(-1.0, 8.0, 9))
+    # Shared thresholds, a single node and one z against columns.
+    shared = np.sort(rng.uniform(0.0, 4.0, T))
+    _check_bits(coeff, shared, power, z)
+    _check_bits(coeff, shared, power, _special(rng, z, 0.3))
+    _check_bits(coeff, shared, power, rng.uniform(-1.0, 8.0, (4, 5)))
+    _check_bits(coeff, shared, power, np.array(float(z[30])))
+    _check_bits(coeff, shared, power, float(z[30]))
+    _check_bits(coeff, thr, power, float(z[30]))
+    _check_bits(coeff, _special(rng, thr), power, np.inf)
+
+
+@pytest.mark.parametrize("base", [0.0, 0.35])
+def test_alternating_binomials_bit_for_bit(base):
+    # The K=30 step sum: 29 terms (-1)^j C(28, j), power 28, sorted by
+    # |coeff|, with equally spaced thresholds.
+    c = np.array([(-1) ** j * math.comb(28, j) for j in range(29)], float)
+    order = np.argsort(np.abs(c), kind="stable")
+    coeff, power = c[order], np.full(29, 28.0)
+    h = np.array([0.1, 0.7, 1.3])
+    thr = (base + np.multiply.outer(np.arange(29.0), h))[order]
+    z = np.linspace(-0.5, 30.0, 4000)
+    _check_bits(coeff, thr[..., None], power, np.multiply.outer(h, z))
+    _check_bits(coeff, thr[:, :1], power, z)
+    _check_bits(coeff, thr[:, 1], power, z[::7])
+    for zi in (thr[3, 2], thr[0, 2], z[-1]):      # at a threshold, above
+        _check_bits(coeff, thr[:, 2], power, float(zi))
+
+
+def test_step_sums_reach_the_traced_entry_points(monkeypatch):
+    # perfbench's tracer wraps these two attributes of ``_backend`` by name
+    # and counts the terms as the length of the first argument.
+    from ordstat import exact_exp
+    seen = {"poly_exp_eval": [], "poly_exp_eval_scale": []}
+    for name, calls in seen.items():
+        fn = getattr(_backend, name)
+
+        def counted(*a, fn=fn, calls=calls, **k):
+            calls.append(len(a[0]))
+            return fn(*a, **k)
+        monkeypatch.setattr(_backend, name, counted)
+    K, Ks, m = 10, 8, 3
+    jd = exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, m, 1.0)
+    assert jd.case == "b"
+    x, y = np.meshgrid([0.6, 0.9], [4.0, 5.5], indexing="ij")
+    assert np.all(jd(x, y) > 0.0)
+    assert seen["poly_exp_eval"]
+    assert set(seen["poly_exp_eval"]) == {Ks - m}      # n_mid + 1 terms
+    ov = exact_exp.jpdf_one_vs_rest_allK(K, 4, 1.0)
+    ov.values(np.array([0.5, 1.0]), np.array([3.0, 6.0]), scale=True)
+    assert seen["poly_exp_eval_scale"] == [K - 4 + 1]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ordstat import exact_exp, reductions
+from ordstat import _backend, exact_exp, reductions
 from ordstat.distributions import Exponential
 from ordstat.errors import ConvergenceError, DomainError
 
@@ -256,6 +256,157 @@ def test_large_k_nonnegative_spot():
         for z2 in (9.5, 12.0, 20.0, 31.0):
             val, scale = jd.values(z1, z2, scale=True)
             assert val >= -1e-9 * max(scale, 1.0)
+
+
+# -- step-sum densities against outer-product thresholds --
+
+
+def _old_steps(steps, u, thresholds):
+    # The step sum with node-major thresholds from outer products, put in
+    # the sum's order by a fancy index and handed over term-major.
+    n = steps._coeff.size - 1
+    order = np.argsort(np.abs(exact_exp._alt_binom(n)), kind="stable")
+    thr = np.moveaxis(np.asarray(thresholds, dtype=float)[..., order], -1, 0)
+    u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
+    return _backend.poly_exp_eval(steps._coeff, thr, steps._power, u)
+
+
+def _old_one_vs_rest(d, z1, z2):
+    slopes = np.arange(d.K - d.m + 1, dtype=float) + (d.m - 1)
+
+    def formula(z1, z2):
+        s = _old_steps(d._steps, z2, np.multiply.outer(z1, slopes))
+        return d._pref * np.exp(-d.rate * (z1 + z2)) * s
+
+    return reductions._closed_form(d.support, formula, z1, z2)
+
+
+def _old_head_rank_tail(d, z1, g, z2):
+    m = d.m
+    ok = (g >= 0) & (z1 >= m * g) & (z2 >= 0) & (z2 <= (d.K - m) * g)
+    s = _old_steps(d._steps, z2,
+                   np.multiply.outer(g, np.arange(d.K - m + 1, dtype=float)))
+    out = (d._pref * np.exp(-d.rate * (z1 + z2))
+           * (z1 - m * g) ** (m - 2) * s)
+    return np.where(ok, out, 0.0)
+
+
+def _old_one_mid_last(d, z1, z3, z4):
+    Ks = d.Ks
+    ok = (z1 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z1)
+    s = _old_steps(d._steps, z3,
+                   np.multiply.outer(z4, np.arange(Ks - 2, -1.0, -1.0))
+                   + np.multiply.outer(z1, np.arange(0.0, Ks - 1.0)))
+    out = (d._pref * d._cdf_pows(z4)
+           * np.exp(-d.rate * (z1 + z3 + z4)) * s)
+    return np.where(ok, out, 0.0)
+
+
+def _old_head_mid_last(d, z1, z2, z3, z4):
+    m, n_mid = d.m, d.Ks - d.m - 1
+    head = z1 - (m - 1) * z2
+    ok = ((z1 >= 0) & (z2 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z2)
+          & (head >= 0))
+    s = _old_steps(d._steps, z3,
+                   np.multiply.outer(z4, np.arange(n_mid, -1.0, -1.0))
+                   + np.multiply.outer(z2, np.arange(0.0, n_mid + 1.0)))
+    out = (d._pref * d._cdf_pows(z4) * head ** (m - 2)
+           * np.exp(-d.rate * (z1 + z2 + z3 + z4)) * s)
+    return np.where(ok, out, 0.0)
+
+
+def _step_sum_cases(K):
+    # (density, its old formula, coordinates drawn near its support).
+    def between(rng, lo, hi):
+        return lo + rng.random(lo.shape) * (hi - lo)
+
+    def one_vs_rest(rng, n, d):
+        z1 = rng.uniform(0.0, 2.0, n)
+        return z1, rng.uniform(0.9 * (d.m - 1), 1.1 * (K - 1), n) * z1
+
+    def head_rank_tail(rng, n, d):
+        g = rng.uniform(0.0, 2.0, n)
+        return (d.m * g + rng.uniform(-0.1, 2.0, n), g,
+                rng.uniform(-0.1, 1.05 * (K - d.m), n) * g)
+
+    def one_mid_last(rng, n, d):
+        z1 = rng.uniform(0.0, 2.0, n)
+        z4 = rng.uniform(0.0, 1.05, n) * z1
+        return (z1, between(rng, (d.Ks - 2) * z4 - 0.1,
+                            (d.Ks - 2) * z1 + 0.1), z4)
+
+    def head_mid_last(rng, n, d):
+        nm = d.Ks - d.m - 1
+        z2 = rng.uniform(0.0, 2.0, n)
+        z4 = rng.uniform(0.0, 1.05, n) * z2
+        return ((d.m - 1) * z2 + rng.uniform(-0.1, 2.0, n), z2,
+                between(rng, nm * z4 - 0.1, nm * z2 + 0.1), z4)
+
+    for m in sorted({1, 2, K // 2, K}):
+        yield (exact_exp.OneVsRestAllK(K, m, 1.3), _old_one_vs_rest,
+               one_vs_rest)
+    for m in sorted({2, K // 2, K - 1}):
+        yield (exact_exp.FineHeadRankTail(K, m, 1.3), _old_head_rank_tail,
+               head_rank_tail)
+    for Ks in sorted({3, K - 1, K}):
+        yield (exact_exp.FineOneMidLast(K, Ks, 1.3), _old_one_mid_last,
+               one_mid_last)
+    for Ks, m in sorted({(4, 2), (K, 2), (K, K // 2), (K, K - 2)}):
+        yield (exact_exp.FineHeadMidLast(K, Ks, m, 1.3), _old_head_mid_last,
+               head_mid_last)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    zero = want == 0.0
+    assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
+
+
+@pytest.mark.parametrize("K", [5, 10, 30])
+def test_step_sum_densities_match_outer_product_thresholds(K):
+    # The thresholds are built term-major from the coordinates; they must
+    # round as the outer products did, and the densities give the same
+    # bits for every mix of arrays, 2-d arrays and Python floats.
+    rng = np.random.default_rng(K)
+    for d, old, draw in _step_sum_cases(K):
+        z = draw(rng, 240, d)
+        want = old(d, *z)
+        assert np.count_nonzero(want) > 60
+        _same_bits(d.values(*z), want)
+        _same_bits(d.values(*(c.reshape(12, 20) for c in z)),
+                   old(d, *(c.reshape(12, 20) for c in z)))
+        # Coordinates that broadcast to a grid.
+        grid = [c[:16].reshape((16, 1) if i % 2 else (1, 16))
+                for i, c in enumerate(z)]
+        _same_bits(d.values(*grid), old(d, *grid))
+        # One coordinate a Python float, as the inner rows of T3, T5 and
+        # T6 pass a point's coordinates, and single points.
+        for i in range(len(z)):
+            for k in (3, 50):
+                mixed = [float(c[k]) if j == i else c
+                         for j, c in enumerate(z)]
+                _same_bits(d.values(*mixed), old(d, *mixed))
+        for k in range(0, 240, 16):
+            point = [float(c[k]) for c in z]
+            got = d.values(*point)
+            _same_bits(got, old(d, *point))
+            assert np.ndim(got) == 0
+    ov = exact_exp.OneVsRestAllK(K, 2, 1.3)
+    z1 = rng.uniform(0.0, 2.0, 50)
+    z2 = rng.uniform(0.5, 1.1 * (K - 1), 50) * z1
+    got = ov.values(z1, z2, scale=True)
+    slopes = np.arange(K - 1, dtype=float) + 1
+    s, mag = _backend.poly_exp_eval_scale(
+        ov._steps._coeff, np.moveaxis(np.multiply.outer(z1, slopes)[
+            ..., np.argsort(np.abs(exact_exp._alt_binom(K - 2)),
+                            kind="stable")], -1, 0),
+        ov._steps._power, z2)
+    damp = ov._pref * np.exp(-ov.rate * (z1 + z2))
+    ok = ov.support(z1, z2)
+    _same_bits(got[0], np.where(ok, damp * s, 0.0))
+    _same_bits(got[1], np.where(ok, damp * mag, 0.0))
 
 
 # -- reductions against arbitrary precision and against marginals --
