@@ -1,9 +1,10 @@
 """``scipy.integrate`` as a module attribute that loads at first access.
 
 ``import ordstat`` loads numpy and the standard library only; scipy loads
-where a command first needs it.  ``exact_exp``, ``generic_joint``, ``apps``
-and ``distributions`` still have an ``integrate`` attribute, because
-perfbench's tracer replaces it in each of them to count quadratures.
+where a command first needs it.  ``exact_exp``, ``generic_joint``,
+``kernels``, ``apps`` and ``distributions`` still have an ``integrate``
+attribute, because perfbench's tracer replaces it in each of them to count
+quadratures.
 """
 
 import sys

@@ -12,7 +12,7 @@ max(0, s - gamma_T) <= v <= s/m: the line of the sum of the best m
 affine in s, so one tensor Gauss-Legendre rule covers it.  Both
 functions take x as a float or as an array; an array integrates each
 stage as one rule, with a row per element above gamma_T
-(``reductions._gauss_2d``), and not one rule per element.
+(``rules._gauss_2d``), and not one rule per element.
 
 When even all L branches together stay below gamma_T the combiner has
 nothing left to add; what the output "is" in that event is a modelling
@@ -38,7 +38,8 @@ from ordstat.distributions import Exponential
 from ordstat.errors import DomainError
 from ordstat.exact_exp import FineLastHead, pdf_sum_all
 from ordstat.mc_oracle import sample_sorted
-from ordstat.reductions import _each_point, _gauss_2d
+from ordstat.reductions import _each_point
+from ordstat.rules import _gauss_2d
 
 __all__ = [
     "MsGscConfig",

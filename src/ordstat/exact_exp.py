@@ -54,7 +54,7 @@ from ordstat import _backend, _scipy, reductions
 from ordstat.errors import DomainError
 from ordstat.partition import t5_case
 # The path's relative accuracy target, which the benchmark's oracle reads.
-from ordstat.reductions import _EPSREL  # noqa: F401
+from ordstat.rules import _EPSREL  # noqa: F401
 
 __all__ = [
     "pdf_sum_all",

@@ -41,21 +41,22 @@ limits and t as arrays that broadcast.  One tensor rule
 evaluates every element: each convolution level cuts its overlap at both
 factors' lattices and puts the same number of nodes on every segment, and
 the factors are evaluated on the resulting node arrays.  The n- and
-2n-node rules are compared per element, with relative error control end
-to end, and elements that have converged stop.  Gauss-Legendre rules
-serve a density that is smooth on [0, inf) at once.  One that is
-singular at 0, like x^(a-1) (a Gamma or Weibull shape below 1), or only
-not smooth there, leaves some elements open at the Gauss cap; those go
-on with tanh-sinh rules, which crowd both ends of every segment and
-converge there at their usual pace.  No fine density keeps a scalar loop:
+2n-node rules are compared per element (``rules._doubled``), with
+relative error control end to end, and elements that have converged
+stop.  Gauss-Legendre rules serve a density that is smooth on [0, inf)
+at once.  One that is singular at 0, like x^(a-1) (a Gamma or Weibull
+shape below 1), or only not smooth there, leaves some elements open at
+the Gauss cap; those go on with tanh-sinh rules, which crowd both ends
+of every segment and converge there at their usual pace.  No fine density keeps a scalar loop:
 ``values`` works on coordinate arrays and ``__call__`` goes through it.
 The reduced densities (``t3_jpdf`` with m >= 2, ``t4_pdf`` with Ks >= 2,
 ``t5_jpdf`` and ``t6_jpdf``) take coordinate arrays that broadcast, as
-the rows of one ``reductions`` rule, and ``t4_pdf`` with Ks = 1 is a
-formula over arrays.  T1, T2 and T3 with m = 1 take single points, and
-``resolve``'s densities loop over them.  Every family gives nan at a
-point with a nan coordinate and 0 at one with an infinite coordinate, as
-on the exact path.
+the rows of one ``reductions`` rule.  So does ``t2_jpdf`` (and
+``t3_jpdf`` with m = 1, the rank-1 T2 joint), as the rows of one
+kernel-power inverse, and ``t4_pdf`` with Ks = 1 is a formula over
+arrays.  T1 takes single points, and ``resolve``'s densities loop over
+them.  Every family gives nan at a point with a nan coordinate and 0 at
+one with an infinite coordinate, as on the exact path.
 """
 
 import functools
@@ -63,7 +64,7 @@ import math
 
 import numpy as np
 
-from ordstat import _scipy, exact_exp, reductions
+from ordstat import _scipy, exact_exp, reductions, rules
 from ordstat.distributions import Exponential
 from ordstat.errors import ConvergenceError, DomainError
 from ordstat.ilt import TransformFn, invert_numeric
@@ -113,11 +114,10 @@ def _ilt(dist, f, t, digits, scale):
 # Per-element targets of the n/2n comparison of every kernel-power
 # inverse.  Each level of the recursion takes the same node count per
 # segment, starting at _FIRST_NODES on Gauss-Legendre rules; an element
-# still open at _MAX_NODES restarts on tanh-sinh rules at 2 * _FIRST_NODES,
-# and warns if it is still open at 4 * _MAX_NODES.  Each level evaluates its
-# node array in blocks of about _BLOCK entries; with a few levels alive at
-# once, 2**13 (as in ``kernels``) keeps one rule's arrays near 2**15
-# entries.
+# still open at _MAX_NODES goes on with tanh-sinh rules, as ``rules``
+# says.  Each level evaluates its node array in blocks of about _BLOCK
+# entries; with a few levels alive at once, 2**13 (as in ``kernels``)
+# keeps one rule's arrays near 2**15 entries.
 _EPSABS = 1e-13
 _EPSREL = 1e-11
 _FIRST_NODES = 8
@@ -227,11 +227,9 @@ def _inv_prod(dist, a, b, t):
         return rule
 
     lo, hi = _overlap((la, ha, na), (lb, hb, nb), t)
-    return reductions._doubled(
-        on(reductions._gauss01), _FIRST_NODES, lo, hi, _EPSABS, _EPSREL,
-        _MAX_NODES,
-        then=(on(reductions._tanh_sinh01), 2 * _FIRST_NODES, 4 * _MAX_NODES),
-    ).reshape(zero.shape)
+    return rules._doubled(on(rules._gauss01), _FIRST_NODES, lo, hi, _EPSABS,
+                          _EPSREL, _MAX_NODES, then=on(rules._tanh_sinh01)
+                          ).reshape(zero.shape)
 
 
 def _inv_pow(dist, lo, hi, n, t):
@@ -274,21 +272,21 @@ def t2_jpdf(dist, K, m, z1, z2):
         edge = z2 <= (K - 1) * z1 if m == 1 else z2 >= (m - 1) * z1
         return (z1 >= 0) & (z2 >= 0) & edge
 
-    (z1, z2), out, ok = reductions._points(inside, z1, z2)
-    if not ok:
-        return float(out)
-    z1, z2 = float(z1), float(z2)
     pref = math.factorial(K) / (math.factorial(K - m) * math.factorial(m - 1))
-    # The K-m variables below z1 give a c-power, the m-1 above it an
-    # e-power.
-    below, above = (0.0, z1, K - m), (z1, math.inf, m - 1)
-    if m == 1:
-        inv = _inv_pow(dist, *below, z2)
-    elif m == K:
-        inv = _inv_pow(dist, *above, z2)
-    else:
-        inv = _inv_prod(dist, below, above, z2)
-    return pref * dist.pdf1(z1) * float(inv)
+
+    def rows(z1, z2):
+        # The K-m variables below z1 give a c-power, the m-1 above it an
+        # e-power.
+        below, above = (0.0, z1, K - m), (z1, math.inf, m - 1)
+        if m == 1:
+            inv = _inv_pow(dist, *below, z2)
+        elif m == K:
+            inv = _inv_pow(dist, *above, z2)
+        else:
+            inv = _inv_prod(dist, below, above, z2)
+        return pref * dist.pdf(z1) * inv
+
+    return reductions._reduce(inside, rows, z1, z2)
 
 
 class _Fine:
@@ -394,7 +392,7 @@ def t3_jpdf(dist, K, m, z1, z2):
         raise DomainError("need 1 <= m <= K-1")
     if m == 1:
         # The head is one variable; exp(-s*g) collapses the outer integral
-        # and the pair is the rank-1 one-vs-rest joint, at a single point.
+        # and the pair is the rank-1 one-vs-rest joint.
         return t2_jpdf(dist, K, 1, z1, z2)
     return reductions.t3(FineHeadRankTail(K, m, dist), K, m, z1, z2)
 
@@ -439,9 +437,9 @@ def resolve(shape, dist, method="auto", digits=8):
     The coordinates are scalars, which give a float, or arrays that
     broadcast, which give an array of their common shape.  An array is one
     call of the family's array form: the points are the rows of one rule.
-    T2 and T3 with m = 1 on both paths, and generic T1, take the points
-    one at a time, here.  Generic densities are this module's ``t*_pdf``
-    attributes as they are when ``resolve`` runs.
+    Exact T2 and T3 with m = 1, and generic T1, take the points one at a
+    time, here.  Generic densities are this module's ``t*_pdf`` attributes
+    as they are when ``resolve`` runs.
     """
     fam, K, Ks, m = shape.id[:2], shape.K, shape.Ks, shape.m
     args = {"T1": (K,), "T2": (K, m), "T3": (K, m), "T4": (K, Ks),
@@ -472,9 +470,9 @@ def resolve(shape, dist, method="auto", digits=8):
         raise DomainError(f"unknown method {method!r}")
     # T3 with m = 1 is the rank-1 T2 joint.  An exact T2 point sums its
     # step sum in ``_backend``'s scalar loop (libm's ``pow`` rounding), so
-    # grids keep those values; generic T1 and T2 have no array form.
-    pointwise = (fam == "T2" or (fam == "T3" and m == 1)
-                 or (fam == "T1" and method == "generic"))
+    # grids keep those values; generic T1 has no array form.
+    pointwise = (fam == "T1" if method == "generic"
+                 else fam == "T2" or (fam == "T3" and m == 1))
     dim = 1 if fam in ("T1", "T4") else 2
 
     def density(*z):

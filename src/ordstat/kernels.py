@@ -17,8 +17,9 @@ semi-infinite level maps ``[lo, inf)`` onto (0, 1) by
 ``kernel_mu`` of its two limits, also on the node array: it integrates
 the bare weight, and the collapse under test lives in the outer levels.
 A depth-1 chain stays literal, since there the kernel would be the whole
-answer.  The tensor rule has n nodes on every level; n doubles until the
-n- and 2n-node rules agree, and the 2n-node value is returned.
+answer.  The tensor rule has n nodes on every level and runs under
+``rules._doubled``, the n/2n loop of every rule of the library: n doubles
+until the n- and 2n-node rules agree, and the 2n-node value is returned.
 
 :func:`reorder_check` integrates the separable 4-variable ordered-region
 integrand under any elimination order, deriving each variable's limits from
@@ -28,14 +29,13 @@ describe the same region; the named :data:`FIVE_ORDERINGS` plus
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
+from ordstat import _scipy
 from ordstat.errors import ConvergenceError, DomainError
-from ordstat.reductions import _legendre
+from ordstat.rules import _doubled, _legendre
 
 __all__ = [
     "NestedIntegralSpec",
@@ -50,6 +50,10 @@ __all__ = [
     "ORIGINAL_ORDERING",
 ]
 
+# scipy integrates nothing here; ``integrate`` (scipy.integrate, loaded at
+# first access) is a module attribute for perfbench's tracer to replace.
+__getattr__ = _scipy.lazy_integrate(__name__)
+
 MAX_BRUTE_DEPTH = 4
 
 # n/2n agreement of the tensor rules: the brute force is sized for an
@@ -58,9 +62,10 @@ _EPSABS = 1e-13
 _EPSREL = 1e-10
 _NESTED_EPSREL = 1e-8
 _FIRST_NODES = 8       # per level, of the first rule
-# A rule that needs more nodes warns.  Per level, leggauss(1024) would
-# add about 19 MB to peak memory; in all, 2**21 nodes take 0.2 s (real lam)
-# to 1.2 s (complex lam, half-normal) on a 2-core host.
+# The rule stops, and warns, at the first doubled n that reaches either
+# cap.  Per level, leggauss(1024) would add about 19 MB to peak memory;
+# in all, 2**21 nodes take 0.2 s (real lam) to 1.2 s (complex lam,
+# half-normal) on a 2-core host.
 _MAX_NODES = 512
 _MAX_RULE = 2 ** 21
 _BLOCK = 2 ** 13       # entries of the largest node array, about
@@ -187,34 +192,27 @@ def _rule(dist, order, lo, hi, lam, n):
 def _ordered(dist, order, lo, hi, lam, epsrel):
     """Integral of prod w(g_i) over {hi >= g1 >= ... >= gd >= lo}.
 
-    The n- and 2n-node tensor rules are compared, n doubling from
-    ``_FIRST_NODES`` until they agree to ``_EPSABS``/``epsrel``; the
-    2n-node value is returned, with an ``IntegrationWarning`` if that
-    takes ``_MAX_NODES`` per level or ``_MAX_RULE`` in all.  A value that
-    is not finite raises :class:`ConvergenceError`.
+    The tensor rule runs under ``rules._doubled`` from ``_FIRST_NODES`` per
+    level, at ``_EPSABS``/``epsrel``, and warns at the first doubled n of
+    ``_MAX_NODES`` per level or ``_MAX_RULE`` in all.  A value that is not
+    finite raises :class:`ConvergenceError`.
     """
     cplx = _wants_complex(lam)
     lam = complex(lam) if cplx else float(complex(lam).real)
     if not hi > lo:
         return 0j if cplx else 0.0
-    n = _FIRST_NODES
-    est = _rule(dist, order, lo, hi, lam, n)
-    while True:
-        n *= 2
-        prev, est = est, _rule(dist, order, lo, hi, lam, n)
+
+    def rule(n, todo):
+        est = _rule(dist, order, lo, hi, lam, n)
         if not np.isfinite(est):
-            raise ConvergenceError(
-                f"{n}-node rule on the ordered region in [{lo:g}, {hi:g}] "
-                f"gave {est}")
-        err = abs(est - prev)
-        if err <= max(_EPSABS, epsrel * abs(est)):
-            break
-        if n >= _MAX_NODES or n ** max(len(order) - 1, 1) >= _MAX_RULE:
-            warnings.warn(
-                f"{n}-node tensor Gauss-Legendre rule on the ordered region "
-                f"in [{lo:g}, {hi:g}] did not converge: n/2n difference "
-                f"{err:.3g}", integrate.IntegrationWarning, stacklevel=3)
-            break
+            raise ConvergenceError(f"{n}-node rule on the ordered region "
+                                   f"in [{lo:g}, {hi:g}] gave {est}")
+        return np.array([[est]])
+
+    cap = 2 * _FIRST_NODES
+    while cap < _MAX_NODES and cap ** max(len(order) - 1, 1) < _MAX_RULE:
+        cap *= 2
+    est = _doubled(rule, _FIRST_NODES, [lo], [hi], _EPSABS, epsrel, cap)[0]
     return complex(est) if cplx else float(est)
 
 

@@ -10,10 +10,9 @@ number, and each suite drives one such pair against the other:
   against each other.
 * ``normalization``: densities against total mass 1 and against textbook
   order-statistic marginals.  In one and two dimensions the integrals are
-  rows of the reductions' Gauss-Legendre rules over ``values`` arrays
-  (one call per node for T3, T5 and T6), with every infinite range cut
-  where the tail beyond holds under 1e-11 of the mass; in three and four
-  dimensions they are quasi-Monte Carlo.
+  rows of the Gauss-Legendre rules of ``rules`` over ``values`` arrays,
+  with every infinite range cut where the tail beyond holds under 1e-11
+  of the mass; in three and four dimensions they are quasi-Monte Carlo.
 * ``cross_path``: the exponential closed forms against the generic
   transform-inversion path at random in-support points.
 * ``mc``: analytic densities against Monte Carlo sampling.
@@ -38,7 +37,7 @@ from ordstat.errors import DomainError, OrdstatError
 from ordstat.kernels import NestedIntegralSpec
 from ordstat.mc_oracle import SampleSpec
 from ordstat.partition import Partition, TheoremMatch, t5_case
-from ordstat.reductions import _gauss_knots
+from ordstat.rules import _gauss_knots
 
 __all__ = [
     "SUITE_NAMES",

@@ -9,7 +9,7 @@ import pytest
 from scipy import special
 from scipy.integrate import IntegrationWarning
 
-from ordstat import apps, exact_exp, reductions
+from ordstat import apps, exact_exp, rules
 from ordstat.apps import MsGscConfig, msgsc_output_cdf, msgsc_stage_probability
 from ordstat.errors import DomainError
 from ordstat.exact_exp import pdf_sum_all
@@ -106,7 +106,7 @@ def test_stage_matches_mpmath(L, m, side):
 def test_stage_rule_warns_at_its_cap(monkeypatch):
     c = cfg(L=16, gt=8.0)
     want = msgsc_stage_probability(c, 10.0, m=8)
-    monkeypatch.setattr(reductions, "_MAX_NODES", 8)
+    monkeypatch.setattr(rules, "_MAX_NODES", 8)
     with pytest.warns(IntegrationWarning, match="did not converge"):
         got = msgsc_stage_probability(c, 10.0, m=8)
     assert got == pytest.approx(want, rel=1e-3)

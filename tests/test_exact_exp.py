@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ordstat import _backend, exact_exp, reductions
+from ordstat import _backend, exact_exp, reductions, rules
 from ordstat.distributions import Exponential
 from ordstat.errors import ConvergenceError, DomainError
 
@@ -144,18 +144,18 @@ def test_gauss_2d_exact_on_a_triangle():
     # degree 3 in y takes the starting rule, and the n/2n test passes at
     # once.
     f = lambda x, y: x * y ** 3
-    got = reductions._gauss_2d(f, 0.0, 1.0, lambda x: (x, 2.0 - x), deg=3,
-                               epsabs=1e-15, epsrel=1e-14)
+    got = rules._gauss_2d(f, 0.0, 1.0, lambda x: (x, 2.0 - x), deg=3,
+                          epsabs=1e-15, epsrel=1e-14)
     assert got == pytest.approx(13.0 / 30.0, rel=1e-14)
-    assert reductions._gauss_2d(f, 1.0, 1.0, lambda x: (x, x), deg=3,
-                                epsabs=1e-15, epsrel=1e-14) == 0.0
+    assert rules._gauss_2d(f, 1.0, 1.0, lambda x: (x, x), deg=3,
+                           epsabs=1e-15, epsrel=1e-14) == 0.0
 
 
 def test_gauss_2d_raises_on_non_finite():
     with pytest.raises(ConvergenceError):
-        reductions._gauss_2d(lambda x, y: np.where(y > 0.5, np.nan, 1.0),
-                             0.0, 1.0, lambda x: (0 * x, 1 + x), deg=0,
-                             epsabs=1e-11, epsrel=1e-9)
+        rules._gauss_2d(lambda x, y: np.where(y > 0.5, np.nan, 1.0),
+                        0.0, 1.0, lambda x: (0 * x, 1 + x), deg=0,
+                        epsabs=1e-11, epsrel=1e-9)
 
 
 def test_best_ks_swapped_pair_case():
@@ -621,16 +621,16 @@ def test_gauss_rule_exact_on_polynomials():
     # Degree 9 between knots: the 5-node rule per segment is exact.
     f = lambda x, _: np.where(x < 0.3, x ** 9, 2.0 * x ** 9 - x ** 4)
     want = 0.3 ** 10 / 10 + 2 * (1 - 0.3 ** 10) / 10 - (1 - 0.3 ** 5) / 5
-    got = reductions._gauss_knots(f, 0.0, 1.0, [0.3], deg=9)
+    got = rules._gauss_knots(f, 0.0, 1.0, [0.3], deg=9)
     assert got == pytest.approx(want, rel=1e-14)
-    assert reductions._gauss_knots(f, 1.0, 1.0, deg=9) == 0.0
+    assert rules._gauss_knots(f, 1.0, 1.0, deg=9) == 0.0
 
 
 def test_gauss_rule_converges_on_smooth_factor():
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
-        got = reductions._gauss_knots(lambda x, _: x ** 6 * np.exp(-3.0 * x),
-                                      0.0, 2.5, [1.0], deg=6, exact=False)
+        got = rules._gauss_knots(lambda x, _: x ** 6 * np.exp(-3.0 * x),
+                                 0.0, 2.5, [1.0], deg=6, exact=False)
     want, _ = integrate.quad(lambda x: x ** 6 * math.exp(-3.0 * x), 0.0, 2.5,
                              epsabs=0.0, epsrel=1e-13)
     assert got == pytest.approx(want, rel=1e-10)
@@ -638,6 +638,6 @@ def test_gauss_rule_converges_on_smooth_factor():
 
 def test_gauss_rule_warns_at_its_cap():
     with pytest.warns(integrate.IntegrationWarning, match="did not converge"):
-        val = reductions._gauss_knots(lambda x, _: np.abs(np.sin(200.0 * x)),
-                                      0.0, 1.0, deg=0, exact=False)
+        val = rules._gauss_knots(lambda x, _: np.abs(np.sin(200.0 * x)),
+                                 0.0, 1.0, deg=0, exact=False)
     assert val == pytest.approx(2.0 / math.pi, abs=1e-2)

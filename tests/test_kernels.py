@@ -118,6 +118,33 @@ def test_unresolved_weight_warns():
     assert got == pytest.approx(0.7, abs=1e-2)
 
 
+def test_depth4_rule_stops_at_its_total_cap(monkeypatch):
+    # With 2**12 nodes in all, a depth-4 chain stops at 16 nodes per level
+    # (16**3 = 2**12), with one warning.
+    step = CustomDistribution(
+        pdf=lambda x: np.where((x >= 0) & (x < 1), 1.0, 0.0),
+        cdf=lambda x: np.clip(x, 0.0, 1.0), mean=0.5, abscissa=math.inf,
+        name="unit-step")
+    monkeypatch.setattr(kernels, "_MAX_RULE", 2 ** 12)
+    sizes, rule = [], kernels._rule
+    monkeypatch.setattr(kernels, "_rule",
+                        lambda *a: sizes.append(a[-1]) or rule(*a))
+    spec = NestedIntegralSpec(depth=4, gamma_lower=0.3, gamma_upper=1.9)
+    with pytest.warns(IntegrationWarning, match="16-node rule") as record:
+        kernels.idoubleprime_bruteforce(step, spec)
+    assert len(record) == 1
+    assert sizes == [8, 16]
+
+
+def test_complex_lam_stays_complex():
+    dist = Exponential(1.1)
+    spec = NestedIntegralSpec(depth=2, lam=complex(-0.3, 0.9),
+                              gamma_upper=2.3)
+    got = kernels.im_bruteforce(dist, spec)
+    assert type(got) is complex
+    assert abs(got - kernels.im_closed(dist, spec)) <= 1e-9
+
+
 def test_non_finite_rule_raises():
     # max() over a report would drop a NaN silently, so the rule refuses it.
     broken = CustomDistribution(

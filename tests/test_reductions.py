@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ordstat import exact_exp, generic_joint as gj, reductions
+from ordstat import exact_exp, generic_joint as gj, reductions, rules
 from ordstat.distributions import Exponential, HalfNormal
 from ordstat.mc_oracle import sample_sorted
 from ordstat.partition import t5_case
@@ -46,12 +46,12 @@ def _per_node(fine, Ks, lo, hi, knots, inner):
     """
     def loop(z4s, _):
         return np.array([
-            reductions._gauss_knots(*inner(z4), deg=Ks - 4,
-                                    exact=fine.piecewise_polynomial)
+            rules._gauss_knots(*inner(z4), deg=Ks - 4,
+                               exact=fine.piecewise_polynomial)
             for z4 in z4s.tolist()])
 
-    return reductions._gauss_knots(loop, lo, hi, knots, deg=Ks - 3,
-                                   exact=False)
+    return rules._gauss_knots(loop, lo, hi, knots, deg=Ks - 3,
+                              exact=False)
 
 
 def _t5b_per_node(fine, Ks, m, x, y, order):
@@ -135,10 +135,10 @@ def test_row_batch_matches_single_rows(exact):
         # Degree 5 between knots only where a knot sits at the kink, 0.5.
         return scale[row] * (x ** 5 - np.abs(x - 0.5) ** 3)
 
-    got = reductions._gauss_knots(f, lo, hi, knots, deg=5, exact=exact)
+    got = rules._gauss_knots(f, lo, hi, knots, deg=5, exact=exact)
     assert got.shape == lo.shape
     for i in range(lo.size):
-        want = reductions._gauss_knots(
+        want = rules._gauss_knots(
             lambda x, _: f(x, np.full(x.size, i)), lo[i], hi[i],
             knots[i].tolist(), deg=5, exact=exact)
         assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
