@@ -23,10 +23,12 @@ diversity combining, ``verify`` bundles the cross-validation suites, and
 
 ``import ordstat`` and ``import ordstat.cli`` load numpy and the standard
 library only.  scipy loads where a command first needs it: a half-normal
-distribution (``scipy.special``), the kernel quadratures of a
-``CustomDistribution`` (``scipy.integrate``) and ``verify``.  Exact and
-generic commands on the exponential run without it; only the warning of a
-rule that fails to converge loads scipy, for its ``IntegrationWarning``.
+distribution (``scipy.special``) and the kernel quadratures of a
+``CustomDistribution`` (``scipy.integrate``).  Exact and generic commands
+on the exponential run without it, and ``verify`` loads only
+``scipy.special``, for the half-normals of its suites; only the warning
+of a rule that fails to converge loads ``scipy.integrate``, for its
+``IntegrationWarning``.
 """
 
 from ordstat.distributions import (

@@ -2,9 +2,9 @@
 
 ``import ordstat`` loads numpy and the standard library only; scipy loads
 where a command first needs it.  ``exact_exp``, ``generic_joint``,
-``kernels``, ``apps`` and ``distributions`` still have an ``integrate``
-attribute, because perfbench's tracer replaces it in each of them to count
-quadratures.
+``kernels``, ``apps``, ``distributions`` and ``verify`` still have an
+``integrate`` attribute, because perfbench's tracer replaces it in each of
+them to count quadratures.
 """
 
 import sys

@@ -197,7 +197,7 @@ def _cmd_tabulate(args, argv):
 
 
 def _cmd_verify(args, argv):
-    # The only command that needs scipy.stats and scipy.interpolate.
+    # Imported here: no other command needs the verify suites.
     from ordstat import verify
     report = verify.run_suites(seed=args.seed, quick=not args.full,
                                suites=args.suite or None, depth=args.depth)

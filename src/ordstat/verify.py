@@ -12,10 +12,16 @@ number, and each suite drives one such pair against the other:
   order-statistic marginals.  In one and two dimensions the integrals are
   rows of the Gauss-Legendre rules of ``rules`` over ``values`` arrays,
   with every infinite range cut where the tail beyond holds under 1e-11
-  of the mass; in three and four dimensions they are quasi-Monte Carlo.
+  of the mass; in three and four dimensions they are quasi-Monte Carlo,
+  on a randomly shifted rank-1 lattice rule.
 * ``cross_path``: the exponential closed forms against the generic
   transform-inversion path at random in-support points.
-* ``mc``: analytic densities against Monte Carlo sampling.
+* ``mc``: analytic densities against Monte Carlo sampling.  The
+  Kolmogorov-Smirnov checks compare with CDFs built from the densities
+  by Gauss cell integrals and a cubic Hermite interpolant.
+
+The suites need numpy alone; scipy loads only with the first half-normal,
+for its ``scipy.special`` functions.
 
 Reports are plain dicts of JSON types with no timestamps or machine
 identifiers; rendered with sorted keys they are byte-identical for a fixed
@@ -27,17 +33,14 @@ import json
 import math
 
 import numpy as np
-from scipy import integrate, special
-from scipy.interpolate import PchipInterpolator
-from scipy.stats import qmc
 
-from ordstat import exact_exp, generic_joint, kernels, mc_oracle
+from ordstat import _scipy, exact_exp, generic_joint, kernels, mc_oracle
 from ordstat.distributions import Exponential, HalfNormal
 from ordstat.errors import DomainError, OrdstatError
 from ordstat.kernels import NestedIntegralSpec
 from ordstat.mc_oracle import SampleSpec
 from ordstat.partition import Partition, TheoremMatch, t5_case
-from ordstat.rules import _gauss_knots
+from ordstat.rules import _gauss01, _gauss_knots
 
 __all__ = [
     "SUITE_NAMES",
@@ -65,6 +68,22 @@ BIN_FRACTION = 0.95
 # Stands in for "evaluation raised" in a report; keeps the JSON strict
 # (no Infinity tokens) while failing any bound.
 _FAILED_EVAL = 1e300
+
+# The rank-1 lattice of ``qmc_normalization``: 2^15 points, generating
+# vector found component by component (Nuyens & Cools 2006), each
+# component the odd z < 2^14 that minimizes P_2 with unit product weights
+# given the components before it.
+_LATTICE_LOG2 = 15
+_LATTICE_Z = (1, 12031, 7247, 2267)
+# The largest double below 1: a tent-transformed point stays inside [0, 1).
+_BELOW_ONE = 1.0 - 2.0 ** -53
+# Cells of the CDFs of the mc suite: 1,800 pdf values for the cell
+# integrals and 601 for the slopes.
+_CDF_CELLS = 600
+
+# scipy integrates nothing here; ``integrate`` (scipy.integrate, loaded at
+# first access) is a module attribute for perfbench's tracer to replace.
+__getattr__ = _scipy.lazy_integrate(__name__)
 
 
 def _sizes(quick):
@@ -235,9 +254,15 @@ def _rank_marginal(dist, K, m, z):
 
 
 def qmc_normalization(density, chain, m_log2, seed):
-    """Total mass of ``density``, by scrambled Sobol points pushed through
-    a support-fitted coordinate map.  ``density.values`` evaluates all the
-    points in one call.
+    """Total mass of ``density``, by a randomly shifted rank-1 lattice rule
+    pushed through a support-fitted coordinate map.  ``density.values``
+    evaluates all the points in one call.
+
+    The rule takes ``2^(m_log2 - 15)`` shifts Δ of the 2^15-point lattice
+    ``{k z / 2^15 + Δ} mod 1`` (``m_log2 >= 15``), drawn from ``seed`` on
+    a counter-based stream.  Each coordinate then goes through the tent
+    transform ``1 - |2u - 1|``, which makes the lattice rule converge on
+    integrands that are smooth but not periodic (Sloan & Joe 1994).
 
     ``chain`` realizes the density's coordinates one at a time, each from
     the ones already drawn: ``(index, "exp", fn)`` with ``fn(z) -> (lo,
@@ -248,8 +273,15 @@ def qmc_normalization(density, chain, m_log2, seed):
     support indicator, whose discontinuity costs quasi-Monte Carlo most of
     its convergence advantage.
     """
-    eng = qmc.Sobol(d=len(chain), scramble=True, seed=seed)
-    u = eng.random_base2(m_log2)
+    if m_log2 < _LATTICE_LOG2:
+        raise DomainError(f"m_log2 must be at least {_LATTICE_LOG2}")
+    n, d = 2 ** _LATTICE_LOG2, len(chain)
+    shifts = _rng(seed, "normalization").random(
+        (2 ** (m_log2 - _LATTICE_LOG2), 1, d))
+    base = np.multiply.outer(np.arange(n), _LATTICE_Z[:d]) % n / n
+    u = (base + shifts).reshape(-1, d)
+    u[u >= 1.0] -= 1.0
+    u = np.minimum(1.0 - np.abs(2.0 * u - 1.0), _BELOW_ONE)
     z = np.zeros_like(u)
     jac = np.ones(u.shape[0])
     for col, (idx, kind, fn) in enumerate(chain):
@@ -565,16 +597,30 @@ def _suite_cross_path(seed, sizes, depth=None):
 
 # --------------------------------------------------------------------- mc
 
-def _gsc_cdf_interp(K, Ks, hi, n_grid=6001):
-    pdf_obj = exact_exp.pdf_gsc_sum(K, Ks, 1.0)
-    xs = np.linspace(0.0, hi, n_grid)
-    ys = pdf_obj.values(xs)
-    cs = integrate.cumulative_trapezoid(ys, xs, initial=0.0)
-    f = PchipInterpolator(xs, np.minimum(cs, 1.0))
+def _cdf_interp(pdf, hi):
+    """The CDF of the density ``pdf`` on [0, hi], as a vectorized function
+    that holds its value at ``hi`` beyond.
+
+    The CDF at equally spaced knots sums 3-node Gauss-Legendre integrals
+    over the cells between them; between knots it is the cubic Hermite
+    interpolant with the pdf as its slope, whose error is about h^4/384
+    times the largest third derivative of the pdf, for a cell width h.
+    """
+    h = hi / _CDF_CELLS
+    xs = np.linspace(0.0, hi, _CDF_CELLS + 1)
+    dl, _, w = _gauss01(3)
+    cell = pdf.values(np.add.outer(xs[:-1], h * dl)) @ (h * w)
+    cs = np.concatenate(([0.0], np.cumsum(cell)))
+    ps = pdf.values(xs)
 
     def cdf(v):
-        v = np.minimum(np.asarray(v, dtype=float), hi)
-        return np.clip(f(v), 0.0, 1.0)
+        x = np.clip(np.asarray(v, dtype=float), 0.0, hi) / h
+        i = np.minimum(x.astype(int), _CDF_CELLS - 1)
+        t = x - i
+        s = 1.0 - t
+        f = (s * s * (1.0 + 2.0 * t) * cs[i] + t * t * (3.0 - 2.0 * t)
+             * cs[i + 1] + h * s * t * (s * ps[i] - t * ps[i + 1]))
+        return np.clip(f, 0.0, 1.0)
 
     return cdf
 
@@ -586,9 +632,9 @@ def _suite_mc(seed, sizes, depth=None):
 
     ks_cases = (
         ("sum_all_4", Partition(4, 4, ((1, 2, 3, 4),)),
-         lambda v: special.gammainc(4, np.asarray(v, dtype=float))),
+         _cdf_interp(exact_exp.pdf_sum_all(4, 1.0), 60.0)),
         ("gsc_best3of5", Partition(5, 3, ((1, 2, 3),)),
-         _gsc_cdf_interp(5, 3, 40.0)),
+         _cdf_interp(exact_exp.pdf_gsc_sum(5, 3, 1.0), 40.0)),
     )
     for name, part, cdf in ks_cases:
         n_ok = 0

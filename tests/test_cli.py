@@ -368,6 +368,22 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert _fresh_python(probe).splitlines() == ["[]"]
 
 
+def test_verify_loads_no_scipy_stats_interpolate_or_integrate():
+    # The quick profile of all six suites may load scipy.special (for the
+    # half-normal) but none of the three heavy subpackages.
+    probe = """
+import contextlib, io, sys
+import ordstat.verify
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+from ordstat import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--seed", "42", "--json", "-"]) == 0
+print(sorted({"scipy.stats", "scipy.interpolate", "scipy.integrate"}
+             & set(sys.modules)))
+"""
+    assert _fresh_python(probe).splitlines() == ["[]", "[]"]
+
+
 @pytest.mark.parametrize("argv, want", [
     (["--theorem", "T1", "--K", "4", "--at", "2.5"], "0.31739335303181687"),
     (["--theorem", "T2", "--K", "4", "--m", "2", "--at", "0.7,1.6"],

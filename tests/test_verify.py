@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ordstat import verify
@@ -123,3 +124,39 @@ def test_reduced_densities_are_never_called_per_node(monkeypatch):
     assert rep["all_pass"]
     assert calls["point"] == 0
     assert calls["values"] > 0
+
+
+def test_full_profile_normalization_passes():
+    # Four shifts of the lattice rule, 2^17 points per density.
+    rep = verify.run_suites(seed=42, quick=False, suites=["normalization"])
+    assert rep["profile"] == "full"
+    failed = [c["name"] for c in rep["suites"]["normalization"]["checks"]
+              if not c["pass"]]
+    assert failed == []
+
+
+def test_lattice_rule_masses_at_quick_size():
+    # Scrambled Sobol's worst |mass - 1| over seeds 1-20 was 2e-4; the
+    # single-shift lattice rule stays within it on every chain.
+    for seed in range(1, 9):
+        rep = verify.run_suites(seed=seed, quick=True,
+                                suites=["normalization"])
+        qmc = [c["observed"] for c in rep["suites"]["normalization"]["checks"]
+               if c["name"].startswith("normalization/qmc_")]
+        assert len(qmc) == 4
+        assert max(qmc) <= 2e-4, (seed, qmc)
+
+
+def test_lattice_rule_needs_a_whole_lattice():
+    with pytest.raises(DomainError):
+        verify.qmc_normalization(None, ((0, "exp", None),), 14, 1)
+
+
+def test_cdf_interp_matches_erlang_cdf():
+    from ordstat import exact_exp
+    cdf = verify._cdf_interp(exact_exp.pdf_sum_all(4, 1.0), 60.0)
+    xs = np.linspace(0.0, 60.0, 3001)
+    want = np.array([exact_exp._erlang_cdf(4, x) if x > 0 else 0.0
+                     for x in xs])
+    assert np.max(np.abs(cdf(xs) - want)) <= 1e-6
+    assert cdf(np.array([-1.0, 80.0])).tolist() == [0.0, float(cdf(60.0))]
