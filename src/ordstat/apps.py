@@ -38,7 +38,6 @@ from ordstat.distributions import Exponential
 from ordstat.errors import DomainError
 from ordstat.exact_exp import FineLastHead, pdf_sum_all
 from ordstat.mc_oracle import sample_sorted
-from ordstat.reductions import _each_point
 from ordstat.rules import _gauss_2d
 
 __all__ = [
@@ -81,9 +80,9 @@ class MsGscConfig:
 
 
 def _cdf_max(cfg, x):
-    if x <= 0:
-        return 0.0
-    return (-math.expm1(-x / cfg.gamma_bar)) ** cfg.L
+    # CDF of the best of L branches, over an array (or scalar) of x.
+    x = np.maximum(x, 0.0)
+    return (-np.expm1(-x / cfg.gamma_bar)) ** cfg.L
 
 
 def _result(out):
@@ -104,10 +103,8 @@ def msgsc_stage_probability(cfg, x, m):
     gt = cfg.gamma_T
     x = np.asarray(x, dtype=float)
     if m == 1:
-        # Point by point, so that an element rounds as a single x does.
-        top = _cdf_max(cfg, gt)
-        return _result(_each_point(
-            lambda v: _cdf_max(cfg, v) - top if v > gt else 0.0, x))
+        return _result(np.where(x > gt, _cdf_max(cfg, x) - _cdf_max(cfg, gt),
+                                0.0))
     fine = FineLastHead(cfg.L, m, cfg.gamma_bar)
     # v: the m-th branch; s = v + w, the output, with w the sum of the
     # m-1 larger ones.
@@ -128,10 +125,8 @@ def msgsc_output_cdf(cfg, x):
     erlang = pdf_sum_all(cfg.L, cfg.gamma_bar)
     # The shortfall's share below x: all of it at 0+ for "outage", the
     # plain L-fold sum below min(x, gamma_T) for "sum".
-    if cfg.below_threshold == "outage":
-        below = erlang.cdf(gt)
-    else:
-        below = _each_point(erlang.cdf, np.minimum(x, gt))
+    below = erlang.cdf(gt if cfg.below_threshold == "outage"
+                       else np.minimum(x, gt))
     stages = sum(msgsc_stage_probability(cfg, x, m=m)
                  for m in range(1, cfg.L + 1))
     return _result(np.where(x > 0, below + stages, 0.0))

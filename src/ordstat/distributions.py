@@ -77,9 +77,9 @@ class Distribution:
     def cdf(self, x):
         raise NotImplementedError
 
-    # Single-point forms, for the few scalar callers left: the adaptive
-    # quadrature of ``_quad_kernel`` and single points of the generic path.
-    # Everything else evaluates node arrays through ``pdf`` and ``cdf``.
+    # Single-point forms, for the one scalar caller left: the adaptive
+    # quadrature of ``_quad_kernel``.  Everything else evaluates arrays
+    # through ``pdf`` and ``cdf``.
 
     def pdf1(self, x):
         return float(self.pdf(x))

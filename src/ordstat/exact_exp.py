@@ -21,21 +21,21 @@ Each density has one evaluation form: ``values``, over coordinate arrays
 that broadcast; ``__call__``, defined once on ``_Density``, goes through
 it and gives a float at one point.  The fine densities and T1, T2 and T5d
 are one formula; the reduced T3, T4, T5 and T6 densities integrate the
-points inside their support as the rows of one ``reductions`` rule.  At
-one point T2 sums its step sum in ``_backend``'s scalar loop, so that its
-outputs keep libm's ``pow`` rounding.
+points inside their support as the rows of one ``reductions`` rule.
 
-Binomial coefficients are assembled exactly (they are integers well inside
-double precision for the supported ``K``) and the alternating pieces are
-accumulated by compensated summation, smallest first; the headline sums
-still cancel heavily near support edges.  Every step-sum threshold is
-linear in the coordinates of the point: ``_StepSum`` keeps the slopes in
-summation order and builds the thresholds term-major, one array per term
-over the nodes, which is the layout in which ``_backend`` raises only the
-terms that are live at a node.  ``OneVsRestAllK.values`` can
-also return the magnitude scale the roundoff should be measured against.
-``K`` is capped at 30: beyond that the binomial terms overwhelm double
-precision regardless of summation order.
+T2 (and T3 with m = 1, the rank-1 T2 joint) is one binomial step sum with
+equally spaced thresholds, which ``_backend.power_difference`` computes
+from nonnegative terms: it does not cancel anywhere in the support.  The
+step sums of the fine densities still alternate.  Their binomial
+coefficients are assembled exactly (they are integers well inside double
+precision for the supported ``K``) and their pieces are accumulated by
+compensated summation, smallest first; those sums still cancel near
+support edges.  Every step-sum threshold is linear in the coordinates of
+the point: ``_StepSum`` keeps the slopes in summation order and builds the
+thresholds term-major, one array per term over the nodes, which is the
+layout in which ``_backend`` raises only the terms that are live at a
+node.  ``K`` is capped at 30: beyond that the binomial terms of the fine
+step sums overwhelm double precision regardless of summation order.
 
 Naming: "one vs rest" is the pair (rank-m variable, sum of the other
 selected ones); "headsum vs tailsum" is (sum of the m largest, sum of the
@@ -145,24 +145,16 @@ class _StepSum:
         self._power = np.full(c.size, float(power))
         self._slopes = [np.asarray(s, dtype=float)[order] for s in slopes]
 
-    def values(self, u, *coords, scale=False):
+    def values(self, u, *coords):
         """The sum at ``u``, with one coordinate per slope vector; ``u`` and
-        the coordinates are arrays (or scalars) that broadcast.
-
-        The thresholds are term-major, ``(T, *nodes)``.  A single point
-        (all scalars) takes ``_backend``'s scalar loop.  With ``scale`` the
-        sum of |term| comes second, from the node form.
-        """
+        the coordinates are arrays (or scalars) that broadcast.  The
+        thresholds are term-major, ``(T, *nodes)``."""
         nd = max(map(np.ndim, (u, *coords)))
         col = (-1,) + (1,) * nd
         thr = None
         for s, c in zip(self._slopes, coords, strict=True):
             t = s.reshape(col) * c
             thr = t if thr is None else thr + t
-        u = np.asarray(u, dtype=float) if nd else float(u)
-        if scale:
-            return _backend.poly_exp_eval_scale(self._coeff, thr,
-                                                self._power, u)
         return _backend.poly_exp_eval(self._coeff, thr, self._power, u)
 
 
@@ -194,36 +186,44 @@ class ErlangSum(_Density):
             x)
 
     def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        return _erlang_cdf(self.K, self.rate * x)
+        """CDF over an array (or scalar) of x: 0 up to x = 0, 1 at inf, nan
+        at nan."""
+        y = self.rate * np.maximum(np.asarray(x, dtype=float), 0.0)
+        return _erlang_cdf(self.K, y)[()]
 
 
 def _erlang_cdf(K, y):
-    """CDF of the unit-rate Erlang of order K at y > 0, from positive terms.
+    """CDF of the unit-rate Erlang of order K over an array y >= 0, from
+    positive terms.
 
     Below the mean K it is the Poisson upper tail e^-y sum_{j>=K} y^j/j!,
-    whose terms fall from the first on; from the mean on it is
-    1 - e^-y sum_{j<K} y^j/j!, where that sum is at most about 1/2.  The
-    terms come by the recurrence t_j = t_{j-1} y/j, two roundings each.
+    whose terms fall from the first on: each element adds terms until they
+    fall below 2^-60 of its sum, and the smaller ones after that leave the
+    sum as it is.  From the mean on it is 1 - e^-y sum_{j<K} y^j/j!, where
+    that sum is at most about 1/2 (and 0 where e^-y underflows).  The terms
+    come by the recurrence t_j = t_{j-1} y/j, two roundings each.
     """
-    term = math.exp(-y)
-    if y < K:
-        for j in range(1, K + 1):
-            term *= y / j
-        tail, j = 0.0, K
-        while term > tail * 2.0 ** -60:
-            tail += term
-            j += 1
-            term *= y / j
-        return tail
-    if term == 0.0:
-        return 1.0      # y > 745, where the head is below 1e-270 for K <= 30
-    head = term
+    out = np.empty(y.shape)
+    below = y < K
+    yb = y[below]
+    term = np.exp(-yb)
+    for j in range(1, K + 1):
+        term *= yb / j
+    tail, j = np.zeros(yb.shape), K
+    while np.any(term > tail * 2.0 ** -60):
+        tail += term
+        j += 1
+        term *= yb / j
+    out[below] = tail
+    # An infinite y has e^-y = 0 and would make 0 * inf of its terms.
+    ya = np.minimum(y[~below], np.finfo(float).max)
+    term = np.exp(-ya)
+    head = term.copy()
     for j in range(1, K):
-        term *= y / j
+        term *= ya / j
         head += term
-    return 1.0 - head
+    out[~below] = 1.0 - head
+    return out
 
 
 def pdf_sum_all(K, gamma_bar):
@@ -244,8 +244,6 @@ class OneVsRestAllK(_Density):
         self.K, self.m = K, m
         self.gamma_bar = _check_scale(gamma_bar)
         self.rate = a = 1.0 / self.gamma_bar
-        self._steps = _StepSum(_alt_binom(K - m), K - 2,
-                               np.arange(K - m + 1, dtype=float) + (m - 1))
         self._pref = _pref(num=(K,), den=(K - m, m - 1, K - 2), rate=a, rate_pow=K)
 
     def support(self, z1, z2):
@@ -256,21 +254,19 @@ class OneVsRestAllK(_Density):
             edge = z2 >= (self.m - 1) * z1
         return (z1 >= 0) & (z2 >= 0) & edge
 
-    def values(self, z1, z2, scale=False):
+    def values(self, z1, z2):
         """Density over coordinate arrays (or scalars) that broadcast.
 
-        A single point sums its step sum in ``_backend``'s scalar loop.
-        With ``scale`` the cancellation scale comes second (node form):
-        the roundoff of the density lives at scale * eps.  At a single
-        point outside the support both are the density there, 0 or nan.
+        The step sum ``sum_j (-1)^j C(K-m, j) (z2 - (m-1+j) z1)_+^(K-2)``
+        is ``_backend.power_difference``: nonnegative terms only.
         """
-        def formula(z1, z2):
-            s = self._steps.values(z2, z1, scale=scale)
-            damp = self._pref * np.exp(-self.rate * (z1 + z2))
-            return (damp * s[0], damp * s[1]) if scale else damp * s
+        K, m = self.K, self.m
 
-        v = reductions._closed_form(self.support, formula, z1, z2)
-        return (v, v) if scale and not np.ndim(v) else v
+        def formula(z1, z2):
+            s = _backend.power_difference(K - m, K - 2, z2, z1, m - 1)
+            return self._pref * np.exp(-self.rate * (z1 + z2)) * s
+
+        return reductions._closed_form(self.support, formula, z1, z2)
 
 
 def jpdf_one_vs_rest_allK(K, m, gamma_bar):
@@ -389,7 +385,7 @@ class FineHeadRankTail(_FineBase):
                            rate=self.rate, rate_pow=K)
 
     def support(self, z1, g, z2):
-        return 0 <= z2 <= (self.K - self.m) * g and z1 >= self.m * g
+        return (z2 >= 0) & (z2 <= (self.K - self.m) * g) & (z1 >= self.m * g)
 
     def values(self, z1, g, z2):
         """Density over coordinate arrays (or scalars) that broadcast."""
@@ -420,8 +416,8 @@ class FineOneMidLast(_FineBase):
                            rate=a, rate_pow=Ks)
 
     def support(self, z1, z3, z4):
-        return (0 <= z4 <= z1
-                and (self.Ks - 2) * z4 <= z3 <= (self.Ks - 2) * z1)
+        return ((z4 >= 0) & (z4 <= z1) & (z3 >= (self.Ks - 2) * z4)
+                & (z3 <= (self.Ks - 2) * z1))
 
     def values(self, z1, z3, z4):
         """Density over coordinate arrays (or scalars) that broadcast."""
@@ -454,9 +450,9 @@ class FineHeadMidLast(_FineBase):
                            rate=a, rate_pow=Ks)
 
     def support(self, z1, z2, z3, z4):
-        return (0 <= z4 <= z2
-                and z1 >= (self.m - 1) * z2
-                and (self.Ks - self.m - 1) * z4 <= z3 <= (self.Ks - self.m - 1) * z2)
+        n_mid = self.Ks - self.m - 1
+        return ((z4 >= 0) & (z4 <= z2) & (z1 >= (self.m - 1) * z2)
+                & (z3 >= n_mid * z4) & (z3 <= n_mid * z2))
 
     def values(self, z1, z2, z3, z4):
         """Density over coordinate arrays (or scalars) that broadcast."""
@@ -483,7 +479,7 @@ class FineHeadNextLast(_FineBase):
                            rate=self.rate, rate_pow=Ks)
 
     def support(self, z1, z2, z4):
-        return 0 <= z4 <= z2 and z1 >= (self.Ks - 2) * z2
+        return (z4 >= 0) & (z4 <= z2) & (z1 >= (self.Ks - 2) * z2)
 
     def values(self, z1, z2, z4):
         """Density over coordinate arrays (or scalars) that broadcast."""
@@ -508,7 +504,7 @@ class FineLastHead(_FineBase):
                            rate=self.rate, rate_pow=Ks)
 
     def support(self, v, w):
-        return v >= 0 and w >= (self.Ks - 1) * v
+        return (v >= 0) & (w >= (self.Ks - 1) * v)
 
     def values(self, v, w):
         """Density over coordinate arrays (or scalars) that broadcast."""

@@ -47,16 +47,17 @@ stop.  Gauss-Legendre rules serve a density that is smooth on [0, inf)
 at once.  One that is singular at 0, like x^(a-1) (a Gamma or Weibull
 shape below 1), or only not smooth there, leaves some elements open at
 the Gauss cap; those go on with tanh-sinh rules, which crowd both ends
-of every segment and converge there at their usual pace.  No fine density keeps a scalar loop:
-``values`` works on coordinate arrays and ``__call__`` goes through it.
-The reduced densities (``t3_jpdf`` with m >= 2, ``t4_pdf`` with Ks >= 2,
-``t5_jpdf`` and ``t6_jpdf``) take coordinate arrays that broadcast, as
-the rows of one ``reductions`` rule.  So does ``t2_jpdf`` (and
-``t3_jpdf`` with m = 1, the rank-1 T2 joint), as the rows of one
-kernel-power inverse, and ``t4_pdf`` with Ks = 1 is a formula over
-arrays.  T1 takes single points, and ``resolve``'s densities loop over
-them.  Every family gives nan at a point with a nan coordinate and 0 at
-one with an infinite coordinate, as on the exact path.
+of every segment and converge there at their usual pace.
+
+Every family has one array form, which takes coordinate arrays that
+broadcast (or scalars, one point): the fine densities' ``values``; the
+reduced densities (``t3_jpdf`` with m >= 2, ``t4_pdf`` with Ks >= 2,
+``t5_jpdf`` and ``t6_jpdf``), as the rows of one ``reductions`` rule;
+``t2_jpdf`` (and ``t3_jpdf`` with m = 1, the rank-1 T2 joint), as the
+rows of one kernel-power inverse; ``t4_pdf`` with Ks = 1, a formula; and
+``t1_pdf``, whose rows are one inversion each.  Every family gives nan at
+a point with a nan coordinate and 0 at one with an infinite coordinate,
+as on the exact path.
 """
 
 import functools
@@ -247,20 +248,20 @@ def _inv_pow(dist, lo, hi, n, t):
 
 
 def t1_pdf(dist, K, z, digits=8):
-    """Density of the sum of all ``K`` variables."""
+    """Density of the sum of all ``K`` variables; over an array (or
+    scalar) of z, each point of which is one Bromwich-line inversion."""
     if K < 1:
         raise DomainError("need K >= 1")
-    (z,), out, ok = reductions._points(lambda z: z >= 0, z)
-    if not ok:
-        return float(out)
-    z = float(z)
-    if K == 1:
-        return dist.pdf1(z)
 
     def f(s):
         return dist.kernel_c(math.inf, -s) ** K
 
-    return _ilt(dist, f, z, digits, K * dist.mean)
+    def rows(z):
+        if K == 1:
+            return dist.pdf(z)
+        return [_ilt(dist, f, t, digits, K * dist.mean) for t in z.tolist()]
+
+    return reductions._reduce(lambda z: z >= 0, rows, z)
 
 
 def t2_jpdf(dist, K, m, z1, z2):
@@ -435,11 +436,9 @@ def resolve(shape, dist, method="auto", digits=8):
     order: a swapped shape is evaluated with its arguments exchanged.
 
     The coordinates are scalars, which give a float, or arrays that
-    broadcast, which give an array of their common shape.  An array is one
-    call of the family's array form: the points are the rows of one rule.
-    Exact T2 and T3 with m = 1, and generic T1, take the points one at a
-    time, here.  Generic densities are this module's ``t*_pdf`` attributes
-    as they are when ``resolve`` runs.
+    broadcast, which give an array of their common shape.  Either is one
+    call of the family's array form.  Generic densities are this module's
+    ``t*_pdf`` attributes as they are when ``resolve`` runs.
     """
     fam, K, Ks, m = shape.id[:2], shape.K, shape.Ks, shape.m
     args = {"T1": (K,), "T2": (K, m), "T3": (K, m), "T4": (K, Ks),
@@ -468,20 +467,11 @@ def resolve(shape, dist, method="auto", digits=8):
             return pdf(dist, *args, *z)
     else:
         raise DomainError(f"unknown method {method!r}")
-    # T3 with m = 1 is the rank-1 T2 joint.  An exact T2 point sums its
-    # step sum in ``_backend``'s scalar loop (libm's ``pow`` rounding), so
-    # grids keep those values; generic T1 has no array form.
-    pointwise = (fam == "T1" if method == "generic"
-                 else fam == "T2" or (fam == "T3" and m == 1))
     dim = 1 if fam in ("T1", "T4") else 2
 
     def density(*z):
         if len(z) != dim:
             raise DomainError(f"{shape.id} expects {dim} coordinate(s)")
-        if shape.swap:
-            z = z[::-1]
-        if pointwise and not all(isinstance(c, (int, float)) for c in z):
-            return reductions._each_point(fn, *z)
-        return fn(*z)
+        return fn(*z[::-1]) if shape.swap else fn(*z)
 
     return density, dim

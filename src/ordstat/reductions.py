@@ -11,9 +11,8 @@ the fine densities:
 * ``generic_joint``: pdf, CDF and kernel-power inverses of any distribution.
 
 A fine density is an object with ``values(*coords)`` over coordinate
-arrays that broadcast, and a boolean ``piecewise_polynomial``.  On both
-paths ``values`` is array code, and the scalar ``__call__(*coords)`` goes
-through it.  The shapes, by coordinates (rank 1 = largest):
+arrays that broadcast, and a boolean ``piecewise_polynomial``.  The
+shapes, by coordinates (rank 1 = largest):
 
 * ``FineHeadRankTail`` (T3): sum of ranks 1..m, rank m, sum of ranks m+1..K;
 * ``FineLastHead`` (T4, T5d): rank Ks, sum of ranks 1..Ks-1;
@@ -29,18 +28,17 @@ exact-degree rule alone when the fine density is piecewise polynomial;
 every other integral compares n- and 2n-node rules.
 
 ``t3``, ``t4``, ``t5`` and ``t6`` take their points as coordinate arrays
-that broadcast (or scalars), keep their shape, and integrate the points
-inside the support as the rows of one rule; a single point is the same
-code on one row.  T5b and T6 integrate two coordinates out: their inner
-integrals, one per pair of a point and a node of the outer rule, are the
-rows of one batch, so each rule evaluates the fine density on the nodes
-of every inner segment together, and not one small inner rule at a time.
-A point with a nan coordinate gives nan, and one with an infinite
-coordinate 0, without a rule (``_reduce``).
+that broadcast (or scalars, one point), keep their shape, and integrate
+the points inside the support as the rows of one rule.  T5b and T6
+integrate two coordinates out: their inner integrals, one per pair of a
+point and a node of the outer rule, are the rows of one batch, so each
+rule evaluates the fine density on the nodes of every inner segment
+together, and not one small inner rule at a time.  A point with a nan
+coordinate gives nan, and one with an infinite coordinate 0, without a
+rule (``_reduce``).
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -52,24 +50,15 @@ __all__ = ["t3", "t4", "t5", "t6", "t3_support", "t5_support", "t6_support",
 
 
 def _points(inside, *z):
-    """Points ``z``, coordinate arrays that broadcast, for a formula or rule.
+    """Points ``z``, coordinate arrays (or scalars) that broadcast, for a
+    formula or rule.
 
-    Returns the coordinates, the densities that no formula gives (nan
-    where a coordinate is nan, else 0) and the mask of the points to
-    evaluate: those with finite coordinates inside the support,
-    ``inside(*z)``.  Arrays come back with one shape.  Scalars are one
-    point: Python floats, with a bool mask and a 0-d array of densities.
+    Returns the coordinates as arrays of one shape, the densities that no
+    formula gives (nan where a coordinate is nan, else 0) and the mask of
+    the points to evaluate: those with finite coordinates inside the
+    support, ``inside(*z)``.
     """
-    if all(isinstance(c, (int, float)) for c in z):
-        # One point, on Python floats: numpy's per-call overhead would cost
-        # more than the test, and than a short rule.
-        z = [float(c) for c in z]
-        nan = any(map(math.isnan, z))
-        ok = all(map(math.isfinite, z)) and bool(inside(*z))
-        return z, np.array(np.nan if nan else 0.0), ok
-    z = [np.asarray(c, dtype=float) for c in z]
-    if len(z) > 1:
-        z = np.broadcast_arrays(*z)
+    z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in z))
     nan, ok = np.isnan(z[0]), np.isfinite(z[0])
     for c in z[1:]:
         nan, ok = nan | np.isnan(c), ok & np.isfinite(c)
@@ -78,53 +67,25 @@ def _points(inside, *z):
 
 def _closed_form(inside, formula, *z):
     """``formula`` at the points ``z`` inside the support ``inside``; every
-    other point gets what ``_points`` says.
-
-    ``formula`` sees 0 for the coordinates of the points outside, so that
-    no inf or nan enters it, and the floats of a single point inside; at a
-    single point outside it is not called.
-    """
+    other point gets what ``_points`` says.  ``formula`` sees 0 for the
+    coordinates of the points outside, so that no inf or nan enters it."""
     z, out, ok = _points(inside, *z)
-    if not out.ndim:
-        return formula(*z) if ok else out[()]
     return np.where(ok, formula(*(np.where(ok, c, 0.0) for c in z)),
                     out)[()]
 
 
-def _each_point(fn, *z):
-    """``fn`` at each point of the coordinate arrays ``z``, which broadcast,
-    one at a time on Python floats, as an array of their shape."""
-    z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in z))
-    vals = [fn(*p) for p in zip(*(c.ravel().tolist() for c in z))]
-    return np.array(vals, dtype=float).reshape(z[0].shape)
-
-
 def _reduce(inside, rows, *z):
     """``rows(*z)`` at the points ``z`` inside the support ``inside``, which
-    are the rows of one rule; every other point gets what ``_points`` says.
-
-    ``rows`` takes one array per coordinate, or the floats of a single
-    point: the same code on one row.  Its integrands read a point's
-    coordinates with ``_at``.
-    """
+    ``rows`` gets as 1-d coordinate arrays, the rows of one rule; every
+    other point gets what ``_points`` says."""
     z, out, ok = _points(inside, *z)
-    if ok is True:
-        return np.float64(rows(*z))
-    if ok is not False:
-        out[ok] = rows(*(c[ok] for c in z))
+    out[ok] = rows(*(c[ok] for c in z))
     return out[()]
 
 
-def _at(v, r):
-    # The values ``v`` of a rule's rows at the rows ``r`` of its nodes (the
-    # int 0 in a rule of one row).  A float is one point's value, the same
-    # for every row.
-    return v if isinstance(v, float) else v[r]
-
-
 def _col(v):
-    # ``v`` as a column against the knots of each row (one row for a float).
-    return np.asarray(v).reshape(-1, 1)
+    # ``v`` as a column against the knots of each row.
+    return v[:, None]
 
 
 # -- T3: (sum of ranks 1..m, sum of ranks m+1..K), all K --
@@ -141,7 +102,7 @@ def t3(fine, K, m, z1, z2):
     one-vs-rest joint (T2), which each path evaluates directly.
     """
     def rows(x, y):
-        return _gauss_knots(lambda g, r: fine.values(_at(x, r), g, _at(y, r)),
+        return _gauss_knots(lambda g, r: fine.values(x[r], g, y[r]),
                             y / (K - m), x / m,
                             _col(y) / np.arange(1, K - m + 1), deg=K - 3,
                             exact=fine.piecewise_polynomial)
@@ -159,7 +120,7 @@ def t4(fine, Ks, x):
     path evaluates directly.
     """
     def rows(x):
-        return _gauss_knots(lambda v, r: fine.values(v, _at(x, r) - v), 0.0,
+        return _gauss_knots(lambda v, r: fine.values(v, x[r] - v), 0.0,
                             x / Ks, deg=Ks - 2, exact=False)
 
     return _reduce(lambda x: x >= 0, rows, x)
@@ -229,13 +190,13 @@ def _t5a(fine, Ks, x, y, order):
     if order in (0, 1):
         knots = np.concatenate([(yc - j * xc) / (Ks - 1 - j), xc], axis=1)
         return _gauss_knots(
-            lambda z4, r: fine.values(_at(x, r), _at(y, r) - z4, z4),
+            lambda z4, r: fine.values(x[r], y[r] - z4, z4),
             np.maximum(0.0, y - (Ks - 2) * x), y / (Ks - 1), knots,
             deg=Ks - 3, exact=False)
     knots = np.concatenate(
         [((Ks - 2 - j) * yc + j * xc) / (Ks - 1 - j), yc - xc], axis=1)
     return _gauss_knots(
-        lambda z3, r: fine.values(_at(x, r), z3, _at(y, r) - z3),
+        lambda z3, r: fine.values(x[r], z3, y[r] - z3),
         np.maximum((Ks - 2) * y / (Ks - 1), y - x), np.minimum((Ks - 2) * x, y),
         knots, deg=Ks - 3, exact=False)
 
@@ -244,10 +205,10 @@ def _t5c(fine, Ks, x, y, order):
     # Fine coordinates (head sum z1, rank Ks-1 = x, rank Ks z4), z1 + z4 = y.
     if order in (0, 1):
         return _gauss_knots(
-            lambda z4, r: fine.values(_at(y, r) - z4, _at(x, r), z4), 0.0,
+            lambda z4, r: fine.values(y[r] - z4, x[r], z4), 0.0,
             np.minimum(x, y - (Ks - 2) * x), deg=Ks - 3, exact=False)
     return _gauss_knots(
-        lambda z1, r: fine.values(z1, _at(x, r), _at(y, r) - z1),
+        lambda z1, r: fine.values(z1, x[r], y[r] - z1),
         np.maximum((Ks - 2) * x, y - x), y, deg=Ks - 3, exact=False)
 
 
@@ -267,21 +228,21 @@ def _t5b(fine, Ks, m, x, y, order):
             # Below y - z4 - (nm-1)*x the mid-sum exceeds its support and
             # the step sum is cancellation noise around zero; stop the
             # integral at the true edge.
-            xr, yr = _at(x, r), _at(y, r)
+            xr, yr = x[r], y[r]
             lo1 = np.maximum((m - 1) * xr, yr - z4s - (nm - 1) * xr)
             knots = _col(yr) - np.multiply.outer(z4s, nm - j) - j * _col(xr)
             return _gauss_knots(
-                lambda z1, q: fine.values(z1, _at(xr, q),
-                                          _at(yr, q) - z1 - z4s[q], z4s[q]),
+                lambda z1, q: fine.values(z1, xr[q],
+                                          yr[q] - z1 - z4s[q], z4s[q]),
                 lo1, yr - nm * z4s, knots, deg=Ks - 4, exact=exact)
     else:
         def inner(z4s, r):
-            xr, yr = _at(x, r), _at(y, r)
+            xr, yr = x[r], y[r]
             hi3 = np.minimum((nm - 1) * xr, yr - z4s - (m - 1) * xr)
             knots = np.multiply.outer(z4s, nm - 1 - j) + j * _col(xr)
             return _gauss_knots(
-                lambda z3, q: fine.values(_at(yr, q) - z3 - z4s[q],
-                                          _at(xr, q), z3, z4s[q]),
+                lambda z3, q: fine.values(yr[q] - z3 - z4s[q],
+                                          xr[q], z3, z4s[q]),
                 (nm - 1) * z4s, hi3, knots, deg=Ks - 4, exact=exact)
     return _gauss_knots(inner, 0.0, np.minimum(x, (y - (m - 1) * x) / nm),
                         outer_knots, deg=Ks - 3, exact=False)
@@ -329,11 +290,11 @@ def _t6(fine, Ks, m, x, y):
         # One row per (point, outer node) pair.  Below (y - z4) / (nt - 1)
         # the mid-sum exceeds its support and the step sum is cancellation
         # noise around zero.
-        xr, yr = _at(x, r), _at(y, r)
+        xr, yr = x[r], y[r]
         knots = (_col(yr) - np.multiply.outer(z4s, nt - j)) / j
         return _gauss_knots(
-            lambda z2, q: fine.values(_at(xr, q) - z2, z2,
-                                      _at(yr, q) - z4s[q], z4s[q]),
+            lambda z2, q: fine.values(xr[q] - z2, z2,
+                                      yr[q] - z4s[q], z4s[q]),
             (yr - z4s) / (nt - 1), xr / m, knots, deg=Ks - 4, exact=exact)
 
     return _gauss_knots(inner, np.maximum(0.0, y - (nt - 1) * x / m),

@@ -77,16 +77,15 @@ def _tanh_sinh01(n):
 def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
     """Integrals of ``f`` over ``[lo, hi]``, Gauss-Legendre on knot segments.
 
-    Scalar limits give one integral and return a float, with ``knots`` a
-    sequence of points.  Array limits give one integral per row and return
-    an array, with ``knots`` a ``(rows, k)`` array; no rows give an empty
-    array, and ``f`` is not called.  Each row's knots are clipped into its
-    interval and sorted; empty segments (and rows with ``hi <= lo``) get no
-    nodes.  ``f(x, row)`` maps a flat array of nodes, and the row of each,
-    to an array of values.  ``row`` is an index array, or the int 0 when
-    there is one row: scalar limits, or arrays of one element.  Each rule
-    calls ``f`` on the nodes of all open rows together, in blocks of whole
-    segments and at most ``_BLOCK`` nodes.
+    ``lo`` and ``hi`` are arrays (or scalars) that broadcast, one integral
+    per element (a row), with ``knots`` an array of ``(rows, k)`` points,
+    or of k points for scalar limits; the result has their shape.  No rows
+    give an empty array, and ``f`` is not called.  Each row's knots are
+    clipped into its interval and sorted; empty segments (and rows with
+    ``hi <= lo``) get no nodes.  ``f(x, row)`` maps a flat array of nodes,
+    and the index array of the row of each, to an array of values.  Each
+    rule calls ``f`` on the nodes of all open rows together, in blocks of
+    whole segments and at most ``_BLOCK`` nodes.
 
     Between knots the integrand is a polynomial of degree ``deg``
     (``exact``), or such a polynomial times a smooth factor.  The
@@ -96,38 +95,22 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
     ``_EPSABS``/``_EPSREL``; rows still open at ``_MAX_NODES`` go on with
     tanh-sinh rules, which converge at an integrable end singularity.
     """
-    done = float
-    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        rows = max(lo.size, hi.size) if lo.size and hi.size else 0
-        if not rows:
-            return np.zeros(0)
-        if rows == 1:
-            lo, hi, done = lo.item(), hi.item(), np.atleast_1d
-    else:
-        rows = 1
-    if rows == 1:
-        if not hi > lo:
-            return done(0.0)
-        # One row: the knots inside, in order, without numpy's row
-        # bookkeeping, which would cost more than a short rule.
-        edges = np.array([lo, *sorted({p for p in np.ravel(knots).tolist()
-                                       if lo < p < hi}), hi])
-        left, right = edges[:-1, None], edges[1:, None]
-        row, col = 0, None
-        lo, hi = [lo], [hi]
-    else:
-        knots = np.asarray(knots, dtype=float).reshape(rows, -1)
-        edges = np.empty((rows, knots.shape[1] + 2))
-        edges[:, 0], edges[:, -1] = lo, np.maximum(hi, lo)
-        np.minimum(np.maximum(knots, edges[:, :1]), edges[:, -1:],
-                   out=edges[:, 1:-1])
-        edges.sort(axis=1)
-        lo, hi = edges[:, 0], edges[:, -1]
-        keep = edges[:, 1:] > edges[:, :-1]
-        row, col = np.nonzero(keep)
-        left, right = edges[:, :-1][keep, None], edges[:, 1:][keep, None]
-        cols = keep.shape[1]
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    shape, rows = lo.shape, lo.size
+    if not rows:
+        return np.zeros(shape)
+    knots = np.asarray(knots, dtype=float).reshape(rows, -1)
+    edges = np.empty((rows, knots.shape[1] + 2))
+    edges[:, 0], edges[:, -1] = lo.ravel(), np.maximum(hi, lo).ravel()
+    np.minimum(np.maximum(knots, edges[:, :1]), edges[:, -1:],
+               out=edges[:, 1:-1])
+    edges.sort(axis=1)
+    lo, hi = edges[:, 0], edges[:, -1]
+    keep = edges[:, 1:] > edges[:, :-1]
+    row, col = np.nonzero(keep)
+    left, right = edges[:, :-1][keep, None], edges[:, 1:][keep, None]
+    cols = keep.shape[1]
     # Segment ends, as column vectors, one entry per segment.
     width = right - left
     mid, half = 0.5 * (right + left), 0.5 * width
@@ -135,8 +118,7 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
     def on(table, base, scale):
         # The rule of ``table(n) = (t, w)``, with nodes base + scale * t.
         def block(b, s, r, t, w):
-            vals = f((b + s * t).ravel(),
-                     r if col is None else np.repeat(r, t.size))
+            vals = f((b + s * t).ravel(), np.repeat(r, t.size))
             return vals.reshape(s.size, -1) @ w * s[:, 0]
 
         def rule(n, todo):
@@ -155,11 +137,8 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
             else:
                 k = _BLOCK // n
                 est = np.concatenate([
-                    block(b[i:i + k], s[i:i + k],
-                          r if col is None else r[i:i + k], t, w)
+                    block(b[i:i + k], s[i:i + k], r[i:i + k], t, w)
                     for i in range(0, s.size, k)])
-            if col is None:
-                return est[None]    # the one row's segments, in order
             out = np.zeros((len(todo), cols))
             out[at, c] = est
             return out
@@ -174,7 +153,7 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
         tanh_sinh = on(lambda n: _tanh_sinh01(n)[::2], left, width)
         total = _doubled(gauss, n + _SMOOTH_EXTRA, lo, hi, _EPSABS, _EPSREL,
                          then=tanh_sinh)
-    return done(total[0]) if col is None else total
+    return total.reshape(shape)[()]
 
 
 def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):

@@ -1,5 +1,6 @@
-"""Step-sum kernel: node arrays and the scalar loop against exact sums, and
-the node form bit for bit against raising every term.
+"""Step-sum kernels: node arrays and single nodes against exact sums, the
+node form bit for bit against raising every term, and ``power_difference``
+against exact binomial step sums.
 
 Thresholds are term-major: ``(T,)``, or ``(T, *nodes)`` with a column of
 nodes per term.
@@ -55,9 +56,10 @@ def test_nodes_match_scalar_loop(T):
     got_s, got_mag = _backend.poly_exp_eval_scale(coeff, thr, power, zs)
     assert got.shape == (N,)
     for j, (want, mag) in enumerate(_exact(coeff, thr, power, zs)):
-        loop = _backend.poly_exp_eval(coeff, thr[:, j], power, float(zs[j]))
+        # One node, a float against its own threshold column.
+        one = _backend.poly_exp_eval(coeff, thr[:, j], power, float(zs[j]))
         assert abs(got[j] - want) <= 4 * EPS * mag
-        assert abs(loop - want) <= 4 * EPS * mag
+        assert abs(one - want) <= 4 * EPS * mag
         assert got_s[j] == got[j]
         assert got_mag[j] == pytest.approx(mag, rel=1e-13)
     assert np.all(got[:10] == 0.0)
@@ -145,8 +147,7 @@ def _check_bits(coeff, thr, power, z):
         got, got_mag = _backend.poly_exp_eval_scale(coeff, thr, power, z)
         _same_bits(got, want)
         _same_bits(got_mag, want_mag)
-        if not (isinstance(z, float) and np.ndim(thr) == 1):
-            _same_bits(_backend.poly_exp_eval(coeff, thr, power, z), want)
+        _same_bits(_backend.poly_exp_eval(coeff, thr, power, z), want)
 
 
 def _special(rng, a, share=0.05):
@@ -224,6 +225,64 @@ def test_step_sums_reach_the_traced_entry_points(monkeypatch):
     assert np.all(jd(x, y) > 0.0)
     assert seen["poly_exp_eval"]
     assert set(seen["poly_exp_eval"]) == {Ks - m}      # n_mid + 1 terms
+    assert not seen["poly_exp_eval_scale"]
+    # T2's binomial step sum is ``power_difference``, which has no
+    # alternating terms to sum.
+    seen["poly_exp_eval"].clear()
     ov = exact_exp.jpdf_one_vs_rest_allK(K, 4, 1.0)
-    ov.values(np.array([0.5, 1.0]), np.array([3.0, 6.0]), scale=True)
-    assert seen["poly_exp_eval_scale"] == [K - 4 + 1]
+    assert np.all(ov(np.array([0.5, 1.0]), np.array([3.0, 6.0])) > 0.0)
+    assert seen == {"poly_exp_eval": [], "poly_exp_eval_scale": []}
+
+
+# -- power_difference: binomial step sums from nonnegative terms --
+
+
+def _exact_difference(n, p, u, h, a):
+    """``sum_j (-1)^j C(n, j) (u - (a + j) h)_+^p`` in rationals, at the
+    float inputs, and the distance of u from the nearest edge of the
+    support: the first threshold, and for p < n the last one."""
+    u, h = Fraction(float(u)), Fraction(float(h))
+    edges = [a * h] + ([(a + n) * h] if p < n else [])
+    return (sum((-1) ** j * math.comb(n, j) * (u - (a + j) * h) ** p
+                for j in range(n + 1) if u >= (a + j) * h),
+            min(abs(u - e) for e in edges))
+
+
+@pytest.mark.parametrize("n,p", [(1, 0), (2, 1), (5, 4), (29, 28), (0, 0),
+                                 (0, 7), (1, 1), (3, 9), (14, 28), (28, 28)])
+def test_power_difference_matches_exact_sums(n, p):
+    rng = np.random.default_rng(7 * n + p)
+    for a in (0, 1, 3):
+        h = rng.uniform(0.05, 3.0, 200)
+        x = rng.uniform(-1.0, n + 3.0, 200)
+        x[:20] = rng.integers(0, n + 1, 20)        # on a knot
+        x[20:30] = rng.integers(0, n + 1, 10) + 1e-9
+        u = (a + x) * h
+        got = _backend.power_difference(n, p, u, h, a)
+        assert got.shape == u.shape
+        for g, ui, hi in zip(got.tolist(), u.tolist(), h.tolist()):
+            want, delta = _exact_difference(n, p, ui, hi, a)
+            assert g >= 0.0
+            # Every term is nonnegative: the error is relative, a few
+            # roundings per level, plus the rounding of the distance from
+            # the nearest support edge.  A point within a few ulps of an
+            # edge may land on either side of it.
+            if delta > 16 * EPS * abs(ui):
+                bound = 8 * EPS * (p * abs(ui) / delta + (p + 2) ** 2)
+                assert abs(g - want) <= bound * abs(want)
+
+
+def test_power_difference_shapes_and_limits():
+    # Scalars give a scalar, arrays broadcast; h = 0 puts every threshold
+    # at a*h = 0, where the n-th difference of a constant vanishes.
+    assert np.shape(_backend.power_difference(3, 4, 2.5, 0.5, 0)) == ()
+    got = _backend.power_difference(3, 4, np.ones((2, 1)), np.full(5, 0.2), 0)
+    assert got.shape == (2, 5)
+    assert _backend.power_difference(3, 4, 2.0, 0.0, 1) == 0.0
+    assert _backend.power_difference(0, 4, 2.0, 0.0, 1) == 16.0
+    # Below the first threshold every term is dead.
+    assert _backend.power_difference(3, 4, 0.99, 1.0, 1) == 0.0
+    # (1, 0): the indicator of [0, h), closed on the left.
+    got = _backend.power_difference(1, 0, np.array([0.0, 0.5, 1.0, 2.0]),
+                                    1.0, 0)
+    assert got.tolist() == [1.0, 1.0, 0.0, 0.0]

@@ -3,6 +3,7 @@
 import functools
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -54,6 +55,24 @@ def test_sum_all_cdf_matches_arbitrary_precision(K):
             want = mpmath.gammainc(K, 0, y, regularized=True)
             got = pdf.cdf(y)
             assert abs(got - want) <= 2e-13 * want, (K, y, got)
+
+
+def test_sum_all_cdf_takes_arrays():
+    # Elements below and above the switch at the mean, and the ends.
+    pdf = exact_exp.pdf_sum_all(8, 1.3)
+    x = np.array([[-np.inf, -1.0, 0.0, 0.5], [9.0, 10.4, 40.0, 1e3],
+                  [np.inf, np.nan, 1e-9, 2.0]])
+    got = pdf.cdf(x)
+    assert got.shape == x.shape
+    assert got[0, :3].tolist() == [0.0, 0.0, 0.0]
+    assert got[2, 0] == 1.0 and np.isnan(got[2, 1])
+    with mpmath.workdps(40):
+        for g, v in zip(got.ravel().tolist(), x.ravel().tolist()):
+            if v > 0 and math.isfinite(v):
+                want = mpmath.gammainc(8, 0, v / 1.3, regularized=True)
+                assert abs(g - want) <= 2e-13 * want
+    assert np.ndim(pdf.cdf(2.0)) == 0
+    assert pdf.cdf(np.empty((0, 2))).shape == (0, 2)
 
 
 def test_gsc_with_full_selection_is_erlang():
@@ -195,6 +214,33 @@ def test_fine_density_zero_outside_support():
     assert fine(3.0, 1.0, 1.5, 1.2) == 0.0        # z4 above z2
 
 
+def test_fine_supports_take_arrays():
+    # Each support over arrays, element by element as the chained
+    # comparisons that define it.
+    rng = np.random.default_rng(5)
+    cases = [
+        (exact_exp.FineHeadRankTail(6, 3, GB),
+         lambda z1, g, z2: 0 <= z2 <= 3 * g and z1 >= 3 * g),
+        (exact_exp.FineOneMidLast(6, 5, GB),
+         lambda z1, z3, z4: 0 <= z4 <= z1 and 3 * z4 <= z3 <= 3 * z1),
+        (exact_exp.FineHeadMidLast(7, 6, 2, GB),
+         lambda z1, z2, z3, z4: (0 <= z4 <= z2 and z1 >= z2
+                                 and 3 * z4 <= z3 <= 3 * z2)),
+        (exact_exp.FineHeadNextLast(6, 5, GB),
+         lambda z1, z2, z4: 0 <= z4 <= z2 and z1 >= 3 * z2),
+        (exact_exp.FineLastHead(6, 4, GB),
+         lambda v, w: v >= 0 and w >= 3 * v),
+    ]
+    for fine, spec in cases:
+        z = rng.uniform(-0.3, 3.0, (len(fine.coords), 400))
+        z[-1, :200] = rng.uniform(0.0, 0.3, 200)   # a small last coordinate
+        got = fine.support(*z)
+        assert got.shape == (400,)
+        want = [spec(*p) for p in z.T.tolist()]
+        assert got.tolist() == want and 20 < sum(want) < 380
+        assert fine.support(*z.reshape(-1, 20, 20)).shape == (20, 20)
+
+
 def test_density_meta():
     jd = exact_exp.jpdf_one_vs_rest_bestKs(5, 3, 2, GB)
     meta = jd.meta
@@ -235,27 +281,98 @@ def test_gsc_sum_grid_matches_points():
 
 
 def test_one_vs_rest_nodes_match_points():
-    # Node arrays take numpy's power, single points libm's; both stay
-    # within a few eps of the cancellation scale at K=30.
-    EPS = np.finfo(float).eps
+    # Arrays and single points are one code path: the same bits, and no
+    # value below 0 anywhere at K=30.
     rng = np.random.default_rng(30)
     for m in (1, 2, 15, 29, 30):
         jd = exact_exp.jpdf_one_vs_rest_allK(30, m, 0.9)
         z1 = rng.uniform(0.0, 2.5, 300)
         z2 = rng.uniform(0.0, 40.0, 300)
-        got, scale = jd.values(z1, z2, scale=True)
+        got = jd.values(z1, z2)
         want = np.array([jd(a, b) for a, b in zip(z1.tolist(), z2.tolist())])
         assert np.any(got != 0.0)
-        assert np.all(np.abs(got - want) <= 4 * EPS * scale)
+        assert np.array_equal(got, want)
+        assert np.all(got >= 0.0)
 
 
 def test_large_k_nonnegative_spot():
-    # Alternating-sum cancellation must not push densities negative.
+    # No cancellation is left to push a density below 0.
     jd = exact_exp.jpdf_one_vs_rest_allK(20, 10, 1.0)
     for z1 in (0.4, 1.0, 2.2):
         for z2 in (9.5, 12.0, 20.0, 31.0):
-            val, scale = jd.values(z1, z2, scale=True)
-            assert val >= -1e-9 * max(scale, 1.0)
+            assert jd(z1, z2) >= 0.0
+
+
+# -- T2 against exact step sums --
+
+
+def _exact_one_vs_rest(K, m, z1, z2):
+    """Exact T2 at unit rate from a rational step sum, at the float inputs,
+    with numpy's ``exp`` of the float sum, as the density forms it; and the
+    distance of z2 from the nearest support edge."""
+    a, b = Fraction(z1), Fraction(z2)
+    steps = sum((-1) ** j * math.comb(K - m, j)
+                * (b - (m - 1 + j) * a) ** (K - 2)
+                for j in range(K - m + 1) if b >= (m - 1 + j) * a)
+    pref = Fraction(math.factorial(K), math.factorial(K - m)
+                    * math.factorial(m - 1) * math.factorial(K - 2))
+    edges = [(m - 1) * a] + ([(K - 1) * a] if m == 1 else [])
+    return (float(pref * steps) * np.exp(-(z1 + z2)),
+            float(min(abs(b - e) for e in edges)))
+
+
+def _one_vs_rest_points(rng, K, m):
+    """Interior points, points 1e-6 to 1e-3 inside each support edge, and
+    far tails, as the arrays (z1, z2)."""
+    z1 = rng.uniform(0.05, 3.0, 6)
+    top = K - 1 if m == 1 else K + 3        # past the last knot for m > 1
+    pts = [(a, (m - 1 + rng.uniform(0.0, top - m + 1)) * a) for a in z1]
+    near = 10.0 ** rng.uniform(-6.0, -3.0, 4)
+    pts += [(a, (m - 1) * a + d) for a, d in zip(z1[:2], near[:2])]
+    if m == 1:
+        pts += [(a, (K - 1) * a - d) for a, d in zip(z1[2:4], near[2:])]
+        pts += [(60.0, 40.0), (150.0, 120.0)]
+    else:
+        pts += [(1.0, 300.0), (2.0, 600.0)]
+    return np.array(pts).T
+
+
+def test_one_vs_rest_matches_exact_step_sums():
+    # Every K and m: the error stays within the conditioning of the
+    # distance from the nearest support edge plus a few roundings per
+    # level of the kernel.
+    EPS = np.finfo(float).eps
+    rng = np.random.default_rng(2)
+    checked = 0
+    for K in range(2, exact_exp.K_CAP + 1):
+        for m in range(1, K + 1):
+            z1, z2 = _one_vs_rest_points(rng, K, m)
+            got = exact_exp.OneVsRestAllK(K, m, 1.0).values(z1, z2)
+            for g, a, b in zip(got.tolist(), z1.tolist(), z2.tolist()):
+                want, delta = _exact_one_vs_rest(K, m, a, b)
+                assert g >= 0.0
+                if want < 1e-290:
+                    continue
+                bound = 8 * EPS * ((K - 2) * b / delta + K * K)
+                assert abs(g - want) <= bound * want, (K, m, a, b, g, want)
+                checked += 1
+    assert checked > 4000
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_vs_rest_tiny_rank_values():
+    # Tiny z1 and z2 up to 1e3: finite, nonnegative, and no warning; the
+    # polynomial past the last knot never forms (z2 - (m-1) z1) / z1.
+    for m in range(1, 31):
+        jd = exact_exp.OneVsRestAllK(30, m, 1.0)
+        z1 = np.array([1e-300, 1e-20, 1e-300, 1e-20, 1e-5, 1e-300])
+        z2 = np.array([5.0, 5.0, 1e3, 1e3, 1e3, 1e-290])
+        got = jd.values(z1, z2)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+    # Where every term beyond the first carries z1^(K-m) or more, the
+    # density is below the smallest double.
+    assert exact_exp.OneVsRestAllK(30, 2, 1.0)(1e-20, 5.0) == 0.0
+    assert exact_exp.OneVsRestAllK(30, 30, 1.0)(1e-300, 5.0) > 0.0
 
 
 # -- step-sum densities against outer-product thresholds --
@@ -269,16 +386,6 @@ def _old_steps(steps, u, thresholds):
     thr = np.moveaxis(np.asarray(thresholds, dtype=float)[..., order], -1, 0)
     u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
     return _backend.poly_exp_eval(steps._coeff, thr, steps._power, u)
-
-
-def _old_one_vs_rest(d, z1, z2):
-    slopes = np.arange(d.K - d.m + 1, dtype=float) + (d.m - 1)
-
-    def formula(z1, z2):
-        s = _old_steps(d._steps, z2, np.multiply.outer(z1, slopes))
-        return d._pref * np.exp(-d.rate * (z1 + z2)) * s
-
-    return reductions._closed_form(d.support, formula, z1, z2)
 
 
 def _old_head_rank_tail(d, z1, g, z2):
@@ -320,10 +427,6 @@ def _step_sum_cases(K):
     def between(rng, lo, hi):
         return lo + rng.random(lo.shape) * (hi - lo)
 
-    def one_vs_rest(rng, n, d):
-        z1 = rng.uniform(0.0, 2.0, n)
-        return z1, rng.uniform(0.9 * (d.m - 1), 1.1 * (K - 1), n) * z1
-
     def head_rank_tail(rng, n, d):
         g = rng.uniform(0.0, 2.0, n)
         return (d.m * g + rng.uniform(-0.1, 2.0, n), g,
@@ -342,9 +445,6 @@ def _step_sum_cases(K):
         return ((d.m - 1) * z2 + rng.uniform(-0.1, 2.0, n), z2,
                 between(rng, nm * z4 - 0.1, nm * z2 + 0.1), z4)
 
-    for m in sorted({1, 2, K // 2, K}):
-        yield (exact_exp.OneVsRestAllK(K, m, 1.3), _old_one_vs_rest,
-               one_vs_rest)
     for m in sorted({2, K // 2, K - 1}):
         yield (exact_exp.FineHeadRankTail(K, m, 1.3), _old_head_rank_tail,
                head_rank_tail)
@@ -393,20 +493,6 @@ def test_step_sum_densities_match_outer_product_thresholds(K):
             got = d.values(*point)
             _same_bits(got, old(d, *point))
             assert np.ndim(got) == 0
-    ov = exact_exp.OneVsRestAllK(K, 2, 1.3)
-    z1 = rng.uniform(0.0, 2.0, 50)
-    z2 = rng.uniform(0.5, 1.1 * (K - 1), 50) * z1
-    got = ov.values(z1, z2, scale=True)
-    slopes = np.arange(K - 1, dtype=float) + 1
-    s, mag = _backend.poly_exp_eval_scale(
-        ov._steps._coeff, np.moveaxis(np.multiply.outer(z1, slopes)[
-            ..., np.argsort(np.abs(exact_exp._alt_binom(K - 2)),
-                            kind="stable")], -1, 0),
-        ov._steps._power, z2)
-    damp = ov._pref * np.exp(-ov.rate * (z1 + z2))
-    ok = ov.support(z1, z2)
-    _same_bits(got[0], np.where(ok, damp * s, 0.0))
-    _same_bits(got[1], np.where(ok, damp * mag, 0.0))
 
 
 # -- reductions against arbitrary precision and against marginals --

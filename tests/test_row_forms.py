@@ -78,16 +78,10 @@ EXACT_KS = {4: 4, 5: 5, 10: 8, 30: 27}
 @pytest.mark.parametrize("K", sorted(EXACT_KS))
 @pytest.mark.parametrize("m", [1, 2])
 def test_exact_t3_rows(K, m):
+    # m == 1 is the rank-1 T2 joint, one formula.
     jd = exact_exp.HeadTailAllK(K, m, 1.0)
     x, y = _head_tail(EXP, K, K, m)
-    noise = 0.0
-    if m == 1:
-        # The rank-1 T2 joint: a single point sums its step sum in
-        # ``_backend``'s scalar loop, an array in the node form, which
-        # agree to a few ulps of the sum of |term|.
-        noise = 8 * np.finfo(float).eps * jd._delegate.values(
-            x, y, scale=True)[1]
-    _check_rows(jd.values, jd, x, y, jd.support, noise)
+    _check_rows(jd.values, jd, x, y, jd.support, noise=0.0)
 
 
 def _t5_ms(Ks):
@@ -265,3 +259,49 @@ def test_non_finite_elements_of_arrays():
         for g, (_, want) in zip(got.tolist(), cases):
             assert _same(g, want), name
         assert got[-1] == pytest.approx(jd(*inner), rel=REL, abs=0)
+
+
+# -- resolve: a grid is one call of the family, on both paths --
+
+# (id, K, Ks, m) of every family and T5 case, with T3 at m = 1 (the rank-1
+# T2 joint) and m = 2.
+SHAPES = [("T1", 4, 4, None), ("T2", 5, 5, 1), ("T2", 5, 5, 3),
+          ("T3", 5, 5, 1), ("T3", 5, 5, 2), ("T4", 5, 1, None),
+          ("T4", 5, 3, None), ("T5a", 5, 4, 1), ("T5b", 6, 5, 2),
+          ("T5c", 5, 4, 3), ("T5d", 5, 4, 4), ("T6", 5, 4, 1),
+          ("T6", 5, 4, 2)]
+EXACT_CLASSES = {"T1": "ErlangSum", "T2": "OneVsRestAllK",
+                 "T3": "HeadTailAllK", "T4": "GscSum",
+                 "T5": "BestKsOneVsRest", "T6": "BestKsHeadTail"}
+
+
+def _counted(monkeypatch, owner, name, calls):
+    # Count the calls of ``owner.name`` under the key ``name``.
+    fn = getattr(owner, name)
+
+    def counted(*a, **k):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*a, **k)
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("path", ["exact", "generic"])
+def test_resolve_evaluates_a_grid_in_one_call(monkeypatch, path):
+    from ordstat.partition import TheoremMatch
+    calls = {}
+    for fam, cls in EXACT_CLASSES.items():
+        if path == "exact":
+            _counted(monkeypatch, getattr(exact_exp, cls), "values",
+                     calls.setdefault(fam, {}))
+        else:
+            name = f"t{fam[1]}_pdf" if fam in ("T1", "T4") \
+                else f"t{fam[1]}_jpdf"
+            _counted(monkeypatch, gj, name, calls.setdefault(fam, {}))
+    x = np.array([[0.6, 1.2], [2.5, 3.0]])
+    for sid, K, Ks, m in SHAPES:
+        fn, dim = gj.resolve(TheoremMatch(sid, K, Ks, m), EXP, path)
+        for c in calls.values():
+            c.clear()
+        got = fn(*(x, 2.0 * x.T)[:dim])
+        assert got.shape == x.shape and np.all(np.isfinite(got))
+        assert list(calls[sid[:2]].values()) == [1], sid
