@@ -3,40 +3,36 @@
 A term is ``coeff * (z - threshold)**power`` supported on ``z >= threshold``
 (the step is closed on the left: a term counts exactly at its threshold).
 
-``poly_exp_eval`` sums any such terms.  Callers pass them sorted by
-ascending ``|coeff|``; the sum is compensated (Neumaier) so that the
-alternating sums produced by binomial expansions lose as little as
-possible.  Powers are nonnegative integers, as floats.  ``z`` is a node
-array (or a scalar, one node), and the thresholds are ``(T,)``, shared by
-every node, or term-major ``(T, *nodes)``, a threshold per term and node
-whose node axes broadcast against ``z``.  The running sums are a
-cumulative sum along the terms, and each compensation term comes from the
-branch-free two-sum against the previous running sum.  ``pow`` runs only
-on the live terms, those at or above their thresholds; at the nodes of the
-exact reductions most terms are dead.  A dead term keeps the 0 of its
-clipped base, so that its product with the coefficient is the signed zero
-that raising it and multiplying by 0 gives, and the running and
-compensated sums take the same values as with every term raised.
-``poly_exp_eval_scale`` also returns the sum of |term|.
-
 ``power_difference`` is the one step sum with binomial coefficients and
 equally spaced thresholds, ``sum_j (-1)^j C(n, j) (u - (a + j) h)_+^p``,
-computed from nonnegative terms only, so that it does not cancel.  With
-``x = (u - a h) / h`` it is ``h^p g_{n,p}(x)``, the n-th difference of
-the truncated power ``x_+^p``, and (Cox 1972; de Boor, J. Approx. Theory
-6, 1972):
+which every exact density evaluates.  It is computed from nonnegative
+terms only, so that it does not cancel.  With ``x = (u - a h) / h`` it is
+``h^p g_{n,p}(x)``, the n-th difference of the truncated power ``x_+^p``
+(for p = n - 1, ``(n-1)!`` times the cardinal B-spline of order n):
 
-* ``g_{0,q}(y) = y_+^q``, and ``g_{1,0}(y)`` is 1 on ``[0, 1)``, else 0;
-* for ``0 <= y <= r``,
-  ``g_{r,q}(y) = y g_{r-1,q-1}(y) + (r - y) g_{r-1,q-1}(y - 1)``;
-* for ``y >= r``, past the last knot,
-  ``g_{r,q}(y) = r! sum_{j=r}^{q} C(q, j) S(j, r) (y - r)^(q-j)``, with S
-  the Stirling numbers of the second kind.
+* on each unit piece ``[k, k + 1)``, k < n, ``g_{n,p}`` is a polynomial
+  of degree p whose Bernstein coefficients are nonnegative (de Boor,
+  J. Approx. Theory 6, 1972; Farouki & Rajan, CAGD 4, 1987).  With
+  ``s = u - (a + k) h`` and ``t = (a + k + 1) h - u``, both in ``[0, h]``,
+  the piece is ``sum_i w_i s^i t^(p-i)``, ``w_i = C(p, i) b_i``.  Its
+  table (``_piece_table``) is built once per (n, p) in exact integers and
+  rounded to float once; a node evaluates
+  ``max(s, t)^p sum_i w_i r^i`` by Horner's scheme, ``r = min(s, t) /
+  max(s, t)`` in ``[0, 1]``, the coefficients reversed where ``s > t``;
+* past the last knot, ``x >= n``, it is
+  ``n! sum_{j=n}^{p} C(p, j) S(j, n) (x - n)^(p-j)``, with S the Stirling
+  numbers of the second kind, and 0 for p < n.
 
-Every weight and value is nonnegative.  The triangle runs in the units of
-``u``: each ``y`` is a distance ``u - (a + i) h`` past a threshold, and the
-polynomial past the last knot takes ``h^j (u - (a + r) h)^(q-j)``, so that
-no ``x`` is formed and a tiny ``h`` neither overflows nor divides.
+Every weight and value is nonnegative.  Both forms run in the units of
+``u``: the polynomial past the last knot takes
+``h^j (u - (a + n) h)^(p-j)``, so that no ``x`` is formed and a tiny ``h``
+neither overflows nor divides.
+
+``poly_exp_eval`` sums any terms, with thresholds ``(T,)`` shared by every
+node or term-major ``(T, *nodes)``, raising only the live ones and adding
+them in the order given, compensated (Neumaier); ``poly_exp_eval_scale``
+also returns the sum of |term|.  No density calls them: an alternating
+sum cancels where ``power_difference`` does not.
 """
 
 import functools
@@ -97,55 +93,84 @@ def _nodes(coeff, threshold, power, z, scale):
 
 @functools.lru_cache(maxsize=None)
 def _tail_coeffs(n, p):
-    """Per level r <= n, the coefficients ``r! C(q, r+e) S(r+e, r)``,
-    e = 0..p-n, of the polynomial past the last knot, q = p - n + r."""
+    """``n! C(p, n+e) S(n+e, n)``, e = 0..p-n: the coefficients of the
+    polynomial past the last knot."""
     stirling = [[1]]
     for j in range(1, p + 1):
         prev = stirling[-1] + [0]
         stirling.append([0] + [r * prev[r] + prev[r - 1]
                                for r in range(1, j + 1)])
-    return tuple(tuple(float(math.factorial(r) * math.comb(p - n + r, r + e)
-                             * stirling[r + e][r])
-                       for e in range(p - n + 1))
-                 for r in range(n + 1))
+    return tuple(float(math.factorial(n) * math.comb(p, n + e)
+                       * stirling[n + e][n])
+                 for e in range(p - n + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _piece_table(n, p):
+    """The scaled Bernstein coefficients ``w_i`` of ``g_{n,p}`` on each
+    piece ``[k, k + 1)``, k < n, as a ``(p + 1, 2n)`` array: column k holds
+    ``w_0 .. w_p`` and column ``n + k`` the same reversed.
+
+    On piece k, ``g(k + tau) = sum_j a_j tau^j`` with the integers
+    ``a_j = C(p, j) sum_{l <= k} (-1)^l C(n, l) (k - l)^(p-j)``, and
+    ``w_i = sum_{j <= i} C(p - j, i - j) a_j`` (expand each ``tau^j`` by
+    ``(tau + (1 - tau))^(p-j)``).  Both are exact; each ``w_i`` is
+    rounded once.
+    """
+    alt = [(-1) ** l * math.comb(n, l) for l in range(n + 1)]
+    pw = [[b ** e for e in range(p + 1)] for b in range(n)]
+    cols = []
+    for k in range(n):
+        a = [math.comb(p, j) * sum(alt[l] * pw[k - l][p - j]
+                                   for l in range(k + 1))
+             for j in range(p + 1)]
+        cols.append([float(sum(math.comb(p - j, i - j) * a[j]
+                               for j in range(i + 1)))
+                     for i in range(p + 1)])
+    tab = np.array(cols).T
+    return np.ascontiguousarray(np.concatenate([tab, tab[::-1]], axis=1))
 
 
 def power_difference(n, p, u, h, a):
     """``sum_j (-1)^j C(n, j) (u - (a + j) h)_+^p``, j = 0..n, from
     nonnegative terms (module docstring).
 
-    ``u`` and ``h >= 0`` are arrays (or scalars) that broadcast, with finite
-    values; so is the result.  Needs ``p >= n - 1`` and ``p >= 0``: the
+    ``u`` and ``h`` are arrays (or scalars) that broadcast, with finite
+    values and ``h >= 0`` wherever the result is used; so is the result.  Needs ``p >= n - 1`` and ``p >= 0``: the
     n-th difference of a lower power is a distribution, not a function.
     """
     u, h = np.broadcast_arrays(np.asarray(u, dtype=float),
                                np.asarray(h, dtype=float))
-    # d[i]: the distance of u past threshold i, falling in i.
-    slopes = np.arange(a, a + n + 1, dtype=float)
-    d = u - slopes.reshape((-1,) + (1,) * u.ndim) * h
-    deg = p - n     # of the polynomial past the last knot, at every level
-    if deg >= 0:
-        first = 0
-        v = np.where(d >= 0.0, np.maximum(d, 0.0) ** deg, 0.0)
-    else:
-        first = 1
-        v = ((d[:-1] >= 0.0) & (d[1:] < 0.0)).astype(float)
-    coeffs = _tail_coeffs(n, p)
-    hs = np.broadcast_to(h, d.shape)
-    for r in range(first + 1, n + 1):
-        # Entry i of level r is the r-th difference from threshold i: 0
-        # before it, the recurrence up to threshold i + r, the polynomial
-        # past that.
-        lo, hi = d[:n - r + 1], d[r:]
-        v = lo * v[:-1] - hi * v[1:]
-        past = hi > 0.0
-        if deg >= 0 and past.any():
-            w, hp = hi[past], hs[r:][past]
-            c = coeffs[r]
-            acc, he = np.full(w.shape, c[0]), np.ones(w.shape)
-            for e in range(1, deg + 1):
-                he *= hp
-                acc = acc * w + c[e] * he
-            v[past] = acc * hp ** r
-        v[lo < 0.0] = 0.0
-    return v[0]
+    out = np.zeros(u.shape)
+    w = u - (a + n) * h         # the distance past the last threshold
+    past = w >= 0.0
+    inside = (u - a * h >= 0.0) & ~past
+    if inside.any():
+        # Only h > 0 leaves room between the first and the last threshold.
+        ui, hi = u[inside], h[inside]
+        k = np.clip(np.floor((ui - a * hi) / hi), 0, n - 1)
+        # A node counts in the piece of the last threshold at or below it,
+        # as the float thresholds (a + k) h place it; the quotient misses
+        # by at most one piece.
+        k -= ui - (a + k) * hi < 0.0
+        k += (a + k + 1) * hi - ui <= 0.0
+        s = ui - (a + k) * hi
+        t = (a + k + 1) * hi - ui
+        big = np.maximum(s, t)
+        r = np.minimum(s, t) / big
+        col = k.astype(np.intp) + n * (s > t)
+        tab = _piece_table(n, p)
+        acc = tab[p][col]
+        for i in range(p - 1, -1, -1):
+            acc *= r
+            acc += tab[i][col]
+        out[inside] = acc * big ** p
+    if p >= n and past.any():
+        wp, hp = w[past], h[past]
+        c = _tail_coeffs(n, p)
+        acc, he = np.full(wp.shape, c[0]), np.ones(wp.shape)
+        for e in range(1, p - n + 1):
+            he *= hp
+            acc = acc * wp + c[e] * he
+        out[past] = acc * hp ** n
+    return out[()]

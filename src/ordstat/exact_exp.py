@@ -23,19 +23,16 @@ it and gives a float at one point.  The fine densities and T1, T2 and T5d
 are one formula; the reduced T3, T4, T5 and T6 densities integrate the
 points inside their support as the rows of one ``reductions`` rule.
 
-T2 (and T3 with m = 1, the rank-1 T2 joint) is one binomial step sum with
-equally spaced thresholds, which ``_backend.power_difference`` computes
-from nonnegative terms: it does not cancel anywhere in the support.  The
-step sums of the fine densities still alternate.  Their binomial
-coefficients are assembled exactly (they are integers well inside double
-precision for the supported ``K``) and their pieces are accumulated by
-compensated summation, smallest first; those sums still cancel near
-support edges.  Every step-sum threshold is linear in the coordinates of
-the point: ``_StepSum`` keeps the slopes in summation order and builds the
-thresholds term-major, one array per term over the nodes, which is the
-layout in which ``_backend`` raises only the terms that are live at a
-node.  ``K`` is capped at 30: beyond that the binomial terms of the fine
-step sums overwhelm double precision regardless of summation order.
+Every step sum here is one binomial step sum with equally spaced
+thresholds, ``sum_j (-1)^j C(n, j) (u - (a + j) h)_+^p``: in T2 (and T3
+with m = 1, the rank-1 T2 joint) and in the fine densities behind T3, T5a,
+T5b and T6.  ``_backend.power_difference`` computes it from the
+nonnegative Bernstein coefficients of its polynomial pieces, which it
+tabulates once per (n, p) in exact integers, so that it does not cancel
+anywhere in the support.  A fine density whose threshold j is
+``(n - j) z4 + j zr`` passes ``u = z - n z4`` and ``h = zr - z4``.  ``K``
+is capped at 30 (``K_CAP``), the domain that the tests cover; a larger
+cap waits for an arbitrary-precision check of every family beyond it.
 
 Naming: "one vs rest" is the pair (rank-m variable, sum of the other
 selected ones); "headsum vs tailsum" is (sum of the m largest, sum of the
@@ -75,8 +72,8 @@ __getattr__ = _scipy.lazy_integrate(__name__)
 
 def _check_k(K, Ks=None, min_k=2):
     if not min_k <= K <= K_CAP:
-        raise DomainError(f"K must lie in [{min_k}, {K_CAP}] (binomial "
-                          "magnitudes exceed double precision beyond that)")
+        raise DomainError(f"K must lie in [{min_k}, {K_CAP}] (the domain "
+                          "that the exact path is tested on)")
     if Ks is not None and not 1 <= Ks <= K:
         raise DomainError("need 1 <= Ks <= K")
 
@@ -127,39 +124,6 @@ class _Density:
         return {"K": self.K, "Ks": getattr(self, "Ks", self.K),
                 "m": getattr(self, "m", None),
                 "grouping": self.grouping, "path": self.path}
-
-
-class _StepSum:
-    """``sum_j coeff_j (u - thr_j)^power U(u - thr_j)`` with fixed coefficients.
-
-    Each threshold is linear in the coordinates of the evaluation point,
-    ``thr_j = sum_i slopes_i[j] * coords_i``.  The coefficients and the
-    slopes are sorted once, ascending in |coeff|, which is the order that
-    ``_backend`` sums the terms in.
-    """
-
-    def __init__(self, coeffs, power, *slopes):
-        c = np.asarray(coeffs, dtype=float)
-        order = np.argsort(np.abs(c), kind="stable")
-        self._coeff = np.ascontiguousarray(c[order])
-        self._power = np.full(c.size, float(power))
-        self._slopes = [np.asarray(s, dtype=float)[order] for s in slopes]
-
-    def values(self, u, *coords):
-        """The sum at ``u``, with one coordinate per slope vector; ``u`` and
-        the coordinates are arrays (or scalars) that broadcast.  The
-        thresholds are term-major, ``(T, *nodes)``."""
-        nd = max(map(np.ndim, (u, *coords)))
-        col = (-1,) + (1,) * nd
-        thr = None
-        for s, c in zip(self._slopes, coords, strict=True):
-            t = s.reshape(col) * c
-            thr = t if thr is None else thr + t
-        return _backend.poly_exp_eval(self._coeff, thr, self._power, u)
-
-
-def _alt_binom(n):
-    return [(-1) ** j * math.comb(n, j) for j in range(n + 1)]
 
 
 class ErlangSum(_Density):
@@ -379,8 +343,6 @@ class FineHeadRankTail(_FineBase):
                               "and a nonempty tail")
         super().__init__(K, K, gamma_bar)
         self.m = m
-        self._steps = _StepSum(_alt_binom(K - m), K - m - 1,
-                               np.arange(K - m + 1, dtype=float))
         self._pref = _pref(num=(K,), den=(K - m, m - 1, m - 2, K - m - 1),
                            rate=self.rate, rate_pow=K)
 
@@ -391,7 +353,8 @@ class FineHeadRankTail(_FineBase):
         """Density over coordinate arrays (or scalars) that broadcast."""
         m = self.m
         ok = (g >= 0) & (z1 >= m * g) & (z2 >= 0) & (z2 <= (self.K - m) * g)
-        s = self._steps.values(z2, g)
+        n = self.K - m
+        s = _backend.power_difference(n, n - 1, z2, g, 0)
         out = (self._pref * np.exp(-self.rate * (z1 + z2))
                * (z1 - m * g) ** (m - 2) * s)
         return np.where(ok, out, 0.0)
@@ -407,13 +370,8 @@ class FineOneMidLast(_FineBase):
         if Ks < 3:
             raise DomainError("need Ks >= 3 for a nonempty middle group")
         super().__init__(K, Ks, gamma_bar)
-        a = self.rate
-        # Threshold j is (Ks-2-j) z4 + j z1.
-        self._steps = _StepSum(_alt_binom(Ks - 2), Ks - 3,
-                               np.arange(Ks - 2, -1.0, -1.0),
-                               np.arange(0.0, Ks - 1.0))
         self._pref = _pref(num=(K,), den=(K - Ks, Ks - 2, Ks - 3),
-                           rate=a, rate_pow=Ks)
+                           rate=self.rate, rate_pow=Ks)
 
     def support(self, z1, z3, z4):
         return ((z4 >= 0) & (z4 <= z1) & (z3 >= (self.Ks - 2) * z4)
@@ -422,7 +380,9 @@ class FineOneMidLast(_FineBase):
     def values(self, z1, z3, z4):
         """Density over coordinate arrays (or scalars) that broadcast."""
         ok = (z1 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z1)
-        s = self._steps.values(z3, z4, z1)
+        # Threshold j is (n-j) z4 + j z1.
+        n = self.Ks - 2
+        s = _backend.power_difference(n, n - 1, z3 - n * z4, z1 - z4, 0)
         out = (self._pref * self._cdf_pows(z4)
                * np.exp(-self.rate * (z1 + z3 + z4)) * s)
         return np.where(ok, out, 0.0)
@@ -439,15 +399,9 @@ class FineHeadMidLast(_FineBase):
             raise DomainError("need 2 <= m <= Ks-2 for all four groups nonempty")
         super().__init__(K, Ks, gamma_bar)
         self.m = m
-        a = self.rate
-        n_mid = Ks - m - 1
-        # Threshold j is (n_mid-j) z4 + j z2.
-        self._steps = _StepSum(_alt_binom(n_mid), n_mid - 1,
-                               np.arange(n_mid, -1.0, -1.0),
-                               np.arange(0.0, n_mid + 1.0))
         self._pref = _pref(num=(K,),
                            den=(K - Ks, m - 1, Ks - m - 1, m - 2, Ks - m - 2),
-                           rate=a, rate_pow=Ks)
+                           rate=self.rate, rate_pow=Ks)
 
     def support(self, z1, z2, z3, z4):
         n_mid = self.Ks - self.m - 1
@@ -459,7 +413,9 @@ class FineHeadMidLast(_FineBase):
         head = z1 - (self.m - 1) * z2
         ok = ((z1 >= 0) & (z2 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z2)
               & (head >= 0))
-        s = self._steps.values(z3, z4, z2)
+        # Threshold j is (n-j) z4 + j z2.
+        n = self.Ks - self.m - 1
+        s = _backend.power_difference(n, n - 1, z3 - n * z4, z2 - z4, 0)
         out = (self._pref * self._cdf_pows(z4) * head ** (self.m - 2)
                * np.exp(-self.rate * (z1 + z2 + z3 + z4)) * s)
         return np.where(ok, out, 0.0)

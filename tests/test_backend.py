@@ -206,34 +206,6 @@ def test_alternating_binomials_bit_for_bit(base):
         _check_bits(coeff, thr[:, 2], power, float(zi))
 
 
-def test_step_sums_reach_the_traced_entry_points(monkeypatch):
-    # perfbench's tracer wraps these two attributes of ``_backend`` by name
-    # and counts the terms as the length of the first argument.
-    from ordstat import exact_exp
-    seen = {"poly_exp_eval": [], "poly_exp_eval_scale": []}
-    for name, calls in seen.items():
-        fn = getattr(_backend, name)
-
-        def counted(*a, fn=fn, calls=calls, **k):
-            calls.append(len(a[0]))
-            return fn(*a, **k)
-        monkeypatch.setattr(_backend, name, counted)
-    K, Ks, m = 10, 8, 3
-    jd = exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, m, 1.0)
-    assert jd.case == "b"
-    x, y = np.meshgrid([0.6, 0.9], [4.0, 5.5], indexing="ij")
-    assert np.all(jd(x, y) > 0.0)
-    assert seen["poly_exp_eval"]
-    assert set(seen["poly_exp_eval"]) == {Ks - m}      # n_mid + 1 terms
-    assert not seen["poly_exp_eval_scale"]
-    # T2's binomial step sum is ``power_difference``, which has no
-    # alternating terms to sum.
-    seen["poly_exp_eval"].clear()
-    ov = exact_exp.jpdf_one_vs_rest_allK(K, 4, 1.0)
-    assert np.all(ov(np.array([0.5, 1.0]), np.array([3.0, 6.0])) > 0.0)
-    assert seen == {"poly_exp_eval": [], "poly_exp_eval_scale": []}
-
-
 # -- power_difference: binomial step sums from nonnegative terms --
 
 
@@ -248,15 +220,24 @@ def _exact_difference(n, p, u, h, a):
             min(abs(u - e) for e in edges))
 
 
-@pytest.mark.parametrize("n,p", [(1, 0), (2, 1), (5, 4), (29, 28), (0, 0),
-                                 (0, 7), (1, 1), (3, 9), (14, 28), (28, 28)])
+@pytest.mark.parametrize("n,p", [(1, 0), (2, 1), (5, 4), (18, 17), (28, 27),
+                                 (29, 28), (0, 0), (0, 7), (1, 1), (3, 9),
+                                 (14, 28), (28, 28)])
 def test_power_difference_matches_exact_sums(n, p):
     rng = np.random.default_rng(7 * n + p)
+    if n:
+        assert np.all(_backend._piece_table(n, p) >= 0.0)
     for a in (0, 1, 3):
-        h = rng.uniform(0.05, 3.0, 200)
-        x = rng.uniform(-1.0, n + 3.0, 200)
+        h = rng.uniform(0.05, 3.0, 260)
+        x = rng.uniform(-1.0, n + 3.0, 260)
         x[:20] = rng.integers(0, n + 1, 20)        # on a knot
         x[20:30] = rng.integers(0, n + 1, 10) + 1e-9
+        # Exactly on a knot, where a term counts at its own threshold, and
+        # 1e-12 to either side of one: binary fractions for h keep
+        # (a + x) h exact.
+        h[200:] = rng.choice([0.25, 0.5, 0.75, 1.0, 1.5], 60)
+        x[200:] = (rng.integers(0, n + 1, 60)
+                   + np.repeat([0.0, 1e-12, -1e-12], 20))
         u = (a + x) * h
         got = _backend.power_difference(n, p, u, h, a)
         assert got.shape == u.shape
@@ -264,10 +245,14 @@ def test_power_difference_matches_exact_sums(n, p):
             want, delta = _exact_difference(n, p, ui, hi, a)
             assert g >= 0.0
             # Every term is nonnegative: the error is relative, a few
-            # roundings per level, plus the rounding of the distance from
+            # roundings per degree, plus the rounding of the distance from
             # the nearest support edge.  A point within a few ulps of an
-            # edge may land on either side of it.
-            if delta > 16 * EPS * abs(ui):
+            # edge may land on either side of it, unless it is on the edge.
+            # A positive value below about 1e-290 has no relative accuracy:
+            # the piece's sum underflows before max(s, t)^p scales it.
+            if delta == 0:
+                assert g == want
+            elif delta > 16 * EPS * abs(ui) and not 0 < want < 1e-290:
                 bound = 8 * EPS * (p * abs(ui) / delta + (p + 2) ** 2)
                 assert abs(g - want) <= bound * abs(want)
 

@@ -368,6 +368,18 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert _fresh_python(probe).splitlines() == ["[]"]
 
 
+def test_cli_import_builds_no_step_sum_table():
+    # The tables of ``_backend.power_difference`` are built at first use,
+    # one (n, p) at a time; all of them for K <= 30 take about 0.4 s.
+    probe = """
+import ordstat.cli
+from ordstat import _backend
+print(_backend._piece_table.cache_info().currsize,
+      _backend._tail_coeffs.cache_info().currsize)
+"""
+    assert _fresh_python(probe).splitlines() == ["0 0"]
+
+
 def test_verify_loads_no_scipy_stats_interpolate_or_integrate():
     # The quick profile of all six suites may load scipy.special (for the
     # half-normal) but none of the three heavy subpackages.

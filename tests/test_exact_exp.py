@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ordstat import _backend, exact_exp, reductions, rules
+from ordstat import exact_exp, reductions, rules
 from ordstat.distributions import Exponential
 from ordstat.errors import ConvergenceError, DomainError
 
@@ -375,55 +375,45 @@ def test_one_vs_rest_tiny_rank_values():
     assert exact_exp.OneVsRestAllK(30, 30, 1.0)(1e-300, 5.0) > 0.0
 
 
-# -- step-sum densities against outer-product thresholds --
+# -- step-sum densities against exact step sums --
 
 
-def _old_steps(steps, u, thresholds):
-    # The step sum with node-major thresholds from outer products, put in
-    # the sum's order by a fancy index and handed over term-major.
-    n = steps._coeff.size - 1
-    order = np.argsort(np.abs(exact_exp._alt_binom(n)), kind="stable")
-    thr = np.moveaxis(np.asarray(thresholds, dtype=float)[..., order], -1, 0)
-    u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
-    return _backend.poly_exp_eval(steps._coeff, thr, steps._power, u)
+def _exact_steps(n, u, thresholds):
+    """``sum_j (-1)^j C(n, j) (u - t_j)_+^(n-1)`` in rationals, at the float
+    inputs, and the distance of u from the nearest edge of the support,
+    ``[t_0, t_n]``."""
+    u, thr = Fraction(u), [Fraction(t) for t in thresholds]
+    return (sum((-1) ** j * math.comb(n, j) * (u - t) ** (n - 1)
+                for j, t in enumerate(thr) if u >= t),
+            min(abs(u - thr[0]), abs(u - thr[-1])))
 
 
-def _old_head_rank_tail(d, z1, g, z2):
-    m = d.m
-    ok = (g >= 0) & (z1 >= m * g) & (z2 >= 0) & (z2 <= (d.K - m) * g)
-    s = _old_steps(d._steps, z2,
-                   np.multiply.outer(g, np.arange(d.K - m + 1, dtype=float)))
-    out = (d._pref * np.exp(-d.rate * (z1 + z2))
-           * (z1 - m * g) ** (m - 2) * s)
-    return np.where(ok, out, 0.0)
+def _exact_head_rank_tail(d, z1, g, z2):
+    # (the density's float factor, n, u, the thresholds, the scale of the
+    # coordinates that place them), at one point.
+    n = d.K - d.m
+    factor = (d._pref * np.exp(-d.rate * (z1 + z2))
+              * (z1 - d.m * g) ** (d.m - 2))
+    return factor, n, z2, [j * Fraction(g) for j in range(n + 1)], n * g
 
 
-def _old_one_mid_last(d, z1, z3, z4):
-    Ks = d.Ks
-    ok = (z1 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z1)
-    s = _old_steps(d._steps, z3,
-                   np.multiply.outer(z4, np.arange(Ks - 2, -1.0, -1.0))
-                   + np.multiply.outer(z1, np.arange(0.0, Ks - 1.0)))
-    out = (d._pref * d._cdf_pows(z4)
-           * np.exp(-d.rate * (z1 + z3 + z4)) * s)
-    return np.where(ok, out, 0.0)
+def _exact_one_mid_last(d, z1, z3, z4):
+    n = d.Ks - 2
+    factor = (d._pref * d._cdf_pows(z4) * np.exp(-d.rate * (z1 + z3 + z4)))
+    thr = [(n - j) * Fraction(z4) + j * Fraction(z1) for j in range(n + 1)]
+    return factor, n, z3, thr, n * (z1 + z4)
 
 
-def _old_head_mid_last(d, z1, z2, z3, z4):
-    m, n_mid = d.m, d.Ks - d.m - 1
-    head = z1 - (m - 1) * z2
-    ok = ((z1 >= 0) & (z2 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z2)
-          & (head >= 0))
-    s = _old_steps(d._steps, z3,
-                   np.multiply.outer(z4, np.arange(n_mid, -1.0, -1.0))
-                   + np.multiply.outer(z2, np.arange(0.0, n_mid + 1.0)))
-    out = (d._pref * d._cdf_pows(z4) * head ** (m - 2)
-           * np.exp(-d.rate * (z1 + z2 + z3 + z4)) * s)
-    return np.where(ok, out, 0.0)
+def _exact_head_mid_last(d, z1, z2, z3, z4):
+    n = d.Ks - d.m - 1
+    factor = (d._pref * d._cdf_pows(z4) * (z1 - (d.m - 1) * z2) ** (d.m - 2)
+              * np.exp(-d.rate * (z1 + z2 + z3 + z4)))
+    thr = [(n - j) * Fraction(z4) + j * Fraction(z2) for j in range(n + 1)]
+    return factor, n, z3, thr, n * (z2 + z4)
 
 
 def _step_sum_cases(K):
-    # (density, its old formula, coordinates drawn near its support).
+    # (density, its exact parts, coordinates drawn near its support).
     def between(rng, lo, hi):
         return lo + rng.random(lo.shape) * (hi - lo)
 
@@ -446,53 +436,65 @@ def _step_sum_cases(K):
                 between(rng, nm * z4 - 0.1, nm * z2 + 0.1), z4)
 
     for m in sorted({2, K // 2, K - 1}):
-        yield (exact_exp.FineHeadRankTail(K, m, 1.3), _old_head_rank_tail,
+        yield (exact_exp.FineHeadRankTail(K, m, 1.3), _exact_head_rank_tail,
                head_rank_tail)
     for Ks in sorted({3, K - 1, K}):
-        yield (exact_exp.FineOneMidLast(K, Ks, 1.3), _old_one_mid_last,
+        yield (exact_exp.FineOneMidLast(K, Ks, 1.3), _exact_one_mid_last,
                one_mid_last)
     for Ks, m in sorted({(4, 2), (K, 2), (K, K // 2), (K, K - 2)}):
-        yield (exact_exp.FineHeadMidLast(K, Ks, m, 1.3), _old_head_mid_last,
+        yield (exact_exp.FineHeadMidLast(K, Ks, m, 1.3), _exact_head_mid_last,
                head_mid_last)
 
 
-def _same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
-    zero = want == 0.0
-    assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
-
-
 @pytest.mark.parametrize("K", [5, 10, 30])
-def test_step_sum_densities_match_outer_product_thresholds(K):
-    # The thresholds are built term-major from the coordinates; they must
-    # round as the outer products did, and the densities give the same
-    # bits for every mix of arrays, 2-d arrays and Python floats.
+def test_step_sum_densities_match_exact_step_sums(K):
+    # Each value within the conditioning of the distance from the nearest
+    # support edge plus a few roundings per degree, and none below 0.
+    # Every mix of arrays, 2-d arrays, grids that broadcast and Python
+    # floats is one code path, with the same bits.
+    EPS = np.finfo(float).eps
     rng = np.random.default_rng(K)
-    for d, old, draw in _step_sum_cases(K):
+    for d, exact, draw in _step_sum_cases(K):
         z = draw(rng, 240, d)
-        want = old(d, *z)
-        assert np.count_nonzero(want) > 60
-        _same_bits(d.values(*z), want)
-        _same_bits(d.values(*(c.reshape(12, 20) for c in z)),
-                   old(d, *(c.reshape(12, 20) for c in z)))
-        # Coordinates that broadcast to a grid.
+        got = d.values(*z)
+        assert np.all(got >= 0.0)
+        inside = np.asarray(d.support(*z))
+        assert np.count_nonzero(got) > 60 and np.all(got[~inside] == 0.0)
+        checked = 0
+        for g, point in zip(got.tolist(), zip(*(c.tolist() for c in z))):
+            factor, n, u, thr, scale = exact(d, *point)
+            steps, delta = _exact_steps(n, u, thr)
+            want = float(factor * float(steps))
+            if (not d.support(*point) or want < 1e-290
+                    or delta <= 16 * EPS * (u + scale)):
+                continue
+            bound = 8 * EPS * ((n - 1) * (u + scale) / float(delta)
+                               + (n + 1) ** 2)
+            assert abs(g - want) <= bound * want, (d.coords, point, g, want)
+            checked += 1
+        assert checked > 40
+        assert np.array_equal(d.values(*(c.reshape(12, 20) for c in z)),
+                              got.reshape(12, 20))
         grid = [c[:16].reshape((16, 1) if i % 2 else (1, 16))
                 for i, c in enumerate(z)]
-        _same_bits(d.values(*grid), old(d, *grid))
+        assert np.array_equal(
+            d.values(*grid),
+            d.values(*(c.ravel() for c in np.broadcast_arrays(*grid)))
+            .reshape(16, 16))
         # One coordinate a Python float, as the inner rows of T3, T5 and
-        # T6 pass a point's coordinates, and single points.
+        # T6 pass a point's coordinates, and single points, whose powers
+        # are Python's ``pow``, an ulp or so from numpy's array ``pow``.
         for i in range(len(z)):
             for k in (3, 50):
                 mixed = [float(c[k]) if j == i else c
                          for j, c in enumerate(z)]
-                _same_bits(d.values(*mixed), old(d, *mixed))
+                full = [np.full(240, c) if j == i else c
+                        for j, c in enumerate(mixed)]
+                assert np.array_equal(d.values(*mixed), d.values(*full))
         for k in range(0, 240, 16):
-            point = [float(c[k]) for c in z]
-            got = d.values(*point)
-            _same_bits(got, old(d, *point))
-            assert np.ndim(got) == 0
+            one = d.values(*(float(c[k]) for c in z))
+            assert np.ndim(one) == 0
+            assert abs(one - got[k]) <= 4 * EPS * got[k]
 
 
 # -- reductions against arbitrary precision and against marginals --
@@ -527,8 +529,10 @@ def _mp_head_tail(K, m, z1, z2):
         return ((z1 - m * g) ** (m - 2)
                 * _mp_steps(K - m, K - m - 1, z2, [j * g for j in slopes]))
 
+    # A polynomial between knots.
     val = _mp_quad(f, z2 / (K - m), z1 / m,
-                   [z2 / j for j in range(1, K - m + 1)])
+                   [z2 / j for j in range(1, K - m + 1)],
+                   method="gauss-legendre")
     return kf / (a * b * c * d) * mpmath.exp(-(z1 + z2)) * val
 
 
@@ -570,7 +574,7 @@ def _typical(K, head, rest):
     return [(x, y), (0.85 * x, 1.1 * y)]
 
 
-@pytest.mark.parametrize("K", [5, 10, 20])
+@pytest.mark.parametrize("K", [5, 10, 20, 30])
 def test_reductions_match_arbitrary_precision(K):
     Ks = max(4, K - 3)
     cases = []
@@ -589,6 +593,17 @@ def test_reductions_match_arbitrary_precision(K):
             want = float(ref(x, y))
             assert want >= 1e-6
             assert jd(x, y) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("K,m,x,y", [(10, 2, 1.24507, 4.79247),
+                                     (20, 3, 1.85289, 9.14585)])
+def test_t3_tails_match_arbitrary_precision(K, m, x, y):
+    # Far from the mean point, where an alternating step sum cancels to
+    # noise: 1.0e-12 and 2.2e-17.
+    with mpmath.workdps(40):
+        want = float(_mp_head_tail(K, m, x, y))
+    got = exact_exp.jpdf_headsum_vs_tailsum_allK(K, m, GB)(x, y)
+    assert got == pytest.approx(want, rel=1e-8)
 
 
 def _mp_head_mid_last(K, Ks, m):

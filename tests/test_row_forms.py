@@ -57,9 +57,8 @@ def _check_rows(values, point, x, y, support, noise=0.0):
     assert got.shape == x.shape
     want = np.array([point(float(a), float(b))
                      for a, b in zip(x.ravel(), y.ravel())]).reshape(x.shape)
-    # At K = 30 the step sums cancel to noise far from the mean point
-    # (positive or negative), which the array form reproduces too.
     assert want[0, 0] > 0 and np.all(want[~inside] == 0)
+    assert np.all(got >= 0)
     assert np.all(np.abs(got - want) <= REL * np.abs(want) + noise)
     # A scalar x against an array of y.
     row = values(x[0, 0], y[0])
