@@ -9,7 +9,7 @@ of best m}, whose probability comes from the closed joint density of
 s = v + w the event is gamma_T <= s < min(x, gamma_T*m/(m-1)) and
 max(0, s - gamma_T) <= v <= s/m: the line of the sum of the best m
 (``reductions.t4``) with its floor raised to s - gamma_T.  Its limits are
-affine in s, so one tensor Gauss-Legendre rule covers it.  Both
+affine in s, so one tensor Gauss-Kronrod rule covers it.  Both
 functions take x as a float or as an array; an array integrates each
 stage as one rule, with a row per element above gamma_T
 (``rules._gauss_2d``), and not one rule per element.

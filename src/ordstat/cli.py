@@ -165,7 +165,9 @@ def _columns(*cols):
 def _csv(meta, header, rows):
     lines = list(meta)
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    # One template per row: '%.17g' % v is format(v, '.17g'), as ``_fmt``.
+    row_text = ",".join(["%.17g"] * len(header))
+    lines.extend(row_text % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

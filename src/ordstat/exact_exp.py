@@ -14,8 +14,8 @@ that holds the rank-Ks value fixed: the exponential factor is constant
 there, and what is left is a step sum times a power of a head sum.  So the
 inner integrals of T3, T5b and T6 take exact-degree Gauss-Legendre rules,
 and only the integrals over the rank-Ks value, which carry the factor
-``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, compare n and 2n
-nodes.
+``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, compare the Gauss
+and Kronrod sums of a nested pair.
 
 Each density has one evaluation form: ``values``, over coordinate arrays
 that broadcast; ``__call__``, defined once on ``_Density``, goes through
@@ -93,6 +93,13 @@ def _pref(*, num, den, rate, rate_pow):
     for d in den:
         frac /= math.factorial(d)
     return float(frac) * rate ** rate_pow
+
+
+def _pow(x, k):
+    # numpy's array power, for a single point too: Python's and numpy's
+    # scalar ``**`` call libm's ``pow``, an ulp from the array loop at
+    # about 5% of inputs, so a point would not match its row.
+    return np.asarray(x) ** k
 
 
 class _Density:
@@ -328,7 +335,7 @@ class _FineBase(_Density):
 
     def _cdf_pows(self, z4):
         # Unselected ranks all lie below the rank-Ks variable.
-        return (-np.expm1(-self.rate * z4)) ** (self.K - self.Ks)
+        return _pow(-np.expm1(-self.rate * z4), self.K - self.Ks)
 
 
 class FineHeadRankTail(_FineBase):
@@ -356,7 +363,7 @@ class FineHeadRankTail(_FineBase):
         n = self.K - m
         s = _backend.power_difference(n, n - 1, z2, g, 0)
         out = (self._pref * np.exp(-self.rate * (z1 + z2))
-               * (z1 - m * g) ** (m - 2) * s)
+               * _pow(z1 - m * g, m - 2) * s)
         return np.where(ok, out, 0.0)
 
 
@@ -416,7 +423,7 @@ class FineHeadMidLast(_FineBase):
         # Threshold j is (n-j) z4 + j z2.
         n = self.Ks - self.m - 1
         s = _backend.power_difference(n, n - 1, z3 - n * z4, z2 - z4, 0)
-        out = (self._pref * self._cdf_pows(z4) * head ** (self.m - 2)
+        out = (self._pref * self._cdf_pows(z4) * _pow(head, self.m - 2)
                * np.exp(-self.rate * (z1 + z2 + z3 + z4)) * s)
         return np.where(ok, out, 0.0)
 
@@ -441,7 +448,7 @@ class FineHeadNextLast(_FineBase):
         """Density over coordinate arrays (or scalars) that broadcast."""
         head = z1 - (self.Ks - 2) * z2
         ok = (z1 >= 0) & (z2 >= 0) & (z4 >= 0) & (z4 <= z2) & (head >= 0)
-        out = (self._pref * self._cdf_pows(z4) * head ** (self.Ks - 3)
+        out = (self._pref * self._cdf_pows(z4) * _pow(head, self.Ks - 3)
                * np.exp(-self.rate * (z1 + z2 + z4)))
         return np.where(ok, out, 0.0)
 
@@ -465,7 +472,7 @@ class FineLastHead(_FineBase):
     def values(self, v, w):
         """Density over coordinate arrays (or scalars) that broadcast."""
         head = w - (self.Ks - 1) * v
-        out = (self._pref * self._cdf_pows(v) * head ** (self.Ks - 2)
+        out = (self._pref * self._cdf_pows(v) * _pow(head, self.Ks - 2)
                * np.exp(-self.rate * (v + w)))
         return np.where((v >= 0) & (head >= 0), out, 0.0)
 

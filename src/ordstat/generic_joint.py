@@ -5,9 +5,10 @@ densities (``Fine*``) are products of the pdf, a CDF power and the inverse
 Laplace transforms of kernel powers; ``reductions`` integrates them to the
 theorem families T3-T6, with the same limits, knots and rules as the
 exponential closed forms of ``exact_exp``.  These fine densities are not
-polynomial between knots, so every rule compares n and 2n nodes.  T1 (the
-total sum) inverts an MGF power on a Bromwich line, T2 convolves kernel-power
-inverses, and ``resolve`` dispatches a theorem shape to either path.
+polynomial between knots, so every reduction runs the Gauss-Kronrod pair
+of ``rules._gauss_knots``.  T1 (the total sum) inverts an MGF power on a
+Bromwich line, T2 convolves kernel-power inverses, and ``resolve``
+dispatches a theorem shape to either path.
 Multidimensional numerical inversion is never attempted: the error budget
 stays one-dimensional by construction.
 
@@ -228,8 +229,9 @@ def _inv_prod(dist, a, b, t):
         return rule
 
     lo, hi = _overlap((la, ha, na), (lb, hb, nb), t)
-    return rules._doubled(on(rules._gauss01), _FIRST_NODES, lo, hi, _EPSABS,
-                          _EPSREL, _MAX_NODES, then=on(rules._tanh_sinh01)
+    return rules._doubled(rules._paired(on(rules._gauss01)), _FIRST_NODES,
+                          lo, hi, _EPSABS, _EPSREL, _MAX_NODES,
+                          then=rules._paired(on(rules._tanh_sinh01))
                           ).reshape(zero.shape)
 
 

@@ -18,8 +18,9 @@ semi-infinite level maps ``[lo, inf)`` onto (0, 1) by
 the bare weight, and the collapse under test lives in the outer levels.
 A depth-1 chain stays literal, since there the kernel would be the whole
 answer.  The tensor rule has n nodes on every level and runs under
-``rules._doubled``, the n/2n loop of every rule of the library: n doubles
-until the n- and 2n-node rules agree, and the 2n-node value is returned.
+``rules._doubled``, the n/2n loop of every rule of the library, on the
+Gauss pair of ``rules._paired``: n doubles until the n- and 2n-node rules
+agree, and the 2n-node value is returned.
 
 :func:`reorder_check` integrates the separable 4-variable ordered-region
 integrand under any elimination order, deriving each variable's limits from
@@ -35,7 +36,7 @@ import numpy as np
 
 from ordstat import _scipy
 from ordstat.errors import ConvergenceError, DomainError
-from ordstat.rules import _doubled, _legendre
+from ordstat.rules import _doubled, _legendre, _paired
 
 __all__ = [
     "NestedIntegralSpec",
@@ -212,7 +213,8 @@ def _ordered(dist, order, lo, hi, lam, epsrel):
     cap = 2 * _FIRST_NODES
     while cap < _MAX_NODES and cap ** max(len(order) - 1, 1) < _MAX_RULE:
         cap *= 2
-    est = _doubled(rule, _FIRST_NODES, [lo], [hi], _EPSABS, epsrel, cap)[0]
+    est = _doubled(_paired(rule), _FIRST_NODES, [lo], [hi], _EPSABS, epsrel,
+                   cap)[0]
     return complex(est) if cplx else float(est)
 
 

@@ -21,11 +21,13 @@ shapes, by coordinates (rank 1 = largest):
   sum of ranks m+1..Ks-1, rank Ks;
 * ``FineHeadNextLast`` (T5c): sum of ranks 1..Ks-2, rank Ks-1, rank Ks.
 
-Every reduction runs the Gauss-Legendre rules of ``rules._gauss_knots`` on
-the knot segments of its integrand.  Integrals that hold the rank-Ks
-coordinate fixed (T3's, and the inner ones of T5b and T6) take the
-exact-degree rule alone when the fine density is piecewise polynomial;
-every other integral compares n- and 2n-node rules.
+Every reduction runs the rules of ``rules._gauss_knots`` on the knot
+segments of its integrand.  Integrals that hold the rank-Ks coordinate
+fixed (T3's, and the inner ones of T5b and T6) take the exact-degree
+Gauss-Legendre rule alone when the fine density is piecewise polynomial;
+every other integral runs the nested pair of the n-node Gauss and the
+(2n+1)-node Kronrod rule, whose two sums share their nodes, and doubles n
+until they agree.
 
 ``t3``, ``t4``, ``t5`` and ``t6`` take their points as coordinate arrays
 that broadcast (or scalars, one point), keep their shape, and integrate

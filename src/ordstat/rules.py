@@ -1,15 +1,26 @@
 """Fixed quadrature rules and ``_doubled``, the one n/2n loop that sizes them.
 
-``_doubled`` runs a batch of integrals: per integral, n doubles until the
-n- and 2n-node rules agree, and the integrals that have converged stop.
-It sizes the rules of the reductions of fine densities, of ``verify``'s
-normalization integrals, of the MS-GSC stages of ``apps``, of the
-kernel-power inverses of ``generic_joint`` and of the brute-force oracle
-of ``kernels``.  Integrals that Gauss-Legendre rules leave open at their
-cap can go on with tanh-sinh rules, whose nodes crowd both segment ends:
-a density singular at 0, like x^(a-1), puts such an end on a rule.
+``_doubled`` runs a batch of integrals on a *pair rule*, whose call at n
+gives a coarse and a fine estimate of each: per integral, n doubles until
+the two agree, and the integrals that have converged stop.  It sizes the
+rules of the reductions of fine densities, of ``verify``'s normalization
+integrals, of the MS-GSC stages of ``apps``, of the kernel-power inverses
+of ``generic_joint`` and of the brute-force oracle of ``kernels``.
+
 ``_gauss_knots`` integrates rows that each have their own limits and
-knots; ``_gauss_2d`` integrates two-level regions without knots.
+knots; ``_gauss_2d`` integrates two-level regions without knots.  Their
+pair is the n-node Gauss-Legendre rule G_n nested in the (2n+1)-node
+Kronrod rule K_{2n+1} (``_kronrod``): one evaluation on 2n+1 nodes gives
+both, and K_{2n+1} is the value.  A row that converges at the first pair
+costs 2n+1 nodes per segment, where the n- and 2n-node Gauss pair cost
+3n.  The multi-level rules of ``generic_joint`` and ``kernels`` keep the
+Gauss pair of n and 2n nodes, through ``_paired``, which reuses each
+call's 2n-node estimate as the next call's n-node one: their levels
+multiply the node count, so at depth d a Kronrod pair costs (2n+1)^d
+nodes against n^d + (2n)^d.  Integrals that Gauss-Legendre rules leave
+open at their cap can go on with tanh-sinh rules, also paired n/2n, whose
+nodes crowd both segment ends: a density singular at 0, like x^(a-1),
+puts such an end on a rule.
 """
 
 import functools
@@ -31,7 +42,7 @@ _TANH_SINH_NODES = (16, 256)
 # rules grows with this.
 _BLOCK = 2 ** 10
 # Nodes per call of a ``_gauss_2d`` integrand, whole rows at a time (a row
-# of the n-node rule has n * n nodes).  Its integrands have no step sum.
+# of the pair of n has (2n + 1)^2 nodes).  Its integrands have no step sum.
 _BLOCK_2D = 2 ** 13
 # Half-width of the tanh-sinh rules in their own variable: the outermost
 # nodes sit 6e-38 = exp(-pi*sinh(4)) of a segment from its ends, so the
@@ -40,13 +51,85 @@ _BLOCK_2D = 2 ** 13
 _TANH_SINH_SPAN = 4.0
 
 
+def _read_only(*arrays):
+    # Rules are shared by every caller.
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=None)
 def _legendre(n):
-    # Shared by every caller, so read-only.
-    rule = np.polynomial.legendre.leggauss(n)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
+def _jacobi_kronrod(n):
+    """Diagonal ``a`` and squared subdiagonal ``b[1:]`` of the Jacobi-Kronrod
+    matrix of order 2n+1 for the Legendre weight on [-1, 1], ``b[0] = 2``
+    its mass.  Its eigenvalues are the nodes of K_{2n+1}.  Laurie,
+    "Calculation of Gauss-Kronrod quadrature rules", Math. Comp. 66
+    (1997): the first ceil(3n/2) + 1 coefficients are Legendre's, and the
+    rest follow from mixed moments, in the two loops below."""
+    a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
+    k = np.arange(1.0, (3 * n + 1) // 2 + 1)
+    b[0], b[1:k.size + 1] = 2.0, k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1]
+                             + b[k + n + 1] * s[k] - b[l] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        l = m - k
+        j = n - 1 - l
+        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[j + 1]
+                             - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2])
+        j, k = j[-1], (m + 1) // 2
+        if m % 2:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        else:
+            a[k + n + 1] = (a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2])
+                            / t[j + 2])
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    return a, b
+
+
+@functools.lru_cache(maxsize=None)
+def _kronrod(n):
+    """The nested pair of G_n and K_{2n+1} on [-1, 1], as ``(x, wg, wk)``.
+
+    ``x`` holds the 2n+1 Kronrod nodes in ascending order, ``wg`` the
+    weights of the embedded Gauss rule (0 at the Kronrod-only nodes
+    ``x[::2]``) and ``wk`` those of the Kronrod rule, of degree 3n+1.  As
+    in Golub and Welsch's method, the nodes are the eigenvalues of
+    ``_jacobi_kronrod(n)`` and the weights 2 times the squared first
+    components of its eigenvectors, both made symmetric, with the weights
+    scaled to sum to 2, as ``leggauss`` does.  Those components come from
+    a recurrence and not from ``eigh``, whose eigenvector path touches a
+    megabyte more memory.  The Gauss nodes ``x[1::2]`` and weights
+    ``wg[1::2]`` are ``_legendre(n)``'s, so the coarse member is G_n to
+    the bit.
+    """
+    a, b = _jacobi_kronrod(n)
+    c = np.sqrt(b)
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(c[1:], -1))
+    # The orthonormal polynomials of the matrix at its eigenvalues, by its
+    # three-term recurrence from p_0 = 1: the first component of each
+    # eigenvector is 1 / sqrt(sum p_k^2).
+    p0, p1, norm = 0.0, 1.0, 1.0
+    for k in range(2 * n):
+        p0, p1 = p1, ((x - a[k]) * p1 - c[k] * p0) / c[k + 1]
+        norm = norm + p1 * p1
+    x, wk = 0.5 * (x - x[::-1]), 1.0 / norm + 1.0 / norm[::-1]
+    wk *= b[0] / wk.sum()
+    wg = np.zeros_like(wk)
+    x[1::2], wg[1::2] = _legendre(n)
+    return _read_only(x, wg, wk)
 
 
 # Rules on [0, 1] as ``(dl, dr, w)``: nodes at distance ``dl`` from the
@@ -75,7 +158,7 @@ def _tanh_sinh01(n):
 
 
 def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
-    """Integrals of ``f`` over ``[lo, hi]``, Gauss-Legendre on knot segments.
+    """Integrals of ``f`` over ``[lo, hi]``, on knot segments.
 
     ``lo`` and ``hi`` are arrays (or scalars) that broadcast, one integral
     per element (a row), with ``knots`` an array of ``(rows, k)`` points,
@@ -89,11 +172,14 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
 
     Between knots the integrand is a polynomial of degree ``deg``
     (``exact``), or such a polynomial times a smooth factor.  The
-    ``deg // 2 + 1``-node rule integrates the polynomial exactly, so exact
-    rows take that rule alone.  Otherwise the rule starts ``_SMOOTH_EXTRA``
-    nodes higher and doubles per row as ``_doubled`` says, at
-    ``_EPSABS``/``_EPSREL``; rows still open at ``_MAX_NODES`` go on with
-    tanh-sinh rules, which converge at an integrable end singularity.
+    ``deg // 2 + 1``-node Gauss-Legendre rule integrates the polynomial
+    exactly, so exact rows take that rule alone.  Otherwise each row runs
+    the Gauss-Kronrod pair of ``_kronrod``, from n = ``_SMOOTH_EXTRA``
+    nodes higher; its value is the Kronrod sum, and n doubles per row as
+    ``_doubled`` says, at ``_EPSABS``/``_EPSREL``, until the Gauss and
+    Kronrod sums agree.  Rows still open at ``_MAX_NODES`` go on with
+    paired tanh-sinh rules, which converge at an integrable end
+    singularity.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                  np.asarray(hi, dtype=float))
@@ -116,13 +202,16 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
     mid, half = 0.5 * (right + left), 0.5 * width
 
     def on(table, base, scale):
-        # The rule of ``table(n) = (t, w)``, with nodes base + scale * t.
+        # The rule of ``table(n) = (t, *w)``, with nodes base + scale * t:
+        # an array of its estimates, one ``(len(todo), cols)`` page per
+        # weight array in ``w``, all from one evaluation of ``f``.
         def block(b, s, r, t, w):
             vals = f((b + s * t).ravel(), np.repeat(r, t.size))
-            return vals.reshape(s.size, -1) @ w * s[:, 0]
+            vals = vals.reshape(s.size, -1)
+            return [vals @ wi * s[:, 0] for wi in w]
 
         def rule(n, todo):
-            t, w = table(n)
+            t, *w = table(n)
             b, s, r, c, at = base, scale, row, col, row
             if len(todo) < rows:
                 # The segments of the open rows, and the place in todo of
@@ -132,27 +221,28 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
                 at = at[row]
                 seg = np.flatnonzero(at >= 0)
                 b, s, r, c, at = b[seg], s[seg], r[seg], c[seg], at[seg]
-            if s.size * n <= _BLOCK:
-                est = block(b, s, r, t, w) if s.size else s[:, 0]
+            if s.size * t.size <= _BLOCK:
+                est = block(b, s, r, t, w) if s.size else [s[:, 0]] * len(w)
             else:
-                k = _BLOCK // n
-                est = np.concatenate([
+                k = _BLOCK // t.size
+                est = [np.concatenate(parts) for parts in zip(*(
                     block(b[i:i + k], s[i:i + k], r[i:i + k], t, w)
-                    for i in range(0, s.size, k)])
-            out = np.zeros((len(todo), cols))
-            out[at, c] = est
+                    for i in range(0, s.size, k)))]
+            out = np.zeros((len(w), len(todo), cols))
+            out[:, at, c] = est
             return out
         return rule
 
-    gauss = on(_legendre, mid, half)
     n = deg // 2 + 1
     if exact:
-        total = gauss(n, range(rows)).sum(axis=1)
+        total = on(_legendre, mid, half)(n, range(rows))[0].sum(axis=1)
     else:
+        kronrod = on(_kronrod, mid, half)
         # Tanh-sinh nodes at their distance from the left end, ``dl``.
         tanh_sinh = on(lambda n: _tanh_sinh01(n)[::2], left, width)
-        total = _doubled(gauss, n + _SMOOTH_EXTRA, lo, hi, _EPSABS, _EPSREL,
-                         then=tanh_sinh)
+        total = _doubled(lambda n, todo: (*kronrod(n, todo), 2 * n + 1),
+                         n + _SMOOTH_EXTRA, lo, hi, _EPSABS, _EPSREL,
+                         then=_paired(lambda n, todo: tanh_sinh(n, todo)[0]))
     return total.reshape(shape)[()]
 
 
@@ -165,12 +255,14 @@ def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
     maps an array of outer nodes to the arrays ``(a, b)`` of their inner
     limits.  The integrand is smooth in ``s`` and, in ``v``, a polynomial of
     degree ``deg`` times a smooth factor, with no knot on either level.  The
-    n-node rule puts n nodes on ``s`` in each row and maps the same n onto
-    each ``[a, b]``; ``f`` gets the ``(rows, n, n)`` node arrays of the open
-    rows, in blocks of whole rows and at most ``_BLOCK_2D`` nodes where a
-    row has fewer.  n starts as in ``_gauss_knots`` and doubles per row,
-    on both levels, as ``_doubled`` says.  A value that is not finite
-    raises :class:`ConvergenceError`.
+    pair of n puts the 2n+1 Kronrod nodes of ``_kronrod`` on ``s`` in each
+    row and maps the same 2n+1 onto each ``[a, b]``; ``f`` gets the
+    ``(rows, 2n+1, 2n+1)`` node arrays of the open rows, in blocks of whole
+    rows and at most ``_BLOCK_2D`` nodes where a row has fewer.  The value
+    is the Kronrod product rule, and the coarse estimate the Gauss product
+    rule on the embedded n x n subgrid of the same values.  n starts as in
+    ``_gauss_knots`` and doubles per row, on both levels, as ``_doubled``
+    says.  A value that is not finite raises :class:`ConvergenceError`.
     """
     top = np.asarray(hi, dtype=float)
     out = np.zeros(top.shape)
@@ -178,27 +270,34 @@ def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
     his = top[live]
     mid, half = 0.5 * (his + lo), 0.5 * (his - lo)
 
-    def block(x, w, rows):
+    def block(x, wg, wk, rows):
         s = mid[rows, None] + half[rows, None] * x
         a, b = inner(s)
         vmid, vhalf = 0.5 * (b + a), 0.5 * (b - a)
         vals = f(s[..., None], vmid[..., None] + vhalf[..., None] * x)
-        # A dot product per row, as (1, n) @ (n, 1): unlike one matrix
-        # product over the rows, it rounds as the rule of that row alone.
-        sums = (vhalf * (vals @ w))[:, None, :]
-        return half[rows] * (sums @ w[:, None])[:, 0, 0]
+
+        def product(vals, vhalf, w):
+            # A dot product per row, as (1, n) @ (n, 1): unlike one matrix
+            # product over the rows, it rounds as the rule of that row
+            # alone.
+            sums = (vhalf * (vals @ w))[:, None, :]
+            return half[rows] * (sums @ w[:, None])[:, 0, 0]
+
+        g = slice(1, None, 2)   # the Gauss nodes
+        return (product(vals[:, g, g], vhalf[:, g], wg[g]),
+                product(vals, vhalf, wk))
 
     def rule(n, todo):
-        x, w = _legendre(n)
-        k = max(1, _BLOCK_2D // (n * n))
-        est = np.concatenate([block(x, w, todo[i:i + k])
-                              for i in range(0, todo.size, k)])
-        bad = np.flatnonzero(~np.isfinite(est))
+        x, wg, wk = _kronrod(n)
+        k = max(1, _BLOCK_2D // x.size ** 2)
+        est = np.concatenate([block(x, wg, wk, todo[i:i + k])
+                              for i in range(0, todo.size, k)], axis=1)
+        bad = np.flatnonzero(~np.isfinite(est).all(axis=0))
         if bad.size:
             raise ConvergenceError(
-                f"{n}x{n}-node rule on [{lo:g}, {his[todo[bad[0]]]:g}] gave "
-                f"{est[bad[0]]}")
-        return est[:, None]
+                f"{x.size}x{x.size}-node rule on [{lo:g}, "
+                f"{his[todo[bad[0]]]:g}] gave {est[1, bad[0]]}")
+        return est[0][:, None], est[1][:, None], x.size
 
     if his.size:
         out[live] = _doubled(rule, deg // 2 + 1 + _SMOOTH_EXTRA,
@@ -206,29 +305,57 @@ def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
     return out if out.ndim else float(out)
 
 
+def _paired(rule):
+    """The Gauss-style pair rule of ``rule(n, todo)``, a rule with one member.
+
+    ``pair(n, todo)`` gives ``rule``'s n- and 2n-node estimates and 2n, the
+    fine member's node count.  Under ``_doubling`` each call runs at twice
+    the n of the call before, on a subset of its ``todo``, so the n-node
+    estimate is the last call's 2n-node one, and only the first call runs
+    ``rule`` twice.  This pair suits rules whose levels multiply the node
+    count, where a Kronrod pair would cost (2n+1)^d against n^d + (2n)^d.
+    """
+    last = None
+
+    def pair(n, todo):
+        nonlocal last
+        if last is not None and last[0] == n:
+            coarse = last[2][np.searchsorted(last[1], todo)]
+        else:
+            coarse = rule(n, todo)
+        fine = rule(2 * n, todo)
+        last = 2 * n, todo, fine
+        return coarse, fine, 2 * n
+    return pair
+
+
 def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None, then=None):
     """The n/2n loop of the fixed rules, over a batch of integrals.
 
-    Integral i runs over ``[lo[i], hi[i]]``.  ``rule(n, todo)`` returns the
-    n-node estimates, real or complex, of the integrals indexed by the
-    array ``todo``: a row per integral and a column per segment.  n doubles
-    until an integral's n- and 2n-node sums agree to ``epsabs``/``epsrel``;
-    that integral then stops, and the rule runs on the others only.  The
-    array of 2n-node totals is returned, with an ``IntegrationWarning`` if
-    that takes ``cap`` (default ``_MAX_NODES``) nodes per segment and
-    level or more.  ``then``, a rule of the same kind, takes over the
-    integrals still open at ``cap``, on ``_TANH_SINH_NODES``.  Those that
-    it leaves open too warn, and keep the estimate of whichever rule ended
-    with the smaller n/2n difference.
+    Integral i runs over ``[lo[i], hi[i]]``.  ``rule(n, todo)`` is a pair
+    rule: it returns the coarse and the fine estimates, real or complex, of
+    the integrals indexed by the array ``todo`` (a row per integral and a
+    column per segment), and the fine member's node count per segment and
+    level.  The Gauss-Kronrod pair of ``_kronrod`` gives both from one
+    evaluation; ``_paired`` makes the pair of an n- and a 2n-node rule.  n
+    doubles until an integral's coarse and fine sums agree to
+    ``epsabs``/``epsrel``; that integral then stops, and the rule runs on
+    the others only.  The array of fine totals is returned, with an
+    ``IntegrationWarning`` if that takes ``cap`` (default ``_MAX_NODES``)
+    fine nodes per segment and level or more.  ``then``, a pair rule of
+    the same kind, takes over the integrals still open at ``cap``, from n =
+    ``_TANH_SINH_NODES[0]`` up to the second of those node counts.  Those
+    that it leaves open too warn, and keep the estimate of whichever rule
+    ended with the smaller difference.
     """
     cap = _MAX_NODES if cap is None else cap
-    out, todo, err, n = _doubling(rule, len(lo), epsabs, epsrel, n, cap)
+    out, todo, err, nodes = _doubling(rule, len(lo), epsabs, epsrel, n, cap)
     if todo is None:
         return out
     if then is not None:
-        out2, left, err2, n = _doubling(lambda n, sub: then(n, todo[sub]),
-                                        todo.size, epsabs, epsrel,
-                                        *_TANH_SINH_NODES)
+        out2, left, err2, nodes = _doubling(
+            lambda n, sub: then(n, todo[sub]), todo.size, epsabs, epsrel,
+            *_TANH_SINH_NODES)
         first, out[todo] = out[todo], out2
         if left is None:
             return out
@@ -240,24 +367,25 @@ def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None, then=None):
     # loads only when a rule fails to converge.
     from scipy.integrate import IntegrationWarning
     warnings.warn(
-        f"{n}-node rule on [{lo[todo[i]]:g}, {hi[todo[i]]:g}] did not "
-        f"converge: n/2n difference {err[i]:.3g}",
+        f"{nodes}-node rule on [{lo[todo[i]]:g}, {hi[todo[i]]:g}] did not "
+        f"converge: its pair differs by {err[i]:.3g}",
         IntegrationWarning, stacklevel=3)
     return out
 
 
 def _doubling(rule, size, epsabs, epsrel, n, cap):
-    """``_doubled``'s loop for one rule.  Returns the totals, of the rule's
-    dtype, then the indices of the integrals still open at ``cap``, their
-    last n/2n differences (both None if none is open) and the last n."""
+    """``_doubled``'s loop for one pair rule, the only n/2n loop.  Returns
+    the fine totals, of the rule's dtype, then the indices of the integrals
+    still open at ``cap``, their last differences (both None if none is
+    open) and the fine member's last node count."""
     todo = np.arange(size)
-    est = rule(n, todo)
-    out = np.empty(size, dtype=est.dtype)
+    out = None
     while True:
-        n *= 2
-        prev, est = est, rule(n, todo)
-        total = est.sum(axis=1)
-        err = np.abs(est - prev).sum(axis=1)
+        coarse, fine, nodes = rule(n, todo)
+        if out is None:
+            out = np.empty(size, dtype=fine.dtype)
+        total = fine.sum(axis=1)
+        err = np.abs(fine - coarse).sum(axis=1)
         out[todo] = total
         # The test runs on Python floats: most calls hold one integral,
         # where numpy's per-call overhead would dominate.
@@ -265,7 +393,7 @@ def _doubling(rule, size, epsabs, epsrel, n, cap):
                                                    err.tolist()))
                  if not e <= max(epsabs, epsrel * abs(v))]
         if not open_:
-            return out, None, None, n
-        if n >= cap:
-            return out, todo[open_], err[open_], n
-        todo, est = todo[open_], est[open_]
+            return out, None, None, nodes
+        if nodes >= cap:
+            return out, todo[open_], err[open_], nodes
+        todo, n = todo[open_], 2 * n

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ordstat
@@ -128,6 +129,21 @@ def test_tabulate_csv_round_trip(tmp_path, capsys):
     # 17 significant digits: parsing back reproduces the double exactly.
     x, v = map(float, rows[2])
     assert v == x * math.exp(-x)
+
+
+def test_csv_rows_format_as_fmt():
+    # A row template prints each value as ``_fmt`` does, special values and
+    # random bit patterns included, and as a Python or a numpy float.
+    bits = np.random.default_rng(7).integers(0, 2 ** 64, 20000,
+                                             dtype=np.uint64)
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+              1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1e16]
+    values += bits.view(np.float64).tolist()
+    rows = [values[i:i + 3] for i in range(0, len(values) - 2, 3)]
+    want = "\n".join(",".join(cli._fmt(v) for v in row) for row in rows)
+    text = cli._csv([], ("a", "b", "c"), rows)
+    assert text == "a,b,c\n" + want + "\n"
+    assert cli._csv([], ("a", "b", "c"), np.array(rows)) == text
 
 
 def test_tabulate_grid_dimension_mismatch(capsys):

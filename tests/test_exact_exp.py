@@ -482,8 +482,8 @@ def test_step_sum_densities_match_exact_step_sums(K):
             d.values(*(c.ravel() for c in np.broadcast_arrays(*grid)))
             .reshape(16, 16))
         # One coordinate a Python float, as the inner rows of T3, T5 and
-        # T6 pass a point's coordinates, and single points, whose powers
-        # are Python's ``pow``, an ulp or so from numpy's array ``pow``.
+        # T6 pass a point's coordinates, and single points: every power
+        # is numpy's array ``pow``, so a point equals its row.
         for i in range(len(z)):
             for k in (3, 50):
                 mixed = [float(c[k]) if j == i else c
@@ -494,7 +494,7 @@ def test_step_sum_densities_match_exact_step_sums(K):
         for k in range(0, 240, 16):
             one = d.values(*(float(c[k]) for c in z))
             assert np.ndim(one) == 0
-            assert abs(one - got[k]) <= 4 * EPS * got[k]
+            assert one == got[k]
 
 
 # -- reductions against arbitrary precision and against marginals --
