@@ -73,12 +73,10 @@ from ordstat.mc_oracle import (
     sample_sorted,
 )
 from ordstat.partition import (
-    NormalizedPartition,
     Partition,
     TheoremMatch,
-    dimension_of,
     match_theorem,
-    normalize,
+    theorem_partition,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +91,6 @@ __all__ = [
     "Exponential",
     "HalfNormal",
     "IltResult",
-    "NormalizedPartition",
     "OrdstatError",
     "Partition",
     "SampleSpec",
@@ -102,7 +99,6 @@ __all__ = [
     "UnsupportedShapeError",
     "__version__",
     "bin_agreement",
-    "dimension_of",
     "empirical_cdf",
     "empirical_density",
     "invert_numeric",
@@ -112,7 +108,6 @@ __all__ = [
     "jpdf_one_vs_rest_bestKs",
     "ks_distance",
     "match_theorem",
-    "normalize",
     "pdf_gsc_sum",
     "pdf_sum_all",
     "resolve",
@@ -124,4 +119,5 @@ __all__ = [
     "t4_pdf",
     "t5_jpdf",
     "t6_jpdf",
+    "theorem_partition",
 ]

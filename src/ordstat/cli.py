@@ -10,6 +10,12 @@ Exit codes are stable and documented:
   supported reshaping)
 * 4 numeric non-convergence (the diagnostic reports the achieved error)
 
+A shape is named by ``--partition`` or by the ``--theorem`` flags, not
+both, and a flag that the shape does not use is an error.  Both resolve
+through ``partition.match_theorem``: at Ks = K, T4-T6 report T1-T3 and
+take their closed forms (generic T4 is then the T1 inversion at
+``--digits``), and a T3 or T6 with a one-rank side reports T2 or T5.
+
 All tabular output is CSV with ``#``-prefixed metadata lines (command
 line, version, seed, tolerance settings) so artifacts are reproducible
 from their own headers.  Floats print with 17 significant digits, enough
@@ -33,7 +39,8 @@ from ordstat.distributions import Distribution, Exponential, HalfNormal
 from ordstat.errors import (ConvergenceError, DivergentIntegralError,
                             DomainError, UnsupportedShapeError)
 from ordstat.mc_oracle import SampleSpec, sample_partial_sums
-from ordstat.partition import Partition, TheoremMatch, match_theorem, t5_case
+from ordstat.partition import (Partition, match_theorem, t5_case,
+                               theorem_partition)
 
 __all__ = ["main"]
 
@@ -112,43 +119,37 @@ def _require(value, flag, context):
 
 
 def _resolve_shape(args):
-    """Selector flags -> the ``TheoremMatch`` they name."""
+    """Selector flags -> the ``TheoremMatch`` that ``match_theorem`` gives."""
     if args.partition:
+        _reject_with_partition(args, "theorem", "K", "Ks", "m", "case")
         return match_theorem(Partition.parse(args.partition))
-    tid = _require(args.theorem, "--theorem (or --partition)",
-                   "shape selection")
-    tid = tid.upper()
-    if tid not in ("T1", "T2", "T3", "T4", "T5", "T6"):
-        raise DomainError(f"unknown theorem {args.theorem!r}")
-    K = _require(args.K, "--K", tid)
-    if tid in ("T1", "T2", "T3"):
-        Ks = K
-    else:
-        Ks = _require(args.Ks, "--Ks", tid)
-    if tid in ("T1", "T4"):
-        m = None
-    elif tid == "T5":
-        if args.case:
-            case = args.case.lower()
-            derived = {"a": 1, "c": Ks - 1, "d": Ks}.get(case)
-            if args.m is not None:
-                m = args.m
-                if t5_case(Ks, m) != case:
-                    raise DomainError(
-                        f"--case {case} disagrees with m={m} at Ks={Ks} "
-                        f"(that pair is case {t5_case(Ks, m)})")
-            elif derived is None:
-                raise DomainError("case b spans 2 <= m <= Ks-2; give --m")
-            else:
-                m = derived
-        else:
-            m = _require(args.m, "--m (or --case)", tid)
-        tid = "T5" + t5_case(Ks, m)
-    else:
-        m = _require(args.m, "--m", tid)
-    if args.case and not tid.startswith("T5"):
-        raise DomainError("--case only applies to --theorem T5")
-    return TheoremMatch(tid, K, Ks, m)
+    theorem = _require(args.theorem, "--theorem (or --partition)",
+                       "shape selection")
+    m = args.m
+    if args.case:
+        if theorem.upper() != "T5":
+            raise DomainError("--case only applies to --theorem T5")
+        m = _case_m(args.case, _require(args.Ks, "--Ks", "T5"), m)
+    return match_theorem(theorem_partition(theorem, args.K, args.Ks, m))
+
+
+def _reject_with_partition(args, *names):
+    given = [f"--{n}" for n in names if getattr(args, n) is not None]
+    if given:
+        raise DomainError("--partition names the whole shape; drop "
+                          f"{', '.join(given)}")
+
+
+def _case_m(case, Ks, m):
+    """The rank m of T5 case ``case`` at Ks, checked against ``--m``."""
+    if m is None:
+        if case == "b":
+            raise DomainError("case b spans 2 <= m <= Ks-2; give --m")
+        m = {"a": 1, "c": Ks - 1, "d": Ks}[case]
+    if t5_case(Ks, m) != case:
+        raise DomainError(f"--case {case} disagrees with m={m} at Ks={Ks} "
+                          f"(that pair is case {t5_case(Ks, m)})")
+    return m
 
 
 def _grid_points(grid):
@@ -240,11 +241,12 @@ def _cmd_msgsc(args, argv):
 def _cmd_sample(args, argv):
     dist = _parse_dist(args.dist)
     if args.partition:
+        _reject_with_partition(args, "K", "Ks")
         part = Partition.parse(args.partition)
     else:
         K = _require(args.K, "--K (or --partition)", "sample")
-        Ks = args.Ks if args.Ks is not None else K
-        part = Partition(K, Ks, (tuple(range(1, Ks + 1)),))
+        # The T4 shape [1..Ks] is the T1 shape [1..K] when Ks = K.
+        part = theorem_partition("T4", K, K if args.Ks is None else args.Ks)
     spec = SampleSpec(dist, part.K, part.Ks, part, args.n, args.seed)
     sums = sample_partial_sums(spec)
     meta = _meta_lines(argv, [
@@ -268,7 +270,9 @@ def _digits(text):
 
 
 def _add_shape_flags(p):
-    p.add_argument("--theorem", help="evaluator family T1..T6")
+    p.add_argument("--theorem",
+                   help="evaluator family T1..T6; resolved as the equal "
+                        "--partition, so T4-T6 at Ks = K report T1-T3")
     p.add_argument("--case", choices=("a", "b", "c", "d"),
                    help="T5 reduction case (fixes m for a/c/d)")
     p.add_argument("--partition",

@@ -430,7 +430,9 @@ def t6_jpdf(dist, K, Ks, m, x, y):
 def resolve(shape, dist, method="auto", digits=8):
     """Density of a theorem shape for ``dist``, and its dimension.
 
-    ``shape`` is a ``partition.TheoremMatch``.  ``method`` ``"exact"`` takes
+    ``shape`` is a ``partition.TheoremMatch``.  ``match_theorem`` sends
+    T4-T6 at Ks = K to T1-T3; a match built directly runs the reduction,
+    which is how ``verify`` checks it.  ``method`` ``"exact"`` takes
     the closed forms of ``exact_exp`` (exponential only), ``"generic"`` this
     module's evaluators, and ``"auto"`` the exact path where it applies.
     ``digits`` is the inversion target of generic T1, the only family that
@@ -439,31 +441,31 @@ def resolve(shape, dist, method="auto", digits=8):
 
     The coordinates are scalars, which give a float, or arrays that
     broadcast, which give an array of their common shape.  Either is one
-    call of the family's array form.  Generic densities are this module's
-    ``t*_pdf`` attributes as they are when ``resolve`` runs.
+    call of the family's array form.  Each family's exact maker and
+    generic density are looked up by name when ``resolve`` runs.
     """
     fam, K, Ks, m = shape.id[:2], shape.K, shape.Ks, shape.m
-    args = {"T1": (K,), "T2": (K, m), "T3": (K, m), "T4": (K, Ks),
-            "T5": (K, Ks, m), "T6": (K, Ks, m)}.get(fam)
-    if args is None:
+    entry = {"T1": ("pdf_sum_all", "t1_pdf", (K,)),
+             "T2": ("jpdf_one_vs_rest_allK", "t2_jpdf", (K, m)),
+             "T3": ("jpdf_headsum_vs_tailsum_allK", "t3_jpdf", (K, m)),
+             "T4": ("pdf_gsc_sum", "t4_pdf", (K, Ks)),
+             "T5": ("jpdf_one_vs_rest_bestKs", "t5_jpdf", (K, Ks, m)),
+             "T6": ("jpdf_headsum_vs_tailsum_bestKs", "t6_jpdf",
+                    (K, Ks, m))}.get(fam)
+    if entry is None:
         raise DomainError(f"unknown evaluator id {shape.id!r}")
+    maker, generic, args = entry
     if method == "auto":
         method = "exact" if isinstance(dist, Exponential) else "generic"
     if method == "exact":
         if not isinstance(dist, Exponential):
             raise DomainError("the exact path covers the exponential "
                               "distribution only; use --method generic")
-        make = {"T1": exact_exp.pdf_sum_all,
-                "T2": exact_exp.jpdf_one_vs_rest_allK,
-                "T3": exact_exp.jpdf_headsum_vs_tailsum_allK,
-                "T4": exact_exp.pdf_gsc_sum,
-                "T5": exact_exp.jpdf_one_vs_rest_bestKs,
-                "T6": exact_exp.jpdf_headsum_vs_tailsum_bestKs}[fam]
-        fn = make(*args, dist.gamma_bar)
+        fn = getattr(exact_exp, maker)(*args, dist.gamma_bar)
     elif method == "generic":
-        pdf = {"T1": functools.partial(t1_pdf, digits=digits),
-               "T2": t2_jpdf, "T3": t3_jpdf, "T4": t4_pdf,
-               "T5": t5_jpdf, "T6": t6_jpdf}[fam]
+        pdf = globals()[generic]
+        if fam == "T1":
+            pdf = functools.partial(pdf, digits=digits)
 
         def fn(*z):
             return pdf(dist, *args, *z)

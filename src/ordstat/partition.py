@@ -1,30 +1,30 @@
-"""Groupings of rank indices into partial sums, and their normalization.
+"""Groupings of rank indices into partial sums, and the theorem that covers
+each.
 
 A :class:`Partition` says which ranks (1 = largest) go into which requested
-partial sum.  Joint MGFs only exist in closed form for contiguous runs of
-ranks with the rank-Ks variable kept separate when Ks < K, so
-:func:`normalize` rewrites a partition into that finer shape and records
-which fine sums must be integrated back together.  :func:`match_theorem`
-reports which closed evaluator family covers a two-group (or one-group)
-request; anything else raises :class:`UnsupportedShapeError` with a hint.
+partial sum.  :func:`match_theorem` is the one place that decides which
+closed evaluator family covers a two-group (or one-group) request: T1-T3
+when all K ranks are used, T4-T6 for the best Ks < K, the T5 case, and
+whether the groups come in the evaluator's order.  Anything else raises
+:class:`UnsupportedShapeError` with a hint.  :func:`theorem_partition`
+turns theorem selectors (family, K, Ks, m) into the partition they name,
+so that selectors and partitions resolve alike.
 
 Everything here is pure bookkeeping over small integer sets; the actual
 densities live in ``exact_exp`` and ``generic_joint``.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ordstat.errors import DomainError, UnsupportedShapeError
 
 __all__ = [
     "Partition",
-    "NormalizedPartition",
     "TheoremMatch",
-    "normalize",
-    "dimension_of",
     "match_theorem",
     "t5_case",
+    "theorem_partition",
 ]
 
 _PART_RE = re.compile(r"^K=(\d+);Ks=(\d+);groups=((?:\[[-0-9,]+\])+)$")
@@ -112,55 +112,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class NormalizedPartition:
-    """Fine contiguous grouping plus the plan to recover the requested sums.
-
-    ``fine_groups`` are contiguous rank runs ordered by smallest rank;
-    ``reduction_plan`` lists ``(fine_indices, requested_index)`` for every
-    requested group assembled from two or more fine sums (each such merge
-    costs one finite integration); ``separated_last`` records that rank Ks
-    was isolated because Ks < K.
-    """
-
-    K: int
-    Ks: int
-    fine_groups: tuple
-    reduction_plan: tuple
-    separated_last: bool
-    sources: tuple = field(repr=False, default=())
-
-    def as_partition(self):
-        """The fine grouping viewed as a partition in its own right."""
-        return Partition(self.K, self.Ks, self.fine_groups)
-
-
-def normalize(p):
-    """Split groups into contiguous runs, isolating rank Ks when Ks < K."""
-    runs = []
-    for gi, g in enumerate(p.groups):
-        for lo, hi in _runs(g):
-            if p.Ks < p.K and hi == p.Ks and lo < p.Ks:
-                runs.append((lo, p.Ks - 1, gi))
-                runs.append((p.Ks, p.Ks, gi))
-            else:
-                runs.append((lo, hi, gi))
-    runs.sort()
-    fine = tuple(tuple(range(lo, hi + 1)) for lo, hi, _ in runs)
-    by_group = {}
-    for fi, (_, _, gi) in enumerate(runs):
-        by_group.setdefault(gi, []).append(fi)
-    plan = tuple((tuple(fis), gi) for gi, fis in sorted(by_group.items())
-                 if len(fis) > 1)
-    return NormalizedPartition(p.K, p.Ks, fine, plan, p.Ks < p.K,
-                               sources=tuple(gi for _, _, gi in runs))
-
-
-def dimension_of(np_):
-    """Number of fine groups = dimension of the joint MGF to build."""
-    return len(np_.fine_groups)
-
-
-@dataclass(frozen=True)
 class TheoremMatch:
     """Which closed evaluator family covers a requested two-sum partition.
 
@@ -186,6 +137,44 @@ def t5_case(Ks, m):
     if m == Ks - 1:
         return "c"
     return "b"
+
+
+def theorem_partition(family, K, Ks=None, m=None):
+    """The partition that theorem ``family`` (T1..T6) names at (K, Ks, m).
+
+    T1 ``[1..K]``, T2 ``[m][rest]`` and T3 ``[1..m][m+1..K]`` use all K
+    ranks, so Ks is K; T4 ``[1..Ks]``, T5 ``[m][rest of 1..Ks]`` and T6
+    ``[1..m][m+1..Ks]`` the best Ks.  T1 and T4 take no m.  Errors name
+    the command-line flag at fault.
+    """
+    fam = family.upper()
+    if fam not in ("T1", "T2", "T3", "T4", "T5", "T6"):
+        raise DomainError(f"unknown theorem {family!r}")
+    if K is None:
+        raise DomainError(f"{fam} requires --K")
+    if fam in ("T1", "T2", "T3"):
+        if Ks not in (None, K):
+            raise DomainError(f"{fam} uses all K ranks: --Ks {Ks} must "
+                              f"equal --K {K} or be left out")
+        Ks = K
+    elif Ks is None:
+        raise DomainError(f"{fam} requires --Ks")
+    best = tuple(range(1, Ks + 1))
+    if fam in ("T1", "T4"):
+        if m is not None:
+            raise DomainError(f"{fam} takes no --m")
+        return Partition(K, Ks, (best,))
+    if m is None:
+        raise DomainError(f"{fam} requires --m"
+                          + " (or --case)" * (fam == "T5"))
+    if fam in ("T2", "T5"):
+        groups = ((m,), best[:m - 1] + best[m:])
+    else:
+        groups = (best[:m], best[m:])
+    if not (1 <= m <= Ks and all(groups)):
+        raise DomainError(f"{fam} needs two nonempty sums; --m {m} does "
+                          f"not split ranks 1..{Ks} into two")
+    return Partition(K, Ks, groups)
 
 
 def match_theorem(p):

@@ -227,9 +227,9 @@ def _t5b(fine, Ks, m, x, y, order):
     # the outer rule's row r gives the point.
     if order in (0, 1):
         def inner(z4s, r):
-            # Below y - z4 - (nm-1)*x the mid-sum exceeds its support and
-            # the step sum is cancellation noise around zero; stop the
-            # integral at the true edge.
+            # Below y - z4 - (nm-1)*x the mid-sum is outside its support,
+            # so the fine density is zero there: the integral starts at
+            # that edge.
             xr, yr = x[r], y[r]
             lo1 = np.maximum((m - 1) * xr, yr - z4s - (nm - 1) * xr)
             knots = _col(yr) - np.multiply.outer(z4s, nm - j) - j * _col(xr)
@@ -290,8 +290,8 @@ def _t6(fine, Ks, m, x, y):
 
     def inner(z4s, r):
         # One row per (point, outer node) pair.  Below (y - z4) / (nt - 1)
-        # the mid-sum exceeds its support and the step sum is cancellation
-        # noise around zero.
+        # the mid-sum is outside its support, so the fine density is zero
+        # there: the integral starts at that edge.
         xr, yr = x[r], y[r]
         knots = (_col(yr) - np.multiply.outer(z4s, nt - j)) / j
         return _gauss_knots(

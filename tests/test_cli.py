@@ -14,6 +14,7 @@ import pytest
 import ordstat
 from ordstat import cli
 from ordstat.mc_oracle import sample_sorted
+from ordstat.partition import Partition, t5_case
 
 
 def run(capsys, *argv):
@@ -616,3 +617,126 @@ def test_grids_are_one_call(capsys, monkeypatch):
         assert code == 0
         assert len(_csv_body(out)) == 16
         assert calls == ["gauss_2d"] * rules
+
+
+# -- every selector resolves through ``partition.match_theorem`` --
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "--partition", "K=4;Ks=4;groups=[1][2-4]", "--theorem", "T3",
+      "--m", "2", "--at", "1,2"], "--theorem"),
+    (["eval", "--partition", "K=5;Ks=4;groups=[1][2-4]", "--case", "a",
+      "--at", "1,2"], "--case"),
+    (["eval", "--theorem", "T2", "--K", "5", "--Ks", "3", "--m", "2",
+      "--at", "1,2"], "--Ks"),
+    (["eval", "--theorem", "T1", "--K", "4", "--m", "2", "--at", "2"],
+     "--m"),
+    (["eval", "--theorem", "T4", "--K", "5", "--Ks", "3", "--m", "1",
+      "--at", "2"], "--m"),
+    (["sample", "--partition", "K=3;Ks=2;groups=[1][2]", "--K", "4",
+      "--n", "5"], "--K"),
+    # At Ks = 2 both pairs are case d: no m is rank 1 of a case-a pair.
+    (["eval", "--theorem", "T5", "--K", "4", "--Ks", "2", "--case", "a",
+      "--at", "1,0.5"], "--case"),
+], ids=["partition-theorem", "partition-case", "T2-Ks", "T1-m", "T4-m",
+        "sample-partition-K", "T5-case-a-at-Ks2"])
+def test_ignored_selector_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def _mean_rank(K, r):
+    # E of the rank-r value of K unit exponentials.
+    return sum(1.0 / j for j in range(r, K + 1))
+
+
+def _selector_routes(Kmax=6):
+    """(K, --theorem flags, the equal partition, rank groups) for every
+    family at K <= Kmax: every Ks and m, and each T5 shape also by
+    ``--case``."""
+    out = []
+    for K in range(1, Kmax + 1):
+        every = tuple(range(1, K + 1))
+        out.append((K, ["--theorem", "T1"], K, [every]))
+        for m in range(1, K + 1):
+            if K >= 2:
+                out.append((K, ["--theorem", "T2", "--m", str(m)], K,
+                            [(m,), every[:m - 1] + every[m:]]))
+            if m < K:
+                out.append((K, ["--theorem", "T3", "--m", str(m)], K,
+                            [every[:m], every[m:]]))
+        for Ks in range(1, K + 1):
+            best = every[:Ks]
+            ks = ["--Ks", str(Ks)]
+            out.append((K, ["--theorem", "T4", *ks], Ks, [best]))
+            for m in range(1, Ks + 1):
+                if Ks >= 2:
+                    one = [(m,), best[:m - 1] + best[m:]]
+                    case = t5_case(Ks, m)
+                    out.append((K, ["--theorem", "T5", *ks, "--m", str(m)],
+                                Ks, one))
+                    derived = {"a": 1, "c": Ks - 1, "d": Ks}.get(case)
+                    by_case = ["--case", case] + (["--m", str(m)]
+                                                  if derived != m else [])
+                    out.append((K, ["--theorem", "T5", *ks, *by_case], Ks,
+                                one))
+                if m < Ks:
+                    out.append((K, ["--theorem", "T6", *ks, "--m", str(m)],
+                                Ks, [best[:m], best[m:]]))
+    return [pytest.param(*o, id=" ".join([*o[1], "--K", str(o[0])]))
+            for o in out]
+
+
+def _without_command_line(text):
+    return [ln for ln in text.splitlines()
+            if not ln.startswith("# command:")]
+
+
+@pytest.mark.parametrize("K, flags, Ks, groups", _selector_routes())
+def test_theorem_flags_match_partition(capsys, K, flags, Ks, groups):
+    part = ["--partition", Partition(K, Ks, tuple(groups)).format()]
+    flags = [*flags, "--K", str(K)]
+    parser = cli._build_parser()
+    shape = cli._resolve_shape(parser.parse_args(["eval", *flags]))
+    assert shape == cli._resolve_shape(parser.parse_args(["eval", *part]))
+    means = [sum(_mean_rank(K, r) for r in g) for g in groups]
+    if shape.swap:
+        groups = groups[::-1]
+    at = "--at=" + ",".join(f"{v:.4g}" for v in means)
+    grid = [f"--grid={0.5 * v:.4g}:{1.5 * v:.4g}:2" for v in means]
+    for method in ("exact", "generic"):
+        outs = []
+        for sel in (flags, part):
+            for cmd in (["eval", at], ["tabulate", *grid]):
+                code, out, err = run(capsys, cmd[0], *sel, *cmd[1:],
+                                     "--method", method)
+                assert code == 0, err
+                outs.append(_without_command_line(out))
+        assert outs[:2] == outs[2:]
+        assert f"# shape: {shape.id}" in outs[1]
+
+
+@pytest.mark.parametrize("flags, same, sid", [
+    (["--theorem", "T5", "--K", "6", "--Ks", "6", "--m", "2"],
+     ["--theorem", "T2", "--K", "6", "--m", "2"], "T2"),
+    (["--theorem", "T5", "--K", "6", "--Ks", "6", "--case", "d"],
+     ["--theorem", "T2", "--K", "6", "--m", "6"], "T2"),
+    (["--theorem", "T6", "--K", "6", "--Ks", "6", "--m", "4"],
+     ["--theorem", "T3", "--K", "6", "--m", "4"], "T3"),
+    (["--theorem", "T4", "--K", "6", "--Ks", "6"],
+     ["--theorem", "T1", "--K", "6"], "T1"),
+], ids=["T5-as-T2", "T5d-as-T2", "T6-as-T3", "T4-as-T1"])
+@pytest.mark.parametrize("method", ["exact", "generic"])
+def test_full_selection_takes_closed_form(capsys, flags, same, sid, method):
+    # At Ks = K, T4-T6 are T1-T3: the same density, byte for byte.
+    grid = ["--grid=1:4:3"] * (1 + (sid != "T1"))
+    outs = []
+    for sel in (flags, same):
+        code, out, _ = run(capsys, "tabulate", *sel, *grid, "--method",
+                           method)
+        assert code == 0
+        outs.append(_without_command_line(out))
+    assert outs[0] == outs[1]
+    assert f"# shape: {sid}" in outs[0]

@@ -1,11 +1,10 @@
-"""Partition parsing, normalization, and evaluator matching."""
+"""Partition parsing, evaluator matching, and theorem selectors."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ordstat.errors import DomainError, UnsupportedShapeError
-from ordstat.partition import (Partition, dimension_of, match_theorem,
-                               normalize)
+from ordstat.partition import Partition, match_theorem, theorem_partition
 
 
 def test_parse_format_round_trip():
@@ -51,37 +50,6 @@ def test_constructor_rejects():
         Partition(4, 3, ((1, 2, 3), ()))           # empty group
     with pytest.raises(DomainError):
         Partition(4.0, 3, ((1, 2, 3),))            # non-int K
-
-
-def test_normalize_splits_runs_and_merges():
-    p = Partition(6, 5, ((1, 2, 5), (3, 4)))
-    n = normalize(p)
-    assert n.fine_groups == ((1, 2), (3, 4), (5,))
-    assert n.reduction_plan == (((0, 2), 0),)
-    assert n.separated_last
-    assert n.sources == (0, 1, 0)
-    assert dimension_of(n) == 3
-
-
-def test_normalize_isolates_rank_ks():
-    n = normalize(Partition(6, 5, ((1, 2, 3, 4, 5),)))
-    assert n.fine_groups == ((1, 2, 3, 4), (5,))
-    assert n.reduction_plan == (((0, 1), 0),)
-    assert n.separated_last
-
-
-def test_normalize_keeps_full_selection_whole():
-    n = normalize(Partition(5, 5, ((1, 2, 3, 4, 5),)))
-    assert n.fine_groups == ((1, 2, 3, 4, 5),)
-    assert n.reduction_plan == ()
-    assert not n.separated_last
-
-
-def test_normalize_idempotent():
-    n = normalize(Partition(6, 5, ((1, 2, 5), (3, 4))))
-    again = normalize(n.as_partition())
-    assert again.fine_groups == n.fine_groups
-    assert again.reduction_plan == ()
 
 
 @pytest.mark.parametrize("text,tid,m,swap", [
@@ -135,15 +103,42 @@ def test_round_trip_property(p):
 
 
 @given(partitions())
-def test_normalize_property(p):
-    n = normalize(p)
-    flat = [r for g in n.fine_groups for r in g]
-    assert sorted(flat) == list(range(1, p.Ks + 1))
-    for g in n.fine_groups:
-        assert list(g) == list(range(g[0], g[-1] + 1))   # contiguous
-    assert flat == sorted(flat)                           # ordered by rank
-    if p.Ks < p.K:
-        assert (p.Ks,) in n.fine_groups
-    covered = {fi for fis, _ in n.reduction_plan for fi in fis}
-    assert covered <= set(range(len(n.fine_groups)))
-    assert len(n.sources) == len(n.fine_groups)
+def test_theorem_partition_inverts_match(p):
+    # Every accepted partition is the one that its match's selectors name,
+    # with the groups in the evaluator's order when the match swaps them.
+    try:
+        got = match_theorem(p)
+    except UnsupportedShapeError:
+        return
+    back = theorem_partition(got.id[:2], got.K, got.Ks, got.m)
+    assert back.groups == (p.groups[::-1] if got.swap else p.groups)
+    assert (back.K, back.Ks) == (p.K, p.Ks)
+
+
+@pytest.mark.parametrize("sel,text", [
+    (("T1", 4), "K=4;Ks=4;groups=[1-4]"),
+    (("T2", 5, None, 3), "K=5;Ks=5;groups=[3][1-2,4-5]"),
+    (("T3", 5, 5, 2), "K=5;Ks=5;groups=[1-2][3-5]"),
+    (("T4", 6, 4), "K=6;Ks=4;groups=[1-4]"),
+    (("t5", 6, 4, 1), "K=6;Ks=4;groups=[1][2-4]"),
+    (("T6", 6, 4, 3), "K=6;Ks=4;groups=[1-3][4]"),
+])
+def test_theorem_partition_shapes(sel, text):
+    assert theorem_partition(*sel).format() == text
+
+
+@pytest.mark.parametrize("sel,flag", [
+    (("T7", 4), "theorem"),
+    (("T2", None, None, 1), "--K"),
+    (("T5", 5, None, 1), "--Ks"),
+    (("T2", 5, 3, 2), "--Ks"),
+    (("T1", 4, None, 2), "--m"),
+    (("T4", 5, 3, 1), "--m"),
+    (("T3", 4), "--m"),
+    (("T3", 4, 4, 4), "--m"),
+    (("T5", 5, 4, 0), "--m"),
+    (("T2", 1, 1, 1), "--m"),
+])
+def test_theorem_partition_rejects(sel, flag):
+    with pytest.raises(DomainError, match=flag):
+        theorem_partition(*sel)
