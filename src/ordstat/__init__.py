@@ -22,13 +22,12 @@ diversity combining, ``verify`` bundles the cross-validation suites, and
 ``cli`` exposes the command line.
 
 ``import ordstat`` and ``import ordstat.cli`` load numpy and the standard
-library only.  scipy loads where a command first needs it: a half-normal
-distribution (``scipy.special``) and the kernel quadratures of a
-``CustomDistribution`` (``scipy.integrate``).  Exact and generic commands
-on the exponential run without it, and ``verify`` loads only
-``scipy.special``, for the half-normals of its suites; only the warning
-of a rule that fails to converge loads ``scipy.integrate``, for its
-``IntegrationWarning``.
+library only.  The half-normal's ``erf`` and ``erfcx`` are ordstat's own
+(``_special``), so no command on the exponential or the half-normal, and
+no ``verify`` suite, loads scipy.  ``scipy.integrate`` loads where a
+command first needs it: the kernel quadratures of a
+``CustomDistribution``, and the warning of a rule that fails to converge,
+for its ``IntegrationWarning``.
 """
 
 from ordstat.distributions import (

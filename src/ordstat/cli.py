@@ -26,6 +26,7 @@ and each MS-GSC stage is one rule.  Rows print x-major.
 """
 
 import argparse
+import ctypes
 import functools
 import math
 import shlex
@@ -35,7 +36,7 @@ import numpy as np
 
 from ordstat import __version__, generic_joint
 from ordstat.apps import MsGscConfig, msgsc_output_cdf, msgsc_stage_probability
-from ordstat.distributions import Distribution, Exponential, HalfNormal
+from ordstat.distributions import Exponential, HalfNormal
 from ordstat.errors import (ConvergenceError, DivergentIntegralError,
                             DomainError, UnsupportedShapeError)
 from ordstat.mc_oracle import SampleSpec, sample_partial_sums
@@ -352,8 +353,39 @@ def _build_parser():
     return top
 
 
+# mallopt(3) parameters of glibc's malloc.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _temporaries_on_heap():
+    """Have glibc's malloc serve blocks up to 8 MiB from its heap.
+
+    Above its mmap threshold (128 KiB at start) glibc maps every block
+    afresh and unmaps it when freed, so each numpy temporary of that size
+    faults in zeroed pages again: about 11,000 page faults in one pass of
+    the generic tabulations, and as many in one ``verify``.  Freeing a
+    mapped block raises the threshold to that block's size, and importing
+    scipy did so by accident; with no scipy loaded, the threshold is set
+    here, once per process.  The heap then keeps up to 16 MiB free at its
+    top instead of returning it to the system.  Elsewhere than on glibc
+    nothing changes.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
+    _temporaries_on_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

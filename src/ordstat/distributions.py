@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from ordstat import _scipy
+from ordstat._special import erf, erfcx
 from ordstat.errors import DivergentIntegralError, DomainError
 
 __all__ = ["Distribution", "Exponential", "HalfNormal", "CustomDistribution"]
@@ -55,6 +56,14 @@ def _as_scalar(lam):
     if isinstance(lam, complex):
         return lam.real if lam.imag == 0.0 else lam
     return float(lam)
+
+
+def _typed(val, lam):
+    """A kernel value as its ``lam`` asks: an array for an array, else
+    complex for complex ``lam`` and float for real."""
+    if np.ndim(lam):
+        return val
+    return complex(val) if _is_complex(lam) else float(val)
 
 
 class Distribution:
@@ -94,9 +103,17 @@ class Distribution:
     # -- kernels (generic quadrature implementations; subclasses override) --
 
     def kernel_c(self, gamma, lam=0.0):
-        """int_0^gamma p(x) exp(lam*x) dx; CDF blended with the MGF."""
+        """int_0^gamma p(x) exp(lam*x) dx; CDF blended with the MGF.
+
+        ``lam`` may be an array (one kernel per element, of its shape);
+        here that loops over the elements.
+        """
         if gamma < 0:
             raise DomainError("gamma must be nonnegative")
+        if np.ndim(lam):
+            return np.array([self.kernel_c(gamma, v)
+                             for v in np.ravel(lam).tolist()]
+                            ).reshape(np.shape(lam))
         return self._quad_kernel(0.0, gamma, lam)
 
     def kernel_e(self, gamma, lam=0.0):
@@ -112,7 +129,7 @@ class Distribution:
         here that loops over the pairs.
         """
         if np.ndim(gamma_a) or np.ndim(gamma_b):
-            a, b = _mu_limits(gamma_a, gamma_b)
+            a, b = np.broadcast_arrays(*_mu_limits(gamma_a, gamma_b))
             return np.array([self.kernel_mu(x, y, lam) for x, y in
                              zip(a.ravel().tolist(), b.ravel().tolist())]
                             ).reshape(a.shape)
@@ -123,7 +140,8 @@ class Distribution:
     # -- shared quadrature plumbing --
 
     def _check_convergence(self, lam):
-        re = lam.real if isinstance(lam, complex) else float(lam)
+        # The largest real part, for an array of lam.
+        re = float(np.max(np.real(lam)))
         if re >= self.abscissa:
             raise DivergentIntegralError(
                 f"kernel of {self.name} diverges for Re(lam)={re} >= "
@@ -162,9 +180,10 @@ class Distribution:
 
 
 def _mu_limits(gamma_a, gamma_b):
-    """Broadcast array limits of ``kernel_mu``, checked like scalar ones."""
-    a, b = np.broadcast_arrays(np.asarray(gamma_a, dtype=float),
-                               np.asarray(gamma_b, dtype=float))
+    """Array limits of ``kernel_mu`` as floats, checked like scalar ones;
+    each keeps its own shape."""
+    a = np.asarray(gamma_a, dtype=float)
+    b = np.asarray(gamma_b, dtype=float)
     if np.any(a < 0) or np.any(b < a):
         raise DomainError("need 0 <= gamma_a <= gamma_b")
     return a, b
@@ -209,12 +228,14 @@ class Exponential(Distribution):
     def kernel_c(self, gamma, lam=0.0):
         if gamma < 0:
             raise DomainError("gamma must be nonnegative")
-        lam = _as_scalar(lam)
+        lam = np.asarray(lam) if np.ndim(lam) else _as_scalar(lam)
         a = self.rate
         d = a - lam
         if math.isinf(gamma):
             self._check_convergence(lam)
             return a / d
+        if np.ndim(lam):
+            return a * gamma * _em1_ratio_nodes(-d * gamma)
         return a * gamma * _em1_ratio(-d * gamma)
 
     def kernel_e(self, gamma, lam=0.0):
@@ -241,12 +262,13 @@ class Exponential(Distribution):
 
     def _mu_nodes(self, gamma_a, gamma_b, lam):
         # kernel_mu's formulas on arrays: e(ga) where gb is infinite,
-        # c(gb) - c(ga) elsewhere.
+        # c(gb) - c(ga) elsewhere.  Each limit's term is taken on its own
+        # shape, so a scalar limit is evaluated once.
         a, b = _mu_limits(gamma_a, gamma_b)
         lam = _as_scalar(lam)
         d = self.rate - lam
         inf = np.isinf(b)
-        b = np.where(inf, a, b)
+        b = np.where(inf, 0.0, b)
         out = (self.rate * b * _em1_ratio_nodes(-d * b)
                - self.rate * a * _em1_ratio_nodes(-d * a))
         if inf.any():
@@ -290,9 +312,6 @@ class HalfNormal(Distribution):
         self.mean = self.sigma * math.sqrt(2.0 / math.pi)
         self.abscissa = math.inf
         self.name = f"halfnormal(sigma={self.sigma:g})"
-        # scipy.special loads with the first half-normal, not with ordstat.
-        from scipy.special import erf, erfcx
-        self._erf, self._erfcx = erf, erfcx
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -304,28 +323,29 @@ class HalfNormal(Distribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x >= 0, self._erf(np.maximum(x, 0.0) / (self.sigma * math.sqrt(2))), 0.0)
+        out = np.where(x >= 0, erf(np.maximum(x, 0.0) / (self.sigma * math.sqrt(2))), 0.0)
         return out if out.ndim else float(out)
 
     def sample(self, rng, size):
         return self.sigma * np.abs(rng.standard_normal(size))
 
-    # Closed forms via the scaled complementary error function: with
-    # u = sigma*lam/sqrt(2), g = gamma/(sigma*sqrt(2)),
+    # Closed forms via the scaled complementary error function
+    # (``ordstat._special``, on numpy): with u = sigma*lam/sqrt(2) and
+    # g = gamma/(sigma*sqrt(2)),
     #   c(inf, lam) = erfcx(-u)
     #   e(gamma, lam) = exp(lam*gamma - gamma^2/(2 sigma^2)) * erfcx(g - u)
-    # erfcx keeps both expressions finite where erf alone overflows.
+    # erfcx keeps both expressions finite where erf alone overflows.  One
+    # array form serves scalars too; ``_typed`` returns a float or complex
+    # for a scalar lam.
 
     def kernel_c(self, gamma, lam=0.0):
         if gamma < 0:
             raise DomainError("gamma must be nonnegative")
-        lam = _as_scalar(lam)
-        u = self.sigma * lam / math.sqrt(2)
-        total = self._erfcx(-u)
+        lam = np.asarray(lam) if np.ndim(lam) else _as_scalar(lam)
+        total = erfcx(-(self.sigma * lam / math.sqrt(2)))
         if math.isinf(gamma):
-            return complex(total) if _is_complex(lam) else float(total)
-        val = total - self._tail(gamma, lam)
-        return complex(val) if _is_complex(lam) else float(val)
+            return _typed(total, lam)
+        return _typed(total - self._tail(gamma, lam), lam)
 
     def kernel_e(self, gamma, lam=0.0):
         if gamma < 0:
@@ -333,8 +353,7 @@ class HalfNormal(Distribution):
         lam = _as_scalar(lam)
         if math.isinf(gamma):
             return 0j if _is_complex(lam) else 0.0
-        val = self._tail(gamma, lam)
-        return val if _is_complex(lam) else float(val)
+        return _typed(self._tail(gamma, lam), lam)
 
     def kernel_mu(self, gamma_a, gamma_b, lam=0.0):
         if np.ndim(gamma_a) or np.ndim(gamma_b):
@@ -344,28 +363,25 @@ class HalfNormal(Distribution):
         lam = _as_scalar(lam)
         if math.isinf(gamma_b):
             return self.kernel_e(gamma_a, lam)
-        val = self._tail(gamma_a, lam) - self._tail(gamma_b, lam)
-        return val if _is_complex(lam) else float(val)
+        return _typed(self._tail(gamma_a, lam) - self._tail(gamma_b, lam),
+                      lam)
 
     def _mu_nodes(self, gamma_a, gamma_b, lam):
         # kernel_mu's formulas on arrays; the tail at an infinite gb is 0.
+        # Each limit's tail is taken on its own shape, so a scalar limit
+        # is evaluated once.
         a, b = _mu_limits(gamma_a, gamma_b)
         lam = _as_scalar(lam)
         inf = np.isinf(b)
-        tail_b = np.where(inf, 0.0, self._tail_nodes(np.where(inf, a, b), lam))
-        return self._tail_nodes(a, lam) - tail_b
-
-    def _tail_nodes(self, gamma, lam):
-        u = self.sigma * lam / math.sqrt(2)
-        g = gamma / (self.sigma * math.sqrt(2))
-        arg = lam * gamma - gamma * gamma / (2 * self.sigma ** 2)
-        return np.exp(arg) * self._erfcx(g - u)
+        tail_b = np.where(inf, 0.0, self._tail(np.where(inf, 0.0, b), lam))
+        return self._tail(a, lam) - tail_b
 
     def _tail(self, gamma, lam):
+        """e(gamma, lam) on an array (or scalar) of gamma or of lam."""
         u = self.sigma * lam / math.sqrt(2)
         g = gamma / (self.sigma * math.sqrt(2))
         arg = lam * gamma - gamma * gamma / (2 * self.sigma ** 2)
-        return _cexp(arg) * self._erfcx(g - u) if _is_complex(lam) else math.exp(arg) * float(self._erfcx(g - u))
+        return np.exp(arg) * erfcx(g - u)
 
 
 class CustomDistribution(Distribution):

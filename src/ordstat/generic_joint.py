@@ -256,6 +256,7 @@ def t1_pdf(dist, K, z, digits=8):
         raise DomainError("need K >= 1")
 
     def f(s):
+        # [c(inf, -s)]^K on an array of Bromwich nodes.
         return dist.kernel_c(math.inf, -s) ** K
 
     def rows(z):

@@ -50,10 +50,13 @@ __all__ = ["TransformFn", "IltResult", "invert_numeric"]
 class TransformFn:
     """A Laplace transform with its analyticity bound.
 
-    ``f`` must be analytic for ``Re(s) > abscissa`` (caller contract;
-    :meth:`validate` spot-checks it).  ``scale_hint`` is the characteristic
-    time scale of the inverse; times below ``1e-6 * scale_hint`` are
-    reported as 0 without inversion.
+    ``f`` takes a complex array of s and returns the transform at each,
+    as an array of the same shape: the inverter evaluates the nodes of a
+    Bromwich line in one call (a 1-d array), :meth:`validate` one point
+    at a time (0-d arrays).  It must be analytic for
+    ``Re(s) > abscissa`` (caller contract; :meth:`validate` spot-checks
+    it).  ``scale_hint`` is the characteristic time scale of the inverse;
+    times below ``1e-6 * scale_hint`` are reported as 0 without inversion.
     """
 
     f: callable
@@ -61,7 +64,9 @@ class TransformFn:
     scale_hint: float = 1.0
 
     def __call__(self, s):
-        return complex(self.f(s))
+        """``f`` at an array of s, as a complex array of its shape."""
+        return np.asarray(self.f(np.asarray(s, dtype=complex)),
+                          dtype=complex)
 
     def validate(self, seed=0):
         """Cauchy-Riemann finite-difference spot check at 3 points."""
@@ -70,8 +75,8 @@ class TransformFn:
         for _ in range(3):
             s = complex(self.abscissa + rng.uniform(0.5, 2.0) / self.scale_hint,
                         rng.uniform(-2.0, 2.0) / self.scale_hint)
-            d_re = (self(s + h) - self(s - h)) / (2 * h)
-            d_im = (self(s + 1j * h) - self(s - 1j * h)) / (2j * h)
+            d_re = complex(self(s + h) - self(s - h)) / (2 * h)
+            d_im = complex(self(s + 1j * h) - self(s - 1j * h)) / (2j * h)
             scale = max(abs(d_re), abs(d_im), 1e-12)
             if abs(d_re - d_im) > 1e-3 * scale:
                 raise DomainError(
@@ -126,16 +131,31 @@ _N_MAX = 1024        # most series terms the Euler stage sums
 _MAX_RAISES = 4      # contour raises after the first aliasing measurement
 
 
+def _line(sigma, imag):
+    """Nodes ``sigma + i imag`` of a Bromwich line, for an array of imag."""
+    s = np.empty(imag.size, dtype=complex)
+    s.real = sigma
+    s.imag = imag
+    return s
+
+
+def _euler_nodes(tf, t, aparam, first, stop):
+    """Nodes ``first .. stop - 1`` of the Euler stage's line at ``A =
+    aparam``: ``sigma + i k pi / t``."""
+    return _line(tf.abscissa + aparam / (2.0 * t),
+                 np.arange(first, stop) * (math.pi / t))
+
+
 def _euler_attempt(tf, t, aparam, n_trunc, nodes):
-    """One Euler pass; node values on this line are cached across passes.
+    """One Euler pass; node values on this line are cached across passes,
+    and the nodes the cache lacks are evaluated in one call.
 
     Returns the value and its truncation plus roundoff estimate.
     """
     sigma = tf.abscissa + aparam / (2.0 * t)
-    h = math.pi / t
     need = n_trunc + _M_AVG + 1
-    while len(nodes) < need:
-        nodes.append(tf(complex(sigma, len(nodes) * h)))
+    if len(nodes) < need:
+        nodes.extend(tf(_euler_nodes(tf, t, aparam, len(nodes), need)).tolist())
     vals = np.array(nodes[:need])
     terms = vals.real.copy()
     terms[1::2] *= -1.0
@@ -153,13 +173,13 @@ def _euler_attempt(tf, t, aparam, n_trunc, nodes):
     return value, est
 
 
-def _euler_line(tf, t, aparam, n0, goal):
+def _euler_line(tf, t, aparam, n0, goal, nodes):
     """Euler passes at doubling truncation on one line, until the estimate
-    meets ``goal`` or a doubling gains less than 4x.
+    meets ``goal`` or a doubling gains less than 4x.  ``nodes`` holds the
+    values of the line's first nodes, if any have been evaluated.
 
     Returns ``(value, estimate, nodes evaluated)`` of the best pass.
     """
-    nodes = []
     best = (math.nan, math.inf)
     n_trunc = n0
     while True:
@@ -181,12 +201,19 @@ def _euler_stage(tf, t, a0, n0, goal):
     Returns ``(value, estimate, A, nodes evaluated)`` of the line with the
     smallest estimate.
     """
-    v_prev, _, neval = _euler_line(tf, t, a0, n0, goal)
+    # The lines at a0 and a0 + ln 10 always run, and each starts with the
+    # nodes of truncation n0: one call evaluates both sets.
+    first = n0 + _M_AVG + 1
+    both = tf(np.concatenate([_euler_nodes(tf, t, a0, 0, first),
+                              _euler_nodes(tf, t, a0 + _LN10, 0, first)]
+                             )).tolist()
+    v_prev, _, neval = _euler_line(tf, t, a0, n0, goal, both[:first])
     aparam, delta = a0, _LN10
     best = (math.nan, math.inf, a0 + delta)
-    for _ in range(_MAX_RAISES + 1):
+    for i in range(_MAX_RAISES + 1):
         aparam += delta
-        value, est, n = _euler_line(tf, t, aparam, n0, goal)
+        value, est, n = _euler_line(tf, t, aparam, n0, goal,
+                                    both[first:] if i == 0 else [])
         neval += n
         aliasing = abs(v_prev - value) / math.expm1(delta)
         if not math.isfinite(aliasing):
@@ -209,7 +236,7 @@ def _dehoog_attempt(tf, t, aparam, degree, t_factor):
     big_t = t_factor * t
     gamma = tf.abscissa + aparam / (2.0 * big_t)
     npts = 2 * degree + 1
-    fp = np.array([tf(complex(gamma, k * math.pi / big_t)) for k in range(npts)])
+    fp = tf(_line(gamma, np.arange(npts) * math.pi / big_t))
     fp[0] *= 0.5
     if not np.all(np.isfinite(fp)):
         return math.nan, math.inf, npts

@@ -20,8 +20,7 @@ number, and each suite drives one such pair against the other:
   Kolmogorov-Smirnov checks compare with CDFs built from the densities
   by Gauss cell integrals and a cubic Hermite interpolant.
 
-The suites need numpy alone; scipy loads only with the first half-normal,
-for its ``scipy.special`` functions.
+The suites need numpy alone, half-normals included.
 
 Reports are plain dicts of JSON types with no timestamps or machine
 identifiers; rendered with sorted keys they are byte-identical for a fixed

@@ -114,6 +114,34 @@ def test_array_kernel_mu_matches_scalar(dist, lam, upper):
         assert gi == pytest.approx(dist.kernel_mu(ai, bi, lam), rel=1e-14)
 
 
+def _exp_as_custom():
+    rate = 1.0 / 1.3
+    return CustomDistribution(
+        pdf=lambda x: np.where(x >= 0, rate * np.exp(-rate * x), 0.0),
+        cdf=lambda x: np.where(x >= 0, -np.expm1(-rate * x), 0.0),
+        mean=1.3, abscissa=rate, name="exp-as-custom")
+
+
+@pytest.mark.parametrize("dist", [Exponential(1.3), HalfNormal(0.9),
+                                  _exp_as_custom()], ids=lambda d: d.name)
+@pytest.mark.parametrize("lam", [
+    np.array([[-0.7, 0.0], [0.31, -2.5]]),
+    np.array([complex(-0.2, 1.1), complex(0.25, -0.8), complex(0.3, 0.0),
+              complex(-1.5, 40.0)]),
+], ids=["real", "complex"])
+@pytest.mark.parametrize("gamma", [1.1, math.inf])
+def test_array_kernel_c_matches_scalar(dist, lam, gamma):
+    # The Bromwich inversion of T1 evaluates c(inf, -s) on a node array.
+    got = dist.kernel_c(gamma, lam)
+    assert got.shape == lam.shape
+    assert np.iscomplexobj(got) == np.iscomplexobj(lam)
+    want = [dist.kernel_c(gamma, v) for v in lam.ravel().tolist()]
+    if isinstance(dist, CustomDistribution):
+        assert got.ravel().tolist() == want
+    else:
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0)
+
+
 def test_custom_array_kernel_mu_loops_over_nodes():
     rate = 1.0 / 1.3
     custom = CustomDistribution(

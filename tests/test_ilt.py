@@ -1,8 +1,8 @@
 """Numeric inverse Laplace transforms against known pairs."""
 
-import cmath
 import math
 
+import numpy as np
 import pytest
 
 from ordstat.errors import DomainError
@@ -60,7 +60,7 @@ def test_error_estimates_are_honest(pair, t):
 
 def shifted_pole_pair(b=1.8):
     # exp(-b(s+1))/(s+1)^3: a triple pole behind a delay b.
-    return (TransformFn(lambda s: cmath.exp(-b * (s + 1)) / (s + 1) ** 3,
+    return (TransformFn(lambda s: np.exp(-b * (s + 1)) / (s + 1) ** 3,
                         abscissa=-1.0, scale_hint=3.0),
             lambda t: 0.5 * (t - b) ** 2 * math.exp(-t) if t > b else 0.0)
 
@@ -125,15 +125,44 @@ def test_result_fields_are_python_scalars():
     assert type(res.converged) is bool
 
 
-def test_shifted_transform_inverts_with_support_gap():
+def delay_transform(b=1.2):
     # exp(-b*s)/(s+a) inverts to a delayed decay, zero before b.
+    return TransformFn(lambda s: np.exp(-b * s) / (s + A), abscissa=-A,
+                       scale_hint=2.0)
+
+
+def test_shifted_transform_inverts_with_support_gap():
     b = 1.2
-    tf = TransformFn(lambda s: complex(math.e) ** complex(-b * s) / (s + A),
-                     abscissa=-A, scale_hint=2.0)
+    tf = delay_transform(b)
     res = invert_numeric(tf, 2.0, target_digits=7)
     assert res.value == pytest.approx(math.exp(-A * (2.0 - b)), rel=1e-5)
     early = invert_numeric(tf, 0.5, target_digits=7)
     assert abs(early.value) < 1e-5
+
+
+# Node counts of every transform above at the times its tests invert,
+# pinned from the inverter that evaluated one node per call: evaluating
+# the nodes a line lacks as one array leaves them unchanged.
+_T7 = (0.3, 0.5, 1.0, 1.5, 2.7, 4.0, 6.0)
+NEVAL = [
+    (exp_pair, 8, _T7, [90] * 7),
+    (ramp_pair, 8, _T7, [90, 135, 135, 135, 90, 90, 90]),
+    (erlang_pair, 8, _T7, [58, 58, 90, 135, 135, 180, 180]),
+    (gaussianish_pair, 8, _T7, [90] * 7),
+    (lambda: erlang_pair(10), 8, [x * 10 / A for x in (0.8, 1.0, 1.25)],
+     [119] * 3),
+    (lambda: erlang_pair(20), 8, [x * 20 / A for x in (0.8, 1.0, 1.25)],
+     [119, 119, 103]),
+    (shifted_pole_pair, 8, (2.1, 3.0, 4.4), [3111, 1575, 1063]),
+    (lambda: (delay_transform(), None), 7, (0.5, 2.0), [87, 188]),
+]
+
+
+@pytest.mark.parametrize("pair, digits, ts, neval", NEVAL)
+def test_node_counts_unchanged(pair, digits, ts, neval):
+    tf, _ = pair()
+    assert [invert_numeric(tf, t, target_digits=digits).neval
+            for t in ts] == neval
 
 
 def test_validate_accepts_analytic_rejects_nonanalytic():
