@@ -21,13 +21,11 @@ closed evaluators, ``apps`` applies the machinery to threshold-based
 diversity combining, ``verify`` bundles the cross-validation suites, and
 ``cli`` exposes the command line.
 
-``import ordstat`` and ``import ordstat.cli`` load numpy and the standard
-library only.  The half-normal's ``erf`` and ``erfcx`` are ordstat's own
-(``_special``), so no command on the exponential or the half-normal, and
-no ``verify`` suite, loads scipy.  ``scipy.integrate`` loads where a
-command first needs it: the kernel quadratures of a
-``CustomDistribution``, and the warning of a rule that fails to converge,
-for its ``IntegrationWarning``.
+numpy is the only dependency.  The half-normal's ``erf`` and ``erfcx``
+are ordstat's own (``_special``), and every integral, the kernels of a
+``CustomDistribution`` included, runs on the fixed rules of ``rules``,
+which warn with ``errors.IntegrationWarning`` where they stop
+unconverged.
 """
 
 from ordstat.distributions import (
@@ -40,6 +38,7 @@ from ordstat.errors import (
     ConvergenceError,
     DivergentIntegralError,
     DomainError,
+    IntegrationWarning,
     OrdstatError,
     UnsupportedShapeError,
 )
@@ -90,6 +89,7 @@ __all__ = [
     "Exponential",
     "HalfNormal",
     "IltResult",
+    "IntegrationWarning",
     "OrdstatError",
     "Partition",
     "SampleSpec",

@@ -1,10 +1,10 @@
 """``scipy.integrate`` as a module attribute that loads at first access.
 
-``import ordstat`` loads numpy and the standard library only; scipy loads
-where a command first needs it.  ``exact_exp``, ``generic_joint``,
-``kernels``, ``apps``, ``distributions`` and ``verify`` still have an
-``integrate`` attribute, because perfbench's tracer replaces it in each of
-them to count quadratures.
+No ``ordstat`` code reads it: every integral runs on ``rules``, and numpy
+is the only dependency.  ``exact_exp``, ``generic_joint``, ``kernels``,
+``apps``, ``distributions`` and ``verify`` keep an ``integrate`` attribute
+only because perfbench's tracer replaces it in each of them to count
+quadratures; it goes when the tracer stops doing so.
 """
 
 import sys
@@ -15,9 +15,7 @@ def lazy_integrate(name):
 
     Its ``integrate`` attribute is ``scipy.integrate``, imported at the
     first access and then kept in the module's namespace, so later
-    accesses find it there without running an import.  Code that
-    integrates looks it up on the module, which also finds a replacement
-    set there.
+    accesses find it there without running an import.
     """
     def __getattr__(attr):
         if attr != "integrate":

@@ -366,11 +366,11 @@ def _temporaries_on_heap():
     afresh and unmaps it when freed, so each numpy temporary of that size
     faults in zeroed pages again: about 11,000 page faults in one pass of
     the generic tabulations, and as many in one ``verify``.  Freeing a
-    mapped block raises the threshold to that block's size, and importing
-    scipy did so by accident; with no scipy loaded, the threshold is set
-    here, once per process.  The heap then keeps up to 16 MiB free at its
-    top instead of returning it to the system.  Elsewhere than on glibc
-    nothing changes.
+    mapped block raises the threshold to that block's size, which the
+    import of a large library can do by accident; here the threshold is
+    set on purpose, once per process.  The heap then keeps up to 16 MiB
+    free at its top instead of returning it to the system.  Elsewhere
+    than on glibc nothing changes.
     """
     if not sys.platform.startswith("linux"):
         return

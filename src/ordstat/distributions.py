@@ -1,41 +1,36 @@
-"""Source distributions and their moment-kernel evaluations.
+"""Source distributions and their moment kernels.
 
-Everything downstream is built from three integrals of a nonnegative
-random variable with density ``p``:
+Everything downstream is built from one integral of a nonnegative random
+variable with density ``p``, and its two pinned forms:
 
-* ``kernel_c(gamma, lam)``  = int_0^gamma p(x) exp(lam*x) dx
-* ``kernel_e(gamma, lam)``  = int_gamma^inf p(x) exp(lam*x) dx
 * ``kernel_mu(ga, gb, lam)`` = int_ga^gb p(x) exp(lam*x) dx
+* ``kernel_c(gamma, lam)``  = mu(0, gamma, lam)
+* ``kernel_e(gamma, lam)``  = mu(gamma, inf, lam)
 
 ``lam`` may be complex; with an unbounded upper limit the integral exists
 only for ``Re(lam) < abscissa``, the distribution's declared convergence
-abscissa.  :class:`Exponential` and :class:`HalfNormal` carry closed forms;
-:class:`CustomDistribution` evaluates the kernels by adaptive quadrature and
-exists so that any density/CDF pair can be plugged into the generic
-machinery (and so the closed forms can be tested against an independent
+abscissa.  :class:`Distribution` writes the three kernels once, on arrays,
+and each subclass supplies ``_mu``, the integral on arrays of checked
+limits.  :class:`Exponential` and :class:`HalfNormal` carry closed forms;
+:class:`CustomDistribution` integrates any density on the fixed rules of
+``rules``, so that any density/CDF pair can be plugged into the generic
+machinery (and the closed forms can be tested against an independent
 route).
 """
 
 import math
-import sys
 
 import numpy as np
 
-from ordstat import _scipy
+from ordstat import _scipy, rules
 from ordstat._special import erf, erfcx
 from ordstat.errors import DivergentIntegralError, DomainError
 
 __all__ = ["Distribution", "Exponential", "HalfNormal", "CustomDistribution"]
 
-# scipy.integrate loads at the first quadrature (``CustomDistribution``'s
-# kernels), as this module's ``integrate``; the quadratures look it up on
-# the module, where perfbench's tracer replaces it to count them.
+# scipy integrates nothing here; ``integrate`` (scipy.integrate, loaded at
+# first access) is a module attribute for perfbench's tracer to replace.
 __getattr__ = _scipy.lazy_integrate(__name__)
-_this = sys.modules[__name__]
-
-# Adaptive quadrature targets for the generic kernel path.
-_QUAD_ABS = 1e-10
-_QUAD_REL = 1e-8
 
 
 def _positive(name, value):
@@ -46,24 +41,21 @@ def _positive(name, value):
     return v
 
 
-def _is_complex(lam):
-    return isinstance(lam, complex) and lam.imag != 0.0
+def _limits(gamma, message):
+    """A kernel limit as a float array, which must be nonnegative."""
+    g = np.asarray(gamma, dtype=float)
+    if g.min(initial=0.0) < 0:
+        raise DomainError(message)
+    return g
 
 
-def _as_scalar(lam):
-    """Collapse complex ``lam`` with zero imaginary part to a float so the
-    real-argument code paths apply (contour nodes can land on the axis)."""
-    if isinstance(lam, complex):
-        return lam.real if lam.imag == 0.0 else lam
-    return float(lam)
-
-
-def _typed(val, lam):
-    """A kernel value as its ``lam`` asks: an array for an array, else
-    complex for complex ``lam`` and float for real."""
-    if np.ndim(lam):
-        return val
-    return complex(val) if _is_complex(lam) else float(val)
+def _weight(dist, x, lam):
+    """p(x) exp(lam*x) on an array of x.  The pdf factor comes first: far
+    in the tail it underflows to 0 where exp(Re(lam)*x) alone would
+    overflow."""
+    p = dist.pdf(x)
+    gone = p == 0.0
+    return np.where(gone, 0.0, p * np.exp(lam * np.where(gone, 0.0, x)))
 
 
 class Distribution:
@@ -72,7 +64,8 @@ class Distribution:
     Subclasses must set ``name``, ``mean``, ``abscissa`` (supremum of
     ``Re(lam)`` for which ``E[exp(lam*X)]`` is finite; ``inf`` if entire)
     and ``support_upper`` (``inf`` unless the density has bounded support),
-    and implement ``pdf`` and ``cdf`` (vectorized over numpy arrays).
+    and implement ``pdf`` and ``cdf`` (vectorized over numpy arrays) and
+    ``_mu``.
     """
 
     name = "distribution"
@@ -86,9 +79,8 @@ class Distribution:
     def cdf(self, x):
         raise NotImplementedError
 
-    # Single-point forms, for the one scalar caller left: the adaptive
-    # quadrature of ``_quad_kernel``.  Everything else evaluates arrays
-    # through ``pdf`` and ``cdf``.
+    # Single-point forms.  No library code calls them; the tests and
+    # perfbench's tracer do.
 
     def pdf1(self, x):
         return float(self.pdf(x))
@@ -100,102 +92,62 @@ class Distribution:
         """Draw ``size`` variates using the numpy generator ``rng``."""
         raise NotImplementedError(f"{self.name} does not define a sampler")
 
-    # -- kernels (generic quadrature implementations; subclasses override) --
+    # -- kernels --
+    #
+    # Limits and ``lam`` are scalars or arrays that broadcast: the result
+    # has their common shape, or for scalars is a float, or a complex where
+    # ``lam`` has a nonzero imaginary part.
 
     def kernel_c(self, gamma, lam=0.0):
-        """int_0^gamma p(x) exp(lam*x) dx; CDF blended with the MGF.
-
-        ``lam`` may be an array (one kernel per element, of its shape);
-        here that loops over the elements.
-        """
-        if gamma < 0:
-            raise DomainError("gamma must be nonnegative")
-        if np.ndim(lam):
-            return np.array([self.kernel_c(gamma, v)
-                             for v in np.ravel(lam).tolist()]
-                            ).reshape(np.shape(lam))
-        return self._quad_kernel(0.0, gamma, lam)
+        """int_0^gamma p(x) exp(lam*x) dx; CDF blended with the MGF."""
+        return self._kernel(0.0, _limits(gamma, "gamma must be nonnegative"),
+                            lam)
 
     def kernel_e(self, gamma, lam=0.0):
         """int_gamma^inf p(x) exp(lam*x) dx; tail blended with the MGF."""
-        if gamma < 0:
-            raise DomainError("gamma must be nonnegative")
-        return self._quad_kernel(gamma, math.inf, lam)
+        return self._kernel(_limits(gamma, "gamma must be nonnegative"),
+                            math.inf, lam)
 
     def kernel_mu(self, gamma_a, gamma_b, lam=0.0):
-        """int_ga^gb p(x) exp(lam*x) dx over an ordered interval.
+        """int_ga^gb p(x) exp(lam*x) dx over an ordered interval."""
+        message = "need 0 <= gamma_a <= gamma_b"
+        a, b = _limits(gamma_a, message), np.asarray(gamma_b, dtype=float)
+        if (b < a).any():
+            raise DomainError(message)
+        return self._kernel(a, b, lam)
 
-        Either limit may be an array (one kernel per broadcast pair);
-        here that loops over the pairs.
-        """
-        if np.ndim(gamma_a) or np.ndim(gamma_b):
-            a, b = np.broadcast_arrays(*_mu_limits(gamma_a, gamma_b))
-            return np.array([self.kernel_mu(x, y, lam) for x, y in
-                             zip(a.ravel().tolist(), b.ravel().tolist())]
-                            ).reshape(a.shape)
-        if gamma_a < 0 or gamma_b < gamma_a:
-            raise DomainError("need 0 <= gamma_a <= gamma_b")
-        return self._quad_kernel(gamma_a, gamma_b, lam)
+    def _kernel(self, a, b, lam):
+        # What the three kernels share: the limits clamped to the support,
+        # the convergence check of an unbounded interval, and the type of
+        # a scalar result.
+        if self.support_upper < math.inf:
+            b = np.minimum(b, self.support_upper)
+            a = np.minimum(a, b)
+        if np.ndim(lam):
+            lam = np.asarray(lam)
+        else:
+            lam = complex(lam)
+            lam = lam if lam.imag else lam.real
+        if self.abscissa < math.inf and np.isinf(b).any():
+            self._check_convergence(lam)
+        out = self._mu(a, b, lam)
+        if np.ndim(out):
+            return out
+        return complex(out) if isinstance(lam, complex) else float(out)
 
-    # -- shared quadrature plumbing --
+    def _mu(self, a, b, lam):
+        """The kernel on float (array) limits with ``a <= b``, within the
+        support, and ``lam`` a float, a complex or an array."""
+        raise NotImplementedError
 
     def _check_convergence(self, lam):
         # The largest real part, for an array of lam.
-        re = float(np.max(np.real(lam)))
+        re = float(np.asarray(lam).real.max())
         if re >= self.abscissa:
             raise DivergentIntegralError(
                 f"kernel of {self.name} diverges for Re(lam)={re} >= "
                 f"abscissa {self.abscissa}"
             )
-
-    def _quad_kernel(self, lo, hi, lam):
-        hi = min(hi, self.support_upper)
-        if math.isinf(hi):
-            self._check_convergence(lam)
-        if lo >= hi:
-            return 0j if _is_complex(lam) else 0.0
-        re = lam.real if isinstance(lam, complex) else float(lam)
-        im = lam.imag if isinstance(lam, complex) else 0.0
-
-        def damped(x):
-            # pdf first: in the far tail it underflows to 0 where the
-            # bare exponential factor would overflow.
-            p = self.pdf1(x)
-            return p * math.exp(re * x) if p > 0.0 else 0.0
-        if im == 0.0:
-            val = _quad(damped, lo, hi)
-            return complex(val) if _is_complex(lam) else val
-        # Complex lam: real and imaginary parts integrated separately.
-        if math.isinf(hi):
-            # Fourier-weighted quadrature is the robust route on [lo, inf).
-            quad = _this.integrate.quad
-            rp = quad(damped, lo, hi, weight="cos", wvar=im,
-                      epsabs=_QUAD_ABS, limit=300)[0]
-            ip = quad(damped, lo, hi, weight="sin", wvar=im,
-                      epsabs=_QUAD_ABS, limit=300)[0]
-        else:
-            rp = _quad(lambda x: damped(x) * math.cos(im * x), lo, hi)
-            ip = _quad(lambda x: damped(x) * math.sin(im * x), lo, hi)
-        return complex(rp, ip)
-
-
-def _mu_limits(gamma_a, gamma_b):
-    """Array limits of ``kernel_mu`` as floats, checked like scalar ones;
-    each keeps its own shape."""
-    a = np.asarray(gamma_a, dtype=float)
-    b = np.asarray(gamma_b, dtype=float)
-    if np.any(a < 0) or np.any(b < a):
-        raise DomainError("need 0 <= gamma_a <= gamma_b")
-    return a, b
-
-
-def _quad(f, lo, hi, points=None):
-    quad = _this.integrate.quad
-    if points is not None and not math.isinf(hi):
-        pts = sorted(p for p in points if lo < p < hi)
-        return quad(f, lo, hi, epsabs=_QUAD_ABS, epsrel=_QUAD_REL,
-                    limit=300, points=pts or None)[0]
-    return quad(f, lo, hi, epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=300)[0]
 
 
 class Exponential(Distribution):
@@ -223,78 +175,28 @@ class Exponential(Distribution):
         u = 1.0 - rng.random(size)
         return -self.gamma_bar * np.log(u)
 
-    # d = rate - lam below; every kernel is an expression in exp(-d*gamma).
-
-    def kernel_c(self, gamma, lam=0.0):
-        if gamma < 0:
-            raise DomainError("gamma must be nonnegative")
-        lam = np.asarray(lam) if np.ndim(lam) else _as_scalar(lam)
-        a = self.rate
-        d = a - lam
-        if math.isinf(gamma):
-            self._check_convergence(lam)
-            return a / d
-        if np.ndim(lam):
-            return a * gamma * _em1_ratio_nodes(-d * gamma)
-        return a * gamma * _em1_ratio(-d * gamma)
-
-    def kernel_e(self, gamma, lam=0.0):
-        if gamma < 0:
-            raise DomainError("gamma must be nonnegative")
-        lam = _as_scalar(lam)
-        self._check_convergence(lam)
-        a = self.rate
-        d = a - lam
-        if math.isinf(gamma):
-            return 0j if _is_complex(lam) else 0.0
-        if _is_complex(lam):
-            return a * _cexp(-d * gamma) / d
-        return a * math.exp(-d * gamma) / d
-
-    def kernel_mu(self, gamma_a, gamma_b, lam=0.0):
-        if np.ndim(gamma_a) or np.ndim(gamma_b):
-            return self._mu_nodes(gamma_a, gamma_b, lam)
-        if gamma_a < 0 or gamma_b < gamma_a:
-            raise DomainError("need 0 <= gamma_a <= gamma_b")
-        if math.isinf(gamma_b):
-            return self.kernel_e(gamma_a, lam)
-        return self.kernel_c(gamma_b, lam) - self.kernel_c(gamma_a, lam)
-
-    def _mu_nodes(self, gamma_a, gamma_b, lam):
-        # kernel_mu's formulas on arrays: e(ga) where gb is infinite,
-        # c(gb) - c(ga) elsewhere.  Each limit's term is taken on its own
-        # shape, so a scalar limit is evaluated once.
-        a, b = _mu_limits(gamma_a, gamma_b)
-        lam = _as_scalar(lam)
+    def _mu(self, a, b, lam):
+        # With d = rate - lam, c(g) = rate * g * (exp(-d*g) - 1) / (-d*g)
+        # and e(g) = rate * exp(-d*g) / d; mu is e(a) where b is infinite
+        # and c(b) - c(a) elsewhere.  Each limit's term is taken on its own
+        # shape, and neither a scalar infinite b nor c(0) = 0 is evaluated.
         d = self.rate - lam
+        if not np.ndim(b) and b == math.inf:
+            if not np.ndim(a) and a == 0.0:
+                return self.rate / d
+            return self.rate * np.exp(-d * a) / d
         inf = np.isinf(b)
         b = np.where(inf, 0.0, b)
-        out = (self.rate * b * _em1_ratio_nodes(-d * b)
-               - self.rate * a * _em1_ratio_nodes(-d * a))
+        out = self.rate * b * _exprel(-d * b)
+        if np.ndim(a) or a:
+            out = out - self.rate * a * _exprel(-d * a)
         if inf.any():
-            self._check_convergence(lam)
             out = np.where(inf, self.rate * np.exp(-d * a) / d, out)
         return out
 
 
-def _cexp(z):
-    return complex(math.exp(z.real) * math.cos(z.imag),
-                   math.exp(z.real) * math.sin(z.imag)) if isinstance(z, complex) else math.exp(z)
-
-
-def _em1_ratio(w):
-    """(exp(w) - 1) / w, stable near w = 0, for real or complex w."""
-    if isinstance(w, complex):
-        if abs(w) < 1e-8:
-            return 1.0 + w / 2.0 + w * w / 6.0
-        return (_cexp(w) - 1.0) / w
-    if abs(w) < 1e-8:
-        return 1.0 + w / 2.0 + w * w / 6.0
-    return math.expm1(w) / w
-
-
-def _em1_ratio_nodes(w):
-    """:func:`_em1_ratio` on an array."""
+def _exprel(w):
+    """(exp(w) - 1) / w on an array, stable near w = 0, real or complex."""
     small = np.abs(w) < 1e-8
     safe = np.where(small, 1.0, w)
     if np.iscomplexobj(w):
@@ -329,63 +231,51 @@ class HalfNormal(Distribution):
     def sample(self, rng, size):
         return self.sigma * np.abs(rng.standard_normal(size))
 
-    # Closed forms via the scaled complementary error function
-    # (``ordstat._special``, on numpy): with u = sigma*lam/sqrt(2) and
-    # g = gamma/(sigma*sqrt(2)),
-    #   c(inf, lam) = erfcx(-u)
-    #   e(gamma, lam) = exp(lam*gamma - gamma^2/(2 sigma^2)) * erfcx(g - u)
-    # erfcx keeps both expressions finite where erf alone overflows.  One
-    # array form serves scalars too; ``_typed`` returns a float or complex
-    # for a scalar lam.
-
-    def kernel_c(self, gamma, lam=0.0):
-        if gamma < 0:
-            raise DomainError("gamma must be nonnegative")
-        lam = np.asarray(lam) if np.ndim(lam) else _as_scalar(lam)
-        total = erfcx(-(self.sigma * lam / math.sqrt(2)))
-        if math.isinf(gamma):
-            return _typed(total, lam)
-        return _typed(total - self._tail(gamma, lam), lam)
-
-    def kernel_e(self, gamma, lam=0.0):
-        if gamma < 0:
-            raise DomainError("gamma must be nonnegative")
-        lam = _as_scalar(lam)
-        if math.isinf(gamma):
-            return 0j if _is_complex(lam) else 0.0
-        return _typed(self._tail(gamma, lam), lam)
-
-    def kernel_mu(self, gamma_a, gamma_b, lam=0.0):
-        if np.ndim(gamma_a) or np.ndim(gamma_b):
-            return self._mu_nodes(gamma_a, gamma_b, lam)
-        if gamma_a < 0 or gamma_b < gamma_a:
-            raise DomainError("need 0 <= gamma_a <= gamma_b")
-        lam = _as_scalar(lam)
-        if math.isinf(gamma_b):
-            return self.kernel_e(gamma_a, lam)
-        return _typed(self._tail(gamma_a, lam) - self._tail(gamma_b, lam),
-                      lam)
-
-    def _mu_nodes(self, gamma_a, gamma_b, lam):
-        # kernel_mu's formulas on arrays; the tail at an infinite gb is 0.
-        # Each limit's tail is taken on its own shape, so a scalar limit
-        # is evaluated once.
-        a, b = _mu_limits(gamma_a, gamma_b)
-        lam = _as_scalar(lam)
-        inf = np.isinf(b)
-        tail_b = np.where(inf, 0.0, self._tail(np.where(inf, 0.0, b), lam))
-        return self._tail(a, lam) - tail_b
+    def _mu(self, a, b, lam):
+        return self._tail(a, lam) - self._tail(b, lam)
 
     def _tail(self, gamma, lam):
-        """e(gamma, lam) on an array (or scalar) of gamma or of lam."""
+        """e(gamma, lam), by the scaled complementary error function
+        (``ordstat._special``, on numpy): with u = sigma*lam/sqrt(2) and
+        g = gamma/(sigma*sqrt(2)),
+          e(gamma, lam) = exp(lam*gamma - gamma^2/(2 sigma^2)) * erfcx(g - u),
+        which erfcx keeps finite where erf alone overflows; c(inf, lam) is
+        e(0, lam) = erfcx(-u).  e(inf, lam) is 0 by definition."""
+        if not np.ndim(gamma) and gamma == math.inf:
+            return 0.0
         u = self.sigma * lam / math.sqrt(2)
+        if not np.ndim(gamma) and gamma == 0.0:
+            return erfcx(-u)
+        inf = np.isinf(gamma)
+        gamma = np.where(inf, 0.0, gamma)
         g = gamma / (self.sigma * math.sqrt(2))
         arg = lam * gamma - gamma * gamma / (2 * self.sigma ** 2)
-        return np.exp(arg) * erfcx(g - u)
+        return np.where(inf, 0.0, np.exp(arg) * erfcx(g - u))
+
+
+# The finite part of an unbounded custom kernel reaches past its lower
+# limit to the first of these distances, in means, beyond which the weight
+# p(x) exp(Re(lam)*x) stays under _FLOOR of its largest value there, and
+# then on by 1/_MARGIN of that distance.  A density that drops to 0 (a
+# jump) just short of that probe then lies well inside the finite part,
+# not within 0.33% of its end, where the first rule of ``rules._cut``
+# has no node.
+_PROBES = np.exp2(np.arange(-8.0, 48.0, 0.25))
+_FLOOR = 2.0 ** -53
+_MARGIN = 16.0
+# Knots per row, at most: a row that would need more starts the rest of
+# its finite part as one segment, which is cut until it converges.
+_MAX_KNOTS = 2 ** 14
+# The relative target of a custom kernel.  A Gauss-Kronrod pair that
+# agrees to 1e-8 leaves its Kronrod value good to about 1e-12 on a smooth
+# segment; to 1e-10, about 1e-14.
+_KERNEL_REL = 1e-10
+# The largest node of the mapped tail, short of u = 1 (x = inf).
+_LAST_U = 1.0 - 2.0 ** -53
 
 
 class CustomDistribution(Distribution):
-    """Wrap arbitrary pdf/cdf callables; kernels fall back to quadrature.
+    """Wrap arbitrary pdf/cdf callables; kernels run on fixed rules.
 
     Parameters
     ----------
@@ -394,16 +284,24 @@ class CustomDistribution(Distribution):
         an array of its shape (else :class:`DomainError`).  ``cdf`` must be
         the exact integral of ``pdf`` (closed form, not numerically
         integrated), since downstream formulas raise it to large powers.
-        The density must be smooth on (0, ``support_upper``); it may be
-        singular at 0, like x^(a-1) with a >= 1/3.
+        The density may jump inside its support, and be singular at 0,
+        like x^(a-1) with a >= 1/3.
     mean : float
         Used as the characteristic scale for inversion and sampling checks.
     abscissa : float
-        Convergence abscissa of the MGF; ``inf`` if entire.
+        Convergence abscissa of the MGF, nonnegative; ``inf`` if entire.
     support_upper : float, optional
-        Upper end of the support if bounded.
+        Upper end of the support if bounded, positive.
     sampler : callable, optional
         ``sampler(rng, size) -> ndarray`` for Monte Carlo use.
+
+    Each kernel is one ``rules._cut`` over the segments of every broadcast
+    ``(ga, gb, lam)``: knots every half period ``pi/|Im(lam)|`` of
+    ``exp(lam*x)``, and for an unbounded one a last segment on [0, 1)
+    mapped by ``x = end + L*u/(1 - u)``, past the reach of its weight.
+    Each segment runs Gauss-Kronrod pairs, going on to tanh-sinh rules at
+    a singular end, and a segment that does not converge is cut at its
+    sharpest change, such as a jump of the density.
     """
 
     def __init__(self, pdf, cdf, mean, abscissa, support_upper=math.inf,
@@ -412,9 +310,63 @@ class CustomDistribution(Distribution):
         self._cdf = cdf
         self.mean = _positive("mean", mean)
         self.abscissa = float(abscissa)
+        if not self.abscissa >= 0.0:
+            raise DomainError(
+                f"abscissa must be nonnegative, not {abscissa!r}")
         self.support_upper = float(support_upper)
+        if not self.support_upper > 0.0:
+            raise DomainError(
+                f"support_upper must be positive, not {support_upper!r}")
         self._sampler = sampler
         self.name = name
+
+    def _mu(self, a, b, lam):
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(lam))
+        a, b, lam = (np.broadcast_to(v, shape).ravel() for v in (a, b, lam))
+        out = np.zeros(a.size, dtype=np.result_type(lam, 1.0))
+        live = np.flatnonzero(a < b)
+        a, b, lam = a[live], b[live], lam[live]
+        tail = np.isinf(b)
+        end = b.copy()
+        end[tail] = a[tail] + self._reach(a[tail], np.real(lam[tail]))
+        # Row i has knots every half period of exp(lam*x) on [a, end], and
+        # where its b is infinite one more segment, [end, end + 1], on
+        # which x = end + (end - a) * u / (1 - u) for u = v - end.
+        im = np.abs(np.imag(lam))
+        step = np.pi / np.where(im > 0.0, im, math.inf)
+        knots = np.minimum((end - a) * im / np.pi, _MAX_KNOTS).astype(int)
+        per = knots + 1 + tail
+        row = np.repeat(np.arange(a.size), per)
+        k = np.arange(row.size) - np.repeat(np.cumsum(per) - per, per)
+        s, mapped = end[row], k > knots[row]
+
+        def knot(j):
+            return np.minimum(a[row] + step[row] * j, s)
+
+        lo = np.where(mapped, s, knot(k))
+        hi = np.where(k < knots[row], knot(k + 1), s + mapped)
+        scale = end - a
+
+        def f(v, row):
+            s = end[row]
+            x, jac = rules._semi_infinite(s, scale[row],
+                                          np.minimum(v - s, _LAST_U), 1.0)
+            past = v > s
+            return (_weight(self, np.where(past, x, v), lam[row])
+                    * np.where(past, jac, 1.0))
+
+        out[live] = rules._cut(f, lo, hi, row, a.size,
+                               epsrel=_KERNEL_REL)
+        return out.reshape(shape)
+
+    def _reach(self, a, re):
+        """The distance past each ``a`` of the finite part of its kernel."""
+        d = self.mean * _PROBES
+        w = np.abs(_weight(self, a[:, None] + d, re[:, None]))
+        big = w > _FLOOR * w.max(axis=1, initial=0.0)[:, None]
+        last = np.where(big.any(axis=1),
+                        d.size - np.argmax(big[:, ::-1], axis=1), 0)
+        return d[np.minimum(last, d.size - 1)] * (1.0 + 1.0 / _MARGIN)
 
     def pdf(self, x):
         return self._on_array(self._pdf, "pdf", x)

@@ -11,6 +11,7 @@ __all__ = [
     "DivergentIntegralError",
     "UnsupportedShapeError",
     "ConvergenceError",
+    "IntegrationWarning",
 ]
 
 
@@ -47,3 +48,11 @@ class UnsupportedShapeError(OrdstatError):
 
 class ConvergenceError(OrdstatError, ArithmeticError):
     """A numerical procedure failed to reach its accuracy target."""
+
+
+class IntegrationWarning(RuntimeWarning):
+    """A fixed quadrature rule stopped at its cap before its pair agreed.
+
+    The value returned is the rule's last estimate; the message gives the
+    node count, the interval and the size of the disagreement.
+    """

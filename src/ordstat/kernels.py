@@ -35,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ordstat import _scipy
+from ordstat.distributions import _weight
 from ordstat.errors import ConvergenceError, DomainError
-from ordstat.rules import _doubled, _legendre, _paired
+from ordstat.rules import _doubled, _legendre, _paired, _semi_infinite
 
 __all__ = [
     "NestedIntegralSpec",
@@ -123,15 +124,6 @@ def idoubleprime_closed(dist, spec):
     return val / math.factorial(spec.depth)
 
 
-def _weight(dist, x, lam):
-    # The pdf factor first: far in the tail it underflows to 0 while
-    # exp(Re(lam)*x) alone would overflow, and semi-infinite levels do
-    # reach such nodes.
-    p = dist.pdf(x)
-    gone = p == 0.0
-    return np.where(gone, 0.0, p * np.exp(lam * np.where(gone, 0.0, x)))
-
-
 def _nodes(lo, hi, n, scale):
     """The n-node Gauss-Legendre rule on each ``[lo_i, hi_i]``, flattened.
 
@@ -142,9 +134,8 @@ def _nodes(lo, hi, n, scale):
     t, w = _legendre(n)
     lo = np.reshape(lo, (-1, 1))
     if np.ndim(hi) == 0 and math.isinf(hi):
-        u = 0.5 * (1.0 + t)
-        x = lo + scale * u / (1.0 - u)
-        wx = np.broadcast_to(0.5 * scale * w / (1.0 - u) ** 2, x.shape)
+        x, wx = _semi_infinite(lo, scale, 0.5 * (1.0 + t), 0.5 * w)
+        wx = np.broadcast_to(wx, x.shape)
     else:
         hi = np.reshape(hi, (-1, 1))
         half = 0.5 * np.maximum(hi - lo, 0.0)

@@ -8,9 +8,11 @@ integrals, of the MS-GSC stages of ``apps``, of the kernel-power inverses
 of ``generic_joint`` and of the brute-force oracle of ``kernels``.
 
 ``_gauss_knots`` integrates rows that each have their own limits and
-knots; ``_gauss_2d`` integrates two-level regions without knots.  Their
-pair is the n-node Gauss-Legendre rule G_n nested in the (2n+1)-node
-Kronrod rule K_{2n+1} (``_kronrod``): one evaluation on 2n+1 nodes gives
+knots; ``_gauss_2d`` integrates two-level regions without knots; ``_cut``
+integrates unions of segments, and cuts those that do not converge where
+the integrand jumps (the kernels of a custom density).  Their pair is
+the n-node Gauss-Legendre rule G_n nested in the (2n+1)-node Kronrod
+rule K_{2n+1} (``_kronrod``): one evaluation on 2n+1 nodes gives
 both, and K_{2n+1} is the value.  A row that converges at the first pair
 costs 2n+1 nodes per segment, where the n- and 2n-node Gauss pair cost
 3n.  The multi-level rules of ``generic_joint`` and ``kernels`` keep the
@@ -28,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from ordstat.errors import ConvergenceError
+from ordstat.errors import ConvergenceError, IntegrationWarning
 
 _EPSABS = 1e-9
 _EPSREL = 1e-8
@@ -49,6 +51,14 @@ _BLOCK_2D = 2 ** 13
 # part of an x^(a-1) end singularity that they miss is about (6e-38)^a of
 # the segment's integral, below 1e-12 for a >= 1/3.
 _TANH_SINH_SPAN = 4.0
+# ``_cut`` starts at the pair of n = 8, whose K_17 has a node within 0.33%
+# of each end (K_9 only within 1.17%); it runs at most _MAX_CUTS rounds of
+# cuts, each sampling a segment at _SAMPLES points from end to end (moved
+# in by 2^-26 of its width, where a density singular at 0 stays finite).
+_CUT_FIRST = 8
+_MAX_CUTS = 40
+_SAMPLES = 128
+_SPAN = np.linspace(2.0 ** -26, 1.0 - 2.0 ** -26, _SAMPLES)
 
 
 def _read_only(*arrays):
@@ -155,6 +165,12 @@ def _tanh_sinh01(n):
     y = 0.5 * np.pi * np.sinh(tau)
     dl, dr = 1.0 / (1.0 + np.exp(-2.0 * y)), 1.0 / (1.0 + np.exp(2.0 * y))
     return dl, dr, (tau[1] - tau[0]) * np.pi * np.cosh(tau) * dl * dr
+
+
+def _semi_infinite(lo, scale, u, w):
+    """Nodes ``u`` on [0, 1) mapped onto [lo, inf) by
+    ``x = lo + scale*u/(1 - u)``, and their weights ``w`` times dx/du."""
+    return lo + scale * u / (1.0 - u), scale * w / (1.0 - u) ** 2
 
 
 def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
@@ -305,6 +321,101 @@ def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
     return out if out.ndim else float(out)
 
 
+def _cut(f, lo, hi, owner, size, *, epsrel):
+    """Integrals over unions of segments, cutting the segments left open.
+
+    Segment j, ``[lo[j], hi[j]]``, adds to integral ``owner[j]`` of the
+    ``size`` returned; ``f(x, owner)`` maps a flat array of nodes, and the
+    integral of each, to real or complex values.  Each segment runs the
+    pairs of ``_pairs``.  While the differences of an integral's segments
+    sum past ``epsrel`` of its value, each round cuts those with at least
+    their mean difference, at the two points of ``_SPAN`` between which
+    ``f`` changes most (the two sides of a jump, say), and runs the pairs
+    on the three pieces.  A middle piece's difference is at least its
+    change of ``f`` times its width: a pair can agree by chance across a
+    jump near an end of its segment, where it has no node.  A jump within
+    0.33% of an end of a segment that its first pair accepts goes unseen.
+    """
+    out = np.zeros(size)
+    val, off, nodes = _pairs(f, lo, hi, owner, epsrel)
+    for cuts in range(_MAX_CUTS + 1):
+        errors = np.bincount(owner, off, minlength=size)
+        done = (errors <= epsrel * np.abs(out + _sums(owner, val, size)))
+        if done.all() or cuts == _MAX_CUTS:
+            if not done.all():
+                i = int(np.argmax(np.where(done[owner], 0.0, off)))
+                warnings.warn(
+                    f"{nodes}-node rule on [{lo[i]:g}, {hi[i]:g}] did not "
+                    f"converge in {cuts} rounds of cuts: its segments "
+                    f"differ by {errors[owner[i]]:.3g}", IntegrationWarning,
+                    stacklevel=3)
+            return out + _sums(owner, val, size)
+        done = done[owner]
+        out = out + _sums(owner[done], val[done], size)
+        cut = ~done & (off * np.bincount(owner, minlength=size)[owner]
+                       >= errors[owner])
+        keep = ~done & ~cut
+        a, b, row = lo[cut], hi[cut], owner[cut]
+        x = a[:, None] + (b - a)[:, None] * _SPAN
+        change = np.abs(np.diff(f(x.ravel(), np.repeat(row, _SAMPLES))
+                                .reshape(x.shape), axis=1))
+        i, k = np.arange(row.size), np.argmax(change, axis=1)
+        left, right = x[i, k], x[i, k + 1]
+        pieces = (np.concatenate([a, left, right]),
+                  np.concatenate([left, right, b]), np.tile(row, 3))
+        v, e, nodes = _pairs(f, *pieces, epsrel)
+        mid = slice(row.size, 2 * row.size)
+        e[mid] = np.maximum(e[mid], change[i, k] * (right - left))
+        lo, hi, owner, val, off = (
+            np.concatenate([w[keep], p])
+            for w, p in zip((lo, hi, owner, val, off), (*pieces, v, e)))
+
+
+def _pairs(f, lo, hi, owner, epsrel):
+    """Each segment's value on the pairs of ``_gauss_knots`` from n =
+    ``_CUT_FIRST`` (odd tanh-sinh rules, which have a node at the middle,
+    where the even ones of n and 2n share a gap), with a relative target;
+    then the pairs' last differences (0 where they agree) and the last
+    node count.  A segment sums its own nodes alone, so that its value
+    does not depend on its batch, and the real part of a complex row sums
+    as a real row would."""
+    def on(table, base, scale):
+        def rule(n, todo):
+            t, *w = table(n)
+            k = max(1, _BLOCK // t.size)
+            parts = []
+            for i in range(0, todo.size, k):
+                s = todo[i:i + k]
+                vals = f((base[s, None] + scale[s, None] * t).ravel(),
+                         np.repeat(owner[s], t.size))
+                at = np.repeat(np.arange(s.size), t.size)
+                parts.append([_sums(at, vals * np.tile(wi, s.size), s.size)
+                              * scale[s] for wi in w])
+            return [np.concatenate(e)[:, None] for e in zip(*parts)]
+        return rule
+
+    if not lo.size:
+        return np.zeros(0), np.zeros(0), 0
+    kronrod = on(_kronrod, 0.5 * (lo + hi), 0.5 * (hi - lo))
+    tanh_sinh = on(lambda n: _tanh_sinh01(n + 1)[::2], lo, hi - lo)
+    val, todo, err, nodes = _doubling(
+        lambda n, todo: (*kronrod(n, todo), 2 * n + 1), lo.size, 0.0,
+        epsrel, _CUT_FIRST, _MAX_NODES,
+        _paired(lambda n, todo: tanh_sinh(n, todo)[0]))
+    off = np.zeros(lo.size)
+    if todo is not None:
+        off[todo] = err
+    return val, off, nodes
+
+
+def _sums(index, val, size):
+    """The sums of ``val`` per ``index``, each in the order of ``val``."""
+    out = np.bincount(index, val.real, minlength=size)
+    if np.iscomplexobj(val):
+        out = out + 1j * np.bincount(index, val.imag, minlength=size)
+    return out
+
+
 def _paired(rule):
     """The Gauss-style pair rule of ``rule(n, todo)``, a rule with one member.
 
@@ -348,36 +459,22 @@ def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None, then=None):
     that it leaves open too warn, and keep the estimate of whichever rule
     ended with the smaller difference.
     """
-    cap = _MAX_NODES if cap is None else cap
-    out, todo, err, nodes = _doubling(rule, len(lo), epsabs, epsrel, n, cap)
-    if todo is None:
-        return out
-    if then is not None:
-        out2, left, err2, nodes = _doubling(
-            lambda n, sub: then(n, todo[sub]), todo.size, epsabs, epsrel,
-            *_TANH_SINH_NODES)
-        first, out[todo] = out[todo], out2
-        if left is None:
-            return out
-        keep = left[err2 >= err[left]]     # the first rule ended closer
-        out[todo[keep]] = first[keep]
-        todo, err = todo[left], np.minimum(err2, err[left])
-    i = int(np.argmax(err))
-    # scipy's class, which callers filter on, imported here so that scipy
-    # loads only when a rule fails to converge.
-    from scipy.integrate import IntegrationWarning
-    warnings.warn(
-        f"{nodes}-node rule on [{lo[todo[i]]:g}, {hi[todo[i]]:g}] did not "
-        f"converge: its pair differs by {err[i]:.3g}",
-        IntegrationWarning, stacklevel=3)
+    out, todo, err, nodes = _doubling(rule, len(lo), epsabs, epsrel, n,
+                                      cap or _MAX_NODES, then)
+    if todo is not None:
+        i = int(np.argmax(err))
+        warnings.warn(
+            f"{nodes}-node rule on [{lo[todo[i]]:g}, {hi[todo[i]]:g}] did "
+            f"not converge: its pair differs by {err[i]:.3g}",
+            IntegrationWarning, stacklevel=3)
     return out
 
 
-def _doubling(rule, size, epsabs, epsrel, n, cap):
-    """``_doubled``'s loop for one pair rule, the only n/2n loop.  Returns
+def _doubling(rule, size, epsabs, epsrel, n, cap, then=None):
+    """``_doubled`` without its warning, and the only n/2n loop.  Returns
     the fine totals, of the rule's dtype, then the indices of the integrals
-    still open at ``cap``, their last differences (both None if none is
-    open) and the fine member's last node count."""
+    still open, their last differences (both None if none is open) and the
+    fine member's last node count."""
     todo = np.arange(size)
     out = None
     while True:
@@ -395,5 +492,17 @@ def _doubling(rule, size, epsabs, epsrel, n, cap):
         if not open_:
             return out, None, None, nodes
         if nodes >= cap:
-            return out, todo[open_], err[open_], nodes
+            break
         todo, n = todo[open_], 2 * n
+    todo, err = todo[open_], err[open_]
+    if then is None:
+        return out, todo, err, nodes
+    out2, left, err2, nodes = _doubling(
+        lambda n, sub: then(n, todo[sub]), todo.size, epsabs, epsrel,
+        *_TANH_SINH_NODES)
+    first, out[todo] = out[todo], out2
+    if left is None:
+        return out, None, None, nodes
+    keep = left[err2 >= err[left]]     # the first rule ended closer
+    out[todo[keep]] = first[keep]
+    return out, todo[left], np.minimum(err2, err[left]), nodes

@@ -7,11 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import special
-from scipy.integrate import IntegrationWarning
 
 from ordstat import apps, exact_exp, rules
 from ordstat.apps import MsGscConfig, msgsc_output_cdf, msgsc_stage_probability
-from ordstat.errors import DomainError
+from ordstat.errors import DomainError, IntegrationWarning
 from ordstat.exact_exp import pdf_sum_all
 
 BIG = 200.0

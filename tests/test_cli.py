@@ -457,6 +457,27 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert _fresh_python(probe).splitlines() == ["[]"]
 
 
+def test_custom_distribution_loads_no_scipy():
+    # Its kernels run on ordstat's own rules, complex lam included.
+    probe = """
+import math, sys
+import numpy as np
+from ordstat import CustomDistribution, t1_pdf, t2_jpdf, t4_pdf
+rate = 0.8
+dist = CustomDistribution(
+    pdf=lambda x: np.where(x >= 0, rate * np.exp(-rate * x), 0.0),
+    cdf=lambda x: np.where(x >= 0, -np.expm1(-rate * x), 0.0),
+    mean=1 / rate, abscissa=rate)
+lam = np.array([-0.4, complex(0.3, 25.0)])
+for v in (t1_pdf(dist, 3, 2.0), t2_jpdf(dist, 4, 2, 0.8, 2.5),
+          t4_pdf(dist, 4, 2, 2.0), dist.kernel_c(1.5, lam),
+          dist.kernel_e(1.5, lam), dist.kernel_mu(0.5, math.inf, lam)):
+    assert np.all(np.isfinite(v))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _fresh_python(probe).splitlines() == ["[]"]
+
+
 def test_halfnormal_generic_t1_matches_reference(capsys):
     # 40 digits, by de Hoog inversion and by direct convolution in mpmath.
     # The Bromwich inversion's own error (about 8e-12 relative) sets the

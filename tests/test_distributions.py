@@ -6,12 +6,32 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from ordstat._special import erf
 from ordstat.distributions import (CustomDistribution, Exponential,
                                    HalfNormal)
 from ordstat.errors import DomainError
 
 DISTS = [Exponential(1.3), Exponential(0.4), HalfNormal(0.9)]
 LAMS = [0.0, -0.7, 0.31, complex(-0.2, 1.1), complex(0.25, -0.8)]
+
+
+def _exp_as_custom():
+    rate = 1.0 / 1.3
+    return CustomDistribution(
+        pdf=lambda x: np.where(x >= 0, rate * np.exp(-rate * x), 0.0),
+        cdf=lambda x: np.where(x >= 0, -np.expm1(-rate * x), 0.0),
+        mean=1.3, abscissa=rate, name="exp-as-custom")
+
+
+def _halfnormal_as_custom():
+    sigma = 0.9
+    c = math.sqrt(2.0 / math.pi) / sigma
+    return CustomDistribution(
+        pdf=lambda x: np.where(x >= 0, c * np.exp(-x * x / (2 * sigma ** 2)),
+                               0.0),
+        cdf=lambda x: erf(np.maximum(x, 0.0) / (sigma * math.sqrt(2))),
+        mean=HalfNormal(sigma).mean, abscissa=math.inf,
+        name="halfnormal-as-custom")
 
 
 def quad_kernel(dist, lo, hi, lam):
@@ -63,7 +83,8 @@ def test_kernel_c_inf_plus_nothing(dist):
         == pytest.approx(total, rel=1e-12)
 
 
-@pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.name)
+@pytest.mark.parametrize("dist", DISTS + [_exp_as_custom()],
+                         ids=lambda d: d.name)
 def test_real_lambda_returns_real(dist):
     for v in (dist.kernel_c(1.0, -0.5), dist.kernel_e(1.0, -0.5),
               dist.kernel_mu(0.2, 1.0, 0.0), dist.kernel_c(1.0, complex(0.3, 0.0))):
@@ -86,12 +107,8 @@ def test_halfnormal_mean_value():
 
 
 def test_custom_distribution_replicates_exponential_kernels():
-    rate = 1.0 / 1.3
     ref = Exponential(1.3)
-    custom = CustomDistribution(
-        pdf=lambda x: np.where(x >= 0, rate * np.exp(-rate * x), 0.0),
-        cdf=lambda x: np.where(x >= 0, -np.expm1(-rate * x), 0.0),
-        mean=1.3, abscissa=rate, name="exp-as-custom")
+    custom = _exp_as_custom()
     for lam in (0.0, -0.4, complex(0.2, 0.9)):
         assert complex(custom.kernel_c(1.1, lam)) == pytest.approx(
             complex(ref.kernel_c(1.1, lam)), rel=1e-9)
@@ -114,14 +131,6 @@ def test_array_kernel_mu_matches_scalar(dist, lam, upper):
         assert gi == pytest.approx(dist.kernel_mu(ai, bi, lam), rel=1e-14)
 
 
-def _exp_as_custom():
-    rate = 1.0 / 1.3
-    return CustomDistribution(
-        pdf=lambda x: np.where(x >= 0, rate * np.exp(-rate * x), 0.0),
-        cdf=lambda x: np.where(x >= 0, -np.expm1(-rate * x), 0.0),
-        mean=1.3, abscissa=rate, name="exp-as-custom")
-
-
 @pytest.mark.parametrize("dist", [Exponential(1.3), HalfNormal(0.9),
                                   _exp_as_custom()], ids=lambda d: d.name)
 @pytest.mark.parametrize("lam", [
@@ -142,12 +151,8 @@ def test_array_kernel_c_matches_scalar(dist, lam, gamma):
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0)
 
 
-def test_custom_array_kernel_mu_loops_over_nodes():
-    rate = 1.0 / 1.3
-    custom = CustomDistribution(
-        pdf=lambda x: np.where(x >= 0, rate * np.exp(-rate * x), 0.0),
-        cdf=lambda x: np.where(x >= 0, -np.expm1(-rate * x), 0.0),
-        mean=1.3, abscissa=rate, name="exp-as-custom")
+def test_custom_array_kernel_mu_matches_scalar():
+    custom = _exp_as_custom()
     a = np.array([0.2, 0.9])
     got = custom.kernel_mu(a, 1.6, -0.4)
     assert list(got) == [custom.kernel_mu(x, 1.6, -0.4) for x in a]
@@ -155,28 +160,79 @@ def test_custom_array_kernel_mu_loops_over_nodes():
         custom.kernel_mu(a, 0.5, -0.4)
 
 
-def test_custom_kernels_integrate_through_the_module_attribute(monkeypatch):
-    # perfbench's tracer counts quadratures by replacing the module's
-    # ``integrate``; every quadrature of a custom kernel must go through it.
-    from ordstat import distributions
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ref, custom", [
+    (Exponential(1.3), _exp_as_custom()),
+    (HalfNormal(0.9), _halfnormal_as_custom()),
+], ids=["exponential", "halfnormal"])
+@pytest.mark.parametrize("kernel, gamma", [
+    ("kernel_c", 0.7), ("kernel_c", 3.0), ("kernel_c", math.inf),
+    ("kernel_e", 0.0), ("kernel_e", 0.7), ("kernel_e", 3.0),
+])
+def test_custom_kernels_match_closed_forms(ref, custom, kernel, gamma):
+    # Finite upper limits (c below inf) and infinite ones (c(inf), e), on
+    # Bromwich-like lam: real parts from -5 to 0.6 of the abscissa (to 0.6
+    # for the half-normal, whose abscissa is infinite), |Im| up to 300.
+    re = np.linspace(-5.0, 0.6 * min(ref.abscissa, 1.0), 7)
+    im = np.array([0.0, 0.3, -1.0, 4.0, -30.0, 100.0, 300.0])
+    lam = (re[:, None] + 1j * im).ravel()
+    got = getattr(custom, kernel)(gamma, lam)
+    want = getattr(ref, kernel)(gamma, lam)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    calls = []
 
-    class Counting:
-        def quad(self, *args, **kwargs):
-            calls.append(kwargs.get("weight"))
-            return integrate.quad(*args, **kwargs)
+@pytest.mark.filterwarnings("error")
+def test_custom_kernel_e_at_infinity_is_zero():
+    custom = _exp_as_custom()
+    assert custom.kernel_e(math.inf, -0.4) == 0.0
+    assert custom.kernel_e(math.inf, complex(0.2, 0.9)) == 0.0
+    got = custom.kernel_e(np.array([math.inf, 1.1]), complex(0.2, 0.9))
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(Exponential(1.3).kernel_e(
+        1.1, complex(0.2, 0.9)), rel=1e-12)
+    assert custom.kernel_mu(math.inf, math.inf, -0.4) == 0.0
 
-    monkeypatch.setattr(distributions, "integrate", Counting())
-    rate = 1.0 / 1.3
-    custom = CustomDistribution(
-        pdf=lambda x: np.where(x >= 0, rate * np.exp(-rate * x), 0.0),
-        cdf=lambda x: np.where(x >= 0, -np.expm1(-rate * x), 0.0),
-        mean=1.3, abscissa=rate, name="exp-as-custom")
-    custom.kernel_c(1.1, -0.4)
-    custom.kernel_mu(0.2, 1.1, complex(0.2, 0.9))
-    custom.kernel_e(1.1, complex(0.2, 0.9))
-    assert calls == [None, None, None, "cos", "sin"]
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [0.0, complex(-0.3, 7.0)])
+def test_custom_kernel_across_a_jump(lam):
+    # The unit step jumps at 1; the segment that holds the jump is cut
+    # there.  A segment ends at a limit or, for complex lam, at a knot
+    # every pi/|Im(lam)| from the lower limit.  A jump within 0.33% of an
+    # end of one goes unseen, so these lie 5% to 95% of the way along
+    # theirs.
+    step = CustomDistribution(
+        pdf=lambda x: np.where((x >= 0) & (x < 1), 1.0, 0.0),
+        cdf=lambda x: np.clip(x, 0.0, 1.0), mean=0.5, abscissa=math.inf,
+        name="unit-step")
+    t = np.array([0.05, 0.3, 0.5, 0.7, 0.95])
+    if lam:
+        a, b = 1.0 - np.add.outer([0.0, 1.0], t).ravel() * math.pi / 7.0, 1.9
+    else:
+        a, b = 1.0 - t, 2.0 - t
+    want = (np.exp(lam) - np.exp(lam * a)) / lam if lam else 1.0 - a
+    np.testing.assert_allclose(step.kernel_mu(a, b, lam), want, rtol=1e-8,
+                               atol=0)
+    np.testing.assert_allclose(step.kernel_e(a, lam), want, rtol=1e-8,
+                               atol=0)
+
+
+def _gamma_half_pdf(x):
+    with np.errstate(divide="ignore"):
+        return np.where(x >= 0.0, np.exp(-x) / np.sqrt(np.pi * x), 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_custom_kernel_of_singular_density():
+    # Gamma(1/2): the pdf is infinite at 0, and c(inf, lam) = (1-lam)^(-1/2).
+    gamma_half = CustomDistribution(
+        pdf=_gamma_half_pdf, cdf=lambda x: erf(np.sqrt(np.maximum(x, 0.0))),
+        mean=0.5, abscissa=1.0, name="gamma-half")
+    lam = np.array([0.0, -0.5, 0.6, -4.0, complex(0.5, 2.0),
+                    complex(-1.0, 10.0), complex(0.3, -40.0),
+                    complex(-2.0, 100.0)])
+    np.testing.assert_allclose(gamma_half.kernel_c(math.inf, lam),
+                               (1.0 - lam) ** -0.5, rtol=1e-13, atol=0)
 
 
 def test_tail_kernel_divergence_guard():
@@ -205,3 +261,13 @@ def test_constructor_domain_errors(bad):
         HalfNormal(bad)
     with pytest.raises(DomainError):
         CustomDistribution(pdf=np.exp, cdf=np.exp, mean=bad, abscissa=1.0)
+    # A nonnegative variable has abscissa >= 0 (inf when the MGF is
+    # entire) and a positive upper end of its support.
+    if not bad >= 0.0:
+        with pytest.raises(DomainError):
+            CustomDistribution(pdf=np.exp, cdf=np.exp, mean=1.0,
+                               abscissa=bad)
+    if not bad > 0.0:
+        with pytest.raises(DomainError):
+            CustomDistribution(pdf=np.exp, cdf=np.exp, mean=1.0,
+                               abscissa=1.0, support_upper=bad)

@@ -12,7 +12,7 @@ from scipy import integrate
 
 from ordstat import exact_exp, reductions, rules
 from ordstat.distributions import Exponential
-from ordstat.errors import ConvergenceError, DomainError
+from ordstat.errors import ConvergenceError, DomainError, IntegrationWarning
 
 GB = 1.0
 
@@ -729,7 +729,7 @@ def test_gauss_rule_exact_on_polynomials():
 
 def test_gauss_rule_converges_on_smooth_factor():
     with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
+        warnings.simplefilter("error", IntegrationWarning)
         got = rules._gauss_knots(lambda x, _: x ** 6 * np.exp(-3.0 * x),
                                  0.0, 2.5, [1.0], deg=6, exact=False)
     want, _ = integrate.quad(lambda x: x ** 6 * math.exp(-3.0 * x), 0.0, 2.5,
@@ -738,7 +738,7 @@ def test_gauss_rule_converges_on_smooth_factor():
 
 
 def test_gauss_rule_warns_at_its_cap():
-    with pytest.warns(integrate.IntegrationWarning, match="did not converge"):
+    with pytest.warns(IntegrationWarning, match="did not converge"):
         val = rules._gauss_knots(lambda x, _: np.abs(np.sin(200.0 * x)),
                                  0.0, 1.0, deg=0, exact=False)
     assert val == pytest.approx(2.0 / math.pi, abs=1e-2)

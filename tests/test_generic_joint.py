@@ -11,7 +11,7 @@ from scipy import integrate, special
 
 from ordstat import exact_exp, generic_joint as gj
 from ordstat.distributions import CustomDistribution, Exponential, HalfNormal
-from ordstat.errors import ConvergenceError, DomainError
+from ordstat.errors import ConvergenceError, DomainError, IntegrationWarning
 from ordstat.partition import Partition, TheoremMatch, match_theorem
 
 EXP = Exponential(1.0)
@@ -257,7 +257,7 @@ def _unit_step(pdf):
 def test_power_inverse_warns_at_its_cap(monkeypatch):
     step = _unit_step(lambda x: np.where((x >= 0) & (x < 1), 1.0, 0.0))
     monkeypatch.setattr(gj, "_MAX_NODES", 16)
-    with pytest.warns(integrate.IntegrationWarning, match="did not converge"):
+    with pytest.warns(IntegrationWarning, match="did not converge"):
         got = gj._inv_pow(step, 0.0, math.inf, 2, np.array([0.5, 1.3]))
     assert got == pytest.approx([0.5, 0.7], abs=0.05)
 

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from ordstat import kernels
 from ordstat.distributions import CustomDistribution, Exponential, HalfNormal
-from ordstat.errors import ConvergenceError, DomainError
+from ordstat.errors import ConvergenceError, DomainError, IntegrationWarning
 from ordstat.kernels import (FIVE_ORDERINGS, ORIGINAL_ORDERING,
                              NestedIntegralSpec, reorder_check)
 
