@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ordstat import _scipy
 from ordstat.distributions import Exponential
 from ordstat.errors import DomainError
 from ordstat.exact_exp import FineLastHead, pdf_sum_all
@@ -47,9 +46,9 @@ __all__ = [
     "simulate_output",
 ]
 
-# No quadrature runs here; ``integrate`` (scipy.integrate, loaded at first
-# access) is a module attribute for perfbench's tracer to replace.
-__getattr__ = _scipy.lazy_integrate(__name__)
+# A placeholder: perfbench's tracer swaps a counting proxy into this
+# name, and no ordstat code reads it.
+integrate = None
 
 _EPSABS = 1e-11
 _EPSREL = 1e-9

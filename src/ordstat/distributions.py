@@ -22,15 +22,15 @@ import math
 
 import numpy as np
 
-from ordstat import _scipy, rules
+from ordstat import rules
 from ordstat._special import erf, erfcx
 from ordstat.errors import DivergentIntegralError, DomainError
 
 __all__ = ["Distribution", "Exponential", "HalfNormal", "CustomDistribution"]
 
-# scipy integrates nothing here; ``integrate`` (scipy.integrate, loaded at
-# first access) is a module attribute for perfbench's tracer to replace.
-__getattr__ = _scipy.lazy_integrate(__name__)
+# A placeholder: perfbench's tracer swaps a counting proxy into this
+# name, and no ordstat code reads it.
+integrate = None
 
 
 def _positive(name, value):

@@ -19,9 +19,13 @@ and Kronrod sums of a nested pair.
 
 Each density has one evaluation form: ``values``, over coordinate arrays
 that broadcast; ``__call__``, defined once on ``_Density``, goes through
-it and gives a float at one point.  The fine densities and T1, T2 and T5d
-are one formula; the reduced T3, T4, T5 and T6 densities integrate the
-points inside their support as the rows of one ``reductions`` rule.
+it and gives a float at one point.  ``values`` works in units of the mean
+``gamma_bar``: it is ``gamma_bar^-dim`` times the unit-mean density
+(``_unit``) at ``z / gamma_bar``, so no power of the rate is formed and
+every mean that is positive and finite has the range of the unit one.
+The fine densities and T1, T2 and T5d are one formula; the reduced T3,
+T4, T5 and T6 densities integrate the points inside their support as the
+rows of one ``reductions`` rule, on fine densities built at unit mean.
 
 Every step sum here is one binomial step sum with equally spaced
 thresholds, ``sum_j (-1)^j C(n, j) (u - (a + j) h)_+^p``: in T2 (and T3
@@ -47,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ordstat import _backend, _scipy, reductions
+from ordstat import _backend, reductions
 from ordstat.errors import DomainError
 from ordstat.partition import t5_case
 # The path's relative accuracy target, which the benchmark's oracle reads.
@@ -65,9 +69,9 @@ __all__ = [
 
 K_CAP = 30
 
-# No quadrature runs here; ``integrate`` (scipy.integrate, loaded at first
-# access) is a module attribute for perfbench's tracer to replace.
-__getattr__ = _scipy.lazy_integrate(__name__)
+# A placeholder: perfbench's tracer swaps a counting proxy into this
+# name, and no ordstat code reads it.
+integrate = None
 
 
 def _check_k(K, Ks=None, min_k=2):
@@ -85,14 +89,14 @@ def _check_scale(gamma_bar):
     return g
 
 
-def _pref(*, num, den, rate, rate_pow):
-    """Exact combinatorial ratio times a rate power, as a float."""
+def _pref(*, num, den):
+    """Exact combinatorial ratio, as a float."""
     frac = Fraction(math.factorial(num[0]), 1)
     for n in num[1:]:
         frac *= math.factorial(n)
     for d in den:
         frac /= math.factorial(d)
-    return float(frac) * rate ** rate_pow
+    return float(frac)
 
 
 def _pow(x, k):
@@ -115,9 +119,25 @@ class _Density:
     coordinate and 0 at one with an infinite coordinate (and none that is
     nan), without running a rule: ``reductions._points`` sorts the points,
     on this path and the generic one.
+
+    Each class computes ``_unit``, its density at unit mean, with the same
+    arguments as ``values``.
     """
 
     path = "exact"
+
+    def values(self, *z, **kw):
+        """Density over coordinate arrays (or scalars) that broadcast: the
+        unit-mean density at ``z / gamma_bar``, divided by ``gamma_bar``
+        once per coordinate.  At unit mean both steps are identities and
+        are skipped."""
+        g = self.gamma_bar
+        if g == 1.0:
+            return self._unit(*z, **kw)
+        v = self._unit(*(np.divide(c, g) for c in z), **kw)
+        for _ in z:
+            v = v / g
+        return v
 
     def __call__(self, *z):
         v = self.values(*z)
@@ -143,23 +163,20 @@ class ErlangSum(_Density):
         _check_k(K, min_k=1)
         self.K = K
         self.gamma_bar = _check_scale(gamma_bar)
-        self.rate = 1.0 / self.gamma_bar
-        self._norm = self.rate ** K / math.factorial(K - 1)
+        self._norm = 1.0 / math.factorial(K - 1)
 
     def support(self, x):
         return x >= 0
 
-    def values(self, x):
-        """Density over an array (or scalar) of x."""
+    def _unit(self, x):
         return reductions._closed_form(
             self.support,
-            lambda x: self._norm * x ** (self.K - 1) * np.exp(-self.rate * x),
-            x)
+            lambda x: self._norm * x ** (self.K - 1) * np.exp(-x), x)
 
     def cdf(self, x):
         """CDF over an array (or scalar) of x: 0 up to x = 0, 1 at inf, nan
         at nan."""
-        y = self.rate * np.maximum(np.asarray(x, dtype=float), 0.0)
+        y = np.maximum(np.asarray(x, dtype=float), 0.0) / self.gamma_bar
         return _erlang_cdf(self.K, y)[()]
 
 
@@ -214,28 +231,21 @@ class OneVsRestAllK(_Density):
             raise DomainError("need 1 <= m <= K")
         self.K, self.m = K, m
         self.gamma_bar = _check_scale(gamma_bar)
-        self.rate = a = 1.0 / self.gamma_bar
-        self._pref = _pref(num=(K,), den=(K - m, m - 1, K - 2), rate=a, rate_pow=K)
+        self._pref = _pref(num=(K,), den=(K - m, m - 1, K - 2))
 
     def support(self, z1, z2):
         """Also over arrays that broadcast."""
-        if self.m == 1:
-            edge = z2 <= (self.K - 1) * z1
-        else:
-            edge = z2 >= (self.m - 1) * z1
-        return (z1 >= 0) & (z2 >= 0) & edge
+        return reductions.t2_support(self.K, self.m, z1, z2)
 
-    def values(self, z1, z2):
-        """Density over coordinate arrays (or scalars) that broadcast.
-
-        The step sum ``sum_j (-1)^j C(K-m, j) (z2 - (m-1+j) z1)_+^(K-2)``
+    def _unit(self, z1, z2):
+        """The step sum ``sum_j (-1)^j C(K-m, j) (z2 - (m-1+j) z1)_+^(K-2)``
         is ``_backend.power_difference``: nonnegative terms only.
         """
         K, m = self.K, self.m
 
         def formula(z1, z2):
             s = _backend.power_difference(K - m, K - 2, z2, z1, m - 1)
-            return self._pref * np.exp(-self.rate * (z1 + z2)) * s
+            return self._pref * np.exp(-(z1 + z2)) * s
 
         return reductions._closed_form(self.support, formula, z1, z2)
 
@@ -257,23 +267,21 @@ class HeadTailAllK(_Density):
             raise DomainError("need 1 <= m <= K-1 (both sums nonempty)")
         self.K, self.m = K, m
         self.gamma_bar = _check_scale(gamma_bar)
-        self.rate = 1.0 / self.gamma_bar
         if m == 1:
             # The head is the single largest variable; the pair coincides
             # with the one-vs-rest joint at rank 1.
-            self._delegate = OneVsRestAllK(K, 1, gamma_bar)
+            self._delegate = OneVsRestAllK(K, 1, 1.0)
         else:
             self._delegate = None
-            self.fine = FineHeadRankTail(K, m, gamma_bar)
+            self.fine = FineHeadRankTail(K, m, 1.0)
 
     def support(self, z1, z2):
         return reductions.t3_support(self.K, self.m, z1, z2)
 
-    def values(self, z1, z2):
-        """Density over coordinate arrays (or scalars) that broadcast; the
-        points are the rows of one ``reductions.t3`` rule."""
+    def _unit(self, z1, z2):
+        """The points are the rows of one ``reductions.t3`` rule."""
         if self._delegate is not None:
-            return self._delegate.values(z1, z2)
+            return self._delegate._unit(z1, z2)
         return reductions.t3(self.fine, self.K, self.m, z1, z2)
 
 
@@ -292,22 +300,19 @@ class GscSum(_Density):
         _check_k(K, Ks, min_k=1)
         self.K, self.Ks = K, Ks
         self.gamma_bar = _check_scale(gamma_bar)
-        self.rate = 1.0 / self.gamma_bar
         if Ks >= 2:
-            self.fine = FineLastHead(K, Ks, gamma_bar)
+            self.fine = FineLastHead(K, Ks, 1.0)
 
     def support(self, x):
         return x >= 0
 
-    def values(self, x):
-        """Density over an array (or scalar) of x; an array takes one
-        ``reductions.t4`` rule with a row per value."""
-        a, K = self.rate, self.K
+    def _unit(self, x):
+        """An array takes one ``reductions.t4`` rule with a row per value."""
+        K = self.K
         if self.Ks == 1:
             return reductions._closed_form(
                 self.support,
-                lambda x: K * a * np.exp(-a * x) * (-np.expm1(-a * x)) ** (K - 1),
-                x)
+                lambda x: K * np.exp(-x) * (-np.expm1(-x)) ** (K - 1), x)
         return reductions.t4(self.fine, self.Ks, x)
 
 
@@ -331,11 +336,10 @@ class _FineBase(_Density):
         _check_k(K, Ks)
         self.K, self.Ks = K, Ks
         self.gamma_bar = _check_scale(gamma_bar)
-        self.rate = 1.0 / self.gamma_bar
 
     def _cdf_pows(self, z4):
         # Unselected ranks all lie below the rank-Ks variable.
-        return _pow(-np.expm1(-self.rate * z4), self.K - self.Ks)
+        return _pow(-np.expm1(-z4), self.K - self.Ks)
 
 
 class FineHeadRankTail(_FineBase):
@@ -350,19 +354,17 @@ class FineHeadRankTail(_FineBase):
                               "and a nonempty tail")
         super().__init__(K, K, gamma_bar)
         self.m = m
-        self._pref = _pref(num=(K,), den=(K - m, m - 1, m - 2, K - m - 1),
-                           rate=self.rate, rate_pow=K)
+        self._pref = _pref(num=(K,), den=(K - m, m - 1, m - 2, K - m - 1))
 
     def support(self, z1, g, z2):
         return (z2 >= 0) & (z2 <= (self.K - self.m) * g) & (z1 >= self.m * g)
 
-    def values(self, z1, g, z2):
-        """Density over coordinate arrays (or scalars) that broadcast."""
+    def _unit(self, z1, g, z2):
         m = self.m
         ok = (g >= 0) & (z1 >= m * g) & (z2 >= 0) & (z2 <= (self.K - m) * g)
         n = self.K - m
         s = _backend.power_difference(n, n - 1, z2, g, 0)
-        out = (self._pref * np.exp(-self.rate * (z1 + z2))
+        out = (self._pref * np.exp(-(z1 + z2))
                * _pow(z1 - m * g, m - 2) * s)
         return np.where(ok, out, 0.0)
 
@@ -377,21 +379,19 @@ class FineOneMidLast(_FineBase):
         if Ks < 3:
             raise DomainError("need Ks >= 3 for a nonempty middle group")
         super().__init__(K, Ks, gamma_bar)
-        self._pref = _pref(num=(K,), den=(K - Ks, Ks - 2, Ks - 3),
-                           rate=self.rate, rate_pow=Ks)
+        self._pref = _pref(num=(K,), den=(K - Ks, Ks - 2, Ks - 3))
 
     def support(self, z1, z3, z4):
         return ((z4 >= 0) & (z4 <= z1) & (z3 >= (self.Ks - 2) * z4)
                 & (z3 <= (self.Ks - 2) * z1))
 
-    def values(self, z1, z3, z4):
-        """Density over coordinate arrays (or scalars) that broadcast."""
+    def _unit(self, z1, z3, z4):
         ok = (z1 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z1)
         # Threshold j is (n-j) z4 + j z1.
         n = self.Ks - 2
         s = _backend.power_difference(n, n - 1, z3 - n * z4, z1 - z4, 0)
         out = (self._pref * self._cdf_pows(z4)
-               * np.exp(-self.rate * (z1 + z3 + z4)) * s)
+               * np.exp(-(z1 + z3 + z4)) * s)
         return np.where(ok, out, 0.0)
 
 
@@ -407,16 +407,14 @@ class FineHeadMidLast(_FineBase):
         super().__init__(K, Ks, gamma_bar)
         self.m = m
         self._pref = _pref(num=(K,),
-                           den=(K - Ks, m - 1, Ks - m - 1, m - 2, Ks - m - 2),
-                           rate=self.rate, rate_pow=Ks)
+                           den=(K - Ks, m - 1, Ks - m - 1, m - 2, Ks - m - 2))
 
     def support(self, z1, z2, z3, z4):
         n_mid = self.Ks - self.m - 1
         return ((z4 >= 0) & (z4 <= z2) & (z1 >= (self.m - 1) * z2)
                 & (z3 >= n_mid * z4) & (z3 <= n_mid * z2))
 
-    def values(self, z1, z2, z3, z4):
-        """Density over coordinate arrays (or scalars) that broadcast."""
+    def _unit(self, z1, z2, z3, z4):
         head = z1 - (self.m - 1) * z2
         ok = ((z1 >= 0) & (z2 >= 0) & (z3 >= 0) & (z4 >= 0) & (z4 <= z2)
               & (head >= 0))
@@ -424,7 +422,7 @@ class FineHeadMidLast(_FineBase):
         n = self.Ks - self.m - 1
         s = _backend.power_difference(n, n - 1, z3 - n * z4, z2 - z4, 0)
         out = (self._pref * self._cdf_pows(z4) * _pow(head, self.m - 2)
-               * np.exp(-self.rate * (z1 + z2 + z3 + z4)) * s)
+               * np.exp(-(z1 + z2 + z3 + z4)) * s)
         return np.where(ok, out, 0.0)
 
 
@@ -438,18 +436,16 @@ class FineHeadNextLast(_FineBase):
         if Ks < 3:
             raise DomainError("need Ks >= 3 for a nonempty head group")
         super().__init__(K, Ks, gamma_bar)
-        self._pref = _pref(num=(K,), den=(K - Ks, Ks - 2, Ks - 3),
-                           rate=self.rate, rate_pow=Ks)
+        self._pref = _pref(num=(K,), den=(K - Ks, Ks - 2, Ks - 3))
 
     def support(self, z1, z2, z4):
         return (z4 >= 0) & (z4 <= z2) & (z1 >= (self.Ks - 2) * z2)
 
-    def values(self, z1, z2, z4):
-        """Density over coordinate arrays (or scalars) that broadcast."""
+    def _unit(self, z1, z2, z4):
         head = z1 - (self.Ks - 2) * z2
         ok = (z1 >= 0) & (z2 >= 0) & (z4 >= 0) & (z4 <= z2) & (head >= 0)
         out = (self._pref * self._cdf_pows(z4) * _pow(head, self.Ks - 3)
-               * np.exp(-self.rate * (z1 + z2 + z4)))
+               * np.exp(-(z1 + z2 + z4)))
         return np.where(ok, out, 0.0)
 
 
@@ -463,17 +459,15 @@ class FineLastHead(_FineBase):
         if Ks < 2:
             raise DomainError("need Ks >= 2 for a nonempty head group")
         super().__init__(K, Ks, gamma_bar)
-        self._pref = _pref(num=(K,), den=(K - Ks, Ks - 1, Ks - 2),
-                           rate=self.rate, rate_pow=Ks)
+        self._pref = _pref(num=(K,), den=(K - Ks, Ks - 1, Ks - 2))
 
     def support(self, v, w):
         return (v >= 0) & (w >= (self.Ks - 1) * v)
 
-    def values(self, v, w):
-        """Density over coordinate arrays (or scalars) that broadcast."""
+    def _unit(self, v, w):
         head = w - (self.Ks - 1) * v
         out = (self._pref * self._cdf_pows(v) * _pow(head, self.Ks - 2)
-               * np.exp(-self.rate * (v + w)))
+               * np.exp(-(v + w)))
         return np.where((v >= 0) & (head >= 0), out, 0.0)
 
 
@@ -502,15 +496,11 @@ class BestKsOneVsRest(_Density):
             raise DomainError("need 1 <= m <= Ks")
         self.K, self.Ks, self.m = K, Ks, m
         self.gamma_bar = _check_scale(gamma_bar)
-        self.rate = 1.0 / self.gamma_bar
         self.case = t5_case(Ks, m)
-        self.fine = reductions.t5_fine(_T5_FINES, K, Ks, m, gamma_bar)
+        self.fine = reductions.t5_fine(_T5_FINES, K, Ks, m, 1.0)
 
     def support(self, x, y):
         return reductions.t5_support(self.Ks, self.m, x, y)
-
-    def values(self, x, y):
-        return self.reduce_to_2d(x, y)
 
     def reduce_to_2d(self, x, y, order=0):
         """Density of (rank-m value x, rest-sum value y), over coordinate
@@ -520,6 +510,9 @@ class BestKsOneVsRest(_Density):
         orders exist (1 or 2); 0 means the default.  The orders agree up to
         quadrature error and exist to check each other.
         """
+        return self.values(x, y, order=order)
+
+    def _unit(self, x, y, order=0):
         return reductions.t5(self.fine, self.Ks, self.m, x, y, order)
 
 
@@ -540,15 +533,13 @@ class BestKsHeadTail(_Density):
             raise DomainError("need 1 <= m <= Ks-1 (both sums nonempty)")
         self.K, self.Ks, self.m = K, Ks, m
         self.gamma_bar = _check_scale(gamma_bar)
-        self.rate = 1.0 / self.gamma_bar
-        self.fine = reductions.t6_fine(_T5_FINES, K, Ks, m, gamma_bar)
+        self.fine = reductions.t6_fine(_T5_FINES, K, Ks, m, 1.0)
 
     def support(self, x, y):
         return reductions.t6_support(self.Ks, self.m, x, y)
 
-    def values(self, x, y):
-        """Density over coordinate arrays (or scalars) that broadcast; the
-        points are the rows of one ``reductions.t6`` rule."""
+    def _unit(self, x, y):
+        """The points are the rows of one ``reductions.t6`` rule."""
         return reductions.t6(self.fine, self.Ks, self.m, x, y)
 
 

@@ -66,7 +66,7 @@ import math
 
 import numpy as np
 
-from ordstat import _scipy, exact_exp, reductions, rules
+from ordstat import exact_exp, reductions, rules
 from ordstat.distributions import Exponential
 from ordstat.errors import ConvergenceError, DomainError
 from ordstat.ilt import TransformFn, invert_numeric
@@ -81,9 +81,9 @@ __all__ = [
     "t6_jpdf",
 ]
 
-# No quadrature runs here; ``integrate`` (scipy.integrate, loaded at first
-# access) is a module attribute for perfbench's tracer to replace.
-__getattr__ = _scipy.lazy_integrate(__name__)
+# A placeholder: perfbench's tracer swaps a counting proxy into this
+# name, and no ordstat code reads it.
+integrate = None
 
 
 def _tf_abscissa(dist):
@@ -272,10 +272,6 @@ def t2_jpdf(dist, K, m, z1, z2):
     if not 1 <= m <= K or K < 2:
         raise DomainError("need K >= 2 and 1 <= m <= K")
 
-    def inside(z1, z2):
-        edge = z2 <= (K - 1) * z1 if m == 1 else z2 >= (m - 1) * z1
-        return (z1 >= 0) & (z2 >= 0) & edge
-
     pref = math.factorial(K) / (math.factorial(K - m) * math.factorial(m - 1))
 
     def rows(z1, z2):
@@ -290,24 +286,19 @@ def t2_jpdf(dist, K, m, z1, z2):
             inv = _inv_prod(dist, below, above, z2)
         return pref * dist.pdf(z1) * inv
 
-    return reductions._reduce(inside, rows, z1, z2)
+    return reductions._reduce(functools.partial(reductions.t2_support, K, m),
+                              rows, z1, z2)
 
 
 class _Fine:
-    """A fine joint density of any distribution, on coordinate arrays.
-
-    ``values`` takes arrays (or scalars) that broadcast; ``__call__`` is
-    its scalar form.
-    """
+    """A fine joint density of any distribution: ``values`` takes
+    coordinate arrays (or scalars) that broadcast."""
 
     piecewise_polynomial = False
 
     def __init__(self, K, Ks, dist, *den):
         self.K, self.Ks, self.dist = K, Ks, dist
         self._pref = math.factorial(K) / math.prod(map(math.factorial, den))
-
-    def __call__(self, *z):
-        return self.values(*z).item()
 
     def _last(self, z4):
         """Density of the rank-Ks value z4 times the CDF power of the

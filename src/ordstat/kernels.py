@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ordstat import _scipy
 from ordstat.distributions import _weight
 from ordstat.errors import ConvergenceError, DomainError
 from ordstat.rules import _doubled, _legendre, _paired, _semi_infinite
@@ -52,9 +51,9 @@ __all__ = [
     "ORIGINAL_ORDERING",
 ]
 
-# scipy integrates nothing here; ``integrate`` (scipy.integrate, loaded at
-# first access) is a module attribute for perfbench's tracer to replace.
-__getattr__ = _scipy.lazy_integrate(__name__)
+# A placeholder: perfbench's tracer swaps a counting proxy into this
+# name, and no ordstat code reads it.
+integrate = None
 
 MAX_BRUTE_DEPTH = 4
 

@@ -38,6 +38,10 @@ rule evaluates the fine density on the nodes of every inner segment
 together, and not one small inner rule at a time.  A point with a nan
 coordinate gives nan, and one with an infinite coordinate 0, without a
 rule (``_reduce``).
+
+``t2_support``, ``t3_support``, ``t5_support`` and ``t6_support`` are the
+supports of the pairs, for both paths; T2 takes no reduction, only its
+support.
 """
 
 import functools
@@ -47,8 +51,8 @@ import numpy as np
 from ordstat.partition import t5_case
 from ordstat.rules import _gauss_knots
 
-__all__ = ["t3", "t4", "t5", "t6", "t3_support", "t5_support", "t6_support",
-           "t5_fine", "t6_fine"]
+__all__ = ["t3", "t4", "t5", "t6", "t2_support", "t3_support", "t5_support",
+           "t6_support", "t5_fine", "t6_fine"]
 
 
 def _points(inside, *z):
@@ -88,6 +92,16 @@ def _reduce(inside, rows, *z):
 def _col(v):
     # ``v`` as a column against the knots of each row.
     return v[:, None]
+
+
+# -- T2: (rank-m variable, sum of the other K-1), all K --
+
+
+def t2_support(K, m, z1, z2):
+    # Rank 1 is at least each of the other K-1, rank m at most each of
+    # the m-1 above it.
+    edge = z2 <= (K - 1) * z1 if m == 1 else z2 >= (m - 1) * z1
+    return (z1 >= 0) & (z2 >= 0) & edge
 
 
 # -- T3: (sum of ranks 1..m, sum of ranks m+1..K), all K --

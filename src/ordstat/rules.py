@@ -39,9 +39,12 @@ _MAX_NODES = 128   # per knot segment, on Gauss-Legendre rules
 # Integrals still open at their Gauss-Legendre cap go on with tanh-sinh
 # rules from the first of these node counts per segment, up to the second.
 _TANH_SINH_NODES = (16, 256)
-# Nodes per call of an integrand.  An exact step sum makes a few
-# (nodes x terms) temporaries, so the peak memory of a batch of inner
-# rules grows with this.
+# Nodes per call of an integrand, whose temporaries are arrays of that
+# many nodes: an exact fine density, step sum included, makes a handful.
+# Where the integrand is a batch of inner rules (T5b, T6), each of its
+# nodes is an inner row, with edge and segment arrays of a few entries per
+# inner knot, so the peak memory of a block grows with this times the
+# inner knot count.
 _BLOCK = 2 ** 10
 # Nodes per call of a ``_gauss_2d`` integrand, whole rows at a time (a row
 # of the pair of n has (2n + 1)^2 nodes).  Its integrands have no step sum.

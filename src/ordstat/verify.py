@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from ordstat import _scipy, exact_exp, generic_joint, kernels, mc_oracle
+from ordstat import exact_exp, generic_joint, kernels, mc_oracle
 from ordstat.distributions import Exponential, HalfNormal
 from ordstat.errors import DomainError, OrdstatError
 from ordstat.kernels import NestedIntegralSpec
@@ -80,9 +80,9 @@ _BELOW_ONE = 1.0 - 2.0 ** -53
 # integrals and 601 for the slopes.
 _CDF_CELLS = 600
 
-# scipy integrates nothing here; ``integrate`` (scipy.integrate, loaded at
-# first access) is a module attribute for perfbench's tracer to replace.
-__getattr__ = _scipy.lazy_integrate(__name__)
+# A placeholder: perfbench's tracer swaps a counting proxy into this
+# name, and no ordstat code reads it.
+integrate = None
 
 
 def _sizes(quick):

@@ -186,7 +186,7 @@ def test_grids_match_scipy_erlang_cdf(monkeypatch, L, convention):
     xs = np.linspace(0.05, 3.0 * L, 12).tolist()
     got = [msgsc_output_cdf(c, x) for x in xs]
     monkeypatch.setattr(exact_exp.ErlangSum, "cdf", lambda self, x: (
-        0.0 if x <= 0 else float(special.gammainc(self.K, self.rate * x))))
+        0.0 if x <= 0 else float(special.gammainc(self.K, x / self.gamma_bar))))
     want = [msgsc_output_cdf(c, x) for x in xs]
     assert got == pytest.approx(want, rel=1e-14, abs=0)
 

@@ -92,6 +92,18 @@ FAMILY_POINTS = {
 }
 
 
+@pytest.mark.parametrize("gb", [1e-12, 1e-5, 1e5, 1e10])
+def test_eval_at_extreme_means(capsys, gb):
+    # The exact path runs in units of the mean, so a mean of 1e-12 (a
+    # branch power in watts) neither overflows nor gives nan at K = 30.
+    for family, (shape, at) in FAMILY_POINTS.items():
+        z = ",".join(repr(float(c) * gb) for c in at.split(","))
+        code, out, err = run(capsys, "eval", *shape, "--K", "30", "--dist",
+                             f"exp:{gb!r}", "--at", z)
+        assert code == 0, (family, err)
+        assert math.isfinite(float(out)) and float(out) >= 0.0, family
+
+
 @pytest.mark.parametrize("family", sorted(FAMILY_POINTS))
 def test_generic_method_matches_exact(capsys, family):
     shape, at = FAMILY_POINTS[family]
@@ -345,6 +357,25 @@ def test_cli_reaches_every_module():
         reached.add(mod)
         todo.extend(m for m in _module_imports(paths[mod]) if m in paths)
     assert sorted(set(paths) - reached) == []
+
+
+def test_no_module_names_scipy():
+    # Read from the source, without starting a process: no module imports
+    # scipy or mpmath (the tests' references), at any depth of its body,
+    # and none defines a module ``__getattr__``, which could load one on
+    # first access.
+    pkg = os.path.dirname(ordstat.__file__)
+    for name in ["__init__"] + [m.name for m in pkgutil.iter_modules([pkg])]:
+        path = os.path.join(pkg, f"{name}.py")
+        roots = {mod.split(".")[0] for mod in _module_imports(path)}
+        assert not roots & {"scipy", "mpmath"}, name
+        with open(path) as fh:
+            body = ast.parse(fh.read()).body
+        defined = {node.name for node in body
+                   if isinstance(node, ast.FunctionDef)}
+        defined.update(t.id for node in body if isinstance(node, ast.Assign)
+                       for t in node.targets if isinstance(t, ast.Name))
+        assert "__getattr__" not in defined, name
 
 
 # Exact tabulation of every family, an MS-GSC grid and generic points on

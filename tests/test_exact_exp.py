@@ -139,6 +139,57 @@ def test_scale_equivariance(factory, args, pt):
                                                              rel=1e-10)
 
 
+def _unit_mean_cases(K):
+    """(density maker, its arguments before the mean, coordinates of a
+    ranked sample r, largest first) for every family, every T5 case and
+    every fine density at K, with Ks = 2K/3."""
+    Ks, h = 2 * K // 3, K // 2
+    b = Ks // 2                                 # T5 case b
+    yield exact_exp.pdf_sum_all, (K,), lambda r: (r.sum(),)
+    for m in (1, h, K):
+        yield (exact_exp.jpdf_one_vs_rest_allK, (K, m),
+               lambda r, m=m: (r[m - 1], r.sum() - r[m - 1]))
+    for m in (1, h):
+        yield (exact_exp.jpdf_headsum_vs_tailsum_allK, (K, m),
+               lambda r, m=m: (r[:m].sum(), r[m:].sum()))
+    for ks in (1, Ks):
+        yield exact_exp.pdf_gsc_sum, (K, ks), lambda r, ks=ks: (r[:ks].sum(),)
+    for m in (1, b, Ks - 1, Ks):                # T5 cases a, b, c and d
+        yield (exact_exp.jpdf_one_vs_rest_bestKs, (K, Ks, m),
+               lambda r, m=m: (r[m - 1], r[:Ks].sum() - r[m - 1]))
+    for m in (1, b, Ks - 1):
+        yield (exact_exp.jpdf_headsum_vs_tailsum_bestKs, (K, Ks, m),
+               lambda r, m=m: (r[:m].sum(), r[m:Ks].sum()))
+    yield (exact_exp.FineHeadRankTail, (K, h),
+           lambda r: (r[:h].sum(), r[h - 1], r[h:].sum()))
+    yield (exact_exp.FineOneMidLast, (K, Ks),
+           lambda r: (r[0], r[1:Ks - 1].sum(), r[Ks - 1]))
+    yield (exact_exp.FineHeadMidLast, (K, Ks, b),
+           lambda r: (r[:b - 1].sum(), r[b - 1], r[b:Ks - 1].sum(), r[Ks - 1]))
+    yield (exact_exp.FineHeadNextLast, (K, Ks),
+           lambda r: (r[:Ks - 2].sum(), r[Ks - 2], r[Ks - 1]))
+    yield (exact_exp.FineLastHead, (K, Ks),
+           lambda r: (r[Ks - 1], r[:Ks - 1].sum()))
+
+
+@pytest.mark.parametrize("K", [10, 30])
+def test_every_family_in_units_of_the_mean(K):
+    # density(z; gb) = gb^-dim density(z / gb; 1), with no power of the
+    # rate formed: means far from 1 neither overflow nor lose the value.
+    # The points are the expected ranked sample, sum_{j>=r} 1/j for rank
+    # r, and it halved and doubled: inside every support.
+    r = np.cumsum(1.0 / np.arange(K, 0, -1))[::-1]
+    for maker, args, coords in _unit_mean_cases(K):
+        unit = maker(*args, 1.0)
+        pts = [np.array([c * f for f in (0.5, 1.0, 2.0)]) for c in coords(r)]
+        for gb in (1e-12, 1e-5, 1e5, 1e10):
+            got = maker(*args, gb).values(*(c * gb for c in pts))
+            want = unit.values(*(c * gb / gb for c in pts)) * gb ** -len(pts)
+            assert np.all(np.isfinite(got) & (got > 0.0)), (maker, args, gb)
+            np.testing.assert_allclose(got, want, rtol=8 * len(pts) * 2e-16,
+                                       atol=0, err_msg=f"{maker} {args} {gb}")
+
+
 CASE_POINTS = {
     "a": ((5, 4, 1), (1.0, 2.0)),
     "b": ((6, 5, 3), (0.5, 2.0)),
@@ -390,16 +441,16 @@ def _exact_steps(n, u, thresholds):
 
 def _exact_head_rank_tail(d, z1, g, z2):
     # (the density's float factor, n, u, the thresholds, the scale of the
-    # coordinates that place them), at one point.
+    # coordinates that place them), at one point in units of the mean.
     n = d.K - d.m
-    factor = (d._pref * np.exp(-d.rate * (z1 + z2))
+    factor = (d._pref * np.exp(-(z1 + z2))
               * (z1 - d.m * g) ** (d.m - 2))
     return factor, n, z2, [j * Fraction(g) for j in range(n + 1)], n * g
 
 
 def _exact_one_mid_last(d, z1, z3, z4):
     n = d.Ks - 2
-    factor = (d._pref * d._cdf_pows(z4) * np.exp(-d.rate * (z1 + z3 + z4)))
+    factor = (d._pref * d._cdf_pows(z4) * np.exp(-(z1 + z3 + z4)))
     thr = [(n - j) * Fraction(z4) + j * Fraction(z1) for j in range(n + 1)]
     return factor, n, z3, thr, n * (z1 + z4)
 
@@ -407,7 +458,7 @@ def _exact_one_mid_last(d, z1, z3, z4):
 def _exact_head_mid_last(d, z1, z2, z3, z4):
     n = d.Ks - d.m - 1
     factor = (d._pref * d._cdf_pows(z4) * (z1 - (d.m - 1) * z2) ** (d.m - 2)
-              * np.exp(-d.rate * (z1 + z2 + z3 + z4)))
+              * np.exp(-(z1 + z2 + z3 + z4)))
     thr = [(n - j) * Fraction(z4) + j * Fraction(z2) for j in range(n + 1)]
     return factor, n, z3, thr, n * (z2 + z4)
 
@@ -462,9 +513,12 @@ def test_step_sum_densities_match_exact_step_sums(K):
         assert np.count_nonzero(got) > 60 and np.all(got[~inside] == 0.0)
         checked = 0
         for g, point in zip(got.tolist(), zip(*(c.tolist() for c in z))):
-            factor, n, u, thr, scale = exact(d, *point)
+            # The density is gamma_bar^-dim times the unit-mean one at
+            # point / gamma_bar.
+            gb = d.gamma_bar
+            factor, n, u, thr, scale = exact(d, *(c / gb for c in point))
             steps, delta = _exact_steps(n, u, thr)
-            want = float(factor * float(steps))
+            want = float(factor * float(steps)) / gb ** len(point)
             if (not d.support(*point) or want < 1e-290
                     or delta <= 16 * EPS * (u + scale)):
                 continue
