@@ -75,7 +75,11 @@ _SERIES_BELOW = 1.5
 def _poly(blocks, v):
     """``sum_j c_j v^j`` on a 1-d float or complex array ``v``, with
     ``c_{8b+r}`` in ``blocks[b, r]``: one matrix product gives each block's
-    polynomial in ``v``, and Horner steps in ``v^8`` join them."""
+    polynomial in ``v``, and Horner steps in ``v^8`` join them.  One
+    element goes as two: numpy's product for a single column rounds
+    otherwise, and a point would not match its place in a grid."""
+    if v.size == 1:
+        return _poly(blocks, np.repeat(v, 2))[:1]
     powers = np.empty((8, v.size), dtype=v.dtype)
     powers[0] = 1.0
     powers[1] = v

@@ -37,6 +37,7 @@ from ordstat.distributions import Exponential
 from ordstat.errors import DomainError
 from ordstat.exact_exp import FineLastHead, pdf_sum_all
 from ordstat.mc_oracle import sample_sorted
+from ordstat.reductions import _pow
 from ordstat.rules import _gauss_2d
 
 __all__ = [
@@ -81,7 +82,7 @@ class MsGscConfig:
 def _cdf_max(cfg, x):
     # CDF of the best of L branches, over an array (or scalar) of x.
     x = np.maximum(x, 0.0)
-    return (-np.expm1(-x / cfg.gamma_bar)) ** cfg.L
+    return _pow(-np.expm1(-x / cfg.gamma_bar), cfg.L)
 
 
 def _result(out):

@@ -52,10 +52,13 @@ def _limits(gamma, message):
 def _weight(dist, x, lam):
     """p(x) exp(lam*x) on an array of x.  The pdf factor comes first: far
     in the tail it underflows to 0 where exp(Re(lam)*x) alone would
-    overflow."""
+    overflow.  A complex lam takes the real ``exp(Re(lam)*x)`` times the
+    phase ``exp(i Im(lam)*x)``: an imaginary part of 0 gives the bits of
+    the real lam, where ``exp(lam*x)`` would be an ulp off."""
     p = dist.pdf(x)
-    gone = p == 0.0
-    return np.where(gone, 0.0, p * np.exp(lam * np.where(gone, 0.0, x)))
+    x = np.where(p == 0.0, 0.0, x)
+    w = p * np.exp(np.real(lam) * x)
+    return w * np.exp(1j * (np.imag(lam) * x)) if np.iscomplexobj(lam) else w
 
 
 class Distribution:
@@ -258,8 +261,8 @@ class HalfNormal(Distribution):
 # p(x) exp(Re(lam)*x) stays under _FLOOR of its largest value there, and
 # then on by 1/_MARGIN of that distance.  A density that drops to 0 (a
 # jump) just short of that probe then lies well inside the finite part,
-# not within 0.33% of its end, where the first rule of ``rules._cut``
-# has no node.
+# not within 0.33% of its end, where K_17, the Kronrod member of the
+# first pair that ``rules._cut`` runs on a segment, has no node.
 _PROBES = np.exp2(np.arange(-8.0, 48.0, 0.25))
 _FLOOR = 2.0 ** -53
 _MARGIN = 16.0
@@ -299,9 +302,12 @@ class CustomDistribution(Distribution):
     ``(ga, gb, lam)``: knots every half period ``pi/|Im(lam)|`` of
     ``exp(lam*x)``, and for an unbounded one a last segment on [0, 1)
     mapped by ``x = end + L*u/(1 - u)``, past the reach of its weight.
-    Each segment runs Gauss-Kronrod pairs, going on to tanh-sinh rules at
-    a singular end, and a segment that does not converge is cut at its
-    sharpest change, such as a jump of the density.
+    Each segment runs the Gauss-Kronrod pairs of ``rules._segments`` as an
+    integral of its own, going on to tanh-sinh rules at a singular end,
+    and a segment that does not converge is cut at its sharpest change,
+    such as a jump of the density.  A kernel's value is the same alone or
+    broadcast with others, and a complex ``lam`` with an imaginary part of
+    0 gives the bits of the real one (``_weight``).
     """
 
     def __init__(self, pdf, cdf, mean, abscissa, support_upper=math.inf,

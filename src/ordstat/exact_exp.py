@@ -54,6 +54,7 @@ import numpy as np
 from ordstat import _backend, reductions
 from ordstat.errors import DomainError
 from ordstat.partition import t5_case
+from ordstat.reductions import _pow
 # The path's relative accuracy target, which the benchmark's oracle reads.
 from ordstat.rules import _EPSREL  # noqa: F401
 
@@ -97,13 +98,6 @@ def _pref(*, num, den):
     for d in den:
         frac /= math.factorial(d)
     return float(frac)
-
-
-def _pow(x, k):
-    # numpy's array power, for a single point too: Python's and numpy's
-    # scalar ``**`` call libm's ``pow``, an ulp from the array loop at
-    # about 5% of inputs, so a point would not match its row.
-    return np.asarray(x) ** k
 
 
 class _Density:
@@ -171,7 +165,7 @@ class ErlangSum(_Density):
     def _unit(self, x):
         return reductions._closed_form(
             self.support,
-            lambda x: self._norm * x ** (self.K - 1) * np.exp(-x), x)
+            lambda x: self._norm * _pow(x, self.K - 1) * np.exp(-x), x)
 
     def cdf(self, x):
         """CDF over an array (or scalar) of x: 0 up to x = 0, 1 at inf, nan
@@ -312,7 +306,7 @@ class GscSum(_Density):
         if self.Ks == 1:
             return reductions._closed_form(
                 self.support,
-                lambda x: K * np.exp(-x) * (-np.expm1(-x)) ** (K - 1), x)
+                lambda x: K * np.exp(-x) * _pow(-np.expm1(-x), K - 1), x)
         return reductions.t4(self.fine, self.Ks, x)
 
 

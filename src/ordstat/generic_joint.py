@@ -181,7 +181,8 @@ def _conv(dist, a, b, t, rule):
 
         fa = _pow(dist, rep(la), rep(ha), na, ua.ravel(), rule)
         fb = _pow(dist, rep(lb), rep(hb), nb, ub.ravel(), rule)
-        out[el, s] = (fa * fb).reshape(ua.shape) @ w * width[:, 0]
+        vals = (fa * fb).reshape(ua.shape)
+        out[el, s] = rules._row_sums(vals, w) * width[:, 0]
     return out
 
 
@@ -306,7 +307,7 @@ class _Fine:
         d = self.dist
         if self.Ks == self.K:
             return d.pdf(z4)
-        return d.cdf(z4) ** (self.K - self.Ks) * d.pdf(z4)
+        return reductions._pow(d.cdf(z4), self.K - self.Ks) * d.pdf(z4)
 
 
 class FineHeadRankTail(_Fine):
@@ -399,7 +400,8 @@ def t4_pdf(dist, K, Ks, x):
     if Ks == 1:
         return reductions._closed_form(
             lambda x: x >= 0,
-            lambda x: K * dist.pdf(x) * dist.cdf(x) ** (K - 1), x)
+            lambda x: K * dist.pdf(x) * reductions._pow(dist.cdf(x), K - 1),
+            x)
     return reductions.t4(FineLastHead(K, Ks, dist), Ks, x)
 
 

@@ -27,7 +27,8 @@ fixed (T3's, and the inner ones of T5b and T6) take the exact-degree
 Gauss-Legendre rule alone when the fine density is piecewise polynomial;
 every other integral runs the nested pair of the n-node Gauss and the
 (2n+1)-node Kronrod rule, whose two sums share their nodes, and doubles n
-until they agree.
+until they agree.  The rules sum each row alone, and every power in a
+closed form goes through ``_pow``: a point has the bits of its grid row.
 
 ``t3``, ``t4``, ``t5`` and ``t6`` take their points as coordinate arrays
 that broadcast (or scalars, one point), keep their shape, and integrate
@@ -69,6 +70,13 @@ def _points(inside, *z):
     for c in z[1:]:
         nan, ok = nan | np.isnan(c), ok & np.isfinite(c)
     return z, np.where(nan, np.nan, 0.0), ok & inside(*z)
+
+
+def _pow(x, k):
+    # ``x ** k`` by numpy's array loop, for a 0-d array too, which a ufunc
+    # returns as a scalar: a scalar's ``**`` calls libm's ``pow``, an ulp
+    # off the array loop at about 5% of inputs.
+    return np.asarray(x) ** k
 
 
 def _closed_form(inside, formula, *z):

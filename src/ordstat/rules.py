@@ -8,21 +8,23 @@ integrals, of the MS-GSC stages of ``apps``, of the kernel-power inverses
 of ``generic_joint`` and of the brute-force oracle of ``kernels``.
 
 ``_gauss_knots`` integrates rows that each have their own limits and
-knots; ``_gauss_2d`` integrates two-level regions without knots; ``_cut``
-integrates unions of segments, and cuts those that do not converge where
-the integrand jumps (the kernels of a custom density).  Their pair is
-the n-node Gauss-Legendre rule G_n nested in the (2n+1)-node Kronrod
-rule K_{2n+1} (``_kronrod``): one evaluation on 2n+1 nodes gives
-both, and K_{2n+1} is the value.  A row that converges at the first pair
-costs 2n+1 nodes per segment, where the n- and 2n-node Gauss pair cost
-3n.  The multi-level rules of ``generic_joint`` and ``kernels`` keep the
-Gauss pair of n and 2n nodes, through ``_paired``, which reuses each
-call's 2n-node estimate as the next call's n-node one: their levels
-multiply the node count, so at depth d a Kronrod pair costs (2n+1)^d
-nodes against n^d + (2n)^d.  Integrals that Gauss-Legendre rules leave
-open at their cap can go on with tanh-sinh rules, also paired n/2n, whose
-nodes crowd both segment ends: a density singular at 0, like x^(a-1),
-puts such an end on a rule.
+knots; ``_cut`` integrates unions of segments, and cuts those that do not
+converge where the integrand jumps (the kernels of a custom density).
+Both run ``_segments``, which sums each segment alone (``_row_sums``), so
+an integral has the same bits alone or in any batch.  ``_gauss_2d``
+integrates two-level regions without knots, with a product per row.
+Their pair is the n-node Gauss-Legendre rule G_n nested in the
+(2n+1)-node Kronrod rule K_{2n+1} (``_kronrod``): one evaluation on 2n+1
+nodes gives both, and K_{2n+1} is the value.  A row that converges at
+the first pair costs 2n+1 nodes per segment, where the n- and 2n-node
+Gauss pair cost 3n.  The multi-level rules of ``generic_joint`` and
+``kernels`` keep the Gauss pair of n and 2n nodes, through ``_paired``,
+which reuses each call's 2n-node estimate as the next call's n-node one:
+their levels multiply the node count, so at depth d a Kronrod pair costs
+(2n+1)^d nodes against n^d + (2n)^d.  Integrals that Gauss-Legendre
+rules leave open at their cap go on with tanh-sinh rules, also paired
+n/2n, whose nodes crowd both segment ends: a density singular at 0, like
+x^(a-1), puts such an end on a rule.  ``_segments`` takes the odd ones.
 """
 
 import functools
@@ -44,7 +46,7 @@ _TANH_SINH_NODES = (16, 256)
 # Where the integrand is a batch of inner rules (T5b, T6), each of its
 # nodes is an inner row, with edge and segment arrays of a few entries per
 # inner knot, so the peak memory of a block grows with this times the
-# inner knot count.
+# inner knot count.  Each segment sums alone, so the block changes no value.
 _BLOCK = 2 ** 10
 # Nodes per call of a ``_gauss_2d`` integrand, whole rows at a time (a row
 # of the pair of n has (2n + 1)^2 nodes).  Its integrands have no step sum.
@@ -185,20 +187,16 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
     give an empty array, and ``f`` is not called.  Each row's knots are
     clipped into its interval and sorted; empty segments (and rows with
     ``hi <= lo``) get no nodes.  ``f(x, row)`` maps a flat array of nodes,
-    and the index array of the row of each, to an array of values.  Each
-    rule calls ``f`` on the nodes of all open rows together, in blocks of
-    whole segments and at most ``_BLOCK`` nodes.
+    and the index array of the row of each, to an array of values, on the
+    rules of ``_segments``.
 
     Between knots the integrand is a polynomial of degree ``deg``
     (``exact``), or such a polynomial times a smooth factor.  The
     ``deg // 2 + 1``-node Gauss-Legendre rule integrates the polynomial
     exactly, so exact rows take that rule alone.  Otherwise each row runs
-    the Gauss-Kronrod pair of ``_kronrod``, from n = ``_SMOOTH_EXTRA``
-    nodes higher; its value is the Kronrod sum, and n doubles per row as
-    ``_doubled`` says, at ``_EPSABS``/``_EPSREL``, until the Gauss and
-    Kronrod sums agree.  Rows still open at ``_MAX_NODES`` go on with
-    paired tanh-sinh rules, which converge at an integrable end
-    singularity.
+    the Gauss-Kronrod pair from n = ``_SMOOTH_EXTRA`` nodes higher, and n
+    doubles per row as ``_doubled`` says, at ``_EPSABS``/``_EPSREL``; rows
+    still open at ``_MAX_NODES`` go on with tanh-sinh rules.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                  np.asarray(hi, dtype=float))
@@ -214,55 +212,64 @@ def _gauss_knots(f, lo, hi, knots=(), *, deg, exact=True):
     lo, hi = edges[:, 0], edges[:, -1]
     keep = edges[:, 1:] > edges[:, :-1]
     row, col = np.nonzero(keep)
-    left, right = edges[:, :-1][keep, None], edges[:, 1:][keep, None]
     cols = keep.shape[1]
-    # Segment ends, as column vectors, one entry per segment.
+    gauss, kronrod, tanh_sinh = _segments(
+        f, edges[:, :-1][keep], edges[:, 1:][keep], row, row, col, cols)
+    n = deg // 2 + 1
+    if exact:
+        total = gauss(n, np.arange(rows)).sum(axis=1)
+    else:
+        total = _doubled(kronrod, n + _SMOOTH_EXTRA, lo, hi, _EPSABS,
+                         _EPSREL, then=tanh_sinh)
+    return total.reshape(shape)[()]
+
+
+def _segments(f, left, right, arg, row, col, cols):
+    """The rules ``(n, todo)`` of integrals over segments: the n-node
+    Gauss-Legendre rule, the Gauss-Kronrod pair of ``_kronrod`` and the
+    ``_paired`` odd tanh-sinh rules of n + 1 nodes (the even ones of n and
+    2n share a gap at the middle of a segment).
+
+    Segment j, ``[left[j], right[j]]``, is column ``col[j]`` of the
+    ``cols`` of integral ``row[j]``; ``f(x, a)`` maps a flat array of
+    nodes, and the ``arg[j]`` of each one's segment, to real or complex
+    values.  A rule calls ``f`` on the segments of the integrals ``todo``
+    in blocks of whole segments and at most ``_BLOCK`` nodes, and sums
+    each segment alone (``_row_sums``).
+    """
     width = right - left
     mid, half = 0.5 * (right + left), 0.5 * width
 
-    def on(table, base, scale):
-        # The rule of ``table(n) = (t, *w)``, with nodes base + scale * t:
-        # an array of its estimates, one ``(len(todo), cols)`` page per
-        # weight array in ``w``, all from one evaluation of ``f``.
-        def block(b, s, r, t, w):
-            vals = f((b + s * t).ravel(), np.repeat(r, t.size))
-            vals = vals.reshape(s.size, -1)
-            return [vals @ wi * s[:, 0] for wi in w]
+    def block(b, s, a, t, w):
+        vals = f((b[:, None] + s[:, None] * t).ravel(), np.repeat(a, t.size))
+        vals = vals.reshape(s.size, t.size)
+        return np.stack([_row_sums(vals, wi) for wi in w]) * s
 
+    def on(table, base, scale):
+        # The rule of ``table(n) = (t, *w)`` at nodes base + scale * t: a
+        # ``(len(todo), cols)`` page of estimates per weight array in w.
         def rule(n, todo):
             t, *w = table(n)
-            b, s, r, c, at = base, scale, row, col, row
-            if len(todo) < rows:
-                # The segments of the open rows, and the place in todo of
-                # each one's row.
-                at = np.full(rows, -1)
-                at[todo] = np.arange(todo.size)
-                at = at[row]
-                seg = np.flatnonzero(at >= 0)
-                b, s, r, c, at = b[seg], s[seg], r[seg], c[seg], at[seg]
-            if s.size * t.size <= _BLOCK:
-                est = block(b, s, r, t, w) if s.size else [s[:, 0]] * len(w)
-            else:
-                k = _BLOCK // t.size
-                est = [np.concatenate(parts) for parts in zip(*(
-                    block(b[i:i + k], s[i:i + k], r[i:i + k], t, w)
-                    for i in range(0, s.size, k)))]
-            out = np.zeros((len(w), len(todo), cols))
-            out[:, at, c] = est
+            # Segments of the integrals in todo (it ascends), and their places.
+            at = np.searchsorted(todo, row)
+            seg = np.flatnonzero(todo.take(at, mode="clip") == row)
+            at, b, s, a = at[seg], base[seg], scale[seg], arg[seg]
+            k = max(1, _BLOCK // t.size)
+            est = [block(b[i:i + k], s[i:i + k], a[i:i + k], t, w)
+                   for i in range(0, s.size, k)]
+            est = (np.concatenate(est, axis=1) if est
+                   else np.zeros((len(w), 0)))
+            out = np.zeros((len(w), todo.size, cols), dtype=est.dtype)
+            out[:, at, col[seg]] = est
             return out
         return rule
 
-    n = deg // 2 + 1
-    if exact:
-        total = on(_legendre, mid, half)(n, range(rows))[0].sum(axis=1)
-    else:
-        kronrod = on(_kronrod, mid, half)
-        # Tanh-sinh nodes at their distance from the left end, ``dl``.
-        tanh_sinh = on(lambda n: _tanh_sinh01(n)[::2], left, width)
-        total = _doubled(lambda n, todo: (*kronrod(n, todo), 2 * n + 1),
-                         n + _SMOOTH_EXTRA, lo, hi, _EPSABS, _EPSREL,
-                         then=_paired(lambda n, todo: tanh_sinh(n, todo)[0]))
-    return total.reshape(shape)[()]
+    gauss, kronrod = on(_legendre, mid, half), on(_kronrod, mid, half)
+    # Tanh-sinh nodes at their distance from the left end, ``dl``.
+    tanh_sinh = on(lambda n: _tanh_sinh01(n + 1)[::2], left, width)
+    return (lambda n, todo: gauss(n, todo)[0],
+            lambda n, todo: (*kronrod(n, todo), 2 * n + 1),
+            _paired(lambda n, todo: tanh_sinh(n, todo)[0]))
 
 
 def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
@@ -330,17 +337,26 @@ def _cut(f, lo, hi, owner, size, *, epsrel):
     Segment j, ``[lo[j], hi[j]]``, adds to integral ``owner[j]`` of the
     ``size`` returned; ``f(x, owner)`` maps a flat array of nodes, and the
     integral of each, to real or complex values.  Each segment runs the
-    pairs of ``_pairs``.  While the differences of an integral's segments
-    sum past ``epsrel`` of its value, each round cuts those with at least
-    their mean difference, at the two points of ``_SPAN`` between which
-    ``f`` changes most (the two sides of a jump, say), and runs the pairs
-    on the three pieces.  A middle piece's difference is at least its
-    change of ``f`` times its width: a pair can agree by chance across a
-    jump near an end of its segment, where it has no node.  A jump within
-    0.33% of an end of a segment that its first pair accepts goes unseen.
+    rules of ``_segments`` as an integral of its own: the Gauss-Kronrod
+    pairs from n = ``_CUT_FIRST``, then tanh-sinh rules, to ``epsrel``
+    relative.  While the differences of an integral's segments sum past
+    ``epsrel`` of its value, each round cuts those with at least their
+    mean difference, at the two points of ``_SPAN`` between which ``f``
+    changes most (the two sides of a jump, say), and runs the pairs on the
+    three pieces.  A middle piece's difference is at least its change of
+    ``f`` times its width: a pair can agree by chance across a jump near
+    an end of its segment, where it has no node.  A jump within 0.33% of
+    an end of a segment that its first pair accepts goes unseen.
     """
+    def pairs(lo, hi, owner):
+        # Each segment's value, last difference and the last node count.
+        s = np.arange(lo.size)
+        _, kronrod, tanh_sinh = _segments(f, lo, hi, owner, s, 0 * s, 1)
+        return _doubling(kronrod, s.size, 0.0, epsrel, _CUT_FIRST,
+                         _MAX_NODES, tanh_sinh)
+
     out = np.zeros(size)
-    val, off, nodes = _pairs(f, lo, hi, owner, epsrel)
+    val, off, nodes = pairs(lo, hi, owner)
     for cuts in range(_MAX_CUTS + 1):
         errors = np.bincount(owner, off, minlength=size)
         done = (errors <= epsrel * np.abs(out + _sums(owner, val, size)))
@@ -366,7 +382,7 @@ def _cut(f, lo, hi, owner, size, *, epsrel):
         left, right = x[i, k], x[i, k + 1]
         pieces = (np.concatenate([a, left, right]),
                   np.concatenate([left, right, b]), np.tile(row, 3))
-        v, e, nodes = _pairs(f, *pieces, epsrel)
+        v, e, nodes = pairs(*pieces)
         mid = slice(row.size, 2 * row.size)
         e[mid] = np.maximum(e[mid], change[i, k] * (right - left))
         lo, hi, owner, val, off = (
@@ -374,41 +390,13 @@ def _cut(f, lo, hi, owner, size, *, epsrel):
             for w, p in zip((lo, hi, owner, val, off), (*pieces, v, e)))
 
 
-def _pairs(f, lo, hi, owner, epsrel):
-    """Each segment's value on the pairs of ``_gauss_knots`` from n =
-    ``_CUT_FIRST`` (odd tanh-sinh rules, which have a node at the middle,
-    where the even ones of n and 2n share a gap), with a relative target;
-    then the pairs' last differences (0 where they agree) and the last
-    node count.  A segment sums its own nodes alone, so that its value
-    does not depend on its batch, and the real part of a complex row sums
-    as a real row would."""
-    def on(table, base, scale):
-        def rule(n, todo):
-            t, *w = table(n)
-            k = max(1, _BLOCK // t.size)
-            parts = []
-            for i in range(0, todo.size, k):
-                s = todo[i:i + k]
-                vals = f((base[s, None] + scale[s, None] * t).ravel(),
-                         np.repeat(owner[s], t.size))
-                at = np.repeat(np.arange(s.size), t.size)
-                parts.append([_sums(at, vals * np.tile(wi, s.size), s.size)
-                              * scale[s] for wi in w])
-            return [np.concatenate(e)[:, None] for e in zip(*parts)]
-        return rule
-
-    if not lo.size:
-        return np.zeros(0), np.zeros(0), 0
-    kronrod = on(_kronrod, 0.5 * (lo + hi), 0.5 * (hi - lo))
-    tanh_sinh = on(lambda n: _tanh_sinh01(n + 1)[::2], lo, hi - lo)
-    val, todo, err, nodes = _doubling(
-        lambda n, todo: (*kronrod(n, todo), 2 * n + 1), lo.size, 0.0,
-        epsrel, _CUT_FIRST, _MAX_NODES,
-        _paired(lambda n, todo: tanh_sinh(n, todo)[0]))
-    off = np.zeros(lo.size)
-    if todo is not None:
-        off[todo] = err
-    return val, off, nodes
+def _row_sums(vals, w):
+    """Each row of ``vals`` times the weights ``w``, summed on its own (a
+    matrix product would round each row by its batch); the real part of a
+    complex row sums as a real row would."""
+    if np.iscomplexobj(vals):
+        return _row_sums(vals.real, w) + 1j * _row_sums(vals.imag, w)
+    return np.einsum("ij,j->i", np.ascontiguousarray(vals), w)
 
 
 def _sums(index, val, size):
@@ -426,8 +414,7 @@ def _paired(rule):
     fine member's node count.  Under ``_doubling`` each call runs at twice
     the n of the call before, on a subset of its ``todo``, so the n-node
     estimate is the last call's 2n-node one, and only the first call runs
-    ``rule`` twice.  This pair suits rules whose levels multiply the node
-    count, where a Kronrod pair would cost (2n+1)^d against n^d + (2n)^d.
+    ``rule`` twice.
     """
     last = None
 
@@ -450,9 +437,7 @@ def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None, then=None):
     rule: it returns the coarse and the fine estimates, real or complex, of
     the integrals indexed by the array ``todo`` (a row per integral and a
     column per segment), and the fine member's node count per segment and
-    level.  The Gauss-Kronrod pair of ``_kronrod`` gives both from one
-    evaluation; ``_paired`` makes the pair of an n- and a 2n-node rule.  n
-    doubles until an integral's coarse and fine sums agree to
+    level.  n doubles until an integral's coarse and fine sums agree to
     ``epsabs``/``epsrel``; that integral then stops, and the rule runs on
     the others only.  The array of fine totals is returned, with an
     ``IntegrationWarning`` if that takes ``cap`` (default ``_MAX_NODES``)
@@ -462,23 +447,23 @@ def _doubled(rule, n, lo, hi, epsabs, epsrel, cap=None, then=None):
     that it leaves open too warn, and keep the estimate of whichever rule
     ended with the smaller difference.
     """
-    out, todo, err, nodes = _doubling(rule, len(lo), epsabs, epsrel, n,
-                                      cap or _MAX_NODES, then)
-    if todo is not None:
-        i = int(np.argmax(err))
+    out, off, nodes = _doubling(rule, len(lo), epsabs, epsrel, n,
+                                cap or _MAX_NODES, then)
+    if off.any():
+        i = int(np.argmax(off))
         warnings.warn(
-            f"{nodes}-node rule on [{lo[todo[i]]:g}, {hi[todo[i]]:g}] did "
-            f"not converge: its pair differs by {err[i]:.3g}",
-            IntegrationWarning, stacklevel=3)
+            f"{nodes}-node rule on [{lo[i]:g}, {hi[i]:g}] did not converge: "
+            f"its pair differs by {off[i]:.3g}", IntegrationWarning,
+            stacklevel=3)
     return out
 
 
 def _doubling(rule, size, epsabs, epsrel, n, cap, then=None):
     """``_doubled`` without its warning, and the only n/2n loop.  Returns
-    the fine totals, of the rule's dtype, then the indices of the integrals
-    still open, their last differences (both None if none is open) and the
-    fine member's last node count."""
-    todo = np.arange(size)
+    the fine totals, of the rule's dtype, the last differences of the
+    integrals still open (0 for the others) and the fine member's last
+    node count."""
+    todo, off = np.arange(size), np.zeros(size)
     out = None
     while True:
         coarse, fine, nodes = rule(n, todo)
@@ -493,19 +478,18 @@ def _doubling(rule, size, epsabs, epsrel, n, cap, then=None):
                                                    err.tolist()))
                  if not e <= max(epsabs, epsrel * abs(v))]
         if not open_:
-            return out, None, None, nodes
+            return out, off, nodes
         if nodes >= cap:
             break
         todo, n = todo[open_], 2 * n
-    todo, err = todo[open_], err[open_]
+    todo = todo[open_]
+    off[todo] = err[open_]
     if then is None:
-        return out, todo, err, nodes
-    out2, left, err2, nodes = _doubling(
+        return out, off, nodes
+    out2, off2, nodes = _doubling(
         lambda n, sub: then(n, todo[sub]), todo.size, epsabs, epsrel,
         *_TANH_SINH_NODES)
-    first, out[todo] = out[todo], out2
-    if left is None:
-        return out, None, None, nodes
-    keep = left[err2 >= err[left]]     # the first rule ended closer
-    out[todo[keep]] = first[keep]
-    return out, todo[left], np.minimum(err2, err[left]), nodes
+    first = off2 >= off[todo]     # the first rule ended closer
+    out[todo] = np.where(first, out[todo], out2)
+    off[todo] = np.where(first, off[todo], off2)
+    return out, off, nodes

@@ -320,7 +320,7 @@ def test_reductions_of_singular_density():
     # With Ks = K the sum of the best Ks is the sum of all: Gamma(K/2).
     # pdf(v) ~ v^(-1/2) at the end v = 0 of the rule over the rank-Ks
     # value, where a Gauss-Legendre rule stops at its cap; the tanh-sinh
-    # stage converges there.  The 9 warnings of the kernel-power inverses
+    # stage converges there.  The 6 warnings of the kernel-power inverses
     # at outer nodes within about 1e-13 of 0, whose values are right, are
     # allowed here only: anywhere else such a warning fails the test.
     for K, x in [(3, 1.0), (3, 2.5), (4, 1.7)]:

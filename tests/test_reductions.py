@@ -141,7 +141,7 @@ def test_row_batch_matches_single_rows(exact):
         want = rules._gauss_knots(
             lambda x, _: f(x, np.full(x.size, i)), lo[i], hi[i],
             knots[i].tolist(), deg=5, exact=exact)
-        assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
+        assert got[i] == want
     assert got[1] == got[2] == 0.0
     # Closed form where the knots (three of them) cut at the kink.
     assert got[3] == pytest.approx(

@@ -2,8 +2,8 @@
 
 T3, T4, T5 and T6 take their points as arrays that broadcast, and a single
 point is the same code on one row.  These tests hold the array forms to
-the single-point forms, and every family to one rule for non-finite
-coordinates.
+the single-point forms bit for bit (each row of a rule sums alone), and
+every family to one rule for non-finite coordinates.
 """
 
 import functools
@@ -19,7 +19,6 @@ from ordstat.partition import t5_case
 
 EXP = Exponential(1.0)
 HN = HalfNormal(1.0)
-REL = 1e-14
 
 
 @functools.lru_cache(maxsize=None)
@@ -48,9 +47,9 @@ def _head_tail(dist, K, Ks, m):
                               tuple(range(m + 1, Ks + 1))))
 
 
-def _check_rows(values, point, x, y, support, noise=0.0):
+def _check_rows(values, point, x, y, support):
     """``values(x, y)`` against ``point`` at each element, with points on
-    both sides of the support, to ``REL`` relative plus ``noise``."""
+    both sides of the support, bit for bit."""
     inside = np.asarray(support(x, y))
     assert inside.sum() >= 2 and (~inside).sum() >= 1
     got = values(x, y)
@@ -59,12 +58,11 @@ def _check_rows(values, point, x, y, support, noise=0.0):
                      for a, b in zip(x.ravel(), y.ravel())]).reshape(x.shape)
     assert want[0, 0] > 0 and np.all(want[~inside] == 0)
     assert np.all(got >= 0)
-    assert np.all(np.abs(got - want) <= REL * np.abs(want) + noise)
+    np.testing.assert_array_equal(got, want)
     # A scalar x against an array of y.
     row = values(x[0, 0], y[0])
     assert row.shape == y[0].shape
-    np.testing.assert_allclose(row, values(np.full(3, x[0, 0]), y[0]),
-                               rtol=REL, atol=0)
+    np.testing.assert_array_equal(row, values(np.full(3, x[0, 0]), y[0]))
     for empty in (np.array([]), np.empty((0, 3))):
         assert values(empty, empty).shape == empty.shape
 
@@ -80,7 +78,7 @@ def test_exact_t3_rows(K, m):
     # m == 1 is the rank-1 T2 joint, one formula.
     jd = exact_exp.HeadTailAllK(K, m, 1.0)
     x, y = _head_tail(EXP, K, K, m)
-    _check_rows(jd.values, jd, x, y, jd.support, noise=0.0)
+    _check_rows(jd.values, jd, x, y, jd.support)
 
 
 def _t5_ms(Ks):
@@ -121,7 +119,7 @@ def test_exact_t4_rows():
         got = pdf.values(x)
         assert got.shape == x.shape
         want = np.array([pdf(v) for v in x.ravel().tolist()])
-        np.testing.assert_allclose(got.ravel(), want, rtol=REL, atol=0)
+        np.testing.assert_array_equal(got.ravel(), want)
         assert pdf.values(np.empty((0, 2))).shape == (0, 2)
 
 
@@ -257,7 +255,7 @@ def test_non_finite_elements_of_arrays():
         assert got.shape == (len(cases) + 1,)
         for g, (_, want) in zip(got.tolist(), cases):
             assert _same(g, want), name
-        assert got[-1] == pytest.approx(jd(*inner), rel=REL, abs=0)
+        assert got[-1] == jd(*inner)
 
 
 # -- resolve: a grid is one call of the family, on both paths --
