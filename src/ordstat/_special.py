@@ -103,10 +103,9 @@ def _right(z):
     """erfcx on a 1-d float or complex array with ``Re z >= 0``."""
     q = 1.0 / (_L + z)
     p = _poly(_BLOCKS2, 2.0 * _L * q - 1.0)
-    p *= q
-    p += _RSQRTPI
-    p *= q
-    return p
+    # Out of place: numpy's in-place complex product rounds one element
+    # otherwise than it does inside an array.
+    return (p * q + _RSQRTPI) * q
 
 
 def _chunked(f, flat):

@@ -56,9 +56,10 @@ reduced densities (``t3_jpdf`` with m >= 2, ``t4_pdf`` with Ks >= 2,
 ``t5_jpdf`` and ``t6_jpdf``), as the rows of one ``reductions`` rule;
 ``t2_jpdf`` (and ``t3_jpdf`` with m = 1, the rank-1 T2 joint), as the
 rows of one kernel-power inverse; ``t4_pdf`` with Ks = 1, a formula; and
-``t1_pdf``, whose rows are one inversion each.  Every family gives nan at
-a point with a nan coordinate and 0 at one with an infinite coordinate,
-as on the exact path.
+``t1_pdf``, as the rows of one Bromwich-line inversion, which runs them
+in lockstep (``ilt.invert_rows``).  Every family gives nan at a point
+with a nan coordinate and 0 at one with an infinite coordinate, as on the
+exact path.
 """
 
 import functools
@@ -69,7 +70,8 @@ import numpy as np
 from ordstat import exact_exp, reductions, rules
 from ordstat.distributions import Exponential
 from ordstat.errors import ConvergenceError, DomainError
-from ordstat.ilt import TransformFn, invert_numeric
+from ordstat.ilt import TransformFn, invert_rows
+from ordstat.ilt import invert_numeric  # noqa: F401
 
 __all__ = [
     "resolve",
@@ -81,8 +83,9 @@ __all__ = [
     "t6_jpdf",
 ]
 
-# A placeholder: perfbench's tracer swaps a counting proxy into this
-# name, and no ordstat code reads it.
+# Placeholders: perfbench's tracer swaps a counting proxy into
+# ``integrate`` and wraps ``invert_numeric``, and no ordstat code here
+# reads either; T1 inverts through ``invert_rows``.
 integrate = None
 
 
@@ -102,14 +105,19 @@ _ILT_ACCEPT_REL = 1e-5
 
 
 def _ilt(dist, f, t, digits, scale):
+    """Inverse of the transform ``f`` at a 1-d array of t, one row of
+    ``ilt.invert_rows`` each; raises :class:`ConvergenceError` naming the
+    first t whose result is neither converged nor accepted."""
     tf = TransformFn(f, abscissa=_tf_abscissa(dist), scale_hint=scale)
-    res = invert_numeric(tf, t, target_digits=digits)
-    if not res.converged:
-        est = res.error_estimate
-        if est > _ILT_ACCEPT_ABS and est > _ILT_ACCEPT_REL * abs(res.value):
-            raise ConvergenceError(
-                f"inverse transform did not converge at t={t!r} "
-                f"(method {res.method}, error estimate {est:.2e})")
+    res = invert_rows(tf, t, target_digits=digits)
+    est = res.error_estimate
+    bad = ~res.converged & (est > _ILT_ACCEPT_ABS) & (
+        est > _ILT_ACCEPT_REL * np.abs(res.value))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"inverse transform did not converge at t={float(t[i])!r} "
+            f"(method {res.method[i]}, error estimate {est[i]:.2e})")
     return res.value
 
 
@@ -251,8 +259,9 @@ def _inv_pow(dist, lo, hi, n, t):
 
 
 def t1_pdf(dist, K, z, digits=8):
-    """Density of the sum of all ``K`` variables; over an array (or
-    scalar) of z, each point of which is one Bromwich-line inversion."""
+    """Density of the sum of all ``K`` variables, over an array (or
+    scalar) of z: the points are the rows of one Bromwich-line inversion
+    (``ilt.invert_rows``), and each is its own inversion to the bit."""
     if K < 1:
         raise DomainError("need K >= 1")
 
@@ -263,7 +272,7 @@ def t1_pdf(dist, K, z, digits=8):
     def rows(z):
         if K == 1:
             return dist.pdf(z)
-        return [_ilt(dist, f, t, digits, K * dist.mean) for t in z.tolist()]
+        return _ilt(dist, f, z, digits, K * dist.mean)
 
     return reductions._reduce(lambda z: z >= 0, rows, z)
 

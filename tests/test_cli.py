@@ -715,6 +715,25 @@ def test_grids_are_one_call(capsys, monkeypatch):
         assert code == 0
         assert len(_csv_body(out)) == 16
         assert calls == ["gauss_2d"] * rules
+    # A generic T1 grid is one Bromwich-line inversion in lockstep: it
+    # calls the kernel no more often than its costliest point alone.
+    from ordstat.distributions import HalfNormal
+    monkeypatch.setattr(HalfNormal, "kernel_c",
+                        counted("kernel_c", HalfNormal.kernel_c))
+    t1 = ["--theorem", "T1", "--K", "10", "--dist", "halfnormal:1",
+          "--method", "generic"]
+    del calls[:]
+    code, out, _ = run(capsys, "tabulate", *t1, "--grid", "2:16:16")
+    assert code == 0
+    grid = len(calls)
+    alone = []
+    for at, _ in _csv_body(out):
+        del calls[:]
+        code, _, _ = run(capsys, "eval", *t1, "--at", at)
+        assert code == 0
+        alone.append(len(calls))
+    assert len(alone) == 16 and len(set(alone)) > 1
+    assert 0 < grid <= max(alone)
 
 
 # -- every selector resolves through ``partition.match_theorem`` --

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from ordstat import ilt
 from ordstat.errors import DomainError
-from ordstat.ilt import IltResult, TransformFn, invert_numeric
+from ordstat.ilt import IltResult, TransformFn, invert_numeric, invert_rows
 
 A = 0.8
 
@@ -163,6 +164,77 @@ def test_node_counts_unchanged(pair, digits, ts, neval):
     tf, _ = pair()
     assert [invert_numeric(tf, t, target_digits=digits).neval
             for t in ts] == neval
+
+
+# Times at 0 and below resolution, and times the Euler stage closes at
+# different truncations and lines.
+TIMES = [0.0, 1e-9, 0.3, 0.5, 1.0, 2.7, 6.0]
+
+
+def _fields(res):
+    return (res.value, res.error_estimate, res.converged, res.method,
+            res.neval, res.t)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.__name__)
+@pytest.mark.parametrize("digits", [8, 12])
+def test_rows_are_their_times_inverted_alone(pair, digits):
+    # At 12 digits most rows fall through to de Hoog.
+    tf, _ = pair()
+    rows = invert_rows(tf, np.array(TIMES), target_digits=digits)
+    assert len(rows) == len(TIMES)
+    for i, t in enumerate(TIMES):
+        assert _fields(rows[i]) == _fields(
+            invert_numeric(tf, t, target_digits=digits))
+    assert list(rows.method[:2]) == ["below-resolution"] * 2
+
+
+def test_rows_reach_every_stage():
+    methods = {m for pair in PAIRS
+               for digits in (8, 12)
+               for m in invert_rows(pair()[0], TIMES, digits).method}
+    assert methods == {"below-resolution", "euler", "dehoog",
+                       "dehoog-unconverged"}
+
+
+def test_rows_take_as_many_calls_as_the_costliest_row():
+    # The Euler stage evaluates the nodes every open row lacks in one call.
+    tf0, _ = erlang_pair()
+    calls = []
+
+    def counted(s):
+        calls.append(s.size)
+        return tf0.f(s)
+
+    tf = TransformFn(counted, tf0.abscissa, tf0.scale_hint)
+    alone = []
+    for t in TIMES:
+        del calls[:]
+        res = invert_numeric(tf, t)
+        assert sum(calls) == res.neval
+        alone.append(len(calls))
+    del calls[:]
+    rows = invert_rows(tf, TIMES)
+    assert sum(calls) == rows.neval.sum()
+    assert len(set(alone)) > 2 and len(calls) == max(alone)
+
+
+def test_blocks_of_rows_change_no_bits(monkeypatch):
+    tf, _ = shifted_pole_pair()
+    ts = np.linspace(0.0, 6.0, 11)
+    whole = invert_rows(tf, ts)
+    monkeypatch.setattr(ilt, "_ROWS", 3)
+    blocked = invert_rows(tf, ts)
+    assert ([_fields(whole[i]) for i in range(11)]
+            == [_fields(blocked[i]) for i in range(11)])
+
+
+def test_rows_of_no_times_and_negative_times():
+    tf, _ = exp_pair()
+    rows = invert_rows(tf, np.array([]))
+    assert len(rows) == 0 and rows.value.shape == (0,)
+    with pytest.raises(DomainError):
+        invert_rows(tf, [1.0, -1.0])
 
 
 def test_validate_accepts_analytic_rejects_nonanalytic():

@@ -1,7 +1,8 @@
 """The reduced densities on coordinate arrays: rows of one rule.
 
 T3, T4, T5 and T6 take their points as arrays that broadcast, and a single
-point is the same code on one row.  These tests hold the array forms to
+point is the same code on one row; so does generic T1, whose points are
+the rows of one Bromwich-line inversion.  These tests hold the array forms to
 the single-point forms bit for bit (each row of a rule sums alone), and
 every family to one rule for non-finite coordinates.
 """
@@ -165,6 +166,26 @@ def test_generic_t6_rows(dist, K, Ks):
         rows = functools.partial(gj.t6_jpdf, dist, K, Ks, m)
         _check_rows(rows, rows, x, y,
                     functools.partial(reductions.t6_support, Ks, m))
+
+
+@pytest.mark.parametrize("dist", [EXP, HN], ids=["exp", "halfnormal"])
+@pytest.mark.parametrize("K", [2, 5, 30])
+def test_generic_t1_rows(dist, K):
+    # The rows of one Bromwich-line inversion: 0 and 1e-9 are below its
+    # resolution, the others around the mean of the sum.
+    mean = K * dist.mean
+    z = np.concatenate([[0.0, 1e-9, -0.3, NAN, INF],
+                        mean * np.array([0.6, 0.85, 1.0, 1.2, 1.5])])
+    got = gj.t1_pdf(dist, K, z)
+    assert got.shape == z.shape
+    want = np.array([gj.t1_pdf(dist, K, v) for v in z.tolist()])
+    np.testing.assert_array_equal(got, want)
+    assert np.all(got[5:] > 0) and np.all(got[[0, 1, 2, 4]] == 0.0)
+    assert np.isnan(got[3])
+    np.testing.assert_array_equal(gj.t1_pdf(dist, K, z.reshape(2, 5)),
+                                  want.reshape(2, 5))
+    for empty in (np.array([]), np.empty((0, 3))):
+        assert gj.t1_pdf(dist, K, empty).shape == empty.shape
 
 
 # -- empty batches --

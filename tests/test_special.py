@@ -114,3 +114,16 @@ def test_shapes_and_chunks():
     z = x + 0.5j
     np.testing.assert_array_equal(
         erfcx(z).ravel(), np.concatenate([erfcx(r) for r in z]))
+
+
+def test_an_element_alone_has_its_bits_in_an_array():
+    # One element is the same computation as its place in an array, in
+    # both half-planes and on the real line.
+    rng = np.random.default_rng(23)
+    n = 3000
+    z = rng.uniform(-6, 6, n) + 1j * rng.uniform(-20, 20, n)
+    x = rng.uniform(-6, 30, n)
+    for v in (z, x):
+        whole = erfcx(v)
+        alone = np.array([erfcx(v[i:i + 1])[0] for i in range(n)])
+        np.testing.assert_array_equal(alone, whole)
