@@ -47,14 +47,13 @@ fine densities until integrated out.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from ordstat import _backend, reductions
 from ordstat.errors import DomainError
 from ordstat.partition import t5_case
-from ordstat.reductions import _pow
+from ordstat.reductions import _pow, _pref
 # The path's relative accuracy target, which the benchmark's oracle reads.
 from ordstat.rules import _EPSREL  # noqa: F401
 
@@ -88,16 +87,6 @@ def _check_scale(gamma_bar):
     if not g > 0.0 or not math.isfinite(g):
         raise DomainError("gamma_bar must be positive and finite")
     return g
-
-
-def _pref(*, num, den):
-    """Exact combinatorial ratio, as a float."""
-    frac = Fraction(math.factorial(num[0]), 1)
-    for n in num[1:]:
-        frac *= math.factorial(n)
-    for d in den:
-        frac /= math.factorial(d)
-    return float(frac)
 
 
 class _Density:
@@ -163,7 +152,7 @@ class ErlangSum(_Density):
         return x >= 0
 
     def _unit(self, x):
-        return reductions._closed_form(
+        return reductions._reduce(
             self.support,
             lambda x: self._norm * _pow(x, self.K - 1) * np.exp(-x), x)
 
@@ -225,7 +214,7 @@ class OneVsRestAllK(_Density):
             raise DomainError("need 1 <= m <= K")
         self.K, self.m = K, m
         self.gamma_bar = _check_scale(gamma_bar)
-        self._pref = _pref(num=(K,), den=(K - m, m - 1, K - 2))
+        self._pref = _pref(K, K - m, m - 1, K - 2)
 
     def support(self, z1, z2):
         """Also over arrays that broadcast."""
@@ -241,7 +230,7 @@ class OneVsRestAllK(_Density):
             s = _backend.power_difference(K - m, K - 2, z2, z1, m - 1)
             return self._pref * np.exp(-(z1 + z2)) * s
 
-        return reductions._closed_form(self.support, formula, z1, z2)
+        return reductions._reduce(self.support, formula, z1, z2)
 
 
 def jpdf_one_vs_rest_allK(K, m, gamma_bar):
@@ -304,7 +293,7 @@ class GscSum(_Density):
         """An array takes one ``reductions.t4`` rule with a row per value."""
         K = self.K
         if self.Ks == 1:
-            return reductions._closed_form(
+            return reductions._reduce(
                 self.support,
                 lambda x: K * np.exp(-x) * _pow(-np.expm1(-x), K - 1), x)
         return reductions.t4(self.fine, self.Ks, x)
@@ -348,7 +337,7 @@ class FineHeadRankTail(_FineBase):
                               "and a nonempty tail")
         super().__init__(K, K, gamma_bar)
         self.m = m
-        self._pref = _pref(num=(K,), den=(K - m, m - 1, m - 2, K - m - 1))
+        self._pref = _pref(K, K - m, m - 1, m - 2, K - m - 1)
 
     def support(self, z1, g, z2):
         return (z2 >= 0) & (z2 <= (self.K - self.m) * g) & (z1 >= self.m * g)
@@ -373,7 +362,7 @@ class FineOneMidLast(_FineBase):
         if Ks < 3:
             raise DomainError("need Ks >= 3 for a nonempty middle group")
         super().__init__(K, Ks, gamma_bar)
-        self._pref = _pref(num=(K,), den=(K - Ks, Ks - 2, Ks - 3))
+        self._pref = _pref(K, K - Ks, Ks - 2, Ks - 3)
 
     def support(self, z1, z3, z4):
         return ((z4 >= 0) & (z4 <= z1) & (z3 >= (self.Ks - 2) * z4)
@@ -400,8 +389,7 @@ class FineHeadMidLast(_FineBase):
             raise DomainError("need 2 <= m <= Ks-2 for all four groups nonempty")
         super().__init__(K, Ks, gamma_bar)
         self.m = m
-        self._pref = _pref(num=(K,),
-                           den=(K - Ks, m - 1, Ks - m - 1, m - 2, Ks - m - 2))
+        self._pref = _pref(K, K - Ks, m - 1, Ks - m - 1, m - 2, Ks - m - 2)
 
     def support(self, z1, z2, z3, z4):
         n_mid = self.Ks - self.m - 1
@@ -430,7 +418,7 @@ class FineHeadNextLast(_FineBase):
         if Ks < 3:
             raise DomainError("need Ks >= 3 for a nonempty head group")
         super().__init__(K, Ks, gamma_bar)
-        self._pref = _pref(num=(K,), den=(K - Ks, Ks - 2, Ks - 3))
+        self._pref = _pref(K, K - Ks, Ks - 2, Ks - 3)
 
     def support(self, z1, z2, z4):
         return (z4 >= 0) & (z4 <= z2) & (z1 >= (self.Ks - 2) * z2)
@@ -453,7 +441,7 @@ class FineLastHead(_FineBase):
         if Ks < 2:
             raise DomainError("need Ks >= 2 for a nonempty head group")
         super().__init__(K, Ks, gamma_bar)
-        self._pref = _pref(num=(K,), den=(K - Ks, Ks - 1, Ks - 2))
+        self._pref = _pref(K, K - Ks, Ks - 1, Ks - 2)
 
     def support(self, v, w):
         return (v >= 0) & (w >= (self.Ks - 1) * v)

@@ -282,7 +282,7 @@ def t2_jpdf(dist, K, m, z1, z2):
     if not 1 <= m <= K or K < 2:
         raise DomainError("need K >= 2 and 1 <= m <= K")
 
-    pref = math.factorial(K) / (math.factorial(K - m) * math.factorial(m - 1))
+    pref = reductions._pref(K, K - m, m - 1)
 
     def rows(z1, z2):
         # The K-m variables below z1 give a c-power, the m-1 above it an
@@ -308,7 +308,7 @@ class _Fine:
 
     def __init__(self, K, Ks, dist, *den):
         self.K, self.Ks, self.dist = K, Ks, dist
-        self._pref = math.factorial(K) / math.prod(map(math.factorial, den))
+        self._pref = reductions._pref(K, *den)
 
     def _last(self, z4):
         """Density of the rank-Ks value z4 times the CDF power of the
@@ -407,7 +407,7 @@ def t4_pdf(dist, K, Ks, x):
     if not 1 <= Ks <= K:
         raise DomainError("need 1 <= Ks <= K")
     if Ks == 1:
-        return reductions._closed_form(
+        return reductions._reduce(
             lambda x: x >= 0,
             lambda x: K * dist.pdf(x) * reductions._pow(dist.cdf(x), K - 1),
             x)

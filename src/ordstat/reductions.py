@@ -46,6 +46,7 @@ support.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -79,19 +80,17 @@ def _pow(x, k):
     return np.asarray(x) ** k
 
 
-def _closed_form(inside, formula, *z):
-    """``formula`` at the points ``z`` inside the support ``inside``; every
-    other point gets what ``_points`` says.  ``formula`` sees 0 for the
-    coordinates of the points outside, so that no inf or nan enters it."""
-    z, out, ok = _points(inside, *z)
-    return np.where(ok, formula(*(np.where(ok, c, 0.0) for c in z)),
-                    out)[()]
+def _pref(K, *den):
+    """The combinatorial factor K! / prod(d! for d in den) of a density,
+    correctly rounded, as Python's true division of ints is."""
+    return math.factorial(K) / math.prod(map(math.factorial, den))
 
 
 def _reduce(inside, rows, *z):
     """``rows(*z)`` at the points ``z`` inside the support ``inside``, which
-    ``rows`` gets as 1-d coordinate arrays, the rows of one rule; every
-    other point gets what ``_points`` says."""
+    ``rows`` gets as 1-d coordinate arrays: the rows of one rule, or the
+    arguments of a closed form.  Every other point gets what ``_points``
+    says, and no formula sees it."""
     z, out, ok = _points(inside, *z)
     out[ok] = rows(*(c[ok] for c in z))
     return out[()]

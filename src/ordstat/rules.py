@@ -472,12 +472,10 @@ def _doubling(rule, size, epsabs, epsrel, n, cap, then=None):
         total = fine.sum(axis=1)
         err = np.abs(fine - coarse).sum(axis=1)
         out[todo] = total
-        # The test runs on Python floats: most calls hold one integral,
-        # where numpy's per-call overhead would dominate.
-        open_ = [i for i, (v, e) in enumerate(zip(total.tolist(),
-                                                   err.tolist()))
-                 if not e <= max(epsabs, epsrel * abs(v))]
-        if not open_:
+        # A nan total leaves the tolerance at epsabs, and a nan error
+        # leaves its integral open.
+        open_ = ~(err <= np.fmax(epsabs, epsrel * np.abs(total)))
+        if not open_.any():
             return out, off, nodes
         if nodes >= cap:
             break

@@ -15,7 +15,8 @@ number, and each suite drives one such pair against the other:
   of the mass; in three and four dimensions they are quasi-Monte Carlo,
   on a randomly shifted rank-1 lattice rule.
 * ``cross_path``: the exponential closed forms against the generic
-  transform-inversion path at random in-support points.
+  transform-inversion path at points drawn from the shape's own law, one
+  Monte Carlo row each (``mc_oracle``).
 * ``mc``: analytic densities against Monte Carlo sampling.  The
   Kolmogorov-Smirnov checks compare with CDFs built from the densities
   by Gauss cell integrals and a cubic Hermite interpolant.
@@ -38,7 +39,7 @@ from ordstat.distributions import Exponential, HalfNormal
 from ordstat.errors import DomainError, OrdstatError
 from ordstat.kernels import NestedIntegralSpec
 from ordstat.mc_oracle import SampleSpec
-from ordstat.partition import Partition, TheoremMatch, t5_case
+from ordstat.partition import TheoremMatch, theorem_partition
 from ordstat.rules import _gauss01, _gauss_knots
 
 __all__ = [
@@ -465,19 +466,6 @@ def _suite_normalization(seed, sizes, depth=None):
 
 # ------------------------------------------------------------- cross_path
 
-def _pick_interior(rng, lo, hi, bad, margin, tries=200):
-    """Uniform draw from (lo, hi) at least ``margin`` from every value in
-    ``bad`` and from both edges; falls back to the midpoint when the
-    margins leave no room."""
-    if hi - lo <= 2.0 * margin:
-        return 0.5 * (lo + hi)
-    for _ in range(tries):
-        v = float(rng.uniform(lo + margin, hi - margin))
-        if all(abs(v - b) > margin for b in bad):
-            return v
-    return 0.5 * (lo + hi)
-
-
 def _cross(shape, gb, *pt):
     """Relative gap between the exact and the generic density of ``shape``
     on the exponential of mean ``gb`` at ``pt``; exact evaluated first."""
@@ -487,110 +475,59 @@ def _cross(shape, gb, *pt):
     return _rel(got, exact, floor=1e-9)
 
 
-def _cp_point_t1(rng, kmax):
-    K = int(rng.integers(1, kmax + 1))
+# The shapes of the cross_path points of each family (T5 by case): the
+# least K, the least Ks (None: Ks = K) and the range of m given Ks (None:
+# no m).  K runs up to the profile's ``cross_kmax``, Ks up to K.
+_CP_SHAPES = {
+    "T1": (1, None, None),
+    "T2": (2, None, lambda ks: (1, ks)),
+    "T3": (2, None, lambda ks: (1, ks - 1)),
+    "T4": (1, 1, None),
+    "T5a": (3, 3, lambda ks: (1, 1)),
+    "T5b": (4, 4, lambda ks: (2, ks - 2)),
+    "T5c": (3, 3, lambda ks: (ks - 1, ks - 1)),
+    "T5d": (2, 2, lambda ks: (ks, ks)),
+    "T6": (2, 2, lambda ks: (1, ks - 1)),
+}
+
+
+def _cp_point(rng, key, kmax):
+    """The arguments of ``_cross`` at one point of ``key``, a key of
+    ``_CP_SHAPES``: a theorem match drawn from its row, the mean gb of the
+    exponential, and the match's partial sums in one draw from that law,
+    seeded from ``rng`` too.  The match is built directly, so Ks = K runs
+    the T4-T6 reductions (``generic_joint.resolve``)."""
+    def draw(lo, hi):
+        return int(rng.integers(lo, hi + 1))
+
+    k_lo, ks_lo, m_range = _CP_SHAPES[key]
+    K = draw(k_lo, kmax)
+    Ks = K if ks_lo is None else draw(ks_lo, K)
+    m = None if m_range is None else draw(*m_range(Ks))
     gb = float(rng.uniform(0.6, 1.7))
-    z = float(rng.uniform(0.3, 2.2)) * K * gb
-    return _cross(TheoremMatch("T1", K, K), gb, z)
-
-
-def _cp_point_t2(rng, kmax):
-    K = int(rng.integers(2, kmax + 1))
-    m = int(rng.integers(1, K + 1))
-    gb = float(rng.uniform(0.6, 1.7))
-    z1 = float(rng.uniform(0.3, 1.8)) * gb
-    if m == 1:
-        z2 = _pick_interior(rng, 0.0, (K - 1) * z1,
-                            [j * z1 for j in range(1, K)], 0.05 * z1)
-    else:
-        lo = (m - 1) * z1
-        hi = lo + 2.0 * (K - m + 2) * gb
-        bad = [(m + j - 1) * z1 for j in range(K - m + 1)]
-        z2 = _pick_interior(rng, lo, hi, bad, 0.05 * gb)
-    return _cross(TheoremMatch("T2", K, K, m), gb, z1, z2)
-
-
-def _cp_point_t3(rng, kmax):
-    K = int(rng.integers(2, kmax + 1))
-    m = int(rng.integers(1, K))
-    gb = float(rng.uniform(0.6, 1.7))
-    gc = float(rng.uniform(0.4, 1.4)) * gb
-    z1 = m * gc * (1.0 + float(rng.uniform(0.15, 0.6)))
-    z2 = (K - m) * gc * (1.0 - float(rng.uniform(0.15, 0.6)))
-    return _cross(TheoremMatch("T3", K, K, m), gb, z1, z2)
-
-
-def _cp_point_t4(rng, kmax):
-    K = int(rng.integers(1, kmax + 1))
-    Ks = int(rng.integers(1, K + 1))
-    gb = float(rng.uniform(0.6, 1.7))
-    x = float(rng.uniform(0.3, 2.0)) * Ks * gb
-    return _cross(TheoremMatch("T4", K, Ks), gb, x)
-
-
-def _cp_point_t5(rng, kmax, which):
-    gb = float(rng.uniform(0.6, 1.7))
-    if which == "b" and kmax < 4:
-        which = "a"
-    if which == "d":
-        Ks = int(rng.integers(2, kmax + 1))
-        K = int(rng.integers(Ks, kmax + 1))
-        m = Ks
-        x = float(rng.uniform(0.2, 1.0)) * gb
-        y = (Ks - 1) * x + float(rng.uniform(0.2, 2.0)) * gb
-    elif which == "a":
-        Ks = int(rng.integers(3, kmax + 1))
-        K = int(rng.integers(Ks, kmax + 1))
-        m = 1
-        x = float(rng.uniform(0.6, 1.6)) * gb
-        y = _pick_interior(rng, 0.0, (Ks - 1) * x,
-                           [j * x for j in range(1, Ks - 1)], 0.05 * x)
-    elif which == "c":
-        Ks = int(rng.integers(3, kmax + 1))
-        K = int(rng.integers(Ks, kmax + 1))
-        m = Ks - 1
-        x = float(rng.uniform(0.4, 1.2)) * gb
-        y = (Ks - 2) * x + float(rng.uniform(0.15, 1.8)) * gb
-    else:
-        Ks = int(rng.integers(4, kmax + 1))
-        K = int(rng.integers(Ks, kmax + 1))
-        m = int(rng.integers(2, Ks - 1))
-        x = float(rng.uniform(0.4, 1.1)) * gb
-        y = (m - 1) * x + float(rng.uniform(0.3, 2.2)) * gb
-    return _cross(TheoremMatch("T5" + t5_case(Ks, m), K, Ks, m), gb, x, y)
-
-
-def _cp_point_t6(rng, kmax):
-    K = int(rng.integers(2, kmax + 1))
-    Ks = int(rng.integers(2, K + 1))
-    m = int(rng.integers(1, Ks))
-    gb = float(rng.uniform(0.6, 1.7))
-    gc = float(rng.uniform(0.4, 1.3)) * gb
-    x = m * gc * (1.0 + float(rng.uniform(0.15, 0.55)))
-    y = (Ks - m) * gc * (1.0 - float(rng.uniform(0.15, 0.55)))
-    return _cross(TheoremMatch("T6", K, Ks, m), gb, x, y)
+    part = theorem_partition(key[:2], K, Ks, m)
+    spec = SampleSpec(Exponential(gb), K, Ks, part, 1,
+                      int(rng.integers(2 ** 63)))
+    return (TheoremMatch(key, K, Ks, m), gb,
+            *mc_oracle.sample_partial_sums(spec)[0].tolist())
 
 
 def _suite_cross_path(seed, sizes, depth=None):
     rng = _rng(seed, "cross_path")
     npts, kmax = sizes["cross_points"], sizes["cross_kmax"]
     checks = []
-    families = (
-        ("T1", lambda i: _cp_point_t1(rng, kmax)),
-        ("T2", lambda i: _cp_point_t2(rng, kmax)),
-        ("T3", lambda i: _cp_point_t3(rng, kmax)),
-        ("T4", lambda i: _cp_point_t4(rng, kmax)),
-        ("T5", lambda i: _cp_point_t5(rng, kmax, "dacb"[i % 4])),
-        ("T6", lambda i: _cp_point_t6(rng, kmax)),
-    )
-    for name, point in families:
+    for fam in ("T1", "T2", "T3", "T4", "T5", "T6"):
         worst = 0.0
         for i in range(npts):
+            key = fam + "dacb"[i % 4] if fam == "T5" else fam
+            if key == "T5b" and kmax < 4:
+                key = "T5a"
+            point = _cp_point(rng, key, kmax)
             try:
-                worst = max(worst, point(i))
+                worst = max(worst, _cross(*point))
             except OrdstatError:
                 worst = _FAILED_EVAL
-        checks.append(_check(f"cross_path/{name}", worst, TOL_CROSS))
+        checks.append(_check(f"cross_path/{fam}", worst, TOL_CROSS))
     return checks
 
 
@@ -630,9 +567,9 @@ def _suite_mc(seed, sizes, depth=None):
     checks = []
 
     ks_cases = (
-        ("sum_all_4", Partition(4, 4, ((1, 2, 3, 4),)),
+        ("sum_all_4", theorem_partition("T1", 4),
          _cdf_interp(exact_exp.pdf_sum_all(4, 1.0), 60.0)),
-        ("gsc_best3of5", Partition(5, 3, ((1, 2, 3),)),
+        ("gsc_best3of5", theorem_partition("T4", 5, 3),
          _cdf_interp(exact_exp.pdf_gsc_sum(5, 3, 1.0), 40.0)),
     )
     for name, part, cdf in ks_cases:
@@ -649,15 +586,15 @@ def _suite_mc(seed, sizes, depth=None):
 
     bin_cases = (
         ("one_vs_rest_4_2", exact_exp.jpdf_one_vs_rest_allK(4, 2, 1.0),
-         Partition(4, 4, ((2,), (1, 3, 4))), ((0.0, 3.5, 30), (0.0, 9.0, 30))),
+         theorem_partition("T2", 4, m=2), ((0.0, 3.5, 30), (0.0, 9.0, 30))),
         ("head_tail_4_2", exact_exp.jpdf_headsum_vs_tailsum_allK(4, 2, 1.0),
-         Partition(4, 4, ((1, 2), (3, 4))), ((0.0, 10.0, 30), (0.0, 3.5, 30))),
+         theorem_partition("T3", 4, m=2), ((0.0, 10.0, 30), (0.0, 3.5, 30))),
         ("best3of5_rank3_vs_rest", exact_exp.jpdf_one_vs_rest_bestKs(5, 3, 3, 1.0),
-         Partition(5, 3, ((3,), (1, 2))), ((0.0, 3.0, 30), (0.0, 10.0, 30))),
+         theorem_partition("T5", 5, 3, 3), ((0.0, 3.0, 30), (0.0, 10.0, 30))),
         ("best3of5_rank2_vs_rest", exact_exp.jpdf_one_vs_rest_bestKs(5, 3, 2, 1.0),
-         Partition(5, 3, ((2,), (1, 3))), ((0.0, 4.0, 30), (0.0, 9.0, 30))),
+         theorem_partition("T5", 5, 3, 2), ((0.0, 4.0, 30), (0.0, 9.0, 30))),
         ("best3of5_rank1_vs_rest", exact_exp.jpdf_one_vs_rest_bestKs(5, 3, 1, 1.0),
-         Partition(5, 3, ((1,), (2, 3))), ((0.0, 7.0, 30), (0.0, 6.0, 30))),
+         theorem_partition("T5", 5, 3, 1), ((0.0, 7.0, 30), (0.0, 6.0, 30))),
     )
     for name, jd, part, bins in bin_cases[:sizes["bin_cases"]]:
         spec = SampleSpec(dist, part.K, part.Ks, part, n, seed + 104729)

@@ -1,6 +1,7 @@
 """The nested Gauss-Kronrod pair, the node counts of ``rules._doubled``
 and the one segment engine of ``_gauss_knots`` and ``_cut``."""
 
+import functools
 import pathlib
 import re
 
@@ -70,6 +71,45 @@ def test_paired_rule_evaluates_each_size_once():
     assert got[0] == pytest.approx((np.exp(5.0) - np.exp(-5.0)) / 5.0,
                                    rel=1e-13)
     assert sizes == [2, 4, 8, 16, 32]
+
+
+def _open_by_python_floats(total, err, epsabs, epsrel):
+    # The test of an open integral, one Python float at a time.
+    return [i for i, (v, e) in enumerate(zip(total.tolist(), err.tolist()))
+            if not e <= max(epsabs, epsrel * abs(v))]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_doubling_closes_the_rows_that_python_floats_close(dtype):
+    # Each row is (total v, difference d): one segment holds v on both
+    # members and the other 0 against -d, so the pair differs by d
+    # exactly.  Rows sit on and just past the epsabs floor and the epsrel
+    # edge; a nan total leaves the floor, and a nan difference is open.
+    epsabs, epsrel = 1e-10, 1e-8
+    up = functools.partial(np.nextafter, np.inf)
+    rows = [(1e-20, epsabs), (1e-20, up(epsabs)), (0.0, 0.0),
+            (1.0, epsrel), (1.0, up(epsrel)), (-3.0, 3 * epsrel),
+            (np.nan, 0.5 * epsabs), (np.nan, 2 * epsabs), (1.0, np.nan)]
+    if dtype is complex:
+        rows += [(3 + 4j, 5 * epsrel), (3 + 4j, 10 * epsrel),
+                 (complex(np.nan, 1.0), 0.5 * epsabs)]
+    v, d = (np.array(c, dtype=dtype) for c in zip(*rows))
+    fine = np.stack([v, np.zeros_like(v)], axis=1)
+    coarse = np.stack([v, -d], axis=1)
+    seen = []
+
+    def rule(n, todo):
+        seen.append(todo)
+        return (coarse[todo] if len(seen) == 1 else fine[todo]), \
+            fine[todo], 2 * n
+
+    out, _, _ = rules._doubling(rule, len(rows), epsabs, epsrel, 2, 64)
+    want = _open_by_python_floats(fine.sum(axis=1),
+                                  np.abs(fine - coarse).sum(axis=1),
+                                  epsabs, epsrel)
+    assert 0 < len(want) < len(rows)
+    assert seen[1].tolist() == want
+    assert np.array_equal(out, fine.sum(axis=1), equal_nan=True)
 
 
 # -- each integral alone: ``_gauss_knots`` and ``_cut`` on one engine --

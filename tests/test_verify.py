@@ -1,12 +1,14 @@
 """Cross-validation report plumbing (schema, filters, rendering)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ordstat import verify
+from ordstat import reductions, verify
 from ordstat.errors import DomainError
+from ordstat.partition import t5_case
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +102,53 @@ def test_numeric_failure_is_reported_not_raised(monkeypatch):
     assert by_name["cross_path/T2"]["observed"] == verify._FAILED_EVAL
     assert by_name["cross_path/T1"]["pass"]
     assert "FAIL" in verify.render_report(rep)
+
+
+def test_cross_path_report_is_fixed_by_its_seed():
+    def blob(seed):
+        return verify.report_json(verify.run_suites(
+            seed=seed, quick=True, suites=["cross_path"]))
+
+    assert blob(4) == blob(4)
+    assert blob(4) != blob(5)
+
+
+def _in_support(shape, *pt):
+    fam, K, Ks, m = shape.id[:2], shape.K, shape.Ks, shape.m
+    if fam in ("T1", "T4"):
+        return pt[0] >= 0
+    size = K if fam in ("T2", "T3") else Ks
+    return bool(getattr(reductions, f"t{fam[1]}_support")(size, m, *pt))
+
+
+@pytest.mark.parametrize("seed, quick", [(1, True), (2, True), (3, False)])
+def test_cross_path_points_lie_in_their_supports(monkeypatch, seed, quick):
+    # Every point is one draw of its shape's partial sums, so it is finite
+    # and inside the support of the pair it checks.
+    seen = []
+
+    def record(shape, gb, *pt):
+        seen.append((shape, gb, pt))
+        return cross(shape, gb, *pt)
+
+    cross = verify._cross
+    monkeypatch.setattr(verify, "_cross", record)
+    rep = verify.run_suites(seed=seed, quick=quick, suites=["cross_path"])
+    assert rep["all_pass"]
+    sizes = verify._sizes(quick)
+    assert len(seen) == 6 * sizes["cross_points"]
+    for shape, gb, pt in seen:
+        assert 0.6 <= gb <= 1.7
+        assert len(pt) == (1 if shape.id[:2] in ("T1", "T4") else 2)
+        assert all(math.isfinite(v) for v in pt), (shape, pt)
+        assert _in_support(shape, *pt), (shape, pt)
+        assert shape.K <= sizes["cross_kmax"]
+        if shape.id[:2] == "T5":
+            assert shape.id == "T5" + t5_case(shape.Ks, shape.m)
+    if quick:
+        # Four points a family: T5 takes each of its cases once.
+        assert sorted(s.id for s, _, _ in seen if s.id[:2] == "T5") == [
+            "T5a", "T5b", "T5c", "T5d"]
 
 
 def test_reduced_densities_are_never_called_per_node(monkeypatch):
