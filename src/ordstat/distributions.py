@@ -65,16 +65,18 @@ class Distribution:
     """A nonnegative random variable with moment-kernel evaluations.
 
     Subclasses must set ``name``, ``mean``, ``abscissa`` (supremum of
-    ``Re(lam)`` for which ``E[exp(lam*X)]`` is finite; ``inf`` if entire)
-    and ``support_upper`` (``inf`` unless the density has bounded support),
-    and implement ``pdf`` and ``cdf`` (vectorized over numpy arrays) and
-    ``_mu``.
+    ``Re(lam)`` for which ``E[exp(lam*X)]`` is finite; ``inf`` if entire),
+    ``support_upper`` (``inf`` unless the density has bounded support) and
+    ``breaks`` (the sorted points inside the support where the density
+    jumps or has a kink), and implement ``pdf`` and ``cdf`` (vectorized
+    over numpy arrays) and ``_mu``.
     """
 
     name = "distribution"
     mean = None
     abscissa = None
     support_upper = math.inf
+    breaks = ()
 
     def pdf(self, x):
         raise NotImplementedError
@@ -259,15 +261,12 @@ class HalfNormal(Distribution):
 # The finite part of an unbounded custom kernel reaches past its lower
 # limit to the first of these distances, in means, beyond which the weight
 # p(x) exp(Re(lam)*x) stays under _FLOOR of its largest value there, and
-# then on by 1/_MARGIN of that distance.  A density that drops to 0 (a
-# jump) just short of that probe then lies well inside the finite part,
-# not within 0.33% of its end, where K_17, the Kronrod member of the
-# first pair that ``rules._cut`` runs on a segment, has no node.
+# at least to the last break: the mapped tail is smooth only if no break
+# lies in it.
 _PROBES = np.exp2(np.arange(-8.0, 48.0, 0.25))
 _FLOOR = 2.0 ** -53
-_MARGIN = 16.0
-# Knots per row, at most: a row that would need more starts the rest of
-# its finite part as one segment, which is cut until it converges.
+# Knots per row, at most: a row that would need more has the rest of its
+# finite part as one segment, whose rules run out of nodes there and warn.
 _MAX_KNOTS = 2 ** 14
 # The relative target of a custom kernel.  A Gauss-Kronrod pair that
 # agrees to 1e-8 leaves its Kronrod value good to about 1e-12 on a smooth
@@ -287,31 +286,35 @@ class CustomDistribution(Distribution):
         an array of its shape (else :class:`DomainError`).  ``cdf`` must be
         the exact integral of ``pdf`` (closed form, not numerically
         integrated), since downstream formulas raise it to large powers.
-        The density may jump inside its support, and be singular at 0,
-        like x^(a-1) with a >= 1/3.
+        The density may be singular at 0, like x^(a-1) with a >= 1/3.
     mean : float
         Used as the characteristic scale for inversion and sampling checks.
     abscissa : float
         Convergence abscissa of the MGF, nonnegative; ``inf`` if entire.
     support_upper : float, optional
         Upper end of the support if bounded, positive.
+    breaks : sequence of float, optional
+        The points in (0, ``support_upper``) where the density jumps or has
+        a kink.  Nothing searches for them: a jump or kink that is not
+        declared slows the rules that meet it, or goes unseen.
     sampler : callable, optional
         ``sampler(rng, size) -> ndarray`` for Monte Carlo use.
 
     Each kernel is one ``rules._cut`` over the segments of every broadcast
     ``(ga, gb, lam)``: knots every half period ``pi/|Im(lam)|`` of
-    ``exp(lam*x)``, and for an unbounded one a last segment on [0, 1)
-    mapped by ``x = end + L*u/(1 - u)``, past the reach of its weight.
-    Each segment runs the Gauss-Kronrod pairs of ``rules._segments`` as an
-    integral of its own, going on to tanh-sinh rules at a singular end,
-    and a segment that does not converge is cut at its sharpest change,
-    such as a jump of the density.  A kernel's value is the same alone or
-    broadcast with others, and a complex ``lam`` with an imaginary part of
-    0 gives the bits of the real one (``_weight``).
+    ``exp(lam*x)``, each segment split at the breaks inside it, and for an
+    unbounded one a last segment on [0, 1) mapped by
+    ``x = end + L*u/(1 - u)``, past the reach of its weight and the last
+    break.  Each segment runs the Gauss-Kronrod pairs of
+    ``rules._segments`` as an integral of its own, going on to tanh-sinh
+    rules at a singular end.  The kernel-power inverses of
+    ``generic_joint`` cut their rules at the breaks too.  A kernel's value
+    is the same alone or broadcast with others, and a complex ``lam`` with
+    an imaginary part of 0 gives the bits of the real one (``_weight``).
     """
 
     def __init__(self, pdf, cdf, mean, abscissa, support_upper=math.inf,
-                 sampler=None, name="custom"):
+                 sampler=None, name="custom", breaks=()):
         self._pdf = pdf
         self._cdf = cdf
         self.mean = _positive("mean", mean)
@@ -323,6 +326,10 @@ class CustomDistribution(Distribution):
         if not self.support_upper > 0.0:
             raise DomainError(
                 f"support_upper must be positive, not {support_upper!r}")
+        self.breaks = tuple(sorted(set(map(float, breaks))))
+        if not all(0.0 < x < self.support_upper for x in self.breaks):
+            raise DomainError(f"breaks must lie in (0, {support_upper!r}), "
+                              f"not {breaks!r}")
         self._sampler = sampler
         self.name = name
 
@@ -334,7 +341,9 @@ class CustomDistribution(Distribution):
         a, b, lam = a[live], b[live], lam[live]
         tail = np.isinf(b)
         end = b.copy()
-        end[tail] = a[tail] + self._reach(a[tail], np.real(lam[tail]))
+        end[tail] = np.maximum(a[tail] + self._reach(a[tail],
+                                                     np.real(lam[tail])),
+                               max(self.breaks, default=0.0))
         # Row i has knots every half period of exp(lam*x) on [a, end], and
         # where its b is infinite one more segment, [end, end + 1], on
         # which x = end + (end - a) * u / (1 - u) for u = v - end.
@@ -351,6 +360,12 @@ class CustomDistribution(Distribution):
 
         lo = np.where(mapped, s, knot(k))
         hi = np.where(k < knots[row], knot(k + 1), s + mapped)
+        for x in self.breaks:
+            # A segment that holds a break ends there, and one more starts.
+            cut = (lo < x) & (x < hi)
+            lo, hi, row = (np.concatenate(v) for v in (
+                (lo, np.full(cut.sum(), x)), (np.where(cut, x, hi), hi[cut]),
+                (row, row[cut])))
         scale = end - a
 
         def f(v, row):
@@ -372,7 +387,7 @@ class CustomDistribution(Distribution):
         big = w > _FLOOR * w.max(axis=1, initial=0.0)[:, None]
         last = np.where(big.any(axis=1),
                         d.size - np.argmax(big[:, ::-1], axis=1), 0)
-        return d[np.minimum(last, d.size - 1)] * (1.0 + 1.0 / _MARGIN)
+        return d[np.minimum(last, d.size - 1)]
 
     def pdf(self, x):
         return self._on_array(self._pdf, "pdf", x)

@@ -27,11 +27,13 @@ structural facts keep it tractable for any distribution on [0, inf):
   theorem: ``mu^n`` splits as ``mu^h * mu^(n-h)``, so its inverse is a
   finite convolution of theirs, recursively, with the pdf restriction at the
   base.  The inverse of power n is only ``C^(n-2)`` on the lattice
-  ``j*lo + (n-j)*hi``, where every convolution cuts its rule.  This
-  matters beyond speed: Bromwich-line summation converges worst at such
-  edges, in exactly the absolute terms that a relative error target cannot
-  afford, and the reduction quadratures both place nodes arbitrarily close
-  to those edges and probe regions where the density is orders of magnitude
+  ``j*lo + (n-j)*hi``, where every convolution cuts its rule; with the
+  declared ``breaks`` of a density that jumps or has a kink, every sum of
+  n points of {lo, breaks, hi} (``_lattice``).  This matters beyond
+  speed: Bromwich-line summation converges worst at such edges, in
+  exactly the absolute terms that a relative error target cannot afford,
+  and the reduction quadratures both place nodes arbitrarily close to
+  those edges and probe regions where the density is orders of magnitude
   below its scale.
 
 The Bromwich-line inverter therefore handles only the total-sum density,
@@ -63,6 +65,7 @@ exact path.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -135,9 +138,18 @@ _MAX_NODES = 64
 _BLOCK = 2 ** 13
 
 
-def _lattice(lo, hi, n):
-    """Interior kink lattice of the inverse of mu(lo, hi, -s)^n."""
-    return tuple(j * lo + (n - j) * hi for j in range(1, n))
+def _lattice(lo, hi, n, breaks):
+    """Interior kink lattice of the inverse of mu(lo, hi, -s)^n: every sum
+    of n points of {lo, the breaks clipped to [lo, hi], hi}, but n*lo and
+    n*hi.  A sum adds its distinct points in that order, each times its
+    count, so with no breaks the lattice is ``j*lo + (n-j)*hi`` to the
+    bit, and an infinite hi enters only the sums that take it."""
+    points = (lo, *(np.clip(b, lo, hi) for b in breaks), hi)
+    ends = {(0,) * n, (len(points) - 1,) * n}
+    return tuple(
+        sum(pick.count(i) * points[i] for i in dict.fromkeys(pick))
+        for pick in itertools.combinations_with_replacement(
+            range(len(points)), n) if pick not in ends)
 
 
 def _overlap(a, b, t):
@@ -151,37 +163,39 @@ def _conv(dist, a, b, t, rule):
     inverses of two kernel powers ``a`` and ``b``, each ``(lo, hi, n)`` for
     mu(lo, hi, -s)^n with 1-d arrays of limits, as is ``t``.
 
-    The overlap of the two supports is cut at the lattice of each factor:
-    a power inverse is not smooth there.  Every lattice point is clipped
-    into the overlap, so each element has the same number of segments;
-    an infinite one (an upper limit of inf) lands on an end.  Empty
-    segments get no nodes.  Both factors are evaluated by the same rule on
-    the node array, factor b at its distance from the segment's far end.
+    The overlap of the two supports is cut at the lattice of each factor
+    (``_lattice``, with the density's breaks): a power inverse is not
+    smooth there.  Every lattice point is clipped into the overlap, so
+    each element has the same number of segments; an infinite one (an
+    upper limit of inf) lands on an end.  Empty segments get no nodes.
+    Both factors are evaluated by the same rule on the node array, factor
+    b at its distance from the segment's far end.
     Returns the estimates, one row per element and one column per segment.
     """
     (la, ha, na), (lb, hb, nb) = a, b
     lo, hi = _overlap(a, b, t)
+    live = np.flatnonzero(hi > lo)
+    lo, hi, tl = lo[live], hi[live], t[live]
+    edges = np.stack([lo, *_lattice(la[live], ha[live], na, dist.breaks),
+                      *(tl - q for q in _lattice(lb[live], hb[live], nb,
+                                                 dist.breaks)),
+                      hi], axis=1)
+    segs = edges.shape[1] - 1
+    if segs > 1:
+        edges = np.sort(np.clip(edges, lo[:, None], hi[:, None]), axis=1)
     dl, dr, w = rule
     nodes = w.size
-    segs = na + nb - 1
     out = np.zeros((t.size, segs))
-    live = np.flatnonzero(hi > lo)
     step = max(1, _BLOCK // (segs * nodes))
-    for k in (live[i:i + step] for i in range(0, live.size, step)):
-        tk, lok, hik = t[k], lo[k], hi[k]
-        edges = np.stack([lok, *_lattice(la[k], ha[k], na),
-                          *(tk - q for q in _lattice(lb[k], hb[k], nb)),
-                          hik], axis=1)
-        if segs > 1:
-            edges = np.sort(np.clip(edges, lok[:, None], hik[:, None]),
-                            axis=1)
-        width = edges[:, 1:] - edges[:, :-1]
+    for i in range(0, live.size, step):
+        k, tk, ek = live[i:i + step], tl[i:i + step], edges[i:i + step]
+        width = ek[:, 1:] - ek[:, :-1]
         # Element and segment of every non-empty segment; with one
         # segment, that is every element, as a view.
         e, s = np.nonzero(width > 0) if segs > 1 else (slice(None), 0)
         width = width[e, s][:, None]
-        ua = edges[e, s][:, None] + width * dl
-        ub = (tk[e] - edges[e, s + 1])[:, None] + width * dr
+        ua = ek[e, s][:, None] + width * dl
+        ub = (tk[e] - ek[e, s + 1])[:, None] + width * dr
         el = k[e]
 
         def rep(v):
@@ -213,7 +227,9 @@ def _inv_prod(dist, a, b, t):
     (or scalars) that broadcast; so is the result.
 
     Upper limits are clamped to the support, so that the edge of a bounded
-    density is a lattice point and not a jump inside a rule.  The n- and
+    density is a lattice point and not a jump inside a rule, as its
+    declared breaks are (``_lattice``); a jump or kink that is not
+    declared slows the rules that meet it, and warns.  The n- and
     2n-node rules of ``_conv`` are compared per element; an element that
     has converged stops.  Gauss-Legendre rules come first; an element that
     they leave open at ``_MAX_NODES`` (a density that is singular, or not

@@ -8,9 +8,9 @@ integrals, of the MS-GSC stages of ``apps``, of the kernel-power inverses
 of ``generic_joint`` and of the brute-force oracle of ``kernels``.
 
 ``_gauss_knots`` integrates rows that each have their own limits and
-knots; ``_cut`` integrates unions of segments, and cuts those that do not
-converge where the integrand jumps (the kernels of a custom density).
-Both run ``_segments``, which sums each segment alone (``_row_sums``), so
+knots; ``_cut`` integrates unions of segments that its caller has cut at
+the integrand's jumps and kinks (the kernels of a custom density).  Both
+run ``_segments``, which sums each segment alone (``_row_sums``), so
 an integral has the same bits alone or in any batch.  ``_gauss_2d``
 integrates two-level regions without knots, with a product per row.
 Their pair is the n-node Gauss-Legendre rule G_n nested in the
@@ -56,14 +56,7 @@ _BLOCK_2D = 2 ** 13
 # part of an x^(a-1) end singularity that they miss is about (6e-38)^a of
 # the segment's integral, below 1e-12 for a >= 1/3.
 _TANH_SINH_SPAN = 4.0
-# ``_cut`` starts at the pair of n = 8, whose K_17 has a node within 0.33%
-# of each end (K_9 only within 1.17%); it runs at most _MAX_CUTS rounds of
-# cuts, each sampling a segment at _SAMPLES points from end to end (moved
-# in by 2^-26 of its width, where a density singular at 0 stays finite).
 _CUT_FIRST = 8
-_MAX_CUTS = 40
-_SAMPLES = 128
-_SPAN = np.linspace(2.0 ** -26, 1.0 - 2.0 ** -26, _SAMPLES)
 
 
 def _read_only(*arrays):
@@ -332,62 +325,34 @@ def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
 
 
 def _cut(f, lo, hi, owner, size, *, epsrel):
-    """Integrals over unions of segments, cutting the segments left open.
+    """Integrals over unions of segments, each smooth inside.
 
     Segment j, ``[lo[j], hi[j]]``, adds to integral ``owner[j]`` of the
     ``size`` returned; ``f(x, owner)`` maps a flat array of nodes, and the
     integral of each, to real or complex values.  Each segment runs the
     rules of ``_segments`` as an integral of its own: the Gauss-Kronrod
     pairs from n = ``_CUT_FIRST``, then tanh-sinh rules, to ``epsrel``
-    relative.  While the differences of an integral's segments sum past
-    ``epsrel`` of its value, each round cuts those with at least their
-    mean difference, at the two points of ``_SPAN`` between which ``f``
-    changes most (the two sides of a jump, say), and runs the pairs on the
-    three pieces.  A middle piece's difference is at least its change of
-    ``f`` times its width: a pair can agree by chance across a jump near
-    an end of its segment, where it has no node.  A jump within 0.33% of
-    an end of a segment that its first pair accepts goes unseen.
+    relative.  An integral warns when the differences of its segments
+    left open sum past ``epsrel`` of its value: judged alone, a tiny tail
+    segment would.  The caller cuts the segments at every jump and kink of
+    ``f``, as QUADPACK's QAGP takes its break points from its caller
+    (Piessens et al., *QUADPACK*, 1983); one left inside a segment slows
+    its rules, or goes unseen where a pair agrees by chance.
     """
-    def pairs(lo, hi, owner):
-        # Each segment's value, last difference and the last node count.
-        s = np.arange(lo.size)
-        _, kronrod, tanh_sinh = _segments(f, lo, hi, owner, s, 0 * s, 1)
-        return _doubling(kronrod, s.size, 0.0, epsrel, _CUT_FIRST,
-                         _MAX_NODES, tanh_sinh)
-
-    out = np.zeros(size)
-    val, off, nodes = pairs(lo, hi, owner)
-    for cuts in range(_MAX_CUTS + 1):
-        errors = np.bincount(owner, off, minlength=size)
-        done = (errors <= epsrel * np.abs(out + _sums(owner, val, size)))
-        if done.all() or cuts == _MAX_CUTS:
-            if not done.all():
-                i = int(np.argmax(np.where(done[owner], 0.0, off)))
-                warnings.warn(
-                    f"{nodes}-node rule on [{lo[i]:g}, {hi[i]:g}] did not "
-                    f"converge in {cuts} rounds of cuts: its segments "
-                    f"differ by {errors[owner[i]]:.3g}", IntegrationWarning,
-                    stacklevel=3)
-            return out + _sums(owner, val, size)
-        done = done[owner]
-        out = out + _sums(owner[done], val[done], size)
-        cut = ~done & (off * np.bincount(owner, minlength=size)[owner]
-                       >= errors[owner])
-        keep = ~done & ~cut
-        a, b, row = lo[cut], hi[cut], owner[cut]
-        x = a[:, None] + (b - a)[:, None] * _SPAN
-        change = np.abs(np.diff(f(x.ravel(), np.repeat(row, _SAMPLES))
-                                .reshape(x.shape), axis=1))
-        i, k = np.arange(row.size), np.argmax(change, axis=1)
-        left, right = x[i, k], x[i, k + 1]
-        pieces = (np.concatenate([a, left, right]),
-                  np.concatenate([left, right, b]), np.tile(row, 3))
-        v, e, nodes = pairs(*pieces)
-        mid = slice(row.size, 2 * row.size)
-        e[mid] = np.maximum(e[mid], change[i, k] * (right - left))
-        lo, hi, owner, val, off = (
-            np.concatenate([w[keep], p])
-            for w, p in zip((lo, hi, owner, val, off), (*pieces, v, e)))
+    s = np.arange(lo.size)
+    _, kronrod, tanh_sinh = _segments(f, lo, hi, owner, s, 0 * s, 1)
+    val, off, nodes = _doubling(kronrod, s.size, 0.0, epsrel, _CUT_FIRST,
+                                _MAX_NODES, tanh_sinh)
+    out = _sums(owner, val, size)
+    errors = np.bincount(owner, off, minlength=size)
+    open_ = ~(errors <= epsrel * np.abs(out))
+    if open_.any():
+        i = int(np.argmax(np.where(open_[owner], off, 0.0)))
+        warnings.warn(
+            f"{nodes}-node rule on [{lo[i]:g}, {hi[i]:g}] did not converge: "
+            f"its segments differ by {errors[owner[i]]:.3g}",
+            IntegrationWarning, stacklevel=3)
+    return out
 
 
 def _row_sums(vals, w):

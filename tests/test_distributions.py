@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -193,28 +194,103 @@ def test_custom_kernel_e_at_infinity_is_zero():
     assert custom.kernel_mu(math.inf, math.inf, -0.4) == 0.0
 
 
+def _unit_step():
+    return CustomDistribution(
+        pdf=lambda x: np.where((x >= 0) & (x < 1), 1.0, 0.0),
+        cdf=lambda x: np.clip(x, 0.0, 1.0), mean=0.5, abscissa=math.inf,
+        name="unit-step", breaks=(1.0,))
+
+
+def _mp_exp_integral(lam, a, b):
+    # int_a^b exp(lam*x) dx at 40 digits, from the doubles a and b.
+    with mpmath.workdps(40):
+        lam, a, b = mpmath.mpmathify(lam), mpmath.mpf(a), mpmath.mpf(b)
+        if lam == 0:
+            return complex(b - a)
+        return complex((mpmath.exp(lam * b) - mpmath.exp(lam * a)) / lam)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("lam", [0.0, complex(-0.3, 7.0)])
 def test_custom_kernel_across_a_jump(lam):
-    # The unit step jumps at 1; the segment that holds the jump is cut
-    # there.  A segment ends at a limit or, for complex lam, at a knot
-    # every pi/|Im(lam)| from the lower limit.  A jump within 0.33% of an
-    # end of one goes unseen, so these lie 5% to 95% of the way along
-    # theirs.
-    step = CustomDistribution(
-        pdf=lambda x: np.where((x >= 0) & (x < 1), 1.0, 0.0),
-        cdf=lambda x: np.clip(x, 0.0, 1.0), mean=0.5, abscissa=math.inf,
-        name="unit-step")
-    t = np.array([0.05, 0.3, 0.5, 0.7, 0.95])
+    # The unit step jumps at its declared break, 1.  A segment ends at a
+    # limit or, for complex lam, at a knot every pi/|Im(lam)| from the
+    # lower limit; the jump lies from 1e-6 to 1 - 1e-6 of the way along
+    # one.
+    step = _unit_step()
+    t = np.array([1e-6, 1e-4, 3e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 0.997,
+                  1.0 - 1e-4, 1.0 - 1e-6])
     if lam:
         a, b = 1.0 - np.add.outer([0.0, 1.0], t).ravel() * math.pi / 7.0, 1.9
     else:
         a, b = 1.0 - t, 2.0 - t
-    want = (np.exp(lam) - np.exp(lam * a)) / lam if lam else 1.0 - a
-    np.testing.assert_allclose(step.kernel_mu(a, b, lam), want, rtol=1e-8,
+    want = [_mp_exp_integral(lam, ai, 1.0) for ai in a]
+    np.testing.assert_allclose(step.kernel_mu(a, b, lam), want, rtol=1e-10,
                                atol=0)
-    np.testing.assert_allclose(step.kernel_e(a, lam), want, rtol=1e-8,
+    np.testing.assert_allclose(step.kernel_e(a, lam), want, rtol=1e-10,
                                atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [0.0, complex(-0.3, 7.0)])
+def test_custom_kernels_with_the_jump_anywhere(lam):
+    # 3,000 kernels mu(a, b) of the unit step, the jump uniform in
+    # [a, b], and 600 more within 1e-6 to 1e-3 of a or b.
+    rng = np.random.default_rng(23)
+    a = rng.uniform(0.0, 1.0, 3600)
+    b = np.minimum(a + rng.uniform(0.0, 1.0, 3600) * 4.0, 4.0)
+    b = np.where(b > 1.0, b, 1.0 + rng.uniform(0.0, 1.0, 3600))
+    near = 10.0 ** rng.uniform(-6.0, -3.0, 600)
+    a[:300] = 1.0 - near[:300] * (b[:300] - 1.0)
+    b[300:600] = 1.0 + near[300:] * (1.0 - a[300:600])
+    got = _unit_step().kernel_mu(a, b, lam)
+    want = [_mp_exp_integral(lam, ai, 1.0) for ai in a]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def _triangular():
+    # 1 - |x - 1| on [0, 2], with its kink at 1.
+    return CustomDistribution(
+        pdf=lambda x: np.maximum(1.0 - np.abs(x - 1.0), 0.0),
+        cdf=lambda x: np.where(x < 1.0, 0.5 * np.clip(x, 0.0, 1.0) ** 2,
+                               1.0 - 0.5 * np.clip(2.0 - x, 0.0, 1.0) ** 2),
+        mean=1.0, abscissa=math.inf, support_upper=2.0, name="triangular",
+        breaks=(1.0,))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [0.0, -0.3, complex(-0.3, 7.0)])
+def test_custom_kernel_across_a_kink(lam):
+    with mpmath.workdps(40):
+        lm = mpmath.mpmathify(lam)
+        want = complex(mpmath.quad(lambda x: (1 - abs(x - 1)) * mpmath.exp(
+            lm * x), [0, 1, mpmath.mpf(1.7)]))
+    got = _triangular().kernel_c(1.7, lam)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def _far_box():
+    # Half the mass is exp(-x)/2, half a box on [100, 100.5]: the weight
+    # reaches about 40 means past 0, and the box lies in none of the
+    # probes of that reach.
+    return CustomDistribution(
+        pdf=lambda x: (np.where(x >= 0.0, 0.5 * np.exp(-np.abs(x)), 0.0)
+                       + np.where((x >= 100.0) & (x < 100.5), 1.0, 0.0)),
+        cdf=lambda x: (0.5 * -np.expm1(-np.maximum(x, 0.0))
+                       + np.clip(x - 100.0, 0.0, 0.5)),
+        mean=50.625, abscissa=1.0, name="far-box", breaks=(100.0, 100.5))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [0.0, 0.02, complex(-0.05, 3.0)])
+def test_custom_kernel_e_reaches_its_last_break(lam):
+    # The mapped tail is smooth only if it starts past the last break.
+    a = np.array([0.0, 10.0, 99.0, 100.2, 100.6])
+    want = [0.5 * np.exp((lam - 1.0) * ai) / (1.0 - lam)
+            + _mp_exp_integral(lam, max(ai, 100.0), max(ai, 100.5))
+            for ai in a]
+    got = _far_box().kernel_e(a, lam)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 def _gamma_half_pdf(x):
@@ -271,3 +347,10 @@ def test_constructor_domain_errors(bad):
         with pytest.raises(DomainError):
             CustomDistribution(pdf=np.exp, cdf=np.exp, mean=1.0,
                                abscissa=1.0, support_upper=bad)
+    # A break lies inside the support, (0, support_upper).
+    with pytest.raises(DomainError, match="breaks"):
+        CustomDistribution(pdf=np.exp, cdf=np.exp, mean=1.0, abscissa=1.0,
+                           breaks=(0.5, bad))
+    with pytest.raises(DomainError, match="breaks"):
+        CustomDistribution(pdf=np.exp, cdf=np.exp, mean=1.0, abscissa=1.0,
+                           support_upper=2.0, breaks=(2.0 + abs(bad),))

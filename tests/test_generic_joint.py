@@ -56,11 +56,30 @@ POWERS = ([("c", 0.0, 1.1, n) for n in (1, 2, 3, 4)]
                          ids=[f"{p[0]}{p[3]}" for p in POWERS])
 def test_power_inverse_mass(kind, lo, hi, n, dist):
     # The inverse is only C^(n-2) on its lattice; hand quad the knots.
-    knots = [k for k in gj._lattice(lo, hi, n) if math.isfinite(k)]
+    knots = [k for k in gj._lattice(lo, hi, n, ()) if math.isfinite(k)]
     mass, _ = integrate.quad(lambda t: gj._inv_pow(dist, lo, hi, n, t),
                              n * lo, n * hi, points=knots or None,
                              epsabs=1e-12, epsrel=1e-10, limit=200)
     assert mass == pytest.approx(dist.kernel_mu(lo, hi, 0.0) ** n, rel=1e-8)
+
+
+def test_lattice_sums_the_points_and_breaks():
+    # No breaks: j*lo + (n-j)*hi to the bit, with no 0*inf from an
+    # infinite hi.  With b breaks: every sum of n of the b + 2 points but
+    # n*lo and n*hi, C(n+b+1, b+1) - 2 of them.
+    lo = np.array([0.1, 0.7, 0.3])
+    hi = np.array([0.9, math.inf, 2.2])
+    for n in range(1, 7):
+        got = gj._lattice(lo, hi, n, ())
+        want = [j * lo + (n - j) * hi for j in range(1, n)]
+        assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+        got = np.array(gj._lattice(lo, hi, n, (0.5, 1.0)))
+        assert got.shape == (math.comb(n + 3, 3) - 2, 3)
+        assert not np.isnan(got).any()
+        assert np.isclose(got[:, 2], 0.3 + 1.0 + (n - 2) * 2.2).any() == (
+            n >= 2)
+        # Breaks outside [lo, hi] clip onto its ends.
+        assert np.all((got[:, 0] >= n * 0.1) & (got[:, 0] <= n * 0.9))
 
 
 @pytest.mark.parametrize("m,pt", [(1, (1.0, 1.5)), (2, (0.8, 2.0)),
@@ -266,6 +285,78 @@ def test_power_inverse_refuses_non_finite_values():
     broken = _unit_step(lambda x: np.where(x < 1.0, 1.0, np.nan))
     with pytest.raises(ConvergenceError):
         gj._inv_pow(broken, 0.0, math.inf, 2, 1.5)
+
+
+# Densities with a declared break at 1: 1/2 on [0, 1) and 3/2 on
+# [1, 4/3] (a jump), and 1 - |x - 1| on [0, 2] (a kink).  Each entry is
+# the distribution and its pdf in mpmath.
+BROKEN = {
+    "jump": (CustomDistribution(
+        pdf=lambda x: np.where((x >= 0) & (x < 1), 0.5,
+                               np.where((x >= 1) & (x <= 4 / 3), 1.5, 0.0)),
+        cdf=lambda x: np.where(x < 1, 0.5 * np.clip(x, 0, 1),
+                               np.minimum(0.5 + 1.5 * (x - 1), 1.0)),
+        mean=1 / 4 + 7 / 12, abscissa=math.inf, support_upper=4 / 3,
+        name="jump", breaks=(1.0,)),
+        lambda x: 0.5 if x < 1 else 1.5),
+    "kink": (CustomDistribution(
+        pdf=lambda x: np.maximum(1.0 - np.abs(x - 1.0), 0.0),
+        cdf=lambda x: np.where(x < 1, 0.5 * np.clip(x, 0, 1) ** 2,
+                               1 - 0.5 * np.clip(2 - x, 0, 1) ** 2),
+        mean=1.0, abscissa=math.inf, support_upper=2.0, name="kink",
+        breaks=(1.0,)),
+        lambda x: 1 - abs(x - 1)),
+}
+
+
+def _mp_conv3(pdf, parts, t, breaks):
+    """(p1 * p2 * p3)(t) at 30 digits, p_i the pdf restricted to parts[i],
+    by Gauss-Legendre rules on the pieces between every kink."""
+    def points(lo, hi, cand):
+        return sorted({lo, hi, *(p for p in cand if lo < p < hi)})
+
+    def ends(l, h):
+        return [l, *breaks, h]
+
+    (l1, h1), (l2, h2), (l3, h3) = parts
+
+    def inner(u):
+        s = t - u
+        lo, hi = max(l2, s - h3), min(h2, s - l3)
+        if lo >= hi:
+            return 0
+        cut = ends(l2, h2) + [s - q for q in ends(l3, h3)]
+        return mpmath.quad(lambda v: pdf(v) * pdf(s - v),
+                           points(lo, hi, cut), method="gauss-legendre")
+
+    lo, hi = max(l1, t - h2 - h3), min(h1, t - l2 - l3)
+    cut = ends(l1, h1) + [t - a - b for a in ends(l2, h2)
+                          for b in ends(l3, h3)]
+    return mpmath.quad(lambda u: pdf(u) * inner(u), points(lo, hi, cut),
+                       method="gauss-legendre")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(BROKEN))
+@pytest.mark.parametrize("m, z2", [(1, 2.0), (2, 2.8)])
+def test_t2_across_a_declared_break_matches_mpmath(name, m, z2):
+    # K=4 at z1 = 1.2: the c-power of the K-m ranks below z1 holds the
+    # break, and so do the lattices of its convolutions at z2.
+    dist, mp_pdf = BROKEN[name]
+    z1 = 1.2
+    with mpmath.workdps(30):
+        up = mpmath.mpf(dist.support_upper)
+        below, above = (0, mpmath.mpf(z1)), (mpmath.mpf(z1), up)
+        parts = [below] * (4 - m) + [above] * (m - 1)
+        want = (_t2_pref(4, m) * mp_pdf(mpmath.mpf(z1))
+                * _mp_conv3(mp_pdf, parts, mpmath.mpf(z2), [1]))
+    assert gj.t2_jpdf(dist, 4, m, z1, z2) == pytest.approx(float(want),
+                                                           rel=1e-12)
+
+
+def _t2_pref(K, m):
+    return math.factorial(K) // (math.factorial(K - m)
+                                 * math.factorial(m - 1))
 
 
 def _gamma_half_pdf(x):

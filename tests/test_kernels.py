@@ -119,11 +119,12 @@ def test_unresolved_weight_warns():
 
 def test_depth4_rule_stops_at_its_total_cap(monkeypatch):
     # With 2**12 nodes in all, a depth-4 chain stops at 16 nodes per level
-    # (16**3 = 2**12), with one warning.
+    # (16**3 = 2**12), with one warning: the innermost kernels cut at the
+    # declared jump and converge.
     step = CustomDistribution(
         pdf=lambda x: np.where((x >= 0) & (x < 1), 1.0, 0.0),
         cdf=lambda x: np.clip(x, 0.0, 1.0), mean=0.5, abscissa=math.inf,
-        name="unit-step")
+        name="unit-step", breaks=(1.0,))
     monkeypatch.setattr(kernels, "_MAX_RULE", 2 ** 12)
     sizes, rule = [], kernels._rule
     monkeypatch.setattr(kernels, "_rule",

@@ -4,6 +4,7 @@ and the one segment engine of ``_gauss_knots`` and ``_cut``."""
 import functools
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -138,48 +139,79 @@ def test_gauss_knots_row_is_the_same_alone_or_in_a_batch(exact):
 
 def _step(x, owner):
     # 1 left of a jump that each integral places at its own point.
-    return np.where(x < 0.3 + 0.001 * owner, 1.0, 0.0) * np.exp(-x)
+    return np.where(x < _jump(owner), 1.0, 0.0) * np.exp(-x)
 
 
-@pytest.mark.filterwarnings("error")
-def test_cut_finds_a_step_inside_a_segment():
-    for jump in (0.3, 0.77):
-        got = rules._cut(lambda x, _: np.where(x < jump, 1.0, 0.0),
-                         np.array([0.0]), np.array([1.0]), np.array([0]), 1,
+def _jump(owner):
+    return 0.3 + 0.001 * owner
+
+
+def _split_at_jumps(lo, hi, owner):
+    # The segments cut at their integrals' jumps, as a caller declares them.
+    jump = _jump(owner)
+    inside = (lo < jump) & (jump < hi)
+    return (np.concatenate([lo, jump[inside]]),
+            np.concatenate([np.where(inside, jump, hi), hi[inside]]),
+            np.concatenate([owner, owner[inside]]))
+
+
+def test_cut_is_exact_at_a_segment_end_and_warns_inside_one():
+    # A step that ends a segment is smooth on both sides: one pair each.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for jump in (0.3, 0.77, 1e-6, 1.0 - 1e-6):
+            got = rules._cut(lambda x, _: np.where(x < jump, 1.0, 0.0),
+                             np.array([0.0, jump]), np.array([jump, 1.0]),
+                             np.array([0, 0]), 1, epsrel=1e-10)
+            assert got[0] == pytest.approx(jump, rel=1e-14)
+        got = rules._cut(lambda x, _: np.where(x < 1.45, np.exp(-x), 0.0),
+                         np.array([0.0, 1.0, 1.45]),
+                         np.array([1.0, 1.45, 2.0]), np.array([0, 0, 0]), 1,
                          epsrel=1e-10)
-        assert got[0] == pytest.approx(jump, rel=1e-10)
-    # Two segments of one integral, one with a step in it.
-    got = rules._cut(lambda x, _: np.where(x < 1.45, np.exp(-x), 0.0),
-                     np.array([0.0, 1.0]), np.array([1.0, 2.0]),
-                     np.array([0, 0]), 1, epsrel=1e-10)
-    assert got[0] == pytest.approx(-np.expm1(-1.45), rel=1e-10)
+        assert got[0] == pytest.approx(-np.expm1(-1.45), rel=1e-14)
+    # Nothing looks for a step that no segment ends at.
+    with pytest.warns(IntegrationWarning, match="did not converge"):
+        got = _cut_at_an_undeclared_step()
+    assert got[0] == pytest.approx(0.3, abs=1e-2)
+
+
+def _cut_at_an_undeclared_step():
+    return rules._cut(lambda x, _: np.where(x < 0.3, 1.0, 0.0),
+                      np.array([0.0]), np.array([1.0]), np.array([0]), 1,
+                      epsrel=1e-10)
 
 
 @pytest.mark.filterwarnings("error")
 def test_cut_segment_is_the_same_alone_or_among_many():
-    # 500 integrals, one segment each, half of them smooth and half with
-    # a step that they cut: each keeps the bits it has alone.
+    # 500 integrals, half of them smooth on one segment and half with a
+    # step that splits theirs in two: each keeps the bits it has alone.
     size = 500
     rng = np.random.default_rng(11)
     lo = rng.uniform(0.0, 0.25, size)
     hi = lo + rng.uniform(0.5, 1.5, size)
+    owner = np.arange(size)
+    step = owner % 2 == 1
+    lo, hi, owner = (np.concatenate([v[~step], w]) for v, w in zip(
+        (lo, hi, owner), _split_at_jumps(lo[step], hi[step], owner[step])))
 
     def f(x, owner):
         return np.where(owner % 2, _step(x, owner), _smooth(x, owner))
 
-    got = rules._cut(f, lo, hi, np.arange(size), size, epsrel=1e-10)
-    assert got[1] == pytest.approx(np.exp(-lo[1]) - np.exp(-0.301),
-                                   rel=1e-10)
+    got = rules._cut(f, lo, hi, owner, size, epsrel=1e-10)
+    assert got[1] == pytest.approx(np.exp(-lo[owner == 1].min())
+                                   - np.exp(-0.301), rel=1e-14)
     for i in range(0, size, 7):
-        alone = rules._cut(lambda x, o: f(x, o + i), lo[i:i + 1],
-                           hi[i:i + 1], np.array([0]), 1, epsrel=1e-10)
+        mine = owner == i
+        alone = rules._cut(lambda x, o: f(x, o + i), lo[mine], hi[mine],
+                           0 * owner[mine], 1, epsrel=1e-10)
         assert alone[0] == got[i], i
 
 
 @pytest.mark.filterwarnings("error")
 def test_complex_row_with_zero_imaginary_part_is_the_real_row():
-    lo, hi = np.array([0.0, 0.4, 1.0]), np.array([0.4, 1.0, 3.0])
-    owner = np.array([0, 0, 1])
+    lo, hi, owner = _split_at_jumps(np.array([0.0, 0.4, 1.0]),
+                                    np.array([0.4, 1.0, 3.0]),
+                                    np.array([0, 0, 1]))
     real = rules._cut(_step, lo, hi, owner, 2, epsrel=1e-10)
     cplx = rules._cut(lambda x, o: _step(x, o) + 0j, lo, hi, owner, 2,
                       epsrel=1e-10)
@@ -203,17 +235,10 @@ def _doubled_at_its_cap():
                               0.0, 1.0, deg=0, exact=False)
 
 
-def _cut_out_of_rounds(monkeypatch):
-    # Steps every 0.01: one round cuts one of them per open segment.
-    monkeypatch.setattr(rules, "_MAX_CUTS", 2)
-    return rules._cut(lambda x, _: np.floor(100.0 * x) % 2,
-                      np.array([0.0]), np.array([1.0]), np.array([0]), 1,
-                      epsrel=1e-10)
-
-
 @pytest.mark.parametrize("make, text", [
     (lambda mp: _doubled_at_its_cap(), "did not converge: its pair"),
-    (_cut_out_of_rounds, "did not converge in 2 rounds of cuts"),
+    (lambda mp: _cut_at_an_undeclared_step(),
+     "did not converge: its segments"),
 ], ids=["doubled", "cut"])
 def test_unconverged_rules_warn_under_the_tier1_filter(monkeypatch, make,
                                                        text):
