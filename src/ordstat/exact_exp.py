@@ -12,10 +12,12 @@ the generic path runs on its own fine densities.
 The fine densities are piecewise polynomial along every reduction line
 that holds the rank-Ks value fixed: the exponential factor is constant
 there, and what is left is a step sum times a power of a head sum.  So the
-inner integrals of T3, T5b and T6 take exact-degree Gauss-Legendre rules,
-and only the integrals over the rank-Ks value, which carry the factor
+inner integrals of T3 and T6 take exact-degree Gauss-Legendre rules, and
+only the integrals over the rank-Ks value, which carry the factor
 ``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, compare the Gauss
-and Kronrod sums of a nested pair.
+and Kronrod sums of a nested pair.  T5b has no inner integral:
+``FineRankRestLast`` is ``FineHeadMidLast``'s integral over the head sum
+in closed form, the T2 step sum of the best Ks-1 above the rank-Ks value.
 
 Each density has one evaluation form: ``values``, over coordinate arrays
 that broadcast; ``__call__``, defined once on ``_Density``, goes through
@@ -34,7 +36,8 @@ T5b and T6.  ``_backend.power_difference`` computes it from the
 nonnegative Bernstein coefficients of its polynomial pieces, which it
 tabulates once per (n, p) in exact integers, so that it does not cancel
 anywhere in the support.  A fine density whose threshold j is
-``(n - j) z4 + j zr`` passes ``u = z - n z4`` and ``h = zr - z4``.  ``K``
+``(a + j) zr + (n - j) z4`` passes ``u = z - (a + n) z4`` and
+``h = zr - z4``; a is 0 but in ``FineRankRestLast``, where it is m-1.  ``K``
 is capped at 30 (``K_CAP``), the domain that the tests cover; a larger
 cap waits for an arbitrary-precision check of every family beyond it.
 
@@ -408,6 +411,43 @@ class FineHeadMidLast(_FineBase):
         return np.where(ok, out, 0.0)
 
 
+class FineRankRestLast(_FineBase):
+    """Joint of (rank-m variable, sum of the other ranks 1..Ks-1, rank-Ks
+    variable), 2 <= m <= Ks-2.
+
+    Above the rank-Ks value z4 the best Ks-1 are i.i.d. unit exponentials
+    shifted by z4 (memorylessness; Renyi, 1953), so the first two
+    coordinates are the T2 pair of Ks-1 variables at ``(x - z4, w -
+    (Ks-2) z4)``: ``OneVsRestAllK``'s step sum on shifted coordinates.  It
+    is ``FineHeadMidLast`` with the head sum integrated out, in closed
+    form.
+    """
+
+    dim = 3
+    coords = ("gamma_m", "rest_sum", "gamma_Ks")
+
+    def __init__(self, K, Ks, m, gamma_bar):
+        if not 2 <= m <= Ks - 2:
+            raise DomainError("need 2 <= m <= Ks-2 for ranks on both sides "
+                              "of rank m besides rank Ks")
+        super().__init__(K, Ks, gamma_bar)
+        self.m = m
+        self._pref = _pref(K, K - Ks, m - 1, Ks - m - 1, Ks - 3)
+
+    def support(self, x, w, z4):
+        return ((z4 >= 0) & (z4 <= x)
+                & (w >= (self.m - 1) * x + (self.Ks - self.m - 1) * z4))
+
+    def _unit(self, x, w, z4):
+        ok = (x >= 0) & (w >= 0) & (z4 >= 0) & (z4 <= x)
+        # Threshold j is (m-1+j) x + (n-j) z4.
+        Ks, m = self.Ks, self.m
+        s = _backend.power_difference(Ks - m - 1, Ks - 3, w - (Ks - 2) * z4,
+                                      x - z4, m - 1)
+        out = (self._pref * self._cdf_pows(z4) * np.exp(-(x + w + z4)) * s)
+        return np.where(ok, out, 0.0)
+
+
 class FineHeadNextLast(_FineBase):
     """Joint of (sum of ranks 1..Ks-2, rank-(Ks-1) variable, rank-Ks variable)."""
 
@@ -453,9 +493,10 @@ class FineLastHead(_FineBase):
         return np.where((v >= 0) & (head >= 0), out, 0.0)
 
 
-# The fine density of each T5 case, for ``reductions.t5_fine``.
-_T5_FINES = {"a": FineOneMidLast, "b": FineHeadMidLast,
-             "c": FineHeadNextLast, "d": FineLastHead}
+# The fine density of each T5 case, and T6's four-group one, for
+# ``reductions.t5_fine`` and ``t6_fine``.
+_FINES = {"a": FineOneMidLast, "b": FineRankRestLast, "c": FineHeadNextLast,
+          "d": FineLastHead, "t6": FineHeadMidLast}
 
 
 class BestKsOneVsRest(_Density):
@@ -479,7 +520,7 @@ class BestKsOneVsRest(_Density):
         self.K, self.Ks, self.m = K, Ks, m
         self.gamma_bar = _check_scale(gamma_bar)
         self.case = t5_case(Ks, m)
-        self.fine = reductions.t5_fine(_T5_FINES, K, Ks, m, 1.0)
+        self.fine = reductions.t5_fine(_FINES, K, Ks, m, 1.0)
 
     def support(self, x, y):
         return reductions.t5_support(self.Ks, self.m, x, y)
@@ -488,9 +529,10 @@ class BestKsOneVsRest(_Density):
         """Density of (rank-m value x, rest-sum value y), over coordinate
         arrays (or scalars) that broadcast: the rows of one rule.
 
-        ``order`` picks the variable eliminated first where two reduction
-        orders exist (1 or 2); 0 means the default.  The orders agree up to
-        quadrature error and exist to check each other.
+        ``order`` picks the variable of the integral where two reduction
+        orders exist (1 or 2); 0 means the default, and any other value
+        raises :class:`DomainError`.  The orders agree up to quadrature
+        error and exist to check each other.
         """
         return self.values(x, y, order=order)
 
@@ -515,7 +557,7 @@ class BestKsHeadTail(_Density):
             raise DomainError("need 1 <= m <= Ks-1 (both sums nonempty)")
         self.K, self.Ks, self.m = K, Ks, m
         self.gamma_bar = _check_scale(gamma_bar)
-        self.fine = reductions.t6_fine(_T5_FINES, K, Ks, m, 1.0)
+        self.fine = reductions.t6_fine(_FINES, K, Ks, m, 1.0)
 
     def support(self, x, y):
         return reductions.t6_support(self.Ks, self.m, x, y)

@@ -1,12 +1,15 @@
 """Joint densities of ordered partial sums for arbitrary distributions.
 
 This is the generic path of the paper's framework.  The fine joint
-densities (``Fine*``) are products of the pdf, a CDF power and the inverse
-Laplace transforms of kernel powers; ``reductions`` integrates them to the
-theorem families T3-T6, with the same limits, knots and rules as the
-exponential closed forms of ``exact_exp``.  These fine densities are not
-polynomial between knots, so every reduction runs the Gauss-Kronrod pair
-of ``rules._gauss_knots``.  T1 (the total sum) inverts an MGF power on a
+densities (``Fine*``, the shapes that ``reductions`` lists) are products
+of the pdf, a CDF power and the inverse Laplace transforms of kernel
+powers, or of their products where groups share one transform variable,
+as in T2 and in ``FineRankRestLast``, T2's pair of the best Ks-1 above the
+rank-Ks value; ``reductions`` integrates them to the theorem families
+T3-T6, with the same limits, knots and rules as the exponential closed
+forms of ``exact_exp``.  These fine densities are not polynomial between
+knots, so every reduction runs the Gauss-Kronrod pair of
+``rules._gauss_knots``.  T1 (the total sum) inverts an MGF power on a
 Bromwich line, T2 convolves kernel-power inverses, and ``resolve``
 dispatches a theorem shape to either path.
 Multidimensional numerical inversion is never attempted: the error budget
@@ -390,6 +393,23 @@ class FineHeadMidLast(_Fine):
         return self._pref * d.pdf(z2) * self._last(z4) * head * mid
 
 
+class FineRankRestLast(_Fine):
+    """Joint of (rank-m variable, sum of the other ranks 1..Ks-1, rank-Ks
+    variable), 2 <= m <= Ks-2: above the rank-Ks value z4 the best Ks-1
+    are i.i.d., so the first two coordinates are ``t2_jpdf``'s pair of
+    Ks-1 variables with the lower limit 0 replaced by z4."""
+
+    def __init__(self, K, Ks, m, dist):
+        super().__init__(K, Ks, dist, K - Ks, m - 1, Ks - m - 1)
+        self.m = m
+
+    def values(self, x, w, z4):
+        d, m = self.dist, self.m
+        below, above = (z4, x, self.Ks - m - 1), (x, math.inf, m - 1)
+        return (self._pref * d.pdf(x) * self._last(z4)
+                * _inv_prod(d, below, above, w))
+
+
 class FineHeadNextLast(_Fine):
     """Joint of (sum of ranks 1..Ks-2, rank-(Ks-1) variable, rank-Ks variable)."""
 
@@ -402,9 +422,10 @@ class FineHeadNextLast(_Fine):
                 * _inv_pow(d, z2, math.inf, self.Ks - 2, z1))
 
 
-# The fine density of each T5 case, for ``reductions.t5_fine``.
-_T5_FINES = {"a": FineOneMidLast, "b": FineHeadMidLast,
-             "c": FineHeadNextLast, "d": FineLastHead}
+# The fine density of each T5 case, and T6's four-group one, for
+# ``reductions.t5_fine`` and ``t6_fine``.
+_FINES = {"a": FineOneMidLast, "b": FineRankRestLast, "c": FineHeadNextLast,
+          "d": FineLastHead, "t6": FineHeadMidLast}
 
 
 def t3_jpdf(dist, K, m, z1, z2):
@@ -434,7 +455,7 @@ def t5_jpdf(dist, K, Ks, m, x, y):
     """Joint density of (rank-m variable, sum of the other best Ks-1)."""
     if not (2 <= Ks <= K and 1 <= m <= Ks):
         raise DomainError("need Ks >= 2 and 1 <= m <= Ks <= K")
-    fine = reductions.t5_fine(_T5_FINES, K, Ks, m, dist)
+    fine = reductions.t5_fine(_FINES, K, Ks, m, dist)
     return reductions.t5(fine, Ks, m, x, y)
 
 
@@ -442,7 +463,7 @@ def t6_jpdf(dist, K, Ks, m, x, y):
     """Joint density of (sum of ranks 1..m, sum of ranks m+1..Ks)."""
     if not (1 <= m < Ks <= K):
         raise DomainError("need 1 <= m < Ks <= K")
-    fine = reductions.t6_fine(_T5_FINES, K, Ks, m, dist)
+    fine = reductions.t6_fine(_FINES, K, Ks, m, dist)
     return reductions.t6(fine, Ks, m, x, y)
 
 

@@ -83,8 +83,12 @@ def sample_sorted(dist, K, n_samples, seed):
 def sample_partial_sums(spec):
     """(n_samples, n_groups) matrix of the requested partial sums.
 
-    Within a group, columns are added in rank order; a group's sum is one
-    left-to-right fold over its ranks.
+    A group's sum is ``np.add.reduce`` over its columns in rank order, and
+    numpy picks the order of the additions from the memory layout.  A
+    stream of several rows adds one rank at a time to every row, a
+    left-to-right fold; a stream of one row sums along it pairwise, in
+    blocks of 8 for a group of 8 or more ranks.  The last bits of a sum
+    are numpy's, not those of one fixed fold.
     """
     cols = [np.asarray(g, dtype=int) - 1 for g in spec.partition.groups]
 

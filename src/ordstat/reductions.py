@@ -17,13 +17,19 @@ shapes, by coordinates (rank 1 = largest):
 * ``FineHeadRankTail`` (T3): sum of ranks 1..m, rank m, sum of ranks m+1..K;
 * ``FineLastHead`` (T4, T5d): rank Ks, sum of ranks 1..Ks-1;
 * ``FineOneMidLast`` (T5a): rank 1, sum of ranks 2..Ks-1, rank Ks;
-* ``FineHeadMidLast`` (T5b, T6): sum of ranks 1..m-1, rank m,
+* ``FineRankRestLast`` (T5b): rank m, sum of the other ranks 1..Ks-1,
+  rank Ks;
+* ``FineHeadMidLast`` (T6): sum of ranks 1..m-1, rank m,
   sum of ranks m+1..Ks-1, rank Ks;
 * ``FineHeadNextLast`` (T5c): sum of ranks 1..Ks-2, rank Ks-1, rank Ks.
 
+Above the rank-Ks value the best Ks-1 are i.i.d., so ``FineRankRestLast``
+is the T2 pair of Ks-1 variables above a floor at the rank-Ks value, and
+T5b is one integral, as T5a and T5c are.
+
 Every reduction runs the rules of ``rules._gauss_knots`` on the knot
 segments of its integrand.  Integrals that hold the rank-Ks coordinate
-fixed (T3's, and the inner ones of T5b and T6) take the exact-degree
+fixed (T3's, and the inner ones of T6) take the exact-degree
 Gauss-Legendre rule alone when the fine density is piecewise polynomial;
 every other integral runs the nested pair of the n-node Gauss and the
 (2n+1)-node Kronrod rule, whose two sums share their nodes, and doubles n
@@ -32,13 +38,12 @@ closed form goes through ``_pow``: a point has the bits of its grid row.
 
 ``t3``, ``t4``, ``t5`` and ``t6`` take their points as coordinate arrays
 that broadcast (or scalars, one point), keep their shape, and integrate
-the points inside the support as the rows of one rule.  T5b and T6
-integrate two coordinates out: their inner integrals, one per pair of a
-point and a node of the outer rule, are the rows of one batch, so each
-rule evaluates the fine density on the nodes of every inner segment
-together, and not one small inner rule at a time.  A point with a nan
-coordinate gives nan, and one with an infinite coordinate 0, without a
-rule (``_reduce``).
+the points inside the support as the rows of one rule.  T6 integrates
+two coordinates out: its inner integrals, one per pair of a point and a
+node of the outer rule, are the rows of one batch, so each rule evaluates
+the fine density on the nodes of every inner segment together, and not
+one small inner rule at a time.  A point with a nan coordinate gives nan,
+and one with an infinite coordinate 0, without a rule (``_reduce``).
 
 ``t2_support``, ``t3_support``, ``t5_support`` and ``t6_support`` are the
 supports of the pairs, for both paths; T2 takes no reduction, only its
@@ -50,6 +55,7 @@ import math
 
 import numpy as np
 
+from ordstat.errors import DomainError
 from ordstat.partition import t5_case
 from ordstat.rules import _gauss_knots
 
@@ -188,12 +194,15 @@ def t5(fine, Ks, m, x, y, order=0):
       swapped.
     * ``"a"``: m == 1 (Ks >= 3), one integral.
     * ``"c"``: m == Ks-1 (Ks >= 3), one integral.
-    * ``"b"``: 2 <= m <= Ks-2, two nested integrals.
+    * ``"b"``: 2 <= m <= Ks-2, one integral.
 
-    ``order`` picks the variable eliminated first in cases a-c (1 or 2);
-    0 means the default, 1.  The orders agree up to quadrature error and
-    exist to check each other.
+    ``order`` picks the variable of the integral in cases a-c: 1 the
+    rank-Ks value, 2 the other coordinate on the line; 0 means the
+    default, 1.  The orders agree up to quadrature error and exist to
+    check each other.  Any other ``order`` raises :class:`DomainError`.
     """
+    if order not in (0, 1, 2):
+        raise DomainError(f"order must be 0, 1 or 2, not {order!r}")
     case = t5_case(Ks, m)
     if case == "d":
         rows = (lambda x, y: fine.values(y, x)) if m == 1 else fine.values
@@ -236,49 +245,35 @@ def _t5c(fine, Ks, x, y, order):
 
 
 def _t5b(fine, Ks, m, x, y, order):
-    # Fine coordinates (head sum z1, rank m = x, mid sum z3, rank Ks z4),
-    # z1 + z3 + z4 = y; the inner integral holds z4 fixed.
+    # Fine coordinates (rank m = x, rest sum w, rank Ks z4), w + z4 = y.
+    # Knot j is where w - (Ks-2) z4 reaches the j-th threshold of the step
+    # sum, (m-1+j) (x - z4); j = 0 is the upper end of z4.
     nm = Ks - m  # selected ranks below m, inclusive of rank Ks
     j = np.arange(1, nm)
     xc, yc = _col(x), _col(y)
-    outer_knots = np.concatenate(
-        [(yc - (m + j - 1) * xc) / (nm - j), yc - (Ks - 2) * xc], axis=1)
-    exact = fine.piecewise_polynomial
-    # Each inner integral takes a pair (point, outer node z4) as its row:
-    # the outer rule's row r gives the point.
     if order in (0, 1):
-        def inner(z4s, r):
-            # Below y - z4 - (nm-1)*x the mid-sum is outside its support,
-            # so the fine density is zero there: the integral starts at
-            # that edge.
-            xr, yr = x[r], y[r]
-            lo1 = np.maximum((m - 1) * xr, yr - z4s - (nm - 1) * xr)
-            knots = _col(yr) - np.multiply.outer(z4s, nm - j) - j * _col(xr)
-            return _gauss_knots(
-                lambda z1, q: fine.values(z1, xr[q],
-                                          yr[q] - z1 - z4s[q], z4s[q]),
-                lo1, yr - nm * z4s, knots, deg=Ks - 4, exact=exact)
-    else:
-        def inner(z4s, r):
-            xr, yr = x[r], y[r]
-            hi3 = np.minimum((nm - 1) * xr, yr - z4s - (m - 1) * xr)
-            knots = np.multiply.outer(z4s, nm - 1 - j) + j * _col(xr)
-            return _gauss_knots(
-                lambda z3, q: fine.values(yr[q] - z3 - z4s[q],
-                                          xr[q], z3, z4s[q]),
-                (nm - 1) * z4s, hi3, knots, deg=Ks - 4, exact=exact)
-    return _gauss_knots(inner, 0.0, np.minimum(x, (y - (m - 1) * x) / nm),
-                        outer_knots, deg=Ks - 3, exact=False)
+        return _gauss_knots(
+            lambda z4, r: fine.values(x[r], y[r] - z4, z4),
+            0.0, np.minimum(x, (y - (m - 1) * x) / nm),
+            (yc - (m - 1 + j) * xc) / (nm - j), deg=Ks - 3, exact=False)
+    return _gauss_knots(
+        lambda w, r: fine.values(x[r], w, y[r] - w),
+        np.maximum(((nm - 1) * y + (m - 1) * x) / nm, y - x), y,
+        ((nm - 1 - j) * yc + (m - 1 + j) * xc) / (nm - j), deg=Ks - 3,
+        exact=False)
 
 
 # -- T6: (sum of ranks 1..m, sum of ranks m+1..Ks), best Ks --
 
 
 def t6_fine(fines, K, Ks, m, param):
-    """The fine density that ``t6`` reduces; ``fines`` as for ``t5_fine``."""
+    """The fine density that ``t6`` reduces; ``fines`` as for ``t5_fine``,
+    with ``FineHeadMidLast``'s class under ``"t6"``."""
     # A one-variable head takes the rank-1 T5 pair's, a one-variable tail
-    # the rank-Ks one (case d); any other m the case-b density of rank m.
-    return t5_fine(fines, K, Ks, Ks if 1 < m == Ks - 1 else m, param)
+    # the rank-Ks one (case d); any other m the four-group density.
+    if 1 < m < Ks - 1:
+        return fines["t6"](K, Ks, m, param)
+    return t5_fine(fines, K, Ks, m if m == 1 else Ks, param)
 
 
 def t6_support(Ks, m, x, y):

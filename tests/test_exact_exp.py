@@ -166,6 +166,8 @@ def _unit_mean_cases(K):
            lambda r: (r[0], r[1:Ks - 1].sum(), r[Ks - 1]))
     yield (exact_exp.FineHeadMidLast, (K, Ks, b),
            lambda r: (r[:b - 1].sum(), r[b - 1], r[b:Ks - 1].sum(), r[Ks - 1]))
+    yield (exact_exp.FineRankRestLast, (K, Ks, b),
+           lambda r: (r[b - 1], r[:Ks - 1].sum() - r[b - 1], r[Ks - 1]))
     yield (exact_exp.FineHeadNextLast, (K, Ks),
            lambda r: (r[:Ks - 2].sum(), r[Ks - 2], r[Ks - 1]))
     yield (exact_exp.FineLastHead, (K, Ks),
@@ -207,6 +209,15 @@ def test_best_ks_reduction_orders_agree(case):
     for v in vals[1:]:
         assert v == pytest.approx(vals[0], rel=1e-6)
     assert vals[0] > 0.0
+
+
+@pytest.mark.parametrize("order", [-1, 3, 7, 1.5, None])
+def test_best_ks_order_outside_0_1_2_raises(order):
+    # Every case, d too, where the order picks nothing.
+    for m in (1, 3, 5, 6):
+        jd = exact_exp.jpdf_one_vs_rest_bestKs(8, 6, m, GB)
+        with pytest.raises(DomainError, match="order"):
+            jd.reduce_to_2d(1.0, 6.0, order=order)
 
 
 def test_gauss_2d_exact_on_a_triangle():
@@ -429,30 +440,32 @@ def test_one_vs_rest_tiny_rank_values():
 # -- step-sum densities against exact step sums --
 
 
-def _exact_steps(n, u, thresholds):
-    """``sum_j (-1)^j C(n, j) (u - t_j)_+^(n-1)`` in rationals, at the float
-    inputs, and the distance of u from the nearest edge of the support,
-    ``[t_0, t_n]``."""
+def _exact_steps(n, p, u, thresholds):
+    """``sum_j (-1)^j C(n, j) (u - t_j)_+^p`` in rationals, at the float
+    inputs, and the distance of u from the nearest edge where the sum
+    vanishes: ``t_0``, and ``t_n`` too for p = n - 1."""
     u, thr = Fraction(u), [Fraction(t) for t in thresholds]
-    return (sum((-1) ** j * math.comb(n, j) * (u - t) ** (n - 1)
+    edges = thr[:1] if p >= n else [thr[0], thr[-1]]
+    return (sum((-1) ** j * math.comb(n, j) * (u - t) ** p
                 for j, t in enumerate(thr) if u >= t),
-            min(abs(u - thr[0]), abs(u - thr[-1])))
+            min(abs(u - e) for e in edges))
 
 
 def _exact_head_rank_tail(d, z1, g, z2):
-    # (the density's float factor, n, u, the thresholds, the scale of the
-    # coordinates that place them), at one point in units of the mean.
+    # (the density's float factor, n, the power, u, the thresholds, the
+    # scale of the coordinates that place them), at one point in units of
+    # the mean.
     n = d.K - d.m
     factor = (d._pref * np.exp(-(z1 + z2))
               * (z1 - d.m * g) ** (d.m - 2))
-    return factor, n, z2, [j * Fraction(g) for j in range(n + 1)], n * g
+    return factor, n, n - 1, z2, [j * Fraction(g) for j in range(n + 1)], n * g
 
 
 def _exact_one_mid_last(d, z1, z3, z4):
     n = d.Ks - 2
     factor = (d._pref * d._cdf_pows(z4) * np.exp(-(z1 + z3 + z4)))
     thr = [(n - j) * Fraction(z4) + j * Fraction(z1) for j in range(n + 1)]
-    return factor, n, z3, thr, n * (z1 + z4)
+    return factor, n, n - 1, z3, thr, n * (z1 + z4)
 
 
 def _exact_head_mid_last(d, z1, z2, z3, z4):
@@ -460,7 +473,17 @@ def _exact_head_mid_last(d, z1, z2, z3, z4):
     factor = (d._pref * d._cdf_pows(z4) * (z1 - (d.m - 1) * z2) ** (d.m - 2)
               * np.exp(-(z1 + z2 + z3 + z4)))
     thr = [(n - j) * Fraction(z4) + j * Fraction(z2) for j in range(n + 1)]
-    return factor, n, z3, thr, n * (z2 + z4)
+    return factor, n, n - 1, z3, thr, n * (z2 + z4)
+
+
+def _exact_rank_rest_last(d, x, w, z4):
+    # T2's step sum of the best Ks-1 above z4: threshold j is
+    # (m-1+j) x + (n-j) z4.
+    n, a = d.Ks - d.m - 1, d.m - 1
+    factor = d._pref * d._cdf_pows(z4) * np.exp(-(x + w + z4))
+    thr = [(a + j) * Fraction(x) + (n - j) * Fraction(z4)
+           for j in range(n + 1)]
+    return factor, n, d.Ks - 3, w, thr, (d.Ks - 2) * (x + z4)
 
 
 def _step_sum_cases(K):
@@ -486,6 +509,13 @@ def _step_sum_cases(K):
         return ((d.m - 1) * z2 + rng.uniform(-0.1, 2.0, n), z2,
                 between(rng, nm * z4 - 0.1, nm * z2 + 0.1), z4)
 
+    def rank_rest_last(rng, n, d):
+        # Past the last knot, (Ks-2) x, the step sum is one polynomial.
+        x = rng.uniform(0.0, 2.0, n)
+        z4 = rng.uniform(0.0, 1.05, n) * x
+        lo = (d.m - 1) * x + (d.Ks - d.m - 1) * z4
+        return x, between(rng, lo - 0.1, (d.Ks - 2) * x + 1.0), z4
+
     for m in sorted({2, K // 2, K - 1}):
         yield (exact_exp.FineHeadRankTail(K, m, 1.3), _exact_head_rank_tail,
                head_rank_tail)
@@ -495,6 +525,9 @@ def _step_sum_cases(K):
     for Ks, m in sorted({(4, 2), (K, 2), (K, K // 2), (K, K - 2)}):
         yield (exact_exp.FineHeadMidLast(K, Ks, m, 1.3), _exact_head_mid_last,
                head_mid_last)
+    for Ks, m in sorted({(4, 2), (K, 2), (K - 1, K // 2), (K, K - 2)}):
+        yield (exact_exp.FineRankRestLast(K, Ks, m, 1.3),
+               _exact_rank_rest_last, rank_rest_last)
 
 
 @pytest.mark.parametrize("K", [5, 10, 30])
@@ -516,13 +549,13 @@ def test_step_sum_densities_match_exact_step_sums(K):
             # The density is gamma_bar^-dim times the unit-mean one at
             # point / gamma_bar.
             gb = d.gamma_bar
-            factor, n, u, thr, scale = exact(d, *(c / gb for c in point))
-            steps, delta = _exact_steps(n, u, thr)
+            factor, n, p, u, thr, scale = exact(d, *(c / gb for c in point))
+            steps, delta = _exact_steps(n, p, u, thr)
             want = float(factor * float(steps)) / gb ** len(point)
             if (not d.support(*point) or want < 1e-290
                     or delta <= 16 * EPS * (u + scale)):
                 continue
-            bound = 8 * EPS * ((n - 1) * (u + scale) / float(delta)
+            bound = 8 * EPS * (p * (u + scale) / float(delta)
                                + (n + 1) ** 2)
             assert abs(g - want) <= bound * want, (d.coords, point, g, want)
             checked += 1
@@ -717,9 +750,9 @@ def _mp_best_ks_head_tail(K, Ks, m, x, y):
 
 
 def test_nested_reductions_match_arbitrary_precision():
-    # T5b and T6 integrate two coordinates out, the inner rule batched
-    # over the outer nodes; 20-digit nested quadrature over the same fine
-    # density as reference.
+    # T6 integrates two coordinates out, the inner rule batched over the
+    # outer nodes, and T5b one, over the rank-Ks value of FineRankRestLast;
+    # 20-digit nested quadrature over FineHeadMidLast as reference.
     K, Ks = 8, 6
     cases = []
     for m in (2, 3):
@@ -738,6 +771,30 @@ def test_nested_reductions_match_arbitrary_precision():
             want = float(ref(x, y))
             assert want >= 1e-3
             assert jd(x, y) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("K,Ks,ms", [(8, 6, (2, 3, 4)), (8, 8, (2, 5)),
+                                     (30, 27, (3, 13)), (30, 29, (5, 27))])
+def test_rank_rest_last_is_head_mid_last_over_the_head(K, Ks, ms):
+    # FineRankRestLast(x, w, z4) is FineHeadMidLast(z1, x, w - z1, z4)
+    # integrated over the head sum z1: 30-digit Gauss-Legendre between the
+    # knots of the mid step sum, where the integrand is a polynomial.
+    with mpmath.workdps(30):
+        for m in ms:
+            n, f = Ks - m - 1, _mp_head_mid_last(K, Ks, m)
+            fine = exact_exp.FineRankRestLast(K, Ks, m, GB)
+            x, z4 = _mean_rank(K, m), _mean_rank(K, Ks)
+            w = sum(_mean_rank(K, i) for i in range(1, Ks)) - x
+            for x, w, z4 in ((x, w, z4), (0.8 * x, 1.1 * w, 0.5 * z4),
+                             (1.3 * x, 0.9 * w, 0.9 * z4)):
+                mx, mw, mz = map(mpmath.mpf, (x, w, z4))
+                want = float(_mp_quad(
+                    lambda z1: f(z1, mx, mw - z1, mz),
+                    max((m - 1) * mx, mw - n * mx), mw - n * mz,
+                    [mw - (n - j) * mz - j * mx for j in range(1, n)],
+                    method="gauss-legendre"))
+                assert want >= 1e-6
+                assert fine(x, w, z4) == pytest.approx(want, rel=1e-13)
 
 
 def _y_integral(jd, x, lo, hi, knots):

@@ -26,7 +26,7 @@ def _typical(Ks, m):
                                   (5, 1), (5, 2), (5, 3), (5, 4)])
 def test_t5_elimination_orders_agree_on_generic_fine_densities(Ks, m):
     assert t5_case(Ks, m) in "abc"
-    fine = reductions.t5_fine(gj._T5_FINES, K, Ks, m, HN)
+    fine = reductions.t5_fine(gj._FINES, K, Ks, m, HN)
     assert not fine.piecewise_polynomial
     for x, y in _typical(Ks, m):
         first = reductions.t5(fine, Ks, m, x, y, order=1)
@@ -36,11 +36,13 @@ def test_t5_elimination_orders_agree_on_generic_fine_densities(Ks, m):
         assert gj.t5_jpdf(HN, K, Ks, m, x, y) == first
 
 
-# -- the inner rules of T5b and T6, batched over the outer nodes --
+# -- T5b as one integral, and T6's inner rules batched over the outer
+# nodes, against one scalar inner rule per node of FineHeadMidLast --
 
 
 def _per_node(fine, Ks, lo, hi, knots, inner):
-    """The outer rule of T5b or T6 with one scalar inner rule per node.
+    """The outer rule of the nested T5b or T6 with one scalar inner rule
+    per node, on ``FineHeadMidLast``.
 
     ``inner(z4)`` gives the integrand and limits of one inner integral.
     """
@@ -95,8 +97,8 @@ def _fines(path, dist, K, Ks, m):
     if path == "exact":
         return (exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, m, 1.0).fine,
                 exact_exp.jpdf_headsum_vs_tailsum_bestKs(K, Ks, m, 1.0).fine)
-    fine = reductions.t5_fine(gj._T5_FINES, K, Ks, m, dist)
-    return fine, reductions.t6_fine(gj._T5_FINES, K, Ks, m, dist)
+    fine = reductions.t5_fine(gj._FINES, K, Ks, m, dist)
+    return fine, reductions.t6_fine(gj._FINES, K, Ks, m, dist)
 
 
 @pytest.mark.parametrize("path,dist,K,Ks,m", [
@@ -105,16 +107,20 @@ def _fines(path, dist, K, Ks, m):
     ("generic", HN, 5, 5, 2), ("generic", HN, 6, 6, 3),
     ("generic", EXP, 5, 5, 3), ("generic", EXP, 6, 5, 2)])
 def test_batched_inner_rules_match_a_per_node_loop(path, dist, K, Ks, m):
+    # T5b integrates FineRankRestLast over one coordinate; the reference
+    # integrates FineHeadMidLast, T6's fine density, over two.
     t5b, t6 = _fines(path, dist, K, Ks, m)
     assert t5_case(Ks, m) == "b"
+    assert isinstance(t5b, (exact_exp.FineRankRestLast, gj.FineRankRestLast))
+    assert isinstance(t6, (exact_exp.FineHeadMidLast, gj.FineHeadMidLast))
     assert t5b.piecewise_polynomial == (path == "exact")
     rest = [i for i in range(1, Ks + 1) if i != m]
     x, y = _mean_point(dist, K, Ks, [m], rest)
-    for order in (1, 2) if path == "exact" else (1,):
-        want = _t5b_per_node(t5b, Ks, m, x, y, order)
+    for order in (1, 2):
+        want = _t5b_per_node(t6, Ks, m, x, y, order)
         assert want >= 1e-4
         assert reductions.t5(t5b, Ks, m, x, y, order) == pytest.approx(
-            want, rel=1e-14)
+            want, rel=1e-13)
     x, y = _mean_point(dist, K, Ks, range(1, m + 1), range(m + 1, Ks + 1))
     want = _t6_per_node(t6, Ks, m, x, y)
     assert want >= 1e-4
@@ -170,6 +176,6 @@ def test_inner_rules_take_few_values_calls():
     t6 = exact_exp.jpdf_headsum_vs_tailsum_bestKs(10, 8, 4, 1.0).fine
     x, y = _mean_point(EXP, 10, 8, [1, 2, 3, 4], [5, 6, 7, 8])
     assert _count_values(t6, lambda: reductions.t6(t6, 8, 4, x, y)) < 10
-    hn = reductions.t5_fine(gj._T5_FINES, K, 4, 2, HN)
+    hn = reductions.t5_fine(gj._FINES, K, 4, 2, HN)
     x, y = _typical(4, 2)[0]
     assert _count_values(hn, lambda: reductions.t5(hn, 4, 2, x, y)) < 20
