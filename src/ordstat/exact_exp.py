@@ -4,20 +4,27 @@ Rank the variables decreasingly (rank 1 largest).  For an exponential
 source every transform-domain object downstream of the kernel powers is a
 finite sum of shifted poles, so each density here is a sum of
 ``(u - threshold)^power`` pieces times a common ``exp(-rate * total)``
-factor.  T1, T2 and case d of T5 are such sums outright.  T3, T4, the
+factor.  T1, T2, T3 and case d of T5 are such formulas outright.  T4, the
 other cases of T5 and T6 integrate a fine joint density of the same form
-(the ``Fine*`` classes) with the shared reductions of ``reductions``, which
-the generic path runs on its own fine densities.
+(the ``Fine*`` classes) over one coordinate, by default the rank-Ks
+value, with the shared reductions of ``reductions``, which the generic
+path runs on its own fine densities.  Those integrals carry the factor
+``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, so they compare
+the Gauss and Kronrod sums of a nested pair.
 
-The fine densities are piecewise polynomial along every reduction line
-that holds the rank-Ks value fixed: the exponential factor is constant
-there, and what is left is a step sum times a power of a head sum.  So the
-inner integrals of T3 and T6 take exact-degree Gauss-Legendre rules, and
-only the integrals over the rank-Ks value, which carry the factor
-``(1 - exp(-rate*z))^(K-Ks)`` of the unselected ranks, compare the Gauss
-and Kronrod sums of a nested pair.  T5b has no inner integral:
-``FineRankRestLast`` is ``FineHeadMidLast``'s integral over the head sum
-in closed form, the T2 step sum of the best Ks-1 above the rank-Ks value.
+T3 is one formula.  By Renyi (1953) the head sum H (the m largest) and
+the tail sum T of N unit exponentials are ``sum_i E_i v_i``, with every
+``v_i`` on the line h + t = 1: m of them at (1, 0), and ``(m, j) /
+(m + j)`` for j = 1..N-m.  So S = H + T is Erlang(N), independent of the
+tail share T/S, whose density is the B-spline of degree N-2 with those
+knots (Curry & Schoenberg, 1966).  On cone k, ``k <= m t / h < k + 1``,
+the density is ``exp(-(h + t))`` times a homogeneous polynomial of
+degree N-2 in ``s = m t - k h`` and ``t' = (k + 1) h - m t``, with
+nonnegative weights: ``_backend.head_tail``.  T6 takes it on shifted
+coordinates: above the rank-Ks value the best Ks-1 are i.i.d. (the same
+memorylessness), so ``FineHeadTailLast`` is T3 of the best Ks-1 above
+the rank-Ks value, and T6 is one integral over that value, as T5b is
+over ``FineRankRestLast``, T2 of the best Ks-1 above it.
 
 Each density has one evaluation form: ``values``, over coordinate arrays
 that broadcast; ``__call__``, defined once on ``_Density``, goes through
@@ -25,21 +32,23 @@ it and gives a float at one point.  ``values`` works in units of the mean
 ``gamma_bar``: it is ``gamma_bar^-dim`` times the unit-mean density
 (``_unit``) at ``z / gamma_bar``, so no power of the rate is formed and
 every mean that is positive and finite has the range of the unit one.
-The fine densities and T1, T2 and T5d are one formula; the reduced T3,
+The fine densities and T1, T2, T3 and T5d are one formula; the reduced
 T4, T5 and T6 densities integrate the points inside their support as the
 rows of one ``reductions`` rule, on fine densities built at unit mean.
 
 Every step sum here is one binomial step sum with equally spaced
 thresholds, ``sum_j (-1)^j C(n, j) (u - (a + j) h)_+^p``: in T2 (and T3
-with m = 1, the rank-1 T2 joint) and in the fine densities behind T3, T5a,
-T5b and T6.  ``_backend.power_difference`` computes it from the
-nonnegative Bernstein coefficients of its polynomial pieces, which it
-tabulates once per (n, p) in exact integers, so that it does not cancel
-anywhere in the support.  A fine density whose threshold j is
-``(a + j) zr + (n - j) z4`` passes ``u = z - (a + n) z4`` and
-``h = zr - z4``; a is 0 but in ``FineRankRestLast``, where it is m-1.  ``K``
-is capped at 30 (``K_CAP``), the domain that the tests cover; a larger
-cap waits for an arbitrary-precision check of every family beyond it.
+with m = 1, the rank-1 T2 joint) and in the fine densities behind T5a,
+T5b and ``FineHeadMidLast``.  ``_backend.power_difference`` computes it
+from the nonnegative Bernstein coefficients of its polynomial pieces, and
+``_backend.head_tail`` the T3 sum from its own nonnegative weights; both
+tables are built once per shape in exact integers and evaluated by one
+kernel, so that no sum cancels anywhere in the support.  A fine density
+whose threshold j is ``(a + j) zr + (n - j) z4`` passes
+``u = z - (a + n) z4`` and ``h = zr - z4``; a is 0 but in
+``FineRankRestLast``, where it is m-1.  ``K`` is capped at 30
+(``K_CAP``), the domain that the tests cover; a larger cap waits for an
+arbitrary-precision check of every family beyond it.
 
 Naming: "one vs rest" is the pair (rank-m variable, sum of the other
 selected ones); "headsum vs tailsum" is (sum of the m largest, sum of the
@@ -253,22 +262,24 @@ class HeadTailAllK(_Density):
             raise DomainError("need 1 <= m <= K-1 (both sums nonempty)")
         self.K, self.m = K, m
         self.gamma_bar = _check_scale(gamma_bar)
-        if m == 1:
-            # The head is the single largest variable; the pair coincides
-            # with the one-vs-rest joint at rank 1.
-            self._delegate = OneVsRestAllK(K, 1, 1.0)
-        else:
-            self._delegate = None
-            self.fine = FineHeadRankTail(K, m, 1.0)
+        # The head is the single largest variable at m = 1; the pair
+        # coincides with the one-vs-rest joint at rank 1.
+        self._delegate = OneVsRestAllK(K, 1, 1.0) if m == 1 else None
 
     def support(self, z1, z2):
         return reductions.t3_support(self.K, self.m, z1, z2)
 
     def _unit(self, z1, z2):
-        """The points are the rows of one ``reductions.t3`` rule."""
+        """``_backend.head_tail``'s sum on the cone of each point
+        (module docstring): nonnegative terms only, and no rule."""
         if self._delegate is not None:
             return self._delegate._unit(z1, z2)
-        return reductions.t3(self.fine, self.K, self.m, z1, z2)
+        K, m = self.K, self.m
+
+        def formula(z1, z2):
+            return np.exp(-(z1 + z2)) * _backend.head_tail(K, m, z1, z2)
+
+        return reductions._reduce(self.support, formula, z1, z2)
 
 
 def jpdf_headsum_vs_tailsum_allK(K, m, gamma_bar):
@@ -311,9 +322,6 @@ def pdf_gsc_sum(K, Ks, gamma_bar):
 
 
 class _FineBase(_Density):
-    # Polynomial between knots wherever the rank-Ks value is held fixed.
-    piecewise_polynomial = True
-
     @property
     def grouping(self):
         return " / ".join(self.coords)
@@ -326,33 +334,6 @@ class _FineBase(_Density):
     def _cdf_pows(self, z4):
         # Unselected ranks all lie below the rank-Ks variable.
         return _pow(-np.expm1(-z4), self.K - self.Ks)
-
-
-class FineHeadRankTail(_FineBase):
-    """Joint of (sum of ranks 1..m, rank-m variable, sum of ranks m+1..K)."""
-
-    dim = 3
-    coords = ("head_sum", "gamma_m", "tail_sum")
-
-    def __init__(self, K, m, gamma_bar):
-        if not 2 <= m <= K - 1:
-            raise DomainError("need 2 <= m <= K-1 for a head above rank m "
-                              "and a nonempty tail")
-        super().__init__(K, K, gamma_bar)
-        self.m = m
-        self._pref = _pref(K, K - m, m - 1, m - 2, K - m - 1)
-
-    def support(self, z1, g, z2):
-        return (z2 >= 0) & (z2 <= (self.K - self.m) * g) & (z1 >= self.m * g)
-
-    def _unit(self, z1, g, z2):
-        m = self.m
-        ok = (g >= 0) & (z1 >= m * g) & (z2 >= 0) & (z2 <= (self.K - m) * g)
-        n = self.K - m
-        s = _backend.power_difference(n, n - 1, z2, g, 0)
-        out = (self._pref * np.exp(-(z1 + z2))
-               * _pow(z1 - m * g, m - 2) * s)
-        return np.where(ok, out, 0.0)
 
 
 class FineOneMidLast(_FineBase):
@@ -448,6 +429,41 @@ class FineRankRestLast(_FineBase):
         return np.where(ok, out, 0.0)
 
 
+class FineHeadTailLast(_FineBase):
+    """Joint of (sum of ranks 1..m, sum of ranks m+1..Ks, rank-Ks variable),
+    2 <= m <= Ks-2.
+
+    Above the rank-Ks value z4 the best Ks-1 are i.i.d. unit exponentials
+    shifted by z4 (memorylessness; Renyi, 1953), so the first two
+    coordinates are the T3 pair of Ks-1 variables at ``(x - m z4, y -
+    (Ks-m) z4)``: ``_backend.head_tail``'s sum on shifted coordinates.  It
+    is ``FineHeadMidLast`` with the rank-m value integrated out, in closed
+    form.
+    """
+
+    dim = 3
+    coords = ("head_sum", "tail_sum", "gamma_Ks")
+
+    def __init__(self, K, Ks, m, gamma_bar):
+        if not 2 <= m <= Ks - 2:
+            raise DomainError("need 2 <= m <= Ks-2 for a head of two or more "
+                              "ranks and a tail of two or more")
+        super().__init__(K, Ks, gamma_bar)
+        self.m = m
+        self._pref = _pref(K, K - Ks, Ks - 1)
+
+    def support(self, x, y, z4):
+        Ks, m = self.Ks, self.m
+        h, t = x - m * z4, y - (Ks - m) * z4
+        return (z4 >= 0) & (t >= 0) & (m * t <= (Ks - 1 - m) * h)
+
+    def _unit(self, x, y, z4):
+        Ks, m = self.Ks, self.m
+        s = _backend.head_tail(Ks - 1, m, x - m * z4, y - (Ks - m) * z4)
+        out = self._pref * self._cdf_pows(z4) * np.exp(-(x + y)) * s
+        return np.where((z4 >= 0) & (s > 0), out, 0.0)
+
+
 class FineHeadNextLast(_FineBase):
     """Joint of (sum of ranks 1..Ks-2, rank-(Ks-1) variable, rank-Ks variable)."""
 
@@ -493,10 +509,10 @@ class FineLastHead(_FineBase):
         return np.where((v >= 0) & (head >= 0), out, 0.0)
 
 
-# The fine density of each T5 case, and T6's four-group one, for
-# ``reductions.t5_fine`` and ``t6_fine``.
+# The fine density of each T5 case, and T6's, for ``reductions.t5_fine``
+# and ``t6_fine``.
 _FINES = {"a": FineOneMidLast, "b": FineRankRestLast, "c": FineHeadNextLast,
-          "d": FineLastHead, "t6": FineHeadMidLast}
+          "d": FineLastHead, "t6": FineHeadTailLast}
 
 
 class BestKsOneVsRest(_Density):

@@ -5,13 +5,16 @@ densities (``Fine*``, the shapes that ``reductions`` lists) are products
 of the pdf, a CDF power and the inverse Laplace transforms of kernel
 powers, or of their products where groups share one transform variable,
 as in T2 and in ``FineRankRestLast``, T2's pair of the best Ks-1 above the
-rank-Ks value; ``reductions`` integrates them to the theorem families
-T3-T6, with the same limits, knots and rules as the exponential closed
-forms of ``exact_exp``.  These fine densities are not polynomial between
-knots, so every reduction runs the Gauss-Kronrod pair of
-``rules._gauss_knots``.  T1 (the total sum) inverts an MGF power on a
-Bromwich line, T2 convolves kernel-power inverses, and ``resolve``
-dispatches a theorem shape to either path.
+rank-Ks value.  ``FineHeadTailLast``, T3's pair of the best Ks-1 above
+that value, has no such product: it integrates the rank-m value out of
+the four-group ``FineHeadMidLast``, one rule per element.  ``reductions``
+integrates the fine densities to the theorem families T3-T6, with the
+same limits, knots and rules as the exponential closed forms of
+``exact_exp``.  These fine densities are not polynomial between knots,
+so every rule runs the Gauss-Kronrod pair of ``rules._gauss_knots``.
+T1 (the total sum) inverts an MGF power on a Bromwich line, T2
+convolves kernel-power inverses, and ``resolve`` dispatches a theorem
+shape to either path.
 Multidimensional numerical inversion is never attempted: the error budget
 stays one-dimensional by construction.
 
@@ -323,8 +326,6 @@ class _Fine:
     """A fine joint density of any distribution: ``values`` takes
     coordinate arrays (or scalars) that broadcast."""
 
-    piecewise_polynomial = False
-
     def __init__(self, K, Ks, dist, *den):
         self.K, self.Ks, self.dist = K, Ks, dist
         self._pref = reductions._pref(K, *den)
@@ -410,6 +411,36 @@ class FineRankRestLast(_Fine):
                 * _inv_prod(d, below, above, w))
 
 
+class FineHeadTailLast:
+    """Joint of (sum x of ranks 1..m, sum y of ranks m+1..Ks, rank-Ks
+    variable z4), 2 <= m <= Ks-2: ``FineHeadMidLast`` with the rank-m
+    value z2 integrated out, at the head sum x - z2 and the mid sum y - z4.
+
+    The integrals at the elements are the rows of one rule.  Below
+    (y - z4) / (Ks-m-1) the mid sum is outside its support, so the
+    integral starts at that edge; knot j is where the mid sum reaches
+    its j-th lattice point, (Ks-m-1-j) z4 + j z2.
+    """
+
+    def __init__(self, K, Ks, m, dist):
+        self.Ks, self.m = Ks, m
+        self._fine = FineHeadMidLast(K, Ks, m, dist)
+
+    def values(self, x, y, z4):
+        x, y, z4 = np.broadcast_arrays(*(np.asarray(c, dtype=float)
+                                         for c in (x, y, z4)))
+        shape = x.shape
+        x, y, z4 = (c.ravel() for c in (x, y, z4))
+        nt = self.Ks - self.m
+        j = np.arange(1, nt)
+        knots = (y[:, None] - np.multiply.outer(z4, nt - j)) / j
+        return rules._gauss_knots(
+            lambda z2, q: self._fine.values(x[q] - z2, z2, y[q] - z4[q],
+                                            z4[q]),
+            (y - z4) / (nt - 1), x / self.m, knots,
+            deg=self.Ks - 4, exact=False).reshape(shape)[()]
+
+
 class FineHeadNextLast(_Fine):
     """Joint of (sum of ranks 1..Ks-2, rank-(Ks-1) variable, rank-Ks variable)."""
 
@@ -422,10 +453,10 @@ class FineHeadNextLast(_Fine):
                 * _inv_pow(d, z2, math.inf, self.Ks - 2, z1))
 
 
-# The fine density of each T5 case, and T6's four-group one, for
-# ``reductions.t5_fine`` and ``t6_fine``.
+# The fine density of each T5 case, and T6's, for ``reductions.t5_fine``
+# and ``t6_fine``.
 _FINES = {"a": FineOneMidLast, "b": FineRankRestLast, "c": FineHeadNextLast,
-          "d": FineLastHead, "t6": FineHeadMidLast}
+          "d": FineLastHead, "t6": FineHeadTailLast}
 
 
 def t3_jpdf(dist, K, m, z1, z2):

@@ -288,34 +288,43 @@ def _euler_stage(tf, t, a0, n0, digits):
         # A line after the first measures aliasing against the line before;
         # a row goes on to a higher line unless that estimate meets the
         # goal, aliasing no longer dominates it, or the raises are spent.
-        fr = done[line[done] > 0]
-        v, e = line_v[fr], line_e[fr]
-        aliasing = np.abs(v_prev[fr] - v) / np.expm1(delta[fr])
-        aliasing[~np.isfinite(aliasing)] = math.inf
-        total = e + aliasing
-        win = total < best_e[fr]
-        best_v[fr[win]] = v[win]
-        best_e[fr[win]] = total[win]
-        best_a[fr[win]] = a[fr[win]]
-        stop = ((total <= goal(v)) | (aliasing <= e)
-                | (line[fr] > _MAX_RAISES))
-        is_open[fr[stop]] = False
-        live = live[is_open[live]]
-        go = fr[~stop]
-        delta[go] = np.maximum(_LN10, np.log(aliasing[~stop] / goal(v[~stop])))
-        have[go] = 0
+        # A block with no rows is skipped: each of its operations costs a
+        # numpy call, which dominates when a few rows are left.
+        first_line = line[done] == 0
+        fr = done[~first_line]
+        go = fr
+        if fr.size:
+            v, e = line_v[fr], line_e[fr]
+            aliasing = np.abs(v_prev[fr] - v) / np.expm1(delta[fr])
+            aliasing[~np.isfinite(aliasing)] = math.inf
+            total = e + aliasing
+            win = total < best_e[fr]
+            best_v[fr[win]] = v[win]
+            best_e[fr[win]] = total[win]
+            best_a[fr[win]] = a[fr[win]]
+            stop = ((total <= goal(v)) | (aliasing <= e)
+                    | (line[fr] > _MAX_RAISES))
+            is_open[fr[stop]] = False
+            live = live[is_open[live]]
+            go = fr[~stop]
+            delta[go] = np.maximum(_LN10,
+                                   np.log(aliasing[~stop] / goal(v[~stop])))
+            have[go] = 0
         # The first line goes on to the second, at a0 + ln 10, whose first
         # nodes are in ``ahead``.
-        f0 = done[line[done] == 0]
-        vals[f0, :first] = ahead[f0]
-        have[f0] = first
-        new = np.concatenate([f0, go])
-        v_prev[new] = line_v[new]
-        a[new] += delta[new]
-        contour(new)
-        line[new] += 1
-        n[new] = n0
-        line_v[new], line_e[new] = math.nan, math.inf
+        f0 = done[first_line]
+        if f0.size:
+            vals[f0, :first] = ahead[f0]
+            have[f0] = first
+            go = np.concatenate([f0, go])
+        if not go.size:
+            continue
+        v_prev[go] = line_v[go]
+        a[go] += delta[go]
+        contour(go)
+        line[go] += 1
+        n[go] = n0
+        line_v[go], line_e[go] = math.nan, math.inf
     return best_v, best_e, best_a, neval
 
 

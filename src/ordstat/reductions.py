@@ -11,39 +11,39 @@ the fine densities:
 * ``generic_joint``: pdf, CDF and kernel-power inverses of any distribution.
 
 A fine density is an object with ``values(*coords)`` over coordinate
-arrays that broadcast, and a boolean ``piecewise_polynomial``.  The
-shapes, by coordinates (rank 1 = largest):
+arrays that broadcast.  The shapes, by coordinates (rank 1 = largest):
 
-* ``FineHeadRankTail`` (T3): sum of ranks 1..m, rank m, sum of ranks m+1..K;
+* ``FineHeadRankTail`` (T3, generic path only): sum of ranks 1..m,
+  rank m, sum of ranks m+1..K;
 * ``FineLastHead`` (T4, T5d): rank Ks, sum of ranks 1..Ks-1;
 * ``FineOneMidLast`` (T5a): rank 1, sum of ranks 2..Ks-1, rank Ks;
 * ``FineRankRestLast`` (T5b): rank m, sum of the other ranks 1..Ks-1,
   rank Ks;
-* ``FineHeadMidLast`` (T6): sum of ranks 1..m-1, rank m,
-  sum of ranks m+1..Ks-1, rank Ks;
-* ``FineHeadNextLast`` (T5c): sum of ranks 1..Ks-2, rank Ks-1, rank Ks.
+* ``FineHeadNextLast`` (T5c): sum of ranks 1..Ks-2, rank Ks-1, rank Ks;
+* ``FineHeadTailLast`` (T6): sum of ranks 1..m, sum of ranks m+1..Ks,
+  rank Ks.
 
 Above the rank-Ks value the best Ks-1 are i.i.d., so ``FineRankRestLast``
 is the T2 pair of Ks-1 variables above a floor at the rank-Ks value, and
-T5b is one integral, as T5a and T5c are.
+``FineHeadTailLast`` the T3 pair.  The exact path evaluates both in
+closed form; the generic path's ``FineHeadTailLast`` integrates the
+rank-m value out of the four-group ``FineHeadMidLast`` (sum of ranks
+1..m-1, rank m, sum of ranks m+1..Ks-1, rank Ks) itself.  So no family
+here integrates two coordinates out: T3 (generic) integrates the rank-m
+value, and T4-T6 one coordinate on the line of the requested sums, by
+default the rank-Ks value.  The exact path's T3 takes no rule at all.
 
 Every reduction runs the rules of ``rules._gauss_knots`` on the knot
-segments of its integrand.  Integrals that hold the rank-Ks coordinate
-fixed (T3's, and the inner ones of T6) take the exact-degree
-Gauss-Legendre rule alone when the fine density is piecewise polynomial;
-every other integral runs the nested pair of the n-node Gauss and the
-(2n+1)-node Kronrod rule, whose two sums share their nodes, and doubles n
+segments of its integrand: the nested pair of the n-node Gauss and the
+(2n+1)-node Kronrod rule, whose two sums share their nodes, doubling n
 until they agree.  The rules sum each row alone, and every power in a
 closed form goes through ``_pow``: a point has the bits of its grid row.
 
 ``t3``, ``t4``, ``t5`` and ``t6`` take their points as coordinate arrays
 that broadcast (or scalars, one point), keep their shape, and integrate
-the points inside the support as the rows of one rule.  T6 integrates
-two coordinates out: its inner integrals, one per pair of a point and a
-node of the outer rule, are the rows of one batch, so each rule evaluates
-the fine density on the nodes of every inner segment together, and not
-one small inner rule at a time.  A point with a nan coordinate gives nan,
-and one with an infinite coordinate 0, without a rule (``_reduce``).
+the points inside the support as the rows of one rule.  A point with a
+nan coordinate gives nan, and one with an infinite coordinate 0, without
+a rule (``_reduce``).
 
 ``t2_support``, ``t3_support``, ``t5_support`` and ``t6_support`` are the
 supports of the pairs, for both paths; T2 takes no reduction, only its
@@ -128,13 +128,14 @@ def t3(fine, K, m, z1, z2):
     """T3 for ``m >= 2`` from ``FineHeadRankTail``, over the rank-m value.
 
     With ``m == 1`` the head is one variable and the pair is the rank-1
-    one-vs-rest joint (T2), which each path evaluates directly.
+    one-vs-rest joint (T2), which each path evaluates directly.  The
+    exact path needs no rule at all (``exact_exp.HeadTailAllK``).
     """
     def rows(x, y):
         return _gauss_knots(lambda g, r: fine.values(x[r], g, y[r]),
                             y / (K - m), x / m,
                             _col(y) / np.arange(1, K - m + 1), deg=K - 3,
-                            exact=fine.piecewise_polynomial)
+                            exact=False)
 
     return _reduce(functools.partial(t3_support, K, m), rows, z1, z2)
 
@@ -268,9 +269,9 @@ def _t5b(fine, Ks, m, x, y, order):
 
 def t6_fine(fines, K, Ks, m, param):
     """The fine density that ``t6`` reduces; ``fines`` as for ``t5_fine``,
-    with ``FineHeadMidLast``'s class under ``"t6"``."""
+    with ``FineHeadTailLast``'s class under ``"t6"``."""
     # A one-variable head takes the rank-1 T5 pair's, a one-variable tail
-    # the rank-Ks one (case d); any other m the four-group density.
+    # the rank-Ks one (case d); any other m the head/tail/rank-Ks density.
     if 1 < m < Ks - 1:
         return fines["t6"](K, Ks, m, param)
     return t5_fine(fines, K, Ks, m if m == 1 else Ks, param)
@@ -285,7 +286,7 @@ def t6(fine, Ks, m, x, y):
 
     ``fine`` comes from ``t6_fine``.  A one-variable head is the T5 pair of
     rank 1, and a one-variable tail the fine density of rank Ks; otherwise
-    the rank-m and rank-Ks values are integrated out.
+    the rank-Ks value is integrated out of ``FineHeadTailLast``.
     """
     if m == 1:
         return t5(fine, Ks, 1, x, y)     # the same support
@@ -297,23 +298,12 @@ def t6(fine, Ks, m, x, y):
 
 
 def _t6(fine, Ks, m, x, y):
-    # Fine coordinates (head sum x - z2, rank m = z2, mid sum y - z4,
-    # rank Ks z4); the inner integral holds z4 fixed.
+    # Fine coordinates (head sum x, tail sum y, rank Ks z4).  Knot j is
+    # where the tail share of the best Ks-1 above z4 crosses a cone edge,
+    # m (y - (Ks-m) z4) = j (x - m z4); j = Ks-m-1 is the support's edge.
     nt = Ks - m  # tail size
     j = np.arange(1, nt)
-    outer_knots = (_col(y) - j * _col(x) / m) / (nt - j)
-    exact = fine.piecewise_polynomial
-
-    def inner(z4s, r):
-        # One row per (point, outer node) pair.  Below (y - z4) / (nt - 1)
-        # the mid-sum is outside its support, so the fine density is zero
-        # there: the integral starts at that edge.
-        xr, yr = x[r], y[r]
-        knots = (_col(yr) - np.multiply.outer(z4s, nt - j)) / j
-        return _gauss_knots(
-            lambda z2, q: fine.values(xr[q] - z2, z2,
-                                      yr[q] - z4s[q], z4s[q]),
-            (yr - z4s) / (nt - 1), xr / m, knots, deg=Ks - 4, exact=exact)
-
-    return _gauss_knots(inner, np.maximum(0.0, y - (nt - 1) * x / m),
-                        y / nt, outer_knots, deg=Ks - 3, exact=False)
+    return _gauss_knots(lambda z4, r: fine.values(x[r], y[r], z4),
+                        np.maximum(0.0, y - (nt - 1) * x / m), y / nt,
+                        (_col(y) - j * _col(x) / m) / (nt - j), deg=Ks - 3,
+                        exact=False)

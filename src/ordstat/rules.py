@@ -43,9 +43,9 @@ _MAX_NODES = 128   # per knot segment, on Gauss-Legendre rules
 _TANH_SINH_NODES = (16, 256)
 # Nodes per call of an integrand, whose temporaries are arrays of that
 # many nodes: an exact fine density, step sum included, makes a handful.
-# Where the integrand is a batch of inner rules (T6), each of its
-# nodes is an inner row, with edge and segment arrays of a few entries per
-# inner knot, so the peak memory of a block grows with this times the
+# Where the integrand is a batch of inner rules (generic T6), each of
+# its nodes is an inner row, with edge and segment arrays of a few entries
+# per inner knot, so the peak memory of a block grows with this times the
 # inner knot count.  Each segment sums alone, so the block changes no value.
 _BLOCK = 2 ** 10
 # Nodes per call of a ``_gauss_2d`` integrand, whole rows at a time (a row

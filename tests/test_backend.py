@@ -1,5 +1,6 @@
 """``power_difference`` against exact binomial step sums in rationals,
-and its shapes and limits."""
+``head_tail``'s weights against rational sums, and the shapes and limits
+of both."""
 
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from ordstat import _backend
+from ordstat.exact_exp import K_CAP
 
 EPS = np.finfo(float).eps
 
@@ -74,3 +76,62 @@ def test_power_difference_shapes_and_limits():
     got = _backend.power_difference(1, 0, np.array([0.0, 0.5, 1.0, 2.0]),
                                     1.0, 0)
     assert got.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+def _fraction_weights(N, m):
+    """``W_{k,i}`` of ``_backend.head_tail`` as sums of ``Fraction`` terms,
+    term by term as the formula reads: ``C(d, i) N! / (m! m^(n-1) d!)
+    sum_{p=k+1}^{n} (-1)^(n-p) (p-k)^(d-i) (p-k-1)^i / (p^m (p-1)! (n-p)!)``.
+    """
+    n, d = N - m, N - 2
+    c = Fraction(math.factorial(N),
+                 math.factorial(m) * m ** (n - 1) * math.factorial(d))
+    return [[math.comb(d, i) * c * sum(
+        Fraction((-1) ** (n - p) * (p - k) ** (d - i) * (p - k - 1) ** i,
+                 p ** m * math.factorial(p - 1) * math.factorial(n - p))
+        for p in range(k + 1, n + 1)) for i in range(d + 1)]
+        for k in range(n)]
+
+
+@pytest.mark.parametrize("N,m", [(3, 2), (4, 2), (4, 3), (5, 3), (8, 3),
+                                 (12, 6), (20, 2), (30, 2), (30, 15),
+                                 (30, 29)])
+def test_head_tail_weights_match_fraction_sums(N, m):
+    # Each weight is its exact value rounded once, as float(Fraction) is.
+    tab = _backend._head_tail_table(N, m)
+    n = N - m
+    assert tab.shape == (N - 1, 2 * n)
+    want = np.array([[float(w) for w in col]
+                     for col in _fraction_weights(N, m)]).T
+    assert np.array_equal(tab[:, :n], want)
+    assert np.array_equal(tab[:, n:], want[::-1])
+
+
+def test_every_head_tail_table_is_nonnegative():
+    # All 406 tables with 3 <= N <= K_CAP and 2 <= m <= N-1 (the build
+    # asserts it of the exact sums too); the last piece vanishes at the
+    # support's far edge, where only its t'^(N-2) term is left.
+    count = 0
+    for N in range(3, K_CAP + 1):
+        for m in range(2, N):
+            tab = _backend._head_tail_table(N, m)
+            assert np.all(tab >= 0.0) and np.all(np.isfinite(tab))
+            assert np.all(tab[1:, N - m - 1] == 0.0) and tab[0, N - m - 1] > 0
+            count += 1
+    assert count == 406
+
+
+def test_head_tail_shapes_and_limits():
+    # Scalars give a scalar, arrays broadcast; 0 outside 0 <= m t < n h,
+    # on the far edge and at h = 0 too.
+    assert np.shape(_backend.head_tail(5, 2, 1.0, 0.5)) == ()
+    got = _backend.head_tail(5, 2, np.ones((2, 1)), np.linspace(0.0, 2.0, 5))
+    assert got.shape == (2, 5)
+    # t = 0 and t = 1.5, where m t = n h, are edges where it vanishes.
+    assert got[0].tolist() == [0.0, 35 / 72, 5 / 36, 0.0, 0.0]
+    assert _backend.head_tail(5, 2, 1.0, -1e-300) == 0.0
+    assert _backend.head_tail(5, 2, 0.0, 0.0) == 0.0
+    assert _backend.head_tail(5, 2, -1.0, 0.5) == 0.0
+    # N = 3, m = 2: the smallest is t, with density 3 e^(-3t), and the
+    # other two are 2t plus a Gamma(2) sum, so T3 is 3 (h - 2t) e^-(h+t).
+    assert _backend.head_tail(3, 2, 1.0, 0.25) == 1.5

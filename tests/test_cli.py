@@ -439,15 +439,17 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def test_cli_import_builds_no_step_sum_table():
-    # The tables of ``_backend.power_difference`` are built at first use,
-    # one (n, p) at a time; all of them for K <= 30 take about 0.4 s.
+    # The tables of ``_backend.power_difference`` and ``head_tail`` are
+    # built at first use, one shape at a time; all of them for K <= 30
+    # take about 0.4 and 0.2-0.3 s.
     probe = """
 import ordstat.cli
 from ordstat import _backend
 print(_backend._piece_table.cache_info().currsize,
-      _backend._tail_coeffs.cache_info().currsize)
+      _backend._tail_coeffs.cache_info().currsize,
+      _backend._head_tail_table.cache_info().currsize)
 """
-    assert _fresh_python(probe).splitlines() == ["0 0"]
+    assert _fresh_python(probe).splitlines() == ["0 0 0"]
 
 
 def test_verify_loads_no_scipy():

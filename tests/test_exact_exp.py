@@ -160,8 +160,8 @@ def _unit_mean_cases(K):
     for m in (1, b, Ks - 1):
         yield (exact_exp.jpdf_headsum_vs_tailsum_bestKs, (K, Ks, m),
                lambda r, m=m: (r[:m].sum(), r[m:Ks].sum()))
-    yield (exact_exp.FineHeadRankTail, (K, h),
-           lambda r: (r[:h].sum(), r[h - 1], r[h:].sum()))
+    yield (exact_exp.FineHeadTailLast, (K, Ks, b),
+           lambda r: (r[:b].sum(), r[b:Ks].sum(), r[Ks - 1]))
     yield (exact_exp.FineOneMidLast, (K, Ks),
            lambda r: (r[0], r[1:Ks - 1].sum(), r[Ks - 1]))
     yield (exact_exp.FineHeadMidLast, (K, Ks, b),
@@ -281,8 +281,9 @@ def test_fine_supports_take_arrays():
     # comparisons that define it.
     rng = np.random.default_rng(5)
     cases = [
-        (exact_exp.FineHeadRankTail(6, 3, GB),
-         lambda z1, g, z2: 0 <= z2 <= 3 * g and z1 >= 3 * g),
+        (exact_exp.FineHeadTailLast(7, 6, 2, GB),
+         lambda x, y, z4: (z4 >= 0 and 0 <= y - 4 * z4
+                           and 2 * (y - 4 * z4) <= 3 * (x - 2 * z4))),
         (exact_exp.FineOneMidLast(6, 5, GB),
          lambda z1, z3, z4: 0 <= z4 <= z1 and 3 * z4 <= z3 <= 3 * z1),
         (exact_exp.FineHeadMidLast(7, 6, 2, GB),
@@ -451,16 +452,6 @@ def _exact_steps(n, p, u, thresholds):
             min(abs(u - e) for e in edges))
 
 
-def _exact_head_rank_tail(d, z1, g, z2):
-    # (the density's float factor, n, the power, u, the thresholds, the
-    # scale of the coordinates that place them), at one point in units of
-    # the mean.
-    n = d.K - d.m
-    factor = (d._pref * np.exp(-(z1 + z2))
-              * (z1 - d.m * g) ** (d.m - 2))
-    return factor, n, n - 1, z2, [j * Fraction(g) for j in range(n + 1)], n * g
-
-
 def _exact_one_mid_last(d, z1, z3, z4):
     n = d.Ks - 2
     factor = (d._pref * d._cdf_pows(z4) * np.exp(-(z1 + z3 + z4)))
@@ -491,11 +482,6 @@ def _step_sum_cases(K):
     def between(rng, lo, hi):
         return lo + rng.random(lo.shape) * (hi - lo)
 
-    def head_rank_tail(rng, n, d):
-        g = rng.uniform(0.0, 2.0, n)
-        return (d.m * g + rng.uniform(-0.1, 2.0, n), g,
-                rng.uniform(-0.1, 1.05 * (K - d.m), n) * g)
-
     def one_mid_last(rng, n, d):
         z1 = rng.uniform(0.0, 2.0, n)
         z4 = rng.uniform(0.0, 1.05, n) * z1
@@ -516,9 +502,6 @@ def _step_sum_cases(K):
         lo = (d.m - 1) * x + (d.Ks - d.m - 1) * z4
         return x, between(rng, lo - 0.1, (d.Ks - 2) * x + 1.0), z4
 
-    for m in sorted({2, K // 2, K - 1}):
-        yield (exact_exp.FineHeadRankTail(K, m, 1.3), _exact_head_rank_tail,
-               head_rank_tail)
     for Ks in sorted({3, K - 1, K}):
         yield (exact_exp.FineOneMidLast(K, Ks, 1.3), _exact_one_mid_last,
                one_mid_last)
@@ -582,6 +565,143 @@ def test_step_sum_densities_match_exact_step_sums(K):
             one = d.values(*(float(c[k]) for c in z))
             assert np.ndim(one) == 0
             assert one == got[k]
+
+
+# -- T3 and FineHeadTailLast against exact integrals --
+
+
+def _head_tail_integral(N, m, h, t):
+    """The T3 density of N unit exponentials at (h, t), 2 <= m <= N-1,
+    divided by exp(-(h + t)): ``FineHeadRankTail`` of the exponential,
+    ``(h - m g)^(m-2) sum_j (-1)^j C(n, j) (t - j g)_+^(n-1)`` times its
+    factor, integrated over the rank-m value g by exact antiderivatives.
+    Exact for ``Fraction`` inputs; for ``mpf`` inputs at the working
+    precision, which must cover the cancellation of the alternating sum.
+    Shares no code with ``_backend``'s table.
+    """
+    n, a, b = N - m, m - 2, N - m - 1
+    one = h * 0 + 1
+    if not (t >= 0 and m * t <= n * h):
+        return h * 0
+    lo, hi = t / n, h / m
+    # j = 0; for j >= 1, h - m g = c0 + (m/j) (t - j g).
+    total = t ** b * ((h - m * lo) ** (a + 1)
+                      - (h - m * hi) ** (a + 1)) / (m * (a + 1))
+    for j in range(1, n + 1):
+        up = min(hi, t / j)
+        if up <= lo:
+            continue
+        c0, r = h - m * t / j, one * m / j
+        blo, bup = t - j * lo, t - j * up
+        part = sum(math.comb(a, c) * c0 ** (a - c) * r ** c
+                   * (blo ** (b + c + 1) - bup ** (b + c + 1))
+                   / (j * (b + c + 1)) for c in range(a + 1))
+        total += (-1) ** j * math.comb(n, j) * part
+    return (one * math.factorial(N) * total
+            / (math.factorial(n) * math.factorial(m - 1)
+               * math.factorial(m - 2) * math.factorial(n - 1)))
+
+
+def _cone_points(K, m):
+    """Head and tail sums (h, t) with m t / h at the middle and 1e-9 from
+    either edge of every cone, 1e-7 from t = 0 and 1e-3 and 1e-6 from the
+    support's far edge, at two head sums."""
+    n = K - m
+    q = [1e-7, n - 1e-3, n - 1e-6]
+    for k in range(n):
+        q += [k + 0.5, k + 1e-9, k + 1 - 1e-9]
+    q = np.array([v for v in q if 0 < v < n])
+    head = sum(_mean_rank(K, i) for i in range(1, m + 1))
+    h = np.repeat([head, 2.5 * head], q.size)
+    return h, np.tile(q, 2) * h / m
+
+
+@pytest.mark.parametrize("K", [5, 10, 20, 30])
+def test_t3_in_every_cone_matches_exact_integrals(K):
+    # Exact rational integrals at the float inputs, times a 40-digit
+    # exp(-(h + t)).  At least a quarter of the support from its far edge
+    # the error is below 1e-13; nearer, where the density vanishes like
+    # (n h - m t)^(K-2), within the conditioning of that distance.  A
+    # value below 1e-290 has no relative accuracy.
+    EPS = np.finfo(float).eps
+    checked = 0
+    for m in sorted({2, 3, K // 2, K - 1}):
+        n, d = K - m, K - 2
+        h, t = _cone_points(K, m)
+        got = exact_exp.HeadTailAllK(K, m, GB).values(h, t)
+        assert np.all(got >= 0.0)
+        with mpmath.workdps(40):
+            for g, a, b in zip(got.tolist(), h.tolist(), t.tolist()):
+                exact = _head_tail_integral(K, m, Fraction(a), Fraction(b))
+                want = float(mpmath.exp(-(mpmath.mpf(a) + b))
+                             * exact.numerator / exact.denominator)
+                if want < 1e-290:
+                    continue
+                delta = float(n * Fraction(a) - m * Fraction(b))
+                if delta >= n * a / 4:
+                    bound = 1e-13
+                else:
+                    bound = 8 * EPS * (d * n * a / delta + (d + 1) ** 2
+                                       + a + b)
+                assert abs(g - want) <= bound * want, (K, m, a, b, g, want)
+                checked += 1
+    assert checked > 6 * K
+
+
+@pytest.mark.parametrize("K", [10, 30])
+def test_head_tail_densities_take_arrays(K):
+    # HeadTailAllK and FineHeadTailLast against exact integrals at random
+    # points near their supports, 0 outside, and every mix of arrays,
+    # grids that broadcast and Python floats with the same bits.
+    EPS = np.finfo(float).eps
+    rng = np.random.default_rng(K)
+    Ks, m = K - 2, K // 3
+    t3 = exact_exp.HeadTailAllK(K, m, 1.3)
+    fine = exact_exp.FineHeadTailLast(K, Ks, m, 1.3)
+    h = rng.uniform(0.0, 2.0 * m, 240)
+    t3_pts = (h, rng.uniform(-0.05, 1.05, 240) * (K - m) * h / m)
+    z4 = rng.uniform(-0.05, 1.0, 240)
+    fine_pts = (h + m * z4,
+                rng.uniform(-0.05, 1.05, 240) * (Ks - 1 - m) * h / m
+                + (Ks - m) * z4, z4)
+
+    def t3_exact(x, y):
+        return (Fraction(1), K, x, y)
+
+    def fine_exact(x, y, z4):
+        return ((Fraction(math.factorial(K), math.factorial(K - Ks)
+                          * math.factorial(Ks - 1))
+                 * Fraction(-np.expm1(-z4)) ** (K - Ks)),
+                Ks - 1, x - m * z4, y - (Ks - m) * z4)
+
+    for d, z, exact in ((t3, t3_pts, t3_exact), (fine, fine_pts, fine_exact)):
+        got = d.values(*z)
+        inside = np.asarray(d.support(*z))
+        assert 60 < np.count_nonzero(got) and np.all(got[~inside] == 0.0)
+        assert np.all(got >= 0.0)
+        for g, point in zip(got[inside][:40].tolist(),
+                            zip(*(c[inside][:40].tolist() for c in z))):
+            unit = [c / 1.3 for c in point]
+            factor, N, a, b = exact(*unit)
+            a, b = Fraction(a), Fraction(b)
+            want = (float(factor * _head_tail_integral(N, m, a, b))
+                    * np.exp(-(unit[0] + unit[1])) / 1.3 ** len(point))
+            delta = float((N - m) * a - m * b)
+            if want < 1e-290 or delta <= 0:
+                continue
+            bound = 8 * EPS * (N * N * float(a) / delta + N * N + 60)
+            assert abs(g - want) <= bound * want, (point, g, want)
+        assert np.array_equal(d.values(*(c.reshape(12, 20) for c in z)),
+                              got.reshape(12, 20))
+        grid = [c[:16].reshape((16, 1) if i % 2 else (1, 16))
+                for i, c in enumerate(z)]
+        assert np.array_equal(
+            d.values(*grid),
+            d.values(*(c.ravel() for c in np.broadcast_arrays(*grid)))
+            .reshape(16, 16))
+        for k in range(0, 240, 16):
+            one = d.values(*(float(c[k]) for c in z))
+            assert np.ndim(one) == 0 and one == got[k]
 
 
 # -- reductions against arbitrary precision and against marginals --
@@ -663,34 +783,36 @@ def _typical(K, head, rest):
 
 @pytest.mark.parametrize("K", [5, 10, 20, 30])
 def test_reductions_match_arbitrary_precision(K):
+    # T3 is one formula and meets 1e-13; T5a and T5c run a rule at the
+    # reductions' 1e-8 target.
     Ks = max(4, K - 3)
     cases = []
     for m in (2, 3):
         for pt in _typical(K, range(1, m + 1), range(m + 1, K + 1)):
             cases.append((exact_exp.jpdf_headsum_vs_tailsum_allK(K, m, GB), pt,
-                          lambda x, y, m=m: _mp_head_tail(K, m, x, y)))
+                          lambda x, y, m=m: _mp_head_tail(K, m, x, y), 1e-13))
     for pt in _typical(K, [1], range(2, Ks + 1)):
         cases.append((exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, 1, GB), pt,
-                      lambda x, y: _mp_one_vs_rest_case_a(K, Ks, x, y)))
+                      lambda x, y: _mp_one_vs_rest_case_a(K, Ks, x, y), 1e-8))
     for pt in _typical(K, [Ks - 1], [*range(1, Ks - 1), Ks]):
         cases.append((exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, Ks - 1, GB), pt,
-                      lambda x, y: _mp_one_vs_rest_case_c(K, Ks, x, y)))
+                      lambda x, y: _mp_one_vs_rest_case_c(K, Ks, x, y), 1e-8))
     with mpmath.workdps(40):
-        for jd, (x, y), ref in cases:
+        for jd, (x, y), ref, rel in cases:
             want = float(ref(x, y))
             assert want >= 1e-6
-            assert jd(x, y) == pytest.approx(want, rel=1e-8)
+            assert jd(x, y) == pytest.approx(want, rel=rel)
 
 
 @pytest.mark.parametrize("K,m,x,y", [(10, 2, 1.24507, 4.79247),
                                      (20, 3, 1.85289, 9.14585)])
 def test_t3_tails_match_arbitrary_precision(K, m, x, y):
-    # Far from the mean point, where an alternating step sum cancels to
-    # noise: 1.0e-12 and 2.2e-17.
+    # Far from the mean point, where an alternating step sum would cancel
+    # to noise: 1.0e-12 and 2.2e-17.  The weights of T3 are nonnegative.
     with mpmath.workdps(40):
         want = float(_mp_head_tail(K, m, x, y))
     got = exact_exp.jpdf_headsum_vs_tailsum_allK(K, m, GB)(x, y)
-    assert got == pytest.approx(want, rel=1e-8)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def _mp_head_mid_last(K, Ks, m):
@@ -795,6 +917,43 @@ def test_rank_rest_last_is_head_mid_last_over_the_head(K, Ks, ms):
                     method="gauss-legendre"))
                 assert want >= 1e-6
                 assert fine(x, w, z4) == pytest.approx(want, rel=1e-13)
+
+
+def _mp_best_ks_head_tail_one(K, Ks, m, x, y):
+    # FineHeadTailLast integrated over the rank-Ks value z4 by 40-digit
+    # mpmath.quad between the cone crossings, its T3 factor by exact
+    # antiderivatives at 80 digits (against 200-digit sums, the
+    # alternating sum loses at most 4 digits at these points).
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+    nt = Ks - m
+    kf, a, b = _mp_fact(K, K - Ks, Ks - 1)
+
+    def f(z4):
+        with mpmath.workdps(80):
+            v = _head_tail_integral(Ks - 1, m, x - m * z4, y - nt * z4)
+        return (1 - mpmath.exp(-z4)) ** (K - Ks) * v
+
+    val = _mp_quad(f, max(mpmath.mpf(0), y - (nt - 1) * x / m), y / nt,
+                   [(y - j * x / m) / (nt - j) for j in range(1, nt)],
+                   method="gauss-legendre")
+    return kf / (a * b) * mpmath.exp(-(x + y)) * val
+
+
+@pytest.mark.parametrize("Ks", [20, 27, 29])
+def test_t6_matches_arbitrary_precision(Ks):
+    # T6 at K = 30, the rows of one rule over the rank-Ks value: the mean
+    # point and two displaced from it.
+    K = 30
+    with mpmath.workdps(40):
+        for m in (2, 3, Ks - 2):
+            jd = exact_exp.jpdf_headsum_vs_tailsum_bestKs(K, Ks, m, GB)
+            x, y = _typical(K, range(1, m + 1), range(m + 1, Ks + 1))[0]
+            pts = [(x, y), (0.85 * x, 1.1 * y), (1.4 * x, 0.7 * y)]
+            got = jd.values(*np.array(pts).T)
+            for g, (x, y) in zip(got.tolist(), pts):
+                want = float(_mp_best_ks_head_tail_one(K, Ks, m, x, y))
+                assert want >= 1e-8
+                assert g == pytest.approx(want, rel=1e-13), (m, x, y)
 
 
 def _y_integral(jd, x, lo, hi, knots):

@@ -27,7 +27,6 @@ def _typical(Ks, m):
 def test_t5_elimination_orders_agree_on_generic_fine_densities(Ks, m):
     assert t5_case(Ks, m) in "abc"
     fine = reductions.t5_fine(gj._FINES, K, Ks, m, HN)
-    assert not fine.piecewise_polynomial
     for x, y in _typical(Ks, m):
         first = reductions.t5(fine, Ks, m, x, y, order=1)
         assert first >= 1e-3
@@ -36,20 +35,22 @@ def test_t5_elimination_orders_agree_on_generic_fine_densities(Ks, m):
         assert gj.t5_jpdf(HN, K, Ks, m, x, y) == first
 
 
-# -- T5b as one integral, and T6's inner rules batched over the outer
-# nodes, against one scalar inner rule per node of FineHeadMidLast --
+# -- T5b and T6 as one integral each, against one scalar inner rule per
+# node of FineHeadMidLast --
 
 
 def _per_node(fine, Ks, lo, hi, knots, inner):
     """The outer rule of the nested T5b or T6 with one scalar inner rule
-    per node, on ``FineHeadMidLast``.
+    per node, on ``FineHeadMidLast``: exact-degree Gauss-Legendre on the
+    exact path, where it is a polynomial between the inner knots.
 
     ``inner(z4)`` gives the integrand and limits of one inner integral.
     """
+    exact = isinstance(fine, exact_exp.FineHeadMidLast)
+
     def loop(z4s, _):
         return np.array([
-            rules._gauss_knots(*inner(z4), deg=Ks - 4,
-                               exact=fine.piecewise_polynomial)
+            rules._gauss_knots(*inner(z4), deg=Ks - 4, exact=exact)
             for z4 in z4s.tolist()])
 
     return rules._gauss_knots(loop, lo, hi, knots, deg=Ks - 3,
@@ -94,11 +95,14 @@ def _mean_point(dist, K, Ks, head, rest):
 
 
 def _fines(path, dist, K, Ks, m):
+    # T5b's and T6's fine densities, and FineHeadMidLast.
     if path == "exact":
         return (exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, m, 1.0).fine,
-                exact_exp.jpdf_headsum_vs_tailsum_bestKs(K, Ks, m, 1.0).fine)
-    fine = reductions.t5_fine(gj._FINES, K, Ks, m, dist)
-    return fine, reductions.t6_fine(gj._FINES, K, Ks, m, dist)
+                exact_exp.jpdf_headsum_vs_tailsum_bestKs(K, Ks, m, 1.0).fine,
+                exact_exp.FineHeadMidLast(K, Ks, m, 1.0))
+    return (reductions.t5_fine(gj._FINES, K, Ks, m, dist),
+            reductions.t6_fine(gj._FINES, K, Ks, m, dist),
+            gj.FineHeadMidLast(K, Ks, m, dist))
 
 
 @pytest.mark.parametrize("path,dist,K,Ks,m", [
@@ -107,24 +111,23 @@ def _fines(path, dist, K, Ks, m):
     ("generic", HN, 5, 5, 2), ("generic", HN, 6, 6, 3),
     ("generic", EXP, 5, 5, 3), ("generic", EXP, 6, 5, 2)])
 def test_batched_inner_rules_match_a_per_node_loop(path, dist, K, Ks, m):
-    # T5b integrates FineRankRestLast over one coordinate; the reference
-    # integrates FineHeadMidLast, T6's fine density, over two.
-    t5b, t6 = _fines(path, dist, K, Ks, m)
+    # T5b integrates FineRankRestLast over one coordinate, and T6
+    # FineHeadTailLast; the references integrate FineHeadMidLast over two.
+    t5b, t6, mid = _fines(path, dist, K, Ks, m)
     assert t5_case(Ks, m) == "b"
     assert isinstance(t5b, (exact_exp.FineRankRestLast, gj.FineRankRestLast))
-    assert isinstance(t6, (exact_exp.FineHeadMidLast, gj.FineHeadMidLast))
-    assert t5b.piecewise_polynomial == (path == "exact")
+    assert isinstance(t6, (exact_exp.FineHeadTailLast, gj.FineHeadTailLast))
     rest = [i for i in range(1, Ks + 1) if i != m]
     x, y = _mean_point(dist, K, Ks, [m], rest)
     for order in (1, 2):
-        want = _t5b_per_node(t6, Ks, m, x, y, order)
+        want = _t5b_per_node(mid, Ks, m, x, y, order)
         assert want >= 1e-4
         assert reductions.t5(t5b, Ks, m, x, y, order) == pytest.approx(
             want, rel=1e-13)
     x, y = _mean_point(dist, K, Ks, range(1, m + 1), range(m + 1, Ks + 1))
-    want = _t6_per_node(t6, Ks, m, x, y)
+    want = _t6_per_node(mid, Ks, m, x, y)
     assert want >= 1e-4
-    assert reductions.t6(t6, Ks, m, x, y) == pytest.approx(want, rel=1e-14)
+    assert reductions.t6(t6, Ks, m, x, y) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("exact", [True, False])
