@@ -11,8 +11,11 @@ max(0, s - gamma_T) <= v <= s/m: the line of the sum of the best m
 (``reductions.t4``) with its floor raised to s - gamma_T.  Its limits are
 affine in s, so one tensor Gauss-Kronrod rule covers it.  Both
 functions take x as a float or as an array; an array integrates each
-stage as one rule, with a row per element above gamma_T
-(``rules._gauss_2d``), and not one rule per element.
+stage as one rule (``rules._gauss_2d``), and not one rule per element,
+with one row per distinct upper limit min(x, gamma_T*m/(m-1)) above
+gamma_T: every element above the stage's cap shares one row.  A nan x
+gives nan, and x = inf the limits: the full stage probabilities and an
+output CDF of 1.
 
 When even all L branches together stay below gamma_T the combiner has
 nothing left to add; what the output "is" in that event is a modelling
@@ -95,16 +98,16 @@ def msgsc_stage_probability(cfg, x, m):
 
     The stage-m event: the combiner stops after adding its m-th branch
     and the output lands below x.  ``x`` is a float, which gives a float,
-    or an array, which gives an array of its shape: the elements above
-    gamma_T are the rows of one rule.
+    or an array, which gives an array of its shape: the distinct upper
+    limits above gamma_T are the rows of one rule.
     """
     if not 1 <= m <= cfg.L:
         raise DomainError("need 1 <= m <= L")
     gt = cfg.gamma_T
     x = np.asarray(x, dtype=float)
     if m == 1:
-        return _result(np.where(x > gt, _cdf_max(cfg, x) - _cdf_max(cfg, gt),
-                                0.0))
+        return _result(np.where(x <= gt, 0.0,
+                                _cdf_max(cfg, x) - _cdf_max(cfg, gt)))
     fine = FineLastHead(cfg.L, m, cfg.gamma_bar)
     # v: the m-th branch; s = v + w, the output, with w the sum of the
     # m-1 larger ones.
@@ -129,7 +132,7 @@ def msgsc_output_cdf(cfg, x):
                        else np.minimum(x, gt))
     stages = sum(msgsc_stage_probability(cfg, x, m=m)
                  for m in range(1, cfg.L + 1))
-    return _result(np.where(x > 0, below + stages, 0.0))
+    return _result(np.where(x <= 0, 0.0, below + stages))
 
 
 def simulate_output(cfg, n_samples, seed):

@@ -10,21 +10,23 @@ of ``generic_joint`` and of the brute-force oracle of ``kernels``.
 ``_gauss_knots`` integrates rows that each have their own limits and
 knots; ``_cut`` integrates unions of segments that its caller has cut at
 the integrand's jumps and kinks (the kernels of a custom density).  Both
-run ``_segments``, which sums each segment alone (``_row_sums``), so
-an integral has the same bits alone or in any batch.  ``_gauss_2d``
-integrates two-level regions without knots, with a product per row.
-Their pair is the n-node Gauss-Legendre rule G_n nested in the
-(2n+1)-node Kronrod rule K_{2n+1} (``_kronrod``): one evaluation on 2n+1
-nodes gives both, and K_{2n+1} is the value.  A row that converges at
-the first pair costs 2n+1 nodes per segment, where the n- and 2n-node
-Gauss pair cost 3n.  The multi-level rules of ``generic_joint`` and
-``kernels`` keep the Gauss pair of n and 2n nodes, through ``_paired``,
-which reuses each call's 2n-node estimate as the next call's n-node one:
-their levels multiply the node count, so at depth d a Kronrod pair costs
-(2n+1)^d nodes against n^d + (2n)^d.  Integrals that Gauss-Legendre
-rules leave open at their cap go on with tanh-sinh rules, also paired
-n/2n, whose nodes crowd both segment ends: a density singular at 0, like
-x^(a-1), puts such an end on a rule.  ``_segments`` takes the odd ones.
+run ``_segments``, which sums each segment alone (``_row_sums``), so an
+integral has the same bits alone or in any batch.  ``_gauss_2d``
+integrates two-level regions without knots, with a product per row and
+one row per distinct upper limit, so a batch whose limits repeat pays
+for each region once.  Their pair is the n-node Gauss-Legendre rule G_n
+nested in the (2n+1)-node Kronrod rule K_{2n+1} (``_kronrod``): one
+evaluation on 2n+1 nodes gives both, and K_{2n+1} is the value.  A row
+that converges at the first pair costs 2n+1 nodes per segment, where the
+n- and 2n-node Gauss pair cost 3n.  The multi-level rules of
+``generic_joint`` and ``kernels`` keep the Gauss pair of n and 2n nodes,
+through ``_paired``, which reuses each call's 2n-node estimate as the
+next call's n-node one: their levels multiply the node count, so at
+depth d a Kronrod pair costs (2n+1)^d nodes against n^d + (2n)^d.
+Integrals that Gauss-Legendre rules leave open at their cap go on with
+tanh-sinh rules, also paired n/2n, whose nodes crowd both segment ends:
+a density singular at 0, like x^(a-1), puts such an end on a rule.
+``_segments`` takes the odd ones.
 """
 
 import functools
@@ -270,23 +272,26 @@ def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
 
     ``hi`` is a float, which gives one integral and a float, or an array of
     upper limits, which gives one integral per element (0 where ``hi <=
-    lo``), as the rows of one rule, and an array of its shape.  ``inner``
+    lo``, nan where ``hi`` is nan) and an array of its shape.  ``inner``
     maps an array of outer nodes to the arrays ``(a, b)`` of their inner
-    limits.  The integrand is smooth in ``s`` and, in ``v``, a polynomial of
-    degree ``deg`` times a smooth factor, with no knot on either level.  The
-    pair of n puts the 2n+1 Kronrod nodes of ``_kronrod`` on ``s`` in each
-    row and maps the same 2n+1 onto each ``[a, b]``; ``f`` gets the
-    ``(rows, 2n+1, 2n+1)`` node arrays of the open rows, in blocks of whole
-    rows and at most ``_BLOCK_2D`` nodes where a row has fewer.  The value
-    is the Kronrod product rule, and the coarse estimate the Gauss product
-    rule on the embedded n x n subgrid of the same values.  n starts as in
-    ``_gauss_knots`` and doubles per row, on both levels, as ``_doubled``
-    says.  A value that is not finite raises :class:`ConvergenceError`.
+    limits.  A row is fixed by its upper limit, as ``lo`` is a scalar and
+    ``inner`` and ``f`` see only the nodes: each distinct limit above
+    ``lo`` is one row of one rule, and its value goes to every element
+    with that limit.  The integrand is smooth in ``s`` and, in ``v``, a
+    polynomial of degree ``deg`` times a smooth factor, with no knot on
+    either level.  The pair of n puts the 2n+1 Kronrod nodes of
+    ``_kronrod`` on ``s`` in each row and maps the same 2n+1 onto each
+    ``[a, b]``; ``f`` gets the ``(rows, 2n+1, 2n+1)`` node arrays of the
+    open rows, in blocks of whole rows and at most ``_BLOCK_2D`` nodes
+    where a row has fewer.  The value is the Kronrod product rule, and the
+    coarse estimate the Gauss product rule on the embedded n x n subgrid
+    of the same values.  n starts as in ``_gauss_knots`` and doubles per
+    row, on both levels, as ``_doubled`` says.  A value that is not finite raises :class:`ConvergenceError`.
     """
     top = np.asarray(hi, dtype=float)
-    out = np.zeros(top.shape)
+    out = np.where(top <= lo, 0.0, np.nan)
     live = top > lo
-    his = top[live]
+    his, where = np.unique(top[live], return_inverse=True)
     mid, half = 0.5 * (his + lo), 0.5 * (his - lo)
 
     def block(x, wg, wk, rows):
@@ -320,7 +325,8 @@ def _gauss_2d(f, lo, hi, inner, *, deg, epsabs, epsrel):
 
     if his.size:
         out[live] = _doubled(rule, deg // 2 + 1 + _SMOOTH_EXTRA,
-                             np.full(his.size, lo), his, epsabs, epsrel)
+                             np.full(his.size, lo), his, epsabs,
+                             epsrel)[where]
     return out if out.ndim else float(out)
 
 

@@ -195,7 +195,8 @@ def test_grids_match_scipy_erlang_cdf(monkeypatch, L, convention):
 @pytest.mark.parametrize("L", [1, 2, 4, 16])
 def test_arrays_match_scalar_calls(L, convention):
     # An array of x integrates each stage as one rule with a row per
-    # element; each row keeps its scalar value bit for bit.
+    # distinct clipped upper limit; each element keeps its scalar value
+    # bit for bit.
     gt = 0.4 * L
     c = cfg(L, gt=gt, below_threshold=convention)
     caps = [gt * m / (m - 1) for m in range(2, L + 1)]
@@ -214,3 +215,42 @@ def test_arrays_match_scalar_calls(L, convention):
     # Nothing stops at or below the threshold.
     assert all(np.all(f(x[:4]) == 0.0) for f in stages)
     assert msgsc_output_cdf(c, x[:2]).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("convention", ["sum", "outage"])
+def test_nan_gives_nan_and_inf_the_limits(convention):
+    # As the densities and the Erlang CDF do, for floats and arrays.
+    L, gt = 5, 2.0
+    c = cfg(L, gt=gt, below_threshold=convention)
+    fs = [functools.partial(msgsc_output_cdf, c),
+          *(functools.partial(msgsc_stage_probability, c, m=m)
+            for m in range(1, L + 1))]
+    x = np.array([np.nan, 3.0, np.inf, -np.inf, np.nan])
+    for f in fs:
+        assert math.isnan(f(math.nan))
+        got = f(x)
+        assert np.isnan(got[[0, 4]]).all() and not np.isnan(got[1:4]).any()
+        assert f(math.inf) == got[2] == f(BIG)
+        assert got[3] == 0.0
+    assert msgsc_output_cdf(c, math.inf) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_grid_above_every_cap_costs_one_point(monkeypatch):
+    # Above gamma_T*m/(m-1) every element of stage m integrates the same
+    # region, and a grid there costs no more fine-density elements than
+    # one of its points.
+    L, gt = 8, 3.0
+    c = cfg(L, gt=gt)
+    seen = []
+    values = exact_exp.FineLastHead.values
+
+    def counted(self, *z):
+        seen.append(np.broadcast(*z).size)
+        return values(self, *z)
+
+    monkeypatch.setattr(exact_exp.FineLastHead, "values", counted)
+    msgsc_output_cdf(c, 2.5 * gt)
+    one = sum(seen)
+    del seen[:]
+    msgsc_output_cdf(c, np.linspace(2.01 * gt, 20.0 * gt, 64))
+    assert 0 < sum(seen) <= one

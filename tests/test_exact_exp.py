@@ -781,16 +781,27 @@ def _typical(K, head, rest):
     return [(x, y), (0.85 * x, 1.1 * y)]
 
 
+def _exact_head_tail(K, m, x, y):
+    # T3 by exact rational integrals at the float inputs, times an exp at
+    # the working precision.
+    exact = _head_tail_integral(K, m, Fraction(x), Fraction(y))
+    return (mpmath.exp(-(mpmath.mpf(x) + y))
+            * exact.numerator / exact.denominator)
+
+
 @pytest.mark.parametrize("K", [5, 10, 20, 30])
 def test_reductions_match_arbitrary_precision(K):
     # T3 is one formula and meets 1e-13; T5a and T5c run a rule at the
-    # reductions' 1e-8 target.
+    # reductions' 1e-8 target.  The T3 reference is a 40-digit quadrature
+    # up to K = 10 and exact rational integrals above, where that
+    # quadrature takes seconds a point.
     Ks = max(4, K - 3)
+    t3_ref = _mp_head_tail if K <= 10 else _exact_head_tail
     cases = []
     for m in (2, 3):
         for pt in _typical(K, range(1, m + 1), range(m + 1, K + 1)):
             cases.append((exact_exp.jpdf_headsum_vs_tailsum_allK(K, m, GB), pt,
-                          lambda x, y, m=m: _mp_head_tail(K, m, x, y), 1e-13))
+                          lambda x, y, m=m: t3_ref(K, m, x, y), 1e-13))
     for pt in _typical(K, [1], range(2, Ks + 1)):
         cases.append((exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, 1, GB), pt,
                       lambda x, y: _mp_one_vs_rest_case_a(K, Ks, x, y), 1e-8))

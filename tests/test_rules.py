@@ -137,6 +137,36 @@ def test_gauss_knots_row_is_the_same_alone_or_in_a_batch(exact):
         assert alone == got[i], i
 
 
+def test_gauss_2d_integrates_each_distinct_limit_once():
+    # Repeated and unsorted upper limits, limits at and below lo, and a
+    # nan: each element has the bits of a scalar call at its limit, and
+    # the integrand sees the nodes of the distinct limits above lo alone.
+    def f(s, v):
+        nodes.append(s.size)
+        return np.exp(-0.7 * s * v) * (1.0 + v * v)
+
+    def run(hi):
+        del nodes[:]
+        return rules._gauss_2d(f, 1.0, hi, lambda s: (0.0 * s, s), deg=2,
+                               epsabs=1e-13, epsrel=1e-12)
+
+    nodes = []
+    hi = np.array([3.0, 1.5, 3.0, 0.5, 1.0, np.nan, 8.0, 1.5, 3.0,
+                   1.0 + 1e-9, 8.0, -np.inf])
+    got = run(hi)
+    cost = sum(nodes)
+    want = [run(h) for h in hi.tolist()]
+    assert all(type(v) is float for v in want)
+    np.testing.assert_array_equal(got, want)
+    assert np.isnan(got[5]) and np.all(got[[3, 4, 11]] == 0.0)
+    assert np.all(got[[0, 1, 6, 9]] > 0.0)
+    np.testing.assert_array_equal(run(hi.reshape(3, 4)), got.reshape(3, 4))
+    run(np.array([1.5, 3.0, 8.0, 1.0 + 1e-9]))
+    assert cost == sum(nodes)
+    dead = run(np.array([np.nan, 0.0]))
+    assert np.isnan(dead[0]) and dead[1] == 0.0 and nodes == []
+
+
 def _step(x, owner):
     # 1 left of a jump that each integral places at its own point.
     return np.where(x < _jump(owner), 1.0, 0.0) * np.exp(-x)
