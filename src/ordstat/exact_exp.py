@@ -81,6 +81,11 @@ __all__ = [
 
 K_CAP = 30
 
+# Unit coordinates above this are clamped to it (``_Theorem.values``):
+# exp(-1000) is 0 in doubles, and at K_CAP the polynomial factors stay
+# below 1e130 there.
+_FAR = 1e3
+
 # A placeholder: perfbench's tracer swaps a counting proxy into this
 # name, and no ordstat code reads it.
 integrate = None
@@ -110,10 +115,11 @@ class _Density:
     so one call evaluates a whole grid.  ``evaluate`` accepts one
     coordinate vector of length ``dim``.
 
-    The theorem densities (T1-T6) give nan at a point with a nan
-    coordinate and 0 at one with an infinite coordinate (and none that is
-    nan), without running a rule: ``reductions._points`` sorts the points,
-    on this path and the generic one.
+    The theorem densities (T1-T6, ``_Theorem``) give nan at a point with a
+    nan coordinate and 0 at one with an infinite coordinate (and none that
+    is nan): ``reductions._points`` sorts the points, on this path and the
+    generic one, after ``_Theorem.values`` has clamped every unit
+    coordinate above ``_FAR``, inf included, to ``_FAR``.
 
     Each class computes ``_unit``, its density at unit mean, with the same
     arguments as ``values``.
@@ -148,7 +154,27 @@ class _Density:
                 "grouping": self.grouping, "path": self.path}
 
 
-class ErlangSum(_Density):
+class _Theorem(_Density):
+    """A theorem density (T1-T6), as against a fine one.
+
+    ``values`` takes a coordinate whose unit value is above ``_FAR`` as
+    ``_FAR``.  Each unit-mean density is exp(-S) times a polynomial, where
+    S is at least every coordinate in the support, so past S = 745.2,
+    where exp(-S) underflows, it is 0 in doubles.  So it is at the clamped
+    point, where the polynomial stays finite; far enough past it, the
+    polynomial overflows, and 0 times inf would be nan.  The fine
+    densities are evaluated at the nodes of clamped points only.
+    """
+
+    def values(self, *z, **kw):
+        far = _FAR * self.gamma_bar
+        # A coordinate without a far value is passed on as it is, not
+        # copied: a large grid keeps its memory.
+        return super().values(*(np.minimum(c, far) if np.any(c > far) else c
+                                for c in z), **kw)
+
+
+class ErlangSum(_Theorem):
     """Density of the sum of all K variables (Erlang of order K)."""
 
     dim = 1
@@ -214,7 +240,7 @@ def pdf_sum_all(K, gamma_bar):
     return ErlangSum(K, gamma_bar)
 
 
-class OneVsRestAllK(_Density):
+class OneVsRestAllK(_Theorem):
     """Joint density of (rank-m variable, sum of the other K-1)."""
 
     dim = 2
@@ -250,7 +276,7 @@ def jpdf_one_vs_rest_allK(K, m, gamma_bar):
     return OneVsRestAllK(K, m, gamma_bar)
 
 
-class HeadTailAllK(_Density):
+class HeadTailAllK(_Theorem):
     """Joint density of (sum of m largest, sum of K-m smallest)."""
 
     dim = 2
@@ -287,7 +313,7 @@ def jpdf_headsum_vs_tailsum_allK(K, m, gamma_bar):
     return HeadTailAllK(K, m, gamma_bar)
 
 
-class GscSum(_Density):
+class GscSum(_Theorem):
     """Density of the sum of the Ks largest of K variables."""
 
     dim = 1
@@ -515,7 +541,7 @@ _FINES = {"a": FineOneMidLast, "b": FineRankRestLast, "c": FineHeadNextLast,
           "d": FineLastHead, "t6": FineHeadTailLast}
 
 
-class BestKsOneVsRest(_Density):
+class BestKsOneVsRest(_Theorem):
     """Joint of (rank-m variable, sum of the other selected ranks), Ks of K.
 
     The pair is recovered from a finer decomposition whose shape depends on
@@ -561,7 +587,7 @@ def jpdf_one_vs_rest_bestKs(K, Ks, m, gamma_bar):
     return BestKsOneVsRest(K, Ks, m, gamma_bar)
 
 
-class BestKsHeadTail(_Density):
+class BestKsHeadTail(_Theorem):
     """Joint of (sum of ranks 1..m, sum of ranks m+1..Ks), Ks of K."""
 
     dim = 2

@@ -49,7 +49,13 @@ integration variables of T3-T6 and differ per node, so ``_inv_pow`` takes
 limits and t as arrays that broadcast.  One tensor rule
 evaluates every element: each convolution level cuts its overlap at both
 factors' lattices and puts the same number of nodes on every segment, and
-the factors are evaluated on the resulting node arrays.  The n- and
+the factors are evaluated on the resulting node arrays.  Where the two
+factors are the same power (the halves of an even power), the integrand
+f(u) f(t-u) is symmetric about t/2, and so are its overlap and cuts: the
+nodes pair off about t/2 with equal values and weights, and ``_conv``
+evaluates the nodes below t/2 only, each pair's value counted twice.
+That halves the evaluations of each such level, so the pdf evaluations
+of c(g, -s)^8, three such levels deep, fall by 8 times.  The n- and
 2n-node rules are compared per element (``rules._doubled``), with
 relative error control end to end, and elements that have converged
 stop.  Gauss-Legendre rules serve a density that is smooth on [0, inf)
@@ -66,8 +72,8 @@ reduced densities (``t3_jpdf`` with m >= 2, ``t4_pdf`` with Ks >= 2,
 rows of one kernel-power inverse; ``t4_pdf`` with Ks = 1, a formula; and
 ``t1_pdf``, as the rows of one Bromwich-line inversion, which runs them
 in lockstep (``ilt.invert_rows``).  Every family gives nan at a point
-with a nan coordinate and 0 at one with an infinite coordinate, as on the
-exact path.
+with a nan coordinate and 0 at one with an infinite coordinate, or one
+beyond 2^500 (``reductions._points``), as on the exact path.
 """
 
 import functools
@@ -172,45 +178,78 @@ def _conv(dist, a, b, t, rule):
     The overlap of the two supports is cut at the lattice of each factor
     (``_lattice``, with the density's breaks): a power inverse is not
     smooth there.  Every lattice point is clipped into the overlap, so
-    each element has the same number of segments; an infinite one (an
-    upper limit of inf) lands on an end.  Empty segments get no nodes.
-    Both factors are evaluated by the same rule on the node array, factor
-    b at its distance from the segment's far end.
-    Returns the estimates, one row per element and one column per segment.
+    each element has the same number of segments, an odd one; an infinite
+    point (an upper limit of inf) lands on an end.  Empty segments get no
+    nodes.  Both factors are evaluated by the same rule on the node array,
+    factor b at its distance from the segment's far end.
+
+    Where ``b is a`` (the halves of an even power, as ``_halves`` gives
+    them), the integrand f(u) f(t-u) is symmetric about t/2, and so are the
+    overlap (lo + hi = t) and its cuts (the lattice and t minus it).
+    Sorted, the edges pair off about t/2: segment j mirrors segment
+    segs-1-j, and the middle segment holds t/2.  The tables are symmetric,
+    so each node has a mirror node with the same value and weight.  The
+    segments below the middle take their whole table and the middle one
+    the lower half of its own, with doubled weights, and one ``_pow`` call
+    evaluates both factors there; the segments above the middle get no
+    nodes.  The rule is the same, and values move by rounding only.
+    Returns the estimates, one row per element and one column per segment
+    (0 above the middle where ``b is a``).
     """
     (la, ha, na), (lb, hb, nb) = a, b
     lo, hi = _overlap(a, b, t)
     live = np.flatnonzero(hi > lo)
     lo, hi, tl = lo[live], hi[live], t[live]
-    edges = np.stack([lo, *_lattice(la[live], ha[live], na, dist.breaks),
-                      *(tl - q for q in _lattice(lb[live], hb[live], nb,
-                                                 dist.breaks)),
-                      hi], axis=1)
+    cuts = _lattice(la[live], ha[live], na, dist.breaks)
+    cuts_b = cuts if b is a else _lattice(lb[live], hb[live], nb, dist.breaks)
+    edges = np.stack([lo, *cuts, *(tl - q for q in cuts_b), hi], axis=1)
     segs = edges.shape[1] - 1
     if segs > 1:
         edges = np.sort(np.clip(edges, lo[:, None], hi[:, None]), axis=1)
+    # Groups of segments that share a table: (first, stop, dl, dr, w).
     dl, dr, w = rule
-    nodes = w.size
+    if b is a:
+        mid, half = segs // 2, (w.size + 1) // 2
+        wh = 2 * w[:half]
+        # The centre node of an odd table is its own mirror.
+        wh[w.size // 2:] = w[w.size // 2:half]
+        groups = ((0, mid, dl, dr, 2 * w),) if mid else ()
+        groups += ((mid, mid + 1, dl[:half], dr[:half], wh),)
+    else:
+        groups = ((0, segs, dl, dr, w),)
     out = np.zeros((t.size, segs))
-    step = max(1, _BLOCK // (segs * nodes))
+    step = max(1, _BLOCK // (segs * w.size))
     for i in range(0, live.size, step):
         k, tk, ek = live[i:i + step], tl[i:i + step], edges[i:i + step]
         width = ek[:, 1:] - ek[:, :-1]
-        # Element and segment of every non-empty segment; with one
-        # segment, that is every element, as a view.
-        e, s = np.nonzero(width > 0) if segs > 1 else (slice(None), 0)
-        width = width[e, s][:, None]
-        ua = ek[e, s][:, None] + width * dl
-        ub = (tk[e] - ek[e, s + 1])[:, None] + width * dr
-        el = k[e]
-
-        def rep(v):
-            return np.repeat(v[el], nodes)
-
-        fa = _pow(dist, rep(la), rep(ha), na, ua.ravel(), rule)
-        fb = _pow(dist, rep(lb), rep(hb), nb, ub.ravel(), rule)
-        vals = (fa * fb).reshape(ua.shape)
-        out[el, s] = rules._row_sums(vals, w) * width[:, 0]
+        parts, ua, ub = [], [], []
+        for first, stop, gl, gr, gw in groups:
+            # Element and segment of every non-empty segment of the group;
+            # with one segment, that is every element, as a view.
+            if segs > 1:
+                e, s = np.nonzero(width[:, first:stop] > 0)
+                s += first
+            else:
+                e, s = slice(None), 0
+            ws = width[e, s][:, None]
+            ua.append((ek[e, s][:, None] + ws * gl).ravel())
+            ub.append(((tk[e] - ek[e, s + 1])[:, None] + ws * gr).ravel())
+            parts.append((k[e], s, ws[:, 0], gw))
+        # The element of every node.
+        el = np.concatenate([np.repeat(e, gw.size) for e, _, _, gw in parts])
+        if b is a:
+            el = np.concatenate([el, el])
+            f = _pow(dist, la[el], ha[el], na, np.concatenate(ua + ub), rule)
+            vals = f[:el.size // 2] * f[el.size // 2:]
+        else:
+            vals = (_pow(dist, la[el], ha[el], na, np.concatenate(ua), rule)
+                    * _pow(dist, lb[el], hb[el], nb, np.concatenate(ub), rule))
+        at = 0
+        for e, s, ws, gw in parts:
+            n = e.size * gw.size
+            out[e, s] = rules._row_sums(
+                vals[at:at + n].reshape(e.size, gw.size), gw) * ws
+            at += n
     return out
 
 
@@ -219,12 +258,19 @@ def _restricted_pdf(dist, lo, hi, t):
     return np.where((t >= lo) & (t <= hi), dist.pdf(t), 0.0)
 
 
+def _halves(lo, hi, n):
+    """The factors of mu(lo, hi, -s)^n, powers n//2 and n - n//2: one
+    object twice where n is even, which ``_conv`` evaluates once."""
+    a = (lo, hi, n // 2)
+    return a, (a if n % 2 == 0 else (lo, hi, n - n // 2))
+
+
 def _pow(dist, lo, hi, n, t, rule):
-    """``rule`` for the inverse of mu(lo, hi, -s)^n at t."""
+    """``rule`` for the inverse of mu(lo, hi, -s)^n at t: a convolution of
+    its halves (``_halves``), down to the restricted pdf."""
     if n == 1:
         return _restricted_pdf(dist, lo, hi, t)
-    h = n // 2
-    return _conv(dist, (lo, hi, h), (lo, hi, n - h), t, rule).sum(axis=1)
+    return _conv(dist, *_halves(lo, hi, n), t, rule).sum(axis=1)
 
 
 def _inv_prod(dist, a, b, t):
@@ -240,7 +286,10 @@ def _inv_prod(dist, a, b, t):
     has converged stops.  Gauss-Legendre rules come first; an element that
     they leave open at ``_MAX_NODES`` (a density that is singular, or not
     smooth, at 0) goes on with tanh-sinh rules.  A value that is not
-    finite raises :class:`ConvergenceError`.
+    finite raises :class:`ConvergenceError`.  Where ``b is a`` (an even
+    power's halves, from ``_inv_pow``), the top level evaluates each
+    mirrored pair of nodes once, as does every level below whose power is
+    even (``_conv``).
     """
     (la, ha, na), (lb, hb, nb) = a, b
     up = dist.support_upper
@@ -250,8 +299,9 @@ def _inv_prod(dist, a, b, t):
 
     def on(table):
         def rule(nodes, todo):
-            est = _conv(dist, (la[todo], ha[todo], na),
-                        (lb[todo], hb[todo], nb), t[todo], table(nodes))
+            fa = (la[todo], ha[todo], na)
+            fb = fa if b is a else (lb[todo], hb[todo], nb)
+            est = _conv(dist, fa, fb, t[todo], table(nodes))
             if not np.isfinite(est).all():
                 raise ConvergenceError(
                     f"{nodes}-node rule for a kernel-power inverse gave a "
@@ -276,8 +326,7 @@ def _inv_pow(dist, lo, hi, n, t):
     """
     if n == 1:
         return _restricted_pdf(dist, lo, hi, np.asarray(t, dtype=float))
-    h = n // 2
-    return _inv_prod(dist, (lo, hi, h), (lo, hi, n - h), t)
+    return _inv_prod(dist, *_halves(lo, hi, n), t)
 
 
 def t1_pdf(dist, K, z, digits=8):

@@ -43,7 +43,8 @@ closed form goes through ``_pow``: a point has the bits of its grid row.
 that broadcast (or scalars, one point), keep their shape, and integrate
 the points inside the support as the rows of one rule.  A point with a
 nan coordinate gives nan, and one with an infinite coordinate 0, without
-a rule (``_reduce``).
+a rule (``_reduce``); so does a coordinate beyond ``_HUGE`` (2^500, about
+3e150), which counts as infinite.
 
 ``t2_support``, ``t3_support``, ``t5_support`` and ``t6_support`` are the
 supports of the pairs, for both paths; T2 takes no reduction, only its
@@ -63,6 +64,13 @@ __all__ = ["t3", "t4", "t5", "t6", "t2_support", "t3_support", "t5_support",
            "t6_support", "t5_fine", "t6_fine"]
 
 
+# A coordinate beyond this counts as infinite.  The supports, limits and
+# knots take small multiples of the coordinates, and a pdf may square them
+# (the half-normal's does): at 2^500 none of these overflows, where the
+# densities of the distributions here are 0 in doubles.
+_HUGE = 2.0 ** 500
+
+
 def _points(inside, *z):
     """Points ``z``, coordinate arrays (or scalars) that broadcast, for a
     formula or rule.
@@ -70,13 +78,17 @@ def _points(inside, *z):
     Returns the coordinates as arrays of one shape, the densities that no
     formula gives (nan where a coordinate is nan, else 0) and the mask of
     the points to evaluate: those with finite coordinates inside the
-    support, ``inside(*z)``.
+    support, ``inside(*z)``.  A coordinate beyond ``_HUGE`` counts as
+    infinite.
     """
     z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in z))
-    nan, ok = np.isnan(z[0]), np.isfinite(z[0])
+    nan, ok = np.isnan(z[0]), np.abs(z[0]) <= _HUGE
     for c in z[1:]:
-        nan, ok = nan | np.isnan(c), ok & np.isfinite(c)
-    return z, np.where(nan, np.nan, 0.0), ok & inside(*z)
+        nan, ok = nan | np.isnan(c), ok & (np.abs(c) <= _HUGE)
+    # Beyond _HUGE a support's products may overflow to inf; those points
+    # are not evaluated either way.
+    with np.errstate(over="ignore"):
+        return z, np.where(nan, np.nan, 0.0), ok & inside(*z)
 
 
 def _pow(x, k):

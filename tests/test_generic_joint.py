@@ -242,16 +242,20 @@ def test_mixed_power_inverse_matches_exponential_closed_form(nc, ne):
     assert got == pytest.approx(np.array(want), rel=1e-12)
 
 
+def _mp_irwin_hall(n, t):
+    """Density of the sum of n uniforms on [0, 1] at t, in mpmath."""
+    t = mpmath.mpf(t)
+    return mpmath.fsum((-1) ** j * math.comb(n, j) * (t - j) ** (n - 1)
+                       for j in range(int(t) + 1)) / math.factorial(n - 1)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_power_inverse_of_uniform_is_irwin_hall(n):
     # e(0) of a density on [0, 1]: the upper limit inf is clamped to the
     # support, so the jumps of the pdf fall on segment edges.
     t = np.linspace(0.03, n - 0.03, 17)
     got = gj._inv_pow(uniform01(), 0.0, math.inf, n, t)
-    want = [float(mpmath.fsum((-1) ** j * math.comb(n, j)
-                              * mpmath.mpf(v - j) ** (n - 1)
-                              for j in range(int(v) + 1))
-                  / math.factorial(n - 1)) for v in t]
+    want = [float(_mp_irwin_hall(n, v)) for v in t]
     assert got == pytest.approx(np.array(want), rel=1e-12)
 
 
@@ -265,6 +269,44 @@ def test_power_inverse_batch_equals_elements():
     for (i, j), v in np.ndenumerate(got):
         one = gj._inv_pow(HN, lo[j], hi[j], 3, t[i, 0])
         assert v == pytest.approx(float(one), rel=1e-14, abs=0.0)
+
+
+def _unmirrored(lo, hi, n):
+    # ``gj._halves`` with two objects for an even power too: every node.
+    return (lo, hi, n // 2), (lo, hi, n - n // 2)
+
+
+@pytest.mark.parametrize("n,share", [(2, 2), (4, 4)])
+def test_square_evaluates_each_mirrored_pair_once(monkeypatch, n, share):
+    # On a fixed 16-node rule, the halves of power n evaluate half the
+    # nodes of their convolution and a power-4 inverse, two such levels
+    # deep, sends a quarter of the full rule's elements to the pdf.  The
+    # t avoid the lattice points of c(1.1)^n and t minus them.
+    dist = HalfNormal(0.8)
+    sizes = []
+    pdf = dist.pdf
+    monkeypatch.setattr(dist, "pdf",
+                        lambda x: sizes.append(np.size(x)) or pdf(x))
+    t = np.array([0.37, 1.29, 2.03, 3.51])[:n]
+    lo, hi = np.zeros(t.size), np.full(t.size, 1.1)
+    got = gj._pow(dist, lo, hi, n, t, gj.rules._gauss01(16))
+    half = sum(sizes)
+    sizes.clear()
+    monkeypatch.setattr(gj, "_halves", _unmirrored)
+    want = gj._pow(dist, lo, hi, n, t, gj.rules._gauss01(16))
+    assert half > 0 and share * half == sum(sizes)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_mirrored_rule_counts_an_odd_centre_node_once():
+    # An odd table has a node at the middle of the middle segment, its own
+    # mirror: the square of c(1.1) gives the full rule's value.
+    lo, hi, t = np.zeros(3), np.full(3, 1.1), np.array([0.6, 1.3, 2.0])
+    a = (lo, hi, 1)
+    table = gj.rules._gauss01(7)
+    got = gj._conv(HN, a, a, t, table).sum(axis=1)
+    want = gj._conv(HN, a, _unmirrored(lo, hi, 2)[1], t, table).sum(axis=1)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def _unit_step(pdf):
@@ -499,6 +541,54 @@ def test_halfnormal_t2_large_K_matches_mpmath():
                 * _mp_hn_inv(sigma, 0, mpmath.inf, 1, g, rule) * inv)
     got = gj.t2_jpdf(HN, K, m, z1, z2)
     assert got == pytest.approx(float(want), rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["c", "e"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_halfnormal_power_inverse_matches_mpmath(kind, n):
+    # c(1.1)^n and e(0.9)^n of the half-normal at three points of each
+    # support; the reference convolves by 24 nodes a segment at 30 digits.
+    lo, hi = {"c": (0.0, 1.1), "e": (0.9, math.inf)}[kind]
+    top = n * hi if kind == "c" else n * lo + 3.0
+    t = n * lo + (top - n * lo) * np.array([0.2, 0.45, 0.7])
+    got = gj._inv_pow(HN, lo, hi, n, t)
+    with mpmath.workdps(30):
+        rule = GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec)
+        mlo, mhi = mpmath.mpf(lo), mpmath.mpf(hi)
+        want = [float(_mp_hn_inv(mpmath.mpf(HN.sigma), mlo, mhi, n,
+                                 mpmath.mpf(v), rule)) for v in t]
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_power_inverse_across_a_declared_kink_matches_mpmath(n):
+    # The triangle on [0, 2] with its kink at 1 declared is the density of
+    # two uniforms' sum, so e(0)^n inverts to Irwin-Hall of order 2n.  c(1.5)
+    # cuts the triangle past its kink: its squares and cubes against
+    # 30-digit quadratures on the pieces between the kinks.
+    dist, mp_pdf = BROKEN["kink"]
+    t = np.linspace(0.15, 2 * n - 0.15, 7)
+    got = gj._inv_pow(dist, 0.0, math.inf, n, t)
+    with mpmath.workdps(30):
+        want = [float(_mp_irwin_hall(2 * n, v)) for v in t]
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    if n > 3:
+        return
+    g = mpmath.mpf(1.5)
+    t = np.array([0.4, 1.2, 2.1, 0.9 * n * 1.5])
+    got = gj._inv_pow(dist, 0.0, 1.5, n, t)
+    with mpmath.workdps(30):
+        if n == 2:
+            want = [mpmath.quad(lambda u: mp_pdf(u) * mp_pdf(v - u),
+                                sorted({max(0, v - g), min(g, v),
+                                        *(p for p in (1, v - 1)
+                                          if max(0, v - g) < p < min(g, v))}))
+                    for v in map(mpmath.mpf, t)]
+        else:
+            want = [_mp_conv3(mp_pdf, [(0, g)] * 3, mpmath.mpf(v), [1])
+                    for v in t]
+    assert got == pytest.approx([float(w) for w in want], rel=1e-13, abs=0.0)
 
 
 # One point per family and T5 case, at K=5.

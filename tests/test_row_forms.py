@@ -211,32 +211,34 @@ NON_FINITE_2D = [((NAN, 1.0), NAN), ((1.0, NAN), NAN), ((INF, 1.0), 0.0),
 NON_FINITE_1D = [((NAN,), NAN), ((INF,), 0.0), ((-INF,), 0.0)]
 
 
-def _exact_families():
+def _exact_families(K=5):
+    # Every family, T5 case and T6 side size at Ks = K-1 (T1 at K-1).
+    Ks = K - 1
     return {
-        "T1": exact_exp.ErlangSum(4, 1.0),
-        "T2": exact_exp.OneVsRestAllK(5, 2, 1.0),
-        "T3m1": exact_exp.HeadTailAllK(5, 1, 1.0),
-        "T3": exact_exp.HeadTailAllK(5, 2, 1.0),
-        "T4Ks1": exact_exp.GscSum(5, 1, 1.0),
-        "T4": exact_exp.GscSum(5, 3, 1.0),
-        **{f"T5{t5_case(4, m)}": exact_exp.BestKsOneVsRest(5, 4, m, 1.0)
-           for m in range(1, 5)},
-        **{f"T6m{m}": exact_exp.BestKsHeadTail(5, 4, m, 1.0)
-           for m in range(1, 4)},
+        "T1": exact_exp.ErlangSum(K - 1, 1.0),
+        "T2": exact_exp.OneVsRestAllK(K, 2, 1.0),
+        "T3m1": exact_exp.HeadTailAllK(K, 1, 1.0),
+        "T3": exact_exp.HeadTailAllK(K, 2, 1.0),
+        "T4Ks1": exact_exp.GscSum(K, 1, 1.0),
+        "T4": exact_exp.GscSum(K, 3, 1.0),
+        **{f"T5{t5_case(Ks, m)}": exact_exp.BestKsOneVsRest(K, Ks, m, 1.0)
+           for m in (1, 2, Ks - 1, Ks)},
+        **{f"T6m{m}": exact_exp.BestKsHeadTail(K, Ks, m, 1.0)
+           for m in (1, 2, Ks - 1)},
     }
 
 
-def _generic_families():
+def _generic_families(dist=EXP):
     return {
-        "T1": functools.partial(gj.t1_pdf, EXP, 4),
-        "T2": functools.partial(gj.t2_jpdf, EXP, 5, 2),
-        "T3m1": functools.partial(gj.t3_jpdf, EXP, 5, 1),
-        "T3": functools.partial(gj.t3_jpdf, EXP, 5, 2),
-        "T4Ks1": functools.partial(gj.t4_pdf, EXP, 5, 1),
-        "T4": functools.partial(gj.t4_pdf, EXP, 5, 3),
-        **{f"T5{t5_case(4, m)}": functools.partial(gj.t5_jpdf, EXP, 5, 4, m)
+        "T1": functools.partial(gj.t1_pdf, dist, 4),
+        "T2": functools.partial(gj.t2_jpdf, dist, 5, 2),
+        "T3m1": functools.partial(gj.t3_jpdf, dist, 5, 1),
+        "T3": functools.partial(gj.t3_jpdf, dist, 5, 2),
+        "T4Ks1": functools.partial(gj.t4_pdf, dist, 5, 1),
+        "T4": functools.partial(gj.t4_pdf, dist, 5, 3),
+        **{f"T5{t5_case(4, m)}": functools.partial(gj.t5_jpdf, dist, 5, 4, m)
            for m in range(1, 5)},
-        **{f"T6m{m}": functools.partial(gj.t6_jpdf, EXP, 5, 4, m)
+        **{f"T6m{m}": functools.partial(gj.t6_jpdf, dist, 5, 4, m)
            for m in range(1, 4)},
     }
 
@@ -275,6 +277,40 @@ def test_non_finite_elements_of_arrays():
         for g, (_, want) in zip(got.tolist(), cases):
             assert _same(g, want), name
         assert got[-1] == jd(*inner)
+
+
+# -- far coordinates: the density underflows, and 0 comes back --
+
+FAR = [1e3, 1e10, 1e50, 1e100, 1e308]
+
+
+def _far_points(dim):
+    # Each axis far in turn from the point of ones, and all at once.
+    for big in FAR:
+        for axis in range(dim):
+            yield tuple(big if i == axis else 1.0 for i in range(dim))
+        yield (big,) * dim
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["exact-5", "exact-10", "exact-30",
+                                    "generic-exp", "generic-halfnormal"])
+def test_far_points_give_zero(family):
+    # On the exact path a power of a far coordinate overflows while
+    # exp(-S) underflows; generic T1 inverts a transform and is not
+    # covered.
+    path, arg = family.split("-")
+    if path == "exact":
+        families = _exact_families(int(arg))
+    else:
+        families = _generic_families({"exp": EXP, "halfnormal": HN}[arg])
+        del families["T1"]
+    for name, fn in families.items():
+        dim = 1 if name.startswith(("T1", "T4")) else 2
+        for point in _far_points(dim):
+            assert fn(*point) == 0.0, (name, point)
+        pts = np.array(list(_far_points(dim))).T
+        assert np.all(fn(*pts) == 0.0), name
 
 
 # -- resolve: a grid is one call of the family, on both paths --
