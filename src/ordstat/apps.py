@@ -38,7 +38,7 @@ import numpy as np
 
 from ordstat.distributions import Exponential
 from ordstat.errors import DomainError
-from ordstat.exact_exp import FineLastHead, pdf_sum_all
+from ordstat.exact_exp import _FAR, FineLastHead, pdf_sum_all
 from ordstat.mc_oracle import sample_sorted
 from ordstat.reductions import _pow
 from ordstat.rules import _gauss_2d
@@ -100,6 +100,12 @@ def msgsc_stage_probability(cfg, x, m):
     and the output lands below x.  ``x`` is a float, which gives a float,
     or an array, which gives an array of its shape: the distinct upper
     limits above gamma_T are the rows of one rule.
+
+    Where gamma_T exceeds ``exact_exp._FAR`` gamma_bar, a stage m >= 2 is
+    0 (nan at a nan x) with no rule: at each of its nodes the density's
+    factor exp(-s/gamma_bar) is 0 in doubles.  Its power of the head sum
+    would overflow there first, from about gamma_T = 1e11 gamma_bar at
+    L = 30, and give nan.
     """
     if not 1 <= m <= cfg.L:
         raise DomainError("need 1 <= m <= L")
@@ -108,6 +114,8 @@ def msgsc_stage_probability(cfg, x, m):
     if m == 1:
         return _result(np.where(x <= gt, 0.0,
                                 _cdf_max(cfg, x) - _cdf_max(cfg, gt)))
+    if gt > _FAR * cfg.gamma_bar:
+        return _result(np.where(np.isnan(x), np.nan, 0.0))
     fine = FineLastHead(cfg.L, m, cfg.gamma_bar)
     # v: the m-th branch; s = v + w, the output, with w the sum of the
     # m-1 larger ones.

@@ -176,9 +176,13 @@ class Exponential(Distribution):
         return out if out.ndim else float(out)
 
     def sample(self, rng, size):
-        # Inverse CDF on u uniform in (0, 1].
-        u = 1.0 - rng.random(size)
-        return -self.gamma_bar * np.log(u)
+        # Inverse CDF on u uniform in (0, 1], in place: the bits of
+        # -gamma_bar * log(1 - u) with no temporary.
+        u = rng.random(size)
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        u *= -self.gamma_bar
+        return u
 
     def _mu(self, a, b, lam):
         # With d = rate - lam, c(g) = rate * g * (exp(-d*g) - 1) / (-d*g)
@@ -234,7 +238,10 @@ class HalfNormal(Distribution):
         return out if out.ndim else float(out)
 
     def sample(self, rng, size):
-        return self.sigma * np.abs(rng.standard_normal(size))
+        x = rng.standard_normal(size)
+        np.abs(x, out=x)
+        x *= self.sigma
+        return x
 
     def _mu(self, a, b, lam):
         return self._tail(a, lam) - self._tail(b, lam)
@@ -298,7 +305,12 @@ class CustomDistribution(Distribution):
         a kink.  Nothing searches for them: a jump or kink that is not
         declared slows the rules that meet it, or goes unseen.
     sampler : callable, optional
-        ``sampler(rng, size) -> ndarray`` for Monte Carlo use.
+        ``sampler(rng, size) -> ndarray`` for Monte Carlo use, a new
+        writable float array of shape ``size``.  ``mc_oracle`` calls it
+        with ``size = (rows, K)`` on consecutive row blocks of one
+        stream's generator ``rng``.  A sampler that draws row-major and in
+        sequence, as numpy's generator methods do, gives the same samples
+        whatever the block size.
 
     Each kernel is one ``rules._cut`` over the segments of every broadcast
     ``(ga, gb, lam)``: knots every half period ``pi/|Im(lam)|`` of

@@ -4,9 +4,15 @@ Sampling is exact and embarrassingly simple: draw K i.i.d. variables, sort
 them in decreasing order, and form the requested partial sums.  Everything
 analytic in this package must survive comparison against these samples.
 
-Streams use a counter-based generator keyed by (seed, stream index), so a
-run is reproducible bit for bit and its layout depends only on the sample
-count; streams run one after another and are concatenated in index order.
+Rows come in streams of ``_CHUNK``, each drawn from a counter-based
+generator keyed by (seed, stream index), so a run is reproducible bit for
+bit and its layout depends only on the sample count; streams run in index
+order.  Within a stream the rows are drawn, sorted and summed in blocks of
+``_BLOCK``, consecutive draws from the stream's generator, which give the
+bits of one draw of the whole stream.  Each block's sums go straight into
+the result, and a histogram bins each block as it is drawn, so beyond its
+result a run holds O(``_BLOCK`` K) values: O(n groups) memory for
+``sample_partial_sums``, O(bins) for ``empirical_density`` of a spec.
 """
 
 import itertools
@@ -30,6 +36,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
+# Rows of one block: the (rows, K) sample and its temporaries stay near
+# 2**13 * K entries, as the node arrays of ``kernels`` do.
+_BLOCK = 2 ** 13
 _MASK64 = (1 << 64) - 1
 
 
@@ -55,54 +64,68 @@ def _stream_rng(seed, stream):
     return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream]))
 
 
-def _run_streams(n, worker):
-    """Concatenate worker(stream, count) chunks in stream order."""
-    jobs = []
-    start = 0
-    stream = 0
-    while start < n:
-        count = min(_CHUNK, n - start)
-        jobs.append((stream, count))
-        start += count
-        stream += 1
-    return np.concatenate([worker(s, c) for s, c in jobs], axis=0)
+def _sorted_blocks(dist, K, n, seed):
+    """Yield ``(start, x)`` in row order: the rows ``start`` onward of the
+    run, K draws each sorted in decreasing order, as a (rows, K) view.
+
+    A stream's last block takes a lone leftover row, so a block has one
+    row only where its stream has one (``sample_partial_sums``).
+    """
+    for stream, first in enumerate(range(0, n, _CHUNK)):
+        rng = _stream_rng(seed, stream)
+        end = min(first + _CHUNK, n)
+        lo = first
+        while lo < end:
+            hi = lo + _BLOCK
+            hi = end if end - hi <= 1 else hi
+            x = dist.sample(rng, (hi - lo, K))
+            x.sort(axis=1)
+            yield lo, x[:, ::-1]
+            lo = hi
 
 
 def sample_sorted(dist, K, n_samples, seed):
     """n_samples rows of K draws each, sorted in decreasing order."""
+    out = np.empty((n_samples, K))
+    for lo, x in _sorted_blocks(dist, K, n_samples, seed):
+        out[lo:lo + len(x)] = x
+    return out
 
-    def worker(stream, count):
-        rng = _stream_rng(seed, stream)
-        x = dist.sample(rng, (count, K))
-        x.sort(axis=1)
-        return x[:, ::-1]
 
-    return _run_streams(n_samples, worker)
+def _group_sums(x, cols, out=None):
+    # One column of ``out`` per group: ``np.add.reduce`` over the
+    # gathered ranks (``sample_partial_sums``).
+    out = np.empty((len(x), len(cols))) if out is None else out
+    for gi, idx in enumerate(cols):
+        np.add.reduce(x[:, idx], axis=1, out=out[:, gi])
+    return out
+
+
+def _cols(spec):
+    return [np.asarray(g, dtype=int) - 1 for g in spec.partition.groups]
 
 
 def sample_partial_sums(spec):
     """(n_samples, n_groups) matrix of the requested partial sums.
 
-    A group's sum is ``np.add.reduce`` over its columns in rank order, and
-    numpy picks the order of the additions from the memory layout.  A
-    stream of several rows adds one rank at a time to every row, a
-    left-to-right fold; a stream of one row sums along it pairwise, in
-    blocks of 8 for a group of 8 or more ranks.  The last bits of a sum
-    are numpy's, not those of one fixed fold.
+    A group's sum is ``np.add.reduce`` over its gathered columns in rank
+    order, one block of rows at a time, and numpy picks the order of the
+    additions from the memory layout.  The gathered copy is column-major,
+    so over a block of several rows numpy adds one rank at a time to
+    every row: a left-to-right fold, the same bits whatever the number of
+    rows.  A block of one row it sums along the row pairwise, which for a
+    group of 8 or more ranks differs from the fold in the last bits.  Only
+    a stream of one row (n_samples = 1 mod ``_CHUNK``) has such a block:
+    a stream's last block takes a lone leftover row.  Checked on numpy
+    2.4; an explicit fold would move the bits of those one-row streams,
+    the single-row draws of ``verify``'s cross_path points among them.
     """
-    cols = [np.asarray(g, dtype=int) - 1 for g in spec.partition.groups]
-
-    def worker(stream, count):
-        rng = _stream_rng(spec.seed, stream)
-        x = spec.dist.sample(rng, (count, spec.K))
-        x.sort(axis=1)
-        x = x[:, ::-1]
-        out = np.empty((count, len(cols)))
-        for gi, idx in enumerate(cols):
-            np.add.reduce(x[:, idx], axis=1, out=out[:, gi])
-        return out
-
-    return _run_streams(spec.n_samples, worker)
+    cols = _cols(spec)
+    out = np.empty((spec.n_samples, len(cols)))
+    for lo, x in _sorted_blocks(spec.dist, spec.K, spec.n_samples,
+                                spec.seed):
+        _group_sums(x, cols, out[lo:lo + len(x)])
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,20 +162,28 @@ def empirical_density(spec_or_samples, bin_spec):
     """Histogram of sampled partial sums.
 
     ``bin_spec`` is one (lo, hi, nbins) triple per axis, uniform bins.
-    Accepts either a SampleSpec (sampled here) or a ready sample matrix.
+    Accepts either a SampleSpec, whose rows are binned block by block as
+    they are drawn and never held together, or a ready sample matrix.
+    The counts are those of ``np.histogramdd`` over the whole matrix.
     """
+    edges = [np.linspace(lo, hi, nb + 1) for lo, hi, nb in bin_spec]
     if isinstance(spec_or_samples, SampleSpec):
-        samples = sample_partial_sums(spec_or_samples)
+        spec = spec_or_samples
+        cols = _cols(spec)
+        n = spec.n_samples
+        chunks = (_group_sums(x, cols) for _, x in _sorted_blocks(
+            spec.dist, spec.K, n, spec.seed))
     else:
         samples = np.atleast_2d(np.asarray(spec_or_samples, dtype=float))
         if samples.shape[0] == 1 and samples.shape[1] > 1 and \
                 len(bin_spec) == 1:
             samples = samples.T
-    edges = [np.linspace(lo, hi, nb + 1) for lo, hi, nb in bin_spec]
-    counts, _ = np.histogramdd(samples, bins=edges)
+        n, chunks = samples.shape[0], (samples,)
+    counts = np.zeros([nb for _, _, nb in bin_spec], dtype=np.int64)
+    for sums in chunks:
+        counts += np.histogramdd(sums, bins=edges)[0].astype(np.int64)
     return EmpiricalDensity(dim=len(edges), bins=tuple(edges),
-                            counts=counts.astype(np.int64),
-                            n=samples.shape[0])
+                            counts=counts, n=n)
 
 
 def empirical_cdf(samples, points):
@@ -166,18 +197,26 @@ def empirical_cdf(samples, points):
 
 
 def ks_distance(samples, analytic_cdf):
-    """Kolmogorov-Smirnov sup-distance of 1-D samples against a CDF."""
+    """Kolmogorov-Smirnov sup-distance of 1-D samples against a CDF.
+
+    The CDF sees the sorted samples in blocks of ``_BLOCK``: a vectorized
+    one gets each block in one call, any other one value at a time.
+    """
     s = np.sort(np.asarray(samples, dtype=float).ravel())
     n = s.size
-    try:
-        f = np.asarray(analytic_cdf(s), dtype=float)
-        if f.shape != s.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.array([float(analytic_cdf(v)) for v in s])
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(max(np.max(hi - f), np.max(f - lo)))
+    above = below = -np.inf
+    for lo in range(0, n, _BLOCK):
+        v = s[lo:lo + _BLOCK]
+        try:
+            f = np.asarray(analytic_cdf(v), dtype=float)
+            if f.shape != v.shape:
+                raise TypeError
+        except (TypeError, ValueError):
+            f = np.array([float(analytic_cdf(x)) for x in v])
+        k = np.arange(lo, lo + v.size)
+        above = np.maximum(above, np.max((k + 1) / n - f))
+        below = np.maximum(below, np.max(f - k / n))
+    return float(max(above, below))
 
 
 def bin_agreement(emp, density_values, nsigma=3.0, min_count=5,

@@ -21,7 +21,14 @@ number, and each suite drives one such pair against the other:
   Kolmogorov-Smirnov checks compare with CDFs built from the densities
   by Gauss cell integrals and a cubic Hermite interpolant.
 
-The suites need numpy alone, half-normals included.
+The suites need numpy alone, half-normals included.  Their large arrays
+go through fixed blocks of ``mc_oracle._BLOCK`` rows: the Monte Carlo
+samples as they are drawn, sorted and summed, the histograms as each
+block is binned, the CDFs of the Kolmogorov-Smirnov checks, and the
+lattice points through their map and density.  So beyond the sums of one
+Kolmogorov-Smirnov sample and the lattice's terms no suite holds an
+array of the sample or lattice size, and every value has the bits of one
+pass over the whole array.
 
 Reports are plain dicts of JSON types with no timestamps or machine
 identifiers; rendered with sorted keys they are byte-identical for a fixed
@@ -38,7 +45,7 @@ from ordstat import exact_exp, generic_joint, kernels, mc_oracle
 from ordstat.distributions import Exponential, HalfNormal
 from ordstat.errors import DomainError, OrdstatError
 from ordstat.kernels import NestedIntegralSpec
-from ordstat.mc_oracle import SampleSpec
+from ordstat.mc_oracle import _BLOCK, SampleSpec
 from ordstat.partition import TheoremMatch, theorem_partition
 from ordstat.rules import _gauss01, _gauss_knots
 
@@ -255,8 +262,10 @@ def _rank_marginal(dist, K, m, z):
 
 def qmc_normalization(density, chain, m_log2, seed):
     """Total mass of ``density``, by a randomly shifted rank-1 lattice rule
-    pushed through a support-fitted coordinate map.  ``density.values``
-    evaluates all the points in one call.
+    pushed through a support-fitted coordinate map.  The points go
+    through the map and ``density.values`` in blocks of ``_BLOCK``, and
+    the mass is the mean of all their terms, so it has the bits of one
+    call on the whole lattice.
 
     The rule takes ``2^(m_log2 - 15)`` shifts Δ of the 2^15-point lattice
     ``{k z / 2^15 + Δ} mod 1`` (``m_log2 >= 15``), drawn from ``seed`` on
@@ -277,24 +286,29 @@ def qmc_normalization(density, chain, m_log2, seed):
         raise DomainError(f"m_log2 must be at least {_LATTICE_LOG2}")
     n, d = 2 ** _LATTICE_LOG2, len(chain)
     shifts = _rng(seed, "normalization").random(
-        (2 ** (m_log2 - _LATTICE_LOG2), 1, d))
+        (2 ** (m_log2 - _LATTICE_LOG2), d))
     base = np.multiply.outer(np.arange(n), _LATTICE_Z[:d]) % n / n
-    u = (base + shifts).reshape(-1, d)
-    u[u >= 1.0] -= 1.0
-    u = np.minimum(1.0 - np.abs(2.0 * u - 1.0), _BELOW_ONE)
-    z = np.zeros_like(u)
-    jac = np.ones(u.shape[0])
-    for col, (idx, kind, fn) in enumerate(chain):
-        ui = u[:, col]
-        if kind == "exp":
-            lo, scale = fn(z)
-            z[:, idx] = lo - scale * np.log1p(-ui)
-            jac *= scale / (1.0 - ui)
-        else:
-            lo, hi = fn(z)
-            z[:, idx] = lo + (hi - lo) * ui
-            jac *= hi - lo
-    return float(np.mean(density.values(*z.T) * jac))
+    terms = np.empty((shifts.shape[0], n))
+    for k, shift in enumerate(shifts):
+        for j in range(0, n, _BLOCK):
+            u = base[j:j + _BLOCK] + shift
+            u[u >= 1.0] -= 1.0
+            u = np.minimum(1.0 - np.abs(2.0 * u - 1.0), _BELOW_ONE)
+            z = np.zeros_like(u)
+            jac = np.ones(u.shape[0])
+            for col, (idx, kind, fn) in enumerate(chain):
+                ui = u[:, col]
+                if kind == "exp":
+                    lo, scale = fn(z)
+                    z[:, idx] = lo - scale * np.log1p(-ui)
+                    jac *= scale / (1.0 - ui)
+                else:
+                    lo, hi = fn(z)
+                    z[:, idx] = lo + (hi - lo) * ui
+                    jac *= hi - lo
+            np.multiply(density.values(*z.T), jac,
+                        out=terms[k, j:j + _BLOCK])
+    return float(np.mean(terms.ravel()))
 
 
 def _y_integrals(jd, xs, y_span, deg):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -254,3 +255,27 @@ def test_grid_above_every_cap_costs_one_point(monkeypatch):
     del seen[:]
     msgsc_output_cdf(c, np.linspace(2.01 * gt, 20.0 * gt, 64))
     assert 0 < sum(seen) <= one
+
+
+@pytest.mark.parametrize("gt, gb", [(2e3, 1.0), (5e3, 2.0), (1e12, 1.0),
+                                    (3e12, 2.5)])
+def test_stages_past_exp_underflow_are_zero(monkeypatch, gt, gb):
+    # Past exp's underflow every stage node is 0 in doubles, so a stage is
+    # 0 with no rule and the output CDF above gamma_T is 1.  The rule gives
+    # the same bits where its power of the head sum stays finite (gamma_T
+    # up to about 1e11 gamma_bar at L = 30); above that it gave nan.
+    c = cfg(L=30, gt=gt, gb=gb)
+    x = np.array([0.5 * gt, 1.5 * gt, 3.0 * gt, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = msgsc_output_cdf(c, x)
+        stages = [msgsc_stage_probability(c, x, m=m) for m in range(2, 31)]
+    np.testing.assert_array_equal(got[1:4], 1.0)
+    assert np.isnan(got[4])
+    for stage in stages:
+        np.testing.assert_array_equal(stage, [0.0, 0.0, 0.0, 0.0, np.nan])
+    if gt / gb < 1e10:
+        monkeypatch.setattr(apps, "_FAR", math.inf)
+        for m in (2, 16, 30):
+            np.testing.assert_array_equal(
+                msgsc_stage_probability(c, x, m=m), stages[m - 2])

@@ -196,6 +196,42 @@ def test_lattice_rule_masses_at_quick_size():
         assert max(qmc) <= 2e-4, (seed, qmc)
 
 
+def _whole_lattice_mass(density, chain, m_log2, seed):
+    # The reference of the blocked rule: every point of every shift
+    # mapped and evaluated in one pass.
+    n, d = 2 ** verify._LATTICE_LOG2, len(chain)
+    shifts = verify._rng(seed, "normalization").random(
+        (2 ** (m_log2 - verify._LATTICE_LOG2), 1, d))
+    base = np.multiply.outer(np.arange(n), verify._LATTICE_Z[:d]) % n / n
+    u = (base + shifts).reshape(-1, d)
+    u[u >= 1.0] -= 1.0
+    u = np.minimum(1.0 - np.abs(2.0 * u - 1.0), verify._BELOW_ONE)
+    z = np.zeros_like(u)
+    jac = np.ones(u.shape[0])
+    for col, (idx, kind, fn) in enumerate(chain):
+        ui = u[:, col]
+        if kind == "exp":
+            lo, scale = fn(z)
+            z[:, idx] = lo - scale * np.log1p(-ui)
+            jac *= scale / (1.0 - ui)
+        else:
+            lo, hi = fn(z)
+            z[:, idx] = lo + (hi - lo) * ui
+            jac *= hi - lo
+    return float(np.mean(density.values(*z.T) * jac))
+
+
+@pytest.mark.parametrize("m_log2", [15, 16])
+def test_blocked_lattice_rule_has_the_bits_of_one_pass(m_log2):
+    from ordstat import exact_exp
+    density = exact_exp.FineOneMidLast(5, 4, 1.0)
+    chain = ((2, "exp", lambda z: (0.0, 1.0)),
+             (0, "exp", lambda z: (z[:, 2], 1.5)),
+             (1, "lin", lambda z: (2.0 * z[:, 2], 2.0 * z[:, 0])))
+    got = verify.qmc_normalization(density, chain, m_log2, 3)
+    assert got == _whole_lattice_mass(density, chain, m_log2, 3)
+
+
 def test_lattice_rule_needs_a_whole_lattice():
     with pytest.raises(DomainError):
         verify.qmc_normalization(None, ((0, "exp", None),), 14, 1)
