@@ -38,8 +38,10 @@ rows of one ``reductions`` rule, on fine densities built at unit mean.
 
 Every step sum here is one binomial step sum with equally spaced
 thresholds, ``sum_j (-1)^j C(n, j) (u - (a + j) h)_+^p``: in T2 (and T3
-with m = 1, the rank-1 T2 joint) and in the fine densities behind T5a,
-T5b and ``FineHeadMidLast``.  ``_backend.power_difference`` computes it
+with m = 1, the rank-1 T2 joint), in ``FineRankRestLast`` (T5b) and its
+case m = 1, ``FineOneMidLast`` (T5a), and in ``FineHeadMidLast``.  Its
+case m = Ks-1, ``FineHeadNextLast`` (T5c), has none: every rank of the
+rest is above x.  ``_backend.power_difference`` computes it
 from the nonnegative Bernstein coefficients of its polynomial pieces, and
 ``_backend.head_tail`` the T3 sum from its own nonnegative weights; both
 tables are built once per shape in exact integers and evaluated by one
@@ -363,7 +365,8 @@ class _FineBase(_Density):
 
 
 class FineOneMidLast(_FineBase):
-    """Joint of (rank-1 variable, sum of ranks 2..Ks-1, rank-Ks variable)."""
+    """Joint of (rank-1 variable, sum of ranks 2..Ks-1, rank-Ks variable):
+    ``FineRankRestLast`` at m = 1, whose rest lies between z4 and z1."""
 
     dim = 3
     coords = ("gamma_1", "mid_sum", "gamma_Ks")
@@ -491,10 +494,13 @@ class FineHeadTailLast(_FineBase):
 
 
 class FineHeadNextLast(_FineBase):
-    """Joint of (sum of ranks 1..Ks-2, rank-(Ks-1) variable, rank-Ks variable)."""
+    """Joint of (rank-(Ks-1) variable, sum of ranks 1..Ks-2, rank-Ks
+    variable): ``FineRankRestLast`` at m = Ks-1, whose rest is the head,
+    in its coordinates.  Every head rank is above x, so the head's
+    density is one power of its distance from (Ks-2) x."""
 
     dim = 3
-    coords = ("head_sum", "gamma_m", "gamma_Ks")
+    coords = ("gamma_m", "head_sum", "gamma_Ks")
 
     def __init__(self, K, Ks, gamma_bar):
         if Ks < 3:
@@ -502,14 +508,14 @@ class FineHeadNextLast(_FineBase):
         super().__init__(K, Ks, gamma_bar)
         self._pref = _pref(K, K - Ks, Ks - 2, Ks - 3)
 
-    def support(self, z1, z2, z4):
-        return (z4 >= 0) & (z4 <= z2) & (z1 >= (self.Ks - 2) * z2)
+    def support(self, x, w, z4):
+        return (z4 >= 0) & (z4 <= x) & (w >= (self.Ks - 2) * x)
 
-    def _unit(self, z1, z2, z4):
-        head = z1 - (self.Ks - 2) * z2
-        ok = (z1 >= 0) & (z2 >= 0) & (z4 >= 0) & (z4 <= z2) & (head >= 0)
+    def _unit(self, x, w, z4):
+        head = w - (self.Ks - 2) * x
+        ok = (w >= 0) & (x >= 0) & (z4 >= 0) & (z4 <= x) & (head >= 0)
         out = (self._pref * self._cdf_pows(z4) * _pow(head, self.Ks - 3)
-               * np.exp(-(z1 + z2 + z4)))
+               * np.exp(-(w + x + z4)))
         return np.where(ok, out, 0.0)
 
 
@@ -536,8 +542,11 @@ class FineLastHead(_FineBase):
 
 
 # The fine density of each T5 case, and T6's, for ``reductions.t5_fine``
-# and ``t6_fine``.
-_FINES = {"a": FineOneMidLast, "b": FineRankRestLast, "c": FineHeadNextLast,
+# and ``t6_fine``: cases a and c are ``FineRankRestLast`` at m = 1 and
+# m = Ks-1, in closed forms of their own.
+_FINES = {"a": lambda K, Ks, m, g: FineOneMidLast(K, Ks, g),
+          "b": FineRankRestLast,
+          "c": lambda K, Ks, m, g: FineHeadNextLast(K, Ks, g),
           "d": FineLastHead, "t6": FineHeadTailLast}
 
 

@@ -5,13 +5,15 @@ densities (``Fine*``, the shapes that ``reductions`` lists) are products
 of the pdf, a CDF power and the inverse Laplace transforms of kernel
 powers, or of their products where groups share one transform variable,
 as in T2 and in ``FineRankRestLast``, T2's pair of the best Ks-1 above the
-rank-Ks value.  ``FineHeadTailLast``, T3's pair of the best Ks-1 above
-that value, has no such product: it integrates the rank-m value out of
-the four-group ``FineHeadMidLast``, one rule per element.  ``reductions``
-integrates the fine densities to the theorem families T3-T6, with the
-same limits, knots and rules as the exponential closed forms of
-``exact_exp``.  These fine densities are not polynomial between knots,
-so every rule runs the Gauss-Kronrod pair of ``rules._gauss_knots``.
+rank-Ks value, which serves T5 cases a-c; a product with a power 0 is
+the other power alone.  ``FineHeadTailLast``, T3's pair of the best Ks-1
+above that value, has no such product: it integrates the rank-m value
+out of the four-group ``FineHeadMidLast``, one rule per element.
+``reductions`` integrates the fine densities to the theorem families
+T3-T6, with the same limits, knots and rules as the exponential closed
+forms of ``exact_exp``.  These fine densities are not polynomial between
+knots, so every rule runs the Gauss-Kronrod pair of
+``rules._gauss_knots``.
 T1 (the total sum) inverts an MGF power on a Bromwich line, T2
 convolves kernel-power inverses, and ``resolve`` dispatches a theorem
 shape to either path.
@@ -289,8 +291,13 @@ def _inv_prod(dist, a, b, t):
     finite raises :class:`ConvergenceError`.  Where ``b is a`` (an even
     power's halves, from ``_inv_pow``), the top level evaluates each
     mirrored pair of nodes once, as does every level below whose power is
-    even (``_conv``).
+    even (``_conv``).  A factor of power 0 is 1: the inverse is the other
+    factor's, ``_inv_pow``.
     """
+    if a[2] == 0:
+        return _inv_pow(dist, *b, t)
+    if b[2] == 0:
+        return _inv_pow(dist, *a, t)
     (la, ha, na), (lb, hb, nb) = a, b
     up = dist.support_upper
     args = (la, np.minimum(ha, up), lb, np.minimum(hb, up), t)
@@ -359,13 +366,7 @@ def t2_jpdf(dist, K, m, z1, z2):
         # The K-m variables below z1 give a c-power, the m-1 above it an
         # e-power.
         below, above = (0.0, z1, K - m), (z1, math.inf, m - 1)
-        if m == 1:
-            inv = _inv_pow(dist, *below, z2)
-        elif m == K:
-            inv = _inv_pow(dist, *above, z2)
-        else:
-            inv = _inv_prod(dist, below, above, z2)
-        return pref * dist.pdf(z1) * inv
+        return pref * dist.pdf(z1) * _inv_prod(dist, below, above, z2)
 
     return reductions._reduce(functools.partial(reductions.t2_support, K, m),
                               rows, z1, z2)
@@ -417,18 +418,6 @@ class FineLastHead(_Fine):
             self.dist, v, math.inf, self.Ks - 1, w)
 
 
-class FineOneMidLast(_Fine):
-    """Joint of (rank-1 variable, sum of ranks 2..Ks-1, rank-Ks variable)."""
-
-    def __init__(self, K, Ks, dist):
-        super().__init__(K, Ks, dist, K - Ks, Ks - 2)
-
-    def values(self, z1, z3, z4):
-        d = self.dist
-        return (self._pref * d.pdf(z1) * self._last(z4)
-                * _inv_pow(d, z4, z1, self.Ks - 2, z3))
-
-
 class FineHeadMidLast(_Fine):
     """Joint of (sum of ranks 1..m-1, rank-m, sum of ranks m+1..Ks-1, rank-Ks)."""
 
@@ -445,9 +434,10 @@ class FineHeadMidLast(_Fine):
 
 class FineRankRestLast(_Fine):
     """Joint of (rank-m variable, sum of the other ranks 1..Ks-1, rank-Ks
-    variable), 2 <= m <= Ks-2: above the rank-Ks value z4 the best Ks-1
+    variable), 1 <= m <= Ks-1: above the rank-Ks value z4 the best Ks-1
     are i.i.d., so the first two coordinates are ``t2_jpdf``'s pair of
-    Ks-1 variables with the lower limit 0 replaced by z4."""
+    Ks-1 variables with the lower limit 0 replaced by z4.  At m = 1 (T5a)
+    the e-power, and at m = Ks-1 (T5c) the c-power, is of power 0."""
 
     def __init__(self, K, Ks, m, dist):
         super().__init__(K, Ks, dist, K - Ks, m - 1, Ks - m - 1)
@@ -490,22 +480,11 @@ class FineHeadTailLast:
             deg=self.Ks - 4, exact=False).reshape(shape)[()]
 
 
-class FineHeadNextLast(_Fine):
-    """Joint of (sum of ranks 1..Ks-2, rank-(Ks-1) variable, rank-Ks variable)."""
-
-    def __init__(self, K, Ks, dist):
-        super().__init__(K, Ks, dist, K - Ks, Ks - 2)
-
-    def values(self, z1, z2, z4):
-        d = self.dist
-        return (self._pref * d.pdf(z2) * self._last(z4)
-                * _inv_pow(d, z2, math.inf, self.Ks - 2, z1))
-
-
 # The fine density of each T5 case, and T6's, for ``reductions.t5_fine``
-# and ``t6_fine``.
-_FINES = {"a": FineOneMidLast, "b": FineRankRestLast, "c": FineHeadNextLast,
-          "d": FineLastHead, "t6": FineHeadTailLast}
+# and ``t6_fine``: cases a-c are ``FineRankRestLast`` at m = 1, at
+# 2 <= m <= Ks-2 and at m = Ks-1.
+_FINES = {"a": FineRankRestLast, "b": FineRankRestLast,
+          "c": FineRankRestLast, "d": FineLastHead, "t6": FineHeadTailLast}
 
 
 def t3_jpdf(dist, K, m, z1, z2):

@@ -67,21 +67,14 @@ def _stream_rng(seed, stream):
 def _sorted_blocks(dist, K, n, seed):
     """Yield ``(start, x)`` in row order: the rows ``start`` onward of the
     run, K draws each sorted in decreasing order, as a (rows, K) view.
-
-    A stream's last block takes a lone leftover row, so a block has one
-    row only where its stream has one (``sample_partial_sums``).
     """
     for stream, first in enumerate(range(0, n, _CHUNK)):
         rng = _stream_rng(seed, stream)
         end = min(first + _CHUNK, n)
-        lo = first
-        while lo < end:
-            hi = lo + _BLOCK
-            hi = end if end - hi <= 1 else hi
-            x = dist.sample(rng, (hi - lo, K))
+        for lo in range(first, end, _BLOCK):
+            x = dist.sample(rng, (min(_BLOCK, end - lo), K))
             x.sort(axis=1)
             yield lo, x[:, ::-1]
-            lo = hi
 
 
 def sample_sorted(dist, K, n_samples, seed):
@@ -93,11 +86,14 @@ def sample_sorted(dist, K, n_samples, seed):
 
 
 def _group_sums(x, cols, out=None):
-    # One column of ``out`` per group: ``np.add.reduce`` over the
-    # gathered ranks (``sample_partial_sums``).
+    # One column of ``out`` per group, its ranks added one at a time in
+    # rank order (``sample_partial_sums``).
     out = np.empty((len(x), len(cols))) if out is None else out
     for gi, idx in enumerate(cols):
-        np.add.reduce(x[:, idx], axis=1, out=out[:, gi])
+        col = out[:, gi]
+        np.copyto(col, x[:, idx[0]])
+        for c in idx[1:]:
+            col += x[:, c]
     return out
 
 
@@ -108,17 +104,8 @@ def _cols(spec):
 def sample_partial_sums(spec):
     """(n_samples, n_groups) matrix of the requested partial sums.
 
-    A group's sum is ``np.add.reduce`` over its gathered columns in rank
-    order, one block of rows at a time, and numpy picks the order of the
-    additions from the memory layout.  The gathered copy is column-major,
-    so over a block of several rows numpy adds one rank at a time to
-    every row: a left-to-right fold, the same bits whatever the number of
-    rows.  A block of one row it sums along the row pairwise, which for a
-    group of 8 or more ranks differs from the fold in the last bits.  Only
-    a stream of one row (n_samples = 1 mod ``_CHUNK``) has such a block:
-    a stream's last block takes a lone leftover row.  Checked on numpy
-    2.4; an explicit fold would move the bits of those one-row streams,
-    the single-row draws of ``verify``'s cross_path points among them.
+    A group's sum adds its ranks to each row one at a time, in rank
+    order, so a row has the same bits whatever the number of rows.
     """
     cols = _cols(spec)
     out = np.empty((spec.n_samples, len(cols)))

@@ -16,10 +16,10 @@ arrays that broadcast.  The shapes, by coordinates (rank 1 = largest):
 * ``FineHeadRankTail`` (T3, generic path only): sum of ranks 1..m,
   rank m, sum of ranks m+1..K;
 * ``FineLastHead`` (T4, T5d): rank Ks, sum of ranks 1..Ks-1;
-* ``FineOneMidLast`` (T5a): rank 1, sum of ranks 2..Ks-1, rank Ks;
-* ``FineRankRestLast`` (T5b): rank m, sum of the other ranks 1..Ks-1,
-  rank Ks;
-* ``FineHeadNextLast`` (T5c): sum of ranks 1..Ks-2, rank Ks-1, rank Ks;
+* ``FineRankRestLast`` (T5a-c): rank m, sum of the other ranks 1..Ks-1,
+  rank Ks, for 1 <= m <= Ks-1; the exact path evaluates m = 1 (T5a) and
+  m = Ks-1 (T5c) by their own closed forms, ``FineOneMidLast`` and
+  ``FineHeadNextLast``, in the same coordinates;
 * ``FineHeadTailLast`` (T6): sum of ranks 1..m, sum of ranks m+1..Ks,
   rank Ks.
 
@@ -46,9 +46,9 @@ nan coordinate gives nan, and one with an infinite coordinate 0, without
 a rule (``_reduce``); so does a coordinate beyond ``_HUGE`` (2^500, about
 3e150), which counts as infinite.
 
-``t2_support``, ``t3_support``, ``t5_support`` and ``t6_support`` are the
-supports of the pairs, for both paths; T2 takes no reduction, only its
-support.
+``t2_support`` and ``t3_support`` are the supports of the pairs, for both
+paths, and ``t5_support`` and ``t6_support`` the same predicates at K = Ks;
+T2 takes no reduction, only its support.
 """
 
 import functools
@@ -136,6 +136,12 @@ def t3_support(K, m, z1, z2):
     return (z1 >= 0) & (z2 >= 0) & ((K - m) * z1 >= m * z2)
 
 
+# T5's pair has the support of T2's at K = Ks, and T6's that of T3's:
+# the unselected ranks below the rank-Ks value bound neither sum.
+t5_support = t2_support
+t6_support = t3_support
+
+
 def t3(fine, K, m, z1, z2):
     """T3 for ``m >= 2`` from ``FineHeadRankTail``, over the rank-m value.
 
@@ -175,26 +181,14 @@ def t5_fine(fines, K, Ks, m, param):
     """The fine density that ``t5`` reduces for rank m of the best Ks.
 
     ``fines`` maps each ``partition.t5_case`` letter to a path's class of
-    the shape that case reduces (module docstring); ``param``, the classes'
-    last constructor argument, fixes the distribution.
+    the shape that case reduces (module docstring), which takes m in
+    cases a-c; ``param``, the classes' last constructor argument, fixes
+    the distribution.
     """
     case = t5_case(Ks, m)
-    if case == "b":
-        return fines[case](K, Ks, m, param)
-    return fines[case](K, Ks, param)
-
-
-def t5_support(Ks, m, x, y):
-    case = t5_case(Ks, m)
     if case == "d":
-        edge = x >= y if m == 1 else y >= (Ks - 1) * x
-    elif case == "a":
-        edge = y <= (Ks - 1) * x
-    elif case == "c":
-        edge = y >= (Ks - 2) * x
-    else:
-        edge = y >= (m - 1) * x
-    return (x >= 0) & (y >= 0) & edge
+        return fines[case](K, Ks, param)
+    return fines[case](K, Ks, m, param)
 
 
 def t5(fine, Ks, m, x, y, order=0):
@@ -205,73 +199,41 @@ def t5(fine, Ks, m, x, y, order=0):
     * ``"d"``: m == Ks, the fine density itself.  With Ks == 2 and m == 1
       the pair is (rank 1, rank 2), the same density with its arguments
       swapped.
-    * ``"a"``: m == 1 (Ks >= 3), one integral.
-    * ``"c"``: m == Ks-1 (Ks >= 3), one integral.
-    * ``"b"``: 2 <= m <= Ks-2, one integral.
+    * ``"a"``-``"c"``: 1 <= m <= Ks-1 (Ks >= 3), one integral over the
+      rank-Ks value of ``FineRankRestLast`` (``_t5b``).
 
     ``order`` picks the variable of the integral in cases a-c: 1 the
-    rank-Ks value, 2 the other coordinate on the line; 0 means the
-    default, 1.  The orders agree up to quadrature error and exist to
-    check each other.  Any other ``order`` raises :class:`DomainError`.
+    rank-Ks value, 2 the rest sum; 0 means the default, 1.  The orders
+    agree up to quadrature error and exist to check each other.  Any
+    other ``order`` raises :class:`DomainError`.
     """
     if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1 or 2, not {order!r}")
-    case = t5_case(Ks, m)
-    if case == "d":
+    if t5_case(Ks, m) == "d":
         rows = (lambda x, y: fine.values(y, x)) if m == 1 else fine.values
-    elif case == "a":
-        rows = functools.partial(_t5a, fine, Ks, order=order)
-    elif case == "c":
-        rows = functools.partial(_t5c, fine, Ks, order=order)
     else:
         rows = functools.partial(_t5b, fine, Ks, m, order=order)
     return _reduce(functools.partial(t5_support, Ks, m), rows, x, y)
 
 
-def _t5a(fine, Ks, x, y, order):
-    # Fine coordinates (rank 1 = x, mid sum z3, rank Ks z4), z3 + z4 = y.
-    j = np.arange(1, Ks - 1)
-    xc, yc = _col(x), _col(y)
-    if order in (0, 1):
-        knots = np.concatenate([(yc - j * xc) / (Ks - 1 - j), xc], axis=1)
-        return _gauss_knots(
-            lambda z4, r: fine.values(x[r], y[r] - z4, z4),
-            np.maximum(0.0, y - (Ks - 2) * x), y / (Ks - 1), knots,
-            deg=Ks - 3, exact=False)
-    knots = np.concatenate(
-        [((Ks - 2 - j) * yc + j * xc) / (Ks - 1 - j), yc - xc], axis=1)
-    return _gauss_knots(
-        lambda z3, r: fine.values(x[r], z3, y[r] - z3),
-        np.maximum((Ks - 2) * y / (Ks - 1), y - x), np.minimum((Ks - 2) * x, y),
-        knots, deg=Ks - 3, exact=False)
-
-
-def _t5c(fine, Ks, x, y, order):
-    # Fine coordinates (head sum z1, rank Ks-1 = x, rank Ks z4), z1 + z4 = y.
-    if order in (0, 1):
-        return _gauss_knots(
-            lambda z4, r: fine.values(y[r] - z4, x[r], z4), 0.0,
-            np.minimum(x, y - (Ks - 2) * x), deg=Ks - 3, exact=False)
-    return _gauss_knots(
-        lambda z1, r: fine.values(z1, x[r], y[r] - z1),
-        np.maximum((Ks - 2) * x, y - x), y, deg=Ks - 3, exact=False)
-
-
 def _t5b(fine, Ks, m, x, y, order):
     # Fine coordinates (rank m = x, rest sum w, rank Ks z4), w + z4 = y.
     # Knot j is where w - (Ks-2) z4 reaches the j-th threshold of the step
-    # sum, (m-1+j) (x - z4); j = 0 is the upper end of z4.
+    # sum, (m-1+j) (x - z4); j = 0 is the upper end of z4.  With m == 1
+    # the rest are the Ks-2 ranks below x, so w is at most (Ks-2) x.
     nm = Ks - m  # selected ranks below m, inclusive of rank Ks
     j = np.arange(1, nm)
     xc, yc = _col(x), _col(y)
+    w_max = (Ks - 2) * x if m == 1 else np.inf
     if order in (0, 1):
         return _gauss_knots(
             lambda z4, r: fine.values(x[r], y[r] - z4, z4),
-            0.0, np.minimum(x, (y - (m - 1) * x) / nm),
+            np.maximum(0.0, y - w_max), np.minimum(x, (y - (m - 1) * x) / nm),
             (yc - (m - 1 + j) * xc) / (nm - j), deg=Ks - 3, exact=False)
     return _gauss_knots(
         lambda w, r: fine.values(x[r], w, y[r] - w),
-        np.maximum(((nm - 1) * y + (m - 1) * x) / nm, y - x), y,
+        np.maximum(((nm - 1) * y + (m - 1) * x) / nm, y - x),
+        np.minimum(y, w_max),
         ((nm - 1 - j) * yc + (m - 1 + j) * xc) / (nm - j), deg=Ks - 3,
         exact=False)
 
@@ -287,10 +249,6 @@ def t6_fine(fines, K, Ks, m, param):
     if 1 < m < Ks - 1:
         return fines["t6"](K, Ks, m, param)
     return t5_fine(fines, K, Ks, m if m == 1 else Ks, param)
-
-
-def t6_support(Ks, m, x, y):
-    return (x >= 0) & (y >= 0) & ((Ks - m) * x >= m * y)
 
 
 def t6(fine, Ks, m, x, y):

@@ -448,8 +448,8 @@ def _suite_normalization(seed, sizes, depth=None):
             ("fine_head_next_last_5_4",
              exact_exp.FineHeadNextLast(5, 4, 1.0), (
                  (2, "exp", lambda z: (0.0, 1.0)),
-                 (1, "exp", lambda z: (z[:, 2], 1.5)),
-                 (0, "exp", lambda z: (2.0 * z[:, 1], 2.5)))),
+                 (0, "exp", lambda z: (z[:, 2], 1.5)),
+                 (1, "exp", lambda z: (2.0 * z[:, 0], 2.5)))),
             ("fine_head_mid_last_6_5_2",
              exact_exp.FineHeadMidLast(6, 5, 2, 1.0), (
                  (3, "exp", lambda z: (0.0, 1.0)),

@@ -169,7 +169,7 @@ def _unit_mean_cases(K):
     yield (exact_exp.FineRankRestLast, (K, Ks, b),
            lambda r: (r[b - 1], r[:Ks - 1].sum() - r[b - 1], r[Ks - 1]))
     yield (exact_exp.FineHeadNextLast, (K, Ks),
-           lambda r: (r[:Ks - 2].sum(), r[Ks - 2], r[Ks - 1]))
+           lambda r: (r[Ks - 2], r[:Ks - 2].sum(), r[Ks - 1]))
     yield (exact_exp.FineLastHead, (K, Ks),
            lambda r: (r[Ks - 1], r[:Ks - 1].sum()))
 
@@ -290,7 +290,7 @@ def test_fine_supports_take_arrays():
          lambda z1, z2, z3, z4: (0 <= z4 <= z2 and z1 >= z2
                                  and 3 * z4 <= z3 <= 3 * z2)),
         (exact_exp.FineHeadNextLast(6, 5, GB),
-         lambda z1, z2, z4: 0 <= z4 <= z2 and z1 >= 3 * z2),
+         lambda x, w, z4: 0 <= z4 <= x and w >= 3 * x),
         (exact_exp.FineLastHead(6, 4, GB),
          lambda v, w: v >= 0 and w >= 3 * v),
     ]

@@ -242,6 +242,49 @@ def test_mixed_power_inverse_matches_exponential_closed_form(nc, ne):
     assert got == pytest.approx(np.array(want), rel=1e-12)
 
 
+@pytest.mark.parametrize("dist", [EXP, HN], ids=["exp", "halfnormal"])
+def test_power_zero_factor_is_the_other_power_alone(dist):
+    # A factor of power 0 is 1, on either side: the inverse of the product
+    # is ``_inv_pow`` of the other factor, bit for bit, at a scalar t and
+    # over limits and t that broadcast.
+    g = np.array([[0.5], [0.8], [1.1]])
+    cases = [((0.0, 0.7, 3), 1.3), ((0.7, math.inf, 2), 2.1),
+             ((0.0, g, 2), g * [0.3, 0.9, 1.4, 1.9]),
+             ((g, math.inf, 3), g * [3.2, 3.9, 4.5, 6.0])]
+    for power, t in cases:
+        want = gj._inv_pow(dist, *power, t)
+        assert np.all(want > 0.0)
+        for zero in ((0.0, power[0], 0), (power[1], math.inf, 0)):
+            for got in (gj._inv_prod(dist, power, zero, t),
+                        gj._inv_prod(dist, zero, power, t)):
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dist", [EXP, HN], ids=["exp", "halfnormal"])
+@pytest.mark.parametrize("K,Ks", [(6, 3), (7, 5), (6, 6)])
+def test_rank_rest_last_at_the_end_ranks(dist, K, Ks):
+    # At m = 1 (T5a) the rest lie between z4 and x, a c-power; at
+    # m = Ks-1 (T5c) above x, an e-power.  Each is the product of the
+    # pdf, the rank-Ks factor and that one power, bit for bit.
+    x = np.array([[0.6], [0.9], [1.4]])
+    z4 = 0.3 * x
+    pref = math.factorial(K) / (math.factorial(K - Ks)
+                                * math.factorial(Ks - 2))
+    last = np.asarray(dist.cdf(z4)) ** (K - Ks) * dist.pdf(z4)
+    w = (Ks - 2) * (z4 + (x - z4) * [0.1, 0.5, 0.9])
+    got = gj.FineRankRestLast(K, Ks, 1, dist).values(x, w, z4)
+    want = pref * dist.pdf(x) * last * gj._inv_pow(dist, z4, x, Ks - 2, w)
+    assert np.all(want > 0.0)
+    np.testing.assert_array_equal(got, want)
+    w = (Ks - 2) * x + [0.2, 0.8, 2.0]
+    got = gj.FineRankRestLast(K, Ks, Ks - 1, dist).values(x, w, z4)
+    want = (pref * dist.pdf(x) * last
+            * gj._inv_pow(dist, x, math.inf, Ks - 2, w))
+    assert np.all(want > 0.0)
+    np.testing.assert_array_equal(got, want)
+
+
 def _mp_irwin_hall(n, t):
     """Density of the sum of n uniforms on [0, 1] at t, in mpmath."""
     t = mpmath.mpf(t)

@@ -162,8 +162,7 @@ def _whole_stream_sums(dist, part, n, seed, draw):
                                   "K=12;Ks=11;groups=[1-10][11]"])
 def test_blocked_sums_equal_whole_stream_sums(dist, draw, text):
     # Blocks of consecutive draws give the bits of one draw per stream,
-    # the in-place samplers those of their one-expression forms, and a
-    # stream's lone leftover row is summed with its block.
+    # and the in-place samplers those of their one-expression forms.
     p = Partition.parse(text)
     n = 2 * mc._CHUNK + 123
     got = mc.sample_partial_sums(mc.SampleSpec(dist, p.K, p.Ks, p, n, 4))
@@ -172,19 +171,24 @@ def test_blocked_sums_equal_whole_stream_sums(dist, draw, text):
 
 
 def test_row_sums_do_not_depend_on_n():
-    # A group of 10 ranks folds left to right in a block of several rows,
-    # whatever the row count; n = 1 is a one-row stream, summed pairwise
-    # (``sample_partial_sums``), so the runs start at two rows.
+    # A group of 10 ranks folds left to right whatever the row count, one
+    # row too, which a pairwise sum along the row would give other bits
+    # for at about 40% of seeds.
     p = Partition.parse("K=12;Ks=11;groups=[1-10][11]")
     runs = [mc.sample_partial_sums(mc.SampleSpec(EXP, 12, 11, p, n, 13))
-            for n in (2, mc._BLOCK + 1, 2 * mc._CHUNK + 123)]
+            for n in (1, 2, mc._BLOCK + 1, 2 * mc._CHUNK + 123)]
     for run in runs[:-1]:
         np.testing.assert_array_equal(run, runs[-1][:len(run)])
+    for seed in range(20):
+        one, two = (mc.sample_partial_sums(mc.SampleSpec(EXP, 12, 11, p, n,
+                                                         seed))
+                    for n in (1, 2))
+        np.testing.assert_array_equal(one, two[:1], err_msg=f"seed {seed}")
     rows = mc.sample_sorted(EXP, 12, mc._BLOCK + 1, seed=13)
     fold = rows[:, 0].copy()
     for j in range(1, 10):
         fold += rows[:, j]
-    np.testing.assert_array_equal(runs[1][:, 0], fold)
+    np.testing.assert_array_equal(runs[2][:, 0], fold)
 
 
 def test_blocked_histogram_counts_equal_whole_histogram():
