@@ -16,6 +16,16 @@ limits.  :class:`Exponential` and :class:`HalfNormal` carry closed forms;
 ``rules``, so that any density/CDF pair can be plugged into the generic
 machinery (and the closed forms can be tested against an independent
 route).
+
+A subclass may also supply, in closed form,
+
+* ``_pair(lo, hi, t)`` = int_lo^hi p(u) p(t-u) du,
+
+the convolution of p with itself over [lo, hi].  ``generic_joint`` takes
+it for every kernel-power inverse of power 2, and for the product of two
+power-1 kernels; a distribution without one (``_pair`` is ``None``, as
+for :class:`CustomDistribution`) runs a numeric convolution there.
+:class:`Exponential` and :class:`HalfNormal` supply it.
 """
 
 import math
@@ -69,7 +79,11 @@ class Distribution:
     ``support_upper`` (``inf`` unless the density has bounded support) and
     ``breaks`` (the sorted points inside the support where the density
     jumps or has a kink), and implement ``pdf`` and ``cdf`` (vectorized
-    over numpy arrays) and ``_mu``.
+    over numpy arrays) and ``_mu``.  A subclass may supply ``_pair``, as
+    it supplies ``_mu``: int_lo^hi p(u) p(t-u) du in closed form, on
+    arrays of lo, hi and t that broadcast, with 0 <= lo and hi <= t, and
+    exactly 0 where hi <= lo.  Where it is ``None``, the kernel-power
+    inverses convolve the pdf numerically.
     """
 
     name = "distribution"
@@ -77,6 +91,7 @@ class Distribution:
     abscissa = None
     support_upper = math.inf
     breaks = ()
+    _pair = None
 
     def pdf(self, x):
         raise NotImplementedError
@@ -203,6 +218,28 @@ class Exponential(Distribution):
             out = np.where(inf, self.rate * np.exp(-d * a) / d, out)
         return out
 
+    def _pair(self, lo, hi, t):
+        # p(u) p(t-u) is rate^2 exp(-rate*t) all over [0, t].
+        r = self.rate
+        return _pair_on(lambda lo, hi, t: r * np.exp(-r * t) * r * (hi - lo),
+                        lo, hi, t)
+
+
+def _pair_on(f, lo, hi, t):
+    """``f(lo, hi, t)`` on 1-d arrays of the elements with hi > lo, and 0
+    elsewhere (nan limits among them); lo, hi and t are arrays (or
+    scalars) that broadcast, with 0 <= lo and hi <= t where hi > lo."""
+    lo, hi, t = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                      for v in (lo, hi, t)))
+    shape = lo.shape
+    lo, hi, t = (v.ravel() for v in (lo, hi, t))
+    live = hi > lo
+    if live.all():
+        return f(lo, hi, t).reshape(shape)
+    out = np.zeros(lo.size)
+    out[live] = f(lo[live], hi[live], t[live])
+    return out.reshape(shape)
+
 
 def _exprel(w):
     """(exp(w) - 1) / w on an array, stable near w = 0, real or complex."""
@@ -213,6 +250,16 @@ def _exprel(w):
     else:
         big = np.expm1(safe) / safe
     return np.where(small, 1.0 + w / 2.0 + w * w / 6.0, big)
+
+
+# The half-normal pair on [A, B] with 0 <= A < B: up to a width
+# (B - A)(A + B + 1) of _PAIR_SPREAD, the Gauss-Legendre rule of
+# _PAIR_NODES nodes is within 2e-16 of the integral of e^-x^2 (against
+# 40-digit mpmath, A from 0 to 100); beyond it the erfc difference
+# cancels by a factor of at most about 1.6.
+_PAIR_SPREAD = 1.0
+_PAIR_NODES = 8
+_SQRTPI = math.sqrt(math.pi)
 
 
 class HalfNormal(Distribution):
@@ -263,6 +310,56 @@ class HalfNormal(Distribution):
         g = gamma / (self.sigma * math.sqrt(2))
         arg = lam * gamma - gamma * gamma / (2 * self.sigma ** 2)
         return np.where(inf, 0.0, np.exp(arg) * erfcx(g - u))
+
+    def _pair(self, lo, hi, t):
+        return _pair_on(self._pair_live, lo, hi, t)
+
+    def _pair_live(self, lo, hi, t):
+        """``_pair`` on 1-d arrays with 0 <= lo < hi <= t.
+
+        p(u) p(t-u) = 2/(pi sigma^2) exp(-q - x^2) with q = (t/2sigma)^2
+        and x = (u - t/2)/sigma, so the pair is
+        exp(-q) (erf B - erf A)/(sigma sqrt(pi)) for x from A to B.  Each
+        element takes one of three forms, on its own elements only:
+
+        * A < 0 < B: erf B - erf A, a sum of two positive terms;
+        * A and B on one side of 0 (mirrored to 0 <= A < B, e^-x^2 being
+          even), with (B - A)(A + B + 1) above ``_PAIR_SPREAD``: the erfc
+          difference exp(-q-A^2) erfcx(A) - exp(-q-B^2) erfcx(B), which
+          cancels there by a factor of at most about 1.6;
+        * the rest, narrow overlaps among them: the ``_PAIR_NODES``-node
+          Gauss-Legendre rule of exp(-q - x^2) on [A, B], whose width is
+          taken from hi - lo itself.
+        """
+        s = self.sigma
+        q = 0.5 * t
+        a, b = lo - q, hi - q
+        a /= s
+        b /= s
+        q /= s
+        q *= q
+        out = np.empty_like(q)
+        mid = (a < 0.0) & (b > 0.0)
+        i = np.flatnonzero(mid)
+        e = erf(b[i])
+        e -= erf(a[i])
+        e *= np.exp(-q[i])
+        out[i] = e / (s * _SQRTPI)
+        if i.size == out.size:
+            return out
+        width = (hi - lo) / s
+        gauss = ~mid & (width * (np.abs(a + b) + 1.0) <= _PAIR_SPREAD)
+        i = np.flatnonzero(gauss)
+        x, _, w = rules._gauss01(_PAIR_NODES)
+        x = a[i, None] + width[i, None] * x
+        out[i] = (2.0 / (math.pi * s) * width[i]
+                  * rules._row_sums(np.exp(-q[i, None] - x * x), w))
+        i = np.flatnonzero(~mid & ~gauss)
+        lo, hi = np.abs(a[i]), np.abs(b[i])
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        out[i] = (np.exp(-q[i] - lo * lo) * erfcx(lo)
+                  - np.exp(-q[i] - hi * hi) * erfcx(hi)) / (s * _SQRTPI)
+        return out
 
 
 # The finite part of an unbounded custom kernel reaches past its lower

@@ -33,12 +33,16 @@ structural facts keep it tractable for any distribution on [0, inf):
   restriction, so its inverse is ``pdf(t)`` on its support and needs no
   numeric inversion.  Higher powers reduce to it through the convolution
   theorem: ``mu^n`` splits as ``mu^h * mu^(n-h)``, so its inverse is a
-  finite convolution of theirs, recursively, with the pdf restriction at the
-  base.  The inverse of power n is only ``C^(n-2)`` on the lattice
-  ``j*lo + (n-j)*hi``, where every convolution cuts its rule; with the
-  declared ``breaks`` of a density that jumps or has a kink, every sum of
-  n points of {lo, breaks, hi} (``_lattice``).  This matters beyond
-  speed: Bromwich-line summation converges worst at such edges, in
+  finite convolution of theirs, recursively.  The recursion ends at the
+  pair, the product of two power-1 kernels, where the distribution has
+  it in closed form (``Distribution._pair``: the exponential and the
+  half-normal), and at the pdf restriction for a custom law, whose pairs
+  are convolutions by rule like every level above them.  The inverse of
+  power n is only ``C^(n-2)`` on the lattice ``j*lo + (n-j)*hi``, where
+  every convolution cuts its rule; with the declared ``breaks`` of a
+  density that jumps or has a kink, every sum of n points of {lo,
+  breaks, hi} (``_lattice``).  This matters beyond speed:
+  Bromwich-line summation converges worst at such edges, in
   exactly the absolute terms that a relative error target cannot afford,
   and the reduction quadratures both place nodes arbitrarily close to
   those edges and probe regions where the density is orders of magnitude
@@ -56,15 +60,17 @@ factors are the same power (the halves of an even power), the integrand
 f(u) f(t-u) is symmetric about t/2, and so are its overlap and cuts: the
 nodes pair off about t/2 with equal values and weights, and ``_conv``
 evaluates the nodes below t/2 only, each pair's value counted twice.
-That halves the evaluations of each such level, so the pdf evaluations
-of c(g, -s)^8, three such levels deep, fall by 8 times.  The n- and
-2n-node rules are compared per element (``rules._doubled``), with
-relative error control end to end, and elements that have converged
-stop.  Gauss-Legendre rules serve a density that is smooth on [0, inf)
-at once.  One that is singular at 0, like x^(a-1) (a Gamma or Weibull
-shape below 1), or only not smooth there, leaves some elements open at
-the Gauss cap; those go on with tanh-sinh rules, which crowd both ends
-of every segment and converge there at their usual pace.
+That halves the evaluations of each such level: c(g, -s)^8 of a custom
+law evaluates its pdf 8 times less often, three such levels deep, and
+that of a built-in law its closed pair 4 times less often, two such
+levels above the pair.  The n- and 2n-node rules are compared per
+element (``rules._doubled``), with relative error control end to end,
+and elements that have converged stop.  Gauss-Legendre rules serve a
+density that is smooth on [0, inf) at once.  One that is singular at 0,
+like x^(a-1) (a Gamma or Weibull shape below 1), or only not smooth
+there, leaves some elements open at the Gauss cap; those go on with
+tanh-sinh rules, which crowd both ends of every segment and converge
+there at their usual pace.
 
 Every family has one array form, which takes coordinate arrays that
 broadcast (or scalars, one point): the fine densities' ``values``; the
@@ -197,6 +203,10 @@ def _conv(dist, a, b, t, rule):
     nodes.  The rule is the same, and values move by rounding only.
     Returns the estimates, one row per element and one column per segment
     (0 above the middle where ``b is a``).
+
+    Each block of about ``_BLOCK`` nodes evaluates the factors at once, by
+    ``_pow``: a factor of power 2 is a closed pair (``_pair``) where the
+    distribution has one, so its temporaries are the block's size.
     """
     (la, ha, na), (lb, hb, nb) = a, b
     lo, hi = _overlap(a, b, t)
@@ -255,6 +265,14 @@ def _conv(dist, a, b, t, rule):
     return out
 
 
+def _pair(dist, a, b, t):
+    """The inverse at t of the product of two power-1 kernels ``a`` and
+    ``b``, each ``(lo, hi, 1)``: the distribution's closed pair
+    (``Distribution._pair``) on their overlap, where both factors are the
+    plain pdf.  No rule runs."""
+    return dist._pair(*_overlap(a, b, t), t)
+
+
 def _restricted_pdf(dist, lo, hi, t):
     """The inverse of mu(lo, hi, -s): the pdf restricted to [lo, hi]."""
     return np.where((t >= lo) & (t <= hi), dist.pdf(t), 0.0)
@@ -269,9 +287,13 @@ def _halves(lo, hi, n):
 
 def _pow(dist, lo, hi, n, t, rule):
     """``rule`` for the inverse of mu(lo, hi, -s)^n at t: a convolution of
-    its halves (``_halves``), down to the restricted pdf."""
+    its halves (``_halves``), down to the closed pair at n = 2 where the
+    distribution has one (``_pair``), and to the restricted pdf."""
     if n == 1:
         return _restricted_pdf(dist, lo, hi, t)
+    if n == 2 and dist._pair is not None:
+        a = (lo, hi, 1)
+        return _pair(dist, a, a, t)
     return _conv(dist, *_halves(lo, hi, n), t, rule).sum(axis=1)
 
 
@@ -285,7 +307,9 @@ def _inv_prod(dist, a, b, t):
     declared breaks are (``_lattice``); a jump or kink that is not
     declared slows the rules that meet it, and warns.  The n- and
     2n-node rules of ``_conv`` are compared per element; an element that
-    has converged stops.  Gauss-Legendre rules come first; an element that
+    has converged stops.  Where both powers are 1 and the distribution has
+    a closed pair (``_pair``), that is the inverse, with no rule and no
+    n/2n doubling.  Gauss-Legendre rules come first; an element that
     they leave open at ``_MAX_NODES`` (a density that is singular, or not
     smooth, at 0) goes on with tanh-sinh rules.  A value that is not
     finite raises :class:`ConvergenceError`.  Where ``b is a`` (an even
@@ -303,6 +327,8 @@ def _inv_prod(dist, a, b, t):
     args = (la, np.minimum(ha, up), lb, np.minimum(hb, up), t)
     zero = np.zeros(np.broadcast_shapes(*map(np.shape, args)))
     la, ha, lb, hb, t = ((v + zero).ravel() for v in args)
+    if na == nb == 1 and dist._pair is not None:
+        return _pair(dist, (la, ha, 1), (lb, hb, 1), t).reshape(zero.shape)
 
     def on(table):
         def rule(nodes, todo):
@@ -328,8 +354,8 @@ def _inv_pow(dist, lo, hi, n, t):
 
     c(g, -s) is mu(0, g, -s) and e(g, -s) is mu(g, inf, -s).  Arguments
     are arrays (or scalars) that broadcast; so is the result.  Power n is
-    the convolution of powers n//2 and n - n//2, down to the pdf
-    restricted to [lo, hi].
+    the convolution of powers n//2 and n - n//2, down to the closed pair
+    (``_pair``) or, for a custom law, the pdf restricted to [lo, hi].
     """
     if n == 1:
         return _restricted_pdf(dist, lo, hi, np.asarray(t, dtype=float))

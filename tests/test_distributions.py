@@ -354,3 +354,135 @@ def test_constructor_domain_errors(bad):
     with pytest.raises(DomainError, match="breaks"):
         CustomDistribution(pdf=np.exp, cdf=np.exp, mean=1.0, abscissa=1.0,
                            support_upper=2.0, breaks=(2.0 + abs(bad),))
+
+
+# -- closed pairs: int_lo^hi p(u) p(t-u) du ---------------------------------
+#
+# Scales and points with few bits keep exp's arguments exact in doubles:
+# rate 1 and 2, sigma 1/2, 1 and 2, dyadic t and limits.  Each case is
+# (lo, hi, t); every kind of overlap appears, at a kernel limit g: c*c,
+# [max(0, t-g), min(g, t)]; c*e, [0, min(g, t-g)]; e*e, [g, t-g].
+
+
+def _pair_cases(g, scale):
+    cases = []
+    for t in (2.0 ** -20, 0.125 * g, g, 1.5 * g, 2 * g - 2.0 ** -30, 2 * g):
+        cases.append((max(0.0, t - g), min(g, t), t))               # c*c
+    for t in (g + 2.0 ** -30, 1.25 * g, 2 * g, 3 * g, 8 * scale, 20 * scale):
+        cases.append((0.0, min(g, t - g), t))                        # c*e
+    for t in (2 * g, 2 * g + 2.0 ** -40, 2.5 * g, 4 * g, 12 * scale,
+              30 * scale):
+        cases.append((g, t - g, t))                                  # e*e
+    return cases
+
+
+# The far tail of each law, with values from about 1e-30 down to 1e-300,
+# just short of underflow: exp's argument reaches about 690.
+def _tail_cases(dist):
+    if isinstance(dist, Exponential):
+        ts = np.array([70.0, 200.0, 500.0, 690.0]) / dist.rate
+        return [(0.0, 0.75, t) for t in ts] + [(1.5, t - 1.5, t) for t in ts]
+    ts = np.array([15.0, 30.0, 45.0, 52.5]) * dist.sigma
+    return ([(0.0, 0.75 * dist.sigma, t) for t in ts * [1, 1, 0.75, 0.625]]
+            + [(0.5 * t - 0.25, 0.5 * t + 0.5, t) for t in ts]
+            + [(0.5 * t + 0.25, 0.5 * t + 0.75, t) for t in ts])
+
+
+# Overlaps of widths 1 down to 1e-12 (in sigma's units): across t/2, on
+# either side of it, and far to one side.
+def _narrow_cases(dist):
+    s = getattr(dist, "sigma", 1.0)
+    cases = []
+    for w in 10.0 ** -np.arange(13):
+        for lo, t in ((1.0, 2.0), (1.0, 2.0 + w), (1.0, 1.5), (1.0, 2.5),
+                      (0.25, 9.0), (6.0, 8.0), (0.0, 2.0 * w)):
+            cases.append((lo * s, lo * s + w * s, t * s))
+    return cases
+
+
+PAIR_DISTS = [Exponential(1.0), Exponential(0.5), HalfNormal(1.0),
+              HalfNormal(0.5), HalfNormal(2.0)]
+
+
+def _mp_pair(dist, lo, hi, t):
+    """The pair at 50 digits: rate^2 e^(-rate t) (hi - lo), or the
+    half-normal's erf form e^(-t^2/4s^2) (erf B - erf A)/(s sqrt(pi)), with
+    A and B mirrored to A + B >= 0 and erfc where both are positive."""
+    with mpmath.workdps(50):
+        lo, hi, t = map(mpmath.mpf, (lo, hi, t))
+        if not hi > lo:
+            return mpmath.mpf(0)
+        if isinstance(dist, Exponential):
+            r = mpmath.mpf(dist.rate)
+            return r * r * mpmath.exp(-r * t) * (hi - lo)
+        s = mpmath.mpf(dist.sigma)
+        a, b = (lo - t / 2) / s, (hi - t / 2) / s
+        if a + b < 0:
+            a, b = -b, -a
+        diff = (mpmath.erf(b) - mpmath.erf(a) if a < 0
+                else mpmath.erfc(a) - mpmath.erfc(b))
+        return (mpmath.exp(-(t / (2 * s)) ** 2) * diff
+                / (s * mpmath.sqrt(mpmath.pi)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dist", PAIR_DISTS, ids=lambda d: d.name)
+def test_closed_pair_matches_mpmath(dist):
+    scale = 1.0 / dist.rate if isinstance(dist, Exponential) else dist.sigma
+    cases = (_pair_cases(1.25 * scale, scale) + _pair_cases(0.5 * scale,
+                                                            scale)
+             + _tail_cases(dist) + _narrow_cases(dist))
+    lo, hi, t = map(np.array, zip(*cases))
+    got = dist._pair(lo, hi, t)
+    want = np.array([float(_mp_pair(dist, *c)) for c in cases])
+    # Four overlaps are empty: c*c and e*e at t = 2g.
+    assert (want > 0).sum() == len(cases) - 4
+    assert want[want > 0].min() < 1e-290
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    # A point is its place in the array, to the bit.
+    for i, c in enumerate(cases):
+        assert dist._pair(*c) == got[i]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dist", PAIR_DISTS, ids=lambda d: d.name)
+def test_closed_pair_over_random_limits(dist):
+    # Any limits: exp's argument then rounds by about eps relative, which
+    # moves a value v by about eps |ln v| (as it moves the pdf's own), so
+    # 1e-13 holds down to values near 1e-190 and the bound widens beyond.
+    scale = 1.0 / dist.rate if isinstance(dist, Exponential) else dist.sigma
+    rng = np.random.default_rng(36)
+    t = scale * np.concatenate([rng.uniform(0, 6, 300),
+                                rng.uniform(6, 52, 100)])
+    lo = t * rng.uniform(0, 1, t.size)
+    hi = np.minimum(lo + scale * 10.0 ** rng.uniform(-12, 0.5, t.size), t)
+    got = dist._pair(lo, hi, t)
+    want = np.array([float(_mp_pair(dist, *c)) for c in zip(lo, hi, t)])
+    live = want > 0
+    assert live.sum() > 350
+    np.testing.assert_array_equal(got[~live], 0.0)
+    err = np.abs(got[live] - want[live]) / want[live]
+    assert (err <= 1e-13 + 4e-16 * np.abs(np.log(want[live]))).all()
+    assert err[want[live] > 1e-20].max() <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dist", PAIR_DISTS, ids=lambda d: d.name)
+def test_closed_pair_of_an_empty_overlap_is_zero(dist):
+    # hi <= lo and nan limits (an overlap at a nan t) give exactly 0,
+    # alone or among live elements.
+    lo = np.array([1.0, 1.0, 2.0, math.nan, 0.5, math.nan])
+    hi = np.array([1.0, 0.5, 2.0, 1.0, math.nan, math.nan])
+    t = np.array([2.0, 1.5, 3.0, 2.0, 1.0, math.nan])
+    assert not dist._pair(lo, hi, t).any()
+    assert dist._pair(1.0, 1.0, 2.0) == 0.0
+    lo, hi, t = (np.append(v, x) for v, x in zip((lo, hi, t), (0.25, 1.0,
+                                                              1.25)))
+    got = dist._pair(lo, hi, t)
+    assert not got[:-1].any() and got[-1] > 0
+    assert got[-1] == dist._pair(0.25, 1.0, 1.25)
+
+
+def test_custom_distribution_has_no_closed_pair():
+    assert _exp_as_custom()._pair is None
+    assert _halfnormal_as_custom()._pair is None

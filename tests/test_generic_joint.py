@@ -319,19 +319,32 @@ def _unmirrored(lo, hi, n):
     return (lo, hi, n // 2), (lo, hi, n - n // 2)
 
 
+def _as_custom(dist):
+    """``dist`` as a ``CustomDistribution``: the same pdf and cdf, with no
+    closed pair, so that its kernel powers convolve the pdf numerically."""
+    return CustomDistribution(pdf=dist.pdf, cdf=dist.cdf, mean=dist.mean,
+                              abscissa=dist.abscissa,
+                              name=f"{dist.name} as custom")
+
+
 @pytest.mark.parametrize("n,share", [(2, 2), (4, 4)])
 def test_square_evaluates_each_mirrored_pair_once(monkeypatch, n, share):
     # On a fixed 16-node rule, the halves of power n evaluate half the
     # nodes of their convolution and a power-4 inverse, two such levels
     # deep, sends a quarter of the full rule's elements to the pdf.  The
-    # t avoid the lattice points of c(1.1)^n and t minus them.
-    dist = HalfNormal(0.8)
+    # t avoid the lattice points of c(1.1)^n and t minus them.  The
+    # half-normal is written as a custom law: the built-in one takes its
+    # power 2 in closed form, and calls no pdf there.
+    t = np.array([0.37, 1.29, 2.03, 3.51])[:n]
+    lo, hi = np.zeros(t.size), np.full(t.size, 1.1)
+    builtin = HalfNormal(0.8)
+    monkeypatch.setattr(builtin, "pdf", lambda x: pytest.fail("pdf called"))
+    assert (gj._inv_pow(builtin, 0.0, 1.1, 2, t[:2]) > 0).all()
+    dist = _as_custom(HalfNormal(0.8))
     sizes = []
     pdf = dist.pdf
     monkeypatch.setattr(dist, "pdf",
                         lambda x: sizes.append(np.size(x)) or pdf(x))
-    t = np.array([0.37, 1.29, 2.03, 3.51])[:n]
-    lo, hi = np.zeros(t.size), np.full(t.size, 1.1)
     got = gj._pow(dist, lo, hi, n, t, gj.rules._gauss01(16))
     half = sum(sizes)
     sizes.clear()
@@ -339,6 +352,51 @@ def test_square_evaluates_each_mirrored_pair_once(monkeypatch, n, share):
     want = gj._pow(dist, lo, hi, n, t, gj.rules._gauss01(16))
     assert half > 0 and share * half == sum(sizes)
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+# c(1.1), e(0.9) and mu(0.4, 1.3) of the built-in laws and of the same
+# laws as custom ones, which convolve their pdf where the built-in ones
+# take the closed pair.
+@pytest.mark.parametrize("dist", [Exponential(1.0), HalfNormal(1.0)],
+                         ids=["exp", "halfnormal"])
+@pytest.mark.parametrize("kind", sorted(LIMITS))
+def test_closed_pair_agrees_with_the_numeric_convolution(dist, kind):
+    custom = _as_custom(dist)
+    lo, hi = LIMITS[kind]
+    for n in range(2, 6):
+        top = n * hi if math.isfinite(hi) else n * lo + 6.0
+        t = n * lo + (top - n * lo) * np.linspace(0.01, 0.99, 25)
+        got = gj._inv_pow(dist, lo, hi, n, t)
+        want = gj._inv_pow(custom, lo, hi, n, t)
+        big = want > 1e-12 * want.max()
+        assert big.sum() >= 20
+        assert got[big] == pytest.approx(want[big], rel=1e-10, abs=0.0)
+    g = 0.7
+    for nc, ne in ((1, 1), (1, 2), (2, 3)):
+        t = ne * g + np.linspace(0.02, nc * g + 6.0, 25)
+        c, e = (0.0, g, nc), (g, math.inf, ne)
+        got = gj._inv_prod(dist, c, e, t)
+        want = gj._inv_prod(custom, c, e, t)
+        big = want > 1e-12 * want.max()
+        assert big.sum() >= 20
+        assert got[big] == pytest.approx(want[big], rel=1e-10, abs=0.0)
+
+
+# Generic half-normal T2 where the value is small.  The references ran
+# both pairs, the closed one and the numeric convolution of the pdf,
+# with the n/2n test at no absolute floor, a relative target of 1e-13
+# and 256 nodes at most; the two agree to 3e-14.  The K=6 one
+# also agrees, to 2e-15, with a 30-digit nested mpmath integral of the
+# erf-form pair.  With the numeric pair, the n/2n test's absolute floor
+# (_EPSABS) stopped these rules early: off by 7.4e-6, 3.1e-7 and 7.8%.
+@pytest.mark.parametrize("K,m,z1,z2,want,rel", [
+    (6, 3, 0.0652052, 8.89471, 3.0312568447659355e-11, 1e-12),
+    (10, 3, 2.5, 27.666666666666668, 1.1232997333479709e-24, 1e-9),
+    (10, 3, 2.5, 40.0, 1.982353643823462e-71, 1e-9)])
+def test_halfnormal_t2_small_values_match_tight_references(K, m, z1, z2,
+                                                            want, rel):
+    got = gj.t2_jpdf(HalfNormal(1.0), K, m, z1, z2)
+    assert got == pytest.approx(want, rel=rel, abs=0.0)
 
 
 def test_mirrored_rule_counts_an_odd_centre_node_once():
