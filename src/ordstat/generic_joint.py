@@ -1,22 +1,25 @@
 """Joint densities of ordered partial sums for arbitrary distributions.
 
-This is the generic path of the paper's framework.  The fine joint
-densities (``Fine*``, the shapes that ``reductions`` lists) are products
-of the pdf, a CDF power and the inverse Laplace transforms of kernel
-powers, or of their products where groups share one transform variable,
-as in T2 and in ``FineRankRestLast``, T2's pair of the best Ks-1 above the
-rank-Ks value, which serves T5 cases a-c; a product with a power 0 is
-the other power alone.  ``FineHeadTailLast``, T3's pair of the best Ks-1
-above that value, has no such product: it integrates the rank-m value
-out of the four-group ``FineHeadMidLast``, one rule per element.
-``reductions`` integrates the fine densities to the theorem families
-T3-T6, with the same limits, knots and rules as the exponential closed
-forms of ``exact_exp``.  These fine densities are not polynomial between
-knots, so every rule runs the Gauss-Kronrod pair of
-``rules._gauss_knots``.
-T1 (the total sum) inverts an MGF power on a Bromwich line, T2
-convolves kernel-power inverses, and ``resolve`` dispatches a theorem
-shape to either path.
+This is the generic path of the paper's framework.  Its pairs are row
+forms of n variables above a floor lo.  T1 is the inverse Laplace
+transform of the kernel power mu(lo, inf, -s)^n (``_inv_pow``).  T2
+(``_t2_above``) is the pdf at the rank-m value times the inverse of a
+product of kernel powers that share one transform variable, a c-power
+from lo and an e-power; a product with a power 0 is the other power
+alone.  T3 (``_t3_above``) integrates the rank-m value out of the pdf
+times two kernel-power inverses, as the rows of one rule.  At the floor
+0, T2 and T3 are ``t2_jpdf`` and ``t3_jpdf``.  Above the rank-Ks value
+z4 the best Ks-1 are i.i.d. with the law truncated at z4 (Renyi, 1953),
+so each fine density (``Fine*``, the shapes that ``reductions`` lists)
+is one floor factor at z4 (``_floor``: its pdf times the CDF power of
+the ranks below it) times T1 (``FineLastHead``), T2
+(``FineRankRestLast``) or T3 (``FineHeadTailLast``) of Ks-1 variables
+above z4.  ``reductions`` integrates them to the theorem families T4-T6,
+with the same limits, knots and rules as the exponential closed forms of
+``exact_exp``.  These densities are not polynomial between knots, so
+every rule runs the Gauss-Kronrod pair of ``rules._gauss_knots``.  T1 of
+all K variables, the total sum, inverts an MGF power on a Bromwich line
+instead, and ``resolve`` dispatches a theorem shape to either path.
 Multidimensional numerical inversion is never attempted: the error budget
 stays one-dimensional by construction.
 
@@ -74,10 +77,11 @@ there at their usual pace.
 
 Every family has one array form, which takes coordinate arrays that
 broadcast (or scalars, one point): the fine densities' ``values``; the
-reduced densities (``t3_jpdf`` with m >= 2, ``t4_pdf`` with Ks >= 2,
-``t5_jpdf`` and ``t6_jpdf``), as the rows of one ``reductions`` rule;
-``t2_jpdf`` (and ``t3_jpdf`` with m = 1, the rank-1 T2 joint), as the
-rows of one kernel-power inverse; ``t4_pdf`` with Ks = 1, a formula; and
+reduced densities (``t4_pdf`` with Ks >= 2, ``t5_jpdf`` and
+``t6_jpdf``), as the rows of one ``reductions`` rule, and ``t3_jpdf``
+with m >= 2 as the rows of its T3 form's rule; ``t2_jpdf`` (and
+``t3_jpdf`` with m = 1, the rank-1 T2 joint), as the rows of one
+kernel-power inverse; ``t4_pdf`` with Ks = 1, a formula; and
 ``t1_pdf``, as the rows of one Bromwich-line inversion, which runs them
 in lockstep (``ilt.invert_rows``).  Every family gives nan at a point
 with a nan coordinate and 0 at one with an infinite coordinate, or one
@@ -158,18 +162,22 @@ _MAX_NODES = 64
 _BLOCK = 2 ** 13
 
 
+def _sums(points, n, skip=()):
+    """Every sum of n of ``points`` but those of the index tuples in
+    ``skip``.  A sum adds its distinct points in order, each times its
+    count, so ``j*lo + (n-j)*hi`` comes out to the bit, and an infinite
+    point enters only the sums that take it."""
+    return [sum(pick.count(i) * points[i] for i in dict.fromkeys(pick))
+            for pick in itertools.combinations_with_replacement(
+                range(len(points)), n) if pick not in skip]
+
+
 def _lattice(lo, hi, n, breaks):
     """Interior kink lattice of the inverse of mu(lo, hi, -s)^n: every sum
-    of n points of {lo, the breaks clipped to [lo, hi], hi}, but n*lo and
-    n*hi.  A sum adds its distinct points in that order, each times its
-    count, so with no breaks the lattice is ``j*lo + (n-j)*hi`` to the
-    bit, and an infinite hi enters only the sums that take it."""
+    of n points of {lo, the breaks clipped to [lo, hi], hi} (``_sums``),
+    but n*lo and n*hi."""
     points = (lo, *(np.clip(b, lo, hi) for b in breaks), hi)
-    ends = {(0,) * n, (len(points) - 1,) * n}
-    return tuple(
-        sum(pick.count(i) * points[i] for i in dict.fromkeys(pick))
-        for pick in itertools.combinations_with_replacement(
-            range(len(points)), n) if pick not in ends)
+    return tuple(_sums(points, n, {(0,) * n, (len(points) - 1,) * n}))
 
 
 def _overlap(a, b, t):
@@ -381,129 +389,124 @@ def t1_pdf(dist, K, z, digits=8):
     return reductions._reduce(lambda z: z >= 0, rows, z)
 
 
+def _floor(dist, K, Ks, z4):
+    """The floor factor of a fine density: the density of the rank-Ks
+    value z4 times the CDF power of the K-Ks unselected ranks below it."""
+    if Ks == K:
+        return dist.pdf(z4)
+    return reductions._pow(dist.cdf(z4), K - Ks) * dist.pdf(z4)
+
+
+# The T2 and T3 forms above a floor take the whole combinatorial factor
+# ``pref`` and the floor factor ``last`` (1 at the floor 0) into their
+# product, as pref * pdf * last * inverses.
+
+
+def _t2_above(dist, n, m, lo, pref, last, x, w):
+    """T2 above ``lo``: the rank-m value x and the sum w of the other n-1.
+    The n-m below x give a c-power from lo, the m-1 above it an e-power."""
+    below, above = (lo, x, n - m), (x, math.inf, m - 1)
+    return pref * dist.pdf(x) * last * _inv_prod(dist, below, above, w)
+
+
+def _t3_above(dist, n, m, lo, pref, last, x, y):
+    """T3 above ``lo`` for m >= 2: the sum x of ranks 1..m and the sum y
+    of the n-m below, over the rank-m value g, as the rows of one rule.
+
+    All arguments broadcast.  The tail, n-m values in [lo, g], bounds g
+    below by y/(n-m); the head, g and m-1 values above it, above by x/m.
+    The knots are where y crosses a lattice point of the tail's power,
+    k*g plus a sum of n-m-k points of {lo, breaks}, at (y - sum)/k (with
+    no breaks, (y - j*lo)/(n-m-j)); where x - g crosses one of the
+    head's, k*g plus a sum of m-1-k points of {breaks, a finite support
+    end}, at (x - sum)/(k+1); and the breaks, where pdf(g) jumps.
+    ``last`` enters the integrand, so that the rule's n/2n test judges
+    the density it returns.
+    """
+    x, y, lo, last = np.broadcast_arrays(
+        *(np.asarray(c, dtype=float) for c in (x, y, lo, last)))
+    shape = x.shape
+    x, y, lo, last = (c.ravel() for c in (x, y, lo, last))
+    nt, breaks, up = n - m, dist.breaks, dist.support_upper
+    ends = (*breaks, up) if math.isfinite(up) else breaks
+    knots = [(y - s) / k for k in range(nt, 0, -1)
+             for s in _sums((lo, *breaks), nt - k)]
+    knots += [(x - s) / (k + 1) for k in range(m - 1)
+              for s in _sums(ends, m - 1 - k)]
+    knots = np.stack(np.broadcast_arrays(*knots, *breaks), axis=1)
+
+    def f(g, r):
+        head = _inv_pow(dist, g, math.inf, m - 1, x[r] - g)
+        tail = _inv_pow(dist, lo[r], g, nt, y[r])
+        return pref * dist.pdf(g) * last[r] * head * tail
+
+    return rules._gauss_knots(f, y / nt, x / m, knots, deg=n - 3,
+                              exact=False).reshape(shape)[()]
+
+
 def t2_jpdf(dist, K, m, z1, z2):
     """Joint density of (rank-m variable, sum of the other K-1)."""
     if not 1 <= m <= K or K < 2:
         raise DomainError("need K >= 2 and 1 <= m <= K")
-
-    pref = reductions._pref(K, K - m, m - 1)
-
-    def rows(z1, z2):
-        # The K-m variables below z1 give a c-power, the m-1 above it an
-        # e-power.
-        below, above = (0.0, z1, K - m), (z1, math.inf, m - 1)
-        return pref * dist.pdf(z1) * _inv_prod(dist, below, above, z2)
-
+    rows = functools.partial(_t2_above, dist, K, m, 0.0,
+                             reductions._pref(K, K - m, m - 1), 1.0)
     return reductions._reduce(functools.partial(reductions.t2_support, K, m),
                               rows, z1, z2)
 
 
-class _Fine:
-    """A fine joint density of any distribution: ``values`` takes
-    coordinate arrays (or scalars) that broadcast."""
-
-    def __init__(self, K, Ks, dist, *den):
-        self.K, self.Ks, self.dist = K, Ks, dist
-        self._pref = reductions._pref(K, *den)
-
-    def _last(self, z4):
-        """Density of the rank-Ks value z4 times the CDF power of the
-        unselected ranks below it."""
-        d = self.dist
-        if self.Ks == self.K:
-            return d.pdf(z4)
-        return reductions._pow(d.cdf(z4), self.K - self.Ks) * d.pdf(z4)
+def t3_jpdf(dist, K, m, z1, z2):
+    """Joint density of (sum of the m largest, sum of the K-m smallest)."""
+    if not 1 <= m <= K - 1:
+        raise DomainError("need 1 <= m <= K-1")
+    # With m = 1 the head is the rank-1 value: the rank-1 T2 joint.
+    rows = functools.partial(_t2_above if m == 1 else _t3_above, dist, K, m,
+                             0.0, reductions._pref(K, K - m, m - 1), 1.0)
+    return reductions._reduce(functools.partial(reductions.t3_support, K, m),
+                              rows, z1, z2)
 
 
-class FineHeadRankTail(_Fine):
-    """Joint of (sum of ranks 1..m, rank-m variable, sum of ranks m+1..K)."""
-
-    def __init__(self, K, m, dist):
-        super().__init__(K, K, dist, K - m, m - 1)
-        self.m = m
-
-    def values(self, z1, g, z2):
-        # exp(-s*g) is the rank-m variable itself; shift the inversion
-        # point instead of carrying the factor into the transform.
-        d = self.dist
-        head = _inv_pow(d, g, math.inf, self.m - 1, z1 - g)
-        tail = _inv_pow(d, 0.0, g, self.K - self.m, z2)
-        return self._pref * d.pdf(g) * head * tail
-
-
-class FineLastHead(_Fine):
-    """Joint of (rank-Ks variable v, sum of ranks 1..Ks-1 w)."""
+class FineLastHead:
+    """Joint of (rank-Ks variable v, sum of ranks 1..Ks-1 w): T1 above v.
+    Zero where w < (Ks-1)*v, off the e-power's support, and where v < 0,
+    with the density of v."""
 
     def __init__(self, K, Ks, dist):
-        super().__init__(K, Ks, dist, K - Ks, Ks - 1)
+        self.K, self.Ks, self.dist = K, Ks, dist
+        self.pref = reductions._pref(K, K - Ks, Ks - 1)
 
     def values(self, v, w):
-        # Zero where w < (Ks-1)*v, off the e-power's support, and where
-        # v < 0, with the density of v.
-        return self._pref * self._last(v) * _inv_pow(
-            self.dist, v, math.inf, self.Ks - 1, w)
+        d, Ks = self.dist, self.Ks
+        return (self.pref * _floor(d, self.K, Ks, v)
+                * _inv_pow(d, v, math.inf, Ks - 1, w))
 
 
-class FineHeadMidLast(_Fine):
-    """Joint of (sum of ranks 1..m-1, rank-m, sum of ranks m+1..Ks-1, rank-Ks)."""
-
-    def __init__(self, K, Ks, m, dist):
-        super().__init__(K, Ks, dist, K - Ks, m - 1, Ks - m - 1)
-        self.m = m
-
-    def values(self, z1, z2, z3, z4):
-        d, m = self.dist, self.m
-        head = _inv_pow(d, z2, math.inf, m - 1, z1)
-        mid = _inv_pow(d, z4, z2, self.Ks - m - 1, z3)
-        return self._pref * d.pdf(z2) * self._last(z4) * head * mid
-
-
-class FineRankRestLast(_Fine):
+class FineRankRestLast:
     """Joint of (rank-m variable, sum of the other ranks 1..Ks-1, rank-Ks
-    variable), 1 <= m <= Ks-1: above the rank-Ks value z4 the best Ks-1
-    are i.i.d., so the first two coordinates are ``t2_jpdf``'s pair of
-    Ks-1 variables with the lower limit 0 replaced by z4.  At m = 1 (T5a)
-    the e-power, and at m = Ks-1 (T5c) the c-power, is of power 0."""
+    variable z4), 1 <= m <= Ks-1: T2 above z4.  At m = 1 (T5a) the
+    e-power, and at m = Ks-1 (T5c) the c-power, is of power 0."""
 
     def __init__(self, K, Ks, m, dist):
-        super().__init__(K, Ks, dist, K - Ks, m - 1, Ks - m - 1)
-        self.m = m
+        self.K, self.Ks, self.m, self.dist = K, Ks, m, dist
+        self.pref = reductions._pref(K, K - Ks, m - 1, Ks - m - 1)
 
     def values(self, x, w, z4):
-        d, m = self.dist, self.m
-        below, above = (z4, x, self.Ks - m - 1), (x, math.inf, m - 1)
-        return (self._pref * d.pdf(x) * self._last(z4)
-                * _inv_prod(d, below, above, w))
+        d, Ks = self.dist, self.Ks
+        return _t2_above(d, Ks - 1, self.m, z4, self.pref,
+                         _floor(d, self.K, Ks, z4), x, w)
 
 
 class FineHeadTailLast:
     """Joint of (sum x of ranks 1..m, sum y of ranks m+1..Ks, rank-Ks
-    variable z4), 2 <= m <= Ks-2: ``FineHeadMidLast`` with the rank-m
-    value z2 integrated out, at the head sum x - z2 and the mid sum y - z4.
-
-    The integrals at the elements are the rows of one rule.  Below
-    (y - z4) / (Ks-m-1) the mid sum is outside its support, so the
-    integral starts at that edge; knot j is where the mid sum reaches
-    its j-th lattice point, (Ks-m-1-j) z4 + j z2.
-    """
+    variable z4), 2 <= m <= Ks-2: T3 above z4 at the tail sum y - z4."""
 
     def __init__(self, K, Ks, m, dist):
-        self.Ks, self.m = Ks, m
-        self._fine = FineHeadMidLast(K, Ks, m, dist)
+        self.K, self.Ks, self.m, self.dist = K, Ks, m, dist
+        self.pref = reductions._pref(K, K - Ks, m - 1, Ks - m - 1)
 
     def values(self, x, y, z4):
-        x, y, z4 = np.broadcast_arrays(*(np.asarray(c, dtype=float)
-                                         for c in (x, y, z4)))
-        shape = x.shape
-        x, y, z4 = (c.ravel() for c in (x, y, z4))
-        nt = self.Ks - self.m
-        j = np.arange(1, nt)
-        knots = (y[:, None] - np.multiply.outer(z4, nt - j)) / j
-        return rules._gauss_knots(
-            lambda z2, q: self._fine.values(x[q] - z2, z2, y[q] - z4[q],
-                                            z4[q]),
-            (y - z4) / (nt - 1), x / self.m, knots,
-            deg=self.Ks - 4, exact=False).reshape(shape)[()]
+        d, Ks = self.dist, self.Ks
+        return _t3_above(d, Ks - 1, self.m, z4, self.pref,
+                         _floor(d, self.K, Ks, z4), x, y - z4)
 
 
 # The fine density of each T5 case, and T6's, for ``reductions.t5_fine``
@@ -511,17 +514,6 @@ class FineHeadTailLast:
 # 2 <= m <= Ks-2 and at m = Ks-1.
 _FINES = {"a": FineRankRestLast, "b": FineRankRestLast,
           "c": FineRankRestLast, "d": FineLastHead, "t6": FineHeadTailLast}
-
-
-def t3_jpdf(dist, K, m, z1, z2):
-    """Joint density of (sum of the m largest, sum of the K-m smallest)."""
-    if not 1 <= m <= K - 1:
-        raise DomainError("need 1 <= m <= K-1")
-    if m == 1:
-        # The head is one variable; exp(-s*g) collapses the outer integral
-        # and the pair is the rank-1 one-vs-rest joint.
-        return t2_jpdf(dist, K, 1, z1, z2)
-    return reductions.t3(FineHeadRankTail(K, m, dist), K, m, z1, z2)
 
 
 def t4_pdf(dist, K, Ks, x):

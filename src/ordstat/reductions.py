@@ -1,9 +1,9 @@
-"""Reductions of fine joint densities to the theorem families T3-T6.
+"""Reductions of fine joint densities to the theorem families T4-T6.
 
 The joint MGF of a contiguous grouping of ranks, with the rank-Ks variable
 kept apart when Ks < K, inverts to a *fine* joint density.  A requested
-pair of partial sums follows by integrating the extra coordinates out,
-along lines on which the requested sums stay fixed.  That step does not
+pair of partial sums follows by integrating the rank-Ks value out, along
+the line on which the requested sums stay fixed.  That step does not
 depend on the distribution, so it is written here once; each path supplies
 the fine densities:
 
@@ -13,8 +13,6 @@ the fine densities:
 A fine density is an object with ``values(*coords)`` over coordinate
 arrays that broadcast.  The shapes, by coordinates (rank 1 = largest):
 
-* ``FineHeadRankTail`` (T3, generic path only): sum of ranks 1..m,
-  rank m, sum of ranks m+1..K;
 * ``FineLastHead`` (T4, T5d): rank Ks, sum of ranks 1..Ks-1;
 * ``FineRankRestLast`` (T5a-c): rank m, sum of the other ranks 1..Ks-1,
   rank Ks, for 1 <= m <= Ks-1; the exact path evaluates m = 1 (T5a) and
@@ -23,15 +21,15 @@ arrays that broadcast.  The shapes, by coordinates (rank 1 = largest):
 * ``FineHeadTailLast`` (T6): sum of ranks 1..m, sum of ranks m+1..Ks,
   rank Ks.
 
-Above the rank-Ks value the best Ks-1 are i.i.d., so ``FineRankRestLast``
-is the T2 pair of Ks-1 variables above a floor at the rank-Ks value, and
-``FineHeadTailLast`` the T3 pair.  The exact path evaluates both in
-closed form; the generic path's ``FineHeadTailLast`` integrates the
-rank-m value out of the four-group ``FineHeadMidLast`` (sum of ranks
-1..m-1, rank m, sum of ranks m+1..Ks-1, rank Ks) itself.  So no family
-here integrates two coordinates out: T3 (generic) integrates the rank-m
-value, and T4-T6 one coordinate on the line of the requested sums, by
-default the rank-Ks value.  The exact path's T3 takes no rule at all.
+Above the rank-Ks value the best Ks-1 are i.i.d. with the law truncated
+there (Renyi), so each fine density is the density of the rank-Ks value,
+times the CDF power of the ranks below it, times the T1 density or the
+T2 or T3 pair of Ks-1 variables above that floor.  The exact path
+evaluates each in closed form, the generic path by its row forms above
+a floor, whose T2 and T3 at the floor 0 are ``t2_jpdf`` and ``t3_jpdf``;
+its T3 form integrates the rank-m value itself.  So every family here
+integrates one coordinate, on the line of the requested sums, by default
+the rank-Ks value.
 
 Every reduction runs the rules of ``rules._gauss_knots`` on the knot
 segments of its integrand: the nested pair of the n-node Gauss and the
@@ -39,16 +37,16 @@ segments of its integrand: the nested pair of the n-node Gauss and the
 until they agree.  The rules sum each row alone, and every power in a
 closed form goes through ``_pow``: a point has the bits of its grid row.
 
-``t3``, ``t4``, ``t5`` and ``t6`` take their points as coordinate arrays
-that broadcast (or scalars, one point), keep their shape, and integrate
-the points inside the support as the rows of one rule.  A point with a
-nan coordinate gives nan, and one with an infinite coordinate 0, without
-a rule (``_reduce``); so does a coordinate beyond ``_HUGE`` (2^500, about
+``t4``, ``t5`` and ``t6`` take their points as coordinate arrays that
+broadcast (or scalars, one point), keep their shape, and integrate the
+points inside the support as the rows of one rule.  A point with a nan
+coordinate gives nan, and one with an infinite coordinate 0, without a
+rule (``_reduce``); so does a coordinate beyond ``_HUGE`` (2^500, about
 3e150), which counts as infinite.
 
 ``t2_support`` and ``t3_support`` are the supports of the pairs, for both
 paths, and ``t5_support`` and ``t6_support`` the same predicates at K = Ks;
-T2 takes no reduction, only its support.
+T2 and T3 take no reduction here, only their supports.
 """
 
 import functools
@@ -60,7 +58,7 @@ from ordstat.errors import DomainError
 from ordstat.partition import t5_case
 from ordstat.rules import _gauss_knots
 
-__all__ = ["t3", "t4", "t5", "t6", "t2_support", "t3_support", "t5_support",
+__all__ = ["t4", "t5", "t6", "t2_support", "t3_support", "t5_support",
            "t6_support", "t5_fine", "t6_fine"]
 
 
@@ -140,22 +138,6 @@ def t3_support(K, m, z1, z2):
 # the unselected ranks below the rank-Ks value bound neither sum.
 t5_support = t2_support
 t6_support = t3_support
-
-
-def t3(fine, K, m, z1, z2):
-    """T3 for ``m >= 2`` from ``FineHeadRankTail``, over the rank-m value.
-
-    With ``m == 1`` the head is one variable and the pair is the rank-1
-    one-vs-rest joint (T2), which each path evaluates directly.  The
-    exact path needs no rule at all (``exact_exp.HeadTailAllK``).
-    """
-    def rows(x, y):
-        return _gauss_knots(lambda g, r: fine.values(x[r], g, y[r]),
-                            y / (K - m), x / m,
-                            _col(y) / np.arange(1, K - m + 1), deg=K - 3,
-                            exact=False)
-
-    return _reduce(functools.partial(t3_support, K, m), rows, z1, z2)
 
 
 # -- T4: sum of the Ks largest --

@@ -143,7 +143,7 @@ def _rand_lam(rng, dist, convergent):
 
 # ---------------------------------------------------------------- kernels
 
-def _suite_kernels(seed, sizes, depth=None):
+def _suite_kernels(seed, sizes):
     rng = _rng(seed, "kernels")
     worst = {"c_from_e": 0.0, "e_from_c": 0.0, "mu_from_c": 0.0}
     for _ in range(sizes["kernel_tuples"]):
@@ -234,7 +234,7 @@ def _suite_identities(seed, sizes, depth=None):
 
 # ---------------------------------------------------------------- reorder
 
-def _suite_reorder(seed, sizes, depth=None):
+def _suite_reorder(seed, sizes):
     rng = _rng(seed, "reorder")
     worst = 0.0
     for _ in range(sizes["reorder_configs"]):
@@ -353,7 +353,7 @@ def _one_vs_rest_span(K, m):
     return span
 
 
-def _suite_normalization(seed, sizes, depth=None):
+def _suite_normalization(seed, sizes):
     checks = []
     dist = Exponential(1.0)
 
@@ -439,30 +439,46 @@ def _suite_normalization(seed, sizes, depth=None):
     # Chains draw the rank variables first (smallest rank value, then the
     # ones above it) so every sum coordinate sees its bounds; proposal
     # scales sit a little above each conditional mean.
-    m_log2 = sizes["qmc_log2"]
-    for name, density, chain in (
-            ("fine_one_mid_last_5_4", exact_exp.FineOneMidLast(5, 4, 1.0), (
-                (2, "exp", lambda z: (0.0, 1.0)),
-                (0, "exp", lambda z: (z[:, 2], 1.5)),
-                (1, "lin", lambda z: (2.0 * z[:, 2], 2.0 * z[:, 0])))),
-            ("fine_head_next_last_5_4",
-             exact_exp.FineHeadNextLast(5, 4, 1.0), (
+    chains = (
+        ("fine_one_mid_last_5_4", exact_exp.FineOneMidLast(5, 4, 1.0), (
+            (2, "exp", lambda z: (0.0, 1.0)),
+            (0, "exp", lambda z: (z[:, 2], 1.5)),
+            (1, "lin", lambda z: (2.0 * z[:, 2], 2.0 * z[:, 0])))),
+        ("fine_head_next_last_5_4",
+         exact_exp.FineHeadNextLast(5, 4, 1.0), (
+             (2, "exp", lambda z: (0.0, 1.0)),
+             (0, "exp", lambda z: (z[:, 2], 1.5)),
+             (1, "exp", lambda z: (2.0 * z[:, 0], 2.5)))),
+        ("fine_head_mid_last_6_5_2",
+         exact_exp.FineHeadMidLast(6, 5, 2, 1.0), (
+             (3, "exp", lambda z: (0.0, 1.0)),
+             (1, "exp", lambda z: (z[:, 3], 1.5)),
+             (0, "exp", lambda z: (z[:, 1], 1.5)),
+             (2, "lin", lambda z: (2.0 * z[:, 3], 2.0 * z[:, 1])))),
+        ("fine_head_mid_last_6_5_3",
+         exact_exp.FineHeadMidLast(6, 5, 3, 1.0), (
+             (3, "exp", lambda z: (0.0, 1.0)),
+             (1, "exp", lambda z: (z[:, 3], 1.5)),
+             (0, "exp", lambda z: (2.0 * z[:, 1], 2.5)),
+             (2, "lin", lambda z: (z[:, 3], z[:, 1])))))
+    if sizes["heavy_norm"]:
+        # The fine densities of T5b and T6, T2 and T3 of the best four
+        # above the rank-5 value z4.  Given z4 and the rank-2 value x, the
+        # rest sum is at least x + 2 z4; given z4, the tail sum y is at
+        # least 3 z4, and the head sum at least y - z4.
+        chains += (
+            ("fine_rank_rest_last_6_5_2",
+             exact_exp.FineRankRestLast(6, 5, 2, 1.0), (
                  (2, "exp", lambda z: (0.0, 1.0)),
                  (0, "exp", lambda z: (z[:, 2], 1.5)),
-                 (1, "exp", lambda z: (2.0 * z[:, 0], 2.5)))),
-            ("fine_head_mid_last_6_5_2",
-             exact_exp.FineHeadMidLast(6, 5, 2, 1.0), (
-                 (3, "exp", lambda z: (0.0, 1.0)),
-                 (1, "exp", lambda z: (z[:, 3], 1.5)),
-                 (0, "exp", lambda z: (z[:, 1], 1.5)),
-                 (2, "lin", lambda z: (2.0 * z[:, 3], 2.0 * z[:, 1])))),
-            ("fine_head_mid_last_6_5_3",
-             exact_exp.FineHeadMidLast(6, 5, 3, 1.0), (
-                 (3, "exp", lambda z: (0.0, 1.0)),
-                 (1, "exp", lambda z: (z[:, 3], 1.5)),
-                 (0, "exp", lambda z: (2.0 * z[:, 1], 2.5)),
-                 (2, "lin", lambda z: (z[:, 3], z[:, 1]))))):
-        mass = qmc_normalization(density, chain, m_log2, seed)
+                 (1, "exp", lambda z: (z[:, 0] + 2.0 * z[:, 2], 2.5)))),
+            ("fine_head_tail_last_6_5_2",
+             exact_exp.FineHeadTailLast(6, 5, 2, 1.0), (
+                 (2, "exp", lambda z: (0.0, 1.0)),
+                 (1, "exp", lambda z: (3.0 * z[:, 2], 1.5)),
+                 (0, "exp", lambda z: (z[:, 1] - z[:, 2], 2.5)))))
+    for name, density, chain in chains:
+        mass = qmc_normalization(density, chain, sizes["qmc_log2"], seed)
         checks.append(_check(f"normalization/qmc_{name}",
                              abs(mass - 1.0), TOL_NORM_QMC))
 
@@ -526,7 +542,7 @@ def _cp_point(rng, key, kmax):
             *mc_oracle.sample_partial_sums(spec)[0].tolist())
 
 
-def _suite_cross_path(seed, sizes, depth=None):
+def _suite_cross_path(seed, sizes):
     rng = _rng(seed, "cross_path")
     npts, kmax = sizes["cross_points"], sizes["cross_kmax"]
     checks = []
@@ -575,7 +591,7 @@ def _cdf_interp(pdf, hi):
     return cdf
 
 
-def _suite_mc(seed, sizes, depth=None):
+def _suite_mc(seed, sizes):
     dist = Exponential(1.0)
     n = sizes["mc_n"]
     checks = []
@@ -634,12 +650,19 @@ _SUITE_FNS = {
 
 
 def run_suites(seed=42, quick=True, suites=None, depth=None):
-    """Run the requested suites and return a JSON-ready report dict."""
+    """Run the requested suites and return a JSON-ready report dict.
+
+    ``depth`` restricts the identities suite to one nesting depth, and
+    raises :class:`DomainError` unless that suite is among ``suites``.
+    """
     chosen = tuple(suites) if suites else SUITE_NAMES
     unknown = sorted(set(chosen) - set(SUITE_NAMES))
     if unknown:
         raise DomainError(f"unknown suite(s) {unknown}; "
                           f"available: {', '.join(SUITE_NAMES)}")
+    if depth is not None and "identities" not in chosen:
+        raise DomainError("depth restricts the identities suite, which is "
+                          "not among the chosen suites")
     if depth is not None and not 1 <= depth <= kernels.MAX_BRUTE_DEPTH:
         raise DomainError(f"depth must lie in [1, {kernels.MAX_BRUTE_DEPTH}]")
     sizes = _sizes(quick)
@@ -647,7 +670,8 @@ def run_suites(seed=42, quick=True, suites=None, depth=None):
     for name in SUITE_NAMES:
         if name not in chosen:
             continue
-        checks = _SUITE_FNS[name](seed, sizes, depth=depth)
+        args = (depth,) if name == "identities" else ()
+        checks = _SUITE_FNS[name](seed, sizes, *args)
         suites_out[name] = {
             "checks": checks,
             "passed": sum(1 for c in checks if c["pass"]),

@@ -265,6 +265,14 @@ def test_verify_rejects_unknown_suite(capsys):
     assert code == 2
 
 
+def test_verify_rejects_depth_without_the_identities_suite(capsys):
+    # --depth restricts the identities suite only; with other suites it
+    # would be ignored, so it is refused before any suite runs.
+    code, out, err = run(capsys, "verify", "--suite", "mc", "--depth", "2")
+    assert code == 2
+    assert out == "" and "identities" in err
+
+
 def test_msgsc_point_value(capsys):
     code, out, _ = run(capsys, "msgsc", "--L", "2", "--gamma-t", "1.0",
                        "--at", "1.5")

@@ -285,6 +285,51 @@ def test_rank_rest_last_at_the_end_ranks(dist, K, Ks):
     np.testing.assert_array_equal(got, want)
 
 
+def _truncated(dist, z4):
+    """``dist`` truncated at z4: density f/(1 - F(z4)) above z4, which
+    jumps at z4, a declared break."""
+    F = float(dist.cdf(z4))
+    return CustomDistribution(
+        pdf=lambda x: np.where(x >= z4, dist.pdf(x) / (1.0 - F), 0.0),
+        cdf=lambda x: np.where(x >= z4, (dist.cdf(x) - F) / (1.0 - F), 0.0),
+        mean=z4 + dist.mean, abscissa=math.inf, breaks=(z4,),
+        name="truncated")
+
+
+@pytest.mark.parametrize("z4", [0.2, 0.6])
+def test_fine_densities_are_pairs_of_the_law_truncated_at_the_floor(z4):
+    # Renyi: above the rank-Ks value z4 the best Ks-1 are i.i.d. with the
+    # law truncated at z4.  So a fine density is the floor factor, times
+    # (1 - F(z4))^(Ks-1), times the T2 or T3 pair of Ks-1 variables of
+    # that law: a route through its numeric pair and break lattice, not
+    # through the closed pair above the floor z4.
+    trunc = _truncated(HN, z4)
+
+    def floor(K, Ks):
+        return (math.factorial(K) / (math.factorial(K - Ks)
+                                     * math.factorial(Ks - 1))
+                * float(HN.cdf(z4)) ** (K - Ks) * float(HN.pdf(z4))
+                * (1.0 - float(HN.cdf(z4))) ** (Ks - 1))
+
+    K, Ks = 5, 4
+    n = Ks - 1
+    for m in range(1, Ks):
+        x = z4 + np.array([[0.3], [0.9]])
+        span = (n - m) * (x - z4) + (m - 1) * 1.0
+        w = (m - 1) * x + (n - m) * z4 + span * [0.3, 0.7]
+        got = gj.FineRankRestLast(K, Ks, m, HN).values(x, w, z4)
+        want = floor(K, Ks) * gj.t2_jpdf(trunc, n, m, x, w)
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    K, Ks, m = 6, 5, 2
+    x = 2.0 * z4 + np.array([[1.2], [2.0]])
+    tail = 2.0 * z4 + np.array([0.3, 0.8])
+    got = gj.FineHeadTailLast(K, Ks, m, HN).values(x, tail + z4, z4)
+    want = floor(K, Ks) * gj.t3_jpdf(trunc, Ks - 1, m, x, tail)
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def _mp_irwin_hall(n, t):
     """Density of the sum of n uniforms on [0, 1] at t, in mpmath."""
     t = mpmath.mpf(t)
@@ -495,6 +540,19 @@ def test_t2_across_a_declared_break_matches_mpmath(name, m, z2):
                 * _mp_conv3(mp_pdf, parts, mpmath.mpf(z2), [1]))
     assert gj.t2_jpdf(dist, 4, m, z1, z2) == pytest.approx(float(want),
                                                            rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_t3_across_a_declared_break_cuts_its_rule_there():
+    # K=4, m=2 at (2.2, 0.8) on the jump law.  The rank-2 value g runs
+    # from 2.2 - 4/3, where the head value 2.2 - g leaves the support, to
+    # 1.1.  There the head's pdf is 3/2, and the two tail values, which
+    # sum to 0.8, lie below g: the tail factor is 0.8 * (1/2)^2 = 0.2.
+    # pdf(g) jumps from 1/2 to 3/2 at the break 1, so the density is
+    # 12 * 0.2 * (3/4 * (1 - (2.2 - 4/3)) + 9/4 * 0.1) = 0.78.
+    dist, _ = BROKEN["jump"]
+    assert gj.t3_jpdf(dist, 4, 2, 2.2, 0.8) == pytest.approx(0.78,
+                                                             rel=1e-13)
 
 
 def _t2_pref(K, m):

@@ -1,5 +1,7 @@
 """The shared reductions on the generic path's fine densities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,12 +38,30 @@ def test_t5_elimination_orders_agree_on_generic_fine_densities(Ks, m):
 
 
 # -- T5b and T6 as one integral each, against one scalar inner rule per
-# node of FineHeadMidLast --
+# node of the four-group density --
+
+
+class _HeadMidLast:
+    """The generic four-group joint of (sum of ranks 1..m-1, rank m, sum
+    of ranks m+1..Ks-1, rank Ks), the pdf and CDF power of the rank-Ks
+    value times kernel-power inverses: the reference that the exact
+    path's ``FineHeadMidLast`` is in closed form."""
+
+    def __init__(self, K, Ks, m, dist):
+        self.K, self.Ks, self.m, self.dist = K, Ks, m, dist
+        self.pref = reductions._pref(K, K - Ks, m - 1, Ks - m - 1)
+
+    def values(self, z1, z2, z3, z4):
+        d, K, Ks, m = self.dist, self.K, self.Ks, self.m
+        head = gj._inv_pow(d, z2, math.inf, m - 1, z1)
+        mid = gj._inv_pow(d, z4, z2, Ks - m - 1, z3)
+        last = np.asarray(d.cdf(z4)) ** (K - Ks) * d.pdf(z4)
+        return self.pref * d.pdf(z2) * last * head * mid
 
 
 def _per_node(fine, Ks, lo, hi, knots, inner):
     """The outer rule of the nested T5b or T6 with one scalar inner rule
-    per node, on ``FineHeadMidLast``: exact-degree Gauss-Legendre on the
+    per node, on the four-group density: exact-degree Gauss-Legendre on the
     exact path, where it is a polynomial between the inner knots.
 
     ``inner(z4)`` gives the integrand and limits of one inner integral.
@@ -95,14 +115,14 @@ def _mean_point(dist, K, Ks, head, rest):
 
 
 def _fines(path, dist, K, Ks, m):
-    # T5b's and T6's fine densities, and FineHeadMidLast.
+    # T5b's and T6's fine densities, and the four-group density.
     if path == "exact":
         return (exact_exp.jpdf_one_vs_rest_bestKs(K, Ks, m, 1.0).fine,
                 exact_exp.jpdf_headsum_vs_tailsum_bestKs(K, Ks, m, 1.0).fine,
                 exact_exp.FineHeadMidLast(K, Ks, m, 1.0))
     return (reductions.t5_fine(gj._FINES, K, Ks, m, dist),
             reductions.t6_fine(gj._FINES, K, Ks, m, dist),
-            gj.FineHeadMidLast(K, Ks, m, dist))
+            _HeadMidLast(K, Ks, m, dist))
 
 
 @pytest.mark.parametrize("path,dist,K,Ks,m", [
@@ -112,7 +132,8 @@ def _fines(path, dist, K, Ks, m):
     ("generic", EXP, 5, 5, 3), ("generic", EXP, 6, 5, 2)])
 def test_batched_inner_rules_match_a_per_node_loop(path, dist, K, Ks, m):
     # T5b integrates FineRankRestLast over one coordinate, and T6
-    # FineHeadTailLast; the references integrate FineHeadMidLast over two.
+    # FineHeadTailLast; the references integrate the four-group density
+    # over two.
     t5b, t6, mid = _fines(path, dist, K, Ks, m)
     assert t5_case(Ks, m) == "b"
     assert isinstance(t5b, (exact_exp.FineRankRestLast, gj.FineRankRestLast))

@@ -57,6 +57,12 @@ def test_depth_filter_restricts_identity_checks():
     assert names and all("depth2" in n for n in names)
 
 
+def test_depth_needs_the_identities_suite():
+    with pytest.raises(DomainError, match="identities"):
+        verify.run_suites(seed=3, quick=True, suites=["kernels", "mc"],
+                          depth=2)
+
+
 def test_depth_out_of_range():
     with pytest.raises(DomainError):
         verify.run_suites(seed=3, quick=True, suites=["identities"], depth=9)
