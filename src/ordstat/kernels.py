@@ -9,23 +9,30 @@ collapses to a single kernel power over the chain's open end:
 
 ``*_bruteforce`` evaluates the same objects as literal nested integrals
 (depth capped at 4) and exists purely as an independent oracle for the
-closed forms.  Each level but the innermost is a Gauss-Legendre rule
-mapped onto its limits, which are affine in the outer variables; a
-semi-infinite level maps ``[lo, inf)`` onto (0, 1) by
-``x = lo + L*u/(1 - u)`` with ``L = 8 * dist.mean``.  The weight is
-``dist.pdf`` on the whole node array.  The innermost level is
-``kernel_mu`` of its two limits, also on the node array: it integrates
-the bare weight, and the collapse under test lives in the outer levels.
-A depth-1 chain stays literal, since there the kernel would be the whole
-answer.  The tensor rule has n nodes on every level and runs under
+closed forms.  Every variable runs over one grid on [lo, hi]: the n + 1
+Chebyshev-Lobatto points of ``rules._clenshaw_curtis``, mapped affinely,
+or for ``hi = inf`` through ``x = lo + L*u/(1 - u)`` with ``L = 8 *
+dist.mean``.  The weight is ``dist.pdf`` on the grid.  The variables go
+by elimination: a factor on each edge of the chain hi, g1, ..., gd, lo
+holds the integral over the variables eliminated between its two ends,
+per grid point of each free end, and eliminating a variable merges the
+factors on its two edges by the cumulative-integration matrix of
+Clenshaw-Curtis, which integrates from any grid point to any other.  A
+variable next to hi or lo has that bound as one fixed grid point, so a
+chain runs on vectors at O(n^2) per level, and any elimination order on
+tables at O(n^3), where a tensor rule pays n^(d-1) nodes at depth d.
+The first-eliminated variable is ``kernel_mu`` of its two limits on the
+grid: it integrates the bare weight, and the collapse under test lives
+in the levels that follow.  A depth-1 chain stays literal, since there
+the kernel would be the whole answer.  The rule runs under
 ``rules._doubled``, the n/2n loop of every rule of the library, on the
-Gauss pair of ``rules._paired``: n doubles until the n- and 2n-node rules
-agree, and the 2n-node value is returned.
+pair of ``rules._paired``: the grids are nested, n doubles until the
+rules of n and 2n agree, and the value of 2n is returned.
 
 :func:`reorder_check` integrates the separable 4-variable ordered-region
-integrand under any elimination order, deriving each variable's limits from
-its nearest still-symbolic neighbors (tightest-limit rule).  All 24 orders
-describe the same region; the named :data:`FIVE_ORDERINGS` plus
+integrand under any elimination order, each variable between its nearest
+still-symbolic neighbours (tightest-limit rule).  All 24 orders describe
+the same region; the named :data:`FIVE_ORDERINGS` plus
 :data:`ORIGINAL_ORDERING` are the canonical spot-check set.
 """
 
@@ -36,7 +43,8 @@ import numpy as np
 
 from ordstat.distributions import _weight
 from ordstat.errors import ConvergenceError, DomainError
-from ordstat.rules import _doubled, _legendre, _paired, _semi_infinite
+from ordstat.rules import (_clenshaw_curtis, _doubled, _paired,
+                           _semi_infinite)
 
 __all__ = [
     "NestedIntegralSpec",
@@ -57,23 +65,20 @@ integrate = None
 
 MAX_BRUTE_DEPTH = 4
 
-# n/2n agreement of the tensor rules: the brute force is sized for an
-# identity check at 1e-7 relative, reorder_check for one at 1e-9.
-_EPSABS = 1e-13
+# n/2n agreement of the rules, relative only: the brute force is sized
+# for an identity check at 1e-7 relative, reorder_check for one at 1e-9.
+# An absolute floor stops the loop early on values near it.
 _EPSREL = 1e-10
 _NESTED_EPSREL = 1e-8
-_FIRST_NODES = 8       # per level, of the first rule
-# The rule stops, and warns, at the first doubled n that reaches either
-# cap.  Per level, leggauss(1024) would add about 19 MB to peak memory;
-# in all, 2**21 nodes take 0.2 s (real lam) to 1.2 s (complex lam,
-# half-normal) on a 2-core host.
+_FIRST_NODES = 8
+# The rule stops, and warns, at this n.  There the tables of an order
+# whose first variable has two free neighbours hold 513^2 entries: on the
+# half-normal with complex lam, such a rule takes 0.14 s and 23 MB on a
+# 2-core host, and about 53 MB on a custom law, whose kernels are numeric.
 _MAX_NODES = 512
-_MAX_RULE = 2 ** 21
-_BLOCK = 2 ** 13       # entries of the largest node array, about
-# Semi-infinite levels map with L = _TAIL_SCALE * dist.mean.  On
-# oscillating weights (complex lam) a larger L needs fewer nodes: at 8,
-# every identity configuration the quick verify profile draws at seeds
-# 1-40 converges without a warning.
+# Semi-infinite grids map with L = _TAIL_SCALE * dist.mean.  On five
+# oscillating weights (complex lam, depth 2), 8 needed no larger n than 4
+# or 16 did.
 _TAIL_SCALE = 8.0
 
 
@@ -123,70 +128,61 @@ def idoubleprime_closed(dist, spec):
     return val / math.factorial(spec.depth)
 
 
-def _nodes(lo, hi, n, scale):
-    """The n-node Gauss-Legendre rule on each ``[lo_i, hi_i]``, flattened.
-
-    A finite level maps the rule affinely; one with ``hi = inf`` maps it
-    through ``x = lo + scale * u / (1 - u)`` with ``u`` on (0, 1).
-    Returns nodes and weights of shape ``(len(lo) * n,)``.
-    """
-    t, w = _legendre(n)
-    lo = np.reshape(lo, (-1, 1))
-    if np.ndim(hi) == 0 and math.isinf(hi):
-        x, wx = _semi_infinite(lo, scale, 0.5 * (1.0 + t), 0.5 * w)
-        wx = np.broadcast_to(wx, x.shape)
-    else:
-        hi = np.reshape(hi, (-1, 1))
-        half = 0.5 * np.maximum(hi - lo, 0.0)
-        # Rounding must not lift a node past hi: the node is a limit of
-        # the levels within, and kernel_mu rejects reversed limits.
-        x = np.minimum(lo + half * (1.0 + t), hi)
-        wx = half * w
-    return x.ravel(), wx.ravel()
-
-
 def _rule(dist, order, lo, hi, lam, n):
-    """The n-node tensor rule on {hi >= g1 >= ... >= gd >= lo}.
+    """The rule of n on {hi >= g1 >= ... >= gd >= lo}, by elimination.
 
     ``order`` is the elimination order, first-integrated variable first.
-    Each variable runs between its nearest outer neighbours, or ``lo``/
-    ``hi`` where it has none.  The first-integrated variable is
-    ``kernel_mu`` of its limits, unless it is the only one.
+    ``factor[a, b]``, absent while it is 1, is the factor on the edge
+    between a and b of the chain 0 (hi), 1, ..., d, d + 1 (lo): a row per
+    grid point of a and a column per grid point of b, where hi is the
+    grid's last point alone and lo its first.  Eliminating v, with
+    nearest remaining neighbours a >= v >= b, merges the factors of
+    (a, v) and (v, b) into
+    psi(a, b) = sum_v (S[a, v] - S[b, v]) W_v phi(a, v) phi(v, b),
+    with W the weight times dx/dt.  The first variable gives ``kernel_mu``
+    from x_b up to x_a instead, 0 where they meet, and where both ends
+    are free minus the kernel of each pair the other way round: its
+    smooth continuation, which keeps the table antisymmetric.
     """
-    depth = len(order)
-    scale = _TAIL_SCALE * dist.mean
-
-    def level(k, env, weight):
-        var, outer = order[k], order[k + 1:]
-        below = [j for j in outer if j > var]
-        above = [j for j in outer if j < var]
-        a = env[min(below)] if below else lo
-        b = env[max(above)] if above else hi
+    t, s = _clenshaw_curtis(n)
+    if math.isinf(hi):
+        # The last point, u = 1, is inf, where the weight is 0.
+        x, jac = _semi_infinite(lo, _TAIL_SCALE * dist.mean,
+                                0.5 * (1.0 + t[:-1]), 0.5)
+        x, w = np.append(x, hi), np.append(_weight(dist, x, lam) * jac, 0.0)
+    else:
+        # Rounding must not lift a point past hi.
+        x = np.minimum(lo + 0.5 * (hi - lo) * (1.0 + t), hi)
+        w = _weight(dist, x, lam) * (0.5 * (hi - lo))
+    depth, every = len(order), np.arange(n + 1)
+    at = {0: np.array([n]), depth + 1: np.array([0])}
+    chain, factor = list(range(depth + 2)), {}
+    for k, v in enumerate(order):
+        i = chain.index(v)
+        a, b = chain[i - 1], chain[i + 1]
+        del chain[i]
+        ia, ib = at.get(a, every), at.get(b, every)
         if depth > 1 and k == 0:
-            return weight @ dist.kernel_mu(a, b, lam)
-        x, wx = _nodes(a, b, n, scale)
-        weight = np.repeat(weight, n) * wx * _weight(dist, x, lam)
-        if k == 0:
-            return weight.sum()
-        env = {j: np.repeat(v, n) for j, v in env.items()}
-        env[var] = x
-        # The levels within multiply the nodes by n**(k - 1), so the nodes
-        # go on in blocks that keep every array near _BLOCK entries.
-        step = max(1, _BLOCK // n ** (k - 1))
-        return sum(level(k - 1, {j: v[i:i + step] for j, v in env.items()},
-                         weight[i:i + step])
-                   for i in range(0, len(x), step))
-
-    return level(depth - 1, {}, np.ones(1))
+            psi = np.zeros((ia.size, ib.size), w.dtype)
+            r, c = np.nonzero(x[ia, None] > x[ib])
+            psi[r, c] = dist.kernel_mu(x[ib[c]], x[ia[r]], lam)
+            both = ia.size > 1 and ib.size > 1
+            factor[a, b] = psi - psi.T if both else psi
+            continue
+        fa = factor.pop((a, v), np.ones((ia.size, n + 1)))
+        fb = factor.pop((v, b), np.ones((n + 1, ib.size)))
+        factor[a, b] = ((s[ia] * (w * fa)) @ fb
+                        - (w * fa) @ (s[ib].T * fb))
+    return factor[0, depth + 1][0, 0]
 
 
 def _ordered(dist, order, lo, hi, lam, epsrel):
     """Integral of prod w(g_i) over {hi >= g1 >= ... >= gd >= lo}.
 
-    The tensor rule runs under ``rules._doubled`` from ``_FIRST_NODES`` per
-    level, at ``_EPSABS``/``epsrel``, and warns at the first doubled n of
-    ``_MAX_NODES`` per level or ``_MAX_RULE`` in all.  A value that is not
-    finite raises :class:`ConvergenceError`.
+    ``_rule`` runs under ``rules._doubled`` from n = ``_FIRST_NODES`` until
+    the rules of n and 2n agree to ``epsrel`` relative, and warns at n =
+    ``_MAX_NODES``.  A value that is not finite raises
+    :class:`ConvergenceError`.
     """
     cplx = _wants_complex(lam)
     lam = complex(lam) if cplx else float(complex(lam).real)
@@ -200,23 +196,17 @@ def _ordered(dist, order, lo, hi, lam, epsrel):
                                    f"in [{lo:g}, {hi:g}] gave {est}")
         return np.array([[est]])
 
-    cap = 2 * _FIRST_NODES
-    while cap < _MAX_NODES and cap ** max(len(order) - 1, 1) < _MAX_RULE:
-        cap *= 2
-    est = _doubled(_paired(rule), _FIRST_NODES, [lo], [hi], _EPSABS, epsrel,
-                   cap)[0]
+    est = _doubled(_paired(rule), _FIRST_NODES, [lo], [hi], 0.0, epsrel,
+                   _MAX_NODES)[0]
     return complex(est) if cplx else float(est)
 
 
 def _nested(dist, depth, lam, lo, hi, descending):
     """``depth`` ordered variables in [lo, hi], by :func:`_ordered`.
 
-    ``descending`` picks the iteration order: the outermost level runs the
-    largest variable over [lo, hi] and each inner one spans [lo, parent];
-    otherwise the smallest comes first and inner levels span [parent, hi].
-    Both orders describe the same region; descending is the one to use
-    when ``hi`` is infinite, since only the outermost level is then
-    semi-infinite.
+    ``descending`` picks the elimination order: the smallest variable
+    first, against ``lo``, and the largest last; otherwise the largest
+    first, against ``hi``.  Both orders describe the same region.
     """
     if depth > MAX_BRUTE_DEPTH:
         raise DomainError(f"brute-force depth capped at {MAX_BRUTE_DEPTH}")
@@ -240,8 +230,8 @@ def im_bruteforce(dist, spec):
 
 
 def iprime_bruteforce(dist, spec):
-    """Oracle for :func:`iprime_closed`: largest variable first, down to
-    ``gamma_lower``, so only the outermost level integrates to infinity."""
+    """Oracle for :func:`iprime_closed`: each variable from
+    ``gamma_lower`` up to its parent, the largest to infinity."""
     if spec.gamma_lower is None:
         raise DomainError("iprime requires gamma_lower")
     lo = float(spec.gamma_lower)

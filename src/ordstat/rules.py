@@ -7,6 +7,12 @@ rules of the reductions of fine densities, of ``verify``'s normalization
 integrals, of the MS-GSC stages of ``apps``, of the kernel-power inverses
 of ``generic_joint`` and of the brute-force oracle of ``kernels``.
 
+Three tables are cached, read-only and shared by every caller:
+``_legendre``, the Gauss-Legendre rules; ``_kronrod``, the Gauss-Kronrod
+pairs; and ``_clenshaw_curtis``, the Chebyshev-Lobatto points with the
+cumulative-integration matrix of Clenshaw-Curtis, whose rows integrate
+from -1 to each point.
+
 ``_gauss_knots`` integrates rows that each have their own limits and
 knots; ``_cut`` integrates unions of segments that its caller has cut at
 the integrand's jumps and kinks (the kernels of a custom density).  Both
@@ -19,10 +25,12 @@ nested in the (2n+1)-node Kronrod rule K_{2n+1} (``_kronrod``): one
 evaluation on 2n+1 nodes gives both, and K_{2n+1} is the value.  A row
 that converges at the first pair costs 2n+1 nodes per segment, where the
 n- and 2n-node Gauss pair cost 3n.  The multi-level rules of
-``generic_joint`` and ``kernels`` keep the Gauss pair of n and 2n nodes,
-through ``_paired``, which reuses each call's 2n-node estimate as the
-next call's n-node one: their levels multiply the node count, so at
-depth d a Kronrod pair costs (2n+1)^d nodes against n^d + (2n)^d.
+``generic_joint`` keep the Gauss pair of n and 2n nodes, through
+``_paired``, which reuses each call's 2n-node estimate as the next
+call's n-node one: their levels multiply the node count, so at depth d a
+Kronrod pair costs (2n+1)^d nodes against n^d + (2n)^d.  ``kernels``
+pairs its Clenshaw-Curtis rules of n and 2n the same way; its grids are
+nested, and its levels share one grid.
 Integrals that Gauss-Legendre rules leave open at their cap go on with
 tanh-sinh rules, also paired n/2n, whose nodes crowd both segment ends:
 a density singular at 0, like x^(a-1), puts such an end on a rule.
@@ -140,6 +148,40 @@ def _kronrod(n):
     wg = np.zeros_like(wk)
     x[1::2], wg[1::2] = _legendre(n)
     return _read_only(x, wg, wk)
+
+
+@functools.lru_cache(maxsize=None)
+def _clenshaw_curtis(n):
+    """The n+1 Chebyshev-Lobatto points ``t_j = -cos(j pi/n)`` on [-1, 1],
+    ascending, and the cumulative-integration matrix ``S`` of
+    Clenshaw-Curtis: ``S @ f`` gives the integrals from -1 to each ``t_i``
+    of the degree-n interpolant of the values ``f`` at the points.  Its
+    last row holds the Clenshaw-Curtis weights, and its first row is 0.
+
+    ``S`` is the product of three closed-form maps, with no inverse:
+    values to Chebyshev coefficients (a cosine transform), the integral
+    of each T_k from -1 (T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)), less its
+    value at -1) and the sum of the series at the points (Clenshaw and
+    Curtis, Numer. Math. 2, 1960; Trefethen, *Approximation Theory and
+    Approximation Practice*, 2013, ch. 19).  Points and coefficients of
+    order k meet as ``(-1)^k cos(k j pi/n)``, the angle reduced mod 2 pi
+    in integers.
+    """
+    j, k = np.arange(n + 1), np.arange(n + 2)
+    t = np.sin(np.pi * (2 * j - n) / (2 * n))
+    cos = (-1.0) ** k[:, None] * np.cos(np.pi * (np.outer(k, j) % (2 * n)) / n)
+    half = np.where((j == 0) | (j == n), 0.5, 1.0)
+    # Coefficients of orders 0 to n + 2 per value, the first one doubled
+    # (the integral of T_0 is T_1), and those of the antiderivative.
+    coef = np.zeros((n + 3, n + 1))
+    coef[:n + 1] = (2.0 / n) * half[:, None] * cos[:-1] * half
+    coef[0] *= 2.0
+    ante = np.zeros((n + 2, n + 1))
+    ante[1:] = (coef[:n + 1] - coef[2:]) / (2.0 * k[1:, None])
+    ante[0] = -((-1.0) ** k[1:]) @ ante[1:]
+    s = cos.T @ ante
+    s[0] = 0.0
+    return _read_only(t, s)
 
 
 # Rules on [0, 1] as ``(dl, dr, w)``: nodes at distance ``dl`` from the

@@ -4,10 +4,12 @@ Every analytic layer here has at least one independent route to the same
 number, and each suite drives one such pair against the other:
 
 * ``kernels``: the three kernel transforms against their mutual relations.
-* ``identities``: closed nested-integral forms against literal nested
-  quadrature, depths 1 to 4.
+* ``identities``: closed nested-integral forms (kernel powers over d!)
+  against literal nested quadrature, depths 1 to 4: ``kernels`` eliminates
+  the chain's variables one at a time on one Clenshaw-Curtis grid, with
+  ``kernel_mu`` for the first one alone.
 * ``reorder``: the five integration orderings of a depth-4 ordered region
-  against each other.
+  against each other, each eliminated in its own order on that grid.
 * ``normalization``: densities against total mass 1 and against textbook
   order-statistic marginals.  In one and two dimensions the integrals are
   rows of the Gauss-Legendre rules of ``rules`` over ``values`` arrays,
@@ -174,9 +176,9 @@ def _ident_pair(rng, depth):
 
     Complex lam is used only at depths 1-2; depths 3-4 take the real
     part of the same draw.  This is not for speed, since the brute
-    force's tensor rule evaluates a complex weight in the same pass as a
-    real one: it keeps the suite's configurations, and with them its
-    report, fixed.  ``tests/test_kernels.py`` covers complex lam at
+    force's rule evaluates a complex weight in the same pass as a real
+    one: it keeps the suite's configurations, and with them its report,
+    fixed.  ``tests/test_kernels.py`` covers complex lam at
     depths 3-4.  The draw consumes the same random variates at every
     depth so that per-depth streams stay aligned across profiles.
     """

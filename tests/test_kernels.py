@@ -1,5 +1,6 @@
 """Nested ordered-region integrals: closed kernel powers against brute force."""
 
+import itertools
 import math
 
 import numpy as np
@@ -117,23 +118,37 @@ def test_unresolved_weight_warns():
     assert got == pytest.approx(0.7, abs=1e-2)
 
 
-def test_depth4_rule_stops_at_its_total_cap(monkeypatch):
-    # With 2**12 nodes in all, a depth-4 chain stops at 16 nodes per level
-    # (16**3 = 2**12), with one warning: the innermost kernels cut at the
-    # declared jump and converge.
+def test_depth4_rule_stops_at_its_node_cap(monkeypatch):
+    # The jump at 1 leaves the n/2n difference of the Clenshaw-Curtis
+    # grid decaying only algebraically, so n doubles up to the cap and
+    # stops there with one warning: the first variable's kernels cut at
+    # the declared jump and converge.
     step = CustomDistribution(
         pdf=lambda x: np.where((x >= 0) & (x < 1), 1.0, 0.0),
         cdf=lambda x: np.clip(x, 0.0, 1.0), mean=0.5, abscissa=math.inf,
         name="unit-step", breaks=(1.0,))
-    monkeypatch.setattr(kernels, "_MAX_RULE", 2 ** 12)
     sizes, rule = [], kernels._rule
     monkeypatch.setattr(kernels, "_rule",
                         lambda *a: sizes.append(a[-1]) or rule(*a))
     spec = NestedIntegralSpec(depth=4, gamma_lower=0.3, gamma_upper=1.9)
-    with pytest.warns(IntegrationWarning, match="16-node rule") as record:
+    with pytest.warns(IntegrationWarning, match="512-node rule") as record:
         kernels.idoubleprime_bruteforce(step, spec)
     assert len(record) == 1
-    assert sizes == [8, 16]
+    assert sizes == [8, 16, 32, 64, 128, 256, 512]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma_lower", [0.0, 0.7])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_weakly_damped_oscillating_chain_converges(depth, gamma_lower):
+    # The weight exp(-0.4x) exp(2ix) needs the grid of n = 512 on
+    # [gamma_lower, inf), which costs O(n^2) per level at every depth.
+    dist = Exponential(1.0)
+    spec = NestedIntegralSpec(depth=depth, lam=complex(0.6, 2.0),
+                              gamma_lower=gamma_lower)
+    want = kernels.iprime_closed(dist, spec)
+    got = kernels.iprime_bruteforce(dist, spec)
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_complex_lam_stays_complex():
@@ -209,6 +224,18 @@ def test_reorder_unbounded_matches_kernel_power(dist, lam):
     for order in FIVE_ORDERINGS + (ORIGINAL_ORDERING,):
         got = reorder_check(dist, order, (0.5, math.inf), lam)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [-0.25, complex(-0.3, 0.7)],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("bounds", [(0.3, 2.4), (0.5, math.inf)],
+                         ids=["finite", "unbounded"])
+@pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.name)
+def test_reorder_all_24_orders_agree(dist, bounds, lam):
+    ref = reorder_check(dist, ORIGINAL_ORDERING, bounds, lam)
+    for order in itertools.permutations((1, 2, 3, 4)):
+        got = reorder_check(dist, order, bounds, lam)
+        assert abs(got - ref) <= 1e-10 * abs(ref), order
 
 
 def test_reorder_rejects_bad_order():

@@ -33,6 +33,23 @@ def test_kronrod_embeds_legendre_bit_for_bit(n):
     assert not any(a.flags.writeable for a in (x, wg, wk))
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+def test_clenshaw_curtis_integrates_its_interpolant(n):
+    # Row i of S integrates from -1 to t_i exactly on degree <= n, and
+    # the points of n are those of 2n at even places.
+    t, s = rules._clenshaw_curtis(n)
+    assert t.size == n + 1 and np.all(np.diff(t) > 0)
+    assert t[0] == -1.0 and t[-1] == 1.0 and np.all(s[0] == 0.0)
+    assert np.array_equal(rules._clenshaw_curtis(2 * n)[0][::2], t)
+    for k in range(n + 1):
+        want = (t ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert np.abs(s @ t ** k - want).max() <= 8 * EPS, k
+    if n >= 16:     # exp is within eps of its interpolant of degree 16
+        err = s @ np.exp(t) - (np.exp(t) - np.exp(-1.0))
+        assert np.abs(err).max() <= 8 * EPS
+    assert not any(a.flags.writeable for a in (t, s))
+
+
 def _counted(f):
     sizes = []
 
