@@ -74,8 +74,12 @@ _FIRST_NODES = 8
 # The rule stops, and warns, at this n.  There the tables of an order
 # whose first variable has two free neighbours hold 513^2 entries: on the
 # half-normal with complex lam, such a rule takes 0.14 s and 23 MB on a
-# 2-core host, and about 53 MB on a custom law, whose kernels are numeric.
+# 2-core host.
 _MAX_NODES = 512
+# The first variable's kernel table goes to ``kernel_mu`` in blocks of
+# rows of at most this many pairs: on a custom law, whose kernels are
+# numeric, one call on the 131k pairs of n = 512 held about 52 MB.
+_KERNEL_PAIRS = 2 ** 15
 # Semi-infinite grids map with L = _TAIL_SCALE * dist.mean.  On five
 # oscillating weights (complex lam, depth 2), 8 needed no larger n than 4
 # or 16 did.
@@ -164,8 +168,11 @@ def _rule(dist, order, lo, hi, lam, n):
         ia, ib = at.get(a, every), at.get(b, every)
         if depth > 1 and k == 0:
             psi = np.zeros((ia.size, ib.size), w.dtype)
-            r, c = np.nonzero(x[ia, None] > x[ib])
-            psi[r, c] = dist.kernel_mu(x[ib[c]], x[ia[r]], lam)
+            step = max(1, _KERNEL_PAIRS // ib.size)
+            for r0 in range(0, ia.size, step):
+                r, c = np.nonzero(x[ia[r0:r0 + step], None] > x[ib])
+                r += r0
+                psi[r, c] = dist.kernel_mu(x[ib[c]], x[ia[r]], lam)
             both = ia.size > 1 and ib.size > 1
             factor[a, b] = psi - psi.T if both else psi
             continue

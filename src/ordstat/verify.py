@@ -21,7 +21,11 @@ number, and each suite drives one such pair against the other:
   Monte Carlo row each (``mc_oracle``).
 * ``mc``: analytic densities against Monte Carlo sampling.  The
   Kolmogorov-Smirnov checks compare with CDFs built from the densities
-  by Gauss cell integrals and a cubic Hermite interpolant.
+  by Gauss cell integrals and a cubic Hermite interpolant.  The samples
+  have K = 4 and 5 ranks, which ``mc_oracle`` sorts by a comparator
+  network on rank-major blocks, and the bin checks' histograms bin by
+  arithmetic on uniform edges; both give the bits and counts of
+  ``np.sort`` and ``np.histogramdd``.
 
 The suites need numpy alone, half-normals included.  Their large arrays
 go through fixed blocks of ``mc_oracle._BLOCK`` rows: the Monte Carlo

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,28 @@ def test_depth4_rule_stops_at_its_node_cap(monkeypatch):
         kernels.idoubleprime_bruteforce(step, spec)
     assert len(record) == 1
     assert sizes == [8, 16, 32, 64, 128, 256, 512]
+
+
+def test_first_kernel_table_is_evaluated_in_blocks(monkeypatch):
+    # At the 512-node cap an order whose first variable has two free
+    # neighbours needs 513^2 kernels.  On a custom law, whose kernels are
+    # numeric, one call on all of them held about 25 such tables; in
+    # blocks of rows the rule holds about 7, and gives the same bits.
+    step = CustomDistribution(
+        pdf=lambda x: np.where((x >= 0) & (x < 1), 1.0, 0.0),
+        cdf=lambda x: np.clip(x, 0.0, 1.0), mean=0.5, abscissa=math.inf,
+        name="unit-step", breaks=(1.0,))
+    table = 513 ** 2 * 8
+    tracemalloc.start()
+    try:
+        got = kernels._rule(step, (2, 1, 3, 4), 0.3, 1.9, 0.0, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * table
+    monkeypatch.setattr(kernels, "_KERNEL_PAIRS", 513 ** 2)
+    assert got == kernels._rule(step, (2, 1, 3, 4), 0.3, 1.9, 0.0, 512)
+    assert got == pytest.approx(0.7 ** 4 / 24, rel=1e-2)
 
 
 @pytest.mark.filterwarnings("error")

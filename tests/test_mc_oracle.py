@@ -1,12 +1,13 @@
 """Sampling oracle: determinism, ordering, grouping, histogram statistics."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ordstat import exact_exp, mc_oracle as mc
-from ordstat.distributions import Exponential, HalfNormal
+from ordstat.distributions import CustomDistribution, Exponential, HalfNormal
 from ordstat.errors import DomainError
 from ordstat.partition import Partition
 
@@ -233,3 +234,143 @@ def test_sampling_memory_is_bounded():
     assert _traced_peak(lambda: mc.sample_partial_sums(s)) < 1.5 * result
     assert _traced_peak(lambda: mc.empirical_density(
         s, [(0.0, 6.0, 30), (0.0, 6.0, 30)])) < 1 << 20
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _ties_and_inf(rng, size):
+    # Eighths in (0, 1], so most rows hold ties, and +inf one time in 20.
+    u = rng.random(size)
+    return np.where(u >= 0.95, np.inf, np.ceil(8.0 * u) / 8.0)
+
+
+def _signed(rng, size):
+    # -inf, -0.0, +0.0, negative and positive ties, +inf and NaN.
+    u = rng.random(size)
+    x = np.ceil(8.0 * u) / 8.0 - 0.5
+    x = np.where(u < 0.1, -0.0, x)
+    x = np.where(u < 0.03, -np.inf, x)
+    x = np.where(u >= 0.97, np.inf, x)
+    return np.where((u > 0.5) & (u < 0.501), np.nan, x)
+
+
+def _custom(sampler):
+    return CustomDistribution(pdf=np.ones_like, cdf=np.asarray, mean=0.5,
+                              abscissa=0.0, sampler=sampler,
+                              name=sampler.__name__)
+
+
+SORT_LAWS = [EXP, HalfNormal(0.6), _custom(_ties_and_inf), _custom(_signed)]
+
+
+@pytest.mark.parametrize("dist", SORT_LAWS, ids=lambda d: d.name)
+@pytest.mark.parametrize("K", [*range(1, 13), 30])
+def test_sorted_rows_equal_np_sort_of_the_draws(dist, K):
+    # The network sorts the blocks of K <= 12 in rank-major layout, and a
+    # block with a NaN, a zero or a negative value goes to np.sort; every
+    # row is np.sort's, bit for bit, NaNs first and zeros with their signs.
+    n = 2 * mc._BLOCK + 77
+    draws = dist.sample(mc._stream_rng(9, 0), (n, K))
+    want = np.sort(draws, axis=1)[:, ::-1]
+    np.testing.assert_array_equal(_bits(mc.sample_sorted(dist, K, n, 9)),
+                                  _bits(want))
+    odd, even = range(1, K + 1, 2), range(2, K + 1, 2)
+    groups = "".join(f"[{','.join(map(str, g))}]" for g in (odd, even) if g)
+    p = Partition.parse(f"K={K};Ks={K};groups={groups}")
+    with np.errstate(invalid="ignore"):     # inf - inf
+        sums = mc.sample_partial_sums(mc.SampleSpec(dist, K, K, p, n, 9))
+        for gi, g in enumerate(p.groups):
+            fold = want[:, g[0] - 1].copy()
+            for r in g[1:]:
+                fold += want[:, r - 1]
+            np.testing.assert_array_equal(_bits(sums[:, gi]), _bits(fold))
+
+
+@pytest.mark.parametrize("K", range(2, mc._NETWORK_MAX_K + 1))
+def test_network_sorts_every_zero_one_row(K):
+    # By the 0-1 principle a comparator network that sorts each of the
+    # 2^K rows of ones and twos sorts every input.
+    x = 1.0 + np.array(list(itertools.product((0.0, 1.0), repeat=K)))
+    buf = np.empty((K + 1, len(x)))
+    got = mc._decreasing(x.copy(), mc._network(K), buf)
+    assert got.base is buf
+    np.testing.assert_array_equal(got, np.sort(x, axis=1)[:, ::-1])
+
+
+@pytest.mark.parametrize("K", range(2, mc._NETWORK_MAX_K + 1))
+def test_block_with_a_nan_keeps_np_sorts_rows(K):
+    # A NaN at any rank of one row sends its whole block to np.sort, which
+    # puts it first; the next block, without one, goes through the network.
+    buf = np.empty((K + 1, 64))
+    x = EXP.sample(mc._stream_rng(3, 0), (64, K))
+    for c in range(K):
+        y = x.copy()
+        y[17, c] = np.nan
+        got = mc._decreasing(y.copy(), mc._network(K), buf)
+        assert got.base is not buf
+        np.testing.assert_array_equal(_bits(got),
+                                      _bits(np.sort(y, axis=1)[:, ::-1]))
+        assert mc._decreasing(x.copy(), mc._network(K), buf).base is buf
+
+
+def _edge_values(lo, hi, nb):
+    e = np.linspace(lo, hi, nb + 1)
+    near = np.concatenate([e, np.nextafter(e, -np.inf),
+                           np.nextafter(e, np.inf)])
+    odd = [np.nan, np.inf, -np.inf, lo - 1.0, hi + 1.0, -0.0, 1.7e308,
+           -1.7e308]
+    rng = np.random.default_rng(nb)
+    inner = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 3000)
+    return np.concatenate([near, odd, inner])
+
+
+BIN_AXES = [(0.0, 3.5, 30), (-1.3, 2.9, 7), (0.1, 0.7, 3), (1e3, 1e3 + 1e-6, 11)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", BIN_AXES)
+def test_binned_counts_equal_histogramdd_1d(axis):
+    v = _edge_values(*axis)
+    want, _ = np.histogramdd(v[:, None],
+                             bins=[np.linspace(*axis[:2], axis[2] + 1)])
+    for x in (v, v[:, None]):
+        got = mc.empirical_density(x, [axis])
+        np.testing.assert_array_equal(got.counts, want.astype(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, b", [(BIN_AXES[0], BIN_AXES[1]),
+                                  (BIN_AXES[2], BIN_AXES[3])])
+def test_binned_counts_equal_histogramdd_2d(a, b):
+    # Every edge value of each axis, one ulp either side, NaN, +-inf and
+    # out-of-range values meet each other's values; 3 blocks of rows.
+    u, v = _edge_values(*a), _edge_values(*b)
+    rng = np.random.default_rng(1)
+    x = np.stack([np.resize(u, 3 * mc._BLOCK),
+                  rng.permutation(np.resize(v, 3 * mc._BLOCK))], axis=1)
+    want, _ = np.histogramdd(x, bins=[np.linspace(*c[:2], c[2] + 1)
+                                      for c in (a, b)])
+    got = mc.empirical_density(x, [a, b])
+    np.testing.assert_array_equal(got.counts, want.astype(np.int64))
+    assert got.n == len(x)
+
+
+def test_binned_counts_of_a_spec_equal_histogramdd_1d():
+    # test_blocked_histogram_counts_equal_whole_histogram does 2-D.
+    bins = [(0.5, 4.0, 17)]
+    s = spec("K=5;Ks=4;groups=[1-4]", mc._BLOCK + 99, seed=17)
+    want, _ = np.histogramdd(mc.sample_partial_sums(s),
+                             bins=[np.linspace(0.5, 4.0, 18)])
+    got = mc.empirical_density(s, bins)
+    np.testing.assert_array_equal(got.counts, want.astype(np.int64))
+
+
+@pytest.mark.parametrize("bins", [[(1.0, 1.0, 3)], [(2.0, 1.0, 3)],
+                                  [(0.0, np.inf, 3)], [(np.nan, 1.0, 3)],
+                                  [(0.0, 1.0, 0)], [(1.0, 1.0 + 1e-14, 4)],
+                                  [(0.0, 1.0, 3)] * 3])
+def test_empirical_density_rejects_bad_bins(bins):
+    with pytest.raises(DomainError):
+        mc.empirical_density(np.array([0.5, 0.7]), bins)
